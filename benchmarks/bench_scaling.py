@@ -48,36 +48,26 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import resource
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from repro.dd import DDSimulator, resolve_backend_executor
-from repro.md import default_forcefield, make_system
+from repro.dd import DDSimulator
 from repro.obs.bench import (
-    DEFAULT_HISTORY,
-    DEFAULT_THRESHOLD,
-    DEFAULT_WINDOW,
-    BenchHistory,
     BenchRecord,
-    check_regression,
-    regressions,
+    add_history_flags,
+    build_memory_snapshot,
+    commit_records,
+    machine_context,
+    provenance,
 )
 from repro.obs.metrics import METRICS
 from repro.par.imbalance import record_imbalance
 from repro.perf.energy import model_scaling_efficiency
 from repro.perf.machines import machine_by_name
-
-from bench_step import (  # noqa: E402  (sibling benchmark module)
-    build_memory_snapshot,
-    detect_git_sha,
-    parse_build_bytes,
-    resolve_atoms,
-)
+from repro.spec import SimulationSpec, add_spec_flags, spec_from_args
 
 #: Default sweep: the paper's smallest grappa point plus a ≥768k system,
 #: both at 8/16/32/64 ranks (the strong-scaling range the paper reports).
@@ -102,47 +92,30 @@ def peak_rss_mb() -> float:
     return (self_kb + child_kb) / 1024.0
 
 
-def bench_config(
-    system: str, ranks: int, steps: int, *,
-    backend: str, executor: str, kernel: str, kernel_dtype: str,
-    seed: int, nstlist: int, max_build_bytes: int | None,
-    dlb: str = "off", warmup_steps: int = 1,
-) -> dict:
+def bench_config(spec: SimulationSpec, warmup_steps: int = 1) -> dict:
     """Steady-state ms/step for one (system, ranks) sweep point."""
-    n_atoms = resolve_atoms(system)
-    try:
-        backend_obj, executor_obj = resolve_backend_executor(backend, executor)
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
-    ff = default_forcefield(cutoff=0.65)
-    md_system = make_system(system, seed=seed, ff=ff, dtype=np.float64)
-    with DDSimulator(
-        md_system, ff, n_ranks=ranks, backend=backend_obj,
-        executor=executor_obj, nstlist=nstlist, buffer=0.12,
-        overlap_comm=True, kernel=kernel, kernel_dtype=kernel_dtype,
-        max_build_bytes=max_build_bytes, dlb=dlb,
-    ) as sim:
+    with DDSimulator.from_spec(spec) as sim:
         sim.run(warmup_steps)  # first neighbour search, pool spin-up, DLB settle
         memory = build_memory_snapshot()
         METRICS.reset()
         t0 = time.perf_counter()
-        sim.run(steps)
+        sim.run(spec.steps)
         elapsed = time.perf_counter() - t0
         checksum = float(np.sum(sim.system.positions))
         dlb_adjustments = sim.dlb_adjustments
-    ms = elapsed * 1e3 / steps
-    summary = record_imbalance(executor=executor)
-    overall = (summary.get(executor) or {}).get("overall")
+    ms = elapsed * 1e3 / spec.steps
+    summary = record_imbalance(executor=spec.executor)
+    overall = (summary.get(spec.executor) or {}).get("overall")
     return {
-        "system": system,
-        "n_atoms": n_atoms,
-        "ranks": ranks,
+        "system": spec.system,
+        "n_atoms": spec.n_atoms,
+        "ranks": spec.ranks,
         "ms_per_step": ms,
         "steps_per_s": 1e3 / ms,
-        "measured_steps": steps,
+        "measured_steps": spec.steps,
         "warmup_steps": warmup_steps,
         "checksum": checksum,
-        "dlb": dlb,
+        "dlb": spec.dlb,
         "dlb_adjustments": dlb_adjustments,
         "imbalance": summary,
         "imbalance_pct": None if overall is None else overall["imbalance_pct"],
@@ -219,29 +192,21 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--rank-counts", nargs="+", type=int,
                         default=list(DEFAULT_RANK_COUNTS),
                         help="rank counts per system (default: 8 16 32 64)")
-    parser.add_argument("--steps", type=int, default=3,
-                        help="timed steps per point (after 1 warm-up step)")
-    parser.add_argument("--nstlist", type=int, default=10)
-    parser.add_argument("--executor", default="process",
-                        help="rank executor (default: process)")
-    parser.add_argument("--backend", default="reference",
-                        choices=("reference", "mpi", "threadmpi", "nvshmem"))
-    parser.add_argument("--kernel", default="cluster",
-                        choices=["segment", "cluster", "cluster-numba"])
-    parser.add_argument("--kernel-dtype", default="float64",
-                        choices=["float64", "float32"])
-    parser.add_argument("--max-build-bytes", type=parse_build_bytes,
-                        default=DEFAULT_MAX_BUILD_BYTES, metavar="BYTES",
-                        help="per-rank build working-set cap "
-                             "(default: 64M; '0' = uncapped)")
-    parser.add_argument("--dlb", default="off",
-                        choices=["off", "pairs", "measured"],
-                        help="dynamic load balancing mode (recorded as part "
-                             "of each point's baseline key)")
+    add_spec_flags(
+        parser, "steps", "nstlist", "executor", "backend", "kernel",
+        "kernel_dtype", "max_build_bytes", "dlb",
+        steps=dict(default=3, help="timed steps per point (after 1 warm-up step)"),
+        executor=dict(default="process", help="rank executor (default: process)"),
+        kernel=dict(default="cluster"),
+        max_build_bytes=dict(
+            default=DEFAULT_MAX_BUILD_BYTES,
+            help="per-rank build working-set cap (default: 64M; '0' = uncapped)",
+        ),
+    )
     parser.add_argument("--warmup-steps", type=int, default=None,
                         help="untimed steps per point (default: 1, or "
                              "6*nstlist with DLB on so boundaries converge)")
-    parser.add_argument("--seed", type=int, default=7)
+    add_spec_flags(parser, "seed")
     parser.add_argument("--machine", default="dgx-h100",
                         help="modeled machine for the efficiency prediction")
     parser.add_argument("--out", default="BENCH_scaling.json",
@@ -257,24 +222,13 @@ def main(argv: list[str] | None = None) -> None:
                         metavar="MB",
                         help="fail when the sweep's peak RSS (self+children) "
                              "exceeds MB mebibytes")
-    # -- history + regression gate -------------------------------------------
-    parser.add_argument("--history", default=DEFAULT_HISTORY,
-                        help=f"committed bench-history file (default: "
-                             f"{DEFAULT_HISTORY})")
-    parser.add_argument("--no-history", action="store_true")
-    parser.add_argument("--git-sha", default=None)
-    parser.add_argument("--timestamp", default=None)
-    parser.add_argument("--check", action="store_true",
-                        help="fail when a sweep point regresses more than "
-                             "--threshold vs its rolling baseline")
-    parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    parser.add_argument("--baseline-window", type=int, default=DEFAULT_WINDOW)
+    add_history_flags(parser)
     args = parser.parse_args(argv)
 
-    max_build_bytes = args.max_build_bytes or None  # 0 -> uncapped
     machine = machine_by_name(args.machine)
     cap_label = (
-        f"{max_build_bytes // (1 << 20)}M cap" if max_build_bytes else "uncapped"
+        f"{args.max_build_bytes // (1 << 20)}M cap"
+        if args.max_build_bytes else "uncapped"  # '0' on the flag parses to None
     )
     warmup_steps = args.warmup_steps
     if warmup_steps is None:
@@ -286,27 +240,27 @@ def main(argv: list[str] | None = None) -> None:
         f"(+{warmup_steps} warm-up), {os.cpu_count()} cpus"
     )
 
+    try:
+        specs = [
+            spec_from_args(args, system=system, ranks=ranks)
+            for system in args.systems
+            for ranks in args.rank_counts
+        ]
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
     points = []
-    for system in args.systems:
-        for ranks in args.rank_counts:
-            p = bench_config(
-                system, ranks, args.steps,
-                backend=args.backend, executor=args.executor,
-                kernel=args.kernel, kernel_dtype=args.kernel_dtype,
-                seed=args.seed, nstlist=args.nstlist,
-                max_build_bytes=max_build_bytes,
-                dlb=args.dlb, warmup_steps=warmup_steps,
-            )
-            points.append(p)
-            mem = p["memory"]
-            imb = p.get("imbalance_pct")
-            imb_txt = f" | imb {imb:5.0f}%" if imb is not None else ""
-            print(
-                f"  {system:>6} @ {ranks:>2}r  {p['ms_per_step']:9.1f} ms/step"
-                f" | build peak {mem['build_peak_bytes'] / (1 << 20):8.1f} MiB"
-                f" ({mem['build_peak_bytes_per_atom']:6.0f} B/atom)"
-                f" | rss {p['peak_rss_mb']:7.0f} MiB{imb_txt}"
-            )
+    for spec in specs:
+        p = bench_config(spec, warmup_steps)
+        points.append(p)
+        mem = p["memory"]
+        imb = p.get("imbalance_pct")
+        imb_txt = f" | imb {imb:5.0f}%" if imb is not None else ""
+        print(
+            f"  {spec.system:>6} @ {spec.ranks:>2}r  {p['ms_per_step']:9.1f} ms/step"
+            f" | build peak {mem['build_peak_bytes'] / (1 << 20):8.1f} MiB"
+            f" ({mem['build_peak_bytes_per_atom']:6.0f} B/atom)"
+            f" | rss {p['peak_rss_mb']:7.0f} MiB{imb_txt}"
+        )
 
     attach_efficiency(points, machine)
     for p in points:
@@ -319,11 +273,7 @@ def main(argv: list[str] | None = None) -> None:
             f"(base {s['base_ranks']}r)"
         )
 
-    machine_ctx = {
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-    }
+    machine_ctx = machine_context()
     report = {
         "bench": "strong_scaling",
         "systems": args.systems,
@@ -332,7 +282,7 @@ def main(argv: list[str] | None = None) -> None:
         "executor": args.executor,
         "kernel": args.kernel,
         "kernel_dtype": args.kernel_dtype,
-        "max_build_bytes": max_build_bytes,
+        "max_build_bytes": args.max_build_bytes,
         "dlb": args.dlb,
         "warmup_steps": warmup_steps,
         "steps": args.steps,
@@ -377,57 +327,22 @@ def main(argv: list[str] | None = None) -> None:
         return
 
     # -- committed history + regression gate ----------------------------------
-    git_sha = args.git_sha or detect_git_sha()
-    timestamp = (
-        args.timestamp
-        or os.environ.get("BENCH_TIMESTAMP")
-        or datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
-    history = BenchHistory.load(args.history)
+    git_sha, timestamp = provenance(args)
     new_records = [
-        BenchRecord(
+        BenchRecord.measured(
+            spec,
             git_sha=git_sha,
             timestamp=timestamp,
-            system=p["system"],
-            n_atoms=p["n_atoms"],
-            ranks=p["ranks"],
-            backend=args.backend,
-            executor=args.executor,
-            overlap_comm=True,
-            steps=args.steps,
             ms_per_step=p["ms_per_step"],
             steps_per_s=p["steps_per_s"],
-            kernel=args.kernel,
-            kernel_dtype=args.kernel_dtype,
-            max_build_bytes=max_build_bytes,
-            dlb=args.dlb,
             machine=machine_ctx,
             imbalance=p.get("imbalance"),
             memory=p.get("memory"),
             scaling=p.get("scaling"),
         )
-        for p in points
+        for spec, p in zip(specs, points)
     ]
-    gate = check_regression(
-        history, new_records,
-        threshold=args.threshold, window=args.baseline_window,
-    )
-    for rec in new_records:
-        history.append(rec)
-    history.save()
-    print(f"appended {len(new_records)} record(s) to {history.path} "
-          f"({len(history.records)} total)")
-    for g in gate:
-        print(f"  gate: {g.describe()}")
-    if args.check:
-        failed = regressions(gate)
-        if failed:
-            raise SystemExit(
-                f"FAILED: {len(failed)} sweep point(s) regress more than "
-                f"{args.threshold:.0%} vs the rolling baseline "
-                f"(window {args.baseline_window})"
-            )
-        print(f"OK: no strong-scaling regression beyond {args.threshold:.0%}")
+    commit_records(args, new_records, "strong-scaling")
 
 
 if __name__ == "__main__":

@@ -40,64 +40,25 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
-import subprocess
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from repro.dd import DDSimulator, resolve_backend_executor
-from repro.md import default_forcefield, make_system
-from repro.md.grappa import resolve_atoms as _resolve_atoms
+from repro.dd import DDSimulator
 from repro.obs.bench import (
-    DEFAULT_HISTORY,
-    DEFAULT_THRESHOLD,
-    DEFAULT_WINDOW,
-    BenchHistory,
     BenchRecord,
-    check_regression,
-    regressions,
+    add_history_flags,
+    build_memory_snapshot,
+    commit_records,
+    machine_context,
+    provenance,
 )
 from repro.obs.metrics import METRICS
 from repro.par.imbalance import record_imbalance
 from repro.perf.energy import grappa_energy_report, model_scaling_efficiency
 from repro.perf.machines import machine_by_name
-
-
-def resolve_atoms(system: str) -> int:
-    """CLI-flavoured :func:`repro.md.grappa.resolve_atoms` (exits, not raises)."""
-    try:
-        return _resolve_atoms(system)
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
-
-
-def parse_build_bytes(text: str) -> int:
-    """``--max-build-bytes`` values: plain bytes or '512k'/'64M'/'1G'."""
-    s = text.strip()
-    units = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
-    try:
-        if s and s[-1].lower() in units:
-            return int(float(s[:-1]) * units[s[-1].lower()])
-        return int(s)
-    except ValueError:
-        raise SystemExit(
-            f"invalid --max-build-bytes '{text}': use bytes or a "
-            f"'k'/'M'/'G'-suffixed size (e.g. 64M)"
-        ) from None
-
-
-def detect_git_sha() -> str:
-    """Short sha of HEAD, or ``unknown`` outside a git checkout."""
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10, check=True,
-        ).stdout.strip() or "unknown"
-    except Exception:
-        return "unknown"
+from repro.spec import SimulationSpec, add_spec_flags, spec_from_args
 
 
 def _phase_breakdown(executor: str, steps: int) -> dict:
@@ -126,72 +87,40 @@ def _phase_breakdown(executor: str, steps: int) -> dict:
     }
 
 
-def build_memory_snapshot() -> dict:
-    """The ``md.*`` build-memory gauges as a BenchRecord ``memory`` dict.
-
-    Read *after* the warm-up step (the first neighbour search populates
-    the gauges) and *before* ``METRICS.reset()`` wipes them.
-    """
-    return {
-        "pairlist_bytes": int(METRICS.gauge("md.pairlist.bytes").value),
-        "cells_bytes": int(METRICS.gauge("md.cells.bytes").value),
-        "build_peak_bytes": int(METRICS.gauge("md.build.peak_bytes").value),
-        "build_peak_bytes_per_atom": float(
-            METRICS.gauge("md.build.peak_bytes_per_atom").value
-        ),
-    }
-
-
 def bench_executor(
-    executor: str, system_label: str, ranks: int, steps: int, *,
-    backend: str, seed: int, nstlist: int,
-    phase_breakdown: bool = False, overlap: bool = True,
-    kernel: str = "segment", kernel_dtype: str = "float64",
-    max_build_bytes: int | None = None,
-    dlb: str = "off", warmup_steps: int = 1,
+    spec: SimulationSpec, *, warmup_steps: int = 1, phase_breakdown: bool = False
 ) -> dict:
-    """Steady-state ms/step for one executor (warm-up steps excluded).
+    """Steady-state ms/step for one spec (warm-up steps excluded).
 
     With DLB enabled, the warm-up window is where the boundaries converge
     (several neighbour searches); the timed window then measures the
     *balanced* steady state, exactly as the uniform-grid bench measures
     the post-spin-up steady state.
     """
-    try:
-        backend_obj, executor_obj = resolve_backend_executor(backend, executor)
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
-    ff = default_forcefield(cutoff=0.65)
-    system = make_system(system_label, seed=seed, ff=ff, dtype=np.float64)
-    with DDSimulator(
-        system, ff, n_ranks=ranks, backend=backend_obj, executor=executor_obj,
-        nstlist=nstlist, buffer=0.12, overlap_comm=overlap,
-        kernel=kernel, kernel_dtype=kernel_dtype,
-        max_build_bytes=max_build_bytes, dlb=dlb,
-    ) as sim:
+    with DDSimulator.from_spec(spec) as sim:
         sim.run(warmup_steps)  # first neighbour search, pool spin-up, DLB settle
         memory = build_memory_snapshot()
         METRICS.reset()  # count only the timed steps (rank_us, overlap, ...)
         t0 = time.perf_counter()
-        sim.run(steps)
+        sim.run(spec.steps)
         elapsed = time.perf_counter() - t0
         checksum = float(np.sum(sim.system.positions))
         dlb_adjustments = sim.dlb_adjustments
-    ms = elapsed * 1e3 / steps
+    ms = elapsed * 1e3 / spec.steps
     r = {
-        "executor": executor,
+        "executor": spec.executor,
         "ms_per_step": ms,
         "steps_per_s": 1e3 / ms,
-        "measured_steps": steps,
+        "measured_steps": spec.steps,
         "warmup_steps": warmup_steps,
         "checksum": checksum,
-        "dlb": dlb,
+        "dlb": spec.dlb,
         "dlb_adjustments": dlb_adjustments,
-        "imbalance": record_imbalance(executor=executor),
+        "imbalance": record_imbalance(executor=spec.executor),
         "memory": memory,
     }
     if phase_breakdown:
-        r["phase_breakdown"] = _phase_breakdown(executor, steps)
+        r["phase_breakdown"] = _phase_breakdown(spec.executor, spec.steps)
     return r
 
 
@@ -225,27 +154,13 @@ def _energy_dict(args, n_atoms: int, result: dict) -> dict | None:
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--system", default="45k",
-                        help="atom count or grappa label (default: 45k)")
-    parser.add_argument("--ranks", type=int, default=8)
-    parser.add_argument("--steps", type=int, default=10,
-                        help="timed steps per executor (after 1 warm-up step)")
-    parser.add_argument("--nstlist", type=int, default=10)
-    parser.add_argument("--kernel", default="segment",
-                        choices=["segment", "cluster", "cluster-numba"],
-                        help="non-bonded kernel (repro.md.kernels registry)")
-    parser.add_argument("--kernel-dtype", default="float64",
-                        choices=["float64", "float32"],
-                        help="kernel compute precision (float32 = fast path)")
-    parser.add_argument("--max-build-bytes", type=parse_build_bytes,
-                        default=None, metavar="BYTES",
-                        help="pair-list build working-set cap per rank "
-                             "(e.g. 64M; bit-identical, bounds build memory; "
-                             "recorded as part of the baseline key)")
-    parser.add_argument("--dlb", default="off",
-                        choices=["off", "pairs", "measured"],
-                        help="dynamic load balancing mode (recorded as part "
-                             "of the baseline key; 'pairs' is deterministic)")
+    add_spec_flags(
+        parser, "system", "ranks", "steps", "nstlist", "kernel", "kernel_dtype",
+        "max_build_bytes", "dlb",
+        system=dict(default="45k", help="atom count or grappa label (default: 45k)"),
+        ranks=dict(default=8),
+        steps=dict(help="timed steps per executor (after 1 warm-up step)"),
+    )
     parser.add_argument("--warmup-steps", type=int, default=None,
                         help="untimed steps before measurement (default: 1, "
                              "or 6*nstlist with DLB on so boundaries converge "
@@ -255,11 +170,9 @@ def main(argv: list[str] | None = None) -> None:
                         help="with --dlb on: also run a dlb=off twin per "
                              "executor and fail unless DLB cuts the overall "
                              "par.imbalance by at least FACTOR (e.g. 2.0)")
-    parser.add_argument("--backend", default="reference",
-                        choices=("reference", "mpi", "threadmpi", "nvshmem"))
+    add_spec_flags(parser, "backend", "seed")
     parser.add_argument("--executors", nargs="+",
                         default=["serial", "thread", "process"])
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--phase-breakdown", action="store_true",
                         help="report local/non-local force split, halo wall "
                              "time, and overlap efficiency per executor")
@@ -270,26 +183,7 @@ def main(argv: list[str] | None = None) -> None:
                         help="modeled machine for the energy estimate")
     parser.add_argument("--out", default="BENCH_report.json",
                         help="one-shot JSON report path")
-    # -- history + regression gate -------------------------------------------
-    parser.add_argument("--history", default=DEFAULT_HISTORY,
-                        help="committed bench-history file to append to "
-                             f"(default: {DEFAULT_HISTORY})")
-    parser.add_argument("--no-history", action="store_true",
-                        help="do not read or append the committed history")
-    parser.add_argument("--git-sha", default=None,
-                        help="record provenance (default: git rev-parse)")
-    parser.add_argument("--timestamp", default=None,
-                        help="record timestamp — CI passes its own; defaults "
-                             "to $BENCH_TIMESTAMP or the current UTC time")
-    parser.add_argument("--check", action="store_true",
-                        help="fail (exit non-zero) when a new record regresses "
-                             "more than --threshold vs its rolling baseline")
-    parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                        help="fractional steps/s loss that fails --check "
-                             f"(default: {DEFAULT_THRESHOLD:.2f})")
-    parser.add_argument("--baseline-window", type=int, default=DEFAULT_WINDOW,
-                        help="records per key folded into the rolling baseline "
-                             f"(default: {DEFAULT_WINDOW})")
+    add_history_flags(parser)
     args = parser.parse_args(argv)
 
     if args.assert_imbalance_reduction is not None:
@@ -306,7 +200,16 @@ def main(argv: list[str] | None = None) -> None:
     warmup_steps = args.warmup_steps
     if warmup_steps is None:
         warmup_steps = 1 if args.dlb == "off" else 6 * args.nstlist
-    n_atoms = resolve_atoms(args.system)
+    try:
+        specs = [
+            spec_from_args(
+                args, executor=executor, overlap_comm=not args.no_overlap
+            )
+            for executor in args.executors
+        ]
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
+    n_atoms = specs[0].n_atoms
     print(
         f"bench_step: {args.system} ({n_atoms} atoms), {args.ranks} ranks, "
         f"backend {args.backend}, {args.steps} steps/executor "
@@ -314,14 +217,10 @@ def main(argv: list[str] | None = None) -> None:
     )
     results = []
     twins: dict[str, dict] = {}  # executor -> dlb=off twin result
-    for executor in args.executors:
+    for spec in specs:
+        executor = spec.executor
         r = bench_executor(
-            executor, args.system, args.ranks, args.steps,
-            backend=args.backend, seed=args.seed, nstlist=args.nstlist,
-            phase_breakdown=args.phase_breakdown, overlap=not args.no_overlap,
-            kernel=args.kernel, kernel_dtype=args.kernel_dtype,
-            max_build_bytes=args.max_build_bytes,
-            dlb=args.dlb, warmup_steps=warmup_steps,
+            spec, warmup_steps=warmup_steps, phase_breakdown=args.phase_breakdown
         )
         results.append(r)
         mem = r["memory"]
@@ -332,12 +231,7 @@ def main(argv: list[str] | None = None) -> None:
               f"({mem['build_peak_bytes_per_atom']:.0f} B/atom){imb_txt}")
         if args.assert_imbalance_reduction is not None:
             twins[executor] = bench_executor(
-                executor, args.system, args.ranks, args.steps,
-                backend=args.backend, seed=args.seed, nstlist=args.nstlist,
-                overlap=not args.no_overlap,
-                kernel=args.kernel, kernel_dtype=args.kernel_dtype,
-                max_build_bytes=args.max_build_bytes,
-                dlb="off", warmup_steps=warmup_steps,
+                spec.with_(dlb="off"), warmup_steps=warmup_steps
             )
             off_imb = overall_imbalance(twins[executor])
             print(f"           dlb=off twin: "
@@ -370,11 +264,7 @@ def main(argv: list[str] | None = None) -> None:
                 print(f"  {r['executor']} speedup vs serial: "
                       f"{r['speedup_vs_serial']:.2f}x")
 
-    machine_ctx = {
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-    }
+    machine_ctx = machine_context()
     report = {
         "bench": "step_throughput",
         "system": args.system,
@@ -438,65 +328,27 @@ def main(argv: list[str] | None = None) -> None:
         return
 
     # -- committed history + regression gate ----------------------------------
-    git_sha = args.git_sha or detect_git_sha()
-    timestamp = (
-        args.timestamp
-        or os.environ.get("BENCH_TIMESTAMP")
-        or datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
-    history = BenchHistory.load(args.history)
-    new_records = []
+    git_sha, timestamp = provenance(args)
     # The dlb=off twins (when --assert-imbalance-reduction ran) are real
     # measurements under their own baseline key; committing both sides
     # keeps the before/after imbalance evidence in the history itself.
-    for r in results + list(twins.values()):
-        energy = _energy_dict(args, n_atoms, r)
-        new_records.append(
-            BenchRecord(
-                git_sha=git_sha,
-                timestamp=timestamp,
-                system=args.system,
-                n_atoms=n_atoms,
-                ranks=args.ranks,
-                backend=args.backend,
-                executor=r["executor"],
-                overlap_comm=not args.no_overlap,
-                steps=args.steps,
-                ms_per_step=r["ms_per_step"],
-                steps_per_s=r["steps_per_s"],
-                kernel=args.kernel,
-                kernel_dtype=args.kernel_dtype,
-                max_build_bytes=args.max_build_bytes,
-                dlb=r["dlb"],
-                machine=machine_ctx,
-                phase_breakdown=r.get("phase_breakdown"),
-                imbalance=r.get("imbalance"),
-                energy=energy,
-                memory=r.get("memory"),
-            )
+    by_executor = {spec.executor: spec for spec in specs}
+    new_records = [
+        BenchRecord.measured(
+            by_executor[r["executor"]].with_(dlb=r["dlb"]),
+            git_sha=git_sha,
+            timestamp=timestamp,
+            ms_per_step=r["ms_per_step"],
+            steps_per_s=r["steps_per_s"],
+            machine=machine_ctx,
+            phase_breakdown=r.get("phase_breakdown"),
+            imbalance=r.get("imbalance"),
+            energy=_energy_dict(args, n_atoms, r),
+            memory=r.get("memory"),
         )
-    # Gate against the pre-append store so no record compares to itself,
-    # but save first: a failing run must still leave its evidence behind.
-    gate = check_regression(
-        history, new_records,
-        threshold=args.threshold, window=args.baseline_window,
-    )
-    for rec in new_records:
-        history.append(rec)
-    history.save()
-    print(f"appended {len(new_records)} record(s) to {history.path} "
-          f"({len(history.records)} total)")
-    for g in gate:
-        print(f"  gate: {g.describe()}")
-    if args.check:
-        failed = regressions(gate)
-        if failed:
-            raise SystemExit(
-                f"FAILED: {len(failed)} record(s) regress more than "
-                f"{args.threshold:.0%} vs the rolling baseline "
-                f"(window {args.baseline_window})"
-            )
-        print(f"OK: no step-throughput regression beyond {args.threshold:.0%}")
+        for r in results + list(twins.values())
+    ]
+    commit_records(args, new_records, "step-throughput")
 
 
 if __name__ == "__main__":

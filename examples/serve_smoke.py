@@ -3,7 +3,7 @@
 Boots a :class:`repro.serve.engine.JobEngine` with its JSON-RPC HTTP
 front end in-process, submits three concurrent jobs over the wire — two
 simulations sharing a system key plus one chaos job with an embedded
-:class:`~repro.chaos.plan.FaultPlan` — and then asserts the service
+:class:`~repro.faultplan.FaultPlan` — and then asserts the service
 contract end to end:
 
 1. every job reaches ``done``;
@@ -20,7 +20,7 @@ CI runs this as the ``serve`` job's core step::
 
 from __future__ import annotations
 
-from repro.chaos.plan import FaultPlan
+from repro.faultplan import FaultPlan
 from repro.serve import JobEngine, ServeClient, SimulationSpec, start_server, submit_and_wait
 
 SIM = SimulationSpec(system="3000", steps=4, ranks=4, nstlist=2, seed=7)

@@ -13,10 +13,11 @@ Two layers:
   the GPU-resident step schedules (the paper's Figs. 1-2), calibrated to
   the published device-side timings, regenerating every evaluation figure.
 
-A third layer, **service** (:mod:`repro.serve`), runs many functional
-jobs concurrently behind one frozen :class:`~repro.serve.spec.SimulationSpec`
-API — the same spec executes blocking (``DDSimulator.from_spec`` /
-``submit_and_wait``) or on a ``repro serve`` instance over JSON-RPC, with
+One frozen :class:`~repro.spec.SimulationSpec` describes a run: it is the
+only place a knob is declared, ``DDSimulator.from_spec`` is the only
+place its names become objects, and a third layer, **service**
+(:mod:`repro.serve`), runs many such specs concurrently — blocking
+(``submit_and_wait``) or on a ``repro serve`` instance over JSON-RPC, with
 derived artifacts cached across jobs.
 
 Quickstart::
@@ -30,10 +31,9 @@ Quickstart::
 Public API
 ----------
 
-Everything in ``__all__`` below is the supported surface; the documented
-way to pick a backend/executor is by registry name (``backend="nvshmem"``,
-``executor="process"``) or via :class:`SimulationSpec` — passing them as
-positional :class:`DDSimulator` arguments is deprecated.
+Everything in ``__all__`` below is the supported surface; backends and
+executors are picked by registry name (``backend="nvshmem"``,
+``executor="process"``), directly or via :class:`SimulationSpec`.
 """
 
 from repro.comm import MpiBackend, NvshmemBackend, ThreadMpiBackend, make_backend
@@ -53,7 +53,8 @@ from repro.perf import (
     grappa_workload,
     simulate_step,
 )
-from repro.serve import JobEngine, ServeClient, SimulationSpec, submit_and_wait
+from repro.serve import JobEngine, ServeClient, submit_and_wait
+from repro.spec import SimulationSpec
 from repro.util.tables import Table
 from repro.util.units import ms_per_step_to_ns_per_day
 

@@ -5,7 +5,7 @@ safe under *any* interleaving — ordered only by per-pulse signals and the
 depOffset dependency split, never by scheduling luck.  This package is
 the machinery that tests that claim adversarially:
 
-* :mod:`repro.chaos.plan` — seeded, JSON-serializable :class:`FaultPlan`s
+* :mod:`repro.faultplan` — seeded, JSON-serializable :class:`FaultPlan`s
   (delayed tasks, hidden signals, dropped proxy ops, straggler ranks,
   reordered notifications).
 * :mod:`repro.chaos.inject` — :class:`ChaosInjector` wires a plan into
@@ -22,8 +22,9 @@ the machinery that tests that claim adversarially:
 from repro.chaos.campaign import (
     CampaignResult,
     CaseResult,
-    ChaosConfig,
+    chaos_spec,
     make_artifact,
+    plan_for,
     reference_trajectory,
     replay_artifact,
     run_campaign,
@@ -38,7 +39,7 @@ from repro.chaos.invariants import (
     check_halo_partition,
 )
 from repro.chaos.mutations import MUTATIONS, apply_mutation
-from repro.chaos.plan import FAULT_KINDS, Fault, FaultPlan
+from repro.faultplan import FAULT_KINDS, Fault, FaultPlan
 from repro.chaos.shrink import shrink_plan
 
 __all__ = [
@@ -46,17 +47,18 @@ __all__ = [
     "MUTATIONS",
     "CampaignResult",
     "CaseResult",
-    "ChaosConfig",
     "ChaosInjector",
     "ChaosState",
     "ChaosViolation",
     "Fault",
     "FaultPlan",
     "apply_mutation",
+    "chaos_spec",
     "check_bit_identity",
     "check_halo_coverage",
     "check_halo_partition",
     "make_artifact",
+    "plan_for",
     "reference_trajectory",
     "replay_artifact",
     "run_campaign",

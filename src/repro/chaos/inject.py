@@ -24,7 +24,7 @@ import numpy as np
 
 import repro.par.base as par_base
 from repro.chaos.invariants import check_halo_coverage
-from repro.chaos.plan import Fault, FaultPlan
+from repro.faultplan import Fault, FaultPlan
 from repro.comm.scheduler import CooperativeScheduler
 from repro.nvshmem.runtime import NvshmemRuntime
 from repro.nvshmem.signals import SignalArray

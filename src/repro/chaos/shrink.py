@@ -11,18 +11,18 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.chaos.plan import Fault, FaultPlan
+from repro.faultplan import Fault, FaultPlan
 from repro.obs.metrics import METRICS
 
 
-def shrink_plan(cfg, plan: FaultPlan, mutation: str | None = None, reference=None) -> FaultPlan:
+def shrink_plan(spec, plan: FaultPlan, mutation: str | None = None, reference=None) -> FaultPlan:
     """Return a minimal plan (same seed) whose run still fails."""
     from repro.chaos.campaign import run_case
 
     def fails(faults: list[Fault]) -> bool:
         METRICS.counter("chaos.shrink_attempts").inc()
         return run_case(
-            cfg, FaultPlan(seed=plan.seed, faults=faults), mutation=mutation,
+            spec, FaultPlan(seed=plan.seed, faults=faults), mutation=mutation,
             reference=reference,
         ).failed
 

@@ -17,7 +17,9 @@ submit     submit a SimulationSpec JSON file to a serve instance
 
 Functional subcommands (``compare``/``scaling`` ``--measure``,
 ``profile --functional``, ``verify``, ``chaos``) all build a
-:class:`repro.serve.spec.SimulationSpec` and run it through
+:class:`repro.spec.SimulationSpec` (flags that name a spec field are
+generated from the field's own declaration — ``repro.spec.add_spec_flags``
+— and read back with ``spec_from_args``) and run it through
 :func:`repro.serve.client.submit_and_wait` — in-process by default, or
 on a running service with ``--server http://host:port``.  Both paths
 execute the same job body, so results are bit-identical.
@@ -43,16 +45,36 @@ logger that all reporting goes through.
 from __future__ import annotations
 
 import argparse
+import json
+import sys
 
-from repro.md.grappa import resolve_atoms
+from repro.chaos import (
+    chaos_spec,
+    plan_for,
+    replay_artifact,
+    run_campaign,
+    write_artifact,
+)
+from repro.comm import backend_registry
+from repro.dd.dlb import DLB_MODES
+from repro.md.grappa import SCENARIOS, resolve_atoms, scenario_label
+from repro.obs.export import write_chrome_trace
 from repro.obs.log import configure, get_logger
+from repro.obs.metrics import METRICS
+from repro.obs.report import metrics_table
+from repro.obs.tracer import TRACER
 from repro.perf.machines import machine_by_name
 from repro.perf.model import simulate_step
 from repro.perf.workload import grappa_workload
+from repro.serve import JobEngine, ServeClient, make_server, submit_and_wait
+from repro.spec import SimulationSpec, add_spec_flags, spec_from_args
 from repro.util.tables import Table
 from repro.util.units import ms_per_step_to_ns_per_day
 
 log = get_logger("cli")
+
+#: The spec knobs every functional subcommand exposes as flags.
+FUNCTIONAL_FLAGS = ("executor", "kernel", "max_build_bytes", "dlb")
 
 
 def _resolve_atoms(system: str) -> int:
@@ -63,28 +85,38 @@ def _resolve_atoms(system: str) -> int:
         raise SystemExit(str(err)) from None
 
 
-def _functional_ms_per_step(
-    system: str, ranks: int, backend: str, executor: str, steps: int,
-    seed: int = 7, server: str | None = None, kernel: str = "segment",
-    max_build_bytes: int | None = None, dlb: str = "off",
-) -> float:
-    """Wall-clock ms/step of a real DD run with the chosen executor.
+def _functional_ms_per_step(args, ranks: int, backend: str) -> float:
+    """Wall-clock ms/step of a real DD run of ``args.measure`` steps.
 
-    Builds a :class:`~repro.serve.spec.SimulationSpec` and submits it —
-    in-process when ``server`` is None, to a running serve instance
+    Builds the spec the command line describes and submits it —
+    in-process when ``--server`` is absent, to a running serve instance
     otherwise — so the measured path is the service path.  The reported
     figure includes the first neighbour search and pool spin-up.
-    ``system`` keeps its scenario label ("slab-45k" stays a slab run).
     """
-    from repro.serve import SimulationSpec, submit_and_wait
+    spec = spec_from_args(args, ranks=ranks, backend=backend, steps=args.measure)
+    return submit_and_wait(spec, server=args.server)["ms_per_step"]
 
-    spec = SimulationSpec(
-        system=system, steps=steps, ranks=ranks,
-        backend=backend, executor=executor, seed=seed,
-        nstlist=10, buffer=0.12, kernel=kernel,
-        max_build_bytes=max_build_bytes, dlb=dlb,
-    )
-    return submit_and_wait(spec, server=server)["ms_per_step"]
+
+def _submit_traced(args, spec: SimulationSpec, **metadata) -> dict:
+    """Run ``spec``; with ``--trace`` also export the run's raw spans.
+
+    Raw spans don't travel over RPC, so they are recorded locally and the
+    Chrome-trace export only works on the blocking path.
+    """
+    if not args.trace or args.server is not None:
+        if args.trace:
+            log.warning("--trace is ignored with --server (raw spans stay server-side)")
+        return submit_and_wait(spec, server=args.server)
+    TRACER.enable()
+    TRACER.clear()
+    try:
+        result = submit_and_wait(spec)
+        spans = TRACER.spans
+    finally:
+        TRACER.disable()
+    path = write_chrome_trace(args.trace, spans=spans, metadata=metadata)
+    log.info("wrote Chrome trace %s (%d spans)", path, len(spans))
+    return result
 
 
 def cmd_compare(args) -> None:
@@ -111,13 +143,7 @@ def cmd_compare(args) -> None:
             t.non_overlap,
         ]
         if args.measure:
-            row.append(
-                _functional_ms_per_step(
-                    args.system, args.gpus, backend, args.executor, args.measure,
-                    server=args.server, kernel=args.kernel,
-                    max_build_bytes=args.max_build_bytes, dlb=args.dlb,
-                )
-            )
+            row.append(_functional_ms_per_step(args, args.gpus, backend))
         tbl.add_row(*row)
     log.info("%s", tbl.render())
     _maybe_write_graph_trace(args, graphs)
@@ -155,13 +181,7 @@ def cmd_scaling(args) -> None:
             nd["nvshmem"] / (base[1] * gpus / base[0]),
         ]
         if args.measure:
-            row.append(
-                _functional_ms_per_step(
-                    args.system, gpus, "nvshmem", args.executor, args.measure,
-                    server=args.server, kernel=args.kernel,
-                    max_build_bytes=args.max_build_bytes, dlb=args.dlb,
-                )
-            )
+            row.append(_functional_ms_per_step(args, gpus, "nvshmem"))
         tbl.add_row(*row)
     log.info("%s", tbl.render())
     _maybe_write_graph_trace(args, graphs)
@@ -206,26 +226,12 @@ def cmd_critical(args) -> None:
 
 def _cmd_profile_functional(args) -> None:
     """Span-based accounting of a real DD run with the chosen executor."""
-    from repro.obs.tracer import TRACER
-    from repro.serve import SimulationSpec, submit_and_wait
-
     n_atoms = _resolve_atoms(args.system)
-    spec = SimulationSpec(
-        kind="profile", system=args.system, steps=args.steps,
-        ranks=args.ranks, backend=args.backend, executor=args.executor,
-        nstlist=10, buffer=0.12, kernel=args.kernel,
-        max_build_bytes=args.max_build_bytes, dlb=args.dlb,
-        overlap_comm=not getattr(args, "no_overlap", False),
+    spec = spec_from_args(args, kind="profile", overlap_comm=not args.no_overlap)
+    result = _submit_traced(
+        args, spec, system=args.system, ranks=args.ranks,
+        backend=args.backend, executor=args.executor, steps=args.steps,
     )
-    want_raw_trace = bool(args.trace) and args.server is None
-    if want_raw_trace:
-        # Raw spans don't travel over RPC; record them locally so the
-        # Chrome-trace export keeps working on the blocking path.
-        TRACER.enable()
-        TRACER.clear()
-    result = submit_and_wait(spec, server=args.server)
-    if args.trace and args.server is not None:
-        log.warning("--trace is ignored with --server (raw spans stay server-side)")
     spans_agg = result["spans"]
     tbl = Table(
         columns=("span", "count", "total_ms", "mean_us"),
@@ -239,26 +245,10 @@ def _cmd_profile_functional(args) -> None:
     log.info("%s", tbl.render())
     step_total = spans_agg.get("dd.step", {}).get("total_us", 0.0)
     log.info("wall time/step: %.1f us over %d steps", step_total / max(1, args.steps), args.steps)
-    if want_raw_trace:
-        from repro.obs.export import write_chrome_trace
-
-        spans = TRACER.spans
-        TRACER.disable()
-        path = write_chrome_trace(
-            args.trace,
-            spans=spans,
-            metadata={
-                "system": args.system, "ranks": args.ranks,
-                "backend": args.backend, "executor": args.executor,
-                "steps": args.steps,
-            },
-        )
-        log.info("wrote Chrome trace %s (%d spans)", path, len(spans))
 
 
 def cmd_profile(args) -> None:
     """Cycle accounting + trace export for one simulated configuration."""
-    from repro.obs.export import write_chrome_trace
     from repro.obs.report import cycle_accounting, render_cycle_table, step_window
 
     if args.functional:
@@ -391,62 +381,92 @@ def cmd_report(args) -> None:
 
 
 def cmd_verify(args) -> None:
-    from repro.obs.metrics import METRICS
-    from repro.obs.report import metrics_table
-    from repro.obs.tracer import TRACER
-    from repro.serve import SimulationSpec, submit_and_wait
-
-    system = (
-        str(args.atoms) if args.scenario == "uniform"
-        else f"{args.scenario}-{args.atoms}"
+    spec = spec_from_args(
+        args, kind="verify", system=scenario_label(args.scenario, args.atoms),
+        backend="nvshmem", pes_per_node=max(1, args.ranks // 2),
+        nstlist=5, max_pulses=2, overlap_comm=not args.no_overlap,
     )
-    spec = SimulationSpec(
-        kind="verify", system=system, steps=args.steps,
-        ranks=args.ranks, seed=args.seed,
-        backend="nvshmem", executor=args.executor,
-        pes_per_node=max(1, args.ranks // 2),
-        nstlist=5, buffer=0.12, max_pulses=2,
-        overlap_comm=not args.no_overlap, kernel=args.kernel,
-        max_build_bytes=args.max_build_bytes, dlb=args.dlb,
+    result = _submit_traced(
+        args, spec, atoms=args.atoms, ranks=args.ranks, steps=args.steps
     )
-    want_raw_trace = bool(args.trace) and args.server is None
-    if want_raw_trace:
-        TRACER.enable()
-        TRACER.clear()
-    result = submit_and_wait(spec, server=args.server)
-    if args.trace and args.server is not None:
-        log.warning("--trace is ignored with --server (raw spans stay server-side)")
     log.info(
         "%d steps, %d ranks (grid %s), max deviation vs serial: %.2e nm",
         args.steps, args.ranks, tuple(result["grid"]), result["max_deviation_nm"],
     )
-    if want_raw_trace:
-        from repro.obs.export import write_chrome_trace
-
-        path = write_chrome_trace(
-            args.trace,
-            spans=TRACER.spans,
-            metadata={"atoms": args.atoms, "ranks": args.ranks, "steps": args.steps},
-        )
-        TRACER.disable()
-        log.info("wrote Chrome trace %s (%d spans)", path, len(TRACER.spans))
     log.debug("%s", metrics_table(METRICS).render())
     if not result["ok"]:
         raise SystemExit("FAILED: trajectories diverged")
     log.info("OK: fused NVSHMEM halo exchange is bit-consistent with serial MD")
 
 
+def _chaos_specs(args) -> list[SimulationSpec]:
+    """One campaign spec per requested backend, from the chaos defaults."""
+    try:
+        shape = tuple(int(x) for x in args.shape.split("x"))
+    except ValueError:
+        raise SystemExit(f"bad --shape '{args.shape}': use e.g. 1x1x4") from None
+    backends = tuple(backend_registry) if args.backend == "all" else (args.backend,)
+    return [
+        spec_from_args(
+            args, base=chaos_spec(), backend=backend, shape=shape,
+            system=scenario_label(args.scenario, args.atoms),
+        )
+        for backend in backends
+    ]
+
+
+def _chaos_local(args, specs) -> list[tuple]:
+    """Campaign per spec in this process; the first failure is shrunk and dumped."""
+    rows = []
+    artifact_written = None
+    for spec in specs:
+        res = run_campaign(
+            spec, runs=args.runs, seed0=args.seed0, mutation=args.mutate, log=log
+        )
+        first = res.failures[0].plan.seed if res.failures else ""
+        rows.append((spec.backend, res.runs, len(res.failures), first))
+        if artifact_written is None and res.artifact is not None:
+            artifact_written = write_artifact(args.out, res.artifact)
+    log.debug("%s", metrics_table(METRICS, prefix="chaos").render())
+    if artifact_written:
+        log.warning(
+            "wrote shrunk failing schedule to %s (replay with: "
+            "repro chaos --replay %s)", artifact_written, artifact_written,
+        )
+    return rows
+
+
+def _chaos_remote(args, specs) -> list[tuple]:
+    """Campaign per spec as concurrent serve jobs (one per fault plan).
+
+    Each seeded plan is generated client-side, embedded in its spec, and
+    submitted; the server runs the cases concurrently.  Shrinking and
+    artifact dumps are campaign-side features and stay local-only.
+    """
+    if args.mutate:
+        raise SystemExit("--mutate patches this process and cannot run via --server")
+    client = ServeClient(args.server)
+    submitted = []  # per spec: [(plan seed, job id), ...]
+    for spec in specs:
+        plans = [plan_for(spec, args.seed0 + i) for i in range(args.runs)]
+        submitted.append(
+            [(p.seed, client.submit(spec.with_(fault_plan=p))) for p in plans]
+        )
+    rows = []
+    for spec, jobs in zip(specs, submitted):
+        failing = []
+        for plan_seed, job_id in jobs:
+            result = client.result(job_id, timeout=600.0)
+            if not result["ok"]:
+                failing.append(plan_seed)
+                for v in result["violations"]:
+                    log.warning("chaos[%s] seed %d: %s", spec.backend, plan_seed, v)
+        rows.append((spec.backend, len(jobs), len(failing), failing[0] if failing else ""))
+    return rows
+
+
 def cmd_chaos(args) -> None:
     """Fault-injection campaigns (and artifact replay) for the halo stack."""
-    from repro.chaos import (
-        ChaosConfig,
-        replay_artifact,
-        run_campaign,
-        write_artifact,
-    )
-    from repro.obs.metrics import METRICS
-    from repro.obs.report import metrics_table
-
     if args.replay:
         res = replay_artifact(args.replay)
         if res.failed:
@@ -460,55 +480,17 @@ def cmd_chaos(args) -> None:
         )
         raise SystemExit(0)
 
-    try:
-        shape = tuple(int(x) for x in args.shape.split("x"))
-    except ValueError:
-        raise SystemExit(f"bad --shape '{args.shape}': use e.g. 1x1x4") from None
-    backends = (
-        ("reference", "mpi", "threadmpi", "nvshmem")
-        if args.backend == "all"
-        else (args.backend,)
-    )
-    if args.server:
-        _cmd_chaos_remote(args, backends, shape)
-        return
+    specs = _chaos_specs(args)
+    rows = (_chaos_remote if args.server else _chaos_local)(args, specs)
+    via = f" via {args.server}" if args.server else ""
     tbl = Table(
         columns=("backend", "runs", "failures", "first_failing_seed"),
-        title=f"chaos campaign: {args.runs} seeded fault plans per backend",
+        title=f"chaos campaign{via}: {args.runs} seeded fault plans per backend",
     )
-    any_failed = False
-    artifact_written = None
-    for backend in backends:
-        cfg = ChaosConfig(
-            backend=backend,
-            atoms=args.atoms,
-            shape=shape,
-            max_pulses=args.max_pulses,
-            steps=args.steps,
-            pes_per_node=args.pes_per_node,
-            executor=args.executor,
-            n_faults=args.faults,
-            kernel=args.kernel,
-            max_build_bytes=args.max_build_bytes,
-            scenario=args.scenario,
-            dlb=args.dlb,
-        )
-        res = run_campaign(
-            cfg, runs=args.runs, seed0=args.seed, mutation=args.mutate, log=log
-        )
-        first = res.failures[0].plan.seed if res.failures else ""
-        tbl.add_row(backend, res.runs, len(res.failures), first)
-        if res.failed:
-            any_failed = True
-            if artifact_written is None and res.artifact is not None:
-                artifact_written = write_artifact(args.out, res.artifact)
+    for row in rows:
+        tbl.add_row(*row)
     log.info("%s", tbl.render())
-    log.debug("%s", metrics_table(METRICS, prefix="chaos").render())
-    if artifact_written:
-        log.warning(
-            "wrote shrunk failing schedule to %s (replay with: "
-            "repro chaos --replay %s)", artifact_written, artifact_written,
-        )
+    any_failed = any(failures for _, _, failures, _ in rows)
     if args.expect_failure:
         if not any_failed:
             raise SystemExit(
@@ -518,78 +500,8 @@ def cmd_chaos(args) -> None:
         log.info("OK: mutation was detected by the chaos harness")
         return
     if any_failed:
-        raise SystemExit("FAILED: chaos campaign detected protocol violations")
-    log.info(
-        "OK: %d fault-injected runs per backend, all bit-identical to the "
-        "serial reference", args.runs,
-    )
-
-
-def _cmd_chaos_remote(args, backends: tuple, shape: tuple) -> None:
-    """Run a chaos campaign as concurrent serve jobs (one per fault plan).
-
-    Each seeded plan is generated client-side, embedded in its spec, and
-    submitted; the server runs the cases concurrently.  Shrinking and
-    artifact dumps are campaign-side features and stay local-only.
-    """
-    from repro.chaos import ChaosConfig
-    from repro.chaos.plan import FaultPlan
-    from repro.serve import ServeClient
-
-    if args.mutate:
-        raise SystemExit("--mutate patches this process and cannot run via --server")
-    client = ServeClient(args.server)
-    submitted: list[tuple[str, int, str]] = []  # (backend, plan seed, job id)
-    for backend in backends:
-        cfg = ChaosConfig(
-            backend=backend, atoms=args.atoms, shape=shape,
-            max_pulses=args.max_pulses, steps=args.steps,
-            pes_per_node=args.pes_per_node, executor=args.executor,
-            n_faults=args.faults, kernel=args.kernel,
-            max_build_bytes=args.max_build_bytes,
-            scenario=args.scenario, dlb=args.dlb,
-        )
-        for i in range(args.runs):
-            plan = FaultPlan.generate(
-                args.seed + i, n_faults=cfg.n_faults, n_ranks=cfg.n_ranks,
-                n_pulses=cfg.max_pulses, backend=backend,
-            )
-            job_id = client.submit(cfg.to_spec(fault_plan=plan))
-            submitted.append((backend, plan.seed, job_id))
-    tbl = Table(
-        columns=("backend", "runs", "failures", "first_failing_seed"),
-        title=f"chaos campaign via {args.server}: {args.runs} plans per backend",
-    )
-    any_failed = False
-    for backend in backends:
-        runs = failures = 0
-        first = ""
-        for b, plan_seed, job_id in submitted:
-            if b != backend:
-                continue
-            result = client.result(job_id, timeout=600.0)
-            runs += 1
-            if not result["ok"]:
-                failures += 1
-                if first == "":
-                    first = plan_seed
-                for v in result["violations"]:
-                    log.warning("chaos[%s] seed %d: %s", backend, plan_seed, v)
-        tbl.add_row(backend, runs, failures, first)
-        any_failed = any_failed or failures > 0
-    log.info("%s", tbl.render())
-    if args.expect_failure:
-        if not any_failed:
-            raise SystemExit(
-                "FAILED: --expect-failure set but no violation was detected"
-            )
-        log.info("OK: the chaos harness detected the failure")
-        return
-    if any_failed:
-        raise SystemExit(
-            "FAILED: chaos campaign detected protocol violations "
-            "(re-run without --server to shrink and dump an artifact)"
-        )
+        hint = " (re-run without --server to shrink and dump an artifact)" if via else ""
+        raise SystemExit(f"FAILED: chaos campaign detected protocol violations{hint}")
     log.info(
         "OK: %d fault-injected runs per backend, all bit-identical to the "
         "serial reference", args.runs,
@@ -598,8 +510,6 @@ def _cmd_chaos_remote(args, backends: tuple, shape: tuple) -> None:
 
 def cmd_serve(args) -> None:
     """Run the job service until interrupted."""
-    from repro.serve import JobEngine, make_server
-
     engine = JobEngine(workers=args.workers)
     server = make_server(engine, host=args.host, port=args.port)
     host, port = server.server_address[:2]
@@ -618,11 +528,6 @@ def cmd_serve(args) -> None:
 
 def cmd_submit(args) -> None:
     """Submit a spec JSON file to a serve instance (or run it locally)."""
-    import json as _json
-    import sys
-
-    from repro.serve import ServeClient, SimulationSpec, submit_and_wait
-
     text = sys.stdin.read() if args.spec == "-" else open(args.spec).read()
     spec = SimulationSpec.from_json(text)
     if args.no_wait:
@@ -632,18 +537,17 @@ def cmd_submit(args) -> None:
         log.info("%s", job_id)
         return
     result = submit_and_wait(spec, server=args.server, timeout=args.timeout)
-    log.info("%s", _json.dumps(result, indent=2))
+    log.info("%s", json.dumps(result, indent=2))
 
 
 def _maybe_write_graph_trace(args, graphs: dict) -> None:
     if getattr(args, "trace", None) and graphs:
-        from repro.obs.export import write_chrome_trace
-
         path = write_chrome_trace(args.trace, graphs=graphs)
         log.info("wrote Chrome trace %s (open in chrome://tracing or ui.perfetto.dev)", path)
 
 
-def main(argv: list[str] | None = None) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``repro`` argument parser (every subcommand and flag)."""
     parser = argparse.ArgumentParser(
         prog="repro", description="GROMACS NVSHMEM halo-exchange reproduction"
     )
@@ -658,27 +562,13 @@ def main(argv: list[str] | None = None) -> None:
     common.add_argument("-q", "--quiet", action="store_true", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    executor_flag = dict(
-        choices=("serial", "thread", "process"), default="serial",
-        help="rank executor for functional runs (see repro.par)",
-    )
     server_flag = dict(
         default=None, metavar="URL",
         help="submit functional runs to a running serve instance "
              "(e.g. http://127.0.0.1:8642) instead of running in-process",
     )
-    kernel_flag = dict(
-        choices=("segment", "cluster", "cluster-numba"), default="segment",
-        help="non-bonded kernel for functional runs (repro.md.kernels)",
-    )
-    dlb_flag = dict(
-        choices=("off", "pairs", "measured"), default="off",
-        help="dynamic load balancing for functional runs: 'pairs' resizes "
-             "DD cells from deterministic per-rank pair counts, 'measured' "
-             "from wall-clock rank timings (see repro.dd.dlb)",
-    )
     scenario_flag = dict(
-        choices=("uniform", "slab", "droplet", "gap"), default="uniform",
+        choices=SCENARIOS, default=SCENARIOS[0],
         help="density scenario of the synthetic system (inhomogeneous "
              "scenarios are what DLB is for; see repro.md.inhomogeneous)",
     )
@@ -689,37 +579,12 @@ def main(argv: list[str] | None = None) -> None:
             raise argparse.ArgumentTypeError("must be >= 0")
         return n
 
-    def build_bytes(value: str) -> int | None:
-        """``--max-build-bytes`` values: bytes or '512k'/'64M'/'1G'; 0 = off."""
-        s = value.strip()
-        units = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
-        try:
-            if s and s[-1].lower() in units:
-                n = int(float(s[:-1]) * units[s[-1].lower()])
-            else:
-                n = int(s)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid size '{value}': use bytes or a 'k'/'M'/'G'-suffixed "
-                f"size (e.g. 64M)"
-            ) from None
-        return n or None
-
-    build_bytes_flag = dict(
-        type=build_bytes, default=None, metavar="BYTES",
-        help="per-rank pair-list build working-set cap for functional runs "
-             "(e.g. 64M; bit-identical to uncapped, bounds build memory)",
-    )
-
     p = sub.add_parser("compare", parents=[common], help="MPI vs NVSHMEM for one configuration")
     p.add_argument("system", nargs="?", default="45k")
     p.add_argument("--gpus", type=int, default=4)
     p.add_argument("--machine", default="dgx-h100")
     p.add_argument("--trace", default=None, help="write both schedules as Chrome-trace JSON")
-    p.add_argument("--executor", **executor_flag)
-    p.add_argument("--kernel", **kernel_flag)
-    p.add_argument("--max-build-bytes", **build_bytes_flag)
-    p.add_argument("--dlb", **dlb_flag)
+    add_spec_flags(p, *FUNCTIONAL_FLAGS)
     p.add_argument("--measure", type=nonneg_int, default=0, metavar="STEPS",
                    help="also run a real DD simulation per backend and report wall ms/step")
     p.add_argument("--server", **server_flag)
@@ -730,10 +595,7 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--machine", default="eos")
     p.add_argument("--gpu-counts", type=int, nargs="+", default=[8, 16, 32, 64, 128])
     p.add_argument("--trace", default=None, help="write NVSHMEM schedules as Chrome-trace JSON")
-    p.add_argument("--executor", **executor_flag)
-    p.add_argument("--kernel", **kernel_flag)
-    p.add_argument("--max-build-bytes", **build_bytes_flag)
-    p.add_argument("--dlb", **dlb_flag)
+    add_spec_flags(p, *FUNCTIONAL_FLAGS)
     p.add_argument("--measure", type=nonneg_int, default=0, metavar="STEPS",
                    help="also run a real DD simulation per GPU count and report wall ms/step")
     p.add_argument("--server", **server_flag)
@@ -764,20 +626,20 @@ def main(argv: list[str] | None = None) -> None:
         "profile", parents=[common],
         help="cycle-accounting table + Chrome/Perfetto trace for one run",
     )
-    p.add_argument("--system", default="45k",
-                   help="atom count or grappa label (e.g. 360k or grappa-360k)")
-    p.add_argument("--ranks", type=int, default=8, help="GPU/PE count")
+    add_spec_flags(
+        p, "system", "ranks",
+        system=dict(default="45k",
+                    help="atom count or grappa label (e.g. 360k or grappa-360k)"),
+        ranks=dict(default=8, help="GPU/PE count"),
+    )
     p.add_argument("--machine", default="eos")
     p.add_argument("--backend", choices=("mpi", "nvshmem", "threadmpi"), default="nvshmem")
-    p.add_argument("--steps", type=int, default=4, help="chained steps to simulate")
+    add_spec_flags(p, "steps", steps=dict(default=4, help="chained steps to simulate"))
     p.add_argument("--trace", default=None, help="Chrome-trace JSON output path")
     p.add_argument("--mdlog", default=None, help="also write an mdrun-style log here")
     p.add_argument("--functional", action="store_true",
                    help="profile a real DD run (span accounting) instead of the model")
-    p.add_argument("--executor", **executor_flag)
-    p.add_argument("--kernel", **kernel_flag)
-    p.add_argument("--max-build-bytes", **build_bytes_flag)
-    p.add_argument("--dlb", **dlb_flag)
+    add_spec_flags(p, *FUNCTIONAL_FLAGS)
     p.add_argument("--no-overlap", action="store_true",
                    help="functional runs only: strict schedule (local forces, "
                         "halo exchange, non-local forces) with no overlap")
@@ -818,15 +680,10 @@ def main(argv: list[str] | None = None) -> None:
     p = sub.add_parser("verify", parents=[common], help="functional DD-vs-serial check")
     p.add_argument("--scenario", **scenario_flag)
     p.add_argument("--atoms", type=int, default=3000)
-    p.add_argument("--ranks", type=int, default=8)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=7)
+    add_spec_flags(p, "ranks", "steps", "seed", ranks=dict(default=8))
     p.add_argument("--trace", default=None,
                    help="record engine spans and write them as Chrome-trace JSON")
-    p.add_argument("--executor", **executor_flag)
-    p.add_argument("--kernel", **kernel_flag)
-    p.add_argument("--max-build-bytes", **build_bytes_flag)
-    p.add_argument("--dlb", **dlb_flag)
+    add_spec_flags(p, *FUNCTIONAL_FLAGS)
     p.add_argument("--no-overlap", action="store_true",
                    help="strict schedule (local forces, halo exchange, "
                         "non-local forces) with no comm-compute overlap")
@@ -837,28 +694,35 @@ def main(argv: list[str] | None = None) -> None:
         "chaos", parents=[common],
         help="fault-injection campaigns for the halo protocol",
     )
-    p.add_argument("--backend", default="all",
-                   choices=("reference", "mpi", "threadmpi", "nvshmem", "all"),
+    base = chaos_spec()
+    p.add_argument("--backend", default="all", choices=(*backend_registry, "all"),
                    help="halo backend(s) to fuzz")
     p.add_argument("--runs", type=int, default=50,
                    help="seeded fault plans per backend")
-    p.add_argument("--seed", type=int, default=0, help="first plan seed")
+    p.add_argument("--seed", type=int, default=0, dest="seed0", metavar="SEED",
+                   help="first plan seed")
     p.add_argument("--scenario", **scenario_flag)
-    p.add_argument("--dlb", choices=("off", "pairs"), default="off",
-                   help="dynamic load balancing under faults; chaos only "
-                        "allows the deterministic 'pairs' mode (the "
-                        "bit-identity oracle re-runs the same decomposition)")
-    p.add_argument("--atoms", type=int, default=1400)
-    p.add_argument("--shape", default="1x1x4",
+    p.add_argument("--atoms", type=int, default=base.n_atoms)
+    p.add_argument("--shape", default="x".join(map(str, base.shape)),
                    help="DD grid (default 1x1x4: two z-pulses per rank)")
-    p.add_argument("--max-pulses", type=int, default=2)
-    p.add_argument("--steps", type=int, default=3, help="MD steps per case")
-    p.add_argument("--pes-per-node", type=int, default=2,
-                   help="nvshmem topology: 1 = all-IB, n_ranks = all-NVLink")
-    p.add_argument("--executor", **executor_flag)
-    p.add_argument("--kernel", **kernel_flag)
-    p.add_argument("--max-build-bytes", **build_bytes_flag)
-    p.add_argument("--faults", type=int, default=4, help="faults per plan")
+    add_spec_flags(
+        p, "dlb", "max_pulses", "steps", "pes_per_node", "executor", "kernel",
+        "max_build_bytes",
+        dlb=dict(
+            choices=[m for m in DLB_MODES if m != "measured"],
+            help="dynamic load balancing under faults; chaos only "
+                 "allows the deterministic 'pairs' mode (the "
+                 "bit-identity oracle re-runs the same decomposition)",
+        ),
+        max_pulses=dict(default=base.max_pulses),
+        steps=dict(default=base.steps, help="MD steps per case"),
+        pes_per_node=dict(
+            default=base.pes_per_node,
+            help="nvshmem topology: 1 = all-IB, n_ranks = all-NVLink",
+        ),
+    )
+    p.add_argument("--faults", type=int, default=base.n_faults, dest="n_faults",
+                   metavar="FAULTS", help="faults per plan")
     p.add_argument("--mutate", default=None,
                    help="apply a protocol mutation (self-test); see "
                         "repro.chaos.mutations.MUTATIONS")
@@ -895,8 +759,11 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--no-wait", action="store_true",
                    help="print the job id instead of waiting (needs --server)")
     p.set_defaults(fn=cmd_submit)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> None:
+    args = build_parser().parse_args(argv)
     configure(verbosity=args.verbose, quiet=args.quiet)
     args.fn(args)
 

@@ -36,6 +36,11 @@ from repro.dd.decomposition import DomainDecomposition
 from repro.obs.metrics import METRICS
 from repro.par.imbalance import imbalance_pct
 
+#: Load-balancing modes a simulator accepts: "off" (uniform cells),
+#: "pairs" (deterministic — per-rank pair counts drive the resizer) and
+#: "measured" (per-rank wall-clock phase times; nondeterministic run to run).
+DLB_MODES = ("off", "pairs", "measured")
+
 #: Default relaxation factor: each update moves widths halfway to the
 #: load-proportional target.  GROMACS damps similarly to avoid
 #: oscillation against the measurement noise of per-step timings.

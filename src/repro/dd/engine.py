@@ -19,16 +19,17 @@ parent and worker views of the cluster arrays coherent (see
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import KW_ONLY, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.dd.decomposition import DomainDecomposition
+from repro.dd.dlb import DLB_MODES, DlbController
 from repro.dd.exchange import ClusterState, build_cluster, gather_forces
 from repro.dd.grid import DDGrid, choose_grid
-from repro.md.forcefield import ForceField
+from repro.md.forcefield import ForceField, default_forcefield
+from repro.md.inhomogeneous import make_system
 from repro.md.integrator import LeapFrogIntegrator
 from repro.md.nonbonded import NonbondedKernel
 from repro.md.reference import StepEnergies
@@ -40,6 +41,7 @@ from repro.par.phases import FIELDS, RankConfig, RankNsData
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from repro.comm.base import HaloBackend
     from repro.par.base import RankExecutor
+    from repro.spec import SimulationSpec
 
 #: ClusterState field -> executor/workspace field (see repro.par.phases.FIELDS).
 _EXEC_FIELD = {f"local_{name}": name for name in FIELDS}
@@ -123,17 +125,19 @@ class DDSimulator:
 
     ``backend`` and ``executor`` accept either instances or registry names
     (``make_backend`` / ``make_executor`` strings such as ``"nvshmem"`` and
-    ``"process"``); the tuning knobs are keyword-only so positional misuse
-    fails loudly.
+    ``"process"``); they and the tuning knobs are keyword-only so
+    positional misuse fails loudly.  This constructor is the
+    injected-objects form; everything name-based goes through
+    :meth:`from_spec`.
     """
 
     system: MDSystem
     ff: ForceField
     n_ranks: int = 0
     grid: DDGrid | None = None
+    _: KW_ONLY
     backend: HaloBackend | str | None = None
     executor: RankExecutor | str | None = None
-    _: KW_ONLY
     nstlist: int = 20
     buffer: float = 0.1
     dt: float = 0.002
@@ -160,13 +164,10 @@ class DDSimulator:
     #: bit-identical to uncapped ones (chunk boundaries never change the
     #: produced list), so this is purely a memory/perf knob.
     max_build_bytes: int | None = None
-    #: Dynamic load balancing: "off" (default; uniform cells, bit-exact
-    #: legacy behaviour), "pairs" (deterministic — per-rank pair counts
-    #: from the last neighbour search drive the resizer), or "measured"
-    #: (per-rank wall-clock phase times; what production would use, but
-    #: nondeterministic run to run).  Resizing happens only immediately
-    #: before a neighbour search, so every boundary move is followed by
-    #: full redistribution + list rebuilds by construction.
+    #: Dynamic load balancing mode (:data:`repro.dd.dlb.DLB_MODES`).
+    #: Resizing happens only immediately before a neighbour search, so
+    #: every boundary move is followed by full redistribution + list
+    #: rebuilds by construction.
     dlb: str = "off"
     topology: "object | None" = None
     #: Optional hook replacing :func:`repro.dd.exchange.build_cluster` at
@@ -186,11 +187,9 @@ class DDSimulator:
                 self.n_ranks, self.system.box, r_comm, max_pulses=self.max_pulses
             )
         self.n_ranks = self.grid.n_ranks
-        if self.dlb not in ("off", "measured", "pairs"):
+        if self.dlb not in DLB_MODES:
             raise ValueError(
-                f"unknown dlb mode '{self.dlb}': use 'off', 'measured' "
-                f"(wall-clock per-rank timings), or 'pairs' (deterministic "
-                f"pair-count loads)"
+                f"unknown dlb mode '{self.dlb}': use one of {DLB_MODES}"
             )
         self.dd = DomainDecomposition(
             grid=self.grid, box=self.system.box, r_comm=r_comm,
@@ -230,12 +229,7 @@ class DDSimulator:
         self._kernel.impl
         self._integrator = LeapFrogIntegrator(dt=self.dt)
         self._periodic = np.array([self.grid.shape[d] == 1 for d in range(3)])
-        if self.dlb != "off":
-            from repro.dd.dlb import DlbController
-
-            self._dlb = DlbController(self.dd)
-        else:
-            self._dlb = None
+        self._dlb = DlbController(self.dd) if self.dlb != "off" else None
         self.executor = _executor
         self.executor.configure(
             RankConfig(
@@ -245,7 +239,6 @@ class DDSimulator:
                 periodic=self._periodic,
                 r_comm=self.dd.r_comm,
                 max_build_bytes=self.max_build_bytes,
-                dlb=self.dlb,
             ),
             self.n_ranks,
         )
@@ -264,7 +257,7 @@ class DDSimulator:
     @classmethod
     def from_spec(
         cls,
-        spec,
+        spec: "SimulationSpec",
         *,
         system: MDSystem | None = None,
         ff: ForceField | None = None,
@@ -272,18 +265,17 @@ class DDSimulator:
         executor: "RankExecutor | str | None" = None,
         cluster_factory: "Callable[[DDSimulator], ClusterState] | None" = None,
     ) -> "DDSimulator":
-        """Build a simulator from a :class:`repro.serve.SimulationSpec`.
+        """Build a simulator from a :class:`repro.spec.SimulationSpec`.
 
-        ``spec`` is duck-typed (any object with the spec's fields), so the
-        engine keeps no import on the serve layer.  The optional keyword
-        overrides let callers inject pre-built (possibly cached) pieces —
-        a system template, a chosen grid, a cluster factory — without the
-        spec losing its role as the single source of truth for the knobs.
+        The only place names become objects: the system label, the
+        backend/executor registry names and the grid shape are built
+        here, and every knob the spec and this class both declare is
+        passed through by field name (``spec.knobs_for``).  The optional
+        keyword overrides let callers inject pre-built (possibly cached)
+        pieces — a system template, a chosen grid, a cluster factory —
+        without the spec losing its role as the single source of truth
+        for the knobs.
         """
-        from repro.dd.grid import DDGrid as _DDGrid
-        from repro.md.forcefield import default_forcefield
-        from repro.md.inhomogeneous import make_system
-
         if ff is None:
             ff = default_forcefield(cutoff=spec.cutoff)
         if system is None:
@@ -299,7 +291,7 @@ class DDSimulator:
             spec.backend, executor or spec.executor, backend_kwargs=backend_kwargs
         )
         if grid is None and spec.shape is not None:
-            grid = _DDGrid(tuple(spec.shape))
+            grid = DDGrid(tuple(spec.shape))
         return cls(
             system,
             ff,
@@ -307,18 +299,8 @@ class DDSimulator:
             grid=grid,
             backend=backend,
             executor=executor,
-            nstlist=spec.nstlist,
-            buffer=spec.buffer,
-            dt=spec.dt,
-            trim_corners=spec.trim_corners,
-            max_pulses=spec.max_pulses,
-            coulomb=spec.coulomb,
-            overlap_comm=spec.overlap_comm,
-            kernel=getattr(spec, "kernel", "segment"),
-            kernel_dtype=getattr(spec, "kernel_dtype", "float64"),
-            max_build_bytes=getattr(spec, "max_build_bytes", None),
-            dlb=getattr(spec, "dlb", "off"),
             cluster_factory=cluster_factory,
+            **spec.knobs_for(cls),
         )
 
     # -- executor coherence ---------------------------------------------------
@@ -703,37 +685,3 @@ class DDSimulator:
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
-
-
-# Positional ``backend`` / ``executor`` are deprecated: the documented
-# construction forms are keyword registry names / instances
-# (``DDSimulator(system, ff, n_ranks=8, backend="nvshmem",
-# executor="process")``) or :meth:`DDSimulator.from_spec`.  The shim keeps
-# the legacy 5th/6th positional arguments working under a
-# ``DeprecationWarning`` for one release.
-_dataclass_init = DDSimulator.__init__
-
-
-def _deprecating_init(self, system, ff, n_ranks=0, grid=None, *legacy, **kwargs):
-    if legacy:
-        if len(legacy) > 2:
-            raise TypeError(
-                f"DDSimulator takes at most 6 positional arguments "
-                f"({4 + len(legacy)} given)"
-            )
-        warnings.warn(
-            "positional backend/executor arguments to DDSimulator are "
-            "deprecated; pass backend=.../executor=... registry names (or "
-            "instances), or build via DDSimulator.from_spec()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        for name, value in zip(("backend", "executor"), legacy):
-            if name in kwargs:
-                raise TypeError(f"DDSimulator got multiple values for argument '{name}'")
-            kwargs[name] = value
-    _dataclass_init(self, system, ff, n_ranks=n_ranks, grid=grid, **kwargs)
-
-
-_deprecating_init.__wrapped__ = _dataclass_init
-DDSimulator.__init__ = _deprecating_init

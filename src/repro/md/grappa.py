@@ -65,6 +65,11 @@ def strip_scenario(system: str) -> str:
     return system
 
 
+def scenario_label(scenario: str, atoms: int | str) -> str:
+    """The system label of a scenario + size (``"slab", 1400`` -> ``"slab-1400"``)."""
+    return str(atoms) if scenario == "uniform" else f"{scenario}-{atoms}"
+
+
 def resolve_atoms(system: str | int) -> int:
     """Atom count for a system label: ``45000``, ``"45k"``, ``"grappa-45k"``,
     or a scenario-prefixed label (``"slab-45k"``, ``"droplet-90k"``).

@@ -26,14 +26,28 @@ against a *rolling baseline* — the median ``steps_per_s`` of the last
 ``window`` committed records with the same key — and flags anything more
 than ``threshold`` (default 10%) slower.  An empty or first-run history
 yields ``"no-baseline"`` results, which pass: the gate seeds itself.
+
+The pieces every bench script needs around a measurement live here too,
+so the scripts share them instead of importing each other: provenance
+(:func:`detect_git_sha`, :func:`machine_context`, :func:`provenance`),
+the build-memory snapshot, the history/gate flags
+(:func:`add_history_flags`) and the append-then-gate tail
+(:func:`commit_records`).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 from dataclasses import asdict, dataclass, field, fields
+from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from statistics import median
+
+from repro.obs.metrics import METRICS
 
 #: Bump when the record layout changes incompatibly; readers reject newer.
 BENCH_SCHEMA_VERSION = 1
@@ -49,6 +63,12 @@ DEFAULT_WINDOW = 5
 
 #: Fractional step-throughput loss that fails the gate.
 DEFAULT_THRESHOLD = 0.10
+
+#: BenchRecord identity fields copied, by name, from the measured spec.
+_SPEC_FIELDS = (
+    "system", "ranks", "backend", "executor", "overlap_comm", "steps",
+    "kernel", "kernel_dtype", "max_build_bytes", "dlb",
+)
 
 
 @dataclass
@@ -100,6 +120,12 @@ class BenchRecord:
     #: measured vs the perf model's prediction at this rank count.
     scaling: dict | None = None
     schema_version: int = BENCH_SCHEMA_VERSION
+
+    @classmethod
+    def measured(cls, spec, **results) -> "BenchRecord":
+        """A record of a run of ``spec``: identity from the spec, the rest given."""
+        identity = dict(zip(_SPEC_FIELDS, attrgetter(*_SPEC_FIELDS)(spec)))
+        return cls(n_atoms=spec.n_atoms, **identity, **results)
 
     def key(self) -> tuple:
         """The identity the rolling baseline groups by."""
@@ -245,3 +271,106 @@ def check_regression(
 def regressions(results: list[GateResult]) -> list[GateResult]:
     """Just the failing verdicts."""
     return [g for g in results if g.status == "regression"]
+
+
+# -- shared bench-script plumbing ----------------------------------------------
+
+
+def detect_git_sha() -> str:
+    """Short sha of HEAD, or ``unknown`` outside a git checkout."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=10, check=True,
+        ).stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+
+
+def machine_context() -> dict:
+    """Host constants recorded with every measurement."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+    }
+
+
+def build_memory_snapshot() -> dict:
+    """The ``md.*`` build-memory gauges as a BenchRecord ``memory`` dict.
+
+    Read *after* the warm-up step (the first neighbour search populates
+    the gauges) and *before* ``METRICS.reset()`` wipes them.
+    """
+    return {
+        "pairlist_bytes": int(METRICS.gauge("md.pairlist.bytes").value),
+        "cells_bytes": int(METRICS.gauge("md.cells.bytes").value),
+        "build_peak_bytes": int(METRICS.gauge("md.build.peak_bytes").value),
+        "build_peak_bytes_per_atom": float(
+            METRICS.gauge("md.build.peak_bytes_per_atom").value
+        ),
+    }
+
+
+def add_history_flags(parser) -> None:
+    """The committed-history and regression-gate flags of a bench script."""
+    parser.add_argument("--history", default=DEFAULT_HISTORY,
+                        help="committed bench-history file to append to "
+                             f"(default: {DEFAULT_HISTORY})")
+    parser.add_argument("--no-history", action="store_true",
+                        help="do not read or append the committed history")
+    parser.add_argument("--git-sha", default=None,
+                        help="record provenance (default: git rev-parse)")
+    parser.add_argument("--timestamp", default=None,
+                        help="record timestamp — CI passes its own; defaults "
+                             "to $BENCH_TIMESTAMP or the current UTC time")
+    parser.add_argument("--check", action="store_true",
+                        help="fail (exit non-zero) when a new record regresses "
+                             "more than --threshold vs its rolling baseline")
+    parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                        help="fractional steps/s loss that fails --check "
+                             f"(default: {DEFAULT_THRESHOLD:.2f})")
+    parser.add_argument("--baseline-window", type=int, default=DEFAULT_WINDOW,
+                        help="records per key folded into the rolling baseline "
+                             f"(default: {DEFAULT_WINDOW})")
+
+
+def provenance(args) -> tuple[str, str]:
+    """(git sha, timestamp) to stamp this run's records with."""
+    return (
+        args.git_sha or detect_git_sha(),
+        args.timestamp
+        or os.environ.get("BENCH_TIMESTAMP")
+        or datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    )
+
+
+def commit_records(args, new_records: list[BenchRecord], what: str) -> None:
+    """Append new records to ``args.history`` and gate them (``--check``).
+
+    The gate compares against the pre-append store so no record compares
+    to itself, but the store is saved first: a failing run must still
+    leave its evidence behind.  ``what`` names the measured thing in the
+    verdict line ("step-throughput", "strong-scaling").
+    """
+    history = BenchHistory.load(args.history)
+    gate = check_regression(
+        history, new_records,
+        threshold=args.threshold, window=args.baseline_window,
+    )
+    for rec in new_records:
+        history.append(rec)
+    history.save()
+    print(f"appended {len(new_records)} record(s) to {history.path} "
+          f"({len(history.records)} total)")
+    for g in gate:
+        print(f"  gate: {g.describe()}")
+    if args.check:
+        failed = regressions(gate)
+        if failed:
+            raise SystemExit(
+                f"FAILED: {len(failed)} record(s) regress more than "
+                f"{args.threshold:.0%} vs the rolling baseline "
+                f"(window {args.baseline_window})"
+            )
+        print(f"OK: no {what} regression beyond {args.threshold:.0%}")

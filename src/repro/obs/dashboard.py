@@ -22,6 +22,8 @@ this repo already trusts:
 5. **Service health** (only when the process has served jobs) — the live
    ``serve.*`` metrics published by :mod:`repro.serve`: queue depth,
    per-state job counts, and artifact-cache hit/miss counters.
+6. **Code size** — lines of Python per ``repro`` sub-package, counted
+   from the installed package path; net ``src/`` LOC is a tracked number.
 
 ``report_problems`` is the ``--check`` gate: non-fresh figures and a
 missing/empty bench history are failures, so CI can refuse to merge a
@@ -129,7 +131,25 @@ def build_report(
         # Live serve.* metrics from THIS process (empty unless a JobEngine
         # has run here): queue depth, job counts, cache hits/misses.
         "serve": _serve_snapshot(),
+        "code_size": code_size(),
     }
+
+
+def code_size() -> dict:
+    """Physical lines of ``.py`` source per ``repro`` sub-package.
+
+    Counted from the installed package path (this file's own), so the
+    number describes the code that is actually running.  Top-level
+    modules (``cli.py``, ``spec.py`` ...) are grouped under ``(top level)``.
+    """
+    root = Path(__file__).resolve().parents[1]
+    packages: dict[str, int] = {}
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        name = rel.parts[0] if len(rel.parts) > 1 else "(top level)"
+        with path.open("rb") as fh:
+            packages[name] = packages.get(name, 0) + sum(1 for _ in fh)
+    return {"packages": packages, "total": sum(packages.values())}
 
 
 def _serve_snapshot() -> dict:
@@ -350,6 +370,14 @@ def render_markdown(data: dict) -> str:
                 [[f"`{k}`", _fmt(v, 0)] for k, v in sorted(data["serve"].items())],
             )
         )
+
+    # -- 6. code size ----------------------------------------------------------
+    size = data.get("code_size")
+    if size:
+        out.append("## Code size (lines of Python under `src/repro`)")
+        out.append("")
+        rows = [[f"`{name}`", str(n)] for name, n in size["packages"].items()]
+        out.append(_md_table(["package", "lines"], rows + [["**total**", str(size["total"])]]))
 
     problems = report_problems(data)
     out.append("## Verdict")

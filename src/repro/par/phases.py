@@ -78,11 +78,6 @@ class RankConfig:
     #: uncapped builds produce bit-identical lists — see
     #: :class:`repro.md.cells.BuildBudget`.
     max_build_bytes: int | None = None
-    #: Dynamic load balancing mode the owning simulator runs under
-    #: ("off", "measured", "pairs").  Informational at the rank level —
-    #: resizing happens in the parent — but part of the config so workers
-    #: and diagnostics can see the run's DLB posture.
-    dlb: str = "off"
 
 
 @dataclass

@@ -39,7 +39,7 @@ import os
 import time
 import weakref
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -227,6 +227,8 @@ class ProcessExecutor(RankExecutor):
         self._cfg_sent = False
         self._finalizer = None
         self._fb_seen: list[int] = []
+        #: Last request sent to each worker (phase name, or "bind"/"cfg").
+        self._last_op: list[str] = []
 
     # -- pool management -------------------------------------------------------
 
@@ -257,20 +259,45 @@ class ProcessExecutor(RankExecutor):
             self._conns.append(parent_conn)
         self._ranks_of = [list(range(w, self.n_ranks, n)) for w in range(n)]
         self._fb_seen = [0] * n
+        self._last_op = [""] * n
         self._finalizer = weakref.finalize(
             self, _terminate, list(self._conns), list(self._procs), self._shm_box
         )
 
     def _request(self, worker: int, msg: tuple) -> None:
-        self._conns[worker].send(msg)
+        self._last_op[worker] = msg[1] if msg[0] == "run" else msg[0]
+        try:
+            self._conns[worker].send(msg)
+        except OSError as err:  # BrokenPipeError: the worker is gone
+            self._worker_died(worker, err)
 
     def _reply(self, worker: int) -> Any:
-        status, payload = self._conns[worker].recv()
+        try:
+            status, payload = self._conns[worker].recv()
+        except (EOFError, OSError) as err:
+            self._worker_died(worker, err)
         if status != "ok":
             raise RuntimeError(
                 f"process-executor worker {worker} failed: {payload}"
             )
         return payload
+
+    def _worker_died(self, worker: int, err: BaseException) -> NoReturn:
+        """Tear the pool down and name the dead worker.
+
+        Reached only from a failed ``send``/``recv``, so the healthy path
+        pays nothing for it.  The join reaps the process so its exit code
+        (negative = killed by that signal) can be reported.
+        """
+        proc = self._procs[worker]
+        proc.join(timeout=1.0)
+        ranks, op = self._ranks_of[worker], self._last_op[worker]
+        self.close()
+        raise RuntimeError(
+            f"process-executor worker {worker} (ranks {ranks}) died during "
+            f"'{op}' with exit code {proc.exitcode}; the pool and its "
+            f"shared-memory arena were torn down"
+        ) from err
 
     def _broadcast(self, msg: tuple) -> None:
         for w in range(len(self._conns)):

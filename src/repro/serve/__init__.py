@@ -2,9 +2,9 @@
 
 One process, many concurrent simulation/profile/verify/chaos jobs:
 
-* :mod:`repro.serve.spec` — :class:`SimulationSpec`, the frozen
+* :mod:`repro.spec` — :class:`SimulationSpec`, the frozen
   JSON-round-trippable description of a run that both the blocking CLIs
-  and the service execute;
+  and the service execute (core, re-exported here);
 * :mod:`repro.serve.runner` — :func:`execute_spec`, the one job body;
 * :mod:`repro.serve.cache` — :class:`ArtifactCache`, derived-state reuse
   across jobs that share a system key;
@@ -24,7 +24,7 @@ from repro.serve.engine import JobEngine
 from repro.serve.jobs import Job, JobCancelled
 from repro.serve.runner import execute_spec, positions_digest
 from repro.serve.rpc import make_server, start_server
-from repro.serve.spec import KINDS, SPEC_VERSION, SimulationSpec
+from repro.spec import KINDS, SPEC_VERSION, SimulationSpec
 
 __all__ = [
     "ArtifactCache",

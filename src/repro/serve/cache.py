@@ -143,12 +143,12 @@ class ArtifactCache:
                 round(sim.dd.r_comm, 12),
                 sim.dd.max_pulses,
                 sim.trim_corners,
-                getattr(spec, "kernel", "segment"),
-                getattr(spec, "kernel_dtype", "float64"),
+                spec.kernel,
+                spec.kernel_dtype,
                 # DLB-planned decompositions stage extra pulses from step 0
                 # (npulses rises to the max_pulses cap), so their plans are
                 # not interchangeable with uniform-grid ones.
-                getattr(spec, "dlb", "off") != "off",
+                spec.dlb != "off",
             )
             snapshot = self.get_or_build(
                 key, lambda: _snapshot_cluster(sim)

@@ -16,7 +16,7 @@ import urllib.error
 import urllib.request
 
 from repro.serve.runner import execute_spec
-from repro.serve.spec import SimulationSpec
+from repro.spec import SimulationSpec
 
 
 class RpcError(RuntimeError):

@@ -38,7 +38,7 @@ from repro.obs.metrics import METRICS
 from repro.serve.cache import ArtifactCache
 from repro.serve.jobs import Job, JobCancelled
 from repro.serve.runner import execute_spec
-from repro.serve.spec import SimulationSpec
+from repro.spec import SimulationSpec
 
 log = get_logger("serve")
 

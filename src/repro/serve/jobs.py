@@ -1,6 +1,6 @@
 """Job records and lifecycle states for the serve engine.
 
-A job is one :class:`~repro.serve.spec.SimulationSpec` in flight.  Its
+A job is one :class:`~repro.spec.SimulationSpec` in flight.  Its
 lifecycle is a small one-way machine::
 
     queued -> running -> done
@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.serve.spec import SimulationSpec
+from repro.spec import SimulationSpec
 
 #: Lifecycle states a job moves through (one-way, except the retry loop).
 STATES = ("queued", "running", "done", "failed", "cancelled")

@@ -1,6 +1,6 @@
 """Spec execution: the one body every job (and every blocking CLI) runs.
 
-:func:`execute_spec` turns a :class:`~repro.serve.spec.SimulationSpec`
+:func:`execute_spec` turns a :class:`~repro.spec.SimulationSpec`
 into a JSON-shaped result dict.  It is deliberately a plain synchronous
 function: the CLIs call it directly (blocking path) and the
 :class:`~repro.serve.engine.JobEngine` calls it from its worker pool
@@ -20,10 +20,16 @@ import hashlib
 import threading
 import time
 
+import numpy as np
+
+from repro.chaos.campaign import plan_for, run_case
+from repro.dd.engine import DDSimulator
+from repro.md.forcefield import default_forcefield
+from repro.md.reference import ReferenceSimulator
 from repro.obs.metrics import MetricsRegistry, METRICS
 from repro.obs.tracer import TRACER
 from repro.serve.jobs import JobCancelled
-from repro.serve.spec import SimulationSpec
+from repro.spec import SimulationSpec
 
 
 def positions_digest(positions) -> str:
@@ -47,16 +53,7 @@ def execute_spec(
     job_metrics = MetricsRegistry()
     t0 = time.perf_counter()
     with METRICS.scope(job_metrics), TRACER.scope() as spans:
-        if spec.kind == "simulate":
-            result = _run_simulate(spec, cache, cancel)
-        elif spec.kind == "profile":
-            result = _run_simulate(spec, cache, cancel)
-        elif spec.kind == "verify":
-            result = _run_verify(spec, cache, cancel)
-        elif spec.kind == "chaos":
-            result = _run_chaos(spec, cancel)
-        else:  # unreachable: spec.__post_init__ validates kind
-            raise ValueError(f"unknown spec kind '{spec.kind}'")
+        result = _BODIES[spec.kind](spec, cache, cancel)
     result["kind"] = spec.kind
     result["job_key"] = spec.job_key()
     result["wall_s"] = time.perf_counter() - t0
@@ -73,9 +70,6 @@ def _check_cancel(cancel: threading.Event | None) -> None:
 
 def _build_sim(spec: SimulationSpec, cache):
     """A DDSimulator for this spec, using the shared cache when given."""
-    from repro.dd.engine import DDSimulator
-    from repro.md.forcefield import default_forcefield
-
     ff = default_forcefield(cutoff=spec.cutoff)
     if cache is None:
         return DDSimulator.from_spec(spec, ff=ff)
@@ -121,17 +115,11 @@ VERIFY_TOLERANCE = 1e-10
 
 
 def _run_verify(spec: SimulationSpec, cache, cancel) -> dict:
-    import numpy as np
-
-    from repro.md import ReferenceSimulator
-
     sim = _build_sim(spec, cache)
     serial = sim.system.copy()
-    ref = ReferenceSimulator(
-        serial, sim.ff, nstlist=spec.nstlist, buffer=spec.buffer,
-        kernel=getattr(spec, "kernel", "segment"),
-        kernel_dtype=getattr(spec, "kernel_dtype", "float64"),
-    )
+    # Same physics as the DD run: every knob the spec and the serial
+    # simulator both declare (nstlist, buffer, dt, coulomb, kernel, ...).
+    ref = ReferenceSimulator(serial, sim.ff, **spec.knobs_for(ReferenceSimulator))
     _check_cancel(cancel)
     ref.run(spec.steps)
     with sim:
@@ -150,48 +138,27 @@ def _run_verify(spec: SimulationSpec, cache, cancel) -> dict:
         }
 
 
-def _run_chaos(spec: SimulationSpec, cancel) -> dict:
-    # Function-level import: repro.chaos pulls in campaign, which builds
-    # specs of its own — importing it at module level would be a cycle.
-    from repro.chaos.campaign import ChaosConfig, run_case
-    from repro.chaos.plan import FaultPlan
-
-    from repro.md.grappa import resolve_scenario
-
-    cfg = ChaosConfig(
-        backend=spec.backend,
-        atoms=spec.n_atoms,
-        shape=tuple(spec.shape) if spec.shape is not None else (1, 1, spec.ranks),
-        max_pulses=spec.max_pulses,
-        steps=spec.steps,
-        nstlist=spec.nstlist,
-        buffer=spec.buffer,
-        system_seed=spec.seed,
-        pes_per_node=spec.pes_per_node or 2,
-        executor=spec.executor,
-        n_faults=spec.n_faults,
-        kernel=spec.kernel,
-        max_build_bytes=spec.max_build_bytes,
-        scenario=resolve_scenario(spec.system),
-        dlb=spec.dlb,
-    )
-    plan = spec.fault_plan or FaultPlan.generate(
-        spec.seed,
-        n_faults=spec.n_faults,
-        n_ranks=cfg.n_ranks,
-        n_pulses=cfg.max_pulses,
-        backend=cfg.backend,
-    )
+def _run_chaos(spec: SimulationSpec, cache, cancel) -> dict:
+    plan = spec.fault_plan or plan_for(spec, spec.seed)
     _check_cancel(cancel)
-    case = run_case(cfg, plan)
+    case = run_case(spec, plan)
     return {
         "n_atoms": spec.n_atoms,
-        "ranks": cfg.n_ranks,
+        "ranks": spec.n_ranks,
         "steps_completed": case.steps_completed,
         "plan_seed": plan.seed,
         "violations": list(case.violations),
         "ok": not case.failed,
     }
+
+
+#: Job body per spec kind (a profile is a simulation whose spans are kept).
+_BODIES = {
+    "simulate": _run_simulate,
+    "profile": _run_simulate,
+    "verify": _run_verify,
+    "chaos": _run_chaos,
+}
 
 
 def _aggregate_spans(spans) -> dict:

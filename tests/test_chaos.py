@@ -15,7 +15,6 @@ import repro.cli as cli
 import repro.par.base as par_base
 from repro.chaos import (
     MUTATIONS,
-    ChaosConfig,
     ChaosInjector,
     ChaosState,
     ChaosViolation,
@@ -24,6 +23,8 @@ from repro.chaos import (
     check_bit_identity,
     check_halo_coverage,
     check_halo_partition,
+    chaos_spec,
+    plan_for,
     replay_artifact,
     run_campaign,
     run_case,
@@ -42,7 +43,7 @@ from repro.obs.metrics import METRICS
 
 @pytest.fixture(scope="module")
 def cfg():
-    return ChaosConfig()
+    return chaos_spec()
 
 
 @pytest.fixture(scope="module")
@@ -227,9 +228,7 @@ class TestCampaign:
     def test_seeded_campaign_passes_nvshmem(self, cfg, reference):
         before = METRICS.counter("chaos.runs", backend="nvshmem").value
         for seed in range(4):
-            plan = FaultPlan.generate(
-                seed, n_faults=cfg.n_faults, n_ranks=cfg.n_ranks, n_pulses=cfg.max_pulses
-            )
+            plan = plan_for(cfg, seed)
             res = run_case(cfg, plan, reference=reference)
             assert not res.failed, (plan.describe(), res.violations)
         # metrics flow through run_campaign, exercised separately
@@ -239,11 +238,21 @@ class TestCampaign:
 
     @pytest.mark.parametrize("backend", ["reference", "mpi", "threadmpi"])
     def test_generic_backends_pass(self, backend):
-        res = run_campaign(ChaosConfig(backend=backend), runs=2)
+        res = run_campaign(chaos_spec(backend=backend), runs=2)
         assert not res.failed
 
+    def test_artifact_stores_the_spec_and_rejects_v1(self, cfg):
+        from repro.chaos import make_artifact
+
+        artifact = make_artifact(cfg, FaultPlan(seed=0), None, [])
+        assert artifact["version"] == 2
+        assert artifact["spec"] == cfg.to_dict()
+        assert not replay_artifact(artifact).failed
+        with pytest.raises(ValueError, match="version 1 is not replayable"):
+            replay_artifact({**artifact, "version": 1})
+
     def test_all_ib_topology_passes(self, reference):
-        res = run_campaign(ChaosConfig(pes_per_node=1), runs=2, seed0=5)
+        res = run_campaign(chaos_spec(pes_per_node=1), runs=2, seed0=5)
         assert not res.failed
 
 
@@ -253,37 +262,37 @@ class TestDlbCampaign:
     DLB boundary moves: a slab system under ``dlb="pairs"`` resizes its
     decomposition mid-campaign, forcing re-planned pulses."""
 
-    CFG = dict(scenario="slab", dlb="pairs", steps=7)
+    CFG = dict(system="slab-1400", dlb="pairs", steps=7)
 
     def test_config_actually_resizes(self):
         """Guard against vacuity: this campaign config must move
         boundaries within the campaign's step budget."""
         from repro.dd import DDSimulator
 
-        cfg = ChaosConfig(**self.CFG)
-        sim = DDSimulator.from_spec(cfg.to_spec())
+        cfg = chaos_spec(**self.CFG)
+        sim = DDSimulator.from_spec(cfg)
         sim.run(cfg.steps)
         assert sim.dlb_adjustments >= 1
         assert not sim.dd.is_uniform
 
     @pytest.mark.parametrize("backend", ["reference", "mpi", "threadmpi", "nvshmem"])
     def test_seeded_slab_campaign(self, backend):
-        res = run_campaign(ChaosConfig(backend=backend, **self.CFG), runs=3)
+        res = run_campaign(chaos_spec(backend=backend, **self.CFG), runs=3)
         assert res.runs == 3
         assert not res.failed, [f.violations for f in res.failures]
 
     def test_measured_mode_rejected(self):
         """Wall-clock DLB would steer the run and its bit-identity oracle
-        into different decompositions; the config must refuse it."""
+        into different decompositions; the spec must refuse it."""
         with pytest.raises(ValueError, match="measured"):
-            ChaosConfig(dlb="measured").to_spec()
+            chaos_spec(dlb="measured")
 
 
 class TestMutationSelfTest:
     """The harness must catch a deliberately weakened protocol."""
 
     def test_skipped_coord_fence_is_detected_and_shrunk(self, tmp_path):
-        cfg = ChaosConfig(pes_per_node=1)  # all-IB: every put rides the proxy
+        cfg = chaos_spec(pes_per_node=1)  # all-IB: every put rides the proxy
         res = run_campaign(cfg, runs=2, mutation="skip-coord-fence")
         assert res.failed
         assert res.artifact is not None
@@ -298,13 +307,13 @@ class TestMutationSelfTest:
         assert "dep_ordering" in joined or "not delivered" in joined
 
     def test_skipped_force_fence_is_detected(self):
-        cfg = ChaosConfig(pes_per_node=1)
+        cfg = chaos_spec(pes_per_node=1)
         res = run_campaign(cfg, runs=1, mutation="skip-force-fence", shrink=False)
         assert res.failed
 
     def test_relaxed_release_is_detected(self):
         res = run_campaign(
-            ChaosConfig(), runs=1, mutation="relaxed-coord-release", shrink=False
+            chaos_spec(), runs=1, mutation="relaxed-coord-release", shrink=False
         )
         assert res.failed
         assert "SignalError" in " ".join(res.failures[0].violations)
@@ -355,15 +364,15 @@ class TestFullCampaigns:
 
     @pytest.mark.parametrize("backend", ["reference", "mpi", "threadmpi", "nvshmem"])
     def test_fifty_seeded_runs(self, backend):
-        res = run_campaign(ChaosConfig(backend=backend), runs=50)
+        res = run_campaign(chaos_spec(backend=backend), runs=50)
         assert res.runs == 50
         assert not res.failed, [f.violations for f in res.failures]
 
     def test_three_pulse_cross_dim_campaign(self):
-        cfg = ChaosConfig(shape=(1, 2, 4), pes_per_node=2)
+        cfg = chaos_spec(shape=(1, 2, 4), pes_per_node=2)
         res = run_campaign(cfg, runs=15)
         assert not res.failed, [f.violations for f in res.failures]
 
     def test_thread_executor_campaign(self):
-        res = run_campaign(ChaosConfig(executor="thread"), runs=10)
+        res = run_campaign(chaos_spec(executor="thread"), runs=10)
         assert not res.failed, [f.violations for f in res.failures]

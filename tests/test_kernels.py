@@ -28,7 +28,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.chaos import ChaosConfig, run_campaign
+from repro.chaos import chaos_spec, run_campaign
 from repro.dd import DDGrid, DDSimulator
 from repro.md import make_grappa_system
 from repro.md.cells import (
@@ -46,7 +46,7 @@ from repro.md.nonbonded import (
 )
 from repro.md.pairlist import ClusterListBuilder
 from repro.md.reference import ReferenceSimulator
-from repro.serve.spec import SimulationSpec
+from repro.spec import SimulationSpec
 
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
@@ -428,7 +428,7 @@ class TestChaosOnCluster:
 
     @pytest.mark.parametrize("backend", ("reference", "mpi", "threadmpi", "nvshmem"))
     def test_invariants_hold(self, backend):
-        cfg = ChaosConfig(backend=backend, kernel="cluster")
+        cfg = chaos_spec(backend=backend, kernel="cluster")
         res = run_campaign(cfg, runs=3, seed0=50)
         assert res.runs == 3
         assert not res.failed, [f.violations for f in res.failures]

@@ -164,6 +164,12 @@ class TestKeywordOnlyKnobs:
             # Positional nstlist after executor must be rejected.
             DDSimulator(tiny_system, ff, 2, None, None, None, 10)
 
+    def test_backend_and_executor_are_keyword_only(self, tiny_system, ff):
+        """The positional-backend deprecation shim is gone: a 5th
+        positional argument is an ordinary TypeError."""
+        with pytest.raises(TypeError, match="positional"):
+            DDSimulator(tiny_system, ff, 2, None, "reference")
+
     def test_keyword_knobs_accepted(self, tiny_system, ff):
         sim = DDSimulator(tiny_system, ff, n_ranks=2, nstlist=7, buffer=0.15, dt=0.001)
         assert sim.nstlist == 7
@@ -241,6 +247,35 @@ class TestProcessExecutorLifecycle:
         with pytest.raises(RuntimeError, match="bind"):
             ex.run("forces")
         ex.close()
+
+    def test_dead_worker_names_itself_and_tears_down(self, tiny_system, ff):
+        """SIGKILL one of two workers between steps: the next step must
+        fail with an error naming the worker, its ranks, the phase and
+        the exit code — not a bare BrokenPipeError/EOFError — and leave
+        neither shared memory nor worker processes behind."""
+        import multiprocessing as mp
+        import os
+        import signal
+
+        ex = ProcessExecutor(max_workers=2)
+        sim = DDSimulator(tiny_system, ff, n_ranks=4, executor=ex, buffer=0.12)
+        sim.step()
+        arena = f"/dev/shm/{ex._shm.name.lstrip('/')}"
+        assert os.path.exists(arena)
+        victim = ex._procs[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+        with pytest.raises(RuntimeError) as err:
+            sim.step()
+        msg = str(err.value)
+        assert "worker 0" in msg and "ranks [0, 2]" in msg
+        assert "forces_local" in msg and "exit code -9" in msg
+        sim.close()  # idempotent after the executor tore itself down
+        assert not os.path.exists(arena)
+        assert not [
+            p for p in mp.active_children() if p.name.startswith("repro-par-")
+        ]
 
 
 class TestSplitForces:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from dataclasses import replace
 
 import pytest
@@ -180,6 +181,25 @@ class TestReportCli:
             assert section in md
         doc = json.loads(json_path.read_text())
         assert doc["n_records"] >= 1 and doc["history_exists"]
+
+    def test_code_size_section(self, capsys, tmp_path):
+        """Per-package LOC (the tracked simplicity scoreboard) is rendered
+        and exported, and adds up to the files actually on disk."""
+        import repro
+
+        md_path, json_path = tmp_path / "report.md", tmp_path / "report.json"
+        main(["report", "--out", str(md_path), "--json", str(json_path),
+              "--trends-dir", str(tmp_path / "trends")])
+        capsys.readouterr()
+        size = json.loads(json_path.read_text())["code_size"]
+        root = Path(repro.__file__).parent
+        on_disk = sum(
+            len(p.read_bytes().splitlines()) for p in root.rglob("*.py")
+        )
+        assert size["total"] == sum(size["packages"].values()) == on_disk
+        assert {"dd", "serve", "chaos", "(top level)"} <= set(size["packages"])
+        md = md_path.read_text()
+        assert "## Code size" in md and f"| **total** | {size['total']} |" in md
 
     def test_check_fails_without_history(self, capsys, tmp_path):
         with pytest.raises(SystemExit, match="problem"):

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.chaos.plan import FaultPlan
+from repro.faultplan import FaultPlan
 from repro.dd import DDSimulator, resolve_backend_executor
 from repro.md import default_forcefield, make_grappa_system
 from repro.obs.metrics import METRICS, MetricsRegistry
@@ -65,6 +65,33 @@ class TestSpec:
         with pytest.raises(ValueError, match="unknown system"):
             SimulationSpec(system="46q")
 
+    def test_parent_commit_json_loads_to_the_same_job_key(self):
+        """Spec JSON written before the spec moved to ``repro.spec`` (and
+        grew field metadata) must load and hash identically."""
+        written = (
+            '{"kind": "chaos", "system": "1400", "steps": 3, "ranks": 4, '
+            '"shape": [1, 1, 4], "max_pulses": 2, "backend": "nvshmem", '
+            '"executor": "serial", "pes_per_node": 2, "nstlist": 2, '
+            '"buffer": 0.12, "dt": 0.002, "cutoff": 0.65, "coulomb": "rf", '
+            '"trim_corners": false, "overlap_comm": true, "kernel": "segment", '
+            '"kernel_dtype": "float64", "max_build_bytes": null, "dlb": "off", '
+            '"seed": 3, "fault_plan": {"seed": 5, "faults": [{"kind": '
+            '"perturb_phase", "target": "integrate", "rank": 3, "pulse": -1, '
+            '"count": 1, "delay_us": 261.0}, {"kind": "drop_op", "target": "", '
+            '"rank": -1, "pulse": -1, "count": 8, "delay_us": 0.0}, {"kind": '
+            '"delay_task", "target": "serveF[rank=0", "rank": 0, "pulse": 0, '
+            '"count": 3, "delay_us": 0.0}]}, "n_faults": 4, "schema_version": 1}'
+        )
+        assert SimulationSpec.from_json(written).job_key() == "6c8e20697be0ae87"
+        assert SimulationSpec().job_key() == "fd2a47ecab936c50"
+        slab = SimulationSpec(
+            kind="verify", system="slab-3000", steps=8, ranks=4,
+            backend="nvshmem", executor="process", pes_per_node=2, nstlist=5,
+            max_pulses=2, dlb="pairs",
+        )
+        assert slab.job_key() == "177d0803fd96931e"
+        assert slab.system_key() == "slab:3000:seed=7:cutoff=0.65"
+
     def test_system_key_groups_identical_initial_state(self):
         assert SPEC.system_key() == SPEC.with_(steps=50).system_key()
         assert SPEC.system_key() != SPEC.with_(seed=12).system_key()
@@ -78,7 +105,7 @@ class TestSpec:
         assert SPEC.n_ranks == 4
 
 
-# -- DDSimulator.from_spec and the deprecation shim ---------------------------
+# -- DDSimulator.from_spec ------------------------------------------------------
 
 
 class TestFromSpec:
@@ -112,31 +139,36 @@ class TestFromSpec:
             sim2.run(3)
         assert np.array_equal(sim2.system.positions, legacy_system.positions)
 
-    def test_positional_backend_executor_deprecated(self, tiny_system, ff):
-        with pytest.warns(DeprecationWarning, match="positional backend/executor"):
-            sim = DDSimulator(tiny_system, ff, 2, None, "reference", "serial")
-        assert sim.n_ranks == 2
-
     def test_keyword_construction_warns_nothing(self, tiny_system, ff):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             DDSimulator(tiny_system, ff, n_ranks=2, backend="reference",
                         executor="serial")
 
-    def test_legacy_positional_still_runs_correctly(self, ff):
-        """The deprecated form must keep passing parity, not just construct."""
-        sys_a = make_grappa_system(1400, seed=11, ff=ff, dtype=np.float64)
-        sys_b = sys_a.copy()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sim = DDSimulator(sys_a, ff, 4, None, "reference", "serial",
-                              nstlist=2, buffer=0.12)
-        with sim:
-            sim.run(2)
-        with DDSimulator(sys_b, ff, n_ranks=4, backend="reference",
-                         executor="serial", nstlist=2, buffer=0.12) as sim2:
-            sim2.run(2)
-        assert np.array_equal(sys_a.positions, sys_b.positions)
+    def test_every_spec_field_reaches_the_simulator(self):
+        """Introspective completeness: each spec field is either declared
+        here as not engine-facing, or arrives on the built DDSimulator
+        under the same name — so a future field cannot be dropped (or
+        left unclassified) unnoticed."""
+        from dataclasses import fields
+
+        not_engine_facing = {
+            "kind", "system", "steps", "ranks", "shape", "backend", "executor",
+            "pes_per_node", "cutoff", "seed", "fault_plan", "n_faults",
+            "schema_version",
+        }
+        non_default = dict(
+            nstlist=3, buffer=0.15, dt=0.001, trim_corners=True, max_pulses=2,
+            coulomb="pme", overlap_comm=False, kernel="cluster",
+            kernel_dtype="float32", max_build_bytes=1 << 20, dlb="pairs",
+        )
+        names = {f.name for f in fields(SimulationSpec)}
+        assert names - not_engine_facing == set(non_default)
+        for name, value in non_default.items():
+            assert getattr(SimulationSpec(), name) != value
+        with DDSimulator.from_spec(SPEC.with_(**non_default)) as sim:
+            for name, value in non_default.items():
+                assert getattr(sim, name) == value, name
 
 
 class TestResolveBackendExecutor:
@@ -200,6 +232,41 @@ class TestExecuteSpec:
         result = execute_spec(spec)
         assert result["ok"]
         assert result["max_deviation_nm"] <= 1e-10
+
+    @pytest.mark.parametrize("physics", [{"dt": 0.0005}, {"coulomb": "pme"}])
+    def test_verify_reference_uses_the_spec_physics(self, physics):
+        """The serial reference must integrate the same physics as the DD
+        run; it used to drop ``dt`` and ``coulomb`` and fail by 0.03 nm."""
+        spec = SimulationSpec(
+            kind="verify", system="1400", steps=4, ranks=4, backend="nvshmem",
+            max_pulses=2, **physics,
+        )
+        result = execute_spec(spec)
+        assert result["ok"]
+        assert result["max_deviation_nm"] <= 1e-10
+
+    def test_chaos_job_honours_every_spec_field(self, monkeypatch):
+        """Both simulators a chaos job builds — the fault-injected case and
+        its reference-trajectory oracle — must carry the spec's knobs."""
+        built = []
+        from_spec = DDSimulator.from_spec.__func__
+
+        def spy(cls, spec, **kwargs):
+            built.append(from_spec(cls, spec, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(DDSimulator, "from_spec", classmethod(spy))
+        spec = SimulationSpec(
+            kind="chaos", system="1400", steps=2, shape=(1, 1, 4),
+            max_pulses=2, backend="nvshmem", pes_per_node=2, seed=3, nstlist=2,
+            overlap_comm=False, dt=0.001, trim_corners=True,
+            fault_plan=FaultPlan(seed=0),
+        )
+        result = execute_spec(spec)
+        assert result["ok"], result["violations"]
+        assert sorted(sim.backend.name for sim in built) == ["nvshmem", "reference"]
+        for sim in built:
+            assert (sim.overlap_comm, sim.dt, sim.trim_corners) == (False, 0.001, True)
 
     def test_chaos_kind_with_embedded_plan(self):
         plan = FaultPlan.generate(2, n_faults=2, n_ranks=4, n_pulses=2,
