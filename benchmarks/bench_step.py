@@ -172,7 +172,7 @@ def main(argv: list[str] | None = None) -> None:
                              "par.imbalance by at least FACTOR (e.g. 2.0)")
     add_spec_flags(parser, "backend", "seed")
     parser.add_argument("--executors", nargs="+",
-                        default=["serial", "thread", "process"])
+                        default=["serial", "process"])
     parser.add_argument("--phase-breakdown", action="store_true",
                         help="report local/non-local force split, halo wall "
                              "time, and overlap efficiency per executor")

@@ -179,7 +179,7 @@ class ChaosState:
     # -- executor hook ---------------------------------------------------------
 
     def phase_chaos(self, phase: str, rank: int) -> None:
-        """Stagger a rank's phase dispatch (thread/process executors)."""
+        """Delay a rank's phase (serial: in its timed window; process: at dispatch)."""
         for f in self._perturbs:
             if f.target and f.target != phase:
                 continue

@@ -30,11 +30,11 @@ one pid per rank and one tid per resource row; functional runs export the
 wall-clock spans recorded by :mod:`repro.obs.tracer`.  Open the file in
 ``chrome://tracing`` or https://ui.perfetto.dev.
 
-``--executor {serial,thread,process}`` (on ``compare``, ``scaling``,
-``profile``, ``verify``) selects the :mod:`repro.par` rank executor for
-functional runs: ``serial`` in-process reference, ``thread`` pool over
-GIL-releasing kernels, ``process`` persistent worker pool over shared
-memory (the per-GPU-rank stand-in).  ``compare``/``scaling`` take
+``--executor {process,serial}`` (on ``compare``, ``scaling``,
+``profile``, ``verify``, ``chaos``) selects the :mod:`repro.par` rank
+executor for functional runs: ``serial`` in-process reference,
+``process`` persistent worker pool over shared memory (the per-GPU-rank
+stand-in).  ``--kernel`` defaults to ``cluster``.  ``compare``/``scaling`` take
 ``--measure N`` to additionally time a real run; ``profile --functional``
 profiles a real run via recorded spans instead of the timing model.
 

@@ -33,31 +33,20 @@ class HaloBackend(ABC):
     of the exchange.  Callers must tolerate missing notifications — the
     engine completes any un-notified rank after the exchange returns.
 
-    Backends additionally declare their array footprint so rank executors
-    (:mod:`repro.par`) know what to publish to / fetch from worker
-    processes around each exchange:
-
-    * ``mutates_coordinates`` / ``mutates_forces`` — the ``ClusterState``
-      fields each exchange writes;
-    * ``rebinds_cluster_arrays`` — ``True`` when :meth:`bind` *replaces*
-      cluster arrays with internal buffers (e.g. symmetric-heap views).
-      Executors must then mirror those arrays instead of adopting them
-      into shared memory, because the backend holds references to the
-      originals.
+    Backends exchange **in place**: the arrays in ``cluster.local_*`` are
+    the ones the rank executor computes on (for the process executor,
+    views of its shared-memory arena), installed before :meth:`bind`
+    runs.  A backend may keep references to them until the next
+    :meth:`bind`, but must never replace an entry of ``cluster.local_*``
+    with another array.
     """
 
     name: str = "abstract"
 
-    #: ClusterState fields written by :meth:`exchange_coordinates`.
-    mutates_coordinates: tuple[str, ...] = ("local_pos",)
-    #: ClusterState fields written by :meth:`exchange_forces`.
-    mutates_forces: tuple[str, ...] = ("local_forces",)
-    #: True when :meth:`bind` swaps cluster arrays for internal buffers.
-    rebinds_cluster_arrays: bool = False
-
     @abstractmethod
     def bind(self, cluster: ClusterState) -> None:
-        """(Re)allocate per-plan resources; called after neighbour search."""
+        """(Re)allocate per-plan resources; called after neighbour search,
+        once the executor's arrays are installed in ``cluster``."""
 
     @abstractmethod
     def exchange_coordinates(

@@ -43,11 +43,6 @@ from repro.obs.tracer import TRACER
 class NvshmemBackend(HaloBackend):
     """Fused, signal-driven halo exchange (functional layer)."""
 
-    #: bind() swaps the cluster's pos/force arrays for symmetric-heap views,
-    #: so rank executors must mirror rather than adopt them (see
-    #: :class:`repro.comm.base.HaloBackend`).
-    rebinds_cluster_arrays = True
-
     def __init__(
         self,
         pes_per_node: int | None = None,
@@ -84,20 +79,12 @@ class NvshmemBackend(HaloBackend):
         self.runtime = rt
         dtype = cluster.system.dtype
         n_pulses = plan.n_pulses
-        max_local = max(rp.n_local for rp in plan.ranks)
 
-        # Symmetric working buffers: coordinates and forces themselves are the
-        # put/get destinations (GROMACS' symmetric destination requirement).
-        self._coords = rt.symmetric_alloc("coords", (max_local, 3), dtype)
-        self._forces = rt.symmetric_alloc("forces", (max_local, 3), dtype)
-        for rp in plan.ranks:
-            r = rp.rank
-            carr = self._coords.on(r)
-            carr[: rp.n_local] = cluster.local_pos[r]
-            cluster.local_pos[r] = carr[: rp.n_local]
-            farr = self._forces.on(r)
-            farr[: rp.n_local] = cluster.local_forces[r]
-            cluster.local_forces[r] = farr[: rp.n_local]
+        # The ranks' coordinate and force arrays themselves become the
+        # symmetric put/get destinations (GROMACS' symmetric destination
+        # requirement): registered in place, never copied or replaced.
+        self._coords = rt.heap.register_symmetric("coords", cluster.local_pos)
+        self._forces = rt.heap.register_symmetric("forces", cluster.local_forces)
 
         # Per-pulse symmetric force staging (InfiniBand put destinations).
         self._force_stage = []

@@ -17,8 +17,9 @@ Fault kinds
     Skip the ``count``-th intercepted proxy operation once, requeueing it
     at the back of the queue — a retried IB transport.
 ``perturb_phase``
-    Sleep ``delay_us`` before a rank's phase dispatch in the thread or
-    process executor — a straggler rank.
+    Sleep ``delay_us`` before a rank's phase — inside the rank's timed
+    window on the serial executor, at parent-side dispatch on the process
+    executor — a straggler rank.
 ``defer_notify``
     Shuffle the cross-rank order of ``on_pulse`` notifications (per-rank
     pulse order is preserved, as the backend contract requires), seeded by

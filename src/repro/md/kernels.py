@@ -6,10 +6,11 @@ select one with a string, and unknown names fail with an actionable
 error listing what is available.  Three implementations ship:
 
 * ``"segment"`` — the flat sorted-pair segment reduction (PR 3's hot
-  path, the default; behavior unchanged).  Pair search runs over the
+  path; the :class:`~repro.md.reference.ReferenceSimulator` default, kept
+  as the algorithmically independent oracle).  Pair search runs over the
   cell list and the per-step kernel is :func:`~repro.md.nonbonded.block_forces`.
-* ``"cluster"`` — the GROMACS M×N cluster-pair scheme (Páll et al.
-  2020): atoms are sorted into ``m``-atom clusters along the cell-list
+* ``"cluster"`` — the default: the GROMACS M×N cluster-pair scheme (Páll
+  et al. 2020): atoms are sorted into ``m``-atom clusters along the cell-list
   spatial ordering, the list is built over *cluster pairs* with exact
   per-tile interaction masks, and the flat pair view is extracted once
   at build time.  Pure NumPy, always available.  The per-step NumPy
@@ -130,7 +131,7 @@ class KernelImpl:
 
 @register_kernel("segment")
 class SegmentKernel(KernelImpl):
-    """Flat cell-list search + sorted-pair segment reduction (default)."""
+    """Flat cell-list search + sorted-pair segment reduction."""
 
     def build_split(self, ws) -> dict:
         cfg = ws.cfg
@@ -190,7 +191,8 @@ class SegmentKernel(KernelImpl):
 
 @register_kernel("cluster")
 class ClusterKernel(KernelImpl):
-    """M×N cluster-pair search; NumPy per-step evaluation (flat chain)."""
+    """M×N cluster-pair search; NumPy per-step evaluation (flat chain).
+    The default kernel of the DD engine and the spec."""
 
     def __init__(self, dtype: str = "float64", m: int = 4) -> None:
         super().__init__(dtype)

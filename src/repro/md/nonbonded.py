@@ -605,7 +605,7 @@ class NonbondedKernel:
     ff: ForceField
     coulomb: str = "rf"
     ewald_beta: float = 0.0
-    name: str = "segment"
+    name: str = "cluster"
     dtype: str = "float64"
 
     @property

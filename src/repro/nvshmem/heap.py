@@ -10,11 +10,18 @@ failure mode (see ``tests/test_nvshmem_runtime.py``).
 ``nvshmemx_buffer_register`` is also modelled: a *source* buffer may be a
 registered non-symmetric array, matching the paper's note that only the
 destination of a put must be symmetric.
+
+Memory that already exists joins the heap through
+:meth:`SymmetricHeap.register_symmetric`: the coordinate and force
+buffers *are* the put destinations in the paper's fused exchange ("no
+unpack kernel"), so the heap takes the ranks' own arrays rather than
+handing out copies of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +34,13 @@ class SymmetricAllocationError(RuntimeError):
 
 @dataclass
 class SymmetricBuffer:
-    """One named symmetric allocation: an identical array on every PE."""
+    """One named symmetric object: an array on every PE.
+
+    Allocated buffers are identical on every PE; registered ones (see
+    :meth:`SymmetricHeap.register_symmetric`) share dtype and trailing
+    shape but keep each PE's own leading extent — ``shape`` then holds
+    the largest, the size a real symmetric allocation would reserve.
+    """
 
     name: str
     shape: tuple[int, ...]
@@ -55,7 +68,8 @@ class SymmetricBuffer:
         return self.arrays[pe]
 
     def nbytes(self) -> int:
-        return self.arrays[0].nbytes
+        """Per-PE footprint (the largest PE's, for ragged extents)."""
+        return max(a.nbytes for a in self.arrays)
 
 
 class SymmetricHeap:
@@ -100,16 +114,59 @@ class SymmetricHeap:
             raise SymmetricAllocationError(f"PE {pe} already joined '{name}'")
         buf.joined[pe] = True
         if buf.complete:
-            # The collective completes on the last join: account one
-            # allocation and the new per-PE heap footprint.
-            METRICS.counter("nvshmem.heap.allocs").inc()
-            METRICS.gauge("nvshmem.heap.bytes").set(self.total_bytes())
+            # The collective completes on the last join.
+            self._account_alloc()
         return buf
+
+    def _account_alloc(self) -> None:
+        """One more complete symmetric object: count it and its footprint."""
+        METRICS.counter("nvshmem.heap.allocs").inc()
+        METRICS.gauge("nvshmem.heap.bytes").set(self.total_bytes())
 
     def alloc_all(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> SymmetricBuffer:
         """Convenience: all PEs join at once (the usual collective call)."""
         for pe in range(self.n_pes):
             buf = self.alloc(pe, name, shape, dtype)
+        return buf
+
+    def register_symmetric(
+        self, name: str, arrays: Sequence[np.ndarray]
+    ) -> SymmetricBuffer:
+        """Make caller-owned per-PE arrays one symmetric object.
+
+        Collective over all PEs in one call: ``arrays[pe]`` is PE
+        ``pe``'s contribution, all of one dtype and trailing shape.
+        Leading extents may differ; each PE's is its own array's, and
+        ``on(pe)`` returns that very array — so one-sided operations
+        land in the caller's memory and are bounds-checked against the
+        *target* PE's extent.  Accounted like an allocation.
+        """
+        arrays = list(arrays)
+        if len(arrays) != self.n_pes:
+            raise SymmetricAllocationError(
+                f"'{name}' registered for {len(arrays)} of {self.n_pes} PEs: "
+                f"symmetric objects are collective over all PEs"
+            )
+        if name in self._buffers:
+            raise SymmetricAllocationError(f"'{name}' already exists on this heap")
+        dtype, trailing = arrays[0].dtype, arrays[0].shape[1:]
+        for pe, arr in enumerate(arrays):
+            if arr.dtype != dtype or arr.shape[1:] != trailing:
+                raise SymmetricAllocationError(
+                    f"PE {pe} registered '{name}' with dtype={arr.dtype} "
+                    f"trailing shape={arr.shape[1:]}, but PE 0 has dtype={dtype} "
+                    f"trailing shape={trailing}: only the leading extent may "
+                    f"differ between PEs"
+                )
+        buf = SymmetricBuffer(
+            name=name,
+            shape=(max(a.shape[0] for a in arrays), *trailing),
+            dtype=dtype,
+            arrays=arrays,
+            joined=[True] * self.n_pes,
+        )
+        self._buffers[name] = buf
+        self._account_alloc()
         return buf
 
     def get(self, name: str) -> SymmetricBuffer:
@@ -130,7 +187,7 @@ class SymmetricHeap:
 
     def total_bytes(self) -> int:
         """Symmetric heap footprint per PE (every PE holds every buffer)."""
-        return sum(b.arrays[0].nbytes for b in self._buffers.values())
+        return sum(b.nbytes() for b in self._buffers.values())
 
     def names(self) -> list[str]:
         return sorted(self._buffers)

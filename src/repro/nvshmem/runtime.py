@@ -157,6 +157,18 @@ class NvshmemRuntime:
 
     # -- one-sided data movement ---------------------------------------------------
 
+    @staticmethod
+    def _rows(op: str, buf: SymmetricBuffer, pe: int, offset: int, count: int) -> np.ndarray:
+        """PE ``pe``'s array of ``buf``, rows [offset, offset+count) checked
+        against that PE's own extent (registered buffers may be ragged)."""
+        arr = buf.on(pe)
+        if offset < 0 or offset + count > arr.shape[0]:
+            raise IndexError(
+                f"{op} of {count} rows at offset {offset} exceeds '{buf.name}' "
+                f"on PE {pe} (shape {arr.shape})"
+            )
+        return arr
+
     def put(
         self,
         buf: SymmetricBuffer,
@@ -167,12 +179,7 @@ class NvshmemRuntime:
     ) -> None:
         """Contiguous put into ``buf`` rows [offset, offset+len) on the peer."""
         data = np.array(data, copy=True)  # capture the source at issue time
-        dest = buf.on(target_pe)
-        if offset < 0 or offset + data.shape[0] > dest.shape[0]:
-            raise IndexError(
-                f"put of {data.shape[0]} rows at offset {offset} exceeds "
-                f"'{buf.name}' shape {dest.shape}"
-            )
+        dest = self._rows("put", buf, target_pe, offset, data.shape[0])
         self.stats.puts += 1
         self.stats.bytes_put += data.nbytes
         self._m_puts.inc()
@@ -204,9 +211,7 @@ class NvshmemRuntime:
                 f"get from PE {source_pe_remote} by PE {local_pe}: the "
                 f"NVLink get path requires same-node peers (use put over IB)"
             )
-        src = buf.on(source_pe_remote)
-        if offset < 0 or offset + count > src.shape[0]:
-            raise IndexError(f"get of {count} rows at {offset} exceeds {src.shape}")
+        src = self._rows("get", buf, source_pe_remote, offset, count)
         self.stats.gets += 1
         out = np.array(src[offset : offset + count], copy=True)
         self.stats.bytes_got += out.nbytes
@@ -231,12 +236,7 @@ class NvshmemRuntime:
         put's data; both may be arbitrarily delayed (they ride the proxy).
         """
         data = np.array(data, copy=True)
-        dest = buf.on(target_pe)
-        if offset < 0 or offset + data.shape[0] > dest.shape[0]:
-            raise IndexError(
-                f"put_signal of {data.shape[0]} rows at offset {offset} "
-                f"exceeds '{buf.name}' shape {dest.shape}"
-            )
+        dest = self._rows("put_signal", buf, target_pe, offset, data.shape[0])
         self.stats.put_signals += 1
         self.stats.bytes_put += data.nbytes
         self.stats.signals_set += 1

@@ -19,10 +19,11 @@ METRICS.scope(job_registry):`` routes every instrument lookup made on the
 *current thread/task* (a :mod:`contextvars` scope) to ``job_registry``
 *as well as* the process-wide registry — instrumented code keeps calling
 ``METRICS.counter(...)`` unchanged, global totals keep accruing, and the
-job gets an isolated snapshot.  Records made on threads an executor pool
-spawned internally (e.g. the thread executor's workers) bypass the scope
-and land only in the global registry; per-job streams are therefore the
-driving-thread view, which covers all engine- and serve-level metrics.
+job gets an isolated snapshot.  Executors spawn no threads of their
+own, so nothing in a job's process bypasses its scope; what stays
+outside is the process executor's *worker processes*, whose registries
+are separate (rank timings and the fallback count travel back on each
+reply and are recorded by the driving thread, inside the scope).
 """
 
 from __future__ import annotations
@@ -221,8 +222,7 @@ class MetricsRegistry:
         """Route this thread/task's instrument lookups to ``registry`` too.
 
         Nested scopes replace each other (innermost wins); the previous
-        scope is restored on exit.  See the module docstring for the
-        pooled-thread caveat.
+        scope is restored on exit.
         """
         token = _SCOPE.set(registry)
         try:

@@ -8,14 +8,15 @@ per-rank phases (pair search, forces, integration — see
 
 * :class:`~repro.par.serial.SerialExecutor` (``"serial"``) — in-order,
   in-thread; the bit-exactness reference.
-* :class:`~repro.par.thread.ThreadExecutor` (``"thread"``) — thread pool
-  over the GIL-releasing NumPy kernels.
 * :class:`~repro.par.process.ProcessExecutor` (``"process"``) — persistent
   worker processes over a shared-memory arena; only indices cross process
   boundaries.
 
-All three produce bit-identical trajectories: per-rank work has no
-cross-rank reduction, and the engine sums rank results in rank order.
+Both produce bit-identical trajectories: per-rank work has no cross-rank
+reduction, and the engine sums rank results in rank order.  The executor
+owns the per-rank arrays (``bind`` returns them, the engine installs them,
+halo backends exchange in place on them); why there are exactly two
+executors is recorded, with the measurements, in DESIGN.md §4.
 """
 
 from repro.par.base import (
@@ -31,7 +32,6 @@ from repro.par.imbalance import (
 )
 from repro.par.phases import (
     FIELDS,
-    PHASE_WRITES,
     PHASES,
     RankConfig,
     RankNsData,
@@ -40,12 +40,10 @@ from repro.par.phases import (
 )
 from repro.par.process import ProcessExecutor
 from repro.par.serial import SerialExecutor
-from repro.par.thread import ThreadExecutor
 
 __all__ = [
     "FIELDS",
     "PHASES",
-    "PHASE_WRITES",
     "ProcessExecutor",
     "RankConfig",
     "RankExecutor",
@@ -53,7 +51,6 @@ __all__ = [
     "RankWorkspace",
     "SerialExecutor",
     "SplitPairs",
-    "ThreadExecutor",
     "executor_registry",
     "imbalance_pct",
     "make_executor",

@@ -2,12 +2,10 @@
 
 The DD engine expresses every per-rank loop as a named *phase* (see
 :mod:`repro.par.phases`) and delegates execution to a
-:class:`RankExecutor`.  Three registered implementations ship:
+:class:`RankExecutor`.  Two registered implementations ship:
 
 * ``serial`` — ranks in order, in the calling thread.  The bit-exactness
   reference and the default.
-* ``thread`` — a persistent thread pool; NumPy kernels release the GIL
-  for most of their work, so ranks overlap on multi-core hosts.
 * ``process`` — a persistent worker-process pool with the cluster arrays
   in POSIX shared memory; ranks run truly concurrently and only index
   arrays cross process boundaries.  The faithful stand-in for
@@ -16,27 +14,23 @@ The DD engine expresses every per-rank loop as a named *phase* (see
 Executor lifecycle, as driven by the engine::
 
     executor.configure(cfg, n_ranks)      # once per simulator
-    views = executor.bind(fields, ns, adopt=...)   # each neighbour search
-    results = executor.run("pairs")       # then "forces", "integrate", ...
-    executor.publish(("pos",))            # after parent-side mutations
+    arrays = executor.bind(fields, ns)    # each neighbour search
+    results = executor.run("pairs")       # then "forces_local", "integrate", ...
     executor.close()
 
-``bind`` may return replacement array views (the shared-memory *adopt*
-path): the engine then installs them into the ``ClusterState`` so halo
-backends in the parent process mutate the same memory the workers see.
-When a backend declares ``rebinds_cluster_arrays`` (it swapped the
-cluster arrays for internal buffers at ``bind`` time), the executor
-falls back to *mirroring*: it keeps shadow copies and the engine brackets
-parent-side work with :meth:`RankExecutor.publish` /, implicitly via
-``run``, fetches of the fields each side mutated — which is why
-:class:`repro.comm.base.HaloBackend` declares ``mutates_coordinates`` /
-``mutates_forces``.
+The executor binds, the backend exchanges in place: ``bind`` returns the
+per-rank arrays the ranks compute on — the caller's own (serial) or
+views of the shared-memory arena (process) — and the engine installs
+them into the ``ClusterState`` *before* binding the halo backend, which
+must never replace them (:class:`repro.comm.base.HaloBackend`).  Every
+rank array therefore has exactly one home; nothing is copied between
+parent, workers and backend after ``bind``.
 
-Contract: after ``run(phase)`` returns, the parent-side arrays reflect
-every field in ``PHASE_WRITES[phase]``; results are ordered by rank.
-Every ``run`` is bracketed by ``executor.dispatch`` / ``executor.barrier``
-tracer spans, so exposed serialization (time the parent spends waiting on
-stragglers) shows up directly in span-based cycle accounting.
+Contract: after ``run(phase)`` returns, the installed arrays hold every
+rank's writes; results are ordered by rank.  Every ``run`` is bracketed
+by ``executor.dispatch`` / ``executor.barrier`` tracer spans, so exposed
+serialization (time the parent spends waiting on stragglers) shows up
+directly in span-based cycle accounting.
 """
 
 from __future__ import annotations
@@ -49,14 +43,14 @@ import numpy as np
 
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
-from repro.par.phases import FIELDS, PHASE_WRITES, PHASES, RankConfig, RankNsData
+from repro.par.phases import FIELDS, PHASES, RankConfig, RankNsData
 
-#: Chaos instrumentation point (see :mod:`repro.chaos`): when set, the
-#: concurrent executors call ``phase_chaos(phase, rank)`` before running a
-#: rank's phase, letting fault plans perturb per-rank timing (a slow rank,
-#: a late worker) without changing any executor API.  ``None`` in
-#: production; the serial executor never calls it (it is the unperturbed
-#: bit-exactness reference).
+#: Chaos instrumentation point (see :mod:`repro.chaos`): when set,
+#: executors call ``phase_chaos(phase, rank)`` before running a rank's
+#: phase, letting fault plans perturb per-rank timing (a slow rank, a late
+#: worker) without changing any executor API.  The serial executor calls
+#: it inside the rank's timed window (a sleep cannot change a result), the
+#: process executor at parent-side dispatch.  ``None`` in production.
 phase_chaos: Callable[[str, int], None] | None = None
 
 
@@ -87,9 +81,6 @@ class RankExecutor(ABC):
 
         The ``par.rank_us`` histogram aggregates away rank identity;
         this keeps the per-rank totals the dynamic load balancer needs.
-        Concurrent executors call it from worker threads, but always for
-        distinct ranks within a phase, so element-wise accumulation is
-        race-free.
         """
         self._rank_us_acc[rank] += us
 
@@ -108,16 +99,14 @@ class RankExecutor(ABC):
         self,
         fields: list[dict[str, np.ndarray]],
         ns: list[RankNsData],
-        adopt: bool = True,
-    ) -> list[dict[str, np.ndarray]] | None:
+    ) -> list[dict[str, np.ndarray]]:
         """(Re)attach to per-rank arrays after a neighbour search.
 
         ``fields`` holds one dict per rank keyed by
-        :data:`repro.par.phases.FIELDS`.  A non-``None`` return is the
-        set of replacement views (same keys) the caller must install so
-        parent-side code shares memory with the workers; ``None`` means
-        the caller's arrays are used as-is (or mirrored internally when
-        ``adopt`` is false).
+        :data:`repro.par.phases.FIELDS`.  Returns, per rank and under the
+        same keys, the arrays the ranks will compute on — ``fields``
+        itself or arrays holding the same values — which the caller must
+        use from here on in place of what it passed in.
         """
 
     def close(self) -> None:
@@ -152,7 +141,6 @@ class RankExecutor(ABC):
             "executor.barrier", cat="executor", executor=self.name, phase=phase
         ):
             results = self._collect(phase, token)
-        self.fetch(PHASE_WRITES[phase])
         METRICS.counter("par.phases", executor=self.name, phase=phase).inc()
         return results
 
@@ -199,17 +187,13 @@ class RankExecutor(ABC):
     def _collect(self, phase: str, token: Any) -> list[Any]:
         """Wait for completion; return per-rank results in rank order."""
 
-    # -- parent/worker array coherence ---------------------------------------
-
     def publish(self, names: Sequence[str]) -> None:
-        """Make parent-side writes to ``names`` visible to the workers.
+        """Inert: parent and workers share every array, nothing to copy.
 
-        No-op for same-address-space executors and for the shared-memory
-        adopt path; a real copy only when mirroring.
+        Kept only because the frozen ``bench/spans.py`` wraps it for the
+        ``par.publish_ms`` row (which now reads ~0); a later ``benchmark``
+        PR drops that row and this method together.
         """
-
-    def fetch(self, names: Sequence[str]) -> None:
-        """Make worker-side writes to ``names`` visible to the parent."""
 
     # -- helpers for subclasses ----------------------------------------------
 

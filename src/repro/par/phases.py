@@ -4,7 +4,7 @@ These are the bodies of the DD engine's former ``for r in range(n_ranks)``
 loops — neighbour-pair search, non-bonded/bonded force computation, and
 leap-frog integration — factored into module-level functions so the
 process executor can name them across a pickle boundary.  Every executor
-(serial, thread, process) runs exactly this code on exactly the same
+(serial, process) runs exactly this code on exactly the same
 per-rank arrays, which makes cross-executor bit-identity a structural
 property of the design rather than a numerical accident: a rank's work
 involves no cross-rank reduction, so scheduling order cannot change any
@@ -52,16 +52,6 @@ from repro.md.nonbonded import NonbondedKernel, PairBlock
 #: executor shared-memory arena and the engine's ``ClusterState`` lists
 #: (``local_<name>``) both follow this naming.
 FIELDS: tuple[str, ...] = ("pos", "vel", "forces", "types", "charges", "masses")
-
-#: Workspace fields each phase writes; after ``RankExecutor.run(phase)``
-#: returns, the parent-side arrays are guaranteed to reflect these.
-PHASE_WRITES: dict[str, tuple[str, ...]] = {
-    "pairs": (),
-    "forces": ("forces",),
-    "forces_local": ("forces",),
-    "forces_nonlocal": ("forces",),
-    "integrate": ("pos", "vel"),
-}
 
 
 @dataclass
@@ -236,17 +226,6 @@ def compute_forces_nonlocal(ws: RankWorkspace) -> tuple[float, float, float, flo
     return _forces_half(ws, sp.nonlocal_kernel, sp.excl_nonlocal, "halo")
 
 
-def compute_forces(ws: RankWorkspace) -> tuple[float, float, float, float]:
-    """Strict-order local + non-local forces (compatibility phase).
-
-    Equivalent to running ``forces_local`` then ``forces_nonlocal``;
-    returns the summed energy tuple.
-    """
-    l_lj, l_corr, l_coul, l_bonded = compute_forces_local(ws)
-    n_lj, n_corr, n_coul, n_bonded = compute_forces_nonlocal(ws)
-    return l_lj + n_lj, l_corr + n_corr, l_coul + n_coul, l_bonded + n_bonded
-
-
 def integrate(ws: RankWorkspace) -> float:
     """Leap-frog step for one rank's home atoms; returns kinetic energy.
 
@@ -265,7 +244,6 @@ def integrate(ws: RankWorkspace) -> float:
 #: Phase registry: the names executors accept in ``run``.
 PHASES: dict[str, "callable"] = {
     "pairs": pair_search,
-    "forces": compute_forces,
     "forces_local": compute_forces_local,
     "forces_nonlocal": compute_forces_nonlocal,
     "integrate": integrate,

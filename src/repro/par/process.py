@@ -8,19 +8,12 @@ worker.  Per phase, only the phase name and rank ids cross the pipe; per
 neighbour search, only index arrays and small parameter tables do.  Array
 data never transits a pickle boundary.
 
-Two coherence modes, chosen by the engine per ``bind``:
-
-* **adopt** (default) — ``bind`` copies the fresh cluster arrays into the
-  arena once and returns the arena views; the engine installs them into
-  the ``ClusterState``, so parent-side halo backends mutate exactly the
-  memory the workers compute on.  ``publish``/``fetch`` are no-ops.
-* **mirror** — used when the halo backend declares
-  ``rebinds_cluster_arrays`` (it swapped the cluster arrays for internal
-  buffers, e.g. the NVSHMEM symmetric heap).  The arena then shadows the
-  cluster arrays: ``publish`` memcpys parent -> arena after parent-side
-  mutations (the fields the backend's ``mutates_*`` declarations name),
-  ``fetch`` memcpys arena -> parent after worker phases.  Copies, but
-  still zero pickling.
+``bind`` copies the fresh cluster arrays into the arena once and returns
+the arena views; the engine installs them into the ``ClusterState``
+before the halo backend binds, so parent-side exchanges (and the NVSHMEM
+symmetric objects registered over them) mutate exactly the memory the
+workers compute on.  Nothing is copied between parent and workers after
+that.
 
 The arena is carved into per-rank slots, allocated lazily the first time
 a rank's arrays are dispatched and sized from that rank's home+halo
@@ -39,7 +32,7 @@ import os
 import time
 import weakref
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, NoReturn, Sequence
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -222,8 +215,6 @@ class ProcessExecutor(RankExecutor):
         self._rank_offsets: list[int] = []
         self._specs: list[dict] = []
         self._arena: dict[int, dict[str, np.ndarray]] = {}
-        self._src: list[dict[str, np.ndarray]] = []
-        self.adopted = False
         self._cfg_sent = False
         self._finalizer = None
         self._fb_seen: list[int] = []
@@ -311,8 +302,7 @@ class ProcessExecutor(RankExecutor):
         self,
         fields: list[dict[str, np.ndarray]],
         ns: list[RankNsData],
-        adopt: bool = True,
-    ) -> list[dict[str, np.ndarray]] | None:
+    ) -> list[dict[str, np.ndarray]]:
         self._check_fields(fields)
         self._ensure_workers()
         if not self._cfg_sent:
@@ -380,11 +370,6 @@ class ProcessExecutor(RankExecutor):
             for name in FIELDS:
                 self._arena[rank][name][...] = per_rank[name]
 
-        self.adopted = bool(adopt)
-        self._src = (
-            [self._arena[r] for r in range(self.n_ranks)] if adopt else fields
-        )
-
         for w, my_ranks in enumerate(self._ranks_of):
             self._request(
                 w, ("bind", self._shm.name, specs, my_ranks, [ns[r] for r in my_ranks])
@@ -392,9 +377,7 @@ class ProcessExecutor(RankExecutor):
         for w in range(len(self._conns)):
             self._reply(w)
         self._bound = True
-        if adopt:
-            return [self._arena[r] for r in range(self.n_ranks)]
-        return None
+        return [self._arena[r] for r in range(self.n_ranks)]
 
     # -- execution -------------------------------------------------------------
 
@@ -412,22 +395,30 @@ class ProcessExecutor(RankExecutor):
     def _collect(self, phase: str, token: Any) -> list[Any]:
         results: list[Any] = [None] * self.n_ranks
         for w in range(len(self._conns)):
-            payload = self._reply(w)
-            for rank, result, dur_us, _t_end in payload["results"]:
-                results[rank] = result
-                METRICS.histogram(
-                    "par.rank_us", executor=self.name, phase=phase, rank=str(rank)
-                ).observe(dur_us)
-                self._note_rank_us(rank, dur_us)
-            self._absorb_fallbacks(w, payload["fb"])
+            self._absorb_reply(w, phase, results)
         return results
 
-    def _absorb_fallbacks(self, worker: int, fb: int) -> None:
-        """Fold a worker's cumulative fallback count into parent METRICS."""
-        delta = fb - self._fb_seen[worker]
+    def _absorb_reply(self, worker: int, phase: str, results: list[Any]) -> float:
+        """Take one ``run`` reply: results, rank timings, fallback count.
+
+        Returns the latest end stamp among the reply's ranks.
+        """
+        payload = self._reply(worker)
+        last_end = 0.0
+        for rank, result, dur_us, t_end in payload["results"]:
+            results[rank] = result
+            METRICS.histogram(
+                "par.rank_us", executor=self.name, phase=phase, rank=str(rank)
+            ).observe(dur_us)
+            self._note_rank_us(rank, dur_us)
+            last_end = max(last_end, t_end)
+        # Worker METRICS are invisible here: fold the cumulative fallback
+        # count piggybacked on the reply into the parent's counter.
+        delta = payload["fb"] - self._fb_seen[worker]
         if delta > 0:
             METRICS.counter("nonbonded.scatter_fallback").inc(delta)
-            self._fb_seen[worker] = fb
+            self._fb_seen[worker] = payload["fb"]
+        return last_end
 
     def run_forces_overlapped(
         self, exchange, overlap: bool = True
@@ -451,11 +442,7 @@ class ProcessExecutor(RankExecutor):
         with TRACER.span(
             "executor.dispatch", cat="executor", executor=self.name, phase="forces_local"
         ):
-            for w, my_ranks in enumerate(self._ranks_of):
-                if par_base.phase_chaos is not None:
-                    for rank in my_ranks:
-                        par_base.phase_chaos("forces_local", rank)
-                self._request(w, ("run", "forces_local", my_ranks))
+            self._dispatch("forces_local")
         pending_nonlocal: list[list[int]] = [[] for _ in range(n_workers)]
         dispatched = [False] * self.n_ranks
 
@@ -465,10 +452,6 @@ class ProcessExecutor(RankExecutor):
             dispatched[rank] = True
             if par_base.phase_chaos is not None:
                 par_base.phase_chaos("forces_nonlocal", rank)
-            if not self.adopted:
-                # Mirror mode: the backend wrote this rank's fresh halo
-                # into the parent-side arrays; forward just its coordinates.
-                self._arena[rank]["pos"][...] = self._src[rank]["pos"]
             w = worker_of[rank]
             self._request(w, ("run", "forces_nonlocal", [rank]))
             pending_nonlocal[w].append(rank)
@@ -484,16 +467,10 @@ class ProcessExecutor(RankExecutor):
             "executor.barrier", cat="executor", executor=self.name, phase="forces_local"
         ):
             for w in range(n_workers):
-                payload = self._reply(w)  # FIFO: first reply is the local batch
-                for rank, result, dur_us, t_end in payload["results"]:
-                    local_results[rank] = result
-                    METRICS.histogram(
-                        "par.rank_us", executor=self.name,
-                        phase="forces_local", rank=str(rank),
-                    ).observe(dur_us)
-                    self._note_rank_us(rank, dur_us)
-                    last_local_end = max(last_local_end, t_end)
-                self._absorb_fallbacks(w, payload["fb"])
+                # FIFO: each worker's first reply is its local batch.
+                last_local_end = max(
+                    last_local_end, self._absorb_reply(w, "forces_local", local_results)
+                )
         with TRACER.span(
             "executor.barrier",
             cat="executor",
@@ -502,46 +479,18 @@ class ProcessExecutor(RankExecutor):
         ):
             for w in range(n_workers):
                 for _ in pending_nonlocal[w]:
-                    payload = self._reply(w)
-                    for rank, result, dur_us, _t_end in payload["results"]:
-                        nonlocal_results[rank] = result
-                        METRICS.histogram(
-                            "par.rank_us", executor=self.name,
-                            phase="forces_nonlocal", rank=str(rank),
-                        ).observe(dur_us)
-                        self._note_rank_us(rank, dur_us)
-                    self._absorb_fallbacks(w, payload["fb"])
+                    self._absorb_reply(w, "forces_nonlocal", nonlocal_results)
         hidden = max(0.0, min(last_local_end, t1) - t0)
         self._observe_overlap(t1 - t0, hidden)
-        self.fetch(("forces",))
         METRICS.counter("par.phases", executor=self.name, phase="forces_local").inc()
         METRICS.counter("par.phases", executor=self.name, phase="forces_nonlocal").inc()
         return local_results, nonlocal_results
-
-    # -- coherence -------------------------------------------------------------
-
-    def publish(self, names: Sequence[str]) -> None:
-        if self.adopted or not names:
-            return
-        with TRACER.span("executor.publish", cat="executor", fields=list(names)):
-            for rank in range(self.n_ranks):
-                for name in names:
-                    self._arena[rank][name][...] = self._src[rank][name]
-
-    def fetch(self, names: Sequence[str]) -> None:
-        if self.adopted or not names:
-            return
-        with TRACER.span("executor.fetch", cat="executor", fields=list(names)):
-            for rank in range(self.n_ranks):
-                for name in names:
-                    self._src[rank][name][...] = self._arena[rank][name]
 
     # -- teardown --------------------------------------------------------------
 
     def close(self) -> None:
         if self._finalizer is not None and self._finalizer.alive:
             self._arena = {}
-            self._src = []
             self._finalizer()
         self._procs = []
         self._conns = []

@@ -1,4 +1,4 @@
-"""Serial executor: today's behaviour, the bit-exactness reference."""
+"""Serial executor: ranks in order in the caller, the bit-exactness reference."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from typing import Any
 import numpy as np
 
 from repro.obs.metrics import METRICS
+import repro.par.base as par_base
 from repro.par.base import RankExecutor, register_executor
 from repro.par.phases import PHASES, RankNsData, RankWorkspace
 
@@ -24,15 +25,14 @@ class SerialExecutor(RankExecutor):
         self,
         fields: list[dict[str, np.ndarray]],
         ns: list[RankNsData],
-        adopt: bool = True,
-    ) -> None:
+    ) -> list[dict[str, np.ndarray]]:
         self._check_fields(fields)
         self._ws = [
             RankWorkspace(cfg=self._cfg, ns=ns[r], **fields[r])
             for r in range(self.n_ranks)
         ]
         self._bound = True
-        return None
+        return fields
 
     def _dispatch(self, phase: str) -> Any:
         return None
@@ -42,6 +42,10 @@ class SerialExecutor(RankExecutor):
         out = []
         for rank, ws in enumerate(self._ws):
             t0 = time.perf_counter_ns()
+            # Inside the timed window, so an injected straggler lengthens
+            # this rank's phase in ``par.rank_us`` as a slow rank would.
+            if par_base.phase_chaos is not None:
+                par_base.phase_chaos(phase, rank)
             out.append(fn(ws))
             dur_us = (time.perf_counter_ns() - t0) / 1000.0
             METRICS.histogram(

@@ -9,9 +9,8 @@ property the parity tests pin down with positions digests.
 
 Per-job observability: the whole body runs under ``METRICS.scope`` and
 ``TRACER.scope``, so each job's result carries its own metric snapshot
-and span accounting even when many jobs share the process.  Records made
-on executor-pool-internal threads land only in the global registry (the
-documented driving-thread-view caveat).
+and span accounting even when many jobs share the process (no executor
+spawns threads that could record outside the scope).
 """
 
 from __future__ import annotations

@@ -126,7 +126,7 @@ class SimulationSpec:
     trim_corners: bool = False
     overlap_comm: bool = True
     kernel: str = _knob(
-        "segment", "non-bonded kernel for functional runs (repro.md.kernels)",
+        "cluster", "non-bonded kernel for functional runs (repro.md.kernels)",
         choices=kernel_registry,
     )
     kernel_dtype: str = _knob(

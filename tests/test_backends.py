@@ -14,6 +14,7 @@ from repro.dd import DDGrid, DDSimulator
 from repro.dd.decomposition import DomainDecomposition
 from repro.dd.exchange import build_cluster, reference_coordinate_exchange
 from repro.md import ReferenceSimulator
+from repro.nvshmem.heap import SymmetricAllocationError, SymmetricHeap
 from repro.nvshmem.signals import SignalError
 
 
@@ -160,6 +161,69 @@ class TestFailureModes:
         monkeypatch.setattr(SignalArray, "release_store", sabotage)
         with pytest.raises(SignalError):
             _run_traj(small_system, ff, be, shape=(2, 2, 1), steps=1)
+
+
+class TestRaggedSymmetricExtents:
+    """The ranks' own coordinate/force arrays are the symmetric objects, so
+    one-sided operations are bounds-checked against the *target* rank's
+    ``n_local`` — not against a buffer padded to the largest rank."""
+
+    @pytest.fixture()
+    def bound(self, tiny_system, ff):
+        dd = DomainDecomposition(
+            grid=DDGrid((1, 1, 4)), box=tiny_system.box, r_comm=ff.cutoff + 0.12,
+            max_pulses=2,
+        )
+        cluster = build_cluster(tiny_system, dd)
+        backend = NvshmemBackend(pes_per_node=2)
+        backend.bind(cluster)
+        n_local = [rp.n_local for rp in cluster.plan.ranks]
+        assert len(set(n_local)) > 1, "decomposition must be ragged"
+        small = int(np.argmin(n_local))
+        return cluster, backend, small, n_local[small]
+
+    def test_registered_array_is_the_cluster_array(self, bound):
+        cluster, backend, _, _ = bound
+        for pe in range(cluster.n_ranks):
+            assert backend._coords.on(pe) is cluster.local_pos[pe]
+            assert backend._forces.on(pe) is cluster.local_forces[pe]
+            assert backend._coords.on(pe).shape[0] == cluster.plan.ranks[pe].n_local
+
+    def test_one_row_past_the_target_extent_raises(self, bound):
+        cluster, backend, small, n = bound
+        rt = backend.runtime
+        peer = small ^ 1  # same node at pes_per_node=2
+        far = (small + 2) % 4  # another node
+        rows = np.zeros((2, 3))
+        sig = rt.signal_array("coordSig", cluster.plan.n_pulses)
+        # The last two rows of the target are still in range.
+        rt.put(backend._coords, small, n - 2, rows, source_pe=peer)
+        with pytest.raises(IndexError, match=f"on PE {small}"):
+            rt.put(backend._coords, small, n - 1, rows, source_pe=peer)
+        with pytest.raises(IndexError, match=f"on PE {small}"):
+            rt.put_signal_nbi(
+                backend._coords, small, n - 1, rows, sig, 0, 99, source_pe=far
+            )
+        with pytest.raises(IndexError, match=f"on PE {small}"):
+            rt.get(backend._forces, small, n - 1, 2, local_pe=peer)
+        assert rt.n_pending == 0  # nothing was queued by the refused ops
+
+    def test_registration_is_collective_and_typed(self, bound):
+        cluster, _, _, _ = bound
+        heap = SymmetricHeap(4)
+        with pytest.raises(SymmetricAllocationError, match="3 of 4 PEs"):
+            heap.register_symmetric("x", cluster.local_pos[:3])
+        wrong_dtype = [*cluster.local_pos[:3], cluster.local_pos[3].astype(np.float32)]
+        with pytest.raises(SymmetricAllocationError, match="PE 3"):
+            heap.register_symmetric("x", wrong_dtype)
+        wrong_shape = [*cluster.local_pos[:3], np.zeros((5, 2))]
+        with pytest.raises(SymmetricAllocationError, match="trailing shape"):
+            heap.register_symmetric("x", wrong_shape)
+        buf = heap.register_symmetric("x", cluster.local_pos)
+        assert buf.shape[0] == max(a.shape[0] for a in cluster.local_pos)
+        assert heap.total_bytes() == buf.shape[0] * 3 * 8
+        with pytest.raises(SymmetricAllocationError, match="already exists"):
+            heap.register_symmetric("x", cluster.local_pos)
 
 
 class TestOnPulseContract:

@@ -146,8 +146,9 @@ class TestBenchStepGate:
 
     def fabricate(self, tmp_path, steps_per_s) -> Path:
         h = BenchHistory(tmp_path / "BENCH_step.json")
+        # kernel is part of the baseline key: name what the run defaults to.
         h.append(make_record(system="600", n_atoms=600, ranks=2, steps=2,
-                             steps_per_s=steps_per_s))
+                             steps_per_s=steps_per_s, kernel="cluster"))
         h.save()
         return h.path
 

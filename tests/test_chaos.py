@@ -373,6 +373,6 @@ class TestFullCampaigns:
         res = run_campaign(cfg, runs=15)
         assert not res.failed, [f.violations for f in res.failures]
 
-    def test_thread_executor_campaign(self):
-        res = run_campaign(chaos_spec(executor="thread"), runs=10)
+    def test_process_executor_campaign(self):
+        res = run_campaign(chaos_spec(executor="process"), runs=10)
         assert not res.failed, [f.violations for f in res.failures]

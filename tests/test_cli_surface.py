@@ -4,9 +4,11 @@ Flags that name a spec field are generated from the field's declaration
 (``repro.spec.add_spec_flags``), so this test holds the generated surface
 to what the hand-written parser accepted: every ``python -m repro ...``
 command line in the CI workflow and the verify skill must parse, the
-functional ones must build exactly the spec they built before the
-refactor (pinned below, captured from the parent commit), and no flag
-may be renamed, re-defaulted or dropped.
+functional ones must build exactly the spec pinned below, and no flag
+may be renamed, re-defaulted or dropped.  The tables were captured at
+PR 13 and regenerated once, for PR 14's two deliberate changes: the
+``kernel`` default (``segment`` -> ``cluster``) and the ``executor``
+choices (``thread`` removed).
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from repro.spec import SimulationSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Spec defaults at the parent commit.
+#: Spec defaults.
 DEFAULTS = {
     "kind": "simulate", "system": "1400", "steps": 10, "ranks": 4,
     "shape": None, "max_pulses": 1, "backend": "reference",
     "executor": "serial", "pes_per_node": 0, "nstlist": 10, "buffer": 0.12,
     "dt": 0.002, "cutoff": 0.65, "coulomb": "rf", "trim_corners": False,
-    "overlap_comm": True, "kernel": "segment", "kernel_dtype": "float64",
+    "overlap_comm": True, "kernel": "cluster", "kernel_dtype": "float64",
     "max_build_bytes": None, "dlb": "off", "seed": 7, "fault_plan": None,
     "n_faults": 4, "schema_version": 1,
 }
@@ -48,8 +50,16 @@ PINNED = {
         [{**_VERIFY, "system": "3000", "steps": 8, "executor": "process",
           "overlap_comm": False}],
     "verify --atoms 3000 --ranks 4 --steps 8 --executor process --kernel cluster":
+        [{**_VERIFY, "system": "3000", "steps": 8, "executor": "process"}],
+    "verify --atoms 3000 --ranks 4 --steps 8 --executor process --kernel segment":
         [{**_VERIFY, "system": "3000", "steps": 8, "executor": "process",
-          "kernel": "cluster"}],
+          "kernel": "segment"}],
+    **{
+        f"chaos --backend {b} --runs 3 --executor process {_OUT}":
+            [{**_CHAOS, "executor": "process",
+              **({} if b == "reference" else {"backend": b})}]
+        for b in ("reference", "mpi", "threadmpi", "nvshmem")
+    },
     "profile --functional --system 3000 --ranks 4 --steps 4 --executor process "
     "--backend nvshmem":
         [{"kind": "profile", "system": "3000", "steps": 4,
@@ -76,7 +86,7 @@ PINNED = {
     f"chaos --backend nvshmem --runs 3 --pes-per-node 1 {_OUT}":
         [{**_CHAOS, "backend": "nvshmem", "pes_per_node": 1}],
     f"chaos --backend nvshmem --runs 3 --kernel cluster {_OUT}":
-        [{**_CHAOS, "backend": "nvshmem", "kernel": "cluster"}],
+        [{**_CHAOS, "backend": "nvshmem"}],
     "chaos --backend nvshmem --runs 1 --pes-per-node 1 --mutate skip-coord-fence "
     "--expect-failure --out /dev/null":
         [{**_CHAOS, "backend": "nvshmem", "pes_per_node": 1}],
@@ -90,15 +100,15 @@ PINNED = {
     "--trace /tmp/spans.json":
         [{"kind": "profile", "steps": 4, "backend": "nvshmem",
           "executor": "process"}],
-    "compare 3000 --gpus 4 --measure 3 --executor thread":
-        [{"system": "3000", "steps": 3, "backend": b, "executor": "thread"}
+    "compare 3000 --gpus 4 --measure 3 --executor process":
+        [{"system": "3000", "steps": 3, "backend": b, "executor": "process"}
          for b in ("mpi", "nvshmem")],
     "scaling 1400 --machine dgx-h100 --gpu-counts 2 --measure 2":
         [{"steps": 2, "ranks": 2, "backend": "nvshmem"}],
 }
 
-#: Flag -> default of every functional subcommand at the parent commit.
-_KNOBS = {"--executor": "serial", "--kernel": "segment",
+#: Flag -> default of every functional subcommand.
+_KNOBS = {"--executor": "serial", "--kernel": "cluster",
           "--max-build-bytes": None, "--dlb": "off", "--server": None}
 FLAGS = {
     "compare": {"system": "45k", "--gpus": 4, "--machine": "dgx-h100",
@@ -255,3 +265,28 @@ def test_generated_flag_parsing_matches_the_hand_written_parser(capsys):
             parse(bad)
         assert err.value.code == 2
     capsys.readouterr()
+
+
+# -- the removed executor name fails loudly ------------------------------------------
+
+_CHOICES_ERROR = "unknown spec executor 'thread'; registered executors: process, serial"
+
+
+def test_removed_executor_is_refused_by_the_spec():
+    with pytest.raises(ValueError) as err:
+        SimulationSpec(executor="thread")
+    assert str(err.value) == _CHOICES_ERROR
+    # What a persisted or RPC-submitted spec from before the removal looks like.
+    persisted = {**DEFAULTS, "kernel": "segment", "executor": "thread"}
+    with pytest.raises(ValueError) as err:
+        SimulationSpec.from_dict(persisted)
+    assert str(err.value) == _CHOICES_ERROR
+
+
+def test_removed_executor_is_refused_by_the_cli(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--executor", "thread"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "--executor: invalid choice: 'thread'" in message
+    assert "'process', 'serial'" in message and "'thread'," not in message

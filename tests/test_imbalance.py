@@ -6,6 +6,7 @@ import pytest
 
 from repro.chaos import ChaosInjector, Fault, FaultPlan
 from repro.dd import DDSimulator
+from repro.dd.grid import DDGrid
 from repro.md import make_grappa_system
 from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.par.imbalance import imbalance_pct, record_imbalance, summarize_imbalance
@@ -25,25 +26,25 @@ class TestImbalanceMath:
     def test_summary_from_synthetic_histograms(self):
         reg = MetricsRegistry()
         for us in (100.0, 100.0, 100.0, 180.0):
-            reg.histogram("par.rank_us", executor="thread", phase="forces_local").observe(us)
+            reg.histogram("par.rank_us", executor="process", phase="forces_local").observe(us)
         for us in (50.0, 50.0):
-            reg.histogram("par.rank_us", executor="thread", phase="pairs").observe(us)
+            reg.histogram("par.rank_us", executor="process", phase="pairs").observe(us)
         summary = summarize_imbalance(reg)
-        fl = summary["thread"]["forces_local"]
+        fl = summary["process"]["forces_local"]
         assert fl["count"] == 4
         assert fl["mean_us"] == pytest.approx(120.0)
         assert fl["max_us"] == pytest.approx(180.0)
         assert fl["imbalance_pct"] == pytest.approx(50.0)
-        assert summary["thread"]["pairs"]["imbalance_pct"] == 0.0
+        assert summary["process"]["pairs"]["imbalance_pct"] == 0.0
         # overall: sum(max)/sum(mean) = 230/170 -> ~35.3%
-        overall = summary["thread"]["overall"]
+        overall = summary["process"]["overall"]
         assert overall["imbalance_pct"] == pytest.approx(100.0 * (230.0 / 170.0 - 1.0))
 
     def test_executor_filter_and_empty(self):
         reg = MetricsRegistry()
         assert summarize_imbalance(reg) == {}
         reg.histogram("par.rank_us", executor="serial", phase="pairs").observe(10.0)
-        assert "serial" not in summarize_imbalance(reg, executor="thread")
+        assert "serial" not in summarize_imbalance(reg, executor="process")
         assert "serial" in summarize_imbalance(reg, executor="serial")
 
     def test_record_publishes_gauges(self):
@@ -75,30 +76,51 @@ class TestChaosStraggler:
             )
         with ChaosInjector(plan):
             sim = DDSimulator(
-                system, ff, n_ranks=4, executor="thread", nstlist=3, buffer=0.12
+                system, ff, n_ranks=4, executor="serial", nstlist=3, buffer=0.12
             )
             with sim:
                 sim.run(3)
-        return summarize_imbalance(executor="thread")
+        return summarize_imbalance(executor="serial")
 
     def test_straggler_dominates_forces_local(self, ff):
         summary = self.run_steps(ff, straggle=True)
-        fl = summary["thread"]["forces_local"]
+        fl = summary["serial"]["forces_local"]
         assert fl["count"] == 12  # 4 ranks x 3 steps
         # rank 0 carries +20000 us every step; the mean over ranks gains
         # only a quarter of that, so imbalance stays large even with
         # timer noise on a loaded host.
         assert fl["max_us"] >= 20000.0
         assert fl["imbalance_pct"] > 50.0
-        assert summary["thread"]["overall"]["imbalance_pct"] > 10.0
+        assert summary["serial"]["overall"]["imbalance_pct"] > 10.0
 
     def test_gauges_cover_the_straggler(self, ff):
         self.run_steps(ff, straggle=True)
-        record_imbalance(executor="thread")
+        record_imbalance(executor="serial")
         published = {
             dict(labels)["phase"]: inst.value
             for name, labels, inst in METRICS.collect("par.imbalance.pct")
-            if dict(labels)["executor"] == "thread"
+            if dict(labels)["executor"] == "serial"
         }
         assert published["forces_local"] > 50.0
         assert "overall" in published
+
+    def test_measured_dlb_shrinks_the_straggler_cell(self, ff):
+        """``dlb="measured"`` drains the same per-rank timings, so a
+        20 ms straggler shrinks its rank's cell at the next search."""
+        system = make_grappa_system(1400, seed=11, ff=ff)
+        plan = FaultPlan(seed=0)
+        plan.faults.append(
+            Fault("perturb_phase", target="forces_local", rank=2, delay_us=20000.0)
+        )
+        with ChaosInjector(plan):
+            sim = DDSimulator(
+                system, ff, grid=DDGrid((1, 1, 4)), executor="serial", nstlist=3,
+                buffer=0.12, max_pulses=2, dlb="measured",
+            )
+            with sim:
+                uniform = sim.dd.cell_widths(2)
+                sim.run(4)  # searches at steps 0 and 3; DLB acts before the second
+                widths = sim.dd.cell_widths(2)
+        assert sim.dlb_adjustments == 1
+        assert widths[2] < uniform[2]
+        assert widths[2] == widths.min()

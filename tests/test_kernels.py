@@ -292,7 +292,7 @@ class TestEngineParity:
         assert np.array_equal(ref[0], out[0])
         assert ref[1] == out[1]
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
+    @pytest.mark.parametrize("executor", ("process",))
     def test_cluster_cross_executor_bit_identical(self, tiny_system, ff, executor):
         ref = _run_dd(tiny_system, ff, n_ranks=4, kernel="cluster", executor="serial")
         out = _run_dd(tiny_system, ff, n_ranks=4, kernel="cluster", executor=executor)

@@ -1,30 +1,33 @@
-"""Rank-executor tests: serial / thread / process must be bit-identical.
+"""Rank-executor tests: serial and process must be bit-identical.
 
 The executor layer (:mod:`repro.par`) schedules per-rank pair search,
 force computation, and integration.  Because every executor runs the same
 phase functions on the same per-rank data with no cross-rank reductions,
 trajectories and energies must match bit-for-bit — these tests enforce
 that across the whole lifecycle: mid-run neighbour-search rebuilds, PME
-runs, and the mirror coherence mode forced by array-rebinding backends.
+runs, and every halo backend exchanging in place on the executor's arrays.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.comm import NvshmemBackend, backend_registry, make_backend
+from repro.comm import backend_registry, make_backend
 from repro.dd import DDSimulator
-from repro.md import make_grappa_system
+from repro.dd.grid import DDGrid
+from repro.md import ReferenceSimulator, make_grappa_system, make_system
+from repro.obs.metrics import METRICS
 from repro.par import (
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     executor_registry,
     make_executor,
 )
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def _run(system, ff, executor, *, n_ranks=4, steps=8, nstlist=3, **kwargs):
@@ -45,12 +48,12 @@ def _run(system, ff, executor, *, n_ranks=4, steps=8, nstlist=3, **kwargs):
 
 
 class TestExecutorParity:
-    """Serial is the reference; thread and process must match it exactly."""
+    """Serial is the reference; process must match it exactly."""
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
+    @pytest.mark.parametrize("executor", ("process",))
     def test_bit_identical_trajectory(self, tiny_system, ff, executor):
         # nstlist=3 over 8 steps forces mid-run neighbour-search rebuilds,
-        # so bind/publish/fetch coherence is exercised, not just step 0.
+        # so rebinding the arena is exercised, not just step 0.
         ref = _run(tiny_system.copy(), ff, "serial")
         out = _run(tiny_system.copy(), ff, executor)
         assert np.array_equal(ref["pos"], out["pos"])
@@ -58,21 +61,43 @@ class TestExecutorParity:
         assert np.array_equal(ref["forces"], out["forces"])
         assert ref["energies"] == out["energies"]
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
+    @pytest.mark.parametrize("executor", ("process",))
     def test_bit_identical_with_pme(self, tiny_system, ff, executor):
         ref = _run(tiny_system.copy(), ff, "serial", steps=5, nstlist=5, coulomb="pme")
         out = _run(tiny_system.copy(), ff, executor, steps=5, nstlist=5, coulomb="pme")
         assert np.array_equal(ref["pos"], out["pos"])
         assert ref["energies"] == out["energies"]
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
-    def test_bit_identical_mirror_mode(self, tiny_system, ff, executor):
-        # The NVSHMEM backend rebinds cluster arrays to its symmetric heap,
-        # which forces the executor into mirror (publish/fetch) coherence.
+    @pytest.mark.parametrize("executor", ("process",))
+    def test_bit_identical_nvshmem_backend(self, tiny_system, ff, executor):
+        # The NVSHMEM backend registers the executor's arena views as its
+        # symmetric put/get destinations; puts land in worker memory.
         ref = _run(tiny_system.copy(), ff, "serial", backend="nvshmem")
         out = _run(tiny_system.copy(), ff, executor, backend="nvshmem")
         assert np.array_equal(ref["pos"], out["pos"])
         assert ref["energies"] == out["energies"]
+
+    @pytest.mark.parametrize("max_pulses,shape", [(1, (2, 2, 1)), (2, (1, 1, 4))])
+    def test_backend_executor_kernel_matrix(self, tiny_system, ff, max_pulses, shape):
+        """4 backends x 2 executors x 2 kernels: one trajectory, bit for
+        bit, and it is the serial reference's to accumulation order."""
+        outs = {
+            (backend, executor, kernel): _run(
+                tiny_system.copy(), ff, executor, n_ranks=0, grid=DDGrid(shape),
+                steps=6, backend=backend, kernel=kernel, max_pulses=max_pulses,
+            )["pos"]
+            for backend in sorted(backend_registry)
+            for executor in EXECUTORS
+            for kernel in ("cluster", "segment")
+        }
+        first = next(iter(outs.values()))
+        for key, pos in outs.items():
+            assert np.array_equal(pos, first), key
+        ref = tiny_system.copy()
+        ReferenceSimulator(ref, ff, nstlist=3, buffer=0.12).run(6)
+        dx = first - ref.positions
+        dx -= np.rint(dx / ref.box) * ref.box
+        assert np.abs(dx).max() < 1e-12
 
     def test_rebuilds_happened(self, tiny_system, ff):
         sim = DDSimulator(
@@ -86,43 +111,53 @@ class TestExecutorParity:
 
     def test_executor_instance_accepted(self, tiny_system, ff):
         ref = _run(tiny_system.copy(), ff, "serial", steps=4)
-        out = _run(tiny_system.copy(), ff, ThreadExecutor(max_workers=2), steps=4)
+        out = _run(tiny_system.copy(), ff, ProcessExecutor(max_workers=2), steps=4)
         assert np.array_equal(ref["pos"], out["pos"])
 
 
-class TestCoherenceModes:
-    def test_process_adopts_with_reference_backend(self, tiny_system, ff):
-        ex = ProcessExecutor(max_workers=2)
-        sim = DDSimulator(tiny_system, ff, n_ranks=4, executor=ex, buffer=0.12)
-        with sim:
-            sim.step()
-            assert ex.adopted, "non-rebinding backend should let the arena adopt"
-            # Adopted mode installs arena views into the cluster so halo
-            # exchanges mutate worker-visible memory directly.
-            assert sim.cluster.local_pos[0].base is not None
+class TestOneOwner:
+    """The executor binds, the backend exchanges in place: every rank
+    array has one home shared by cluster, arena and symmetric heap."""
 
-    def test_process_mirrors_with_nvshmem_backend(self, tiny_system, ff):
+    @pytest.mark.parametrize("backend", sorted(backend_registry))
+    def test_cluster_arena_and_heap_share_memory(self, tiny_system, ff, backend):
         ex = ProcessExecutor(max_workers=2)
-        backend = NvshmemBackend(pes_per_node=2)
-        assert backend.rebinds_cluster_arrays
         sim = DDSimulator(
             tiny_system, ff, n_ranks=4, backend=backend, executor=ex, buffer=0.12
         )
         with sim:
-            sim.step()
-            assert not ex.adopted, "rebinding backend must force mirror mode"
+            sim.neighbor_search()
+            cluster = sim.cluster
+            for r in range(4):
+                for name in ("pos", "forces"):
+                    mine = getattr(cluster, f"local_{name}")[r]
+                    assert np.shares_memory(mine, ex._arena[r][name])
+                if backend == "nvshmem":
+                    assert sim.backend._coords.on(r) is cluster.local_pos[r]
+                    assert sim.backend._forces.on(r) is cluster.local_forces[r]
+            # A worker's integrate write is visible in the cluster with no
+            # call in between: forces are zero, so x += v * dt exactly.
+            before = [p.copy() for p in cluster.local_pos]
+            for vel in cluster.local_vel:
+                vel[...] = 1.0  # parent write, read by the workers
+            ex.run("integrate")
+            for r, rp in enumerate(cluster.plan.ranks):
+                moved = cluster.local_pos[r][: rp.n_home]
+                assert np.array_equal(moved, before[r][: rp.n_home] + sim.dt)
 
-    def test_backend_declares_mutations(self):
-        for name, cls in backend_registry.items():
-            assert cls.mutates_coordinates, name
-            assert cls.mutates_forces, name
+    def test_serial_bind_returns_the_arrays_it_was_given(self, tiny_system, ff):
+        sim = DDSimulator(tiny_system, ff, n_ranks=4, backend="nvshmem", buffer=0.12)
+        with sim:
+            sim.neighbor_search()
+            for r, ws in enumerate(sim.executor._ws):
+                assert ws.pos is sim.cluster.local_pos[r]
+                assert sim.backend._coords.on(r) is ws.pos
 
 
 class TestRegistry:
     def test_all_executors_registered(self):
-        assert set(EXECUTORS) <= set(executor_registry)
+        assert sorted(executor_registry) == sorted(EXECUTORS)
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread"), ThreadExecutor)
         assert isinstance(make_executor("process"), ProcessExecutor)
 
     def test_unknown_executor_rejected(self):
@@ -133,7 +168,6 @@ class TestRegistry:
         assert "reference" in backend_registry
         b = make_backend("reference")
         assert b.name == "reference"
-        assert not b.rebinds_cluster_arrays
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError, match="reference"):
@@ -233,6 +267,34 @@ class TestProcessExecutorLifecycle:
         assert np.array_equal(ref["pos"], out["pos"])
         assert ref["energies"] == out["energies"]
 
+    def test_arena_growth_under_a_bound_backend_leaks_nothing(self, ff):
+        """DLB on a slab grows ranks past their slots, so the arena segment
+        is replaced while the previous search's NVSHMEM symmetric objects
+        still hold views of the old one: the old segment must be unlinked
+        at once, the run stay on the serial result, and nothing remain."""
+        def run(executor):
+            system = make_system("slab-1400", seed=3, ff=ff, dtype=np.float64)
+            sim = DDSimulator(
+                system, ff, grid=DDGrid((1, 1, 4)), backend="nvshmem",
+                executor=executor, nstlist=2, buffer=0.12, max_pulses=2, dlb="pairs",
+            )
+            with sim:
+                for _ in range(14):
+                    sim.step()
+                    if executor != "serial":
+                        segments.add(sim.executor._shm.name.lstrip("/"))
+                        live = {n for n in os.listdir("/dev/shm") if n in segments}
+                        assert live == {sim.executor._shm.name.lstrip("/")}
+            return system.positions
+
+        segments: set[str] = set()
+        remaps = METRICS.counter("par.arena.remaps")
+        before = remaps.value
+        out = run("process")
+        assert remaps.value - before >= 1 and len(segments) >= 2
+        assert not segments & set(os.listdir("/dev/shm"))
+        assert np.array_equal(out, run("serial"))
+
     def test_worker_error_propagates(self):
         ex = ProcessExecutor(max_workers=1)
         from repro.par.phases import RankConfig
@@ -245,7 +307,7 @@ class TestProcessExecutorLifecycle:
         with pytest.raises(KeyError, match="unknown phase"):
             ex.run("explode")
         with pytest.raises(RuntimeError, match="bind"):
-            ex.run("forces")
+            ex.run("forces_local")
         ex.close()
 
     def test_dead_worker_names_itself_and_tears_down(self, tiny_system, ff):
@@ -324,7 +386,7 @@ class TestSplitForces:
         assert np.array_equal(ref["forces"], out["forces"])
         assert ref["energies"] == out["energies"]
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
+    @pytest.mark.parametrize("executor", ("process",))
     def test_overlap_metrics_recorded(self, tiny_system, ff, executor):
         from repro.obs.metrics import METRICS
 

@@ -83,13 +83,18 @@ class TestSpec:
             '"count": 3, "delay_us": 0.0}]}, "n_faults": 4, "schema_version": 1}'
         )
         assert SimulationSpec.from_json(written).job_key() == "6c8e20697be0ae87"
-        assert SimulationSpec().job_key() == "fd2a47ecab936c50"
+        # A spec that spells out kernel="segment" hashes as it always did;
+        # the default spec's key moved once, with the kernel default
+        # (segment -> cluster, PR 14).
+        assert SimulationSpec(kernel="segment").job_key() == "fd2a47ecab936c50"
+        assert SimulationSpec().job_key() == "dbfd5194ba875a4b"
         slab = SimulationSpec(
             kind="verify", system="slab-3000", steps=8, ranks=4,
             backend="nvshmem", executor="process", pes_per_node=2, nstlist=5,
             max_pulses=2, dlb="pairs",
         )
-        assert slab.job_key() == "177d0803fd96931e"
+        assert slab.with_(kernel="segment").job_key() == "177d0803fd96931e"
+        assert slab.job_key() == "04bffacda13f2caf"
         assert slab.system_key() == "slab:3000:seed=7:cutoff=0.65"
 
     def test_system_key_groups_identical_initial_state(self):
@@ -159,7 +164,7 @@ class TestFromSpec:
         }
         non_default = dict(
             nstlist=3, buffer=0.15, dt=0.001, trim_corners=True, max_pulses=2,
-            coulomb="pme", overlap_comm=False, kernel="cluster",
+            coulomb="pme", overlap_comm=False, kernel="segment",
             kernel_dtype="float32", max_build_bytes=1 << 20, dlb="pairs",
         )
         names = {f.name for f in fields(SimulationSpec)}
@@ -213,7 +218,7 @@ class TestExecuteSpec:
         miss_counter = METRICS.counter("serve.cache.misses", kind="cluster0")
         cache = ArtifactCache()
         before = miss_counter.value
-        seg = execute_spec(SPEC, cache=cache)
+        seg = execute_spec(SPEC.with_(kernel="segment"), cache=cache)
         after_segment = miss_counter.value
         clu = execute_spec(SPEC.with_(kernel="cluster"), cache=cache)
         after_cluster = miss_counter.value
