@@ -1,7 +1,7 @@
 """Fault injection: wiring a :class:`FaultPlan` into the running stack.
 
-The comm/nvshmem stack constructs its schedulers, runtimes, and signal
-arrays internally (per bind, per exchange), so injection cannot pass a
+The comm/nvshmem stack constructs its scheduler (per backend), runtimes
+and signal arrays (per bind) internally, so injection cannot pass a
 collaborator down through APIs.  Instead, each hooked class exposes a
 ``_default_chaos`` class attribute consulted at use time, and executors
 consult :data:`repro.par.base.phase_chaos`; :class:`ChaosInjector`
@@ -86,7 +86,11 @@ class ChaosState:
     # -- scheduler hooks -------------------------------------------------------
 
     def allow_task(self, name: str) -> bool:
-        """May this runnable task resume, or is it being held this round?"""
+        """May this runnable task resume, or is it being held this round?
+
+        A held task stays among the scheduler's candidates (it is never
+        parked), so the hold counts down once per round as before.
+        """
         for i, (f, remaining) in enumerate(self._delays):
             if remaining <= 0 or (f.target and f.target not in name):
                 continue
@@ -102,7 +106,10 @@ class ChaosState:
 
         Keeps liveness: a held task (or a hidden signal nobody happens to
         poll) must not be mistaken for a protocol deadlock, and every
-        stalled round brings all countdown faults closer to expiry.
+        stalled round brings all countdown faults closer to expiry.  The
+        scheduler re-polls every parked task after a stall resolved here:
+        a hide fault may have made a woken poll return False, and the
+        store that woke it will not come again.
         """
         active = False
         for i, (f, remaining) in enumerate(self._delays):
@@ -118,7 +125,11 @@ class ChaosState:
     # -- signal hooks ----------------------------------------------------------
 
     def hide_signal(self, sig: SignalArray, pe: int, idx: int) -> bool:
-        """Should this (set) signal stay invisible to this poll?"""
+        """Should this (set) signal stay invisible to this poll?
+
+        The waiter was woken by the store and now re-parks; it is polled
+        again after the next stall (see :meth:`tick_stall`).
+        """
         for i, (f, remaining) in enumerate(self._hides):
             if remaining <= 0 or (f.target and f.target != sig.name):
                 continue

@@ -20,7 +20,7 @@ from repro.comm.base import HaloBackend, backend_registry, make_backend
 from repro.comm.mpi_backend import MpiBackend
 from repro.comm.nvshmem_backend import NvshmemBackend
 from repro.comm.reference import ReferenceBackend
-from repro.comm.scheduler import CooperativeScheduler, DeadlockError
+from repro.comm.scheduler import CooperativeScheduler, DeadlockError, Wait
 from repro.comm.threadmpi_backend import ThreadMpiBackend
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "NvshmemBackend",
     "ReferenceBackend",
     "ThreadMpiBackend",
+    "Wait",
     "backend_registry",
     "make_backend",
 ]

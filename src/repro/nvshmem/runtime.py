@@ -126,14 +126,21 @@ class NvshmemRuntime:
         """Collective allocation by all PEs at once."""
         return self.heap.alloc_all(name, shape, dtype)
 
-    def signal_array(self, name: str, n_signals: int) -> SignalArray:
-        """Collective allocation of a symmetric signal array."""
+    def signal_array(
+        self, name: str, n_signals: int, wake: Callable[[tuple], None] | None = None
+    ) -> SignalArray:
+        """Collective allocation of a symmetric signal array.
+
+        ``wake`` is called with ``(name, pe, slot)`` after every store to
+        a slot (see :class:`SignalArray`); fixed by the first allocation.
+        """
         if name not in self._signals:
             self._signals[name] = SignalArray(
                 name=name,
                 n_pes=self.n_pes,
                 n_signals=n_signals,
                 strict=self.strict_signals,
+                wake=wake,
             )
         sig = self._signals[name]
         if sig.n_signals != n_signals:
@@ -276,29 +283,31 @@ class NvshmemRuntime:
     def progress(self, n_ops: int | None = None, order: np.random.Generator | None = None) -> int:
         """Deliver pending inter-node operations (the proxy thread's job).
 
-        ``order`` shuffles delivery across *different* operations; each
-        operation's own data-then-signal ordering is preserved regardless.
-        Returns the number of operations delivered.
+        Without ``order`` the first ``n_ops`` of the queue go out, FIFO.
+        With ``order`` the ``n_ops`` are drawn at random from the *whole*
+        queue and delivered in that random order (NVSHMEM orders nothing
+        between unfenced operations); each operation's own data-then-signal
+        ordering is preserved regardless.  Returns the number delivered.
         """
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return 0
         chaos = NvshmemRuntime._default_chaos
-        todo = self._pending if n_ops is None else self._pending[:n_ops]
-        rest = [] if n_ops is None else self._pending[n_ops:]
-        if order is not None:
-            idx = order.permutation(len(todo))
-            todo = [todo[k] for k in idx]
-        requeued: list[PendingOp] = []
+        n = len(pending) if n_ops is None else min(n_ops, len(pending))
+        if order is None:
+            todo = pending[:n]
+            del pending[:n]
+        else:
+            todo = [pending.pop(int(order.integers(len(pending)))) for _ in range(n)]
         for op in todo:
             if chaos is not None and chaos.drop_op(op):
-                requeued.append(op)
+                # Requeued at the back: a retried IB transport.
+                pending.append(op)
             else:
                 op.deliver()
         # A requeued (dropped-once) op counts as processed: the transport
         # made progress (the retry is queued), so stall loops stay live.
-        processed = len(todo)
-        self._pending = rest + requeued
-        return processed
+        return n
 
     @property
     def n_pending(self) -> int:
@@ -315,8 +324,9 @@ class NvshmemRuntime:
             self.progress()
 
     def fence(self) -> None:
-        """``nvshmem_fence``: order operations; with our FIFO proxy queue a
-        fence is a no-op beyond the queue's inherent ordering."""
+        """``nvshmem_fence``: order operations; a no-op here, since the only
+        ordering callers rely on — a put's data before its own signal — is
+        held per operation under any delivery order."""
 
     def barrier_all(self) -> None:
         """Complete all pending traffic (the synchronizing half of a barrier;

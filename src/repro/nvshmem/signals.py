@@ -10,11 +10,18 @@ acquire-wait that succeeds on a relaxed store *when data visibility was
 required* is precisely the memory-ordering bug class the paper's design must
 avoid (it uses ``system_relaxed_store`` only when no prior writes need
 flushing).  Strict mode turns such misuse into :class:`SignalError`.
+
+A waiter need not spin: every store — release or relaxed, a direct NVLink
+store or the signal half of a proxied ``put_signal_nbi`` — calls the
+array's ``wake`` callback with the slot's :meth:`SignalArray.key`, so an
+event-driven scheduler can park a waiter on that key and re-poll it only
+when the slot it waits on was actually written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +40,8 @@ class SignalArray:
     n_pes: int
     n_signals: int
     strict: bool = True
+    #: Called with the slot's :meth:`key` after every store to it.
+    wake: Callable[[tuple], None] | None = None
 
     #: Installed by :class:`repro.chaos.inject.ChaosInjector`; consulted at
     #: call time so arrays allocated before or after injection both see it.
@@ -46,8 +55,7 @@ class SignalArray:
             raise ValueError("n_pes must be >= 1 and n_signals >= 0")
         self.values = np.zeros((self.n_pes, self.n_signals), dtype=np.uint64)
         self._released = np.zeros((self.n_pes, self.n_signals), dtype=bool)
-        # Registry instruments resolved once (the acquire poll is hot: the
-        # cooperative scheduler spins on it like the resident block groups).
+        # Registry instruments resolved once (the acquire poll is hot).
         self._m_stores = METRICS.counter("nvshmem.signal.stores")
         self._m_polls = METRICS.counter("nvshmem.signal.polls")
         self._m_waits = METRICS.counter("nvshmem.signal.waits_satisfied")
@@ -56,6 +64,15 @@ class SignalArray:
         """Zero all slots (start of a fresh exchange epoch)."""
         self.values[:] = 0
         self._released[:] = False
+
+    def key(self, pe: int, idx: int) -> tuple:
+        """The wait key of one slot: what a store to it wakes."""
+        return (self.name, pe, idx)
+
+    def describe(self, pe: int, idx: int, value: int) -> str:
+        """Slot state against an awaited ``value`` (deadlock reports)."""
+        kind = "release" if self._released[pe, idx] else "relaxed"
+        return f"value {int(self.values[pe, idx])} ({kind}), expected {value}"
 
     # -- stores ---------------------------------------------------------------
 
@@ -67,6 +84,8 @@ class SignalArray:
         self.values[pe, idx] = value
         self._released[pe, idx] = True
         self._m_stores.inc()
+        if self.wake is not None:
+            self.wake(self.key(pe, idx))
 
     def relaxed_store(self, pe: int, idx: int, value: int) -> None:
         """``st.relaxed.sys``: no ordering with prior data writes."""
@@ -76,6 +95,8 @@ class SignalArray:
         self.values[pe, idx] = value
         self._released[pe, idx] = False
         self._m_stores.inc()
+        if self.wake is not None:
+            self.wake(self.key(pe, idx))
 
     # -- waits ----------------------------------------------------------------
 

@@ -67,6 +67,9 @@ class _NoopSpan:
     def __exit__(self, *exc) -> bool:
         return False
 
+    def set(self, **args) -> None:
+        pass
+
 
 _NOOP_SPAN = _NoopSpan()
 
@@ -96,6 +99,10 @@ class _SpanHandle:
         st.stack.append(self._name)
         self._start_ns = time.perf_counter_ns()
         return self
+
+    def set(self, **args) -> None:
+        """Attach args only known once the spanned work has run."""
+        self._args.update(args)
 
     def __exit__(self, *exc) -> bool:
         end_ns = time.perf_counter_ns()

@@ -134,6 +134,37 @@ class TestPutSignal:
         assert delivered == 4
         np.testing.assert_array_equal(buf.on(2)[:4], [1, 2, 3, 4])
 
+    def test_single_op_progress_draws_from_the_whole_queue(self, rt_delayed):
+        """``progress(n_ops=1, order=rng)`` — the halo backend's stall step —
+        picks any pending op, not the FIFO head, and each op goes out once."""
+        rt = rt_delayed
+        buf = rt.symmetric_alloc("b", (8,))
+        sig = rt.signal_array("s", 8)
+        landed = []
+        sig.wake = lambda key: landed.append(key[2])
+        for k in range(8):
+            rt.put_signal_nbi(buf, 2, k, np.array([k + 1.0], np.float32), sig, k, 1, source_pe=0)
+        rng = np.random.default_rng(3)
+        while rt.n_pending:
+            assert rt.progress(n_ops=1, order=rng) == 1
+        assert sorted(landed) == list(range(8))
+        assert landed != list(range(8))
+        np.testing.assert_array_equal(buf.on(2), np.arange(1, 9))
+        # Without ``order`` the queue drains FIFO.
+        landed.clear()
+        for k in range(8):
+            rt.put_signal_nbi(buf, 2, k, np.array([0.0], np.float32), sig, k, 2, source_pe=0)
+        while rt.n_pending:
+            rt.progress(n_ops=1)
+        assert landed == list(range(8))
+
+    def test_signal_store_calls_wake_with_the_slot_key(self, rt):
+        woken = []
+        sig = rt.signal_array("s", 2, wake=woken.append)
+        sig.release_store(1, 0, 5)
+        sig.relaxed_store(3, 1, 5)
+        assert woken == [sig.key(1, 0), sig.key(3, 1)] == [("s", 1, 0), ("s", 3, 1)]
+
     def test_partial_progress(self, rt_delayed):
         rt = rt_delayed
         buf = rt.symmetric_alloc("b", (8,))
