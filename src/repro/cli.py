@@ -8,8 +8,8 @@ timings    device-side timing breakdown (Figs. 6-8 style)
 timeline   ASCII schedule timeline (Figs. 1-2 style)
 profile    cycle-accounting table + Chrome/Perfetto trace for one run
 figures    regenerate every paper figure + EXPERIMENTS.md (the harness)
-report     standing perf/energy dashboard: figure freshness, bench trends,
-           load imbalance, energy estimates (``--check`` gates CI)
+report     figure freshness, a read-only view of the repo benchmark's
+           ``bench/out/results.json``, code size (``--check`` gates CI)
 verify     functional check: DD + fused NVSHMEM exchange vs serial MD
 chaos      fault-injection campaigns for the halo protocol (repro.chaos)
 serve      JSON-RPC simulation job service (repro.serve)
@@ -61,7 +61,14 @@ from repro.md.grappa import SCENARIOS, resolve_atoms, scenario_label
 from repro.obs.export import write_chrome_trace
 from repro.obs.log import configure, get_logger
 from repro.obs.metrics import METRICS
-from repro.obs.report import metrics_table
+from repro.obs.report import (
+    DEFAULT_BENCH,
+    build_report,
+    metrics_table,
+    render_markdown,
+    report_problems,
+    write_report,
+)
 from repro.obs.tracer import TRACER
 from repro.perf.machines import machine_by_name
 from repro.perf.model import simulate_step
@@ -335,39 +342,11 @@ def cmd_figures(args) -> None:
 
 
 def cmd_report(args) -> None:
-    """Render the standing perf/energy dashboard; gate it with ``--check``."""
-    from repro.obs.dashboard import (
-        build_report,
-        render_markdown,
-        report_problems,
-        write_report,
-    )
-
-    data = build_report(
-        results_dir=args.results,
-        history_path=args.history,
-        threshold=args.threshold,
-        window=args.baseline_window,
-        trends_dir=args.trends_dir,
-    )
-    md = render_markdown(data)
-    log.info("%s", md)
-    written = write_report(
-        data,
-        md_path=args.out,
-        json_path=args.json,
-    )
-    for p in written:
+    """Render figure freshness + the benchmark record; gate with ``--check``."""
+    data = build_report(results_dir=args.results, bench_path=args.bench)
+    log.info("%s", render_markdown(data))
+    for p in write_report(data, md_path=args.out, json_path=args.json):
         log.info("wrote %s", p)
-    if not args.check:
-        # Regenerate the committed trend SVGs from the current history.
-        # --check is read-only by design: it grades what is committed
-        # (build_report already captured the pre-regeneration status).
-        from repro.obs.bench import BenchHistory
-        from repro.obs.trend import write_trends
-
-        for p in write_trends(BenchHistory.load(args.history), args.trends_dir):
-            log.info("wrote %s", p)
     if args.check:
         problems = report_problems(data)
         if problems:
@@ -375,9 +354,9 @@ def cmd_report(args) -> None:
                 log.error("REPORT %s", p)
             raise SystemExit(
                 f"report --check: {len(problems)} problem(s) — stale figures "
-                f"or missing/regressed bench history"
+                f"or a failed/unreadable benchmark record"
             )
-        log.info("OK: figures fresh, bench history present, gates green")
+        log.info("OK: figures fresh, no failed benchmark operation")
 
 
 def cmd_verify(args) -> None:
@@ -655,26 +634,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report", parents=[common],
-        help="standing perf/energy dashboard over committed figures + bench history",
+        help="figure freshness, the benchmark record (read-only), code size",
     )
     p.add_argument("--results", default="results",
                    help="committed figure CSV directory (default: results)")
-    p.add_argument("--history", default="BENCH_step.json",
-                   help="committed bench history (default: BENCH_step.json)")
+    p.add_argument("--bench", default=DEFAULT_BENCH, metavar="PATH",
+                   help="bench/run.py record to render; an absent file is not "
+                        f"an error (default: {DEFAULT_BENCH})")
     p.add_argument("--out", default=None, metavar="REPORT_MD",
                    help="also write the rendered markdown here")
     p.add_argument("--json", default=None, metavar="REPORT_JSON",
                    help="also write the raw report data as JSON here")
-    p.add_argument("--trends-dir", default="results/trends",
-                   help="committed trend-SVG directory; regenerated unless "
-                        "--check (default: results/trends)")
-    p.add_argument("--threshold", type=float, default=0.10,
-                   help="fractional throughput loss that fails the bench gate")
-    p.add_argument("--baseline-window", type=int, default=5,
-                   help="records per key folded into the rolling baseline")
     p.add_argument("--check", action="store_true",
-                   help="exit non-zero on stale/missing figures, missing "
-                        "history, or a gated regression in the latest records")
+                   help="exit non-zero on stale/missing figures, an unknown "
+                        "benchmark schema, or a workload with failed operations")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("verify", parents=[common], help="functional DD-vs-serial check")

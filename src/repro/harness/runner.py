@@ -88,7 +88,7 @@ def figure_status(out_dir: str | Path = "results") -> list[FigureStatus]:
     matches the committed CSV byte for byte), ``stale`` (it drifted; the
     detail pins the first differing line), or ``missing`` (no committed
     CSV at all).  This is the source table for both ``figures --check``
-    and the ``repro report`` dashboard.
+    and ``repro report``.
     """
     out_dir = Path(out_dir)
     statuses: list[FigureStatus] = []

@@ -517,10 +517,10 @@ def _memory_stats(ws, budget: BuildBudget, pairlist_bytes: int) -> dict:
 
     The stats dict is the only thing that crosses the executor boundary
     after a pair search, so this is how worker-process builds report
-    memory back to the engine (which folds it into ``md.*`` gauges and
-    ultimately BenchRecord).  ``build_peak_bytes`` is the largest
-    transient working set plus the standing structures — the number the
-    per-atom budget in CI is asserted on.
+    memory back to the engine (which folds it into ``md.*`` gauges).
+    ``build_peak_bytes`` is the largest transient working set plus the
+    standing structures — the number the per-atom budget in CI is
+    asserted on.
     """
     n_local = max(int(ws.pos.shape[0]), 1)
     peak = int(budget.peak_bytes + budget.cells_bytes + pairlist_bytes)

@@ -14,38 +14,27 @@ substrate, shared by the functional engine and the timing layer:
   both recorded spans and evaluated :class:`~repro.gpusim.graph.TaskGraph`
   schedules (one pid per rank, one tid per resource row);
 * :mod:`repro.obs.report` — GROMACS-style cycle-accounting tables and
-  metrics summaries over the :class:`~repro.util.tables.Table` machinery;
-* :mod:`repro.obs.bench` — the committed bench-history store behind
-  ``BENCH_step.json`` and its rolling-baseline regression gate;
-* :mod:`repro.obs.dashboard` — the ``repro report`` perf/energy dashboard
-  (figure freshness, bench trends, imbalance, energy) and its CI gate;
+  metrics summaries over the :class:`~repro.util.tables.Table` machinery,
+  and the ``repro report`` document (figure freshness, a read-only view of
+  the repo benchmark's ``bench/out/results.json``, code size) with its
+  ``--check`` gate;
 * :mod:`repro.obs.log` — the harness/CLI logger (stdlib ``logging``).
 """
 
-from repro.obs.bench import (
-    BenchHistory,
-    BenchRecord,
-    check_regression,
-    rolling_baseline,
-)
 from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.tracer import TRACER, Span, Tracer
 from repro.obs.export import chrome_trace, graph_events, span_events, write_chrome_trace
 from repro.obs.report import cycle_accounting, metrics_table, render_cycle_table
 
 __all__ = [
-    "BenchHistory",
-    "BenchRecord",
     "METRICS",
     "MetricsRegistry",
     "TRACER",
     "Span",
     "Tracer",
-    "check_regression",
     "chrome_trace",
     "cycle_accounting",
     "graph_events",
-    "rolling_baseline",
     "metrics_table",
     "render_cycle_table",
     "span_events",

@@ -1,4 +1,4 @@
-"""Per-step run reports: GROMACS-style cycle accounting over a schedule.
+"""Run reports: GROMACS-style cycle accounting and the ``repro report`` document.
 
 GROMACS ends every log with the "R E A L   C Y C L E   A N D   T I M E
 A C C O U N T I N G" table: wall time partitioned over activities so the
@@ -14,11 +14,20 @@ the rows partition the window: they sum to the step time exactly.
 :func:`metrics_table` renders the :mod:`repro.obs.metrics` registry
 through the same :class:`~repro.util.tables.Table` machinery, and
 :func:`mdlog_extra` flattens it for :func:`repro.analysis.mdlog.write_log`.
+
+The last section is the ``repro report`` document (:func:`build_report`
+→ :func:`render_markdown` / :func:`report_problems`): figure freshness,
+a read-only rendering of the repo benchmark's ``bench/out/results.json``
+when one exists, live ``serve.*`` health and the code-size table.  It
+reads what ``bench/run.py`` measured; it never measures anything itself.
 """
 
 from __future__ import annotations
 
+import json
 import re
+from dataclasses import asdict
+from pathlib import Path
 
 from repro.gpusim.graph import Task, TaskGraph
 from repro.obs.metrics import METRICS, Histogram, MetricsRegistry, format_labels
@@ -157,3 +166,218 @@ def mdlog_extra(registry: MetricsRegistry = METRICS, prefix: str = "") -> dict:
         else:
             out[key] = m.value
     return out
+
+
+# -- the ``repro report`` document ---------------------------------------------
+
+#: Where ``bench/run.py`` leaves its record, and the layout version read here.
+DEFAULT_BENCH = "bench/out/results.json"
+BENCH_SCHEMA = 1
+
+#: Per-layer rows that partition a traced step: six per step, then five per
+#: rebuild (bench/README.md, "The step budget").  All are milliseconds.
+BUDGET_ROWS = (
+    "par.run_forces_ms", "comm.halo_x_ms", "comm.halo_f_ms", "par.publish_ms",
+    "par.run_integrate_ms", "dd.step_self_ms",
+    "dd.build_cluster_ms", "comm.bind_ms", "par.bind_ms", "par.run_pairs_ms",
+    "dd.ns_self_ms",
+)
+
+
+def read_bench(path: str | Path = DEFAULT_BENCH) -> dict:
+    """The benchmark record at ``path``, reduced to what the report shows.
+
+    Per workload: the end-to-end medians (the metric names carry their
+    units), ``failed`` / ``attempted`` and the step-budget rows.  An absent
+    file is ``{"exists": False}``; a file with an unknown ``schema`` keeps
+    the schema value and no workloads.
+    """
+    path = Path(path)
+    out: dict = {"path": str(path), "exists": path.exists()}
+    if not out["exists"]:
+        return out
+    doc = json.loads(path.read_text())
+    out["schema"] = doc.get("schema") if isinstance(doc, dict) else None
+    if out["schema"] != BENCH_SCHEMA:
+        return out
+    out["provenance"] = doc["provenance"]
+    out["workloads"] = {
+        name: {
+            "end_to_end": {m: v["median"] for m, v in w["end_to_end"].items()},
+            "failed": w["failed"],
+            "attempted": w["attempted"],
+            "budget": {
+                r: w["per_layer"][r]["value"] for r in BUDGET_ROWS if r in w["per_layer"]
+            },
+        }
+        for name, w in doc["workloads"].items()
+    }
+    return out
+
+
+def code_size() -> dict:
+    """Physical lines of ``.py`` source per ``repro`` sub-package.
+
+    Counted from the installed package path (this file's own), so the
+    number describes the code that is actually running.  Top-level
+    modules (``cli.py``, ``spec.py`` ...) are grouped under ``(top level)``.
+    """
+    root = Path(__file__).resolve().parents[1]
+    packages: dict[str, int] = {}
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        name = rel.parts[0] if len(rel.parts) > 1 else "(top level)"
+        with path.open("rb") as fh:
+            packages[name] = packages.get(name, 0) + sum(1 for _ in fh)
+    return {"packages": packages, "total": sum(packages.values())}
+
+
+def build_report(
+    results_dir: str | Path = "results", bench_path: str | Path = DEFAULT_BENCH
+) -> dict:
+    """Collect every section's data as one JSON-serializable dict."""
+    from repro.harness.runner import figure_status  # heavy import kept local
+
+    return {
+        "results_dir": str(results_dir),
+        "figures": [{**asdict(s), "action": s.action} for s in figure_status(results_dir)],
+        "bench": read_bench(bench_path),
+        # Live serve.* metrics from THIS process (empty unless a JobEngine
+        # has run here): queue depth, job counts, cache hits/misses.
+        "serve": {
+            k: v for k, v in METRICS.snapshot("serve").items() if not isinstance(v, dict)
+        },
+        "code_size": code_size(),
+    }
+
+
+def report_problems(data: dict) -> list[str]:
+    """What ``repro report --check`` fails on.
+
+    Non-fresh figures, a benchmark record this reader cannot parse, and
+    failed benchmark operations.  No benchmark record at all is not a
+    problem: most checkouts (and the ``tests`` CI job) never ran one.
+    """
+    problems = [
+        f"figure {f['exp_id']}: {f['status']} ({f['source_csv']}) — {f['action']}"
+        for f in data["figures"] if f["status"] != "fresh"
+    ]
+    bench = data["bench"]
+    if bench["exists"] and bench["schema"] != BENCH_SCHEMA:
+        problems.append(
+            f"benchmark record {bench['path']}: unknown schema {bench['schema']!r} "
+            f"(this reader understands {BENCH_SCHEMA})"
+        )
+    problems += [
+        f"benchmark workload {name}: {w['failed']}/{w['attempted']} operations "
+        f"failed ({bench['path']})"
+        for name, w in bench.get("workloads", {}).items() if w["failed"] > 0
+    ]
+    return problems
+
+
+def _md_table(header: list[str], rows: list[list]) -> str:
+    """A markdown table; floats to three decimals, ``None`` as ``-``."""
+    def cell(v) -> str:
+        return "-" if v is None else f"{v:.3f}" if isinstance(v, float) else str(v)
+
+    out = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    out += ["| " + " | ".join(map(cell, r)) + " |" for r in rows]
+    return "\n".join(out) + "\n"
+
+
+def _render_bench(bench: dict) -> list[str]:
+    out = [f"## Benchmark (`{bench['path']}`)", ""]
+    if not bench["exists"]:
+        return out + ["_No benchmark run found — `python3 bench/run.py`._", ""]
+    if "workloads" not in bench:
+        return out + [f"_Unknown schema {bench['schema']!r}; nothing rendered._", ""]
+    prov, workloads = bench["provenance"], bench["workloads"]
+    out += [
+        f"Read, not re-measured: git `{prov.get('git_sha')}`, "
+        f"{prov.get('cpu_count')} cpus, seed {prov.get('seed')}, "
+        f"{prov.get('seconds')} s windows"
+        + (", **smoke run** (timings are a plumbing check)" if prov.get("smoke") else "")
+        + ". Definitions and bounds: `bench/README.md`.",
+        "",
+    ]
+    metrics = list(dict.fromkeys(m for w in workloads.values() for m in w["end_to_end"]))
+    out.append(_md_table(
+        ["workload", *metrics, "failed/attempted"],
+        [
+            [f"`{name}`", *(w["end_to_end"].get(m) for m in metrics),
+             ("**{}/{}**" if w["failed"] else "{}/{}").format(w["failed"], w["attempted"])]
+            for name, w in workloads.items()
+        ],
+    ))
+    out += ["Step budget (traced pass; self times in ms: six rows per step, "
+            "then five per rebuild):", ""]
+    out.append(_md_table(
+        ["row", *(f"`{name}`" for name in workloads)],
+        [[f"`{row}`", *(w["budget"].get(row) for w in workloads.values())]
+         for row in BUDGET_ROWS],
+    ))
+    return out
+
+
+def render_markdown(data: dict) -> str:
+    """The report as a self-contained markdown document."""
+    figures, size = data["figures"], data["code_size"]
+    out = [
+        "# repro report", "",
+        f"Figure freshness graded against `{data['results_dir']}/`; benchmark "
+        f"numbers read from `{data['bench']['path']}`. Gate in CI with "
+        f"`repro report --check`.", "",
+        "## Figure regeneration status", "",
+        f"{sum(f['status'] == 'fresh' for f in figures)}/{len(figures)} figures fresh.", "",
+        _md_table(
+            ["figure", "paper element", "source CSV", "status", "action needed"],
+            [
+                [f["exp_id"], f["paper_element"], f"`{f['source_csv']}`",
+                 f["status"] if f["status"] == "fresh" else f["status"].upper(),
+                 f["action"] or "-"]
+                for f in figures
+            ],
+        ),
+        *_render_bench(data["bench"]),
+    ]
+    if data["serve"]:  # only when this process served jobs
+        out += [
+            "## Service health (live `serve.*` metrics, this process)", "",
+            _md_table(["metric", "value"],
+                      [[f"`{k}`", f"{v:g}"] for k, v in sorted(data["serve"].items())]),
+        ]
+    out += [
+        "## Code size (lines of Python under `src/repro`)", "",
+        _md_table(
+            ["package", "lines"],
+            [[f"`{name}`", n] for name, n in size["packages"].items()]
+            + [["**total**", size["total"]]],
+        ),
+        "## Verdict", "",
+    ]
+    problems = report_problems(data)
+    if problems:
+        out += [f"**{len(problems)} problem(s)** — `repro report --check` fails:", ""]
+        out += [f"- {p}" for p in problems]
+    else:
+        out.append("Figures fresh, no failed benchmark operation — "
+                   "`repro report --check` passes.")
+    out.append("")
+    return "\n".join(out)
+
+
+def write_report(
+    data: dict,
+    md_path: str | Path | None = None,
+    json_path: str | Path | None = None,
+) -> list[Path]:
+    """Write the rendered markdown and/or raw JSON; returns written paths."""
+    written = []
+    if md_path is not None:
+        written.append(Path(md_path))
+        written[-1].write_text(render_markdown(data))
+    if json_path is not None:
+        written.append(Path(json_path))
+        written[-1].write_text(json.dumps(data, indent=2) + "\n")
+    return written

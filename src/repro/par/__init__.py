@@ -25,11 +25,7 @@ from repro.par.base import (
     make_executor,
     register_executor,
 )
-from repro.par.imbalance import (
-    imbalance_pct,
-    record_imbalance,
-    summarize_imbalance,
-)
+from repro.par.imbalance import imbalance_pct, summarize_imbalance
 from repro.par.phases import (
     FIELDS,
     PHASES,
@@ -54,7 +50,6 @@ __all__ = [
     "executor_registry",
     "imbalance_pct",
     "make_executor",
-    "record_imbalance",
     "register_executor",
     "summarize_imbalance",
 ]

@@ -7,8 +7,8 @@ the end of every log: the *load imbalance*, ``100 * (max / mean - 1)`` —
 how much longer the slowest rank ran than the average, i.e. the fraction
 of the force-phase budget the bulk-synchronous step wastes waiting.
 Andersson et al.'s GROMACS breakdown (PAPERS.md) identifies exactly this
-term as first-order at scale, which is why the bench history and the
-``repro report`` dashboard carry it per record.
+term as first-order at scale; DLB (:mod:`repro.dd.dlb`) and the repo
+benchmark's ``dd.pair_imbalance_pct`` row are built on the same statistic.
 
 ``max`` and ``mean`` compare each rank's *run-averaged* phase cost (the
 per-rank histogram means), exactly GROMACS' statistic: load imbalance is
@@ -24,9 +24,6 @@ fall back to the observation-level max.
 from __future__ import annotations
 
 from repro.obs.metrics import METRICS, Histogram, MetricsRegistry
-
-#: Key under which summaries are published back into the registry.
-GAUGE_PREFIX = "par.imbalance"
 
 
 def imbalance_pct(mean_us: float, max_us: float) -> float:
@@ -85,28 +82,3 @@ def summarize_imbalance(
             "imbalance_pct": imbalance_pct(tot_mean, tot_max),
         }
     return out
-
-
-def record_imbalance(
-    registry: MetricsRegistry = METRICS, executor: str | None = None
-) -> dict[str, dict[str, dict[str, float]]]:
-    """Summarize and publish gauges back into the registry.
-
-    Publishes ``par.imbalance.pct`` / ``.mean_us`` / ``.max_us`` gauges
-    labelled by executor and phase, so the imbalance shows up in
-    ``metrics_table`` dumps and mdlog footers alongside the raw
-    histograms.  Returns the summary.
-    """
-    summary = summarize_imbalance(registry, executor)
-    for exe, phases in summary.items():
-        for phase, s in phases.items():
-            registry.gauge(f"{GAUGE_PREFIX}.pct", executor=exe, phase=phase).set(
-                s["imbalance_pct"]
-            )
-            registry.gauge(f"{GAUGE_PREFIX}.mean_us", executor=exe, phase=phase).set(
-                s["mean_us"]
-            )
-            registry.gauge(f"{GAUGE_PREFIX}.max_us", executor=exe, phase=phase).set(
-                s["max_us"]
-            )
-    return summary

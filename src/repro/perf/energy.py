@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from repro.obs.metrics import METRICS
 from repro.perf.constants import HardwareParams
 from repro.perf.machines import Machine
-from repro.perf.workload import grappa_workload
 from repro.util.units import ms_per_step_to_ns_per_day
 
 
@@ -166,57 +165,3 @@ def energy_report(
         METRICS.gauge("perf.energy.j_per_step", **labels).set(rep.j_per_step)
         METRICS.gauge("perf.energy.ns_day_per_w", **labels).set(rep.ns_day_per_w)
     return rep
-
-
-def grappa_energy_report(
-    n_atoms: int,
-    n_ranks: int,
-    machine: Machine,
-    backend: str = "nvshmem",
-    measured_ms_per_step: float | None = None,
-    publish: bool = True,
-) -> EnergyReport | None:
-    """:func:`energy_report` for a grappa system; None when no DD grid fits.
-
-    The guard matters for smoke-sized systems whose box is thinner than
-    the communication radius — the bench records simply omit the energy
-    section rather than fail.
-    """
-    try:
-        wl = grappa_workload(n_atoms, n_ranks, machine)
-    except ValueError:
-        return None
-    return energy_report(
-        wl, machine, backend=backend,
-        measured_ms_per_step=measured_ms_per_step, publish=publish,
-    )
-
-
-def model_scaling_efficiency(
-    n_atoms: int,
-    n_ranks: int,
-    machine: Machine,
-    backend: str = "nvshmem",
-    base_ranks: int = 1,
-) -> float | None:
-    """Model-predicted parallel efficiency of ``n_ranks`` vs ``base_ranks``.
-
-    ``t(base) * base / (t(n) * n)`` over simulated step times — the
-    scaling the timing model says the hardware allows, the yardstick a
-    measured executor sweep is compared against.  None when either
-    configuration has no valid DD grid.
-    """
-    from repro.perf.model import simulate_step  # local: avoid import cycle
-
-    if n_ranks == base_ranks:
-        return 1.0
-    try:
-        _, t_base = simulate_step(
-            grappa_workload(n_atoms, base_ranks, machine), machine, backend=backend
-        )
-        _, t_n = simulate_step(
-            grappa_workload(n_atoms, n_ranks, machine), machine, backend=backend
-        )
-    except ValueError:
-        return None
-    return (t_base.time_per_step * base_ranks) / (t_n.time_per_step * n_ranks)

@@ -22,7 +22,7 @@ the spec is deterministic, so the engine requeues the job — up to
 an answer and the job fails with it.
 
 Queue depth, running count, and completion counters publish as
-``serve.*`` gauges/counters for the ``repro report`` dashboard.
+``serve.*`` gauges/counters for ``repro report``'s service-health section.
 """
 
 from __future__ import annotations

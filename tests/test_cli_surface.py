@@ -4,8 +4,9 @@ Flags that name a spec field are generated from the field's declaration
 (``repro.spec.add_spec_flags``), so this test holds the generated surface
 to what the hand-written parser accepted: every ``python -m repro ...``
 command line in the CI workflow and the verify skill must parse, the
-functional ones must build exactly the spec pinned below, and no flag
-may be renamed, re-defaulted or dropped.  The tables were captured at
+functional ones must build exactly the spec pinned below, no flag
+may be renamed, re-defaulted or dropped, and every ``python <path>.py``
+those files and the README invoke must exist.  The tables were captured at
 PR 13 and regenerated once, for PR 14's two deliberate changes: the
 ``kernel`` default (``segment`` -> ``cluster``) and the ``executor``
 choices (``thread`` removed).
@@ -169,13 +170,24 @@ def _skill_commands(text: str) -> list[str]:
     return out
 
 
+def _script_paths(text: str) -> list[str]:
+    """Paths of the ``python[3] <path>.py`` invocations in ``text``."""
+    text = re.sub(r"\\\n\s*", " ", text)  # join shell continuations
+    return re.findall(r"\bpython3? +([\w./-]+\.py)\b", text)
+
+
+CI, SKILL, README = (
+    (ROOT / name).read_text()
+    for name in (".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md", "README.md")
+)
+
+
 def documented_commands() -> list[str]:
-    cmds = _ci_commands((ROOT / ".github/workflows/ci.yml").read_text())
-    cmds += _skill_commands((ROOT / ".claude/skills/verify/SKILL.md").read_text())
-    return list(dict.fromkeys(cmds))
+    return list(dict.fromkeys(_ci_commands(CI) + _skill_commands(SKILL)))
 
 
 COMMANDS = documented_commands()
+SCRIPTS = sorted({path for text in (CI, SKILL, README) for path in _script_paths(text)})
 
 
 # -- tests -----------------------------------------------------------------------
@@ -187,6 +199,15 @@ def test_extraction_finds_the_documented_commands():
         "figures", "verify", "profile", "report", "serve", "submit", "chaos",
         "compare", "scaling",
     }
+
+
+def test_every_documented_script_exists():
+    """A deleted script must take its CI step and its doc lines with it."""
+    assert {"bench/run.py", "examples/serve_smoke.py"} <= set(SCRIPTS)
+    assert [path for path in SCRIPTS if not (ROOT / path).is_file()] == []
+    # Continuation lines and env prefixes do not hide an invocation.
+    doc = "PYTHONPATH=src python benchmarks/gone.py --system 3000 \\\n  --ranks 4"
+    assert _script_paths(doc) == ["benchmarks/gone.py"]
 
 
 def test_spec_defaults_are_pinned():

@@ -5,15 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.metrics import METRICS
-from repro.perf import DGX_H100, GB200_NVL72, machine_by_name
+from repro.perf import DGX_H100, GB200_NVL72
 from repro.perf.constants import H100_PARAMS
 from repro.perf.energy import (
     GB200_ENERGY,
     H100_ENERGY,
     energy_params_for,
     energy_report,
-    grappa_energy_report,
-    model_scaling_efficiency,
     step_power_w,
 )
 from repro.perf.workload import grappa_workload
@@ -87,19 +85,3 @@ class TestEnergyReport:
         h100 = energy_report(wl, DGX_H100, publish=False)
         gb200 = energy_report(wl_gb, GB200_NVL72, publish=False)
         assert gb200.watts > h100.watts
-
-
-class TestGrappaHelpers:
-    def test_no_grid_returns_none(self):
-        # 600 atoms across 64 ranks: the box is thinner than r_comm.
-        assert grappa_energy_report(600, 64, DGX_H100) is None
-        assert model_scaling_efficiency(600, 64, DGX_H100) is None
-
-    def test_valid_config(self):
-        rep = grappa_energy_report(45000, 8, machine_by_name("dgx-h100"))
-        assert rep is not None and rep.n_ranks == 8
-
-    def test_scaling_efficiency_bounds(self):
-        assert model_scaling_efficiency(45000, 1, DGX_H100) == 1.0
-        eff = model_scaling_efficiency(45000, 8, DGX_H100)
-        assert eff is not None and 0.0 < eff < 1.0

@@ -9,7 +9,7 @@ from repro.dd import DDSimulator
 from repro.dd.grid import DDGrid
 from repro.md import make_grappa_system
 from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.par.imbalance import imbalance_pct, record_imbalance, summarize_imbalance
+from repro.par.imbalance import imbalance_pct, summarize_imbalance
 
 
 class TestImbalanceMath:
@@ -47,17 +47,6 @@ class TestImbalanceMath:
         assert "serial" not in summarize_imbalance(reg, executor="process")
         assert "serial" in summarize_imbalance(reg, executor="serial")
 
-    def test_record_publishes_gauges(self):
-        reg = MetricsRegistry()
-        reg.histogram("par.rank_us", executor="serial", phase="pairs").observe(10.0)
-        summary = record_imbalance(reg)
-        gauges = {
-            (name, dict(labels)["phase"]): inst.value
-            for name, labels, inst in reg.collect("par.imbalance")
-        }
-        assert gauges[("par.imbalance.pct", "pairs")] == summary["serial"]["pairs"]["imbalance_pct"]
-        assert gauges[("par.imbalance.mean_us", "overall")] == pytest.approx(10.0)
-
 
 class TestChaosStraggler:
     """A chaos-injected straggler rank must surface in the imbalance metric."""
@@ -92,17 +81,6 @@ class TestChaosStraggler:
         assert fl["max_us"] >= 20000.0
         assert fl["imbalance_pct"] > 50.0
         assert summary["serial"]["overall"]["imbalance_pct"] > 10.0
-
-    def test_gauges_cover_the_straggler(self, ff):
-        self.run_steps(ff, straggle=True)
-        record_imbalance(executor="serial")
-        published = {
-            dict(labels)["phase"]: inst.value
-            for name, labels, inst in METRICS.collect("par.imbalance.pct")
-            if dict(labels)["executor"] == "serial"
-        }
-        assert published["forces_local"] > 50.0
-        assert "overall" in published
 
     def test_measured_dlb_shrinks_the_straggler_cell(self, ff):
         """``dlb="measured"`` drains the same per-rank timings, so a

@@ -5,7 +5,7 @@ seeds, and the density contrast each scenario promises (slab/droplet
 dense regions, the gap's true vacuum).  End to end: a slab under a
 uniform z decomposition starts badly imbalanced — visible both in the
 deterministic per-rank pair counts and in the wall-clock
-``par.imbalance.*`` summary — and ``dlb="pairs"`` reduces the measured
+:mod:`repro.par.imbalance` summary — and ``dlb="pairs"`` reduces the measured
 imbalance by at least the documented 2x.
 """
 
@@ -155,7 +155,7 @@ class TestEndToEnd:
         assert gauges["dd.dlb.imbalance_after_pct"] < start_pct / 2.0
 
     def test_wallclock_imbalance_surfaces_on_slab(self, ff):
-        """par.imbalance.* (wall-clock rank timings) sees the slab skew
+        """``summarize_imbalance`` (wall-clock rank timings) sees the slab skew
         without DLB — the signal `dlb="measured"` feeds on."""
         METRICS.reset()
         sim = self._sim(ff, "off")
