@@ -107,7 +107,7 @@ class RankWorkload:
     #: Non-local pairs grouped by the latest pulse they depend on (the
     #: ``depOffset`` partition) — sums to ``n_pairs_nonlocal``.
     pulse_pair_counts: list[int] = field(default_factory=list)
-    #: Standing pair-list footprint (blocks + tiles) on this rank, bytes.
+    #: Standing pair-list footprint (local + non-local block), bytes.
     pairlist_bytes: int = 0
     #: Search-structure footprint (cell grid / cluster layouts), bytes.
     cells_bytes: int = 0
@@ -150,10 +150,9 @@ class DDSimulator:
     #: comm–compute overlap).  ``False`` forces the strict schedule on
     #: every executor: local forces, full exchange, non-local forces.
     overlap_comm: bool = True
-    #: Non-bonded kernel implementation (``repro.md.kernels`` registry
-    #: name): "cluster" (default, M×N cluster-pair NumPy), "segment"
-    #: (flat cell-list path), or "cluster-numba" (compiled tiles; needs
-    #: numba).
+    #: Rank-local pair-search strategy (``repro.md.kernels`` registry
+    #: name): "cluster" (default, M×N cluster-pair search) or "segment"
+    #: (flat cell-list search).  Both build the same flat pair blocks.
     kernel: str = "cluster"
     #: Kernel compute precision: "float64" (default, bit-exact reference)
     #: or "float32" (the mixed-precision fast path).
@@ -222,9 +221,9 @@ class DDSimulator:
             )
         else:
             raise ValueError(f"unknown coulomb mode '{self.coulomb}' (use 'rf' or 'pme')")
-        # Resolve the kernel implementation now so an unknown name or a
-        # missing optional dependency (cluster-numba without numba) fails
-        # at construction, not mid-run inside an executor worker.
+        # Resolve the kernel implementation now so an unknown name or
+        # dtype fails at construction, not mid-run inside an executor
+        # worker.
         self._kernel.impl
         self._integrator = LeapFrogIntegrator(dt=self.dt)
         self._periodic = np.array([self.grid.shape[d] == 1 for d in range(3)])

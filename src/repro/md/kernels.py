@@ -1,39 +1,35 @@
-"""Registry of interchangeable non-bonded kernel implementations.
+"""Registry of interchangeable non-bonded pair-search strategies.
 
 Mirrors the backend/executor registry shape (see :mod:`repro.comm` and
 :mod:`repro.par`): implementations register under a short name, callers
 select one with a string, and unknown names fail with an actionable
-error listing what is available.  Three implementations ship:
+error listing what is available.  Two implementations ship, and they
+differ only in how a rank *finds* its pairs:
 
-* ``"segment"`` — the flat sorted-pair segment reduction (PR 3's hot
-  path; the :class:`~repro.md.reference.ReferenceSimulator` default, kept
-  as the algorithmically independent oracle).  Pair search runs over the
-  cell list and the per-step kernel is :func:`~repro.md.nonbonded.block_forces`.
-* ``"cluster"`` — the default: the GROMACS M×N cluster-pair scheme (Páll
-  et al. 2020): atoms are sorted into ``m``-atom clusters along the cell-list
-  spatial ordering, the list is built over *cluster pairs* with exact
-  per-tile interaction masks, and the flat pair view is extracted once
-  at build time.  Pure NumPy, always available.  The per-step NumPy
-  evaluation runs the same segment chain as ``"segment"`` over the
-  extracted entries (dense Python-level tile math cannot beat it — the
-  per-entry ufunc cost is equal and tiles carry padded slots), so the
-  win is at *build* time: candidate search over ~N/m cluster centers
-  instead of all atoms, and per-cluster structures that cap bytes/atom.
-* ``"cluster-numba"`` — the compiled cluster path: the dense M×N tile
-  loop JIT-compiled with numba, evaluating tiles in place with no
-  per-step gather/scatter arrays at all.  Optional: numba is imported
-  lazily and a missing install raises an actionable error naming
-  ``"cluster"`` as the drop-in fallback.
+* ``"segment"`` — searches over atoms with the rank-local cell list.
+  The algorithmically independent search ``tests/`` compare ``"cluster"``
+  against.
+* ``"cluster"`` — the default: the search of the GROMACS M×N
+  cluster-pair scheme (Páll et al. 2020).  Atoms are sorted into
+  ``CLUSTER_M``-atom clusters along the cell-list spatial ordering,
+  candidates are found over ~N/m cluster centers instead of all atoms,
+  exact per-tile interaction masks are computed, and the masked slots
+  are extracted as flat pairs; layouts and masks are build transients.
+
+Both produce the same canonically ``(i, j)``-sorted flat
+:class:`~repro.md.nonbonded.PairBlock` lists — the one pair-list
+representation — and every step evaluates them with
+:func:`~repro.md.nonbonded.block_forces`, the one evaluator.
 
 Every implementation accepts ``dtype="float32"`` — the documented fast
 path: kernel-internal geometry and interaction math in float32, energy
 sums and per-atom accumulation in float64.  Tolerance gates versus the
 float64 reference live in ``tests/test_kernels.py`` and DESIGN.md.
 
-All implementations are cross-checked against each other and against
-:func:`~repro.md.nonbonded.pair_forces` in ``tests/test_kernels.py``;
-the ``"segment"``/``"cluster"`` float64 paths agree to reduction-order
-rounding and produce identical pair *sets*.
+The two searches are cross-checked against each other (identical pair
+*sets*, identical per-pulse partition) and :func:`block_forces` against
+the :func:`~repro.md.nonbonded.pair_forces` scatter oracle in
+``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -47,18 +43,18 @@ from repro.md.cells import (
     cluster_pair_candidates,
     cluster_tile_masks,
 )
-from repro.md.forcefield import COULOMB_FACTOR, ForceField
-from repro.md.nonbonded import (
-    ClusterPairBlock,
-    PairBlock,
-    block_forces,
-)
+from repro.md.forcefield import ForceField
+from repro.md.nonbonded import PairBlock, block_forces
 
 #: Registry name -> implementation class.
 kernel_registry: dict[str, type] = {}
 
 #: Kernel compute precisions (``dtype`` option values).
 KERNEL_DTYPES = ("float64", "float32")
+
+#: Atoms per cluster in the ``"cluster"`` search (GROMACS' CPU/SIMD
+#: cluster size; tiles are ``CLUSTER_M`` × ``CLUSTER_M`` slots).
+CLUSTER_M = 4
 
 
 def register_kernel(name: str):
@@ -88,13 +84,14 @@ def make_kernel(name: str, **options) -> "KernelImpl":
 
 
 class KernelImpl:
-    """One non-bonded implementation: pair search + per-block evaluation.
+    """One pair-search strategy at one compute precision.
 
     ``build_split(ws)`` runs the rank-local pair search over a
     :class:`~repro.par.phases.RankWorkspace`-shaped object and returns
     the keyword dict for :class:`~repro.par.phases.SplitPairs` (the
     local/non-local blocks, per-pulse offsets, exclusion lists, stats).
-    ``compute_block`` evaluates forces for one block per step.
+    ``compute_block`` is the same for every strategy:
+    :func:`~repro.md.nonbonded.block_forces` at this kernel's ``dtype``.
     """
 
     name = "abstract"
@@ -104,8 +101,11 @@ class KernelImpl:
             raise ValueError(
                 f"unknown kernel dtype '{dtype}'; use one of {KERNEL_DTYPES}"
             )
+        # Kept as the name, never as an ``np.dtype``: an instance of this
+        # class reaches process workers by pickle, and an unpickled
+        # ``np.dtype`` is a copy, not NumPy's singleton — scratch arrays
+        # created with the copy run ~3 % slower through ``block_forces``.
         self.dtype = dtype
-        self.np_dtype = np.dtype(dtype)
 
     def build_split(self, ws) -> dict:
         raise NotImplementedError
@@ -125,7 +125,7 @@ class KernelImpl:
         return block_forces(
             positions, block, ff,
             box=box, periodic=periodic, out_forces=out_forces,
-            coulomb=coulomb, ewald_beta=ewald_beta, dtype=self.np_dtype,
+            coulomb=coulomb, ewald_beta=ewald_beta, dtype=self.dtype,
         )
 
 
@@ -191,14 +191,8 @@ class SegmentKernel(KernelImpl):
 
 @register_kernel("cluster")
 class ClusterKernel(KernelImpl):
-    """M×N cluster-pair search; NumPy per-step evaluation (flat chain).
+    """M×N cluster-pair search, extracted to flat pairs at build time.
     The default kernel of the DD engine and the spec."""
-
-    def __init__(self, dtype: str = "float64", m: int = 4) -> None:
-        super().__init__(dtype)
-        if m not in (4, 8):
-            raise ValueError(f"cluster size m must be 4 or 8, got {m}")
-        self.m = int(m)
 
     def build_split(self, ws) -> dict:
         cfg = ws.cfg
@@ -219,9 +213,9 @@ class ClusterKernel(KernelImpl):
         # (overlap-eligible) work and the two halo-touching groups the
         # non-local work, so the local/non-local split is a property of
         # the layout rather than a post-hoc filter.
-        home = build_clusters(pos[:nh], lo, hi, self.m, n_total=n)
+        home = build_clusters(pos[:nh], lo, hi, CLUSTER_M, n_total=n)
         halo = build_clusters(
-            pos[nh:], lo, hi, self.m, index_offset=nh, n_total=n
+            pos[nh:], lo, hi, CLUSTER_M, index_offset=nh, n_total=n
         )
         budget.note_cells(home.nbytes + halo.nbytes)
 
@@ -241,7 +235,6 @@ class ClusterKernel(KernelImpl):
             "xx": (halo, halo, True),
         }
         flat: dict[str, tuple] = {}
-        tiles: dict[str, tuple] = {}
         excl_i: list[np.ndarray] = []
         excl_j: list[np.ndarray] = []
         for tag, (a, b, same) in groups.items():
@@ -255,14 +248,8 @@ class ClusterKernel(KernelImpl):
                 masks &= (
                     nzp[a.atoms][ci][:, :, None] & nzp[b.atoms][cj][:, None, :]
                 ) == 0
-            if masks.size:
-                # Drop all-empty tiles (loose candidates, zone-filtered
-                # halo tiles) before extraction: they carry no pairs but
-                # would cost nonzero/gather time here and dead tile
-                # iterations in the compiled path.
-                occupied = masks.any(axis=(1, 2))
-                if not occupied.all():
-                    ci, cj, masks = ci[occupied], cj[occupied], masks[occupied]
+            # The masked slots are the pairs; candidates and masks are
+            # not kept past this extraction.
             ti, tm, tn = np.nonzero(masks)
             pi = a.atoms[ci[ti], tm]
             pj = b.atoms[cj[ti], tn]
@@ -271,10 +258,8 @@ class ClusterKernel(KernelImpl):
                 if np.any(excl):
                     excl_i.append(pi[excl])
                     excl_j.append(pj[excl])
-                    masks[ti[excl], tm[excl], tn[excl]] = False
                     pi, pj = pi[~excl], pj[~excl]
             flat[tag] = (np.minimum(pi, pj), np.maximum(pi, pj))
-            tiles[tag] = (a.atoms[ci], b.atoms[cj], masks)
 
         kernel = cfg.kernel
         li, lj = flat["hh"]
@@ -288,17 +273,9 @@ class ClusterKernel(KernelImpl):
         req, pulse_offsets, order = _pulse_partition(ws, ni, nj)
         ni, nj, req = ni[order], nj[order], req[order]
 
-        local = ClusterPairBlock(
-            li, lj, ws.types, ws.charges, kernel.ff, n_atoms=n,
-            tile_atoms_i=tiles["hh"][0], tile_atoms_j=tiles["hh"][1],
-            tile_masks=tiles["hh"][2],
-        )
-        nl = ClusterPairBlock(
-            ni, nj, ws.types, ws.charges, kernel.ff, n_atoms=n,
-            group_key=req,
-            tile_atoms_i=np.concatenate([tiles["hx"][0], tiles["xx"][0]]),
-            tile_atoms_j=np.concatenate([tiles["hx"][1], tiles["xx"][1]]),
-            tile_masks=np.concatenate([tiles["hx"][2], tiles["xx"][2]]),
+        local = kernel.make_block(li, lj, ws.types, ws.charges, n_atoms=n)
+        nl = kernel.make_block(
+            ni, nj, ws.types, ws.charges, n_atoms=n, group_key=req
         )
         ei = np.concatenate(excl_i) if excl_i else li[:0]
         ej = np.concatenate(excl_j) if excl_j else lj[:0]
@@ -315,201 +292,9 @@ class ClusterKernel(KernelImpl):
                 "n_nonlocal": int(ni.size),
                 "n_excluded": int(ei.size),
                 "pulse_pairs": np.diff(pulse_offsets).tolist(),
-                "n_tiles_local": int(local.n_tiles),
-                "n_tiles_nonlocal": int(nl.n_tiles),
-                "cluster_m": self.m,
                 **_memory_stats(ws, budget, local.nbytes + nl.nbytes),
             },
         )
-
-
-@register_kernel("cluster-numba")
-class ClusterNumbaKernel(ClusterKernel):
-    """Cluster search + numba-compiled dense M×N tile evaluation.
-
-    The per-step kernel is a JIT-compiled loop over tiles: no per-step
-    gather/scatter arrays, forces accumulated in registers per cluster
-    row.  Internal math runs in float64 regardless of ``dtype`` (the
-    float32 option only narrows the gathered inputs); energies are
-    float64.  Requires numba — constructing this kernel without it
-    installed raises an actionable ``ImportError``.
-    """
-
-    def __init__(self, dtype: str = "float64", m: int = 4) -> None:
-        super().__init__(dtype, m)
-        self._tile_kernel = _load_numba_tile_kernel()
-
-    def compute_block(
-        self,
-        positions: np.ndarray,
-        block: PairBlock,
-        ff: ForceField,
-        *,
-        box: np.ndarray | None = None,
-        periodic: np.ndarray | None = None,
-        out_forces: np.ndarray | None = None,
-        coulomb: str = "rf",
-        ewald_beta: float = 0.0,
-    ) -> tuple[np.ndarray, float, float]:
-        if not isinstance(block, ClusterPairBlock):
-            # Plain flat blocks (e.g. the reference simulator's rebuilt
-            # lists) have no tile structure; use the shared flat chain.
-            return super().compute_block(
-                positions, block, ff,
-                box=box, periodic=periodic, out_forces=out_forces,
-                coulomb=coulomb, ewald_beta=ewald_beta,
-            )
-        positions = np.asarray(positions)
-        n = positions.shape[0]
-        if out_forces is None:
-            out_forces = np.zeros((n, 3), dtype=positions.dtype)
-        if block.n_pairs == 0:
-            return out_forces, 0.0, 0.0
-        if coulomb == "ewald" and ewald_beta <= 0.0:
-            raise ValueError("coulomb='ewald' requires a positive ewald_beta")
-        if coulomb not in ("rf", "ewald"):
-            raise ValueError(
-                f"unknown coulomb mode '{coulomb}' (use 'rf' or 'ewald')"
-            )
-        padded = np.vstack(
-            [positions.astype(self.np_dtype), np.zeros((1, 3), self.np_dtype)]
-        ).astype(np.float64)
-        charges = np.ascontiguousarray(block.charges, dtype=np.float64)
-        types = np.ascontiguousarray(block.type_ids, dtype=np.int64)
-        if box is None:
-            box_arr = np.ones(3)
-            pbc = np.zeros(3, dtype=np.bool_)
-        else:
-            box_arr = np.asarray(box, dtype=np.float64)
-            pbc = (
-                np.ones(3, dtype=np.bool_) if periodic is None
-                else np.asarray(periodic, dtype=np.bool_)
-            )
-        acc = out_forces if out_forces.dtype == np.float64 else np.zeros((n, 3))
-        e_lj, e_coul = self._tile_kernel(
-            padded,
-            block.tile_atoms_i, block.tile_atoms_j, block.tile_masks,
-            box_arr, pbc,
-            types, charges,
-            np.ascontiguousarray(ff.c6), np.ascontiguousarray(ff.c12),
-            float(ff.cutoff * ff.cutoff),
-            float(ff.k_rf), float(ff.c_rf),
-            0 if coulomb == "rf" else 1, float(ewald_beta),
-            float(COULOMB_FACTOR),
-            acc,
-        )
-        if acc is not out_forces:
-            out_forces += acc.astype(out_forces.dtype)
-        return out_forces, float(e_lj), float(e_coul)
-
-
-def _load_numba_tile_kernel():
-    """Compile (once per process) the dense tile loop; needs numba."""
-    global _TILE_KERNEL
-    if _TILE_KERNEL is not None:
-        return _TILE_KERNEL
-    try:
-        import numba
-    except ImportError as err:
-        raise ImportError(
-            "the 'cluster-numba' kernel needs the optional numba package "
-            "(pip install numba); use kernel='cluster' for the always-"
-            "available NumPy cluster path"
-        ) from err
-
-    import math
-
-    @numba.njit(cache=False)
-    def tile_kernel(
-        padded, atoms_i, atoms_j, masks, box, pbc, types, charges,
-        c6tab, c12tab, rc2, k_rf, c_rf, mode, beta, coul, out,
-    ):
-        n = out.shape[0]
-        n_tiles, mm = atoms_i.shape
-        nn = atoms_j.shape[1]
-        rc_inv6 = 1.0 / (rc2 * rc2 * rc2)
-        bx = box[0]
-        by = box[1]
-        bz = box[2]
-        px = pbc[0]
-        py = pbc[1]
-        pz = pbc[2]
-        e_lj = 0.0
-        e_c = 0.0
-        for t in range(n_tiles):
-            for a in range(mm):
-                ia = atoms_i[t, a]
-                if ia >= n:
-                    continue
-                xa = padded[ia, 0]
-                ya = padded[ia, 1]
-                za = padded[ia, 2]
-                fax = 0.0
-                fay = 0.0
-                faz = 0.0
-                for b in range(nn):
-                    if not masks[t, a, b]:
-                        continue
-                    jb = atoms_j[t, b]
-                    dx = xa - padded[jb, 0]
-                    dy = ya - padded[jb, 1]
-                    dz = za - padded[jb, 2]
-                    if px:
-                        dx -= np.rint(dx / bx) * bx
-                    if py:
-                        dy -= np.rint(dy / by) * by
-                    if pz:
-                        dz -= np.rint(dz / bz) * bz
-                    r2 = dx * dx + dy * dy + dz * dz
-                    if r2 > rc2:
-                        continue
-                    if r2 <= 0.0:
-                        raise FloatingPointError(
-                            "overlapping atoms in pair list (r == 0)"
-                        )
-                    c6 = c6tab[types[ia], types[jb]]
-                    c12 = c12tab[types[ia], types[jb]]
-                    qq = coul * charges[ia] * charges[jb]
-                    inv_r2 = 1.0 / r2
-                    inv_r6 = inv_r2 * inv_r2 * inv_r2
-                    inv_r12 = inv_r6 * inv_r6
-                    inv_r = math.sqrt(inv_r2)
-                    f = (12.0 * c12 * inv_r12 - 6.0 * c6 * inv_r6) * inv_r2
-                    if mode == 0:
-                        f += qq * (inv_r * inv_r2 - 2.0 * k_rf)
-                        e_c += qq * (inv_r + k_rf * r2 - c_rf)
-                    else:
-                        r = math.sqrt(r2)
-                        s = math.erfc(beta * r)
-                        g = (
-                            2.0 * beta / math.sqrt(math.pi)
-                            * math.exp(-((beta * r) ** 2))
-                        )
-                        f += qq * (s * inv_r + g) * inv_r2
-                        e_c += qq * s * inv_r
-                    e_lj += (
-                        c12 * inv_r12 - c6 * inv_r6
-                        - (c12 * rc_inv6 * rc_inv6 - c6 * rc_inv6)
-                    )
-                    fx = f * dx
-                    fy = f * dy
-                    fz = f * dz
-                    fax += fx
-                    fay += fy
-                    faz += fz
-                    out[jb, 0] -= fx
-                    out[jb, 1] -= fy
-                    out[jb, 2] -= fz
-                out[ia, 0] += fax
-                out[ia, 1] += fay
-                out[ia, 2] += faz
-        return e_lj, e_c
-
-    _TILE_KERNEL = tile_kernel
-    return tile_kernel
-
-
-_TILE_KERNEL = None
 
 
 def _memory_stats(ws, budget: BuildBudget, pairlist_bytes: int) -> dict:

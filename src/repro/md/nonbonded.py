@@ -1,14 +1,17 @@
 """Non-bonded pair interactions: Lennard-Jones 12-6 + reaction-field Coulomb.
 
-Two reduction strategies over a flat pair list (arrays ``i``/``j``):
+One pair-list representation, one evaluator, one oracle — all over flat
+pair arrays ``i``/``j``:
 
-* :func:`pair_forces` — the reference path: per-step parameter gathers and
-  ``np.add.at`` scatter, the NumPy analogue of the ``atomicAdd``
-  accumulation the paper's GPU unpack kernels use.  Simple, slow.
-* :class:`PairBlock` + :func:`block_forces` — the hot path: the pair list
-  is sorted by ``i`` once (at build/prune time), LJ parameters and charge
-  products are cached per list, displacement/force scratch buffers are
-  reused across steps, and the force reduction runs as
+* :func:`pair_forces` — the scatter oracle ``tests/`` and ``benchmarks/``
+  compare against: per-step parameter gathers and ``np.add.at`` scatter,
+  the NumPy analogue of the ``atomicAdd`` accumulation the paper's GPU
+  unpack kernels use.  Simple, slow; no ``src/`` path calls it.
+* :class:`PairBlock` + :func:`block_forces` — what every simulator runs,
+  whichever search built the list: the pair list is sorted by ``i`` once
+  (at build/prune time), LJ parameters and charge products are cached
+  per list, displacement/force scratch buffers are reused across steps,
+  and the force reduction runs as
   ``np.add.reduceat`` over ``i``-segments plus one ``np.bincount`` per
   component for the ``j`` side — the NumPy analogue of GROMACS' sorted
   cluster-pair reduction, several times faster than the scatter.
@@ -165,7 +168,7 @@ class PairBlock:
     """
 
     __slots__ = (
-        "i", "j", "n_atoms", "seg_starts", "seg_i", "mask",
+        "i", "j", "n_atoms", "seg_starts", "seg_i",
         "c6", "c12", "c12_12", "c6_6", "qq", "e_shift", "_scratch",
     )
 
@@ -178,22 +181,13 @@ class PairBlock:
         ff: ForceField,
         n_atoms: int,
         group_key: np.ndarray | None = None,
-        mask: np.ndarray | None = None,
     ) -> None:
         i = np.ascontiguousarray(pair_i, dtype=np.int64)
         j = np.ascontiguousarray(pair_j, dtype=np.int64)
         if i.shape != j.shape:
             raise ValueError("pair arrays must have equal shape")
-        if mask is not None:
-            mask = np.ascontiguousarray(mask, dtype=bool)
-            if mask.shape != i.shape:
-                raise ValueError("mask must match the pair arrays")
         self.i = i
         self.j = j
-        # Static validity mask: entries with mask False never interact
-        # (e.g. padding slots of a dense cluster layout).  None means all
-        # entries are real.
-        self.mask = mask
         self.n_atoms = int(n_atoms)
         if i.size:
             change = i[1:] != i[:-1]
@@ -228,16 +222,13 @@ class PairBlock:
         Scratch is excluded — it is transient per step and bounded by the
         same pair count.  Feeds the ``md.pairlist.bytes`` accounting.
         """
-        total = (
+        return int(
             self.i.nbytes + self.j.nbytes
             + self.seg_starts.nbytes + self.seg_i.nbytes
             + self.c6.nbytes + self.c12.nbytes
             + self.c12_12.nbytes + self.c6_6.nbytes
             + self.qq.nbytes + self.e_shift.nbytes
         )
-        if self.mask is not None:
-            total += self.mask.nbytes
-        return int(total)
 
     def buf(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         """Reusable named scratch buffer (reallocated only on shape change)."""
@@ -290,9 +281,8 @@ def block_forces(
     ``dtype=np.float32`` selects the fast path: geometry, parameters, and
     the interaction chain run in float32 while energy sums and per-atom
     force accumulation stay float64 (mixed precision, the GPU convention).
-    The overlap (``r == 0``) check considers only pairs that are inside
-    the cutoff *and* unmasked — buffered lists legitimately carry distant
-    or padded entries whose coordinates may coincide after wrapping.
+    The overlap (``r == 0``) check considers only pairs that interact —
+    buffered lists legitimately carry entries beyond the cutoff.
     """
     positions = np.asarray(positions)
     n = positions.shape[0]
@@ -338,20 +328,17 @@ def block_forces(
 
     rc2 = ff.cutoff * ff.cutoff
     inside = np.less_equal(r2, rc2, out=block.buf("inside", (m,), dtype=bool))
-    if block.mask is not None:
-        inside &= block.mask
     if not np.any(inside):
         return out_forces, 0.0, 0.0
-    # Overlap check on interacting pairs only: masked or out-of-cutoff
-    # entries may sit at r == 0 (padding, wrapped far images) harmlessly.
+    # Overlap check on interacting pairs only.
     bad = np.less_equal(r2, 0.0, out=block.buf("bad", (m,), dtype=bool))
     bad &= inside
     if np.any(bad):
         raise FloatingPointError("overlapping atoms in pair list (r == 0)")
     # Give non-interacting entries a dummy finite distance before the
     # reciprocal chain: ``fscal *= inside`` zeroes them later, but a
-    # coincident masked entry would put inf into the chain and inf * 0
-    # is nan, which the reductions would smear across the segment.
+    # non-finite value in the chain would survive it (inf * 0 is nan)
+    # and the reductions would smear it across the segment.
     outside = np.logical_not(inside, out=bad)
     np.copyto(r2, sc(1.0), where=outside)
 
@@ -421,185 +408,15 @@ def block_forces(
     return out_forces, e_lj, e_coul
 
 
-class ClusterPairBlock(PairBlock):
-    """A :class:`PairBlock` that also carries its cluster-tile structure.
-
-    The flat ``i``/``j`` entries (and everything :func:`block_forces`
-    needs) are exactly the masked tile slots, extracted and canonically
-    sorted at build time — so the NumPy path runs the same segment chain
-    as a plain block.  The tile arrays describe the same pair set in the
-    M×N layout the dense/compiled kernels consume: per tile, the global
-    atom indices of its two clusters (``n_atoms`` as the padding
-    sentinel) and the boolean slot mask; periodic images are resolved per
-    atom pair at evaluation time (minimum image along periodic dims),
-    the same convention as the flat kernels.
-    """
-
-    __slots__ = (
-        "tile_atoms_i", "tile_atoms_j", "tile_masks",
-        "type_ids", "charges",
-    )
-
-    def __init__(
-        self,
-        pair_i: np.ndarray,
-        pair_j: np.ndarray,
-        type_ids: np.ndarray,
-        charges: np.ndarray,
-        ff: ForceField,
-        n_atoms: int,
-        group_key: np.ndarray | None = None,
-        *,
-        tile_atoms_i: np.ndarray,
-        tile_atoms_j: np.ndarray,
-        tile_masks: np.ndarray,
-    ) -> None:
-        super().__init__(
-            pair_i, pair_j, type_ids, charges, ff,
-            n_atoms=n_atoms, group_key=group_key,
-        )
-        self.tile_atoms_i = tile_atoms_i
-        self.tile_atoms_j = tile_atoms_j
-        self.tile_masks = tile_masks
-        self.type_ids = type_ids
-        self.charges = charges
-
-    @property
-    def n_tiles(self) -> int:
-        return int(self.tile_masks.shape[0])
-
-    @property
-    def nbytes(self) -> int:
-        """Flat-block footprint plus the tile structure it carries."""
-        return int(
-            PairBlock.nbytes.fget(self)
-            + self.tile_atoms_i.nbytes + self.tile_atoms_j.nbytes
-            + self.tile_masks.nbytes
-        )
-
-
-def cluster_forces_dense(
-    positions: np.ndarray,
-    block: ClusterPairBlock,
-    ff: ForceField,
-    box: np.ndarray | None = None,
-    periodic: np.ndarray | None = None,
-    out_forces: np.ndarray | None = None,
-    coulomb: str = "rf",
-    ewald_beta: float = 0.0,
-    dtype=np.float64,
-) -> tuple[np.ndarray, float, float]:
-    """Dense M×N tile evaluation of a :class:`ClusterPairBlock`.
-
-    The correctness twin of the compiled cluster kernels: every tile is
-    evaluated as a full (M, N) distance block with masked slots neutral-
-    ized via ``where`` (no compaction), then reduced per cluster row and
-    column.  Minimum-image wrapping per atom pair along periodic dims —
-    the same ``box``/``periodic`` convention as :func:`block_forces`.
-    Pair-level results match :func:`pair_forces` on the flat view of the
-    same list; per-atom sums differ only by accumulation order.
-    """
-    positions = np.asarray(positions)
-    n = positions.shape[0]
-    if n != block.n_atoms:
-        raise ValueError(
-            f"positions have {n} rows but the block was built for {block.n_atoms}"
-        )
-    if out_forces is None:
-        out_forces = np.zeros((n, 3), dtype=positions.dtype)
-    elif out_forces.shape != (n, 3):
-        raise ValueError(f"out_forces must have shape ({n}, 3)")
-    n_tiles = block.n_tiles
-    if n_tiles == 0 or block.n_pairs == 0:
-        return out_forces, 0.0, 0.0
-    dt = np.dtype(dtype)
-    sc = dt.type
-    padded = np.vstack([positions.astype(dt), np.zeros((1, 3), dtype=dt)])
-    ai = block.tile_atoms_i  # (T, M), sentinel n
-    aj = block.tile_atoms_j  # (T, N)
-    xi = padded[ai]
-    xj = padded[aj]
-    dx = xi[:, :, None, :] - xj[:, None, :, :]
-    if box is not None:
-        box_dt = np.asarray(box, dtype=dt)
-        for d in range(3):
-            if periodic is None or periodic[d]:
-                dx[..., d] -= np.rint(dx[..., d] / box_dt[d]) * box_dt[d]
-    r2 = np.einsum("tmnk,tmnk->tmn", dx, dx)
-
-    rc2 = ff.cutoff * ff.cutoff
-    ok = block.tile_masks & (r2 <= rc2)
-    if not np.any(ok):
-        return out_forces, 0.0, 0.0
-    if np.any(ok & (r2 <= 0)):
-        raise FloatingPointError("overlapping atoms in pair list (r == 0)")
-    r2 = np.where(ok, r2, sc(1.0))  # neutralize masked slots (no inf/nan)
-
-    types_p = np.concatenate([block.type_ids, [0]])
-    q_p = np.concatenate([block.charges.astype(dt), [sc(0.0)]])
-    ti = types_p[ai]
-    tj = types_p[aj]
-    c6 = ff.c6[ti[:, :, None], tj[:, None, :]].astype(dt)
-    c12 = ff.c12[ti[:, :, None], tj[:, None, :]].astype(dt)
-    qq = sc(COULOMB_FACTOR) * q_p[ai][:, :, None] * q_p[aj][:, None, :]
-
-    inv_r2 = sc(1.0) / r2
-    inv_r6 = inv_r2 * inv_r2 * inv_r2
-    inv_r12 = inv_r6 * inv_r6
-    inv_r = np.sqrt(inv_r2)
-    f_lj = (sc(12.0) * c12 * inv_r12 - sc(6.0) * c6 * inv_r6) * inv_r2
-    if coulomb == "rf":
-        f_coul = qq * (inv_r * inv_r2 - sc(2.0 * ff.k_rf))
-        e_c = qq * (inv_r + sc(ff.k_rf) * r2 - sc(ff.c_rf))
-    elif coulomb == "ewald":
-        if ewald_beta <= 0.0:
-            raise ValueError("coulomb='ewald' requires a positive ewald_beta")
-        from scipy.special import erfc
-
-        r = np.sqrt(r2)
-        screened = erfc(sc(ewald_beta) * r)
-        gauss = (
-            2.0 * ewald_beta / np.sqrt(np.pi)
-            * np.exp(-((sc(ewald_beta) * r) ** 2))
-        )
-        f_coul = qq * (screened * inv_r + gauss) * inv_r2
-        e_c = qq * screened * inv_r
-    else:
-        raise ValueError(f"unknown coulomb mode '{coulomb}' (use 'rf' or 'ewald')")
-    fscal = (f_lj + f_coul) * ok
-    fvec = fscal[..., None] * dx
-
-    rc_inv6 = 1.0 / rc2**3
-    e_shift = c12 * sc(rc_inv6 * rc_inv6) - c6 * sc(rc_inv6)
-    e_l = (c12 * inv_r12 - c6 * inv_r6 - e_shift) * ok
-    e_lj = float(np.sum(e_l, dtype=np.float64))
-    e_coul = float(np.sum(e_c * ok, dtype=np.float64))
-
-    # Per-cluster row/column reduction, then one bincount per component
-    # (sentinel rows land in the padding bin n and are dropped).
-    idx_i = ai.ravel()
-    idx_j = aj.ravel()
-    for c in range(3):
-        col = fvec[..., c]
-        rows = col.sum(axis=2, dtype=np.float64).ravel()
-        cols = col.sum(axis=1, dtype=np.float64).ravel()
-        acc = np.bincount(idx_i, weights=rows, minlength=n + 1)[:n]
-        acc -= np.bincount(idx_j, weights=cols, minlength=n + 1)[:n]
-        out_forces[:, c] += acc.astype(out_forces.dtype, copy=False)
-    return out_forces, e_lj, e_coul
-
-
 @dataclass
 class NonbondedKernel:
     """Force field + registry-selected non-bonded implementation.
 
-    ``name`` picks the implementation from :mod:`repro.md.kernels`
-    (``"segment"``, ``"cluster"``, ``"cluster-numba"``); ``dtype`` is the
-    kernel compute precision (``"float64"`` or the documented
-    ``"float32"`` fast path).  The implementation object is resolved
-    lazily — and dropped on pickling — so a :class:`NonbondedKernel`
-    travels to process workers as plain configuration and each worker
-    materializes its own impl (compiled dispatchers are unpicklable).
+    ``name`` picks the pair-search strategy from :mod:`repro.md.kernels`
+    (``"segment"`` or ``"cluster"``); ``dtype`` is the kernel compute
+    precision (``"float64"`` or the documented ``"float32"`` fast path).
+    The implementation object is resolved lazily because
+    :mod:`repro.md.kernels` imports this module.
     """
 
     ff: ForceField
@@ -610,7 +427,7 @@ class NonbondedKernel:
 
     @property
     def impl(self):
-        """The resolved kernel implementation (cached; never pickled)."""
+        """The resolved kernel implementation (cached)."""
         impl = self.__dict__.get("_impl")
         if impl is None:
             from repro.md.kernels import make_kernel
@@ -618,40 +435,6 @@ class NonbondedKernel:
             impl = make_kernel(self.name, dtype=self.dtype)
             self.__dict__["_impl"] = impl
         return impl
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_impl", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    def compute(
-        self,
-        positions: np.ndarray,
-        pair_i: np.ndarray,
-        pair_j: np.ndarray,
-        type_ids: np.ndarray,
-        charges: np.ndarray,
-        box: np.ndarray | None = None,
-        periodic: np.ndarray | None = None,
-        out_forces: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, float, float]:
-        """See :func:`pair_forces`."""
-        return pair_forces(
-            positions,
-            pair_i,
-            pair_j,
-            type_ids,
-            charges,
-            self.ff,
-            box=box,
-            periodic=periodic,
-            out_forces=out_forces,
-            coulomb=self.coulomb,
-            ewald_beta=self.ewald_beta,
-        )
 
     def compute_block(
         self,

@@ -13,6 +13,11 @@ same lifecycle on flat pair arrays:
 Pruning is purely an optimization: the kernel evaluates interactions only
 within ``r_c``, so removing pairs that cannot re-enter the cutoff before the
 next rebuild never changes forces.  Tests assert exactly that invariant.
+
+This is the whole-system list of the serial
+:class:`~repro.md.reference.ReferenceSimulator`; DD ranks search their
+home + halo atoms through :mod:`repro.md.kernels`.  Both end in the same
+flat sorted pairs.
 """
 
 from __future__ import annotations
@@ -21,15 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.md.cells import (
-    BuildBudget,
-    CellList,
-    ClusterLayout,
-    build_clusters,
-    cluster_pair_candidates,
-    cluster_tile_masks,
-    periodic_cell_list,
-)
+from repro.md.cells import BuildBudget, CellList, periodic_cell_list
 from repro.obs.metrics import METRICS
 
 
@@ -37,12 +34,11 @@ from repro.obs.metrics import METRICS
 class PairList:
     """A flat i/j pair list with build-time bookkeeping.
 
-    ``sorted_by_i`` records the segment-reduction invariant: when true the
-    ``i`` array is non-decreasing, so the kernel may use the fast
-    ``reduceat``/``bincount`` path (:class:`repro.md.nonbonded.PairBlock`)
-    instead of the ``np.add.at`` scatter fallback.  Builds produce sorted
-    lists (the cell list emits canonically ordered pairs) and ``prune``
-    preserves — or restores — the flag.
+    Lists from :meth:`VerletListBuilder.build` are canonically
+    ``(i, j)``-lexsorted and :meth:`~VerletListBuilder.prune` keeps the
+    order, so ``i`` is non-decreasing — what makes
+    :class:`repro.md.nonbonded.PairBlock`'s segment reduction fast (its
+    correctness does not depend on it).
     """
 
     i: np.ndarray
@@ -50,7 +46,6 @@ class PairList:
     r_list: float
     ref_positions: np.ndarray = field(repr=False)
     steps_since_build: int = 0
-    sorted_by_i: bool = False
 
     def __post_init__(self) -> None:
         if self.i.shape != self.j.shape:
@@ -130,12 +125,10 @@ class VerletListBuilder:
         self.last_budget = budget
         METRICS.counter("pairlist.builds").inc()
         METRICS.histogram("pairlist.pairs_built").observe(int(i.size))
-        # pairs_within emits canonically (i, j)-lexsorted pairs, so the
-        # segment-reduction invariant holds from birth.
+        # pairs_within emits canonically (i, j)-lexsorted pairs.
         pairs = PairList(
             i=i, j=j, r_list=self.r_list,
             ref_positions=np.array(positions, copy=True),
-            sorted_by_i=True,
         )
         METRICS.gauge("md.pairlist.bytes").set(pairs.nbytes)
         METRICS.gauge("md.cells.bytes").set(budget.cells_bytes)
@@ -181,205 +174,13 @@ class VerletListBuilder:
         METRICS.counter("pairlist.pairs_dropped").inc(pairs.n_pairs - kept)
         if pairs.n_pairs:
             METRICS.histogram("pairlist.keep_frac").observe(kept / pairs.n_pairs)
+        # Boolean masking preserves order, so a sorted input stays sorted.
         ki, kj = pairs.i[mask], pairs.j[mask]
-        # Boolean masking preserves order, so a sorted input stays sorted;
-        # an unsorted input is re-sorted here so pruned lists are always
-        # segment-reducible rather than silently hitting the scatter path.
-        if not pairs.sorted_by_i:
-            order = np.lexsort((kj, ki))
-            ki, kj = ki[order], kj[order]
         pruned = PairList(
             i=ki,
             j=kj,
             r_list=pairs.r_list,
             ref_positions=pairs.ref_positions,
             steps_since_build=pairs.steps_since_build,
-            sorted_by_i=True,
         )
         return pruned
-
-
-# -- cluster-pair lists (M×N scheme) -------------------------------------------
-
-
-@dataclass
-class ClusterPairList:
-    """A cluster-pair list with its flat pair view.
-
-    The cluster-native representation is ``(tile_i, tile_j, tile_masks)``
-    over ``layout``: candidate cluster pairs with exact per-slot
-    interaction masks (periodic images resolved per atom pair).  The flat
-    ``i``/``j`` arrays are the masked entries extracted once at build
-    time, canonically ``(i, j)``-lexsorted — so a :class:`ClusterPairList`
-    quacks like a :class:`PairList` (``sorted_by_i`` always holds) and
-    drops into every consumer of the flat list, while the tile arrays
-    stay available for dense M×N evaluation (the compiled kernel path).
-    """
-
-    i: np.ndarray
-    j: np.ndarray
-    r_list: float
-    ref_positions: np.ndarray = field(repr=False)
-    layout: ClusterLayout = field(repr=False, default=None)
-    tile_i: np.ndarray = field(repr=False, default=None)
-    tile_j: np.ndarray = field(repr=False, default=None)
-    tile_masks: np.ndarray = field(repr=False, default=None)
-    steps_since_build: int = 0
-    sorted_by_i: bool = True
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self.i.size)
-
-    @property
-    def n_tiles(self) -> int:
-        return 0 if self.tile_i is None else int(self.tile_i.size)
-
-    @property
-    def nbytes(self) -> int:
-        """Stored footprint: flat view, tile structure, layout, reference."""
-        total = int(self.i.nbytes + self.j.nbytes + self.ref_positions.nbytes)
-        for arr in (self.tile_i, self.tile_j, self.tile_masks):
-            if arr is not None:
-                total += int(arr.nbytes)
-        if self.layout is not None:
-            total += self.layout.nbytes
-        return total
-
-
-@dataclass
-class ClusterListBuilder:
-    """Buffered Verlet lifecycle over cluster-pair lists.
-
-    Same build/needs_rebuild/prune contract as :class:`VerletListBuilder`
-    — buffered radius ``cutoff + buffer``, displacement-triggered rebuild
-    at ``buffer/2``, safe rolling prune at ``cutoff + 2*buffer`` — but
-    the search runs over :class:`~repro.md.cells.ClusterLayout` cluster
-    pairs and pruning drops whole tiles (GROMACS prunes at cluster-pair
-    granularity too; keeping an extra out-of-range entry never changes
-    forces, the kernel masks it).
-    """
-
-    box: np.ndarray
-    cutoff: float
-    buffer: float = 0.1
-    nstlist: int = 20
-    m: int = 4  # atoms per cluster (4 or 8)
-    #: Transient working-set cap for build stages (None = tuned defaults).
-    max_build_bytes: int | None = None
-
-    def __post_init__(self) -> None:
-        self.box = np.asarray(self.box, dtype=np.float64)
-        if self.buffer < 0:
-            raise ValueError("buffer must be non-negative")
-        if self.nstlist < 1:
-            raise ValueError("nstlist must be >= 1")
-        if self.m not in (4, 8):
-            raise ValueError(f"cluster size m must be 4 or 8, got {self.m}")
-        self.r_list = self.cutoff + self.buffer
-        self._scratch: dict[str, np.ndarray] = {}
-        self.last_budget: BuildBudget | None = None
-
-    # Share the scratch/displacement machinery with the flat builder.
-    _buf = VerletListBuilder._buf
-    _max_displacement = VerletListBuilder._max_displacement
-
-    def build(self, positions: np.ndarray) -> ClusterPairList:
-        """Full cluster-pair search at the buffered radius."""
-        pos = np.asarray(positions, dtype=np.float64)
-        periodic = np.ones(3, dtype=bool)
-        budget = BuildBudget(max_bytes=self.max_build_bytes)
-        layout = build_clusters(pos, np.zeros(3), self.box, self.m)
-        budget.note_cells(layout.nbytes)
-        ci, cj = cluster_pair_candidates(
-            layout, layout, self.r_list, self.box, periodic, same=True,
-            budget=budget,
-        )
-        masks = cluster_tile_masks(
-            pos, layout, layout, ci, cj, self.r_list, self.box, periodic,
-            same=True, budget=budget,
-        )
-        i, j = _extract_flat_pairs(layout, layout, ci, cj, masks)
-        self.last_budget = budget
-        METRICS.counter("pairlist.builds").inc()
-        METRICS.histogram("pairlist.pairs_built").observe(int(i.size))
-        METRICS.histogram("pairlist.tiles_built").observe(int(ci.size))
-        pairs = ClusterPairList(
-            i=i, j=j, r_list=self.r_list,
-            ref_positions=np.array(positions, copy=True),
-            layout=layout, tile_i=ci, tile_j=cj, tile_masks=masks,
-        )
-        METRICS.gauge("md.pairlist.bytes").set(pairs.nbytes)
-        METRICS.gauge("md.cells.bytes").set(budget.cells_bytes)
-        METRICS.gauge("md.build.peak_bytes").set(budget.peak_bytes)
-        return pairs
-
-    def needs_rebuild(self, pairs: ClusterPairList, positions: np.ndarray) -> bool:
-        """Same validity rule as the flat builder (see its docstring)."""
-        if pairs.steps_since_build >= self.nstlist:
-            return True
-        return self._max_displacement(pairs, positions) > 0.5 * self.buffer
-
-    def prune(self, pairs: ClusterPairList, positions: np.ndarray) -> ClusterPairList:
-        """Drop tiles with no masked entry inside ``cutoff + 2*buffer``.
-
-        Tile-granularity pruning: a tile survives iff at least one of its
-        masked slot pairs is currently within the safe keep radius.  The
-        flat view is re-extracted from the surviving tiles, so it may
-        retain individual entries beyond the keep radius (harmless — the
-        kernel masks anything outside the interaction cutoff).
-        """
-        keep_r = self.cutoff + 2.0 * self.buffer
-        pos = np.asarray(positions, dtype=np.float64)
-        layout = pairs.layout
-        n_tiles = pairs.n_tiles
-        keep = np.zeros(n_tiles, dtype=bool)
-        padded = np.vstack([pos, np.zeros((1, 3))])
-        keep_r2 = keep_r * keep_r
-        mm = layout.m
-        # Same per-tile working set as the mask build: two gathered
-        # position tiles plus the displacement/r2 slabs.
-        tile_bytes = 8 * 3 * 2 * mm + 8 * mm * mm * 4 + 2 * mm * mm
-        budget = BuildBudget(max_bytes=self.max_build_bytes)
-        chunk = max(1, min(max(n_tiles, 1),
-                           budget.rows(tile_bytes, int(4e6 // (mm * mm)))))
-        for s in range(0, n_tiles, chunk):
-            e = min(n_tiles, s + chunk)
-            xi = padded[layout.atoms[pairs.tile_i[s:e]]]
-            xj = padded[layout.atoms[pairs.tile_j[s:e]]]
-            dx = xi[:, :, None, :] - xj[:, None, :, :]
-            for d in range(3):
-                dx[..., d] -= np.rint(dx[..., d] / self.box[d]) * self.box[d]
-            r2 = np.einsum("tmnk,tmnk->tmn", dx, dx)
-            keep[s:e] = np.any(pairs.tile_masks[s:e] & (r2 <= keep_r2), axis=(1, 2))
-        ci = pairs.tile_i[keep]
-        cj = pairs.tile_j[keep]
-        masks = pairs.tile_masks[keep]
-        i, j = _extract_flat_pairs(layout, layout, ci, cj, masks)
-        METRICS.counter("pairlist.prunes").inc()
-        METRICS.counter("pairlist.pairs_dropped").inc(pairs.n_pairs - int(i.size))
-        if pairs.n_pairs:
-            METRICS.histogram("pairlist.keep_frac").observe(i.size / pairs.n_pairs)
-        return ClusterPairList(
-            i=i, j=j, r_list=pairs.r_list,
-            ref_positions=pairs.ref_positions,
-            layout=layout, tile_i=ci, tile_j=cj, tile_masks=masks,
-            steps_since_build=pairs.steps_since_build,
-        )
-
-
-def _extract_flat_pairs(
-    a: ClusterLayout,
-    b: ClusterLayout,
-    ci: np.ndarray,
-    cj: np.ndarray,
-    masks: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masked tile entries as canonical ``(i < j, lexsorted)`` flat pairs."""
-    ti, tm, tn = np.nonzero(masks)
-    pi = a.atoms[ci[ti], tm]
-    pj = b.atoms[cj[ti], tn]
-    lo = np.minimum(pi, pj)
-    hi = np.maximum(pi, pj)
-    order = np.lexsort((hi, lo))
-    return lo[order], hi[order]

@@ -15,9 +15,8 @@ import numpy as np
 from repro.md.forcefield import ForceField
 from repro.md.integrator import LeapFrogIntegrator
 from repro.md.nonbonded import NonbondedKernel, PairBlock
-from repro.md.pairlist import ClusterListBuilder, PairList, VerletListBuilder
+from repro.md.pairlist import PairList, VerletListBuilder
 from repro.md.system import MDSystem
-from repro.obs.metrics import METRICS
 
 
 @dataclass
@@ -63,26 +62,21 @@ class ReferenceSimulator:
     coulomb: str = "rf"
     pme_grid: tuple[int, int, int] | None = None
     topology: "object | None" = None
-    #: Non-bonded kernel registry name ("segment", "cluster",
-    #: "cluster-numba") and compute precision ("float64"/"float32").
-    #: Cluster kernels switch the pair-list builder to the M×N
-    #: :class:`~repro.md.pairlist.ClusterListBuilder`; the flat view of a
-    #: cluster list feeds the same per-step cache.
+    #: Non-bonded kernel registry name ("segment" or "cluster") and
+    #: compute precision ("float64"/"float32").  The name is validated
+    #: against the registry and ``kernel_dtype`` selects the evaluation
+    #: precision; the list itself always comes from the flat
+    #: :class:`~repro.md.pairlist.VerletListBuilder`, so this oracle
+    #: shares no search code with the cluster kernel it checks.
     kernel: str = "segment"
     kernel_dtype: str = "float64"
     step_count: int = 0
     energies: list[StepEnergies] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.kernel.startswith("cluster"):
-            self._builder = ClusterListBuilder(
-                box=self.system.box, cutoff=self.ff.cutoff,
-                buffer=self.buffer, nstlist=self.nstlist,
-            )
-        else:
-            self._builder = VerletListBuilder(
-                box=self.system.box, cutoff=self.ff.cutoff, buffer=self.buffer, nstlist=self.nstlist
-            )
+        self._builder = VerletListBuilder(
+            box=self.system.box, cutoff=self.ff.cutoff, buffer=self.buffer, nstlist=self.nstlist
+        )
         self._pme = None
         if self.coulomb == "pme":
             from repro.pme.spme import SpmeSolver, optimal_beta
@@ -100,12 +94,11 @@ class ReferenceSimulator:
             )
         else:
             raise ValueError(f"unknown coulomb mode '{self.coulomb}' (use 'rf' or 'pme')")
-        self._kernel.impl  # fail fast on unknown names / missing numba
+        self._kernel.impl  # fail fast on unknown names / dtypes
         self._integrator = LeapFrogIntegrator(dt=self.dt)
         self._pairs: PairList | None = None
         self._cached_for: PairList | None = None
         self._block: PairBlock | None = None
-        self._kernel_pairs: tuple[np.ndarray, np.ndarray] | None = None
         self._excl: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- forces -------------------------------------------------------------
@@ -123,10 +116,7 @@ class ReferenceSimulator:
 
         The exclusion mask and the kernel's parameter gathers depend only
         on the pair list, so they are computed once per (re)build instead
-        of every step.  Unsorted lists (never produced by the builder, but
-        possible via direct :class:`PairList` construction) fall back to
-        the ``np.add.at`` scatter path and are counted, so benchmarks can
-        fail loudly if the hot path degrades.
+        of every step.
         """
         sys = self.system
         pi, pj = pairs.i, pairs.j
@@ -137,14 +127,9 @@ class ReferenceSimulator:
             pi, pj = pi[~excl], pj[~excl]
         else:
             self._excl = (pi[:0], pj[:0])
-        self._kernel_pairs = (pi, pj)
-        if pairs.sorted_by_i:
-            self._block = self._kernel.make_block(
-                pi, pj, sys.type_ids, sys.charges, n_atoms=sys.n_atoms
-            )
-        else:
-            self._block = None
-            METRICS.counter("nonbonded.scatter_fallback").inc()
+        self._block = self._kernel.make_block(
+            pi, pj, sys.type_ids, sys.charges, n_atoms=sys.n_atoms
+        )
         self._cached_for = pairs
 
     def compute_forces(self) -> tuple[float, float, float]:
@@ -175,21 +160,9 @@ class ReferenceSimulator:
             e_bonded = e_b + e_a
         else:
             e_corr = 0.0
-        if self._block is not None:
-            _, e_lj, e_coul = self._kernel.compute_block(
-                sys.positions, self._block, box=sys.box, out_forces=sys.forces
-            )
-        else:
-            pi, pj = self._kernel_pairs
-            _, e_lj, e_coul = self._kernel.compute(
-                sys.positions,
-                pi,
-                pj,
-                sys.type_ids,
-                sys.charges,
-                box=sys.box,
-                out_forces=sys.forces,
-            )
+        _, e_lj, e_coul = self._kernel.compute_block(
+            sys.positions, self._block, box=sys.box, out_forces=sys.forces
+        )
         e_coul += e_corr
         if self._pme is not None:
             from repro.md.system import wrap_positions

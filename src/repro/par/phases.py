@@ -147,10 +147,11 @@ def pair_search(ws: RankWorkspace) -> dict:
 
     The search itself is delegated to the configured kernel implementation
     (:mod:`repro.md.kernels`): ``"segment"`` searches over atoms with the
-    flat cell list, the cluster kernels over M×N cluster tiles.  Every
-    implementation returns the same :class:`SplitPairs` parts with the
-    same local/non-local/per-pulse semantics, so executors and the engine
-    never see which kernel produced the list.
+    flat cell list, ``"cluster"`` over M×N cluster tiles.  Both return
+    the same :class:`SplitPairs` parts — flat :class:`PairBlock` lists
+    with the same local/non-local/per-pulse semantics — so executors,
+    the engine and the force phases never see which search produced
+    the list.
     """
     ws.pairs = SplitPairs(**ws.cfg.kernel.impl.build_split(ws))
     return ws.pairs.stats

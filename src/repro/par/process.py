@@ -122,19 +122,10 @@ def _worker_loop(conn) -> None:
                                 time.perf_counter(),
                             )
                         )
-                    # Worker METRICS are invisible to the parent (fork), so
-                    # piggyback the cumulative fallback count on each reply.
-                    conn.send(
-                        (
-                            "ok",
-                            {
-                                "results": out,
-                                "fb": METRICS.counter(
-                                    "nonbonded.scatter_fallback"
-                                ).value,
-                            },
-                        )
-                    )
+                    # Worker METRICS are invisible to the parent (fork):
+                    # only each rank's result, duration and end stamp
+                    # travel back.
+                    conn.send(("ok", out))
                 elif op == "close":
                     conn.send(("ok", None))
                     return
@@ -217,7 +208,6 @@ class ProcessExecutor(RankExecutor):
         self._arena: dict[int, dict[str, np.ndarray]] = {}
         self._cfg_sent = False
         self._finalizer = None
-        self._fb_seen: list[int] = []
         #: Last request sent to each worker (phase name, or "bind"/"cfg").
         self._last_op: list[str] = []
 
@@ -249,7 +239,6 @@ class ProcessExecutor(RankExecutor):
             self._procs.append(proc)
             self._conns.append(parent_conn)
         self._ranks_of = [list(range(w, self.n_ranks, n)) for w in range(n)]
-        self._fb_seen = [0] * n
         self._last_op = [""] * n
         self._finalizer = weakref.finalize(
             self, _terminate, list(self._conns), list(self._procs), self._shm_box
@@ -399,25 +388,18 @@ class ProcessExecutor(RankExecutor):
         return results
 
     def _absorb_reply(self, worker: int, phase: str, results: list[Any]) -> float:
-        """Take one ``run`` reply: results, rank timings, fallback count.
+        """Take one ``run`` reply: results and rank timings.
 
         Returns the latest end stamp among the reply's ranks.
         """
-        payload = self._reply(worker)
         last_end = 0.0
-        for rank, result, dur_us, t_end in payload["results"]:
+        for rank, result, dur_us, t_end in self._reply(worker):
             results[rank] = result
             METRICS.histogram(
                 "par.rank_us", executor=self.name, phase=phase, rank=str(rank)
             ).observe(dur_us)
             self._note_rank_us(rank, dur_us)
             last_end = max(last_end, t_end)
-        # Worker METRICS are invisible here: fold the cumulative fallback
-        # count piggybacked on the reply into the parent's counter.
-        delta = payload["fb"] - self._fb_seen[worker]
-        if delta > 0:
-            METRICS.counter("nonbonded.scatter_fallback").inc(delta)
-            self._fb_seen[worker] = payload["fb"]
         return last_end
 
     def run_forces_overlapped(

@@ -1,10 +1,9 @@
 """Cross-parity suite for the non-bonded kernel registry.
 
-Every registered kernel ("segment", "cluster", and — when numba is
-installed — "cluster-numba") is checked against :func:`pair_forces` on
-the same pair list, under both coulomb modes, on flat and per-pulse
-partitioned blocks, to the documented tolerance gates (also recorded in
-DESIGN.md):
+Both registered kernels ("segment", "cluster") are checked against
+:func:`pair_forces` on the same pair list, under both coulomb modes, on
+flat and per-pulse partitioned blocks, to the documented tolerance gates
+(also recorded in DESIGN.md):
 
 * float64 kernels vs ``pair_forces``: max force component within
   ``F64_FORCE_RTOL`` of the force scale and energies within
@@ -21,13 +20,12 @@ per-tile image differs from the per-pair image.
 
 from __future__ import annotations
 
-import importlib.util
-import os
 import pickle
 
 import numpy as np
 import pytest
 
+import repro.cli as cli
 from repro.chaos import chaos_spec, run_campaign
 from repro.dd import DDGrid, DDSimulator
 from repro.md import make_grappa_system
@@ -37,21 +35,12 @@ from repro.md.cells import (
     cluster_tile_masks,
 )
 from repro.md.kernels import KERNEL_DTYPES, kernel_registry, make_kernel
-from repro.md.nonbonded import (
-    ClusterPairBlock,
-    NonbondedKernel,
-    block_forces,
-    cluster_forces_dense,
-    pair_forces,
-)
-from repro.md.pairlist import ClusterListBuilder
+from repro.md.nonbonded import NonbondedKernel, pair_forces
 from repro.md.reference import ReferenceSimulator
 from repro.spec import SimulationSpec
 
-HAS_NUMBA = importlib.util.find_spec("numba") is not None
-
-#: All kernels runnable in this environment.
-KERNELS = ("segment", "cluster") + (("cluster-numba",) if HAS_NUMBA else ())
+#: The registered kernels.
+KERNELS = ("segment", "cluster")
 
 #: Documented tolerance gates (see DESIGN.md "Kernel registry").
 F64_FORCE_RTOL = 1e-13
@@ -71,41 +60,32 @@ def _rel(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
 
 
+def _cluster_search(pos, box, r_list):
+    """Canonical flat pairs of the cluster search over a periodic box:
+    layouts -> candidates -> exact masks -> masked slots."""
+    periodic = np.ones(3, dtype=bool)
+    lay = build_clusters(pos, np.zeros(3), box, 4)
+    ci, cj = cluster_pair_candidates(lay, lay, r_list, box, periodic, True)
+    masks = cluster_tile_masks(pos, lay, lay, ci, cj, r_list, box, periodic, True)
+    ti, tm, tn = np.nonzero(masks)
+    pi = lay.atoms[ci[ti], tm]
+    pj = lay.atoms[cj[ti], tn]
+    lo, hi = np.minimum(pi, pj), np.maximum(pi, pj)
+    order = np.lexsort((hi, lo))
+    return lo[order], hi[order]
+
+
 @pytest.fixture(scope="module")
 def cluster_setup(ff):
-    """A wrapped grappa system with a built cluster-pair list."""
+    """A wrapped grappa system with the pairs the cluster search finds."""
     sys_ = make_grappa_system(1400, seed=3, ff=ff, dtype=np.float64)
     sys_.wrap()
-    builder = ClusterListBuilder(
-        box=sys_.box, cutoff=ff.cutoff, buffer=0.12, nstlist=10
-    )
-    return sys_, builder, builder.build(sys_.positions)
-
-
-def _cluster_block(sys_, pairs, ff, group_key=None):
-    lay = pairs.layout
-    return ClusterPairBlock(
-        pairs.i, pairs.j, sys_.type_ids, sys_.charges, ff,
-        n_atoms=sys_.positions.shape[0], group_key=group_key,
-        tile_atoms_i=lay.atoms[pairs.tile_i],
-        tile_atoms_j=lay.atoms[pairs.tile_j],
-        tile_masks=pairs.tile_masks,
-    )
-
-
-def _block_for(name, sys_, pairs, ff):
-    """The block shape each kernel evaluates: flat for segment, tiles else."""
-    if name == "segment":
-        return NonbondedKernel(ff, name=name).make_block(
-            pairs.i, pairs.j, sys_.type_ids, sys_.charges,
-            n_atoms=sys_.positions.shape[0],
-        )
-    return _cluster_block(sys_, pairs, ff)
+    return sys_, _cluster_search(sys_.positions, sys_.box, ff.cutoff + 0.12)
 
 
 class TestRegistry:
     def test_all_kernels_registered(self):
-        assert {"segment", "cluster", "cluster-numba"} <= set(kernel_registry)
+        assert sorted(kernel_registry) == ["cluster", "segment"]
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(KeyError, match="registered kernels"):
@@ -116,24 +96,26 @@ class TestRegistry:
             make_kernel("segment", dtype="float16")
         assert KERNEL_DTYPES == ("float64", "float32")
 
-    def test_bad_cluster_size_rejected(self):
-        with pytest.raises(ValueError, match="cluster size m"):
-            make_kernel("cluster", m=3)
-
     def test_impl_resolved_lazily_and_cached(self, ff):
         kern = NonbondedKernel(ff, name="cluster")
         assert "_impl" not in kern.__dict__
         assert kern.impl is kern.impl
         assert kern.impl.name == "cluster"
 
-    def test_pickle_drops_compiled_impl(self, ff):
+    def test_pickle_round_trip_keeps_configuration(self, ff):
+        # How a kernel reaches a process worker, resolved impl or not.
         kern = NonbondedKernel(ff, name="cluster", dtype="float32")
-        kern.impl  # materialize, then prove it never travels
-        assert "_impl" not in kern.__getstate__()
-        back = pickle.loads(pickle.dumps(kern))
-        assert "_impl" not in back.__dict__
-        assert (back.name, back.dtype) == ("cluster", "float32")
-        assert back.impl.np_dtype == np.float32  # worker re-materializes
+        for resolved in (False, True):
+            if resolved:
+                kern.impl
+            back = pickle.loads(pickle.dumps(kern))
+            assert (back.name, back.dtype) == ("cluster", "float32")
+            assert (back.impl.name, back.impl.dtype) == ("cluster", "float32")
+            # No dtype object travels: an unpickled copy of one is not
+            # NumPy's singleton and slows every array made with it.
+            assert not any(
+                isinstance(v, np.dtype) for v in vars(back.impl).values()
+            )
 
     def test_spec_validates_kernel_fields(self):
         with pytest.raises(ValueError, match="registered kernels"):
@@ -142,6 +124,20 @@ class TestRegistry:
             SimulationSpec(kernel_dtype="float16")
         spec = SimulationSpec(kernel="cluster", kernel_dtype="float32")
         assert (spec.kernel, spec.kernel_dtype) == ("cluster", "float32")
+
+    def test_compiled_kernel_name_is_an_unknown_choice(self, capsys):
+        with pytest.raises(ValueError) as err:
+            SimulationSpec(kernel="cluster-numba")
+        assert str(err.value) == (
+            "unknown spec kernel 'cluster-numba'; "
+            "registered kernels: segment, cluster"
+        )
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["verify", "--kernel", "cluster-numba"])
+        assert exit_.value.code == 2
+        message = capsys.readouterr().err
+        assert "--kernel: invalid choice: 'cluster-numba'" in message
+        assert "(choose from 'segment', 'cluster')" in message
 
     def test_engine_fails_fast_on_unknown_kernel(self, tiny_system, ff):
         with pytest.raises(KeyError, match="registered kernels"):
@@ -198,17 +194,20 @@ class TestMaskCompleteness:
 
 
 class TestFlatParity:
-    """Every kernel vs pair_forces on the same (flat) pair list."""
+    """block_forces, reached through each registered name, vs pair_forces
+    on the same pair list: one check per coulomb mode and precision."""
 
     @pytest.mark.parametrize("name", KERNELS)
     @pytest.mark.parametrize("coulomb,beta", COULOMB_MODES)
     def test_float64(self, cluster_setup, ff, name, coulomb, beta):
-        sys_, _, pairs = cluster_setup
+        sys_, pairs = cluster_setup
         kern = NonbondedKernel(ff, coulomb=coulomb, ewald_beta=beta, name=name)
-        block = _block_for(name, sys_, pairs, ff)
+        block = kern.make_block(
+            *pairs, sys_.type_ids, sys_.charges, n_atoms=sys_.n_atoms
+        )
         f, e_lj, e_c = kern.compute_block(sys_.positions, block, box=sys_.box)
         rf, r_lj, r_c = pair_forces(
-            sys_.positions, pairs.i, pairs.j, sys_.type_ids, sys_.charges,
+            sys_.positions, *pairs, sys_.type_ids, sys_.charges,
             ff, box=sys_.box, coulomb=coulomb, ewald_beta=beta,
         )
         assert _force_err(f, rf) < F64_FORCE_RTOL
@@ -218,59 +217,21 @@ class TestFlatParity:
     @pytest.mark.parametrize("name", KERNELS)
     @pytest.mark.parametrize("coulomb,beta", COULOMB_MODES)
     def test_float32_gates(self, cluster_setup, ff, name, coulomb, beta):
-        sys_, _, pairs = cluster_setup
+        sys_, pairs = cluster_setup
         kern = NonbondedKernel(
             ff, coulomb=coulomb, ewald_beta=beta, name=name, dtype="float32"
         )
-        block = _block_for(name, sys_, pairs, ff)
+        block = kern.make_block(
+            *pairs, sys_.type_ids, sys_.charges, n_atoms=sys_.n_atoms
+        )
         f, e_lj, e_c = kern.compute_block(sys_.positions, block, box=sys_.box)
         rf, r_lj, r_c = pair_forces(
-            sys_.positions, pairs.i, pairs.j, sys_.type_ids, sys_.charges,
+            sys_.positions, *pairs, sys_.type_ids, sys_.charges,
             ff, box=sys_.box, coulomb=coulomb, ewald_beta=beta,
         )
         assert _force_err(f, rf) < F32_FORCE_RTOL
         assert _rel(e_lj, r_lj) < F32_ENERGY_RTOL
         assert _rel(e_c, r_c) < F32_ENERGY_RTOL
-
-    def test_segment_and_cluster_f64_bit_identical(self, cluster_setup, ff):
-        # Same canonical (i, j)-lexsorted entries through the same segment
-        # chain: not just close — equal.
-        sys_, _, pairs = cluster_setup
-        seg = NonbondedKernel(ff, name="segment")
-        clu = NonbondedKernel(ff, name="cluster")
-        f1, a1, b1 = seg.compute_block(
-            sys_.positions, _block_for("segment", sys_, pairs, ff), box=sys_.box
-        )
-        f2, a2, b2 = clu.compute_block(
-            sys_.positions, _block_for("cluster", sys_, pairs, ff), box=sys_.box
-        )
-        assert np.array_equal(f1, f2)
-        assert (a1, b1) == (a2, b2)
-
-
-class TestDenseTwin:
-    """cluster_forces_dense is the correctness twin of the flat chain."""
-
-    @pytest.mark.parametrize("coulomb,beta", COULOMB_MODES)
-    def test_float64(self, cluster_setup, ff, coulomb, beta):
-        sys_, _, pairs = cluster_setup
-        block = _cluster_block(sys_, pairs, ff)
-        ff_kw = dict(box=sys_.box, coulomb=coulomb, ewald_beta=beta)
-        f1, a1, b1 = block_forces(sys_.positions, block, ff, **ff_kw)
-        f2, a2, b2 = cluster_forces_dense(sys_.positions, block, ff, **ff_kw)
-        assert _force_err(f2, f1) < F64_FORCE_RTOL
-        assert _rel(a2, a1) < F64_ENERGY_RTOL
-        assert _rel(b2, b1) < F64_ENERGY_RTOL
-
-    def test_float32(self, cluster_setup, ff):
-        sys_, _, pairs = cluster_setup
-        block = _cluster_block(sys_, pairs, ff)
-        f1, a1, b1 = block_forces(sys_.positions, block, ff, box=sys_.box)
-        f2, a2, b2 = cluster_forces_dense(
-            sys_.positions, block, ff, box=sys_.box, dtype=np.float32
-        )
-        assert _force_err(f2, f1) < F32_FORCE_RTOL
-        assert _rel(a2, a1) < F32_ENERGY_RTOL
 
 
 def _run_dd(system, ff, *, steps=6, nstlist=3, **kwargs):
@@ -367,60 +328,6 @@ class TestPulsePartition:
             assert _rel(e_c, r_c) < F64_ENERGY_RTOL
             checked += 1
         assert checked, "no rank produced non-local work"
-
-
-@pytest.mark.skipif(HAS_NUMBA, reason="numba installed; fallback path untestable")
-class TestNumbaMissing:
-    """Without numba the error must be actionable and name the fallback."""
-
-    def test_actionable_import_error(self):
-        with pytest.raises(ImportError, match="pip install numba"):
-            make_kernel("cluster-numba")
-
-    def test_error_names_numpy_fallback(self):
-        with pytest.raises(ImportError, match="kernel='cluster'"):
-            make_kernel("cluster-numba")
-
-    def test_engine_fails_fast_at_construction(self, tiny_system, ff):
-        with pytest.raises(ImportError, match="numba"):
-            DDSimulator(tiny_system, ff, n_ranks=2, kernel="cluster-numba")
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="needs numba")
-class TestNumba:
-    def test_dd_matches_cluster_closely(self, tiny_system, ff):
-        ref = _run_dd(tiny_system, ff, n_ranks=2, steps=3, kernel="cluster")
-        out = _run_dd(tiny_system, ff, n_ranks=2, steps=3, kernel="cluster-numba")
-        assert np.allclose(ref[0], out[0], atol=1e-10)
-
-    @pytest.mark.skipif(
-        not os.environ.get("REPRO_PERF_ASSERT"),
-        reason="perf assertion is CI-only (set REPRO_PERF_ASSERT=1)",
-    )
-    def test_faster_than_numpy_cluster(self, ff):
-        # CI-only: wall-clock assertions are too flaky for dev machines.
-        import time
-
-        sys_ = make_grappa_system(6000, seed=5, ff=ff, dtype=np.float64)
-        sys_.wrap()
-        builder = ClusterListBuilder(
-            box=sys_.box, cutoff=ff.cutoff, buffer=0.12, nstlist=10
-        )
-        pairs = builder.build(sys_.positions)
-        block = _cluster_block(sys_, pairs, ff)
-
-        def best_of(kern, reps=7):
-            kern.compute_block(sys_.positions, block, box=sys_.box)  # warm up
-            times = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                kern.compute_block(sys_.positions, block, box=sys_.box)
-                times.append(time.perf_counter() - t0)
-            return min(times)
-
-        t_numpy = best_of(NonbondedKernel(ff, name="cluster"))
-        t_numba = best_of(NonbondedKernel(ff, name="cluster-numba"))
-        assert t_numba < t_numpy, (t_numba, t_numpy)
 
 
 class TestChaosOnCluster:

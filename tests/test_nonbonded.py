@@ -128,14 +128,6 @@ class TestBulk:
         with pytest.raises(ValueError):
             pair_forces(pos, i, j, tid, q, ff, box=box, out_forces=np.zeros((3, 3)))
 
-    def test_kernel_wrapper_equivalent(self, ff):
-        pos, i, j, tid, q, box = self._bulk(ff, n=80)
-        k = NonbondedKernel(ff)
-        f1, e1, c1 = k.compute(pos, i, j, tid, q, box=box)
-        f2, e2, c2 = pair_forces(pos, i, j, tid, q, ff, box=box)
-        np.testing.assert_array_equal(f1, f2)
-        assert (e1, c1) == (e2, c2)
-
     def test_float32_forces_close_to_float64(self, ff):
         pos, i, j, tid, q, box = self._bulk(ff, n=200)
         f64, _, _ = pair_forces(pos, i, j, tid, q, ff, box=box)
@@ -150,41 +142,16 @@ class TestBulk:
 
 
 class TestOverlapHandling:
-    """r == 0 raises only for pairs that actually interact.
-
-    Buffered/padded lists legitimately carry masked entries whose
-    coordinates may coincide; they must contribute exactly zero (not
-    inf/nan through the reciprocal chain) while a genuine in-cutoff
-    overlap still fails loudly — on both precision paths.
-    """
-
-    def _blocks(self, ff, mask):
-        pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.3, 0.0, 0.0]])
-        tid = np.zeros(3, dtype=np.int32)
-        q = np.array([0.2, -0.1, 0.3])
-        block = PairBlock(
-            np.array([0, 0]), np.array([1, 2]), tid, q, ff,
-            n_atoms=3, mask=mask,
-        )
-        return pos, tid, q, block
-
-    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
-    def test_masked_coincident_pair_is_inert(self, ff, dtype):
-        mask = np.array([False, True])  # (0, 1) coincide but are masked
-        pos, tid, q, block = self._blocks(ff, mask)
-        f, e_lj, e_c = block_forces(pos, block, ff, dtype=dtype)
-        assert np.isfinite(f).all() and np.isfinite([e_lj, e_c]).all()
-        f_ref, e_ref, c_ref = pair_forces(
-            pos, np.array([0]), np.array([2]), tid, q, ff
-        )
-        rtol = 1e-12 if dtype == np.float64 else 1e-5
-        np.testing.assert_allclose(f, f_ref, rtol=rtol, atol=1e-30)
-        assert e_lj == pytest.approx(e_ref, rel=rtol)
-        assert e_c == pytest.approx(c_ref, rel=rtol)
+    """A genuine in-cutoff overlap (r == 0) fails loudly on both
+    precision paths."""
 
     @pytest.mark.parametrize("dtype", (np.float64, np.float32))
     def test_unmasked_in_cutoff_overlap_raises(self, ff, dtype):
-        pos, _, _, block = self._blocks(ff, mask=None)
+        pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.3, 0.0, 0.0]])
+        block = PairBlock(
+            np.array([0, 0]), np.array([1, 2]), np.zeros(3, dtype=np.int32),
+            np.array([0.2, -0.1, 0.3]), ff, n_atoms=3,
+        )
         with pytest.raises(FloatingPointError, match="overlapping"):
             block_forces(pos, block, ff, dtype=dtype)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.md import default_forcefield, make_grappa_system
 from repro.md.nonbonded import pair_forces
-from repro.md.pairlist import ClusterListBuilder, PairList, VerletListBuilder
+from repro.md.pairlist import VerletListBuilder
 from repro.obs.metrics import METRICS
 
 
@@ -116,34 +116,13 @@ class TestSortedInvariant:
     def test_build_marks_sorted(self, setup):
         _, sys_, builder = setup
         pairs = builder.build(sys_.positions)
-        assert pairs.sorted_by_i
         assert np.all(np.diff(pairs.i) >= 0)
 
     def test_prune_preserves_sorted(self, setup):
         _, sys_, builder = setup
         pairs = builder.build(sys_.positions)
         pruned = builder.prune(pairs, sys_.positions)
-        assert pruned.sorted_by_i
         assert np.all(np.diff(pruned.i) >= 0)
-
-    def test_prune_restores_unsorted_input(self, setup):
-        _, sys_, builder = setup
-        pairs = builder.build(sys_.positions)
-        rng = np.random.default_rng(1)
-        perm = rng.permutation(pairs.n_pairs)
-        shuffled = PairList(
-            i=pairs.i[perm], j=pairs.j[perm], r_list=pairs.r_list,
-            ref_positions=pairs.ref_positions,
-        )
-        assert not shuffled.sorted_by_i
-        pruned = builder.prune(shuffled, sys_.positions)
-        assert pruned.sorted_by_i
-        assert np.all(np.diff(pruned.i) >= 0)
-        # Re-sorting drops no pairs: the same set survives either way.
-        direct = builder.prune(pairs, sys_.positions)
-        assert set(zip(pruned.i.tolist(), pruned.j.tolist())) == set(
-            zip(direct.i.tolist(), direct.j.tolist())
-        )
 
 
 class TestScratchReuse:
@@ -169,74 +148,3 @@ class TestScratchReuse:
         assert gauge.value == pytest.approx(0.03 * np.sqrt(3.0), rel=1e-9)
         builder.needs_rebuild(pairs, sys_.positions)
         assert gauge.value == 0.0
-
-
-class TestClusterLifecycle:
-    """ClusterListBuilder honours the same buffered-Verlet contract."""
-
-    @pytest.fixture(scope="class")
-    def csetup(self):
-        ff = default_forcefield(cutoff=0.65)
-        sys_ = make_grappa_system(1400, seed=3, ff=ff, dtype=np.float64)
-        sys_.wrap()
-        builder = ClusterListBuilder(
-            box=sys_.box, cutoff=ff.cutoff, buffer=0.15, nstlist=10
-        )
-        return ff, sys_, builder
-
-    def test_contains_all_cutoff_pairs(self, csetup):
-        ff, sys_, builder = csetup
-        flat = VerletListBuilder(
-            box=sys_.box, cutoff=ff.cutoff, buffer=0.15, nstlist=10
-        ).build(sys_.positions)
-        pairs = builder.build(sys_.positions)
-        got = set(zip(pairs.i.tolist(), pairs.j.tolist()))
-        want = set(zip(flat.i.tolist(), flat.j.tolist()))
-        # Identical pair *sets*: cluster tiles mask exactly at r_list too.
-        assert got == want
-        assert pairs.n_tiles > 0
-        assert pairs.sorted_by_i and np.all(np.diff(pairs.i) >= 0)
-
-    def test_rebuild_triggers(self, csetup):
-        _, sys_, builder = csetup
-        pairs = builder.build(sys_.positions)
-        assert not builder.needs_rebuild(pairs, sys_.positions)
-        pairs.steps_since_build = builder.nstlist
-        assert builder.needs_rebuild(pairs, sys_.positions)
-        pairs.steps_since_build = 0
-        drifted = sys_.positions + 0.51 * builder.buffer / np.sqrt(3.0)
-        assert builder.needs_rebuild(pairs, drifted)
-
-    def test_prune_never_changes_forces(self, csetup):
-        ff, sys_, builder = csetup
-        pairs = builder.build(sys_.positions)
-        pruned = builder.prune(pairs, sys_.positions)
-        assert pruned.n_tiles <= pairs.n_tiles
-        f1, e1, c1 = pair_forces(
-            sys_.positions, pairs.i, pairs.j, sys_.type_ids, sys_.charges,
-            ff, box=sys_.box,
-        )
-        f2, e2, c2 = pair_forces(
-            sys_.positions, pruned.i, pruned.j, sys_.type_ids, sys_.charges,
-            ff, box=sys_.box,
-        )
-        np.testing.assert_allclose(f1, f2, atol=1e-10)
-        assert e1 == pytest.approx(e2)
-        assert c1 == pytest.approx(c2)
-
-    def test_prune_keeps_tile_structure_consistent(self, csetup):
-        _, sys_, builder = csetup
-        pairs = builder.build(sys_.positions)
-        pruned = builder.prune(pairs, sys_.positions)
-        # The flat view must be exactly the masked tile entries.
-        lay = pruned.layout
-        ti, tm, tn = np.nonzero(pruned.tile_masks)
-        pi = lay.atoms[pruned.tile_i[ti], tm]
-        pj = lay.atoms[pruned.tile_j[ti], tn]
-        got = set(zip(np.minimum(pi, pj).tolist(), np.maximum(pi, pj).tolist()))
-        assert got == set(zip(pruned.i.tolist(), pruned.j.tolist()))
-
-    def test_validation(self, csetup):
-        _, sys_, _ = csetup
-        with pytest.raises(ValueError, match="cluster size m"):
-            ClusterListBuilder(box=sys_.box, cutoff=0.65, m=5)

@@ -397,11 +397,3 @@ class TestSplitForces:
         assert halo.count - h0 == 4
         assert hidden.count - hid0 == 4
         assert halo.sum >= 0.0 and hidden.sum >= 0.0
-
-    def test_no_scatter_fallback_in_dd_runs(self, tiny_system, ff):
-        from repro.obs.metrics import METRICS
-
-        fb = METRICS.counter("nonbonded.scatter_fallback")
-        before = fb.value
-        _run(tiny_system.copy(), ff, "process", steps=4)
-        assert fb.value == before

@@ -1,5 +1,8 @@
 """Serial reference simulator: lifecycle and physics sanity."""
 
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,35 @@ class TestLifecycle:
         for _ in range(4):
             sim.step()
         assert sim._pairs is not pl1  # rebuilt at the NS step
+
+
+class TestOracleIndependence:
+    def test_kernel_name_never_selects_the_cluster_search(self, monkeypatch):
+        """Whatever ``kernel`` names, the oracle builds its list with the
+        flat cell-list search and the trajectory is the same."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the reference simulator ran the cluster search")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and hasattr(module, "build_clusters"):
+                monkeypatch.setattr(module, "build_clusters", forbidden)
+
+        ff = default_forcefield(cutoff=0.65)
+        out = {}
+        for kernel in ("segment", "cluster"):
+            sys_ = make_grappa_system(1400, seed=3, ff=ff, dtype=np.float64)
+            sim = ReferenceSimulator(sys_, ff, nstlist=3, buffer=0.12, kernel=kernel)
+            builds, last = 0, None
+            for _ in range(8):  # builds at steps 0, 3 and 6
+                sim.step()
+                builds += sim._pairs is not last
+                last = sim._pairs
+            assert builds >= 3
+            digest = hashlib.sha256(
+                np.ascontiguousarray(sys_.positions).tobytes()
+            ).hexdigest()
+            out[kernel] = (digest, [r.total for r in sim.energies])
+        assert out["cluster"] == out["segment"]
 
 
 class TestPhysics:

@@ -18,9 +18,15 @@ import pytest
 
 from repro.dd.engine import DDSimulator
 from repro.md import make_grappa_system
-from repro.md.cells import BuildBudget, CellGrid
+from repro.md.cells import (
+    BuildBudget,
+    CellGrid,
+    build_clusters,
+    cluster_pair_candidates,
+    cluster_tile_masks,
+)
 from repro.md.grappa import resolve_atoms
-from repro.md.pairlist import ClusterListBuilder, VerletListBuilder
+from repro.md.pairlist import VerletListBuilder
 from repro.obs.metrics import METRICS
 from repro.serve import SimulationSpec
 
@@ -29,6 +35,31 @@ def _digest(positions: np.ndarray) -> bytes:
     import hashlib
 
     return hashlib.sha256(np.ascontiguousarray(positions).tobytes()).digest()
+
+
+def _cluster_search(pos, box, r_list, max_bytes=None):
+    """``(ci, cj, masks)`` of the cluster search and its peak working set."""
+    periodic = np.ones(3, dtype=bool)
+    budget = BuildBudget(max_bytes=max_bytes)
+    lay = build_clusters(pos, np.zeros(3), box, 4)
+    ci, cj = cluster_pair_candidates(
+        lay, lay, r_list, box, periodic, True, budget=budget
+    )
+    masks = cluster_tile_masks(
+        pos, lay, lay, ci, cj, r_list, box, periodic, True, budget=budget
+    )
+    return (ci, cj, masks), budget.peak_bytes
+
+
+def _assert_cap_only_bounds_memory(system, r_list, cap):
+    """Capped and uncapped cluster searches: equal output, smaller peak."""
+    loose, loose_peak = _cluster_search(system.positions, system.box, r_list)
+    tight, tight_peak = _cluster_search(
+        system.positions, system.box, r_list, max_bytes=cap
+    )
+    for uncapped, capped in zip(loose, tight):
+        assert np.array_equal(uncapped, capped)
+    assert tight_peak < loose_peak
 
 
 def _run(ff, *, kernel: str, max_build_bytes: int | None,
@@ -78,18 +109,7 @@ class TestChunkedBuildParity:
         assert np.array_equal(a.j, b.j)
 
     def test_builder_level_parity_cluster(self, small_system, ff):
-        pos = small_system.positions
-        box = small_system.box
-        uncapped = ClusterListBuilder(box=box, cutoff=ff.cutoff, buffer=0.12)
-        capped = ClusterListBuilder(box=box, cutoff=ff.cutoff, buffer=0.12,
-                                    max_build_bytes=8192)
-        a = uncapped.build(pos)
-        b = capped.build(pos)
-        assert np.array_equal(a.tile_i, b.tile_i)
-        assert np.array_equal(a.tile_j, b.tile_j)
-        assert np.array_equal(a.tile_masks, b.tile_masks)
-        assert np.array_equal(a.i, b.i)
-        assert np.array_equal(a.j, b.j)
+        _assert_cap_only_bounds_memory(small_system, ff.cutoff + 0.12, cap=8192)
 
 
 # -- BuildBudget + memory accounting -------------------------------------------
@@ -144,6 +164,24 @@ class TestBuildBudget:
                 assert w.build_peak_bytes >= w.pairlist_bytes
                 assert w.build_peak_bytes <= peak
 
+    def test_pairlist_bytes_do_not_depend_on_the_search(self, ff):
+        """Same pair set, same block type: both searches store the same
+        bytes, per rank and in total."""
+        got = {}
+        for kernel in ("segment", "cluster"):
+            system = make_grappa_system(1400, seed=11, ff=ff, dtype=np.float64)
+            with DDSimulator(
+                system, ff, n_ranks=4, backend="reference", executor="serial",
+                nstlist=2, buffer=0.12, kernel=kernel,
+            ) as sim:
+                sim.step()
+                got[kernel] = (
+                    METRICS.gauge("md.pairlist.bytes").value,
+                    [w.pairlist_bytes for w in sim.workloads],
+                )
+        assert got["cluster"] == got["segment"]
+        assert got["cluster"][0] == sum(got["cluster"][1]) > 0
+
     def test_chunk_working_set_bounded_by_cap(self, ff):
         """The cap actually bounds what the chunked stages allocate.
 
@@ -153,14 +191,7 @@ class TestBuildBudget:
         uncapped build on the same rank.
         """
         system = make_grappa_system(3000, seed=7, ff=ff, dtype=np.float64)
-        pos = system.positions
-        box = system.box
-        tight = ClusterListBuilder(box=box, cutoff=ff.cutoff, buffer=0.12,
-                                   max_build_bytes=65536)
-        loose = ClusterListBuilder(box=box, cutoff=ff.cutoff, buffer=0.12)
-        tight.build(pos)
-        loose.build(pos)
-        assert tight.last_budget.peak_bytes < loose.last_budget.peak_bytes
+        _assert_cap_only_bounds_memory(system, ff.cutoff + 0.12, cap=65536)
 
 
 # -- lazy per-rank arena -------------------------------------------------------
@@ -217,8 +248,8 @@ def test_192k_16_rank_build_stays_within_the_memory_ceilings():
     The chunked build allocates per local atom, never per global atom, so
     the per-rank build peak stays under 12000 B/atom and the process tree
     (self + reaped workers) under 6 GiB.  Measured on the 2-vCPU benchmark
-    host: 8308 B/atom, 2227 MiB, ~25 s.  Uncapped, the same build peaks at
-    12794 B/atom, over the ceiling — so ignoring the cap fails this test.
+    host: 7586 B/atom, 2126 MiB, ~25 s.  Uncapped, the same build peaks at
+    12072 B/atom, over the ceiling — so ignoring the cap fails this test.
     """
     spec = SimulationSpec(
         system="192k", ranks=16, executor="process", kernel="cluster",
