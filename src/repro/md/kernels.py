@@ -18,8 +18,9 @@ differ only in how a rank *finds* its pairs:
 
 Both produce the same canonically ``(i, j)``-sorted flat
 :class:`~repro.md.nonbonded.PairBlock` lists — the one pair-list
-representation — and every step evaluates them with
-:func:`~repro.md.nonbonded.block_forces`, the one evaluator.
+representation, immutable once built — and every step evaluates them
+with :func:`~repro.md.nonbonded.block_forces`, the one evaluator, which
+runs each list in cache-sized chunks over one scratch per thread.
 
 Every implementation accepts ``dtype="float32"`` — the documented fast
 path: kernel-internal geometry and interaction math in float32, energy
@@ -104,7 +105,8 @@ class KernelImpl:
         # Kept as the name, never as an ``np.dtype``: an instance of this
         # class reaches process workers by pickle, and an unpickled
         # ``np.dtype`` is a copy, not NumPy's singleton — scratch arrays
-        # created with the copy run ~3 % slower through ``block_forces``.
+        # created with the copy run ~3 % slower through ``block_forces``,
+        # which therefore keys and creates its scratch by this name.
         self.dtype = dtype
 
     def build_split(self, ws) -> dict:

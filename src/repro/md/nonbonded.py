@@ -10,11 +10,14 @@ pair arrays ``i``/``j``:
 * :class:`PairBlock` + :func:`block_forces` — what every simulator runs,
   whichever search built the list: the pair list is sorted by ``i`` once
   (at build/prune time), LJ parameters and charge products are cached
-  per list, displacement/force scratch buffers are reused across steps,
-  and the force reduction runs as
-  ``np.add.reduceat`` over ``i``-segments plus one ``np.bincount`` per
-  component for the ``j`` side — the NumPy analogue of GROMACS' sorted
-  cluster-pair reduction, several times faster than the scatter.
+  per list, and the force reduction runs as ``np.add.reduceat`` over
+  ``i``-segments plus one ``np.bincount`` per component for the ``j``
+  side — the NumPy analogue of GROMACS' sorted cluster-pair reduction,
+  several times faster than the scatter.  The evaluator is cache-blocked:
+  it walks the list in :data:`CHUNK_PAIRS`-pair chunks cut at
+  ``i``-segment boundaries over one chunk-sized scratch per thread, so
+  the chain's ~35 ufunc passes stream through cache instead of DRAM and
+  a block holds nothing but its list.
 
 Pairs beyond the interaction cutoff (present in a buffered Verlet list)
 contribute zero, matching GROMACS' buffered-list semantics; the block path
@@ -24,11 +27,13 @@ with the sorted list.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.md.forcefield import COULOMB_FACTOR, ForceField
+from repro.obs.metrics import METRICS
 
 
 def pair_forces(
@@ -158,9 +163,8 @@ class PairBlock:
     constant while the list lives: LJ ``C6``/``C12`` (plus the
     force-prefactored ``12*C12``/``6*C6``), charge products, the LJ
     potential shift, and the segment boundaries for ``np.add.reduceat``.
-    Scratch buffers for the per-step displacement/force pipeline are
-    allocated lazily and reused, so steady-state steps allocate nothing
-    of pair-list size.
+    Nothing is written after ``__init__``: the evaluator's scratch
+    belongs to :func:`block_forces`, not to the list.
 
     Correctness does not require sortedness — boundaries are wherever
     ``i`` (or ``group_key``) changes between consecutive entries — but an
@@ -169,7 +173,7 @@ class PairBlock:
 
     __slots__ = (
         "i", "j", "n_atoms", "seg_starts", "seg_i",
-        "c6", "c12", "c12_12", "c6_6", "qq", "e_shift", "_scratch",
+        "c6", "c12", "c12_12", "c6_6", "qq", "e_shift",
     )
 
     def __init__(
@@ -209,7 +213,6 @@ class PairBlock:
         rc2 = ff.cutoff * ff.cutoff
         rc_inv6 = 1.0 / rc2**3
         self.e_shift = self.c12 * rc_inv6 * rc_inv6 - self.c6 * rc_inv6
-        self._scratch: dict[str, np.ndarray] = {}
 
     @property
     def n_pairs(self) -> int:
@@ -219,8 +222,8 @@ class PairBlock:
     def nbytes(self) -> int:
         """Stored footprint: pair indices, segment tables, cached params.
 
-        Scratch is excluded — it is transient per step and bounded by the
-        same pair count.  Feeds the ``md.pairlist.bytes`` accounting.
+        All a block holds — evaluator scratch is per process, not per
+        list (:func:`scratch_nbytes`).  Feeds ``md.pairlist.bytes``.
         """
         return int(
             self.i.nbytes + self.j.nbytes
@@ -230,32 +233,67 @@ class PairBlock:
             + self.qq.nbytes + self.e_shift.nbytes
         )
 
-    def buf(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """Reusable named scratch buffer (reallocated only on shape change)."""
-        b = self._scratch.get(name)
-        if b is None or b.shape != shape or b.dtype != dtype:
-            b = self._scratch[name] = np.empty(shape, dtype=dtype)
-        return b
 
-    def params(self, dtype) -> tuple:
-        """``(c12_12, c6_6, c12, c6, qq, e_shift)`` cast to ``dtype``.
+#: Pairs per evaluation chunk: the middle of the flat 16k-32k bottom of
+#: the sweep on both MD workloads (DESIGN.md §4).  Smaller chunks pay the
+#: ~50 NumPy calls per chunk too often, larger ones push the chunk's
+#: 130 B/pair working set out of cache.
+CHUNK_PAIRS = 24576
 
-        The float64 originals are returned as-is; lower-precision copies
-        (the float32 fast path) are cached in scratch so casting happens
-        once per list, not per step.
-        """
-        if np.dtype(dtype) == np.float64:
-            return (self.c12_12, self.c6_6, self.c12, self.c6,
-                    self.qq, self.e_shift)
-        key = f"_params_{np.dtype(dtype).name}"
-        cached = self._scratch.get(key)
-        if cached is None:
-            cached = tuple(
-                getattr(self, name).astype(dtype)
-                for name in ("c12_12", "c6_6", "c12", "c6", "qq", "e_shift")
-            )
-            self._scratch[key] = cached
-        return cached
+class _Scratch(threading.local):
+    """Evaluator scratch of one thread (= one process under both executors;
+    the serve job pool runs whole simulations on threads).  ``by_dtype``
+    maps the compute dtype *name* to ``geom`` (the two gathered ``(rows, 3)``
+    coordinate sets), ``cols`` (the chain's ten float columns) and ``masks``
+    (its two boolean ones), all chunk-sized, plus ``fvec``, the force
+    components of the largest block seen (``(3, pairs)``, grow-only).
+    No call reads what an earlier call left there."""
+
+    def __init__(self) -> None:
+        self.by_dtype: dict[str, dict[str, np.ndarray]] = {}
+
+
+_scratch = _Scratch()
+
+
+def scratch_nbytes() -> int:
+    """Bytes of evaluator scratch the calling thread holds, over all
+    dtypes (the ``md.kernel.scratch_bytes`` gauge)."""
+    return sum(a.nbytes for s in _scratch.by_dtype.values() for a in s.values())
+
+
+def _scratch_for(dtype: str, rows: int, pairs: int) -> dict[str, np.ndarray]:
+    """Scratch with at least ``rows`` chunk rows and ``fvec`` room for
+    ``pairs`` pairs.  Arrays are created from the dtype *name*: an
+    ``np.dtype`` that came through pickle is a copy of NumPy's singleton
+    and arrays made with it run slower (see ``KernelImpl.dtype``)."""
+    s = _scratch.by_dtype.setdefault(dtype, {})
+    # CHUNK_PAIRS rows hold every chunk unless one i-segment alone is
+    # longer than that, so the chunk arrays are made once per process.
+    rows = max(rows, CHUNK_PAIRS)
+    for name, shape, kind in (
+        ("geom", (2, rows, 3), dtype), ("cols", (10, rows), dtype),
+        ("masks", (2, rows), bool), ("fvec", (3, pairs), dtype),
+    ):
+        if name not in s or s[name].shape[1] < shape[1]:
+            s[name] = np.empty(shape, dtype=kind)
+            METRICS.gauge("md.kernel.scratch_bytes").set(scratch_nbytes())
+    return s
+
+
+def _chunks(block: PairBlock, target: int):
+    """Cut ``block`` into chunks of at most ``target`` pairs that end on
+    ``i``-segment boundaries (a longer segment is a chunk of its own).
+    Yields ``(lo, hi, s0, s1)``: pairs ``[lo, hi)`` = segments ``[s0, s1)``."""
+    starts, m = block.seg_starts, block.n_pairs
+    s0 = 0
+    while s0 < starts.size:
+        lo = int(starts[s0])
+        # Cut at the last segment start within ``target`` pairs of ``lo``.
+        s1 = int(np.searchsorted(starts, lo + target, side="right")) - 1
+        s1 = starts.size if lo + target >= m else max(s1, s0 + 1)
+        yield lo, (int(starts[s1]) if s1 < starts.size else m), s0, s1
+        s0 = s1
 
 
 def block_forces(
@@ -267,7 +305,7 @@ def block_forces(
     out_forces: np.ndarray | None = None,
     coulomb: str = "rf",
     ewald_beta: float = 0.0,
-    dtype=np.float64,
+    dtype="float64",
 ) -> tuple[np.ndarray, float, float]:
     """Segment-reduced twin of :func:`pair_forces` over a :class:`PairBlock`.
 
@@ -278,11 +316,20 @@ def block_forces(
     scatters — so per-atom results agree to accumulation-order rounding.
     Out-of-cutoff pairs are masked (zeroed) rather than compacted.
 
-    ``dtype=np.float32`` selects the fast path: geometry, parameters, and
+    The block runs in chunks of at most :data:`CHUNK_PAIRS` pairs cut at
+    ``i``-segment boundaries: gather, minimum image, interaction chain,
+    energy sums and ``i``-side reduction per chunk over one chunk-sized
+    scratch; the chunks' force vectors collect in a pair-length buffer
+    and the ``j``-side ``bincount`` runs once over the whole block.  No
+    segment is split, so per-atom forces do not depend on the chunk size;
+    energies are sums of per-chunk sums and do, to rounding.
+
+    ``dtype="float32"`` selects the fast path: geometry, parameters, and
     the interaction chain run in float32 while energy sums and per-atom
     force accumulation stay float64 (mixed precision, the GPU convention).
     The overlap (``r == 0``) check considers only pairs that interact —
-    buffered lists legitimately carry entries beyond the cutoff.
+    buffered lists legitimately carry entries beyond the cutoff; when it
+    raises, ``out_forces`` may already hold earlier chunks' ``i``-side sums.
     """
     positions = np.asarray(positions)
     n = positions.shape[0]
@@ -297,114 +344,131 @@ def block_forces(
     m = block.n_pairs
     if m == 0:
         return out_forces, 0.0, 0.0
-    dt = np.dtype(dtype)
-    if dt == np.float64:
-        pos = positions if positions.dtype == np.float64 else positions.astype(np.float64)
-    else:
-        pos = block.buf("pos_dt", (n, 3), dt)
-        np.copyto(pos, positions)
-    sc = dt.type  # scalar-constant cast; a no-op for float64
-
-    xi = block.buf("xi", (m, 3), dt)
-    xj = block.buf("xj", (m, 3), dt)
-    np.take(pos, block.i, axis=0, out=xi)
-    np.take(pos, block.j, axis=0, out=xj)
-    dx = np.subtract(xi, xj, out=xi)
-    if box is not None:
-        # Minimum image per periodic dim only: DD rank domains are
-        # mostly (often fully) non-periodic, and skipping the wrapped
-        # divide/rint there is a real per-step saving.  Bit-compatible
-        # with the all-dims form — the shift was exactly zero anyway.
-        box_dt = np.asarray(box, dtype=dt)
-        for d in range(3):
-            if periodic is not None and not periodic[d]:
-                continue
-            col = dx[:, d]
-            shift = np.divide(col, box_dt[d], out=xj[:, d])
-            np.rint(shift, out=shift)
-            shift *= box_dt[d]
-            col -= shift
-    r2 = np.einsum("ij,ij->i", dx, dx, out=block.buf("r2", (m,), dt))
-
-    rc2 = ff.cutoff * ff.cutoff
-    inside = np.less_equal(r2, rc2, out=block.buf("inside", (m,), dtype=bool))
-    if not np.any(inside):
-        return out_forces, 0.0, 0.0
-    # Overlap check on interacting pairs only.
-    bad = np.less_equal(r2, 0.0, out=block.buf("bad", (m,), dtype=bool))
-    bad &= inside
-    if np.any(bad):
-        raise FloatingPointError("overlapping atoms in pair list (r == 0)")
-    # Give non-interacting entries a dummy finite distance before the
-    # reciprocal chain: ``fscal *= inside`` zeroes them later, but a
-    # non-finite value in the chain would survive it (inf * 0 is nan)
-    # and the reductions would smear it across the segment.
-    outside = np.logical_not(inside, out=bad)
-    np.copyto(r2, sc(1.0), where=outside)
-
-    c12_12, c6_6, c12, c6, qq, e_shift = block.params(dt)
-    inv_r2 = np.divide(sc(1.0), r2, out=block.buf("inv_r2", (m,), dt))
-    inv_r6 = np.multiply(inv_r2, inv_r2, out=block.buf("inv_r6", (m,), dt))
-    inv_r6 *= inv_r2
-    inv_r12 = np.multiply(inv_r6, inv_r6, out=block.buf("inv_r12", (m,), dt))
-    inv_r = np.sqrt(inv_r2, out=block.buf("inv_r", (m,), dt))
-
-    # fscal and per-pair energies, in the exact evaluation order of
-    # pair_forces so per-pair results match it bit for bit (in float64).
-    f_lj = np.multiply(c12_12, inv_r12, out=block.buf("f_lj", (m,), dt))
-    t = np.multiply(c6_6, inv_r6, out=block.buf("t", (m,), dt))
-    f_lj -= t
-    f_lj *= inv_r2
-    if coulomb == "rf":
-        f_coul = np.multiply(inv_r, inv_r2, out=block.buf("f_coul", (m,), dt))
-        f_coul -= sc(2.0 * ff.k_rf)
-        f_coul *= qq
-        e_c = np.multiply(sc(ff.k_rf), r2, out=block.buf("e_c", (m,), dt))
-        e_c += inv_r
-        e_c -= sc(ff.c_rf)
-        e_c *= qq
-    elif coulomb == "ewald":
+    if coulomb == "ewald":
         if ewald_beta <= 0.0:
             raise ValueError("coulomb='ewald' requires a positive ewald_beta")
         from scipy.special import erfc
-
-        r = np.sqrt(r2, out=block.buf("r", (m,), dt))
-        screened = erfc(sc(ewald_beta) * r)
-        gauss = (
-            2.0 * ewald_beta / np.sqrt(np.pi) * np.exp(-((sc(ewald_beta) * r) ** 2))
-        )
-        f_coul = np.multiply(screened, inv_r, out=block.buf("f_coul", (m,), dt))
-        f_coul += gauss
-        f_coul *= qq
-        f_coul *= inv_r2
-        e_c = np.multiply(qq, screened, out=block.buf("e_c", (m,), dt))
-        e_c *= inv_r
-    else:
+    elif coulomb != "rf":
         raise ValueError(f"unknown coulomb mode '{coulomb}' (use 'rf' or 'ewald')")
-    fscal = f_lj
-    fscal += f_coul
-    fscal *= inside
-    fvec = np.multiply(fscal[:, None], dx, out=block.buf("fvec", (m, 3), dt))
-
-    e_l = np.multiply(c12, inv_r12, out=block.buf("e_l", (m,), dt))
-    t = np.multiply(c6, inv_r6, out=t)
-    e_l -= t
-    e_l -= e_shift
-    e_l *= inside
-    e_lj = float(np.sum(e_l, dtype=np.float64))
-    e_c *= inside
-    e_coul = float(np.sum(e_c, dtype=np.float64))
-
-    # Segment reduction: i-side via reduceat over the sorted segments
-    # (seg_i may repeat across group-key boundaries, hence add.at on the
-    # small per-segment sums), j-side via one bincount per component.
+    dt = np.dtype(dtype)
+    sc = dt.type  # scalar-constant cast; a no-op for float64
+    pos = positions.astype(dt, copy=False)
+    box_dt = None if box is None else np.asarray(box, dtype=dt)
+    rc2 = ff.cutoff * ff.cutoff
     odt = out_forces.dtype
-    for c in range(3):
-        col = fvec[:, c]
-        seg = np.add.reduceat(col, block.seg_starts)
-        np.add.at(out_forces[:, c], block.seg_i, seg.astype(odt, copy=False))
-        jsum = np.bincount(block.j, weights=col, minlength=n)
-        out_forces[:, c] -= jsum.astype(odt, copy=False)
+    params = (block.c12_12, block.c6_6, block.c12, block.c6, block.qq, block.e_shift)
+
+    e_lj = e_coul = 0.0
+    for lo, hi, s0, s1 in _chunks(block, CHUNK_PAIRS):
+        c = hi - lo
+        scratch = _scratch_for(dt.name, c, m)
+        fvec = scratch["fvec"][:, lo:hi]
+        xi, xj = scratch["geom"][:, :c]
+        r2, inv_r2, inv_r6, inv_r12, inv_r, f_lj, t, f_coul, e_c, e_l = (
+            scratch["cols"][:, :c]
+        )
+        inside, bad = scratch["masks"][:, :c]
+        np.take(pos, block.i[lo:hi], axis=0, out=xi)
+        np.take(pos, block.j[lo:hi], axis=0, out=xj)
+        dx = np.subtract(xi, xj, out=xi)
+        if box_dt is not None:
+            # Minimum image per periodic dim only: DD rank domains are
+            # mostly (often fully) non-periodic, and skipping the wrapped
+            # divide/rint there is a real per-step saving.  Bit-compatible
+            # with the all-dims form — the shift was exactly zero anyway.
+            for d in range(3):
+                if periodic is not None and not periodic[d]:
+                    continue
+                col = dx[:, d]
+                shift = np.divide(col, box_dt[d], out=xj[:, d])
+                np.rint(shift, out=shift)
+                shift *= box_dt[d]
+                col -= shift
+        np.einsum("ij,ij->i", dx, dx, out=r2)
+
+        np.less_equal(r2, rc2, out=inside)
+        if not np.any(inside):
+            # Nothing interacts here, but the whole-block bincount below
+            # reads this span: clear what the previous call left in it.
+            fvec[:] = 0.0
+            continue
+        # Overlap check on interacting pairs only.
+        np.less_equal(r2, 0.0, out=bad)
+        bad &= inside
+        if np.any(bad):
+            raise FloatingPointError("overlapping atoms in pair list (r == 0)")
+        # Give non-interacting entries a dummy finite distance before the
+        # reciprocal chain: ``fscal *= inside`` zeroes them later, but a
+        # non-finite value in the chain would survive it (inf * 0 is nan)
+        # and the reductions would smear it across the segment.
+        outside = np.logical_not(inside, out=bad)
+        np.copyto(r2, sc(1.0), where=outside)
+
+        # float64 slices are views; the float32 path casts per chunk.
+        c12_12, c6_6, c12, c6, qq, e_shift = (
+            p[lo:hi].astype(dt, copy=False) for p in params
+        )
+        np.divide(sc(1.0), r2, out=inv_r2)
+        np.multiply(inv_r2, inv_r2, out=inv_r6)
+        inv_r6 *= inv_r2
+        np.multiply(inv_r6, inv_r6, out=inv_r12)
+        np.sqrt(inv_r2, out=inv_r)
+
+        # fscal and per-pair energies, in the exact evaluation order of
+        # pair_forces so per-pair results match it bit for bit (in float64).
+        np.multiply(c12_12, inv_r12, out=f_lj)
+        np.multiply(c6_6, inv_r6, out=t)
+        f_lj -= t
+        f_lj *= inv_r2
+        if coulomb == "rf":
+            np.multiply(inv_r, inv_r2, out=f_coul)
+            f_coul -= sc(2.0 * ff.k_rf)
+            f_coul *= qq
+            np.multiply(sc(ff.k_rf), r2, out=e_c)
+            e_c += inv_r
+            e_c -= sc(ff.c_rf)
+            e_c *= qq
+        else:
+            r = np.sqrt(r2)
+            screened = erfc(sc(ewald_beta) * r)
+            gauss = (
+                2.0 * ewald_beta / np.sqrt(np.pi) * np.exp(-((sc(ewald_beta) * r) ** 2))
+            )
+            np.multiply(screened, inv_r, out=f_coul)
+            f_coul += gauss
+            f_coul *= qq
+            f_coul *= inv_r2
+            np.multiply(qq, screened, out=e_c)
+            e_c *= inv_r
+        fscal = f_lj
+        fscal += f_coul
+        fscal *= inside
+        for d in range(3):
+            np.multiply(fscal, dx[:, d], out=fvec[d])
+
+        np.multiply(c12, inv_r12, out=e_l)
+        np.multiply(c6, inv_r6, out=t)
+        e_l -= t
+        e_l -= e_shift
+        e_l *= inside
+        e_lj += float(np.sum(e_l, dtype=np.float64))
+        e_c *= inside
+        e_coul += float(np.sum(e_c, dtype=np.float64))
+
+        # i-side: reduceat over this chunk's (whole) segments; seg_i may
+        # repeat across group-key boundaries, hence add.at on the small
+        # per-segment sums.
+        starts = block.seg_starts[s0:s1] - lo
+        seg_i = block.seg_i[s0:s1]
+        for d in range(3):
+            seg = np.add.reduceat(fvec[d], starts)
+            np.add.at(out_forces[:, d], seg_i, seg.astype(odt, copy=False))
+
+    # j-side: one bincount per component over the whole block.
+    fvec = scratch["fvec"]
+    for d in range(3):
+        jsum = np.bincount(block.j, weights=fvec[d, :m], minlength=n)
+        out_forces[:, d] -= jsum.astype(odt, copy=False)
     return out_forces, e_lj, e_coul
 
 

@@ -88,7 +88,7 @@ class VerletListBuilder:
         self.last_budget: BuildBudget | None = None
 
     def _buf(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """Reusable scratch buffer (the ``PairBlock.buf`` pattern)."""
+        """Reusable named scratch buffer (reallocated only on shape change)."""
         b = self._scratch.get(name)
         if b is None or b.shape != shape or b.dtype != dtype:
             b = self._scratch[name] = np.empty(shape, dtype=dtype)

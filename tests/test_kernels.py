@@ -28,7 +28,7 @@ import pytest
 import repro.cli as cli
 from repro.chaos import chaos_spec, run_campaign
 from repro.dd import DDGrid, DDSimulator
-from repro.md import make_grappa_system
+from repro.md import make_grappa_system, nonbonded
 from repro.md.cells import (
     build_clusters,
     cluster_pair_candidates,
@@ -233,6 +233,39 @@ class TestFlatParity:
         assert _rel(e_lj, r_lj) < F32_ENERGY_RTOL
         assert _rel(e_c, r_c) < F32_ENERGY_RTOL
 
+    @pytest.mark.parametrize("chunk", (7, 64, 1000))
+    @pytest.mark.parametrize("coulomb,beta", COULOMB_MODES)
+    def test_gates_hold_at_any_chunk_size(
+        self, cluster_setup, ff, monkeypatch, coulomb, beta, chunk
+    ):
+        """Both precisions against the oracle with the list cut into
+        hundreds of chunks; forces equal the single-chunk ones bit for bit."""
+        sys_, pairs = cluster_setup
+        rf, r_lj, r_c = pair_forces(
+            sys_.positions, *pairs, sys_.type_ids, sys_.charges,
+            ff, box=sys_.box, coulomb=coulomb, ewald_beta=beta,
+        )
+        for dtype, f_tol, e_tol in (
+            ("float64", F64_FORCE_RTOL, F64_ENERGY_RTOL),
+            ("float32", F32_FORCE_RTOL, F32_ENERGY_RTOL),
+        ):
+            kern = NonbondedKernel(
+                ff, coulomb=coulomb, ewald_beta=beta, name="cluster", dtype=dtype
+            )
+            block = kern.make_block(
+                *pairs, sys_.type_ids, sys_.charges, n_atoms=sys_.n_atoms
+            )
+            whole, _, _ = kern.compute_block(sys_.positions, block, box=sys_.box)
+            with monkeypatch.context() as patch:
+                patch.setattr(nonbonded, "CHUNK_PAIRS", chunk)
+                f, e_lj, e_c = kern.compute_block(
+                    sys_.positions, block, box=sys_.box
+                )
+            assert np.array_equal(f, whole)
+            assert _force_err(f, rf) < f_tol
+            assert _rel(e_lj, r_lj) < e_tol
+            assert _rel(e_c, r_c) < e_tol
+
 
 def _run_dd(system, ff, *, steps=6, nstlist=3, **kwargs):
     sim = DDSimulator(
@@ -259,6 +292,17 @@ class TestEngineParity:
         out = _run_dd(tiny_system, ff, n_ranks=4, kernel="cluster", executor=executor)
         assert np.array_equal(ref[0], out[0])
         assert ref[1] == out[1]
+
+    def test_chunk_size_does_not_move_the_trajectory(
+        self, tiny_system, ff, monkeypatch
+    ):
+        """1400 atoms, 4 ranks, two rebuilds: every block splits at 64."""
+        ref = _run_dd(tiny_system, ff, n_ranks=4, kernel="cluster")
+        monkeypatch.setattr(nonbonded, "CHUNK_PAIRS", 64)
+        out = _run_dd(tiny_system, ff, n_ranks=4, kernel="cluster")
+        assert np.array_equal(ref[0], out[0])
+        for a, b in zip(ref[1], out[1]):
+            assert _rel(b.lj, a.lj) < 1e-12 and _rel(b.coulomb, a.coulomb) < 1e-12
 
     def test_reference_simulator_parity(self, tiny_system, ff):
         a = tiny_system.copy()

@@ -246,10 +246,13 @@ def test_192k_16_rank_build_stays_within_the_memory_ceilings():
     """One neighbour search + 2 steps at 192k atoms / 16 ranks, capped builds.
 
     The chunked build allocates per local atom, never per global atom, so
-    the per-rank build peak stays under 12000 B/atom and the process tree
-    (self + reaped workers) under 6 GiB.  Measured on the 2-vCPU benchmark
-    host: 7586 B/atom, 2126 MiB, ~25 s.  Uncapped, the same build peaks at
-    12072 B/atom, over the ceiling — so ignoring the cap fails this test.
+    the per-rank build peak stays under 12000 B/atom; and the evaluator's
+    scratch is one chunk per worker plus 24 B/pair of its largest block,
+    never 154 B/pair of every list, so the process tree (self + reaped
+    workers) stays under 1400 MiB.  Measured on the 2-vCPU benchmark host:
+    7586 B/atom, 914 MiB (2126 MiB with per-block scratch — over the
+    ceiling), ~25 s.  Uncapped, the same build peaks at 12072 B/atom, over
+    its ceiling too — so ignoring the cap fails this test.
     """
     spec = SimulationSpec(
         system="192k", ranks=16, executor="process", kernel="cluster",
@@ -265,4 +268,4 @@ def test_192k_16_rank_build_stays_within_the_memory_ceilings():
         for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
     ) / 1024.0
     assert 0 < bytes_per_atom <= 12000, bytes_per_atom
-    assert rss_mib <= 6144, rss_mib
+    assert rss_mib <= 1400, rss_mib
