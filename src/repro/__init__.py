@@ -15,18 +15,16 @@ Two layers:
 
 One frozen :class:`~repro.spec.SimulationSpec` describes a run: it is the
 only place a knob is declared, ``DDSimulator.from_spec`` is the only
-place its names become objects, and a third layer, **service**
-(:mod:`repro.serve`), runs many such specs concurrently — blocking
-(``submit_and_wait``) or on a ``repro serve`` instance over JSON-RPC, with
-derived artifacts cached across jobs.
+place its names become objects, and :func:`repro.run.execute_spec` is the
+one body that runs it (what every functional CLI calls).
 
 Quickstart::
 
     from repro import quick_compare
     print(quick_compare("45k", gpus=4).render())
 
-    from repro import SimulationSpec, submit_and_wait
-    result = submit_and_wait(SimulationSpec(system="45k", steps=10, ranks=8))
+    from repro import SimulationSpec, execute_spec
+    result = execute_spec(SimulationSpec(system="45k", steps=10, ranks=8))
 
 Public API
 ----------
@@ -53,7 +51,7 @@ from repro.perf import (
     grappa_workload,
     simulate_step,
 )
-from repro.serve import JobEngine, ServeClient, submit_and_wait
+from repro.run import execute_spec
 from repro.spec import SimulationSpec
 from repro.util.tables import Table
 from repro.util.units import ms_per_step_to_ns_per_day
@@ -82,11 +80,9 @@ __all__ = [
     "grappa_workload",
     "quick_compare",
     "simulate_step",
-    # service layer
-    "JobEngine",
-    "ServeClient",
+    # one spec, one run body
     "SimulationSpec",
-    "submit_and_wait",
+    "execute_spec",
     # utilities
     "Table",
     "ms_per_step_to_ns_per_day",

@@ -12,17 +12,13 @@ report     figure freshness, a read-only view of the repo benchmark's
            ``bench/out/results.json``, code size (``--check`` gates CI)
 verify     functional check: DD + fused NVSHMEM exchange vs serial MD
 chaos      fault-injection campaigns for the halo protocol (repro.chaos)
-serve      JSON-RPC simulation job service (repro.serve)
-submit     submit a SimulationSpec JSON file to a serve instance
 
 Functional subcommands (``compare``/``scaling`` ``--measure``,
 ``profile --functional``, ``verify``, ``chaos``) all build a
 :class:`repro.spec.SimulationSpec` (flags that name a spec field are
 generated from the field's own declaration — ``repro.spec.add_spec_flags``
-— and read back with ``spec_from_args``) and run it through
-:func:`repro.serve.client.submit_and_wait` — in-process by default, or
-on a running service with ``--server http://host:port``.  Both paths
-execute the same job body, so results are bit-identical.
+— and read back with ``spec_from_args``) and run it in this process
+through :func:`repro.run.execute_spec`, the one run body.
 
 ``--trace out.json`` (on ``profile``, ``compare``, ``scaling``,
 ``verify``) writes a Chrome trace-event file: simulated schedules export
@@ -45,12 +41,9 @@ logger that all reporting goes through.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 
 from repro.chaos import (
     chaos_spec,
-    plan_for,
     replay_artifact,
     run_campaign,
     write_artifact,
@@ -73,7 +66,7 @@ from repro.obs.tracer import TRACER
 from repro.perf.machines import machine_by_name
 from repro.perf.model import simulate_step
 from repro.perf.workload import grappa_workload
-from repro.serve import JobEngine, ServeClient, make_server, submit_and_wait
+from repro.run import execute_spec
 from repro.spec import SimulationSpec, add_spec_flags, spec_from_args
 from repro.util.tables import Table
 from repro.util.units import ms_per_step_to_ns_per_day
@@ -95,29 +88,21 @@ def _resolve_atoms(system: str) -> int:
 def _functional_ms_per_step(args, ranks: int, backend: str) -> float:
     """Wall-clock ms/step of a real DD run of ``args.measure`` steps.
 
-    Builds the spec the command line describes and submits it —
-    in-process when ``--server`` is absent, to a running serve instance
-    otherwise — so the measured path is the service path.  The reported
-    figure includes the first neighbour search and pool spin-up.
+    Runs the spec the command line describes; the reported figure
+    includes the first neighbour search and pool spin-up.
     """
     spec = spec_from_args(args, ranks=ranks, backend=backend, steps=args.measure)
-    return submit_and_wait(spec, server=args.server)["ms_per_step"]
+    return execute_spec(spec)["ms_per_step"]
 
 
-def _submit_traced(args, spec: SimulationSpec, **metadata) -> dict:
-    """Run ``spec``; with ``--trace`` also export the run's raw spans.
-
-    Raw spans don't travel over RPC, so they are recorded locally and the
-    Chrome-trace export only works on the blocking path.
-    """
-    if not args.trace or args.server is not None:
-        if args.trace:
-            log.warning("--trace is ignored with --server (raw spans stay server-side)")
-        return submit_and_wait(spec, server=args.server)
+def _run_traced(args, spec: SimulationSpec, **metadata) -> dict:
+    """Run ``spec``; with ``--trace`` also export the run's raw spans."""
+    if not args.trace:
+        return execute_spec(spec)
     TRACER.enable()
     TRACER.clear()
     try:
-        result = submit_and_wait(spec)
+        result = execute_spec(spec)
         spans = TRACER.spans
     finally:
         TRACER.disable()
@@ -235,7 +220,7 @@ def _cmd_profile_functional(args) -> None:
     """Span-based accounting of a real DD run with the chosen executor."""
     n_atoms = _resolve_atoms(args.system)
     spec = spec_from_args(args, kind="profile", overlap_comm=not args.no_overlap)
-    result = _submit_traced(
+    result = _run_traced(
         args, spec, system=args.system, ranks=args.ranks,
         backend=args.backend, executor=args.executor, steps=args.steps,
     )
@@ -278,16 +263,6 @@ def cmd_profile(args) -> None:
         t.time_per_step, ms_per_step_to_ns_per_day(t.time_per_step * 1e-3),
         t.local_work, t.nonlocal_work, t.non_overlap,
     )
-    if args.backend in ("mpi", "nvshmem", "threadmpi"):
-        from repro.perf.energy import energy_report
-
-        e = energy_report(wl, machine, backend=args.backend)
-        log.info(
-            "energy model: %.0f W across %d GPUs (busy %.0f%%) -> %.3f J/step, "
-            "%.3f ns/day/W",
-            e.watts, args.ranks, 100.0 * e.busy_frac, e.j_per_step,
-            e.ns_day_per_w,
-        )
     if args.trace:
         path = write_chrome_trace(
             args.trace,
@@ -365,7 +340,7 @@ def cmd_verify(args) -> None:
         backend="nvshmem", pes_per_node=max(1, args.ranks // 2),
         nstlist=5, max_pulses=2, overlap_comm=not args.no_overlap,
     )
-    result = _submit_traced(
+    result = _run_traced(
         args, spec, atoms=args.atoms, ranks=args.ranks, steps=args.steps
     )
     log.info(
@@ -394,8 +369,8 @@ def _chaos_specs(args) -> list[SimulationSpec]:
     ]
 
 
-def _chaos_local(args, specs) -> list[tuple]:
-    """Campaign per spec in this process; the first failure is shrunk and dumped."""
+def _chaos_campaigns(args, specs) -> list[tuple]:
+    """Campaign per spec; the first failure is shrunk and dumped."""
     rows = []
     artifact_written = None
     for spec in specs:
@@ -415,35 +390,6 @@ def _chaos_local(args, specs) -> list[tuple]:
     return rows
 
 
-def _chaos_remote(args, specs) -> list[tuple]:
-    """Campaign per spec as concurrent serve jobs (one per fault plan).
-
-    Each seeded plan is generated client-side, embedded in its spec, and
-    submitted; the server runs the cases concurrently.  Shrinking and
-    artifact dumps are campaign-side features and stay local-only.
-    """
-    if args.mutate:
-        raise SystemExit("--mutate patches this process and cannot run via --server")
-    client = ServeClient(args.server)
-    submitted = []  # per spec: [(plan seed, job id), ...]
-    for spec in specs:
-        plans = [plan_for(spec, args.seed0 + i) for i in range(args.runs)]
-        submitted.append(
-            [(p.seed, client.submit(spec.with_(fault_plan=p))) for p in plans]
-        )
-    rows = []
-    for spec, jobs in zip(specs, submitted):
-        failing = []
-        for plan_seed, job_id in jobs:
-            result = client.result(job_id, timeout=600.0)
-            if not result["ok"]:
-                failing.append(plan_seed)
-                for v in result["violations"]:
-                    log.warning("chaos[%s] seed %d: %s", spec.backend, plan_seed, v)
-        rows.append((spec.backend, len(jobs), len(failing), failing[0] if failing else ""))
-    return rows
-
-
 def cmd_chaos(args) -> None:
     """Fault-injection campaigns (and artifact replay) for the halo stack."""
     if args.replay:
@@ -460,11 +406,10 @@ def cmd_chaos(args) -> None:
         raise SystemExit(0)
 
     specs = _chaos_specs(args)
-    rows = (_chaos_remote if args.server else _chaos_local)(args, specs)
-    via = f" via {args.server}" if args.server else ""
+    rows = _chaos_campaigns(args, specs)
     tbl = Table(
         columns=("backend", "runs", "failures", "first_failing_seed"),
-        title=f"chaos campaign{via}: {args.runs} seeded fault plans per backend",
+        title=f"chaos campaign: {args.runs} seeded fault plans per backend",
     )
     for row in rows:
         tbl.add_row(*row)
@@ -479,44 +424,11 @@ def cmd_chaos(args) -> None:
         log.info("OK: mutation was detected by the chaos harness")
         return
     if any_failed:
-        hint = " (re-run without --server to shrink and dump an artifact)" if via else ""
-        raise SystemExit(f"FAILED: chaos campaign detected protocol violations{hint}")
+        raise SystemExit("FAILED: chaos campaign detected protocol violations")
     log.info(
         "OK: %d fault-injected runs per backend, all bit-identical to the "
         "serial reference", args.runs,
     )
-
-
-def cmd_serve(args) -> None:
-    """Run the job service until interrupted."""
-    engine = JobEngine(workers=args.workers)
-    server = make_server(engine, host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    log.info(
-        "serve: listening on http://%s:%d (%d workers) — Ctrl-C to stop",
-        host, port, args.workers,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        log.info("serve: shutting down")
-    finally:
-        server.shutdown()
-        engine.shutdown(wait=False)
-
-
-def cmd_submit(args) -> None:
-    """Submit a spec JSON file to a serve instance (or run it locally)."""
-    text = sys.stdin.read() if args.spec == "-" else open(args.spec).read()
-    spec = SimulationSpec.from_json(text)
-    if args.no_wait:
-        if not args.server:
-            raise SystemExit("--no-wait needs --server (local runs are blocking)")
-        job_id = ServeClient(args.server).submit(spec)
-        log.info("%s", job_id)
-        return
-    result = submit_and_wait(spec, server=args.server, timeout=args.timeout)
-    log.info("%s", json.dumps(result, indent=2))
 
 
 def _maybe_write_graph_trace(args, graphs: dict) -> None:
@@ -541,11 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("-q", "--quiet", action="store_true", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    server_flag = dict(
-        default=None, metavar="URL",
-        help="submit functional runs to a running serve instance "
-             "(e.g. http://127.0.0.1:8642) instead of running in-process",
-    )
     scenario_flag = dict(
         choices=SCENARIOS, default=SCENARIOS[0],
         help="density scenario of the synthetic system (inhomogeneous "
@@ -566,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_flags(p, *FUNCTIONAL_FLAGS)
     p.add_argument("--measure", type=nonneg_int, default=0, metavar="STEPS",
                    help="also run a real DD simulation per backend and report wall ms/step")
-    p.add_argument("--server", **server_flag)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("scaling", parents=[common], help="strong-scaling sweep")
@@ -577,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_flags(p, *FUNCTIONAL_FLAGS)
     p.add_argument("--measure", type=nonneg_int, default=0, metavar="STEPS",
                    help="also run a real DD simulation per GPU count and report wall ms/step")
-    p.add_argument("--server", **server_flag)
     p.set_defaults(fn=cmd_scaling)
 
     p = sub.add_parser("timings", parents=[common], help="device-side timing breakdown")
@@ -622,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-overlap", action="store_true",
                    help="functional runs only: strict schedule (local forces, "
                         "halo exchange, non-local forces) with no overlap")
-    p.add_argument("--server", **server_flag)
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("figures", parents=[common], help="regenerate all paper figures")
@@ -660,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-overlap", action="store_true",
                    help="strict schedule (local forces, halo exchange, "
                         "non-local forces) with no comm-compute overlap")
-    p.add_argument("--server", **server_flag)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser(
@@ -707,31 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", default=None, metavar="ARTIFACT",
                    help="replay a dumped failing schedule instead of "
                         "running a campaign (exit 3 if it reproduces)")
-    p.add_argument("--server", **server_flag)
     p.set_defaults(fn=cmd_chaos)
-
-    p = sub.add_parser(
-        "serve", parents=[common],
-        help="run the JSON-RPC simulation job service (repro.serve)",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8642,
-                   help="listen port (0 picks a free one; default 8642)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="concurrent job bodies (default 4)")
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "submit", parents=[common],
-        help="submit a SimulationSpec JSON file (blocking unless --no-wait)",
-    )
-    p.add_argument("spec", help="spec JSON path, or - for stdin")
-    p.add_argument("--server", **server_flag)
-    p.add_argument("--timeout", type=float, default=600.0,
-                   help="seconds to wait for the result (default 600)")
-    p.add_argument("--no-wait", action="store_true",
-                   help="print the job id instead of waiting (needs --server)")
-    p.set_defaults(fn=cmd_submit)
     return parser
 
 

@@ -170,8 +170,8 @@ class DDSimulator:
     topology: "object | None" = None
     #: Optional hook replacing :func:`repro.dd.exchange.build_cluster` at
     #: neighbour search: called as ``cluster_factory(sim)`` and must return
-    #: a fresh :class:`ClusterState` for the current positions.  The serve
-    #: layer uses this to satisfy the step-0 build from its artifact cache.
+    #: a fresh :class:`ClusterState` for the current positions
+    #: (``bench/workloads.py`` routes the engine's rebuilds through it).
     cluster_factory: "Callable[[DDSimulator], ClusterState] | None" = None
     step_count: int = 0
     energies: list[StepEnergies] = field(default_factory=list)
@@ -253,51 +253,31 @@ class DDSimulator:
     # -- spec construction ----------------------------------------------------
 
     @classmethod
-    def from_spec(
-        cls,
-        spec: "SimulationSpec",
-        *,
-        system: MDSystem | None = None,
-        ff: ForceField | None = None,
-        grid: DDGrid | None = None,
-        executor: "RankExecutor | str | None" = None,
-        cluster_factory: "Callable[[DDSimulator], ClusterState] | None" = None,
-    ) -> "DDSimulator":
+    def from_spec(cls, spec: "SimulationSpec") -> "DDSimulator":
         """Build a simulator from a :class:`repro.spec.SimulationSpec`.
 
         The only place names become objects: the system label, the
         backend/executor registry names and the grid shape are built
         here, and every knob the spec and this class both declare is
-        passed through by field name (``spec.knobs_for``).  The optional
-        keyword overrides let callers inject pre-built (possibly cached)
-        pieces — a system template, a chosen grid, a cluster factory —
-        without the spec losing its role as the single source of truth
-        for the knobs.
+        passed through by field name (``spec.knobs_for``).
         """
-        if ff is None:
-            ff = default_forcefield(cutoff=spec.cutoff)
-        if system is None:
-            system = make_system(
-                spec.system, seed=spec.seed, ff=ff, dtype=np.float64
-            )
+        ff = default_forcefield(cutoff=spec.cutoff)
+        system = make_system(spec.system, seed=spec.seed, ff=ff, dtype=np.float64)
         backend_kwargs: dict = {}
         if spec.backend == "nvshmem":
             backend_kwargs["seed"] = spec.seed
             if spec.pes_per_node:
                 backend_kwargs["pes_per_node"] = spec.pes_per_node
         backend, executor = resolve_backend_executor(
-            spec.backend, executor or spec.executor, backend_kwargs=backend_kwargs
+            spec.backend, spec.executor, backend_kwargs=backend_kwargs
         )
-        if grid is None and spec.shape is not None:
-            grid = DDGrid(tuple(spec.shape))
         return cls(
             system,
             ff,
             n_ranks=spec.ranks,
-            grid=grid,
+            grid=DDGrid(tuple(spec.shape)) if spec.shape is not None else None,
             backend=backend,
             executor=executor,
-            cluster_factory=cluster_factory,
             **spec.knobs_for(cls),
         )
 

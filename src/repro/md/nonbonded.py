@@ -241,8 +241,8 @@ class PairBlock:
 CHUNK_PAIRS = 24576
 
 class _Scratch(threading.local):
-    """Evaluator scratch of one thread (= one process under both executors;
-    the serve job pool runs whole simulations on threads).  ``by_dtype``
+    """Evaluator scratch of one thread (= one process under both
+    executors).  ``by_dtype``
     maps the compute dtype *name* to ``geom`` (the two gathered ``(rows, 3)``
     coordinate sets), ``cols`` (the chain's ten float columns) and ``masks``
     (its two boolean ones), all chunk-sized, plus ``fvec``, the force

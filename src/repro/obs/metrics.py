@@ -12,18 +12,6 @@ Labels distinguish streams of the same metric (``comm.bytes`` with
 is the (name, sorted labels) pair.  When the registry is disabled,
 lookups return shared null instruments so instrumented code needs no
 branches of its own.
-
-**Per-job scopes.**  The serve layer runs many jobs concurrently in one
-process, and each job wants its own metric stream.  ``with
-METRICS.scope(job_registry):`` routes every instrument lookup made on the
-*current thread/task* (a :mod:`contextvars` scope) to ``job_registry``
-*as well as* the process-wide registry — instrumented code keeps calling
-``METRICS.counter(...)`` unchanged, global totals keep accruing, and the
-job gets an isolated snapshot.  Executors spawn no threads of their
-own, so nothing in a job's process bypasses its scope; what stays
-outside is the process executor's *worker processes*, whose registries
-are separate (rank timings and the fallback count travel back on each
-reply and are recorded by the driving thread, inside the scope).
 """
 
 from __future__ import annotations
@@ -31,15 +19,8 @@ from __future__ import annotations
 import math
 import threading
 from bisect import insort
-from contextlib import contextmanager
-from contextvars import ContextVar
 
 from repro.util.tables import Table
-
-#: Active per-job scope registry for the current thread/task (None = no scope).
-_SCOPE: "ContextVar[MetricsRegistry | None]" = ContextVar(
-    "repro_metrics_scope", default=None
-)
 
 
 class Counter:
@@ -147,33 +128,6 @@ _NULL = _NullInstrument()
 _KINDS = {Counter: "counter", Gauge: "gauge", Histogram: "histogram"}
 
 
-class _Tee:
-    """Write-through pair: records land in both the global and the scoped
-    instrument; reads (``value``/``max``/``sum``/...) come from the global
-    one, so existing readers see unchanged semantics."""
-
-    __slots__ = ("_primary", "_scoped")
-
-    def __init__(self, primary, scoped):
-        self._primary = primary
-        self._scoped = scoped
-
-    def inc(self, n: int | float = 1) -> None:
-        self._primary.inc(n)
-        self._scoped.inc(n)
-
-    def set(self, v: float) -> None:
-        self._primary.set(v)
-        self._scoped.set(v)
-
-    def observe(self, v: float) -> None:
-        self._primary.observe(v)
-        self._scoped.observe(v)
-
-    def __getattr__(self, name):
-        return getattr(self._primary, name)
-
-
 def _label_key(labels: dict) -> tuple:
     return tuple(sorted(labels.items()))
 
@@ -191,18 +145,6 @@ class MetricsRegistry:
         self._metrics: dict[tuple[str, tuple], Counter | Gauge | Histogram] = {}
 
     def _get(self, cls, name: str, labels: dict):
-        scope = _SCOPE.get()
-        if scope is not None and scope is not self:
-            scoped = scope._get_local(cls, name, labels)
-            if not self.enabled:
-                return scoped
-            return _Tee(self._get_local(cls, name, labels), scoped)
-        if not self.enabled:
-            return _NULL
-        return self._get_local(cls, name, labels)
-
-    def _get_local(self, cls, name: str, labels: dict):
-        """Instrument lookup on *this* registry only (no scope routing)."""
         if not self.enabled:
             return _NULL
         key = (name, _label_key(labels))
@@ -216,19 +158,6 @@ class MetricsRegistry:
                     f"{_KINDS[type(m)]}, requested {_KINDS[cls]}"
                 )
             return m
-
-    @contextmanager
-    def scope(self, registry: "MetricsRegistry"):
-        """Route this thread/task's instrument lookups to ``registry`` too.
-
-        Nested scopes replace each other (innermost wins); the previous
-        scope is restored on exit.
-        """
-        token = _SCOPE.set(registry)
-        try:
-            yield registry
-        finally:
-            _SCOPE.reset(token)
 
     def counter(self, name: str, **labels) -> Counter:
         return self._get(Counter, name, labels)

@@ -18,8 +18,8 @@ through the same :class:`~repro.util.tables.Table` machinery, and
 The last section is the ``repro report`` document (:func:`build_report`
 → :func:`render_markdown` / :func:`report_problems`): figure freshness,
 a read-only rendering of the repo benchmark's ``bench/out/results.json``
-when one exists, live ``serve.*`` health and the code-size table.  It
-reads what ``bench/run.py`` measured; it never measures anything itself.
+when one exists and the code-size table.  It reads what ``bench/run.py``
+measured; it never measures anything itself.
 """
 
 from __future__ import annotations
@@ -242,11 +242,6 @@ def build_report(
         "results_dir": str(results_dir),
         "figures": [{**asdict(s), "action": s.action} for s in figure_status(results_dir)],
         "bench": read_bench(bench_path),
-        # Live serve.* metrics from THIS process (empty unless a JobEngine
-        # has run here): queue depth, job counts, cache hits/misses.
-        "serve": {
-            k: v for k, v in METRICS.snapshot("serve").items() if not isinstance(v, dict)
-        },
         "code_size": code_size(),
     }
 
@@ -341,12 +336,6 @@ def render_markdown(data: dict) -> str:
         ),
         *_render_bench(data["bench"]),
     ]
-    if data["serve"]:  # only when this process served jobs
-        out += [
-            "## Service health (live `serve.*` metrics, this process)", "",
-            _md_table(["metric", "value"],
-                      [[f"`{k}`", f"{v:g}"] for k, v in sorted(data["serve"].items())]),
-        ]
     out += [
         "## Code size (lines of Python under `src/repro`)", "",
         _md_table(

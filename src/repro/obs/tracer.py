@@ -34,10 +34,10 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
-#: Active per-job span sink for the current thread/task (None = no scope).
+#: Active span sink for the current thread/task (None = no scope).
 #: While a sink is set, spans record even if the tracer is globally
-#: disabled — the serve layer uses this to stream one job's spans without
-#: turning on process-wide tracing.
+#: disabled — ``repro.run.execute_spec`` uses this to collect one run's
+#: spans without turning on process-wide tracing.
 _SCOPE: "ContextVar[list | None]" = ContextVar("repro_tracer_scope", default=None)
 
 
@@ -188,7 +188,7 @@ class Tracer:
         """Collect this thread/task's spans into ``sink`` (a plain list).
 
         Recording into a scope works even while the tracer is globally
-        disabled, so a serve job can stream its own spans without
+        disabled, so one run can collect its own spans without
         enabling process-wide tracing.  Yields the sink.
         """
         if sink is None:

@@ -13,21 +13,10 @@ Separates three concerns:
   analytic grappa model or a measured functional-DD run;
 * :mod:`repro.perf.model` — end-to-end step-time estimation by building and
   evaluating the MPI / NVSHMEM schedules of :mod:`repro.sched`;
-* :mod:`repro.perf.metrics` — ns/day, speedups, parallel efficiency;
-* :mod:`repro.perf.energy` — per-architecture power constants and the
-  energy/efficiency model (J/step, ns·day⁻¹/W, efficiency vs the model
-  prediction) layered on the timing model.
+* :mod:`repro.perf.metrics` — ns/day, speedups, parallel efficiency.
 """
 
 from repro.perf.constants import GB200_PARAMS, H100_PARAMS, HardwareParams
-from repro.perf.energy import (
-    GB200_ENERGY,
-    H100_ENERGY,
-    EnergyParams,
-    EnergyReport,
-    energy_params_for,
-    energy_report,
-)
 from repro.perf.machines import DGX_H100, EOS, GB200_NVL72, Machine, machine_by_name
 from repro.perf.metrics import ScalingPoint, scaling_series
 from repro.perf.model import estimate_step, simulate_step
@@ -36,20 +25,14 @@ from repro.perf.workload import PulseWork, StepWorkload, grappa_workload, paper_
 __all__ = [
     "DGX_H100",
     "EOS",
-    "GB200_ENERGY",
     "GB200_NVL72",
     "GB200_PARAMS",
-    "EnergyParams",
-    "EnergyReport",
-    "H100_ENERGY",
     "H100_PARAMS",
     "HardwareParams",
     "Machine",
     "PulseWork",
     "ScalingPoint",
     "StepWorkload",
-    "energy_params_for",
-    "energy_report",
     "estimate_step",
     "grappa_workload",
     "machine_by_name",

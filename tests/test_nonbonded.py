@@ -265,8 +265,7 @@ class TestSegmentReduction:
         assert not any("scratch" in slot or slot == "buf" for slot in block.__slots__)
         with pytest.raises(AttributeError):
             block._scratch = {}
-        # Another thread (the serve job pool runs simulations on threads)
-        # gets arrays of its own.
+        # Another thread gets arrays of its own.
         theirs = {}
 
         def evaluate():

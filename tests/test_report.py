@@ -74,7 +74,6 @@ def fake_data(bench: dict | None = None, **overrides) -> dict:
              "detail": "", "action": ""},
         ],
         "bench": bench or {"path": "bench/out/results.json", "exists": False},
-        "serve": {},
         "code_size": {"packages": {"obs": 10, "dd": 20}, "total": 30},
     }
     data.update(overrides)
@@ -130,11 +129,6 @@ class TestRenderMarkdown:
         assert "_No benchmark run found — `python3 bench/run.py`._" in md
         assert "`repro report --check` passes" in md
 
-    def test_serve_section_only_when_serving(self):
-        assert "## Service health" not in render_markdown(fake_data())
-        md = render_markdown(fake_data(serve={"serve.queue_depth": 2}))
-        assert "| `serve.queue_depth` | 2 |" in md
-
 
 class TestBuildReport:
     def test_write_report(self, tmp_path):
@@ -175,7 +169,7 @@ class TestReportCli:
             len(p.read_bytes().splitlines()) for p in root.rglob("*.py")
         )
         assert size["total"] == sum(size["packages"].values()) == on_disk
-        assert {"dd", "serve", "chaos", "(top level)"} <= set(size["packages"])
+        assert {"dd", "chaos", "(top level)"} <= set(size["packages"])
         md = md_path.read_text()
         assert "## Code size" in md and f"| **total** | {size['total']} |" in md
 

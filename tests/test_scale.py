@@ -28,7 +28,7 @@ from repro.md.cells import (
 from repro.md.grappa import resolve_atoms
 from repro.md.pairlist import VerletListBuilder
 from repro.obs.metrics import METRICS
-from repro.serve import SimulationSpec
+from repro.spec import SimulationSpec
 
 
 def _digest(positions: np.ndarray) -> bytes:
