@@ -353,6 +353,11 @@ class DDSimulator:
             sum(w.n_pairs_nonlocal for w in self.workloads)
         )
         METRICS.gauge("dd.halo_atoms").set(sum(w.n_halo for w in self.workloads))
+        # Tile fill of the cluster search (both 0 under "segment").
+        for key in ("candidates", "tiles"):
+            METRICS.gauge(f"md.pairsearch.{key}").set(
+                sum(stats.get(f"n_{key}", 0) for stats in self._pair_stats)
+            )
         # Build-memory gauges: totals across ranks for the standing
         # structures, per-rank max for the peaks (ranks build
         # concurrently only on multi-core hosts; the per-rank peak is the

@@ -34,26 +34,28 @@ class BuildBudget:
     """Working-set cap and memory accounting for pair/tile builds.
 
     ``max_bytes`` bounds the *transient* working set of one build stage:
-    chunked stages (the candidate-search and tile-mask GEMMs) derive
+    streamed stages (the candidate enumeration and the tile test) derive
     their chunk size from it, so a rank never materialises a candidate
-    matrix larger than the cap.  ``None`` keeps each stage's tuned
-    default chunk (sized for cache behaviour, not memory pressure).
+    or tile batch larger than the cap; each stage's tuned default chunk
+    (sized for cache behaviour, not memory pressure) is the upper limit.
 
-    Chunk size never changes results — every chunked loop preserves
-    iteration order and the final canonical sort is chunk-oblivious —
-    so a capped build is bit-identical to an uncapped one; tests assert
-    this across several caps.
+    Chunk size never changes results — candidates stream in the order
+    of their outer loop, tile pairs are a set and the final canonical
+    sort is chunk-oblivious — so a capped build is bit-identical to an
+    uncapped one; tests assert this across several caps.
 
     The budget also *measures*: ``peak_bytes`` records the largest
     transient working set any stage actually used and ``cells_bytes``
     the footprint of the search structures (cell grid occupancy or
     cluster layouts), feeding the ``md.cells.bytes`` /
-    ``md.build.peak_bytes`` gauges.
+    ``md.build.peak_bytes`` gauges; ``candidates`` counts the cluster
+    pairs the candidate stage enumerated.
     """
 
     max_bytes: int | None = None
     peak_bytes: int = 0
     cells_bytes: int = 0
+    candidates: int = 0
 
     def __post_init__(self) -> None:
         if self.max_bytes is not None:
@@ -65,15 +67,14 @@ class BuildBudget:
                 )
 
     def rows(self, bytes_per_row: int, default_rows: int) -> int:
-        """Chunk length for a stage whose working set is ``bytes_per_row``.
-
-        Uncapped budgets return the stage's tuned ``default_rows``;
-        capped ones fit the chunk under ``max_bytes`` (always at least
-        one row — correctness never depends on the cap being achievable).
-        """
-        if self.max_bytes is None:
-            return max(1, int(default_rows))
-        return max(1, int(self.max_bytes // max(int(bytes_per_row), 1)))
+        """Chunk length for a stage whose working set is ``bytes_per_row``:
+        its tuned ``default_rows``, cut down to what fits under a set
+        ``max_bytes`` (always at least one row — correctness never
+        depends on the cap being achievable)."""
+        rows = int(default_rows)
+        if self.max_bytes is not None:
+            rows = min(rows, self.max_bytes // max(int(bytes_per_row), 1))
+        return max(1, rows)
 
     def note(self, nbytes: int) -> None:
         """Record one stage's transient working set."""
@@ -302,8 +303,12 @@ class ClusterLayout:
     cluster is roughly cubic at the local density, sorted by z within
     each column, and chunked into clusters of ``m`` consecutive atoms.
     Clusters never straddle columns — each column pads its last cluster
-    instead — which keeps bounding radii tight (a straddling cluster
-    would span two distant z-ranges and blow up the candidate search).
+    instead — which keeps bounding boxes tight.
+
+    Clusters are numbered column by column and, within a column, by
+    rising z, so ``col`` is non-decreasing and both faces of the
+    bounding boxes rise with the cluster index inside a column — the
+    two orderings :func:`cluster_pair_candidates` searches.
 
     ``atoms`` holds *global* atom indices with the sentinel ``n_total``
     in padding slots, so a position array padded with one extra row can
@@ -311,12 +316,15 @@ class ClusterLayout:
     """
 
     atoms: np.ndarray    # (C, m) int64; padding slots hold ``n_total``
-    valid: np.ndarray    # (C, m) bool
     centers: np.ndarray  # (C, 3) float64 bounding-box midpoints
-    radii: np.ndarray    # (C,) float64 bounding-sphere radii around centers
     half: np.ndarray     # (C, 3) float64 bounding-box half extents
     m: int
     n_total: int         # sentinel value (rows in the padded position array)
+    col: np.ndarray      # (C,) int64 column ``cx * ny + cy`` of each cluster
+    nx: int              # columns along x ...
+    ny: int              # ... and y, binned by :func:`_column_bins` over
+    lo: np.ndarray       # (3,) this origin
+    ext: np.ndarray      # (3,) and this extent
 
     @property
     def n_clusters(self) -> int:
@@ -326,9 +334,16 @@ class ClusterLayout:
     def nbytes(self) -> int:
         """Layout footprint (feeds the ``md.cells.bytes`` accounting)."""
         return int(
-            self.atoms.nbytes + self.valid.nbytes + self.centers.nbytes
-            + self.radii.nbytes + self.half.nbytes
+            self.atoms.nbytes + self.centers.nbytes + self.half.nbytes
+            + self.col.nbytes
         )
+
+
+def _column_bins(x: np.ndarray, lo: float, ext: float, n: int) -> np.ndarray:
+    """Column index along one axis: clipped to the grid and monotone in
+    ``x``, so the bins of an interval's end points bracket the bin of
+    every point inside it, wherever the grid's bounds lie."""
+    return np.clip(((x - lo) / ext * n).astype(np.int64), 0, n - 1)
 
 
 def build_clusters(
@@ -353,25 +368,14 @@ def build_clusters(
     k = positions.shape[0]
     if n_total is None:
         n_total = k + index_offset
-    if k == 0:
-        return ClusterLayout(
-            atoms=np.zeros((0, m), dtype=np.int64),
-            valid=np.zeros((0, m), dtype=bool),
-            centers=np.zeros((0, 3)),
-            radii=np.zeros(0),
-            half=np.zeros((0, 3)),
-            m=m,
-            n_total=int(n_total),
-        )
     lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    ext = np.maximum(hi - lo, 1e-9)
+    ext = np.maximum(np.asarray(hi, dtype=np.float64) - lo, 1e-9)
     rho = k / float(np.prod(ext))
     side = (m / max(rho, 1e-12)) ** (1.0 / 3.0)
     nx = max(1, int(round(ext[0] / side)))
     ny = max(1, int(round(ext[1] / side)))
-    cx = np.clip(((positions[:, 0] - lo[0]) / ext[0] * nx).astype(np.int64), 0, nx - 1)
-    cy = np.clip(((positions[:, 1] - lo[1]) / ext[1] * ny).astype(np.int64), 0, ny - 1)
+    cx = _column_bins(positions[:, 0], lo[0], ext[0], nx)
+    cy = _column_bins(positions[:, 1], lo[1], ext[1], ny)
     col = cx * ny + cy
     order = np.lexsort((positions[:, 2], col))
     col_sorted = col[order]
@@ -384,25 +388,51 @@ def build_clusters(
     rank_in_col = np.arange(k) - np.repeat(col_start, counts)
     cid = col_base[col_sorted] + rank_in_col // m
     slot = rank_in_col % m
-    n_clusters = int(col_base[-1])
-    atoms = np.full((n_clusters, m), n_total, dtype=np.int64)
+    atoms = np.full((int(col_base[-1]), m), n_total, dtype=np.int64)
     atoms[cid, slot] = order + index_offset
-    valid = atoms < n_total
-    padded = np.vstack([positions, np.zeros((1, 3))])
-    local = np.where(valid, atoms - index_offset, k)
-    xp = padded[local]
-    big = np.where(valid[:, :, None], xp, -np.inf)
-    small = np.where(valid[:, :, None], xp, np.inf)
-    bb_hi = big.max(axis=1)
-    bb_lo = small.min(axis=1)
-    centers = 0.5 * (bb_hi + bb_lo)
-    half = 0.5 * (bb_hi - bb_lo)
-    d = np.where(valid[:, :, None], xp - centers[:, None, :], 0.0)
-    radii = np.sqrt((d * d).sum(axis=-1).max(axis=1))
+    valid = (atoms < n_total)[:, :, None]
+    xp = np.vstack([positions, np.zeros((1, 3))])[
+        np.where(valid[:, :, 0], atoms - index_offset, k)
+    ]
+    bb_hi = np.where(valid, xp, -np.inf).max(axis=1)
+    bb_lo = np.where(valid, xp, np.inf).min(axis=1)
     return ClusterLayout(
-        atoms=atoms, valid=valid, centers=centers, radii=radii, half=half,
+        atoms=atoms, centers=0.5 * (bb_hi + bb_lo), half=0.5 * (bb_hi - bb_lo),
         m=m, n_total=int(n_total),
+        col=np.repeat(np.arange(nx * ny), ncl_per_col), nx=nx, ny=ny,
+        lo=lo, ext=ext,
     )
+
+
+def _ranges(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expand ranges of the given lengths: ``(owner, offset in owner)``."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - first[owner]
+
+
+def _column_windows(
+    wlo: np.ndarray, whi: np.ndarray, shifts: np.ndarray,
+    lo: float, ext: float, n: int, bmin: float, bmax: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint column ranges along x or y that meet ``[wlo, whi]``.
+
+    One range per window image, ``(first, count)`` of shape ``(n_a,
+    len(shifts))``.  Images rise with the shift and the binning is
+    monotone, so each range is cut where the previous one ended: a
+    window that wraps onto itself lists no column twice.  An image that
+    misses the span ``[bmin, bmax]`` of the binned atoms altogether is
+    empty — without that it would clip onto an edge column.
+    """
+    lows = wlo[:, None] + shifts
+    highs = whi[:, None] + shifts
+    first = _column_bins(lows, lo, ext, n)
+    last = _column_bins(highs, lo, ext, n)
+    last[(highs < bmin) | (lows > bmax)] = -1
+    for k in range(1, shifts.size):
+        np.maximum(first[:, k], last[:, k - 1] + 1, out=first[:, k])
+        np.maximum(last[:, k], last[:, k - 1], out=last[:, k])
+    return first, np.maximum(last - first + 1, 0)
 
 
 def cluster_pair_candidates(
@@ -414,108 +444,132 @@ def cluster_pair_candidates(
     same: bool,
     budget: BuildBudget | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster pairs whose bounding volumes may hold an ``r_list`` pair.
+    """Cluster pairs whose bounding boxes may hold an ``r_list`` pair.
 
-    Two conservative prefilters run in sequence; neither ever drops a
-    real candidate, and the mask stage makes the final exact decision.
+    Linear in the cluster count: candidates are *enumerated* from the
+    column grid ``b`` was built on, never tested all against all.
 
-    1. Bounding *spheres*, over all center pairs (chunked): pair
-       ``(ci, cj)`` survives iff the minimum-image center distance is at
-       most ``r_list + radius_a + radius_b`` (a 1.0001 slack absorbs
-       rounding).  Sound because for any atom pair within ``r_list`` in
-       some periodic image, the center distance *in that image* is
-       bounded by ``r_list + ra + rb`` and the minimum image is no
-       larger.  The squared distance splits into one GEMM over the
-       non-periodic dimensions (the norm expansion ``|a|^2 + |b|^2 -
-       2 a.b``) plus explicit per-dimension minimum-image terms along
-       periodic ones — taken by comparison against the half box, valid
-       because centers lie within one box length of each other.
-    2. Bounding *boxes*, over the sphere survivors: clusters are chunks
-       of z-sorted columns and hence elongated, so the axis-aligned
-       separation ``sum_d max(0, |dc_d| - (half_a + half_b))^2 >
-       r_list^2`` prunes a large fraction the sphere bound keeps.  The
-       per-dimension minimum-image ``|dc_d|`` never exceeds the distance
-       in the interacting image, so the test is conservative too.
+    1. Columns.  Around each ``a`` cluster's bounding box, widened by
+       ``r_list`` (a 1.0001 slack absorbs rounding), lies a rectangle of
+       ``b`` columns; a periodic dimension adds the window's ``±L``
+       images (positions there lie within one box length of each other,
+       so no other image interacts), made disjoint.
+    2. A z-window inside each column.  Both faces of the boxes rise with
+       the cluster index within a column, so the clusters overlapping
+       the window are one range, found by two ``searchsorted`` calls on
+       the globally monotone keys ``col * Z + bb_hi_z`` (first cluster
+       reaching up to the window) and ``col * Z + bb_lo_z`` (last one
+       starting below its top); periodic z adds ``±L`` images likewise.
+    3. Bounding boxes, over that superset: ``sum_d max(0, |dc_d| -
+       (half_a + half_b))^2 > r_list^2`` prunes the window's corners.
+       The per-dimension minimum-image ``|dc_d|`` never exceeds the
+       distance in the interacting image, so this is conservative too.
 
-    The mask stage re-derives the image per atom pair (centers and
-    atoms can prefer different images when the box is small), so no
-    shift is returned.  When ``same`` is true only the upper triangle
-    ``ci <= cj`` is emitted (self pairs included; the mask stage
-    triu-filters those).
+    No step drops a cluster pair holding an atom pair within ``r_list``;
+    :func:`cluster_tile_pairs` decides exactly and takes the image per
+    atom pair, so no shift is returned.  When ``same`` is true only
+    ``ci <= cj`` is emitted (the tile stage triu-filters self pairs).
+
+    Output is ordered by ``ci`` and the search streams over ``a`` in
+    chunks sized by ``budget``, so neither the set nor its order depends
+    on the cap.  ``budget.candidates`` counts what step 2 enumerated.
     """
-    n_a, n_b = a.n_clusters, b.n_clusters
-    if n_a == 0 or n_b == 0:
+    n_a = a.n_clusters
+    if n_a == 0 or b.n_clusters == 0:
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    ca, cb = a.centers, b.centers
+    budget = budget or BuildBudget()
     boxd = np.asarray(box, dtype=np.float64)
-    per = [d for d in range(3) if periodic[d]]
-    free = [d for d in range(3) if not periodic[d]]
+    shifts = [
+        boxd[d] * np.arange(-1, 2) if periodic[d] else np.zeros(1)
+        for d in range(3)
+    ]
     slack = float(r_list) * 1.0001
-    caf = ca[:, free]
-    cbf = cb[:, free]
-    na_free = np.einsum("ij,ij->i", caf, caf)
-    nb_free = np.einsum("ij,ij->i", cbf, cbf)
-    cbt = np.ascontiguousarray(cbf.T)
-    jdx = np.arange(n_b)
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    if budget is None:
-        budget = BuildBudget()
-    # Sphere-stage working set per chunk row: the d2 GEMM row (n_b f64),
-    # one per-dim |dc| scratch row, the limit row, and the keep mask.
-    sphere_row_bytes = n_b * (8 + 8 + 8 + 1) + 16
-    chunk = min(n_a, budget.rows(sphere_row_bytes, int(6e6 // max(n_b, 1))))
-    budget.note(chunk * sphere_row_bytes)
-    for s in range(0, n_a, chunk):
-        e = min(n_a, s + chunk)
-        d2 = caf[s:e] @ cbt
-        d2 *= -2.0
-        d2 += na_free[s:e, None]
-        d2 += nb_free[None, :]
-        for d in per:
-            dd = np.abs(ca[s:e, None, d] - cb[None, :, d])
-            np.minimum(dd, boxd[d] - dd, out=dd)
-            d2 += dd * dd
-        lim = slack + a.radii[s:e, None] + b.radii[None, :]
-        keep = d2 <= lim * lim
+    wlo = a.centers - a.half - slack
+    whi = a.centers + a.half + slack
+    blo = b.centers - b.half
+    bhi = b.centers + b.half
+    bmin, bmax = blo.min(axis=0), bhi.max(axis=0)
+
+    # Step 1 for every a cluster: at most 3 x 3 column rectangles each,
+    # as (first column, y width, column count) per rectangle.
+    (x0, xn), (y0, yn) = (
+        _column_windows(wlo[:, d], whi[:, d], shifts[d], b.lo[d], b.ext[d],
+                        n, bmin[d], bmax[d])
+        for d, n in ((0, b.nx), (1, b.ny))
+    )
+    rect_col = (x0[:, :, None] * b.ny + y0[:, None, :]).reshape(n_a, -1)
+    rect_ny = np.repeat(yn[:, None, :], xn.shape[1], axis=1).reshape(n_a, -1)
+    rect_n = (xn[:, :, None] * yn[:, None, :]).reshape(n_a, -1)
+
+    # Step 2 keys; z offsets are taken from b's lowest face so that
+    # 0 <= offset <= zspan = Z - 2 and a clamped query never leaves its
+    # column's band of the key.
+    zspan = bmax[2] - bmin[2]
+    band = b.col * (zspan + 2.0)
+    key_hi, key_lo = band + (bhi[:, 2] - bmin[2]), band + (blo[:, 2] - bmin[2])
+    qlo = np.clip(wlo[:, 2, None] + shifts[2] - bmin[2], 0.0, zspan + 1.0)
+    qhi = np.clip(whi[:, 2, None] + shifts[2] - bmin[2], -1.0, zspan + 1.0)
+    n_img = shifts[2].size
+
+    # Two nested streams, both sized from exact counts: a clusters by
+    # the (column, image) rows they expand to, and those rows by the
+    # candidates in their z-ranges.  Per candidate: the index pair, its
+    # expansion, four gathered box rows, the gap vector, the verdict.
+    row_bytes = 72 + 40 * n_img
+    a_chunk = budget.rows(int(rect_n.sum(axis=1).max()) * row_bytes, 256)
+    cand_bytes = 32 + 4 * 24 + 24 + 9
+    cand_chunk = budget.rows(cand_bytes, 1 << 16)
+    lim2 = slack * slack
+    ac, ah, bc, bh = (
+        np.ascontiguousarray(v.T) for v in (a.centers, a.half, b.centers, b.half)
+    )
+    out_i, out_j = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for s in range(0, n_a, a_chunk):
+        rect, t = _ranges(rect_n[s : s + a_chunk].ravel())
+        ny = rect_ny[s : s + a_chunk].ravel()[rect]
+        col = rect_col[s : s + a_chunk].ravel()[rect] + t // ny * b.ny + t % ny
+        row_a = rect // rect_n.shape[1] + s
         if same:
-            keep &= np.arange(s, e)[:, None] <= jdx[None, :]
-        ii, jj = np.nonzero(keep)
-        out_i.append(ii + s)
-        out_j.append(jj)
-    ci = np.concatenate(out_i).astype(np.int64)
-    cj = np.concatenate(out_j).astype(np.int64)
-    if ci.size:
-        # AABB refinement, streamed in order over the sphere survivors.
-        # Per-candidate math is elementwise, so chunking cannot change
-        # the surviving set or its order.
-        aabb_row_bytes = 8 + 8 + 1 + 32
-        rchunk = min(int(ci.size), budget.rows(aabb_row_bytes, int(ci.size)))
-        budget.note(rchunk * aabb_row_bytes)
-        keep_i: list[np.ndarray] = []
-        keep_j: list[np.ndarray] = []
-        lim2 = slack * slack
-        for s in range(0, int(ci.size), rchunk):
-            e = min(int(ci.size), s + rchunk)
-            cis, cjs = ci[s:e], cj[s:e]
-            sep2 = np.zeros(cis.size)
-            for d in range(3):
-                dd = np.abs(ca[cis, d] - cb[cjs, d])
-                if periodic[d]:
-                    np.minimum(dd, boxd[d] - dd, out=dd)
-                dd -= a.half[cis, d] + b.half[cjs, d]
-                np.maximum(dd, 0.0, out=dd)
-                dd *= dd
-                sep2 += dd
-            keep = sep2 <= lim2
-            keep_i.append(cis[keep])
-            keep_j.append(cjs[keep])
-        ci = np.concatenate(keep_i)
-        cj = np.concatenate(keep_j)
-    return ci, cj
+            # Lower columns hold lower cluster indices only.
+            keep = col >= a.col[row_a]
+            col, row_a = col[keep], row_a[keep]
+        base = (col * (zspan + 2.0))[:, None]
+        first = np.searchsorted(key_hi, base + qlo[row_a], side="left")
+        stop = np.searchsorted(key_lo, base + qhi[row_a], side="right")
+        if same:
+            np.maximum(first, row_a[:, None], out=first)
+        for k in range(1, n_img):
+            np.maximum(first[:, k], stop[:, k - 1], out=first[:, k])
+            np.maximum(stop[:, k], stop[:, k - 1], out=stop[:, k])
+        count = np.maximum(stop - first, 0).ravel()
+        first = first.ravel()
+        ends = np.cumsum(count)
+        budget.note(rect.size * row_bytes)
+        budget.candidates += int(ends[-1]) if ends.size else 0
+        r0 = 0
+        while r0 < count.size:
+            seen = ends[r0 - 1] if r0 else 0
+            r1 = max(r0 + 1, int(np.searchsorted(ends, seen + cand_chunk, "right")))
+            rng, off = _ranges(count[r0:r1])
+            cj = first[r0:r1][rng] + off
+            ci = row_a[(rng + r0) // n_img]
+            budget.note(ci.size * cand_bytes)
+            r0 = r1
+            # Step 3, elementwise per candidate, one row per dimension.
+            gap = np.abs(np.take(ac, ci, axis=1) - np.take(bc, cj, axis=1))
+            for d in np.flatnonzero(periodic):
+                np.minimum(gap[d], boxd[d] - gap[d], out=gap[d])
+            gap -= np.take(ah, ci, axis=1)
+            gap -= np.take(bh, cj, axis=1)
+            np.maximum(gap, 0.0, out=gap)
+            gap *= gap
+            keep = gap.sum(axis=0) <= lim2
+            out_i.append(ci[keep])
+            out_j.append(cj[keep])
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def cluster_tile_masks(
+def cluster_tile_pairs(
     positions: np.ndarray,
     a: ClusterLayout,
     b: ClusterLayout,
@@ -526,68 +580,82 @@ def cluster_tile_masks(
     periodic: np.ndarray,
     same: bool,
     budget: BuildBudget | None = None,
-) -> np.ndarray:
-    """Exact per-tile interaction masks, shape ``(T, a.m, b.m)`` bool.
+    zone_bits: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Atom pairs ``(pi, pj)`` within ``r_list`` in the candidate tiles.
 
-    For each candidate cluster pair the full M×N distance tile is
-    evaluated in float64 with the minimum image taken *per atom pair*
-    along periodic dimensions — the same convention as the flat kernels,
-    and necessary in general: the image nearest two cluster centers need
-    not be the image nearest every atom pair in the tile.  The squared
-    distance accumulates as one batched GEMM over the non-periodic
-    dimensions (norm expansion, which avoids materializing the
-    ``(T, m, n, 3)`` displacement tensor) plus explicit minimum-image
-    terms per periodic dimension.  A pair slot is set iff both slots are
-    real atoms and ``r <= r_list``.  For ``same`` layouts the diagonal
-    tiles (``ci == cj``) keep only the strict upper triangle so each
-    unordered pair appears exactly once.
+    Each candidate cluster pair is an M×N tile of atom slots, evaluated
+    exactly in float64: ``dx² + dy² + dz²`` with the minimum image taken
+    *per atom pair* along periodic dimensions — the arithmetic of
+    :meth:`CellList.pairs_within`, and necessary in general: the image
+    nearest two cluster centers need not be the image nearest every
+    atom pair in the tile.
+
+    Tiles are laid out slot-major, ``(m_a, m_b, T)`` with the tile index
+    contiguous, so every ufunc runs over thousands of contiguous
+    elements, a cache-sized chunk of tiles at a time.  Padding slots
+    read NaN coordinates, which fail ``r² <= r_list²`` without a
+    validity mask.  For ``same`` layouts the diagonal tiles keep only
+    the strict upper triangle, so each unordered pair appears once.
+    With ``zone_bits`` (one ``uint8`` per atom) a pair is also dropped
+    when its atoms share a bit — the eighth-shell rule.  The pairs are
+    unique but unordered (chunk by chunk, in slot order).
     """
     m_a, m_b = a.m, b.m
-    padded = np.vstack([np.asarray(positions, dtype=np.float64),
-                        np.zeros((1, 3))])
     n_tiles = int(ci.size)
-    masks = np.empty((n_tiles, m_a, m_b), dtype=bool)
+    budget = budget or BuildBudget()
+    padded = np.vstack([np.asarray(positions, dtype=np.float64),
+                        np.full((1, 3), np.nan)])
+    # (3, m, C): one contiguous row of clusters per dimension and slot.
+    xa = np.ascontiguousarray(padded[a.atoms].transpose(2, 1, 0))
+    xb = xa if same else np.ascontiguousarray(padded[b.atoms].transpose(2, 1, 0))
+    atoms_a = np.ascontiguousarray(a.atoms.T)
+    atoms_b = atoms_a if same else np.ascontiguousarray(b.atoms.T)
+    if zone_bits is not None:
+        bits = np.concatenate([zone_bits, np.zeros(1, dtype=np.uint8)])
+        za, zb = bits[atoms_a], bits[atoms_b]
     boxd = np.asarray(box, dtype=np.float64)
-    per = [d for d in range(3) if periodic[d]]
-    free = [d for d in range(3) if not periodic[d]]
-    tri = np.triu(np.ones((m_a, m_b), dtype=bool), k=1) if same else None
+    tri = np.triu(np.ones((m_a, m_b), dtype=bool), k=1)[:, :, None]
     r_list2 = r_list * r_list
-    if budget is None:
-        budget = BuildBudget()
-    # Per-tile working set: the two gathered position tiles, the r2 GEMM
-    # tile, one per-dim displacement tile, norm rows, and the mask slab.
-    tile_bytes = (
-        8 * 3 * (m_a + m_b)        # xi / xj gathers
-        + 8 * m_a * m_b * 2        # r2 + per-dim dz
-        + 8 * (m_a + m_b)          # norm-expansion rows
-        + 2 * m_a * m_b            # boolean mask + msk scratch
-    )
-    chunk = max(1, min(n_tiles, budget.rows(tile_bytes, int(4e6 // (m_a * m_b)))))
+    # Per-tile working set: r2, one displacement and one image scratch,
+    # the mask, and the gathered coordinate / index / bit rows.
+    tile_bytes = m_a * m_b * (3 * 8 + 2) + (m_a + m_b) * (3 * 8 + 8 + 1)
+    chunk = max(1, min(n_tiles, budget.rows(tile_bytes, 4096)))
     budget.note(chunk * tile_bytes)
+    scratch = np.empty((3, m_a, m_b, chunk))
+    out_i, out_j = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for s in range(0, n_tiles, chunk):
-        e = min(n_tiles, s + chunk)
-        xi = padded[a.atoms[ci[s:e]]]
-        xj = padded[b.atoms[cj[s:e]]]
-        xif = xi[..., free]
-        xjf = xj[..., free]
-        r2 = np.matmul(xif, np.swapaxes(xjf, 1, 2))
-        r2 *= -2.0
-        r2 += np.einsum("tmk,tmk->tm", xif, xif)[:, :, None]
-        r2 += np.einsum("tnk,tnk->tn", xjf, xjf)[:, None, :]
-        for d in per:
-            dz = xi[:, :, None, d] - xj[:, None, :, d]
-            dz -= np.rint(dz / boxd[d]) * boxd[d]
-            dz *= dz
-            r2 += dz
-        msk = (
-            (r2 <= r_list2)
-            & a.valid[ci[s:e]][:, :, None]
-            & b.valid[cj[s:e]][:, None, :]
-        )
+        ti, tj = ci[s : s + chunk], cj[s : s + chunk]
+        w = ti.size
+        r2, dx, img = scratch[:, :, :, :w]
+        ga, gb = np.take(xa, ti, axis=2), np.take(xb, tj, axis=2)
+        for d in range(3):
+            out = dx if d else r2
+            np.subtract(ga[d][:, None, :], gb[d][None, :, :], out=out)
+            if periodic[d]:
+                np.divide(out, boxd[d], out=img)
+                np.rint(img, out=img)
+                img *= boxd[d]
+                out -= img
+            out *= out
+            if d:
+                r2 += dx
+        mask = r2 <= r_list2
         if same:
-            msk[ci[s:e] == cj[s:e]] &= tri
-        masks[s:e] = msk
-    return masks
+            diag = np.flatnonzero(ti == tj)
+            if diag.size:
+                mask[:, :, diag] &= tri
+        if zone_bits is not None:
+            mask &= (za[:, None, ti] & zb[None, :, tj]) == 0
+        # A set slot's flat index is (sa * m_b + sb) * w + t; the slot
+        # rows of the gathered atom indices are read at sa * w + t and
+        # sb * w + t.
+        hit = np.flatnonzero(mask)
+        sab = hit // w
+        sa = sab // m_b
+        out_i.append(atoms_a[:, ti].ravel()[hit - (sab - sa) * w])
+        out_j.append(atoms_b[:, tj].ravel()[hit - sa * (m_b * w)])
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def open_cell_list(positions: np.ndarray, cutoff: float) -> CellList:

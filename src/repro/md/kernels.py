@@ -11,10 +11,11 @@ differ only in how a rank *finds* its pairs:
   against.
 * ``"cluster"`` — the default: the search of the GROMACS M×N
   cluster-pair scheme (Páll et al. 2020).  Atoms are sorted into
-  ``CLUSTER_M``-atom clusters along the cell-list spatial ordering,
-  candidates are found over ~N/m cluster centers instead of all atoms,
-  exact per-tile interaction masks are computed, and the masked slots
-  are extracted as flat pairs; layouts and masks are build transients.
+  ``CLUSTER_M``-atom clusters along a column grid, candidate cluster
+  pairs are enumerated from that grid in linear time, halo–halo tiles
+  no atom pair of which can pass the eighth-shell rule are cut, and the
+  surviving tiles are evaluated exactly and extracted as flat pairs;
+  layouts and tiles are build transients.
 
 Both produce the same canonically ``(i, j)``-sorted flat
 :class:`~repro.md.nonbonded.PairBlock` lists — the one pair-list
@@ -42,7 +43,7 @@ from repro.md.cells import (
     CellGrid,
     build_clusters,
     cluster_pair_candidates,
-    cluster_tile_masks,
+    cluster_tile_pairs,
 )
 from repro.md.forcefield import ForceField
 from repro.md.nonbonded import PairBlock, block_forces
@@ -137,7 +138,7 @@ class SegmentKernel(KernelImpl):
 
     def build_split(self, ws) -> dict:
         cfg = ws.cfg
-        pos = ws.pos.astype(np.float64)
+        pos = np.asarray(ws.pos, dtype=np.float64)
         r_list = cfg.r_comm
         periodic = cfg.periodic
         budget = BuildBudget(max_bytes=getattr(cfg, "max_build_bytes", None))
@@ -157,37 +158,13 @@ class SegmentKernel(KernelImpl):
         else:
             ei, ej = i[:0], j[:0]
 
-        nh = ws.ns.n_home
-        n_atoms = ws.pos.shape[0]
-        kernel = cfg.kernel
-
         # Local split: pairs_within emits (i, j)-lexsorted pairs and
-        # boolean masking preserves order, so both halves stay sorted by i.
-        local_mask = (i < nh) & (j < nh)
-        li, lj = i[local_mask], j[local_mask]
-        ni, nj = i[~local_mask], j[~local_mask]
-
-        req, pulse_offsets, order = _pulse_partition(ws, ni, nj)
-        ni, nj, req = ni[order], nj[order], req[order]
-
-        el_mask = (ei < nh) & (ej < nh)
-        local = kernel.make_block(li, lj, ws.types, ws.charges, n_atoms=n_atoms)
-        nl = kernel.make_block(
-            ni, nj, ws.types, ws.charges, n_atoms=n_atoms, group_key=req
-        )
-        return dict(
-            local=local,
-            nonlocal_kernel=nl,
-            pulse_offsets=pulse_offsets,
-            excl_local=(ei[el_mask], ej[el_mask]),
-            excl_nonlocal=(ei[~el_mask], ej[~el_mask]),
-            stats={
-                "n_local": int(li.size),
-                "n_nonlocal": int(ni.size),
-                "n_excluded": int(ei.size),
-                "pulse_pairs": np.diff(pulse_offsets).tolist(),
-                **_memory_stats(ws, budget, local.nbytes + nl.nbytes),
-            },
+        # boolean masking preserves order, so both halves — and the
+        # exclusion lists — stay sorted by (i, j).
+        local_mask = (i < ws.ns.n_home) & (j < ws.ns.n_home)
+        return _split_pairs(
+            ws, budget, (i[local_mask], j[local_mask]),
+            (i[~local_mask], j[~local_mask]), (ei, ej),
         )
 
 
@@ -198,7 +175,7 @@ class ClusterKernel(KernelImpl):
 
     def build_split(self, ws) -> dict:
         cfg = ws.cfg
-        pos = ws.pos.astype(np.float64)
+        pos = np.asarray(ws.pos, dtype=np.float64)
         r_list = cfg.r_comm
         periodic = cfg.periodic
         box = np.asarray(cfg.box, dtype=np.float64)
@@ -206,97 +183,123 @@ class ClusterKernel(KernelImpl):
         # The rank-local grid pins the home+halo extent the cluster
         # layouts cover; clusters are binned over the same bounds.
         grid = CellGrid.for_rank(pos, box, periodic, r_list)
-        lo, hi = grid.lo, grid.hi
         nh = ws.ns.n_home
         n = pos.shape[0]
+        stride = np.int64(n + 1)
 
         # Home and halo atoms get separate cluster layouts over rows
         # [0, nh) and [nh, n): home-home tiles are then exactly the local
         # (overlap-eligible) work and the two halo-touching groups the
         # non-local work, so the local/non-local split is a property of
         # the layout rather than a post-hoc filter.
-        home = build_clusters(pos[:nh], lo, hi, CLUSTER_M, n_total=n)
+        home = build_clusters(pos[:nh], grid.lo, grid.hi, CLUSTER_M, n_total=n)
         halo = build_clusters(
-            pos[nh:], lo, hi, CLUSTER_M, index_offset=nh, n_total=n
+            pos[nh:], grid.lo, grid.hi, CLUSTER_M, index_offset=nh, n_total=n
         )
         budget.note_cells(home.nbytes + halo.nbytes)
 
         # Eighth-shell zone rule as a bit test: bit d set = nonzero zone
         # shift along dim d; a pair is ours iff the bit sets are disjoint.
-        # Only halo-touching tiles need it (home shifts are all zero).
+        # Home bits are zero, so only halo-halo tiles need it — and most
+        # fail it whole: a bit all atoms of both clusters carry.
         zs = ws.ns.zone_shift
         nzbits = (
             ((zs != 0) * np.array([1, 2, 4], dtype=np.uint8)).sum(axis=1)
         ).astype(np.uint8)
-        nzp = np.concatenate([nzbits, np.zeros(1, dtype=np.uint8)])
+        halo_bits = _cluster_zone_bits(halo, nzbits)
 
         mol = ws.ns.bonded["mol"] if ws.ns.bonded is not None else None
-        groups = {
-            "hh": (home, home, True),
-            "hx": (home, halo, False),
-            "xx": (halo, halo, True),
-        }
-        flat: dict[str, tuple] = {}
-        excl_i: list[np.ndarray] = []
-        excl_j: list[np.ndarray] = []
-        for tag, (a, b, same) in groups.items():
+        flat = []
+        excl_i, excl_j = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        n_tiles = 0
+        for a, b in ((home, home), (home, halo), (halo, halo)):
+            same = a is b
             ci, cj = cluster_pair_candidates(
                 a, b, r_list, box, periodic, same, budget=budget
             )
-            masks = cluster_tile_masks(
-                pos, a, b, ci, cj, r_list, box, periodic, same, budget=budget
+            if a is halo:
+                keep = (halo_bits[ci] & halo_bits[cj]) == 0
+                ci, cj = ci[keep], cj[keep]
+            n_tiles += int(ci.size)
+            pi, pj = cluster_tile_pairs(
+                pos, a, b, ci, cj, r_list, box, periodic, same, budget=budget,
+                zone_bits=nzbits if a is halo else None,
             )
-            if tag != "hh" and masks.size:
-                masks &= (
-                    nzp[a.atoms][ci][:, :, None] & nzp[b.atoms][cj][:, None, :]
-                ) == 0
-            # The masked slots are the pairs; candidates and masks are
-            # not kept past this extraction.
-            ti, tm, tn = np.nonzero(masks)
-            pi = a.atoms[ci[ti], tm]
-            pj = b.atoms[cj[ti], tn]
-            if mol is not None and pi.size:
+            pi, pj = np.minimum(pi, pj), np.maximum(pi, pj)
+            if mol is not None:
                 excl = mol[pi] == mol[pj]
-                if np.any(excl):
-                    excl_i.append(pi[excl])
-                    excl_j.append(pj[excl])
-                    pi, pj = pi[~excl], pj[~excl]
-            flat[tag] = (np.minimum(pi, pj), np.maximum(pi, pj))
+                excl_i.append(pi[excl])
+                excl_j.append(pj[excl])
+                pi, pj = pi[~excl], pj[~excl]
+            flat.append((pi, pj))
 
-        kernel = cfg.kernel
-        li, lj = flat["hh"]
-        # Canonical (i, j) order via one argsort of a fused key: pairs
-        # are unique, so this equals the two-pass lexsort((lj, li)) and
-        # costs roughly half of it on these list sizes.
-        lorder = np.argsort(li * np.int64(n + 1) + lj)
-        li, lj = li[lorder], lj[lorder]
-        ni = np.concatenate([flat["hx"][0], flat["xx"][0]])
-        nj = np.concatenate([flat["hx"][1], flat["xx"][1]])
-        req, pulse_offsets, order = _pulse_partition(ws, ni, nj)
-        ni, nj, req = ni[order], nj[order], req[order]
+        hh, hx, xx = flat
+        # Canonical order for all that leaves the build: the exclusion
+        # correction accumulates in list order, never the tile order.
+        return _split_pairs(
+            ws, budget, _sorted_pairs(*hh, stride),
+            (np.concatenate([hx[0], xx[0]]), np.concatenate([hx[1], xx[1]])),
+            _sorted_pairs(np.concatenate(excl_i), np.concatenate(excl_j), stride),
+            n_candidates=budget.candidates, n_tiles=n_tiles,
+        )
 
-        local = kernel.make_block(li, lj, ws.types, ws.charges, n_atoms=n)
-        nl = kernel.make_block(
-            ni, nj, ws.types, ws.charges, n_atoms=n, group_key=req
-        )
-        ei = np.concatenate(excl_i) if excl_i else li[:0]
-        ej = np.concatenate(excl_j) if excl_j else lj[:0]
-        ei, ej = np.minimum(ei, ej), np.maximum(ei, ej)
-        el_mask = (ei < nh) & (ej < nh)
-        return dict(
-            local=local,
-            nonlocal_kernel=nl,
-            pulse_offsets=pulse_offsets,
-            excl_local=(ei[el_mask], ej[el_mask]),
-            excl_nonlocal=(ei[~el_mask], ej[~el_mask]),
-            stats={
-                "n_local": int(li.size),
-                "n_nonlocal": int(ni.size),
-                "n_excluded": int(ei.size),
-                "pulse_pairs": np.diff(pulse_offsets).tolist(),
-                **_memory_stats(ws, budget, local.nbytes + nl.nbytes),
-            },
-        )
+
+def _split_pairs(ws, budget: BuildBudget, local, nonlocal_, excl, **search_stats):
+    """The :class:`~repro.par.phases.SplitPairs` keywords of one search.
+
+    ``local`` and ``excl`` are ``(i, j)`` in canonical order, ``nonlocal_``
+    in any order (the per-pulse partition sorts it).
+    """
+    nh = ws.ns.n_home
+    n = ws.pos.shape[0]
+    kernel = ws.cfg.kernel
+    ni, nj, req, pulse_offsets = _pulse_partition(ws, *nonlocal_)
+    local = kernel.make_block(*local, ws.types, ws.charges, n_atoms=n)
+    nl = kernel.make_block(
+        ni, nj, ws.types, ws.charges, n_atoms=n, group_key=req
+    )
+    ei, ej = excl
+    el_mask = (ei < nh) & (ej < nh)
+    return dict(
+        local=local,
+        nonlocal_kernel=nl,
+        pulse_offsets=pulse_offsets,
+        excl_local=(ei[el_mask], ej[el_mask]),
+        excl_nonlocal=(ei[~el_mask], ej[~el_mask]),
+        stats={
+            "n_local": local.n_pairs,
+            "n_nonlocal": nl.n_pairs,
+            "n_excluded": int(ei.size),
+            "pulse_pairs": np.diff(pulse_offsets).tolist(),
+            **search_stats,
+            **_memory_stats(ws, budget, local.nbytes + nl.nbytes),
+        },
+    )
+
+
+def _cluster_zone_bits(layout, nzbits: np.ndarray) -> np.ndarray:
+    """Zone bits shared by *every* atom of each cluster, shape ``(C,)``
+    (padding slots carry all bits, so they never clear one).  Two
+    clusters whose shared bits intersect hold no pair the per-atom
+    eighth-shell test would keep; the converse does not hold, so the
+    per-atom test still decides on the tiles that survive."""
+    bits = np.concatenate([nzbits, np.full(1, 7, dtype=np.uint8)])
+    return np.bitwise_and.reduce(bits[layout.atoms], axis=1)
+
+
+def _sorted_pairs(i: np.ndarray, j: np.ndarray, stride: np.int64):
+    """Unique pairs in canonical ``(i, j)`` order: sorting the fused key
+    ``i * stride + j`` and decoding it yields the arrays a
+    ``lexsort((j, i))`` permutation would gather, without the gathers."""
+    key = i * stride + j
+    key.sort()
+    return _split_key(key, stride)
+
+
+def _split_key(key: np.ndarray, stride: np.int64):
+    """``(hi, lo)`` of a fused key ``hi * stride + lo``."""
+    hi = key // stride
+    return hi, key - hi * stride
 
 
 def _memory_stats(ws, budget: BuildBudget, pairlist_bytes: int) -> dict:
@@ -324,9 +327,9 @@ def _pulse_partition(ws, ni: np.ndarray, nj: np.ndarray):
 
     A non-local pair is computable once the latest pulse that delivered
     either atom has arrived (``src_pulse`` is -1 for home atoms, so
-    ``max`` picks the halo dependency).  Returns ``(req, pulse_offsets,
-    order)`` with ``order`` the (req, i, j)-stable sort to apply — the
-    paper's ``depOffset`` dependency partition.
+    ``max`` picks the halo dependency).  Returns ``(ni, nj, req,
+    pulse_offsets)`` sorted by ``(req, i, j)`` — the paper's
+    ``depOffset`` dependency partition.
     """
     sp = ws.ns.src_pulse
     n_pulses = ws.ns.n_pulses
@@ -334,10 +337,12 @@ def _pulse_partition(ws, ni: np.ndarray, nj: np.ndarray):
         req = np.maximum(sp[ni], sp[nj]).astype(np.int64)
     else:
         req = np.zeros(ni.size, dtype=np.int64)
-    # One argsort of a fused (req, i, j) key instead of a three-pass
-    # lexsort; (i, j) pairs are unique so the permutations coincide.
+    # One sort of the fused (req, i, j) key, decoded afterwards: (i, j)
+    # pairs are unique, so this is the three-pass lexsort's order.
     stride = np.int64(ws.pos.shape[0] + 1)
-    order = np.argsort((req * stride + ni) * stride + nj)
-    req_sorted = req[order]
-    pulse_offsets = np.searchsorted(req_sorted, np.arange(max(n_pulses, 1) + 1))
-    return req, pulse_offsets, order
+    key = (req * stride + ni) * stride + nj
+    key.sort()
+    req, key = _split_key(key, stride * stride)
+    ni, nj = _split_key(key, stride)
+    pulse_offsets = np.searchsorted(req, np.arange(max(n_pulses, 1) + 1))
+    return ni, nj, req, pulse_offsets

@@ -209,6 +209,29 @@ class TestDdBonded:
             assert y.bonded == pytest.approx(x.bonded, rel=1e-10)
             assert y.coulomb == pytest.approx(x.coulomb, rel=1e-10)
 
+    def test_exclusion_lists_are_sorted_and_kernel_independent(self, ff):
+        """``exclusion_correction`` accumulates in list order, so the lists
+        leave every search (i, j)-sorted — never in tile order."""
+        lists = {}
+        for kernel in ("segment", "cluster"):
+            sys_, top = make_molecular_grappa_system(500, seed=5, ff=ff)
+            with DDSimulator(
+                sys_, ff, grid=DDGrid((2, 2, 1)), nstlist=5, buffer=0.15,
+                topology=top, kernel=kernel,
+            ) as dds:
+                dds.prepare_step()
+                lists[kernel] = [
+                    part
+                    for ws in dds.executor._ws
+                    for part in (ws.pairs.excl_local, ws.pairs.excl_nonlocal)
+                ]
+        assert sum(i.size for i, _ in lists["cluster"]) > 0
+        for (si, sj), (ci, cj) in zip(lists["segment"], lists["cluster"]):
+            assert np.array_equal(si, ci) and np.array_equal(sj, cj)
+            assert np.all(ci < cj)
+            order = np.lexsort((cj, ci))
+            assert np.array_equal(order, np.arange(ci.size))
+
     def test_every_bond_assigned_exactly_once(self, ff):
         sys_, top = make_molecular_grappa_system(400, seed=8, ff=ff)
         dds = DDSimulator(

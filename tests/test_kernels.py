@@ -12,7 +12,7 @@ flat and per-pulse partitioned blocks, to the documented tolerance gates
   ``F32_FORCE_RTOL``, energies within ``F32_ENERGY_RTOL`` (measured
   ~3e-7 on grappa systems; the gates leave slack for cancellation).
 
-The mask property test is the load-bearing one: cluster tile masks must
+The completeness test is the load-bearing one: the cluster tile test must
 never drop a pair inside the list radius, checked against a brute-force
 minimum-image O(N^2) sweep including boxes small enough that the
 per-tile image differs from the per-pair image.
@@ -20,19 +20,21 @@ per-tile image differs from the per-pair image.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import numpy as np
 import pytest
 
 import repro.cli as cli
+import repro.md.kernels as kernels
 from repro.chaos import chaos_spec, run_campaign
 from repro.dd import DDGrid, DDSimulator
 from repro.md import make_grappa_system, nonbonded
 from repro.md.cells import (
     build_clusters,
     cluster_pair_candidates,
-    cluster_tile_masks,
+    cluster_tile_pairs,
 )
 from repro.md.kernels import KERNEL_DTYPES, kernel_registry, make_kernel
 from repro.md.nonbonded import NonbondedKernel, pair_forces
@@ -60,16 +62,18 @@ def _rel(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
 
 
-def _cluster_search(pos, box, r_list):
-    """Canonical flat pairs of the cluster search over a periodic box:
-    layouts -> candidates -> exact masks -> masked slots."""
+def _tile_pairs(pos, box, r_list):
+    """Atom pairs of the cluster search over a periodic box, as the tile
+    stage emits them: layouts -> candidates -> exact tile test."""
     periodic = np.ones(3, dtype=bool)
     lay = build_clusters(pos, np.zeros(3), box, 4)
     ci, cj = cluster_pair_candidates(lay, lay, r_list, box, periodic, True)
-    masks = cluster_tile_masks(pos, lay, lay, ci, cj, r_list, box, periodic, True)
-    ti, tm, tn = np.nonzero(masks)
-    pi = lay.atoms[ci[ti], tm]
-    pj = lay.atoms[cj[ti], tn]
+    return cluster_tile_pairs(pos, lay, lay, ci, cj, r_list, box, periodic, True)
+
+
+def _cluster_search(pos, box, r_list):
+    """Canonical flat pairs of the cluster search over a periodic box."""
+    pi, pj = _tile_pairs(pos, box, r_list)
     lo, hi = np.minimum(pi, pj), np.maximum(pi, pj)
     order = np.lexsort((hi, lo))
     return lo[order], hi[order]
@@ -145,7 +149,7 @@ class TestRegistry:
 
 
 class TestMaskCompleteness:
-    """Cluster masks must never drop an in-range pair (property test)."""
+    """The tile test must never drop an in-range pair (property test)."""
 
     # box 2.1 nm is the regime that broke the per-tile image shift: with
     # r_list + two cluster radii > box/2, the image nearest two cluster
@@ -160,15 +164,7 @@ class TestMaskCompleteness:
         box = np.full(3, box_len)
         pos = rng.uniform(0.0, box_len, size=(n, 3))
         r_list = 0.9
-        periodic = np.ones(3, dtype=bool)
-        lay = build_clusters(pos, np.zeros(3), box, 4)
-        ci, cj = cluster_pair_candidates(lay, lay, r_list, box, periodic, True)
-        masks = cluster_tile_masks(
-            pos, lay, lay, ci, cj, r_list, box, periodic, True
-        )
-        ti, tm, tn = np.nonzero(masks)
-        pi = lay.atoms[ci[ti], tm]
-        pj = lay.atoms[cj[ti], tn]
+        pi, pj = _tile_pairs(pos, box, r_list)
         got = set(zip(np.minimum(pi, pj).tolist(), np.maximum(pi, pj).tolist()))
         assert len(got) == pi.size, "pair listed more than once"
 
@@ -178,19 +174,16 @@ class TestMaskCompleteness:
         ii, jj = np.nonzero(np.triu(r2 <= r_list * r_list, k=1))
         want = set(zip(ii.tolist(), jj.tolist()))
         missing = want - got
-        assert not missing, f"masks dropped {len(missing)} in-range pairs"
+        assert not missing, f"tile test dropped {len(missing)} in-range pairs"
 
     def test_sentinel_slots_stay_masked(self):
         rng = np.random.default_rng(3)
         box = np.full(3, 2.5)
         pos = rng.uniform(0.0, 2.5, size=(107, 3))  # not a multiple of m
-        lay = build_clusters(pos, np.zeros(3), box, 4)
-        periodic = np.ones(3, dtype=bool)
-        ci, cj = cluster_pair_candidates(lay, lay, 0.9, box, periodic, True)
-        masks = cluster_tile_masks(pos, lay, lay, ci, cj, 0.9, box, periodic, True)
-        ti, tm, tn = np.nonzero(masks)
-        assert np.all(lay.atoms[ci[ti], tm] < 107)
-        assert np.all(lay.atoms[cj[ti], tn] < 107)
+        pi, pj = _tile_pairs(pos, box, 0.9)
+        assert pi.size
+        assert np.all(pi < 107)
+        assert np.all(pj < 107)
 
 
 class TestFlatParity:
@@ -321,6 +314,62 @@ class TestEngineParity:
         e0_ref, e0_out = ref[1][0], out[1][0]
         assert _rel(e0_out.lj, e0_ref.lj) < F32_ENERGY_RTOL
         assert _rel(e0_out.coulomb, e0_ref.coulomb) < F32_ENERGY_RTOL
+
+
+def _rank_pairs(system, ff, grid):
+    """Every rank's ``SplitPairs`` after one search on ``grid``."""
+    with DDSimulator(
+        system.copy(), ff, grid=DDGrid(grid), nstlist=10, buffer=0.12,
+        kernel="cluster",
+    ) as sim:
+        sim.neighbor_search()
+        return [ws.pairs for ws in sim.executor._ws]
+
+
+def _pair_arrays(pairs):
+    return (pairs.local.i, pairs.local.j, pairs.nonlocal_kernel.i,
+            pairs.nonlocal_kernel.j, pairs.pulse_offsets)
+
+
+class TestPairListIdentity:
+    """The search may change; the lists it hands the evaluator may not."""
+
+    # sha256 over every rank's local.i/j, nonlocal_kernel.i/j and
+    # pulse_offsets (int64), computed at commit dbe84e3 — the all-pairs
+    # centre-distance search — and pasted in.  (1, 2, 2) and (2, 2, 1)
+    # leave x resp. z periodic inside a rank.
+    PINNED = {
+        (2, 2, 2): "41d36d72f3544751c569a276ea2e0bedf433f85fb3eabc5fc2cb6916f92cdea2",
+        (1, 2, 2): "a63e44eb5e787972386c041a573ca599bebdef86a46da23b3d0cab520a26eeb2",
+        (2, 2, 1): "78fec1fc9c0b27f8095d98ea9e62371bfcb731613ac678296706b8e85e9bc16a",
+    }
+
+    @pytest.fixture(scope="class")
+    def system(self, ff):
+        return make_grappa_system(3000, seed=7, ff=ff, dtype=np.float64)
+
+    @pytest.mark.parametrize("grid", sorted(PINNED))
+    def test_pair_arrays_match_the_pinned_digests(self, system, ff, grid):
+        digest = hashlib.sha256()
+        for pairs in _rank_pairs(system, ff, grid):
+            for arr in _pair_arrays(pairs):
+                digest.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == self.PINNED[grid]
+
+    def test_cluster_zone_cut_only_removes_dead_tiles(self, system, ff, monkeypatch):
+        """With the cluster-level cut off the per-atom test alone decides:
+        same lists from more tiles."""
+        cut = _rank_pairs(system, ff, (2, 2, 2))
+        monkeypatch.setattr(
+            kernels, "_cluster_zone_bits",
+            lambda layout, nzbits: np.zeros(layout.n_clusters, dtype=np.uint8),
+        )
+        uncut = _rank_pairs(system, ff, (2, 2, 2))
+        for with_cut, without in zip(cut, uncut):
+            for got, want in zip(_pair_arrays(with_cut), _pair_arrays(without)):
+                assert np.array_equal(got, want)
+            assert with_cut.stats["n_tiles"] < without.stats["n_tiles"]
+            assert with_cut.stats["n_candidates"] == without.stats["n_candidates"]
 
 
 class TestPulsePartition:

@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 from repro.dd.decomposition import DomainDecomposition
 from repro.dd.grid import DDGrid
 from repro.dd.halo import build_halo_plan
-from repro.md.cells import CellList, periodic_cell_list
+from repro.md.cells import (
+    BuildBudget,
+    CellList,
+    build_clusters,
+    cluster_pair_candidates,
+    cluster_tile_pairs,
+    periodic_cell_list,
+)
 from repro.md.system import minimum_image, wrap_positions
 
 # -- strategies ---------------------------------------------------------------
@@ -95,6 +102,117 @@ class TestCellListProperties:
             return set(zip(i.tolist(), j.tolist()))
 
         assert pairs(pos) == pairs(pos + shift)
+
+
+# -- cluster search vs brute force ---------------------------------------------------
+
+
+def _aabb_candidates(a, b, r_list, box, periodic, same):
+    """The candidate oracle: the bounding-box gap test over *all* cluster
+    pairs — quadratic, and sharing nothing with the column search."""
+    dc = np.abs(a.centers[:, None, :] - b.centers[None, :, :])
+    dc = np.where(periodic, np.minimum(dc, box - dc), dc)
+    gap = np.maximum(dc - (a.half[:, None, :] + b.half[None, :, :]), 0.0)
+    keep = (gap * gap).sum(axis=-1) <= r_list * r_list
+    if same:
+        keep = np.triu(keep)
+    return set(zip(*(v.tolist() for v in np.nonzero(keep))))
+
+
+def _atom_pairs(pos, rows_a, rows_b, r_list, box, periodic, same):
+    """The atom oracle: every (i, j) across two row sets within ``r_list``
+    by minimum image (i < j when the sets are the same)."""
+    dx = pos[rows_a][:, None, :] - pos[rows_b][None, :, :]
+    dx -= np.where(periodic, np.rint(dx / box) * box, 0.0)
+    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2 + dx[..., 2] ** 2
+    keep = r2 <= r_list * r_list
+    if same:
+        keep = np.triu(keep, k=1)
+    ia, ib = np.nonzero(keep)
+    return set(zip(rows_a[ia].tolist(), rows_b[ib].tolist()))
+
+
+class TestClusterSearchProperties:
+    """Column + z-window candidates and the slot-major tile test, over
+    every periodicity, wrapping boxes, home/halo layout pairs, padding."""
+
+    R_LIST = 0.5
+
+    @given(
+        seed=seeds,
+        periodic=st.tuples(st.booleans(), st.booleans(), st.booleans()).map(np.array),
+        # Down to 1.2 r_list: a widened window then exceeds the box and
+        # its three images overlap each other.
+        box=st.tuples(*[st.floats(0.6, 2.4)] * 3).map(np.array),
+        n_home=st.integers(0, 160),
+        n_halo=st.integers(0, 120),
+        tight_grid=st.booleans(),
+        cap=st.sampled_from([None, 4096, 1 << 15]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_candidates_and_tile_pairs_match_oracles(
+        self, seed, periodic, box, n_home, n_halo, tight_grid, cap
+    ):
+        rng = np.random.default_rng(seed)
+        r_list = self.R_LIST
+        # Home rows inside the box; halo rows beyond it along the
+        # non-periodic (decomposed) dimensions, as shifted copies are.
+        home = rng.random((n_home, 3)) * box
+        reach = np.where(periodic, 0.0, r_list)
+        halo = rng.random((n_halo, 3)) * (box + reach)
+        pos = np.vstack([home, halo])
+        n = n_home + n_halo
+        # The column grid need not cover the atoms (they clip onto its
+        # edge columns); periodic dimensions always span the box.
+        lo = np.zeros(3)
+        hi = np.where(periodic | ~tight_grid, box + reach, 0.5 * box)
+        lay_home = build_clusters(home, lo, hi, 4, n_total=n)
+        lay_halo = build_clusters(halo, lo, hi, 4, index_offset=n_home, n_total=n)
+        rows_home, rows_halo = np.arange(n_home), np.arange(n_home, n)
+
+        for a, b, rows_a, rows_b in (
+            (lay_home, lay_home, rows_home, rows_home),
+            (lay_home, lay_halo, rows_home, rows_halo),
+            (lay_halo, lay_halo, rows_halo, rows_halo),
+        ):
+            same = a is b
+            budget = BuildBudget(max_bytes=cap)
+            ci, cj = cluster_pair_candidates(
+                a, b, r_list, box, periodic, same, budget=budget
+            )
+            got = list(zip(ci.tolist(), cj.tolist()))
+            assert len(set(got)) == len(got), "cluster pair emitted twice"
+            assert budget.candidates >= len(got)
+            assert np.all(np.diff(ci) >= 0), "candidates not ordered by ci"
+            if same:
+                assert np.all(ci <= cj)
+            # Exactly the box-gap set, up to rounding at the threshold.
+            assert set(got) >= _aabb_candidates(a, b, r_list, box, periodic, same)
+            assert set(got) <= _aabb_candidates(
+                a, b, r_list * 1.0002, box, periodic, same
+            )
+
+            want = _atom_pairs(pos, rows_a, rows_b, r_list, box, periodic, same)
+            cluster_of = {}
+            for lay in (a, b):
+                for c, row in enumerate(lay.atoms.tolist()):
+                    cluster_of.update({atom: c for atom in row if atom < n})
+            for i, j in want:
+                pair = (cluster_of[i], cluster_of[j])
+                assert pair in set(got) or (same and pair[::-1] in set(got))
+
+            # Zone bits on the halo-halo group only, as build_split does.
+            bits = rng.integers(0, 8, n).astype(np.uint8) if a is lay_halo else None
+            pi, pj = cluster_tile_pairs(
+                pos, a, b, ci, cj, r_list, box, periodic, same, budget=budget,
+                zone_bits=bits,
+            )
+            pairs = list(zip(np.minimum(pi, pj).tolist(), np.maximum(pi, pj).tolist()))
+            assert len(set(pairs)) == len(pairs), "atom pair listed twice"
+            assert set(pairs) == {
+                (min(p), max(p)) for p in want
+                if bits is None or not bits[p[0]] & bits[p[1]]
+            }
 
 
 # -- halo exchange invariants ------------------------------------------------------------
