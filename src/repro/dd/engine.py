@@ -95,7 +95,7 @@ class RankWorkload:
 
     These feed the performance model: local pairs drive the local non-bonded
     kernel, non-local pairs the non-local kernel, and the pulse sizes the
-    communication volumes.
+    communication volumes.  Pair counts are the search's outer lists.
     """
 
     rank: int
@@ -107,7 +107,8 @@ class RankWorkload:
     #: Non-local pairs grouped by the latest pulse they depend on (the
     #: ``depOffset`` partition) — sums to ``n_pairs_nonlocal``.
     pulse_pair_counts: list[int] = field(default_factory=list)
-    #: Standing pair-list footprint (local + non-local block), bytes.
+    #: Standing pair-list footprint after the search (both outer lists
+    #: plus the inner blocks pruned from them), bytes.
     pairlist_bytes: int = 0
     #: Search-structure footprint (cell grid / cluster layouts), bytes.
     cells_bytes: int = 0
@@ -502,8 +503,10 @@ class DDSimulator:
 
         Returns globally summed (E_lj, E_coulomb, E_bonded); each pair
         contributes on exactly one rank and the partial energies are
-        summed in fixed rank order (local tuple then non-local tuple), so
-        the total is identical for every executor.
+        summed in fixed rank order (local half then non-local half), so
+        the total is identical for every executor.  The halves also carry
+        the inner pairs evaluated and the guard's re-prunes
+        (``md.pairs_inner``, ``md.prune.count``).
         """
         cluster = self.cluster
         with TRACER.span("dd.forces", cat="force", ranks=self.n_ranks):
@@ -513,12 +516,17 @@ class DDSimulator:
         e_lj_total = 0.0
         e_coul_total = 0.0
         e_bonded_total = 0.0
+        pairs_inner = prunes = 0
         for halves in zip(local, nonloc):
-            for e_lj, e_corr, e_coul, e_bonded in halves:
-                e_coul_total += e_corr
-                e_bonded_total += e_bonded
-                e_lj_total += e_lj
-                e_coul_total += e_coul
+            for half in halves:
+                e_coul_total += half.e_corr
+                e_bonded_total += half.e_bonded
+                e_lj_total += half.e_lj
+                e_coul_total += half.e_coul
+                pairs_inner += half.pairs
+                prunes += half.pruned
+        METRICS.gauge("md.pairs_inner").set(pairs_inner)
+        METRICS.counter("md.prune.count").inc(prunes)
         with TRACER.span("dd.halo_f", cat="comm", backend=getattr(self.backend, "name", "?")):
             self.backend.exchange_forces(cluster)
         if self._pme_session is not None:

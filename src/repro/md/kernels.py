@@ -17,11 +17,12 @@ differ only in how a rank *finds* its pairs:
   surviving tiles are evaluated exactly and extracted as flat pairs;
   layouts and tiles are build transients.
 
-Both produce the same canonically ``(i, j)``-sorted flat
-:class:`~repro.md.nonbonded.PairBlock` lists — the one pair-list
-representation, immutable once built — and every step evaluates them
-with :func:`~repro.md.nonbonded.block_forces`, the one evaluator, which
-runs each list in cache-sized chunks over one scratch per thread.
+Both produce the same canonically ``(i, j)``-sorted flat ``int32``
+outer lists (:class:`~repro.md.nonbonded.DualList`); the force phases
+evaluate the :class:`~repro.md.nonbonded.PairBlock` inner lists pruned
+from them (:mod:`repro.par.phases`) with
+:func:`~repro.md.nonbonded.block_forces`, the one evaluator, which runs
+each list in cache-sized chunks over one scratch per thread.
 
 Every implementation accepts ``dtype="float32"`` — the documented fast
 path: kernel-internal geometry and interaction math in float32, energy
@@ -46,7 +47,7 @@ from repro.md.cells import (
     cluster_tile_pairs,
 )
 from repro.md.forcefield import ForceField
-from repro.md.nonbonded import PairBlock, block_forces
+from repro.md.nonbonded import DualList, PairBlock, block_forces
 
 #: Registry name -> implementation class.
 kernel_registry: dict[str, type] = {}
@@ -91,7 +92,8 @@ class KernelImpl:
     ``build_split(ws)`` runs the rank-local pair search over a
     :class:`~repro.par.phases.RankWorkspace`-shaped object and returns
     the keyword dict for :class:`~repro.par.phases.SplitPairs` (the
-    local/non-local blocks, per-pulse offsets, exclusion lists, stats).
+    local/non-local outer lists, per-pulse offsets, exclusion lists,
+    stats).
     ``compute_block`` is the same for every strategy:
     :func:`~repro.md.nonbonded.block_forces` at this kernel's ``dtype``.
     """
@@ -245,24 +247,22 @@ class ClusterKernel(KernelImpl):
 
 
 def _split_pairs(ws, budget: BuildBudget, local, nonlocal_, excl, **search_stats):
-    """The :class:`~repro.par.phases.SplitPairs` keywords of one search.
+    """The :class:`~repro.par.phases.SplitPairs` keywords of one search:
+    the outer lists, stored as ``int32``.
 
     ``local`` and ``excl`` are ``(i, j)`` in canonical order, ``nonlocal_``
     in any order (the per-pulse partition sorts it).
     """
     nh = ws.ns.n_home
     n = ws.pos.shape[0]
-    kernel = ws.cfg.kernel
-    ni, nj, req, pulse_offsets = _pulse_partition(ws, *nonlocal_)
-    local = kernel.make_block(*local, ws.types, ws.charges, n_atoms=n)
-    nl = kernel.make_block(
-        ni, nj, ws.types, ws.charges, n_atoms=n, group_key=req
-    )
+    ni, nj, pulse_offsets = _pulse_partition(ws, *nonlocal_)
+    local = DualList(*(a.astype(np.int32) for a in local), rows=nh)
+    nl = DualList(ni.astype(np.int32), nj.astype(np.int32), rows=n)
     ei, ej = excl
     el_mask = (ei < nh) & (ej < nh)
     return dict(
         local=local,
-        nonlocal_kernel=nl,
+        nonlocal_=nl,
         pulse_offsets=pulse_offsets,
         excl_local=(ei[el_mask], ej[el_mask]),
         excl_nonlocal=(ei[~el_mask], ej[~el_mask]),
@@ -310,15 +310,15 @@ def _memory_stats(ws, budget: BuildBudget, pairlist_bytes: int) -> dict:
     memory back to the engine (which folds it into ``md.*`` gauges).
     ``build_peak_bytes`` is the largest transient working set plus the
     standing structures — the number the per-atom budget in CI is
-    asserted on.
+    asserted on.  Both count the outer lists here; the ``pairs`` phase
+    adds the inner blocks it prunes from them.
     """
-    n_local = max(int(ws.pos.shape[0]), 1)
-    peak = int(budget.peak_bytes + budget.cells_bytes + pairlist_bytes)
     return {
         "pairlist_bytes": int(pairlist_bytes),
         "cells_bytes": int(budget.cells_bytes),
-        "build_peak_bytes": peak,
-        "build_bytes_per_atom": peak / n_local,
+        "build_peak_bytes": int(
+            budget.peak_bytes + budget.cells_bytes + pairlist_bytes
+        ),
     }
 
 
@@ -327,7 +327,7 @@ def _pulse_partition(ws, ni: np.ndarray, nj: np.ndarray):
 
     A non-local pair is computable once the latest pulse that delivered
     either atom has arrived (``src_pulse`` is -1 for home atoms, so
-    ``max`` picks the halo dependency).  Returns ``(ni, nj, req,
+    ``max`` picks the halo dependency).  Returns ``(ni, nj,
     pulse_offsets)`` sorted by ``(req, i, j)`` — the paper's
     ``depOffset`` dependency partition.
     """
@@ -345,4 +345,4 @@ def _pulse_partition(ws, ni: np.ndarray, nj: np.ndarray):
     req, key = _split_key(key, stride * stride)
     ni, nj = _split_key(key, stride)
     pulse_offsets = np.searchsorted(req, np.arange(max(n_pulses, 1) + 1))
-    return ni, nj, req, pulse_offsets
+    return ni, nj, pulse_offsets

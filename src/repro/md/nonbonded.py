@@ -1,12 +1,12 @@
 """Non-bonded pair interactions: Lennard-Jones 12-6 + reaction-field Coulomb.
 
-One pair-list representation, one evaluator, one oracle — all over flat
-pair arrays ``i``/``j``:
+One evaluated pair-list representation, one evaluator, one oracle — all
+over flat pair arrays ``i``/``j``:
 
-* :func:`pair_forces` — the scatter oracle ``tests/`` and ``benchmarks/``
-  compare against: per-step parameter gathers and ``np.add.at`` scatter,
-  the NumPy analogue of the ``atomicAdd`` accumulation the paper's GPU
-  unpack kernels use.  Simple, slow; no ``src/`` path calls it.
+* :func:`pair_forces` — the scatter oracle ``tests/`` compare against:
+  per-step parameter gathers and ``np.add.at`` scatter, the NumPy
+  analogue of the ``atomicAdd`` accumulation the paper's GPU unpack
+  kernels use.  Simple, slow; no ``src/`` path calls it.
 * :class:`PairBlock` + :func:`block_forces` — what every simulator runs,
   whichever search built the list: the pair list is sorted by ``i`` once
   (at build/prune time), LJ parameters and charge products are cached
@@ -18,6 +18,10 @@ pair arrays ``i``/``j``:
   ``i``-segment boundaries over one chunk-sized scratch per thread, so
   the chain's ~35 ufunc passes stream through cache instead of DRAM and
   a block holds nothing but its list.
+* :class:`DualList` + :func:`within_radius` — a DD rank's dual pair list
+  (outer search list, evaluated inner block) and its prune pass, a
+  distance test over the evaluator's scratch (:mod:`repro.par.phases`
+  runs both).
 
 Pairs beyond the interaction cutoff (present in a buffered Verlet list)
 contribute zero, matching GROMACS' buffered-list semantics; the block path
@@ -169,6 +173,8 @@ class PairBlock:
     Correctness does not require sortedness — boundaries are wherever
     ``i`` (or ``group_key``) changes between consecutive entries — but an
     unsorted list degenerates to one segment per pair and loses the point.
+    Indices outside ``[0, n_atoms)`` raise :class:`ValueError` here, once,
+    so the evaluator's gathers need no bounds check of their own.
     """
 
     __slots__ = (
@@ -193,6 +199,10 @@ class PairBlock:
         self.i = i
         self.j = j
         self.n_atoms = int(n_atoms)
+        if i.size and (
+            min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= self.n_atoms
+        ):
+            raise ValueError(f"pair indices must lie in [0, {self.n_atoms})")
         if i.size:
             change = i[1:] != i[:-1]
             if group_key is not None:
@@ -203,13 +213,14 @@ class PairBlock:
         else:
             self.seg_starts = np.zeros(0, dtype=np.intp)
         self.seg_i = i[self.seg_starts]
-        ti = type_ids[i]
-        tj = type_ids[j]
-        self.c6 = ff.c6[ti, tj]
-        self.c12 = ff.c12[ti, tj]
+        # One flat type-pair code and 1-D gathers: a 2-D fancy index
+        # would compute the code once per table, and gathers slower.
+        pair_type = type_ids.take(i) * ff.n_types + type_ids.take(j)
+        self.c6 = ff.c6.ravel().take(pair_type)
+        self.c12 = ff.c12.ravel().take(pair_type)
         self.c12_12 = 12.0 * self.c12
         self.c6_6 = 6.0 * self.c6
-        self.qq = COULOMB_FACTOR * charges[i] * charges[j]
+        self.qq = COULOMB_FACTOR * charges.take(i) * charges.take(j)
         rc2 = ff.cutoff * ff.cutoff
         rc_inv6 = 1.0 / rc2**3
         self.e_shift = self.c12 * rc_inv6 * rc_inv6 - self.c6 * rc_inv6
@@ -232,6 +243,36 @@ class PairBlock:
             + self.c12_12.nbytes + self.c6_6.nbytes
             + self.qq.nbytes + self.e_shift.nbytes
         )
+
+
+@dataclass
+class DualList:
+    """One half of a DD rank's dual pair list.
+
+    ``i``/``j`` are the *outer* list — the search's pairs, ``int32``, in
+    the evaluator's order — and ``block`` the *inner* list the kernel
+    evaluates: the outer pairs at most ``RankConfig.r_inner`` apart when
+    ``ref``, a copy of the first ``rows`` position rows, was taken
+    (:mod:`repro.par.phases` prunes and guards it).  Masking keeps the
+    outer order, so the inner list is sorted the same way.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    #: Position rows the half reads: home rows for the local half, all
+    #: rows for the non-local one.
+    rows: int
+    block: PairBlock | None = None
+    ref: np.ndarray | None = None
+
+    @property
+    def n_pairs(self) -> int:
+        return int(self.i.size)
+
+    @property
+    def nbytes(self) -> int:
+        """Stored footprint of the outer list (8 B/pair)."""
+        return int(self.i.nbytes + self.j.nbytes)
 
 
 #: Pairs per evaluation chunk: the middle of the flat 16k-32k bottom of
@@ -279,6 +320,50 @@ def _scratch_for(dtype: str, rows: int, pairs: int) -> dict[str, np.ndarray]:
             s[name] = np.empty(shape, dtype=kind)
             METRICS.gauge("md.kernel.scratch_bytes").set(scratch_nbytes())
     return s
+
+
+def within_radius(
+    positions: np.ndarray,
+    pair_i: np.ndarray,
+    pair_j: np.ndarray,
+    radius: float,
+    box: np.ndarray | None = None,
+    periodic: np.ndarray | None = None,
+) -> np.ndarray:
+    """Keep mask of the pairs at most ``radius`` apart — the prune pass.
+
+    Chunk by chunk over :func:`block_forces`' per-thread float64 scratch,
+    but one coordinate at a time: gathers from a contiguous column and
+    ``r²`` as a running sum run ≈1.7× faster than row gathers and
+    ``einsum``, and a mask needs no bit-compatibility with the kernel's
+    ``r²``.  The gathers clip instead of bounds-checking: an index out of
+    range yields a meaningless distance, and a kept one is rejected by
+    the :class:`PairBlock` the survivors are made into.
+    """
+    cols = np.ascontiguousarray(np.asarray(positions).T, dtype=np.float64)
+    box = None if box is None else np.asarray(box, dtype=np.float64)
+    r2_max = radius * radius
+    keep = np.empty(pair_i.size, dtype=bool)
+    for lo in range(0, pair_i.size, CHUNK_PAIRS):
+        hi = min(lo + CHUNK_PAIRS, pair_i.size)
+        c = hi - lo
+        xi, xj, shift, r2 = _scratch_for("float64", c, 0)["cols"][:4, :c]
+        for d in range(3):
+            np.take(cols[d], pair_i[lo:hi], out=xi, mode="clip")
+            np.take(cols[d], pair_j[lo:hi], out=xj, mode="clip")
+            xi -= xj
+            if box is not None and (periodic is None or periodic[d]):
+                np.divide(xi, box[d], out=shift)
+                np.rint(shift, out=shift)
+                shift *= box[d]
+                xi -= shift
+            if d == 0:
+                np.multiply(xi, xi, out=r2)
+            else:
+                xi *= xi
+                r2 += xi
+        np.less_equal(r2, r2_max, out=keep[lo:hi])
+    return keep
 
 
 def _chunks(block: PairBlock, target: int):
@@ -368,8 +453,10 @@ def block_forces(
             scratch["cols"][:, :c]
         )
         inside, bad = scratch["masks"][:, :c]
-        np.take(pos, block.i[lo:hi], axis=0, out=xi)
-        np.take(pos, block.j[lo:hi], axis=0, out=xj)
+        # Indices were validated once, in PairBlock.__init__: "clip" skips
+        # the per-call check and the output buffering "raise" implies.
+        np.take(pos, block.i[lo:hi], axis=0, out=xi, mode="clip")
+        np.take(pos, block.j[lo:hi], axis=0, out=xj, mode="clip")
         dx = np.subtract(xi, xj, out=xi)
         if box_dt is not None:
             # Minimum image per periodic dim only: DD rank domains are

@@ -1,23 +1,18 @@
-"""Buffered Verlet pair lists with rolling pruning.
+"""Buffered Verlet pair lists: the serial reference's list lifecycle.
 
-GROMACS builds its cluster pair list with a buffered radius ``r_list = r_c +
-r_buffer`` every ``nstlist`` steps and, between rebuilds, *dynamically prunes*
-entries that have drifted beyond a smaller inner radius (Sec. 5.4 of the paper
-discusses where the prune kernel sits in the GPU schedule).  We reproduce the
-same lifecycle on flat pair arrays:
+GROMACS builds its pair list with a buffered radius ``r_list = r_c +
+r_buffer`` every ``nstlist`` steps.  We reproduce that lifecycle on flat
+pair arrays:
 
 * ``build``   — full search at ``r_list`` via the cell list,
-* ``needs_rebuild`` — max displacement since build exceeds half the buffer,
-* ``prune``   — drop pairs beyond a still-safe inner radius.
-
-Pruning is purely an optimization: the kernel evaluates interactions only
-within ``r_c``, so removing pairs that cannot re-enter the cutoff before the
-next rebuild never changes forces.  Tests assert exactly that invariant.
+* ``needs_rebuild`` — max displacement since build exceeds half the buffer.
 
 This is the whole-system list of the serial
-:class:`~repro.md.reference.ReferenceSimulator`; DD ranks search their
-home + halo atoms through :mod:`repro.md.kernels`.  Both end in the same
-flat sorted pairs.
+:class:`~repro.md.reference.ReferenceSimulator`, evaluated unpruned: it is
+the independent oracle the DD engine's *dynamically pruned* dual list
+(:mod:`repro.par.phases`, the paper's Sec. 5.4 prune kernel) is checked
+against.  DD ranks search their home + halo atoms through
+:mod:`repro.md.kernels`; both searches end in the same flat sorted pairs.
 """
 
 from __future__ import annotations
@@ -35,8 +30,7 @@ class PairList:
     """A flat i/j pair list with build-time bookkeeping.
 
     Lists from :meth:`VerletListBuilder.build` are canonically
-    ``(i, j)``-lexsorted and :meth:`~VerletListBuilder.prune` keeps the
-    order, so ``i`` is non-decreasing — what makes
+    ``(i, j)``-lexsorted, so ``i`` is non-decreasing — what makes
     :class:`repro.md.nonbonded.PairBlock`'s segment reduction fast (its
     correctness does not depend on it).
     """
@@ -145,42 +139,3 @@ class VerletListBuilder:
         if pairs.steps_since_build >= self.nstlist:
             return True
         return self._max_displacement(pairs, positions) > 0.5 * self.buffer
-
-    def prune(self, pairs: PairList, positions: np.ndarray) -> PairList:
-        """Rolling prune: drop pairs that cannot interact before next rebuild.
-
-        Until the displacement-triggered rebuild fires, every atom stays
-        within ``buffer/2`` of its build-time reference, hence within
-        ``buffer`` of its *current* position; a pair can therefore close at
-        most ``2 * buffer`` before the next rebuild, and pruning at
-        ``r_c + 2*buffer`` is always safe regardless of elapsed steps.
-        """
-        keep_r = self.cutoff + 2.0 * self.buffer
-        pos = positions if positions.dtype == np.float64 else positions.astype(np.float64)
-        m = pairs.n_pairs
-        dx = self._buf("pr_dx", (m, 3))
-        xj = self._buf("pr_xj", (m, 3))
-        np.take(pos, pairs.i, axis=0, out=dx)
-        np.take(pos, pairs.j, axis=0, out=xj)
-        dx -= xj
-        shift = np.divide(dx, self.box, out=xj)
-        np.rint(shift, out=shift)
-        shift *= self.box
-        dx -= shift
-        r2 = np.einsum("ij,ij->i", dx, dx, out=self._buf("pr_r2", (m,)))
-        mask = np.less_equal(r2, keep_r * keep_r, out=self._buf("pr_mask", (m,), dtype=bool))
-        kept = int(np.count_nonzero(mask))
-        METRICS.counter("pairlist.prunes").inc()
-        METRICS.counter("pairlist.pairs_dropped").inc(pairs.n_pairs - kept)
-        if pairs.n_pairs:
-            METRICS.histogram("pairlist.keep_frac").observe(kept / pairs.n_pairs)
-        # Boolean masking preserves order, so a sorted input stays sorted.
-        ki, kj = pairs.i[mask], pairs.j[mask]
-        pruned = PairList(
-            i=ki,
-            j=kj,
-            r_list=pairs.r_list,
-            ref_positions=pairs.ref_positions,
-            steps_since_build=pairs.steps_since_build,
-        )
-        return pruned

@@ -26,6 +26,17 @@ Both phases accumulate into the same per-rank force array in a fixed
 order (local first), so the split changes nothing observable — it only
 creates the window in which the halo exchange can hide.
 
+Each half is a *dual* pair list (Páll et al. 2020's dynamic pruning, the
+paper's Sec. 5.4 prune kernel): the search's *outer* list holds every
+pair within ``r_comm`` = cutoff + buffer and lives until the next search;
+the kernel evaluates an *inner* list of the outer pairs within
+:attr:`RankConfig.r_inner` = cutoff + buffer/2, made at the search and
+re-made from the outer list inside the force phase whenever one of the
+half's position rows has moved more than :attr:`RankConfig.prune_drift`
+= buffer/4 since.  A pruned pair was more than cutoff + buffer/2 apart
+and each atom has since moved at most buffer/4, so it is still beyond the
+cutoff: the guard is exact, and local to the rank.
+
 The data model:
 
 * :class:`RankConfig` — static for the life of a simulator (kernel,
@@ -41,12 +52,13 @@ The data model:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.md.bonded import angle_forces, bond_forces, exclusion_correction
 from repro.md.integrator import LeapFrogIntegrator, kinetic_energy
-from repro.md.nonbonded import NonbondedKernel, PairBlock
+from repro.md.nonbonded import DualList, NonbondedKernel, within_radius
 
 #: Cluster array fields every workspace carries, in layout order.  The
 #: executor shared-memory arena and the engine's ``ClusterState`` lists
@@ -68,6 +80,21 @@ class RankConfig:
     #: uncapped builds produce bit-identical lists — see
     #: :class:`repro.md.cells.BuildBudget`.
     max_build_bytes: int | None = None
+
+    @property
+    def r_inner(self) -> float:
+        """Radius of the inner (evaluated) pair lists: cutoff + buffer/2."""
+        cutoff = self.kernel.ff.cutoff
+        return cutoff + 0.5 * (self.r_comm - cutoff)
+
+    @property
+    def prune_drift(self) -> float:
+        """Largest displacement since its prune an inner list tolerates.
+
+        Two atoms can close twice this, which must not span the
+        ``r_inner - cutoff`` margin: buffer/4.
+        """
+        return 0.5 * (self.r_inner - self.kernel.ff.cutoff)
 
 
 @dataclass
@@ -93,23 +120,40 @@ class RankNsData:
 
 @dataclass
 class SplitPairs:
-    """The per-rank pair list, split for comm–compute overlap.
+    """The per-rank dual pair list, split for comm–compute overlap.
 
-    ``local``/``nonlocal_kernel`` are segment-reduction
-    :class:`~repro.md.nonbonded.PairBlock` caches; the non-local block is
-    sorted by (required pulse, i) with ``pulse_offsets`` marking the
-    per-pulse groups (offset ``p`` .. ``p+1`` needs pulses 0..p complete),
-    mirroring the paper's ``depOffset`` dependency partition.  Excluded
-    (intramolecular) pairs are carried separately for the electrostatic
-    exclusion correction, split by the same home/halo rule.
+    ``local`` holds the home–home pairs in ``(i, j)`` order; ``nonlocal_``
+    the halo-touching ones sorted by (required pulse, i, j) with
+    ``pulse_offsets`` marking the per-pulse groups of its outer list
+    (offset ``p`` .. ``p+1`` needs pulses 0..p complete), mirroring the
+    paper's ``depOffset`` dependency partition; its inner block keeps the
+    groups as segment boundaries.  Excluded (intramolecular) pairs are
+    carried separately for the electrostatic exclusion correction, split
+    by the same home/halo rule.
     """
 
-    local: PairBlock
-    nonlocal_kernel: PairBlock
+    local: DualList
+    nonlocal_: DualList
     pulse_offsets: np.ndarray
     excl_local: tuple[np.ndarray, np.ndarray]
     excl_nonlocal: tuple[np.ndarray, np.ndarray]
     stats: dict
+
+
+class ForceHalf(NamedTuple):
+    """What one force phase returns for one rank.
+
+    The energies, the inner pairs the kernel evaluated and whether the
+    guard re-pruned them first: the phase result is the only channel
+    from a worker process back to the engine's metrics.
+    """
+
+    e_lj: float
+    e_corr: float
+    e_coul: float
+    e_bonded: float
+    pairs: int
+    pruned: bool
 
 
 @dataclass
@@ -139,22 +183,69 @@ def pair_search(ws: RankWorkspace) -> dict:
     Eighth-shell assignment: a pair is computed here iff the elementwise
     minimum of the two atoms' zone shifts is zero (both atoms visible, and
     no other rank sees the pair with this property).  The kept pairs are
-    split into local / per-pulse non-local blocks with cached kernel
-    parameters (see :class:`SplitPairs`) — exclusion masking, parameter
-    gathers, and the segment sort all happen here, once per neighbour
-    search, not per step.  Only the lightweight ``stats`` dict crosses an
-    executor boundary.
+    split into local / per-pulse non-local outer lists (see
+    :class:`SplitPairs`) — exclusion masking and the sorts happen here,
+    once per neighbour search, not per step.  Only the lightweight
+    ``stats`` dict crosses an executor boundary.
 
     The search itself is delegated to the configured kernel implementation
     (:mod:`repro.md.kernels`): ``"segment"`` searches over atoms with the
     flat cell list, ``"cluster"`` over M×N cluster tiles.  Both return
-    the same :class:`SplitPairs` parts — flat :class:`PairBlock` lists
-    with the same local/non-local/per-pulse semantics — so executors,
-    the engine and the force phases never see which search produced
-    the list.
+    the same :class:`SplitPairs` parts — flat outer lists with the same
+    local/non-local/per-pulse semantics — so executors, the engine and
+    the force phases never see which search produced the list.  Both
+    inner blocks, with their cached kernel parameters, are pruned from
+    them here, at the search's positions.
     """
-    ws.pairs = SplitPairs(**ws.cfg.kernel.impl.build_split(ws))
-    return ws.pairs.stats
+    ws.pairs = None  # the last search's lists are garbage from here on
+    sp = ws.pairs = SplitPairs(**ws.cfg.kernel.impl.build_split(ws))
+    for half in (sp.local, sp.nonlocal_):
+        _prune(ws, half)
+        # The inner blocks stand beside the outer list until the next search.
+        for key in ("pairlist_bytes", "build_peak_bytes"):
+            sp.stats[key] += half.block.nbytes
+    return sp.stats
+
+
+def _prune(ws: RankWorkspace, half: DualList) -> None:
+    """Make ``half``'s inner block from its outer list at the current
+    positions, and remember those positions."""
+    cfg = ws.cfg
+    # Release the previous block first: the new one reuses its pages
+    # instead of growing the heap beside it.
+    half.block = None
+    keep = within_radius(
+        ws.pos, half.i, half.j, cfg.r_inner, box=cfg.box, periodic=cfg.periodic
+    )
+    kept = np.flatnonzero(keep)
+    i, j = half.i.take(kept), half.j.take(kept)
+    # A half that reads halo rows keeps its outer list's pulse partition
+    # as segment boundaries; home rows need no pulse.
+    src = ws.ns.src_pulse
+    key = (
+        np.maximum(src[i], src[j])
+        if src is not None and half.rows > ws.ns.n_home else None
+    )
+    half.block = cfg.kernel.make_block(
+        i, j, ws.types, ws.charges, n_atoms=ws.pos.shape[0], group_key=key
+    )
+    half.ref = ws.pos[: half.rows].copy()
+
+
+def _guard(ws: RankWorkspace, half: DualList) -> bool:
+    """Re-prune ``half`` if any of its rows moved more than
+    ``prune_drift`` since its last prune; return whether it did.
+
+    Written so that a non-finite displacement re-prunes too.
+    """
+    d = ws.pos[: half.rows] - half.ref
+    if not d.size:
+        return False
+    limit = ws.cfg.prune_drift
+    if np.einsum("ij,ij->i", d, d).max() <= limit * limit:
+        return False
+    _prune(ws, half)
+    return True
 
 
 def _bonded_package(ws: RankWorkspace, which: str, out_forces) -> float:
@@ -173,10 +264,12 @@ def _bonded_package(ws: RankWorkspace, which: str, out_forces) -> float:
 
 
 def _forces_half(
-    ws: RankWorkspace, block: PairBlock, excl: tuple, which: str
-) -> tuple[float, float, float, float]:
-    """Shared body of the two force phases: corrections, bonded, kernel."""
+    ws: RankWorkspace, half: DualList, excl: tuple, which: str
+) -> ForceHalf:
+    """Shared body of the two force phases: guard, corrections, bonded,
+    kernel."""
     cfg = ws.cfg
+    pruned = _guard(ws, half)
     e_corr = 0.0
     e_bonded = 0.0
     if ws.ns.bonded is not None:
@@ -190,21 +283,20 @@ def _forces_half(
         )
         e_bonded = _bonded_package(ws, which, ws.forces)
     _, e_lj, e_coul = cfg.kernel.compute_block(
-        ws.pos, block,
+        ws.pos, half.block,
         box=cfg.box, periodic=cfg.periodic, out_forces=ws.forces,
     )
-    return e_lj, e_corr, e_coul, e_bonded
+    return ForceHalf(e_lj, e_corr, e_coul, e_bonded, half.block.n_pairs, pruned)
 
 
-def compute_forces_local(ws: RankWorkspace) -> tuple[float, float, float, float]:
+def compute_forces_local(ws: RankWorkspace) -> ForceHalf:
     """Home-only forces for one rank (no halo coordinates touched).
 
     Zeroes the force array, then accumulates home-pair non-bonded forces,
     home-only bonded terms, and home-only exclusion corrections.  Reads
-    only home coordinate rows, so it may run concurrently with the
-    coordinate halo exchange writing the halo rows.
-
-    Returns ``(e_lj, e_coul_correction, e_coul_pair, e_bonded)``.
+    only home coordinate rows — the guard watches exactly those — so it
+    may run concurrently with the coordinate halo exchange writing the
+    halo rows.
     """
     sp = ws.pairs
     if sp is None:
@@ -213,18 +305,17 @@ def compute_forces_local(ws: RankWorkspace) -> tuple[float, float, float, float]
     return _forces_half(ws, sp.local, sp.excl_local, "home")
 
 
-def compute_forces_nonlocal(ws: RankWorkspace) -> tuple[float, float, float, float]:
+def compute_forces_nonlocal(ws: RankWorkspace) -> ForceHalf:
     """Halo-touching forces for one rank; requires fresh halo coordinates.
 
     Must run after ``forces_local`` (it accumulates into the same array)
-    and after this rank's inbound coordinate pulses have completed.
-
-    Returns ``(e_lj, e_coul_correction, e_coul_pair, e_bonded)``.
+    and after this rank's inbound coordinate pulses have completed — so
+    its guard can watch every row.
     """
     sp = ws.pairs
     if sp is None:
         raise RuntimeError("run the 'pairs' phase before 'forces_nonlocal'")
-    return _forces_half(ws, sp.nonlocal_kernel, sp.excl_nonlocal, "halo")
+    return _forces_half(ws, sp.nonlocal_, sp.excl_nonlocal, "halo")
 
 
 def integrate(ws: RankWorkspace) -> float:

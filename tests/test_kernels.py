@@ -327,15 +327,16 @@ def _rank_pairs(system, ff, grid):
 
 
 def _pair_arrays(pairs):
-    return (pairs.local.i, pairs.local.j, pairs.nonlocal_kernel.i,
-            pairs.nonlocal_kernel.j, pairs.pulse_offsets)
+    """The outer lists the search hands the pruner, and their partition."""
+    return (pairs.local.i, pairs.local.j, pairs.nonlocal_.i,
+            pairs.nonlocal_.j, pairs.pulse_offsets)
 
 
 class TestPairListIdentity:
-    """The search may change; the lists it hands the evaluator may not."""
+    """The search may change; the lists it hands on may not."""
 
-    # sha256 over every rank's local.i/j, nonlocal_kernel.i/j and
-    # pulse_offsets (int64), computed at commit dbe84e3 — the all-pairs
+    # sha256 over every rank's outer local.i/j, nonlocal_.i/j and
+    # pulse_offsets (as int64), computed at commit dbe84e3 — the all-pairs
     # centre-distance search — and pasted in.  (1, 2, 2) and (2, 2, 1)
     # leave x resp. z periodic inside a rank.
     PINNED = {
@@ -389,8 +390,8 @@ class TestPulsePartition:
         _, clu_ws = self._workspaces(tiny_system, ff, "cluster")
         for sw, cw in zip(seg_ws, clu_ws):
             assert np.array_equal(sw.pairs.pulse_offsets, cw.pairs.pulse_offsets)
-            assert np.array_equal(sw.pairs.nonlocal_kernel.i, cw.pairs.nonlocal_kernel.i)
-            assert np.array_equal(sw.pairs.nonlocal_kernel.j, cw.pairs.nonlocal_kernel.j)
+            assert np.array_equal(sw.pairs.nonlocal_.i, cw.pairs.nonlocal_.i)
+            assert np.array_equal(sw.pairs.nonlocal_.j, cw.pairs.nonlocal_.j)
             assert sw.pairs.stats["pulse_pairs"] == cw.pairs.stats["pulse_pairs"]
         assert any(
             len([p for p in w.pairs.stats["pulse_pairs"] if p]) > 1
@@ -402,7 +403,7 @@ class TestPulsePartition:
         _, wss = self._workspaces(tiny_system, ff, name)
         checked = 0
         for ws in wss:
-            nl = ws.pairs.nonlocal_kernel
+            nl = ws.pairs.nonlocal_.block
             if nl.n_pairs == 0:
                 continue
             kern = ws.cfg.kernel

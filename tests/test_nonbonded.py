@@ -297,6 +297,35 @@ class TestSegmentReduction:
         f, e, c = block_forces(pos, block, ff)
         assert np.all(f == 0) and e == 0.0 and c == 0.0
 
+    @pytest.mark.parametrize("i,j", [([0, 3], [1, 2]), ([-1], [1]), ([0], [3])])
+    def test_out_of_range_indices_raise(self, ff, i, j):
+        """Indices are checked once, here: the evaluator's gathers clip."""
+        with pytest.raises(ValueError, match=r"pair indices must lie in \[0, 3\)"):
+            PairBlock(
+                np.array(i), np.array(j), np.zeros(4, np.int32), np.zeros(4), ff,
+                n_atoms=3,
+            )
+
+    @pytest.mark.parametrize("periodic", ([True] * 3, [False, True, False], None))
+    def test_within_radius_is_the_distance_test(self, ff, monkeypatch, periodic):
+        """The prune pass keeps exactly the pairs within the radius, by
+        the same minimum image as the kernel, however it is chunked."""
+        pos, i, j, _, _, box = _sorted_bulk(ff, seed=6)
+        periodic = None if periodic is None else np.array(periodic)
+        dx = pos[i] - pos[j]
+        wrap = np.ones(3, bool) if periodic is None else periodic
+        dx -= np.where(wrap, np.rint(dx / box) * box, 0.0)
+        want = np.einsum("ij,ij->i", dx, dx) <= 1.05**2
+        assert 0 < want.sum() < want.size
+        got = nonbonded.within_radius(pos, i, j, 1.05, box=box, periodic=periodic)
+        assert np.array_equal(got, want)
+        monkeypatch.setattr(nonbonded, "CHUNK_PAIRS", 7)
+        got = nonbonded.within_radius(
+            pos, i.astype(np.int32), j.astype(np.int32), 1.05, box=box,
+            periodic=periodic,
+        )
+        assert np.array_equal(got, want)
+
     def test_n_atoms_mismatch_raises(self, ff):
         block = PairBlock(
             np.array([0]), np.array([1]),

@@ -336,14 +336,29 @@ class TestEngineInstrumentation:
         assert any(r[0] == "dd.steps" for r in tbl.rows)
 
     def test_pairlist_build_and_prune_metrics(self, tiny_system, ff):
+        """The reference list's build metrics, and the DD engine's dual
+        list metrics, which reach the parent through the force phases'
+        results: the same values under both executors."""
         from repro.md.pairlist import VerletListBuilder
 
         METRICS.reset()
         builder = VerletListBuilder(tiny_system.box, ff.cutoff, buffer=0.12)
-        pairs = builder.build(tiny_system.positions)
-        builder.prune(pairs, tiny_system.positions)
+        builder.build(tiny_system.positions)
         snap = METRICS.snapshot()
         assert snap["pairlist.builds"] == 1
-        assert snap["pairlist.prunes"] == 1
         assert snap["pairlist.pairs_built"]["count"] == 1
-        assert snap["pairlist.keep_frac"]["max"] <= 1.0
+
+        seen = []
+        for executor in ("serial", "process"):
+            METRICS.reset()
+            with DDSimulator(
+                tiny_system.copy(), ff, n_ranks=2, executor=executor,
+                nstlist=10, buffer=0.12, dt=0.002,
+            ) as sim:
+                sim.run(8)
+            snap = METRICS.snapshot()
+            outer = snap["dd.pairs_local"] + snap["dd.pairs_nonlocal"]
+            assert 0 < snap["md.pairs_inner"] < outer
+            assert snap["md.prune.count"] > 0
+            seen.append((snap["md.pairs_inner"], snap["md.prune.count"], outer))
+        assert seen[0] == seen[1]

@@ -349,30 +349,46 @@ class TestSplitForces:
             sim.prepare_step()
             n_pulses = sim.cluster.plan.n_pulses
             assert n_pulses >= 1
+            cfg = sim.executor._cfg
             for ws in sim.executor._ws:
                 sp = ws.pairs
                 nh = ws.ns.n_home
                 assert sp is not None
-                # Local block: both atoms home on every pair.
+                # Local list: both atoms home on every pair.
                 assert np.all(sp.local.i < nh) and np.all(sp.local.j < nh)
-                # Non-local block: at least one halo atom per pair.
-                assert np.all(
-                    (sp.nonlocal_kernel.i >= nh) | (sp.nonlocal_kernel.j >= nh)
-                )
+                # Non-local list: at least one halo atom per pair.
+                assert np.all((sp.nonlocal_.i >= nh) | (sp.nonlocal_.j >= nh))
                 # Pulse partition covers the non-local list exactly, and
                 # each group's pairs depend on precisely that pulse.
                 po = sp.pulse_offsets
-                assert po[0] == 0 and po[-1] == sp.nonlocal_kernel.n_pairs
+                assert po[0] == 0 and po[-1] == sp.nonlocal_.n_pairs
                 assert np.all(np.diff(po) >= 0)
                 assert len(po) == n_pulses + 1
                 src = ws.ns.src_pulse
                 for p in range(n_pulses):
                     seg = slice(int(po[p]), int(po[p + 1]))
-                    req = np.maximum(
-                        src[sp.nonlocal_kernel.i[seg]],
-                        src[sp.nonlocal_kernel.j[seg]],
-                    )
+                    req = np.maximum(src[sp.nonlocal_.i[seg]], src[sp.nonlocal_.j[seg]])
                     assert np.all(req == p)
+                # Inner lists: exactly the outer pairs within r_inner, as
+                # an order-preserving subsequence of the outer list.
+                for half in (sp.local, sp.nonlocal_):
+                    dx = ws.pos[half.i] - ws.pos[half.j]
+                    dx -= np.where(cfg.periodic, np.rint(dx / cfg.box) * cfg.box, 0.0)
+                    near = np.einsum("ij,ij->i", dx, dx) <= cfg.r_inner**2
+                    assert np.array_equal(half.i[near], half.block.i)
+                    assert np.array_equal(half.j[near], half.block.j)
+                    assert 0 < half.block.n_pairs < half.n_pairs
+                # ... so the evaluator's order holds: the local block sorted
+                # by i, the non-local one by (pulse, i) with no segment
+                # spanning two pulses.
+                assert np.all(np.diff(sp.local.block.i) >= 0)
+                block = sp.nonlocal_.block
+                req = np.maximum(src[block.i], src[block.j])
+                assert np.all(np.diff(req * block.n_atoms + block.i) >= 0)
+                starts = block.seg_starts
+                assert np.array_equal(
+                    np.maximum.reduceat(req, starts), np.minimum.reduceat(req, starts)
+                )
             w = sim.workloads[0]
             assert sum(w.pulse_pair_counts) == w.n_pairs_nonlocal
 

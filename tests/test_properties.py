@@ -15,7 +15,10 @@ from repro.md.cells import (
     cluster_tile_pairs,
     periodic_cell_list,
 )
+from repro.md.forcefield import default_forcefield
+from repro.md.nonbonded import DualList, NonbondedKernel
 from repro.md.system import minimum_image, wrap_positions
+from repro.par.phases import RankConfig, RankNsData, RankWorkspace, _guard, _prune
 
 # -- strategies ---------------------------------------------------------------
 
@@ -213,6 +216,62 @@ class TestClusterSearchProperties:
                 (min(p), max(p)) for p in want
                 if bits is None or not bits[p[0]] & bits[p[1]]
             }
+
+
+class TestDualListProperties:
+    """The rank prune and its guard over every periodicity and box: drift
+    just under the guard's ``buffer/4`` never hides a cutoff pair."""
+
+    CUTOFF, BUFFER = 0.4, 0.16
+
+    @given(
+        seed=seeds,
+        periodic=st.tuples(st.booleans(), st.booleans(), st.booleans()).map(np.array),
+        box=st.tuples(*[st.floats(0.6, 2.4)] * 3).map(np.array),
+        n=st.integers(2, 150),
+        under=st.floats(0.5, 0.999999),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_drift_under_the_guard_never_drops_a_cutoff_pair(
+        self, seed, periodic, box, n, under
+    ):
+        rng = np.random.default_rng(seed)
+        cutoff, r_list = self.CUTOFF, self.CUTOFF + self.BUFFER
+        pos = rng.random((n, 3)) * box
+        rows = np.arange(n)
+        outer = np.array(
+            sorted(_atom_pairs(pos, rows, rows, r_list, box, periodic, True)),
+            dtype=np.int32,
+        ).reshape(-1, 2)
+        ff = default_forcefield(cutoff=cutoff)
+        cfg = RankConfig(
+            kernel=NonbondedKernel(ff), integrator=None, box=box,
+            periodic=periodic, r_comm=r_list,
+        )
+        ws = RankWorkspace(
+            cfg=cfg, ns=RankNsData(rank=0, n_home=n, zone_shift=np.zeros((n, 3))),
+            pos=pos.copy(), vel=np.zeros((n, 3)), forces=np.zeros((n, 3)),
+            types=np.zeros(n, np.int32), charges=np.zeros(n), masses=np.ones(n),
+        )
+        half = DualList(outer[:, 0], outer[:, 1], rows=n)
+        _prune(ws, half)
+        inner = set(zip(half.block.i.tolist(), half.block.j.tolist()))
+
+        # Each atom heads straight for the partner of its closest pruned
+        # pair (random direction if it has none), by just under buffer/4.
+        step = rng.normal(size=(n, 3))
+        dx = pos[outer[:, 1]] - pos[outer[:, 0]]
+        dx -= np.where(periodic, np.rint(dx / box) * box, 0.0)
+        r = np.linalg.norm(dx, axis=1)
+        for k in np.argsort(-r):
+            a, b = outer[k]
+            if (a, b) not in inner:
+                step[a], step[b] = dx[k], -dx[k]
+        step *= under * cfg.prune_drift / np.linalg.norm(step, axis=1, keepdims=True)
+        ws.pos += step
+        assert not _guard(ws, half)
+        near = _atom_pairs(ws.pos, rows, rows, cutoff, box, periodic, True)
+        assert near <= inner
 
 
 # -- halo exchange invariants ------------------------------------------------------------
