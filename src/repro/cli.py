@@ -74,7 +74,7 @@ from repro.util.units import ms_per_step_to_ns_per_day
 log = get_logger("cli")
 
 #: The spec knobs every functional subcommand exposes as flags.
-FUNCTIONAL_FLAGS = ("executor", "kernel", "max_build_bytes", "dlb")
+FUNCTIONAL_FLAGS = ("executor", "kernel", "dlb")
 
 
 def _resolve_atoms(system: str) -> int:
@@ -393,7 +393,10 @@ def _chaos_campaigns(args, specs) -> list[tuple]:
 def cmd_chaos(args) -> None:
     """Fault-injection campaigns (and artifact replay) for the halo stack."""
     if args.replay:
-        res = replay_artifact(args.replay)
+        try:
+            res = replay_artifact(args.replay)
+        except ValueError as err:  # e.g. an artifact of another spec schema
+            raise SystemExit(f"cannot replay {args.replay}: {err}") from None
         if res.failed:
             log.info("replayed %s: failure reproduced", args.replay)
             for v in res.violations:
@@ -583,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="DD grid (default 1x1x4: two z-pulses per rank)")
     add_spec_flags(
         p, "dlb", "max_pulses", "steps", "pes_per_node", "executor", "kernel",
-        "max_build_bytes",
         dlb=dict(
             choices=[m for m in DLB_MODES if m != "measured"],
             help="dynamic load balancing under faults; chaos only "

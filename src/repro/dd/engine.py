@@ -20,6 +20,7 @@ each rank array has one owner and nothing is copied between the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import KW_ONLY, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -158,11 +159,6 @@ class DDSimulator:
     #: Kernel compute precision: "float64" (default, bit-exact reference)
     #: or "float32" (the mixed-precision fast path).
     kernel_dtype: str = "float64"
-    #: Per-rank transient working-set cap for pair-list builds (bytes);
-    #: ``None`` keeps the tuned default chunking.  Capped builds are
-    #: bit-identical to uncapped ones (chunk boundaries never change the
-    #: produced list), so this is purely a memory/perf knob.
-    max_build_bytes: int | None = None
     #: Dynamic load balancing mode (:data:`repro.dd.dlb.DLB_MODES`).
     #: Resizing happens only immediately before a neighbour search, so
     #: every boundary move is followed by full redistribution + list
@@ -237,13 +233,14 @@ class DDSimulator:
                 box=self.dd.box,
                 periodic=self._periodic,
                 r_comm=self.dd.r_comm,
-                max_build_bytes=self.max_build_bytes,
             ),
             self.n_ranks,
         )
         self.cluster: ClusterState | None = None
         self._pair_stats: list[dict] = []
-        self._ns_positions: np.ndarray | None = None
+        #: Largest squared home-atom displacement since the last search,
+        #: over all ranks (what ``integrate`` reports).
+        self._max_disp2 = 0.0
         self.workloads: list[RankWorkload] = []
 
     @property
@@ -330,7 +327,7 @@ class DDSimulator:
         self._bind_executor()
         self.backend.bind(self.cluster)
         self._pair_stats = self.executor.run("pairs")
-        self._ns_positions = self.system.positions.copy()
+        self._max_disp2 = 0.0
         self.workloads = []
         for r, plan in enumerate(self.cluster.plan.ranks):
             stats = self._pair_stats[r]
@@ -450,12 +447,11 @@ class DDSimulator:
             )
 
     def _needs_ns(self) -> bool:
+        """``nstlist`` elapsed, or some atom moved more than buffer/2
+        since the search (two atoms can then close a whole buffer)."""
         if self.cluster is None or self.step_count % self.nstlist == 0:
             return True
-        disp = self.system.positions - self._ns_positions
-        disp = disp - np.rint(disp / self.system.box) * self.system.box
-        max_disp = float(np.sqrt(np.max(np.einsum("ij,ij->i", disp, disp))))
-        return max_disp > 0.5 * self.buffer
+        return math.sqrt(self._max_disp2) > 0.5 * self.buffer
 
     # -- forces ---------------------------------------------------------------
 
@@ -600,37 +596,28 @@ class DDSimulator:
             with TRACER.span("dd.ns", cat="dd", step=self.step_count):
                 self.neighbor_search()
 
-    def prepare_step(self) -> None:
-        """Neighbour search or coordinate halo, as the lifecycle demands.
-
-        Direct-caller convenience (``prepare_step`` + ``compute_forces``):
-        performs a strict, fully synchronous coordinate exchange.  The
-        stepping loop itself uses the overlapped exchange embedded in
-        :meth:`compute_forces`; an extra strict exchange before it is
-        idempotent.
-        """
-        self._ensure_ns()
-        with TRACER.span(
-            "dd.halo_x", cat="comm", backend=getattr(self.backend, "name", "?")
-        ):
-            self.backend.exchange_coordinates(self.cluster)
-
     def step(self) -> StepEnergies:
-        """One complete MD step across all ranks."""
+        """One complete MD step across all ranks.
+
+        The gather into ``system`` is output only: between two searches
+        nothing here reads it back (the next search does).
+        """
         with TRACER.span("dd.step", cat="dd", step=self.step_count):
             self._ensure_ns()
             e_lj, e_coul, e_bonded = self.compute_forces()
             cluster = self.cluster
             kin = 0.0
             with TRACER.span("dd.integrate", cat="update"):
-                kins = self.executor.run("integrate")
+                results = self.executor.run("integrate")
                 for r, plan in enumerate(cluster.plan.ranks):
                     nh = plan.n_home
                     home_ids = plan.global_ids[:nh]
                     self.system.positions[home_ids] = cluster.local_pos[r][:nh]
                     self.system.velocities[home_ids] = cluster.local_vel[r]
                     self.system.forces[home_ids] = cluster.local_forces[r][:nh]
-                    kin += kins[r]
+                    kin += results[r][0]
+                # np.max keeps a NaN whatever the rank order; max() would not.
+                self._max_disp2 = float(np.max([d2 for _, d2 in results]))
         METRICS.counter("dd.steps").inc()
         rec = StepEnergies(
             step=self.step_count, lj=e_lj, coulomb=e_coul, kinetic=kin, bonded=e_bonded

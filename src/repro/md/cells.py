@@ -29,52 +29,29 @@ _HALF_OFFSETS = [
 ]
 
 
+#: Chunk lengths of the cluster search's streamed stages (``a`` clusters,
+#: candidates, tiles), sized for cache behaviour: a rank's largest build
+#: transient is 3.3-3.5 MiB at 45k/8 and 192k/16 ranks (DESIGN.md §7).
+#: They never change a result, only the working set.
+CHUNK_A_CLUSTERS = 256
+CHUNK_CANDIDATES = 1 << 16
+CHUNK_TILES = 4096
+
+
 @dataclass
 class BuildBudget:
-    """Working-set cap and memory accounting for pair/tile builds.
+    """Memory accounting for pair/tile builds.
 
-    ``max_bytes`` bounds the *transient* working set of one build stage:
-    streamed stages (the candidate enumeration and the tile test) derive
-    their chunk size from it, so a rank never materialises a candidate
-    or tile batch larger than the cap; each stage's tuned default chunk
-    (sized for cache behaviour, not memory pressure) is the upper limit.
-
-    Chunk size never changes results — candidates stream in the order
-    of their outer loop, tile pairs are a set and the final canonical
-    sort is chunk-oblivious — so a capped build is bit-identical to an
-    uncapped one; tests assert this across several caps.
-
-    The budget also *measures*: ``peak_bytes`` records the largest
-    transient working set any stage actually used and ``cells_bytes``
-    the footprint of the search structures (cell grid occupancy or
-    cluster layouts), feeding the ``md.cells.bytes`` /
-    ``md.build.peak_bytes`` gauges; ``candidates`` counts the cluster
-    pairs the candidate stage enumerated.
+    ``peak_bytes`` records the largest transient working set any stage
+    used and ``cells_bytes`` the footprint of the search structures
+    (cell grid occupancy or cluster layouts), feeding the
+    ``md.cells.bytes`` / ``md.build.peak_bytes`` gauges; ``candidates``
+    counts the cluster pairs the candidate stage enumerated.
     """
 
-    max_bytes: int | None = None
     peak_bytes: int = 0
     cells_bytes: int = 0
     candidates: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_bytes is not None:
-            self.max_bytes = int(self.max_bytes)
-            if self.max_bytes < 4096:
-                raise ValueError(
-                    f"max_build_bytes must be >= 4096 (got {self.max_bytes}); "
-                    f"a smaller cap cannot hold one candidate row"
-                )
-
-    def rows(self, bytes_per_row: int, default_rows: int) -> int:
-        """Chunk length for a stage whose working set is ``bytes_per_row``:
-        its tuned ``default_rows``, cut down to what fits under a set
-        ``max_bytes`` (always at least one row — correctness never
-        depends on the cap being achievable)."""
-        rows = int(default_rows)
-        if self.max_bytes is not None:
-            rows = min(rows, self.max_bytes // max(int(bytes_per_row), 1))
-        return max(1, rows)
 
     def note(self, nbytes: int) -> None:
         """Record one stage's transient working set."""
@@ -471,8 +448,9 @@ def cluster_pair_candidates(
     ``ci <= cj`` is emitted (the tile stage triu-filters self pairs).
 
     Output is ordered by ``ci`` and the search streams over ``a`` in
-    chunks sized by ``budget``, so neither the set nor its order depends
-    on the cap.  ``budget.candidates`` counts what step 2 enumerated.
+    :data:`CHUNK_A_CLUSTERS` chunks, so neither the set nor its order
+    depends on the chunking.  ``budget.candidates`` counts what step 2
+    enumerated.
     """
     n_a = a.n_clusters
     if n_a == 0 or b.n_clusters == 0:
@@ -511,14 +489,14 @@ def cluster_pair_candidates(
     qhi = np.clip(whi[:, 2, None] + shifts[2] - bmin[2], -1.0, zspan + 1.0)
     n_img = shifts[2].size
 
-    # Two nested streams, both sized from exact counts: a clusters by
-    # the (column, image) rows they expand to, and those rows by the
-    # candidates in their z-ranges.  Per candidate: the index pair, its
-    # expansion, four gathered box rows, the gap vector, the verdict.
+    # Two nested streams: a clusters by the (column, image) rows they
+    # expand to, and those rows by the candidates in their z-ranges.  Per
+    # candidate: the index pair, its expansion, four gathered box rows,
+    # the gap vector, the verdict.
     row_bytes = 72 + 40 * n_img
-    a_chunk = budget.rows(int(rect_n.sum(axis=1).max()) * row_bytes, 256)
+    a_chunk = CHUNK_A_CLUSTERS
     cand_bytes = 32 + 4 * 24 + 24 + 9
-    cand_chunk = budget.rows(cand_bytes, 1 << 16)
+    cand_chunk = CHUNK_CANDIDATES
     lim2 = slack * slack
     ac, ah, bc, bh = (
         np.ascontiguousarray(v.T) for v in (a.centers, a.half, b.centers, b.half)
@@ -620,7 +598,7 @@ def cluster_tile_pairs(
     # Per-tile working set: r2, one displacement and one image scratch,
     # the mask, and the gathered coordinate / index / bit rows.
     tile_bytes = m_a * m_b * (3 * 8 + 2) + (m_a + m_b) * (3 * 8 + 8 + 1)
-    chunk = max(1, min(n_tiles, budget.rows(tile_bytes, 4096)))
+    chunk = max(1, min(n_tiles, CHUNK_TILES))
     budget.note(chunk * tile_bytes)
     scratch = np.empty((3, m_a, m_b, chunk))
     out_i, out_j = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
@@ -656,12 +634,3 @@ def cluster_tile_pairs(
         out_i.append(atoms_a[:, ti].ravel()[hit - (sab - sa) * w])
         out_j.append(atoms_b[:, tj].ravel()[hit - sa * (m_b * w)])
     return np.concatenate(out_i), np.concatenate(out_j)
-
-
-def open_cell_list(positions: np.ndarray, cutoff: float) -> CellList:
-    """Cell list over the bounding box of ``positions``, fully non-periodic."""
-    positions = np.asarray(positions, dtype=np.float64)
-    lo = positions.min(axis=0) - 1e-9
-    hi = positions.max(axis=0) + 1e-9
-    hi = np.maximum(hi, lo + cutoff)  # degenerate extents
-    return CellList(lo=lo, hi=hi, cutoff=cutoff, periodic=np.zeros(3, dtype=bool))

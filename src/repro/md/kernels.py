@@ -143,7 +143,7 @@ class SegmentKernel(KernelImpl):
         pos = np.asarray(ws.pos, dtype=np.float64)
         r_list = cfg.r_comm
         periodic = cfg.periodic
-        budget = BuildBudget(max_bytes=getattr(cfg, "max_build_bytes", None))
+        budget = BuildBudget()
         cells = CellGrid.for_rank(pos, cfg.box, periodic, r_list)
         i, j = cells.pairs_within(pos, r_list, budget=budget)
         zs = ws.ns.zone_shift
@@ -181,7 +181,7 @@ class ClusterKernel(KernelImpl):
         r_list = cfg.r_comm
         periodic = cfg.periodic
         box = np.asarray(cfg.box, dtype=np.float64)
-        budget = BuildBudget(max_bytes=getattr(cfg, "max_build_bytes", None))
+        budget = BuildBudget()
         # The rank-local grid pins the home+halo extent the cluster
         # layouts cover; clusters are binned over the same bounds.
         grid = CellGrid.for_rank(pos, box, periodic, r_list)

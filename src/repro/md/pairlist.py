@@ -65,10 +65,6 @@ class VerletListBuilder:
     cutoff: float
     buffer: float = 0.1  # nm; GROMACS' verlet-buffer is of this order
     nstlist: int = 20
-    #: Transient working-set cap for build stages (None = tuned defaults).
-    #: Chunk size never changes the produced list — see
-    #: :class:`repro.md.cells.BuildBudget`.
-    max_build_bytes: int | None = None
 
     def __post_init__(self) -> None:
         self.box = np.asarray(self.box, dtype=np.float64)
@@ -79,7 +75,6 @@ class VerletListBuilder:
         self.r_list = self.cutoff + self.buffer
         self._cells: CellList = periodic_cell_list(self.box, self.r_list)
         self._scratch: dict[str, np.ndarray] = {}
-        self.last_budget: BuildBudget | None = None
 
     def _buf(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         """Reusable named scratch buffer (reallocated only on shape change)."""
@@ -114,9 +109,8 @@ class VerletListBuilder:
 
     def build(self, positions: np.ndarray) -> PairList:
         """Full neighbour search at the buffered radius."""
-        budget = BuildBudget(max_bytes=self.max_build_bytes)
+        budget = BuildBudget()
         i, j = self._cells.pairs_within(positions, self.r_list, budget=budget)
-        self.last_budget = budget
         METRICS.counter("pairlist.builds").inc()
         METRICS.histogram("pairlist.pairs_built").observe(int(i.size))
         # pairs_within emits canonically (i, j)-lexsorted pairs.

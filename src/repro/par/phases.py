@@ -37,6 +37,12 @@ half's position rows has moved more than :attr:`RankConfig.prune_drift`
 and each atom has since moved at most buffer/4, so it is still beyond the
 cutoff: the guard is exact, and local to the rank.
 
+The outer list's own lifetime is decided on the ranks too: the search
+keeps a copy of the home rows (:attr:`SplitPairs.home_ref`), and
+``integrate`` returns the largest squared home-row displacement since
+then.  Home atoms partition the system, so the engine's maximum over
+ranks is the global maximum its buffer/2 rebuild rule needs.
+
 The data model:
 
 * :class:`RankConfig` — static for the life of a simulator (kernel,
@@ -75,11 +81,6 @@ class RankConfig:
     box: np.ndarray
     periodic: np.ndarray
     r_comm: float
-    #: Transient working-set cap for each rank's pair-list build stages
-    #: (bytes; ``None`` keeps the tuned default chunking).  Capped and
-    #: uncapped builds produce bit-identical lists — see
-    #: :class:`repro.md.cells.BuildBudget`.
-    max_build_bytes: int | None = None
 
     @property
     def r_inner(self) -> float:
@@ -129,7 +130,8 @@ class SplitPairs:
     paper's ``depOffset`` dependency partition; its inner block keeps the
     groups as segment boundaries.  Excluded (intramolecular) pairs are
     carried separately for the electrostatic exclusion correction, split
-    by the same home/halo rule.
+    by the same home/halo rule.  ``home_ref`` is the home rows at the
+    search: the outer lists hold while no row has moved buffer/2 from it.
     """
 
     local: DualList
@@ -138,6 +140,7 @@ class SplitPairs:
     excl_local: tuple[np.ndarray, np.ndarray]
     excl_nonlocal: tuple[np.ndarray, np.ndarray]
     stats: dict
+    home_ref: np.ndarray
 
 
 class ForceHalf(NamedTuple):
@@ -198,7 +201,10 @@ def pair_search(ws: RankWorkspace) -> dict:
     them here, at the search's positions.
     """
     ws.pairs = None  # the last search's lists are garbage from here on
-    sp = ws.pairs = SplitPairs(**ws.cfg.kernel.impl.build_split(ws))
+    sp = ws.pairs = SplitPairs(
+        **ws.cfg.kernel.impl.build_split(ws),
+        home_ref=ws.pos[: ws.ns.n_home].copy(),
+    )
     for half in (sp.local, sp.nonlocal_):
         _prune(ws, half)
         # The inner blocks stand beside the outer list until the next search.
@@ -318,8 +324,14 @@ def compute_forces_nonlocal(ws: RankWorkspace) -> ForceHalf:
     return _forces_half(ws, sp.nonlocal_, sp.excl_nonlocal, "halo")
 
 
-def integrate(ws: RankWorkspace) -> float:
-    """Leap-frog step for one rank's home atoms; returns kinetic energy.
+def integrate(ws: RankWorkspace) -> tuple[float, float]:
+    """Leap-frog step for one rank's home atoms.
+
+    Returns ``(kinetic energy, max_disp²)``: the largest squared
+    displacement of a home row since the search, the rank's share of
+    the rebuild decision.  Positions stay unwrapped between searches, so
+    no minimum image is needed; the difference is taken in the storage
+    precision and squared in float64.  A non-finite row yields NaN.
 
     Positions and velocities are written back *in place* so the updates
     land in the shared arrays regardless of which process ran the phase.
@@ -330,7 +342,9 @@ def integrate(ws: RankWorkspace) -> float:
     )
     ws.pos[:nh] = x
     ws.vel[:] = v
-    return kinetic_energy(v, ws.masses)
+    d = (ws.pos[:nh] - ws.pairs.home_ref).astype(np.float64, copy=False)
+    disp2 = np.einsum("ij,ij->i", d, d).max(initial=0.0)
+    return kinetic_energy(v, ws.masses), float(disp2)
 
 
 #: Phase registry: the names executors accept in ``run``.

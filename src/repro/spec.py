@@ -24,7 +24,6 @@ rejects unknown fields and foreign schema versions.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -37,8 +36,9 @@ from repro.md.grappa import resolve_atoms
 from repro.md.kernels import KERNEL_DTYPES, kernel_registry
 from repro.par import executor_registry
 
-#: Spec schema version; bump on incompatible field changes.
-SPEC_VERSION = 1
+#: Spec schema version; bump on incompatible field changes.  v2 dropped
+#: the pair-list build-memory cap.
+SPEC_VERSION = 2
 
 #: What a job does with the simulator the spec describes.
 KINDS = ("simulate", "verify", "profile", "chaos")
@@ -48,35 +48,25 @@ KINDS = ("simulate", "verify", "profile", "chaos")
 _BUILT_FIELDS = ("system", "backend", "executor")
 
 
-def parse_size(text: str) -> int | None:
-    """A byte count: plain bytes or '512k'/'64M'/'1G'; 0 means "no cap"."""
-    s = text.strip()
-    units = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
-    try:
-        if s and s[-1].lower() in units:
-            n = int(float(s[:-1]) * units[s[-1].lower()])
-        else:
-            n = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid size '{text}': use bytes or a 'k'/'M'/'G'-suffixed "
-            f"size (e.g. 64M)"
-        ) from None
-    return n or None
+def _check_schema(version) -> None:
+    if version != SPEC_VERSION:
+        raise ValueError(
+            f"unsupported spec schema_version {version} "
+            f"(this build speaks {SPEC_VERSION})"
+        )
 
 
-def _knob(default, help: str, *, choices=None, parse=None, metavar=None):
+def _knob(default, help: str, *, choices=None):
     """A spec field plus everything a command-line flag for it needs.
 
     ``choices`` is the owning registry or constant itself, not a copy, so
-    entries registered later are accepted.  ``parse`` is the argparse
-    ``type``; it defaults to the type of ``default``.
+    entries registered later are accepted.  ``parse``, the argparse
+    ``type``, is the type of a numeric ``default``.
     """
-    if parse is None and type(default) in (int, float):
-        parse = type(default)
+    parse = type(default) if type(default) in (int, float) else None
     return field(
         default=default,
-        metadata={"help": help, "choices": choices, "parse": parse, "metavar": metavar},
+        metadata={"help": help, "choices": choices, "parse": parse},
     )
 
 
@@ -129,14 +119,6 @@ class SimulationSpec:
         "float64", "kernel compute precision (float32 = fast path)",
         choices=KERNEL_DTYPES,
     )
-    #: Purely a memory/perf knob: capped builds are bit-identical to
-    #: uncapped ones.
-    max_build_bytes: int | None = _knob(
-        None,
-        "per-rank pair-list build working-set cap for functional runs "
-        "(e.g. 64M; bit-identical to uncapped, bounds build memory)",
-        parse=parse_size, metavar="BYTES",
-    )
     dlb: str = _knob(
         "off",
         "dynamic load balancing for functional runs: 'pairs' resizes "
@@ -153,11 +135,7 @@ class SimulationSpec:
     schema_version: int = SPEC_VERSION
 
     def __post_init__(self) -> None:
-        if self.schema_version != SPEC_VERSION:
-            raise ValueError(
-                f"unsupported spec schema_version {self.schema_version} "
-                f"(this build speaks {SPEC_VERSION})"
-            )
+        _check_schema(self.schema_version)
         if not isinstance(self.backend, str) or not isinstance(self.executor, str):
             raise TypeError(
                 "specs carry backend/executor registry *names*; pass instances "
@@ -175,11 +153,6 @@ class SimulationSpec:
         if self.shape is not None:
             object.__setattr__(self, "shape", tuple(int(x) for x in self.shape))
         resolve_atoms(self.system)  # fail fast with the actionable system error
-        if self.max_build_bytes is not None and int(self.max_build_bytes) < 4096:
-            raise ValueError(
-                f"max_build_bytes must be >= 4096 bytes or None, "
-                f"got {self.max_build_bytes}"
-            )
         if self.kind == "chaos" and self.dlb == "measured":
             raise ValueError(
                 "chaos jobs cannot use dlb='measured': the bit-identity "
@@ -228,7 +201,11 @@ class SimulationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationSpec":
+        """The spec a dict describes.  The schema version is checked
+        first: a spec from another version fails on that, not on the
+        fields the versions do not share."""
         d = dict(d)
+        _check_schema(d.get("schema_version", SPEC_VERSION))
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(d) - known)
         if unknown:
@@ -265,7 +242,6 @@ def add_spec_flags(parser, *field_names: str, **overrides: dict) -> None:
         f, meta = declared[name], declared[name].metadata
         kwargs = dict(
             default=f.default, help=meta["help"], type=meta["parse"],
-            metavar=meta["metavar"],
             choices=meta["choices"] and tuple(meta["choices"]),
         )
         kwargs.update(overrides.get(name, {}))

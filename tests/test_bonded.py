@@ -185,7 +185,7 @@ class TestDdBonded:
             sys_b, ff, grid=DDGrid(shape), nstlist=5, buffer=0.15, topology=top
         )
         ref.compute_forces()
-        dds.prepare_step()
+        dds.neighbor_search()
         dds.compute_forces()
         scale = np.abs(sys_a.forces).max()
         np.testing.assert_allclose(
@@ -219,7 +219,7 @@ class TestDdBonded:
                 sys_, ff, grid=DDGrid((2, 2, 1)), nstlist=5, buffer=0.15,
                 topology=top, kernel=kernel,
             ) as dds:
-                dds.prepare_step()
+                dds.neighbor_search()
                 lists[kernel] = [
                     part
                     for ws in dds.executor._ws
@@ -237,7 +237,7 @@ class TestDdBonded:
         dds = DDSimulator(
             sys_, ff, grid=DDGrid((2, 2, 2)), nstlist=5, buffer=0.15, topology=top
         )
-        dds.prepare_step()
+        dds.neighbor_search()
         n_bonds = sum(len(b["bonds"]) for b in dds._bonded)
         n_angles = sum(len(b["angles"]) for b in dds._bonded)
         assert n_bonds == top.n_bonds

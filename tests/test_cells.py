@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from repro.md.cells import CellList, open_cell_list, periodic_cell_list
+from repro.md.cells import CellGrid, CellList, periodic_cell_list
 
 
 def brute_force_pairs(positions, cutoff, box=None, periodic=None):
@@ -26,6 +26,11 @@ def brute_force_pairs(positions, cutoff, box=None, periodic=None):
 
 def as_set(i, j):
     return set(zip(i.tolist(), j.tolist()))
+
+
+def open_grid(positions, cutoff):
+    """Fully non-periodic grid over the bounding box of ``positions``."""
+    return CellGrid.for_rank(positions, np.ones(3), np.zeros(3, bool), cutoff)
 
 
 class TestPeriodic:
@@ -76,7 +81,7 @@ class TestOpenAndMixed:
     def test_open_matches_kdtree(self):
         rng = np.random.default_rng(2)
         pos = rng.random((300, 3)) * 5.0
-        cl = open_cell_list(pos, 0.8)
+        cl = open_grid(pos, 0.8)
         got = as_set(*cl.pairs_within(pos, 0.8))
         tree = cKDTree(pos)
         want = {(min(a, b), max(a, b)) for a, b in tree.query_pairs(0.8)}
@@ -100,21 +105,21 @@ class TestOpenAndMixed:
     def test_smaller_search_cutoff_is_subset(self):
         rng = np.random.default_rng(1)
         pos = rng.random((150, 3)) * 4.0
-        cl = open_cell_list(pos, 1.0)
+        cl = open_grid(pos, 1.0)
         big = as_set(*cl.pairs_within(pos, 1.0))
         small = as_set(*cl.pairs_within(pos, 0.5))
         assert small <= big
 
     def test_search_cutoff_cannot_exceed_cell_budget(self):
         pos = np.random.default_rng(0).random((10, 3))
-        cl = open_cell_list(pos, 0.5)
+        cl = open_grid(pos, 0.5)
         with pytest.raises(ValueError):
             cl.pairs_within(pos, 0.8)
 
     def test_canonical_ordering(self):
         rng = np.random.default_rng(8)
         pos = rng.random((100, 3)) * 3.0
-        cl = open_cell_list(pos, 0.9)
+        cl = open_grid(pos, 0.9)
         i, j = cl.pairs_within(pos, 0.9)
         assert np.all(i < j)
         order = np.lexsort((j, i))

@@ -7,10 +7,11 @@ command line in the CI workflow and the verify skill must parse, the
 functional ones must build exactly the spec pinned below, no flag
 may be renamed, re-defaulted or dropped, and every ``python <path>.py``
 those files and the README invoke must exist.  The tables were captured at
-PR 13 and regenerated twice: for PR 14's two deliberate changes (the
+PR 13 and regenerated three times: for PR 14's two deliberate changes (the
 ``kernel`` default ``segment`` -> ``cluster``, the ``thread`` executor
-removed) and for PR 23's (the job service, its two subcommands and the
-flag that routed runs to it removed).
+removed), for PR 23's (the job service, its two subcommands and the
+flag that routed runs to it removed) and for spec schema v2 (the
+pair-list build-memory cap field and its flag removed).
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ DEFAULTS = {
     "executor": "serial", "pes_per_node": 0, "nstlist": 10, "buffer": 0.12,
     "dt": 0.002, "cutoff": 0.65, "coulomb": "rf", "trim_corners": False,
     "overlap_comm": True, "kernel": "cluster", "kernel_dtype": "float64",
-    "max_build_bytes": None, "dlb": "off", "seed": 7, "fault_plan": None,
-    "n_faults": 4, "schema_version": 1,
+    "dlb": "off", "seed": 7, "fault_plan": None,
+    "n_faults": 4, "schema_version": 2,
 }
 
 _VERIFY = {"kind": "verify", "max_pulses": 2, "backend": "nvshmem",
@@ -111,8 +112,7 @@ PINNED = {
 }
 
 #: Flag -> default of every functional subcommand.
-_KNOBS = {"--executor": "serial", "--kernel": "cluster",
-          "--max-build-bytes": None, "--dlb": "off"}
+_KNOBS = {"--executor": "serial", "--kernel": "cluster", "--dlb": "off"}
 FLAGS = {
     "compare": {"system": "45k", "--gpus": 4, "--machine": "dgx-h100",
                 "--trace": None, "--measure": 0, **_KNOBS},
@@ -276,12 +276,8 @@ def test_flags_and_defaults_unchanged(subcommand):
 
 def test_generated_flag_parsing_matches_the_hand_written_parser(capsys):
     parse = cli.build_parser().parse_args
-    assert parse(["verify", "--max-build-bytes", "64M"]).max_build_bytes == 64 << 20
-    assert parse(["verify", "--max-build-bytes", "512k"]).max_build_bytes == 512 << 10
-    assert parse(["verify", "--max-build-bytes", "0"]).max_build_bytes is None
     assert parse(["verify", "--dlb", "measured"]).dlb == "measured"
     for bad in (["chaos", "--dlb", "measured"], ["verify", "--kernel", "simd9000"],
-                ["verify", "--max-build-bytes", "lots"],
                 ["compare", "--executor", "gpu"]):
         with pytest.raises(SystemExit) as err:
             parse(bad)

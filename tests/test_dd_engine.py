@@ -1,4 +1,7 @@
-"""DD engine vs. serial reference: forces, trajectories, migration, energy."""
+"""DD engine vs. serial reference: forces, trajectories, migration, energy,
+and the rank-decided rebuild trigger."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ class TestForces:
     def test_forces_match_reference(self, small_system, ff, shape):
         a, b, ref, dds = _pair(small_system, ff, shape)
         ref.compute_forces()
-        dds.prepare_step()
+        dds.neighbor_search()
         dds.compute_forces()
         f = dds.gathered_forces()
         scale = np.abs(a.forces).max()
@@ -32,7 +35,7 @@ class TestForces:
     def test_forces_match_with_trim(self, small_system, ff):
         a, b, ref, dds = _pair(small_system, ff, (2, 2, 2), trim_corners=True)
         ref.compute_forces()
-        dds.prepare_step()
+        dds.neighbor_search()
         dds.compute_forces()
         scale = np.abs(a.forces).max()
         np.testing.assert_allclose(dds.gathered_forces(), a.forces, atol=1e-10 * scale)
@@ -40,7 +43,7 @@ class TestForces:
     def test_energies_match_reference(self, small_system, ff):
         a, b, ref, dds = _pair(small_system, ff, (2, 2, 2))
         e_ref = ref.compute_forces()
-        dds.prepare_step()
+        dds.neighbor_search()
         e_dd = dds.compute_forces()
         assert e_dd[0] == pytest.approx(e_ref[0], rel=1e-9)
         assert e_dd[1] == pytest.approx(e_ref[1], rel=1e-9)
@@ -75,6 +78,47 @@ class TestTrajectories:
         assert any(a != b for a, b in zip(first, second))
 
 
+#: Search steps of the hot 1400-atom run below: step 0, then each step
+#: after which some atom had moved more than buffer/2 since the last
+#: search (``nstlist=50`` never fires in 30 steps).
+DRIFT_SEARCHES = [0, 6, 10, 14, 18, 21, 25, 28]
+
+
+def _drift_run(ff, executor, nudge_at=None):
+    """Search steps and final-position digest of a 30-step run; with
+    ``nudge_at``, ``system.positions`` is moved 1 nm before that step."""
+    system = make_grappa_system(1400, seed=3, ff=ff, dtype=np.float64)
+    searches = []
+    with DDSimulator(system, ff, n_ranks=4, executor=executor, nstlist=50,
+                     buffer=0.12, dt=0.002) as sim:
+        search = sim.neighbor_search
+
+        def spy():
+            searches.append(sim.step_count)
+            search()
+
+        sim.neighbor_search = spy
+        for k in range(30):
+            if k == nudge_at:
+                sim.system.positions += 1.0
+            sim.step()
+        return searches, hashlib.sha256(sim.system.positions.tobytes()).digest()
+
+
+class TestRebuildTrigger:
+    """The buffer/2 rebuild rule, decided from the ranks' own maxima (CI
+    runs this class in its executor job)."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_drift_rebuild_steps_are_pinned(self, ff, executor):
+        assert _drift_run(ff, executor)[0] == DRIFT_SEARCHES
+
+    def test_gathered_system_is_not_read_between_searches(self, ff):
+        """Step 12 is mid-interval: moving the gathered copy before it
+        changes no decision, and step 12's gather overwrites it."""
+        assert _drift_run(ff, "serial", nudge_at=12) == _drift_run(ff, "serial")
+
+
 class TestSetup:
     def test_auto_grid_selection(self, small_system, ff):
         dds = DDSimulator(small_system.copy(), ff, n_ranks=4, nstlist=5, buffer=0.12)
@@ -86,7 +130,7 @@ class TestSetup:
 
     def test_workload_stats_populated(self, small_system, ff):
         dds = DDSimulator(small_system.copy(), ff, grid=DDGrid((2, 2, 1)), nstlist=5, buffer=0.12)
-        dds.prepare_step()
+        dds.neighbor_search()
         assert len(dds.workloads) == 4
         w = dds.workloads[0]
         assert w.n_home > 0 and w.n_halo > 0

@@ -98,7 +98,7 @@ class TestCorrectness:
         ref = ReferenceSimulator(a, ff, nstlist=5, buffer=0.12)
         dds = DDSimulator(b, ff, grid=DDGrid(shape), nstlist=5, buffer=0.12, max_pulses=2)
         ref.compute_forces()
-        dds.prepare_step()
+        dds.neighbor_search()
         dds.compute_forces()
         scale = np.abs(a.forces).max()
         np.testing.assert_allclose(dds.gathered_forces(), a.forces, atol=1e-10 * scale)

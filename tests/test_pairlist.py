@@ -28,7 +28,7 @@ def _searched(ff):
     trips between searches."""
     sys_ = make_grappa_system(1400, seed=3, ff=ff, dtype=np.float64)
     sim = DDSimulator(sys_, ff, n_ranks=4, nstlist=10, buffer=0.15, dt=0.002)
-    sim.prepare_step()
+    sim.neighbor_search()
     return sim
 
 
@@ -111,7 +111,7 @@ class TestPrune:
             for _ in range(12):
                 sim.step()
                 # The next step's forces, halo rows fresh, guard applied.
-                sim.prepare_step()
+                sim._ensure_ns()
                 sim.compute_forces()
                 for ws, half in _halves(sim):
                     common = (ws.types, ws.charges, ff)

@@ -346,7 +346,7 @@ class TestSplitForces:
     def test_split_partition_structure(self, tiny_system, ff):
         sim = DDSimulator(tiny_system, ff, n_ranks=4, executor="serial", buffer=0.12)
         with sim:
-            sim.prepare_step()
+            sim.neighbor_search()
             n_pulses = sim.cluster.plan.n_pulses
             assert n_pulses >= 1
             cfg = sim.executor._cfg

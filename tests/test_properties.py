@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dd.decomposition import DomainDecomposition
 from repro.dd.grid import DDGrid
 from repro.dd.halo import build_halo_plan
+from repro.md import cells
 from repro.md.cells import (
     BuildBudget,
     CellList,
@@ -150,12 +151,20 @@ class TestClusterSearchProperties:
         n_home=st.integers(0, 160),
         n_halo=st.integers(0, 120),
         tight_grid=st.booleans(),
-        cap=st.sampled_from([None, 4096, 1 << 15]),
+        # Tuned chunk lengths, or tiny ones that cut every stage often.
+        chunks=st.sampled_from([{}, {"CHUNK_A_CLUSTERS": 1, "CHUNK_CANDIDATES": 7,
+                                     "CHUNK_TILES": 64}]),
     )
     @settings(max_examples=120, deadline=None)
     def test_candidates_and_tile_pairs_match_oracles(
-        self, seed, periodic, box, n_home, n_halo, tight_grid, cap
+        self, seed, periodic, box, n_home, n_halo, tight_grid, chunks
     ):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in chunks.items():
+                mp.setattr(cells, name, value)
+            self._check(seed, periodic, box, n_home, n_halo, tight_grid)
+
+    def _check(self, seed, periodic, box, n_home, n_halo, tight_grid):
         rng = np.random.default_rng(seed)
         r_list = self.R_LIST
         # Home rows inside the box; halo rows beyond it along the
@@ -179,7 +188,7 @@ class TestClusterSearchProperties:
             (lay_halo, lay_halo, rows_halo, rows_halo),
         ):
             same = a is b
-            budget = BuildBudget(max_bytes=cap)
+            budget = BuildBudget()
             ci, cj = cluster_pair_candidates(
                 a, b, r_list, box, periodic, same, budget=budget
             )

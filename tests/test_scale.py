@@ -1,12 +1,13 @@
 """Paper-scale decomposition: chunked pair-list builds, memory accounting,
 the lazy per-rank arena, and the 192k-atom memory ceilings.
 
-The contract under test is the one the chunked-build refactor promises:
-``max_build_bytes`` is *purely* a memory knob — capped builds produce
-bit-identical trajectories (both kernels, across home/halo boundaries,
-through drift-triggered rebuilds) while bounding the per-rank build
-working set; the accounting gauges make that bound auditable, and the
-``slow``-marked test at the end holds it at paper scale.
+The contract under test is the one the chunked build promises: the
+cluster search's three chunk lengths (``repro.md.cells.CHUNK_*``) are
+*purely* a memory matter — builds at tiny chunks produce bit-identical
+trajectories (across home/halo boundaries, through drift-triggered
+rebuilds, under both executors) while using a smaller working set; the
+accounting gauges make that bound auditable, and the ``slow``-marked
+test at the end holds it at paper scale.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.dd.engine import DDSimulator
-from repro.md import make_grappa_system
+from repro.md import cells, make_grappa_system
 from repro.md.cells import (
     BuildBudget,
     CellGrid,
@@ -27,7 +28,6 @@ from repro.md.cells import (
     cluster_tile_pairs,
 )
 from repro.md.grappa import resolve_atoms
-from repro.md.pairlist import VerletListBuilder
 from repro.obs.metrics import METRICS
 from repro.spec import SimulationSpec
 
@@ -38,7 +38,25 @@ def _digest(positions: np.ndarray) -> bytes:
     return hashlib.sha256(np.ascontiguousarray(positions).tobytes()).digest()
 
 
-def _cluster_search(pos, box, r_list, max_bytes=None):
+#: Chunk lengths small enough that every stage of a test-sized search
+#: runs in many chunks, a tile chunk ending mid-way through a cluster's
+#: candidates.
+TINY_CHUNKS = {"CHUNK_A_CLUSTERS": 1, "CHUNK_CANDIDATES": 7, "CHUNK_TILES": 64}
+
+
+@pytest.fixture
+def tiny_chunks(monkeypatch):
+    """Run the test body with :data:`TINY_CHUNKS` (forked process
+    workers inherit them)."""
+
+    def apply():
+        for name, value in TINY_CHUNKS.items():
+            monkeypatch.setattr(cells, name, value)
+
+    return apply
+
+
+def _cluster_search(pos, box, r_list):
     """``(ci, cj, pairs)`` of the cluster search and its peak working set.
 
     Candidates in the order emitted; the tile stage's pairs are a set
@@ -46,7 +64,7 @@ def _cluster_search(pos, box, r_list, max_bytes=None):
     ``i * n + j`` keys.
     """
     periodic = np.ones(3, dtype=bool)
-    budget = BuildBudget(max_bytes=max_bytes)
+    budget = BuildBudget()
     lay = build_clusters(pos, np.zeros(3), box, 4)
     ci, cj = cluster_pair_candidates(
         lay, lay, r_list, box, periodic, True, budget=budget
@@ -57,26 +75,23 @@ def _cluster_search(pos, box, r_list, max_bytes=None):
     return (ci, cj, np.sort(pi * len(pos) + pj)), budget.peak_bytes
 
 
-def _assert_cap_only_bounds_memory(system, r_list, cap):
-    """Capped and uncapped cluster searches: equal output, smaller peak."""
-    loose, loose_peak = _cluster_search(system.positions, system.box, r_list)
-    tight, tight_peak = _cluster_search(
-        system.positions, system.box, r_list, max_bytes=cap
-    )
-    for uncapped, capped in zip(loose, tight):
-        assert np.array_equal(uncapped, capped)
-    assert tight_peak < loose_peak
+def _assert_chunks_only_bound_memory(system, r_list, tiny_chunks):
+    """Tuned and tiny chunks: equal output, smaller peak."""
+    tuned, tuned_peak = _cluster_search(system.positions, system.box, r_list)
+    tiny_chunks()
+    tiny, tiny_peak = _cluster_search(system.positions, system.box, r_list)
+    for a, b in zip(tuned, tiny):
+        assert np.array_equal(a, b)
+    assert tiny_peak < tuned_peak
 
 
-def _run(ff, *, kernel: str, max_build_bytes: int | None,
-         executor: str = "serial", n_atoms: int = 1400, seed: int = 11,
-         ranks: int = 4, steps: int = 6, nstlist: int = 3,
+def _run(ff, *, kernel: str, executor: str = "serial", n_atoms: int = 1400,
+         seed: int = 11, ranks: int = 4, steps: int = 6, nstlist: int = 3,
          buffer: float = 0.12) -> bytes:
     system = make_grappa_system(n_atoms, seed=seed, ff=ff, dtype=np.float64)
     with DDSimulator(
         system, ff, n_ranks=ranks, backend="reference", executor=executor,
         nstlist=nstlist, buffer=buffer, kernel=kernel,
-        max_build_bytes=max_build_bytes,
     ) as sim:
         sim.run(steps)
         return _digest(sim.system.positions)
@@ -87,57 +102,33 @@ def _run(ff, *, kernel: str, max_build_bytes: int | None,
 
 class TestChunkedBuildParity:
     @pytest.mark.parametrize("kernel", ["segment", "cluster"])
-    def test_capped_builds_bit_identical_across_caps(self, ff, kernel):
-        """Several caps, DD ranks (home/halo boundaries), periodic rebuilds."""
-        ref = _run(ff, kernel=kernel, max_build_bytes=None)
-        for cap in (4096, 1 << 16, 1 << 20):
-            assert _run(ff, kernel=kernel, max_build_bytes=cap) == ref, (
-                f"max_build_bytes={cap} changed the {kernel} trajectory"
-            )
+    def test_capped_builds_bit_identical_across_caps(self, ff, kernel, tiny_chunks):
+        """Tiny chunks, DD ranks (home/halo boundaries), periodic rebuilds."""
+        ref = _run(ff, kernel=kernel)
+        tiny_chunks()
+        assert _run(ff, kernel=kernel) == ref, (
+            f"chunk lengths {TINY_CHUNKS} changed the {kernel} trajectory"
+        )
 
     @pytest.mark.parametrize("kernel", ["segment", "cluster"])
-    def test_capped_builds_survive_drift_rebuilds(self, ff, kernel):
+    def test_capped_builds_survive_drift_rebuilds(self, ff, kernel, tiny_chunks):
         """nstlist >> steps with a thin buffer: rebuilds come from drift."""
         kw = dict(kernel=kernel, ranks=2, steps=12, nstlist=50, buffer=0.03,
                   seed=3)
-        ref = _run(ff, max_build_bytes=None, **kw)
-        assert _run(ff, max_build_bytes=4096, **kw) == ref
+        ref = _run(ff, **kw)
+        tiny_chunks()
+        assert _run(ff, **kw) == ref
 
-    def test_builder_level_parity_segment(self, small_system, ff):
-        pos = small_system.positions
-        box = small_system.box
-        uncapped = VerletListBuilder(box=box, cutoff=ff.cutoff, buffer=0.12)
-        capped = VerletListBuilder(box=box, cutoff=ff.cutoff, buffer=0.12,
-                                   max_build_bytes=8192)
-        a = uncapped.build(pos)
-        b = capped.build(pos)
-        assert np.array_equal(a.i, b.i)
-        assert np.array_equal(a.j, b.j)
-
-    def test_builder_level_parity_cluster(self, small_system, ff):
-        _assert_cap_only_bounds_memory(small_system, ff.cutoff + 0.12, cap=8192)
+    def test_builder_level_parity_cluster(self, small_system, ff, tiny_chunks):
+        _assert_chunks_only_bound_memory(small_system, ff.cutoff + 0.12, tiny_chunks)
 
 
 # -- BuildBudget + memory accounting -------------------------------------------
 
 
 class TestBuildBudget:
-    def test_rows_respects_cap(self):
-        b = BuildBudget(max_bytes=1 << 20)
-        assert b.rows(bytes_per_row=1024, default_rows=10**9) == 1024
-        # Uncapped keeps the tuned default.
-        assert BuildBudget().rows(1024, 777) == 777
-        # Degenerate cap still makes progress one row at a time.
-        assert BuildBudget(max_bytes=4096).rows(10**9, 10**9) == 1
-
-    def test_tiny_cap_rejected(self):
-        with pytest.raises(ValueError, match="max_build_bytes"):
-            BuildBudget(max_bytes=100)
-        with pytest.raises(ValueError, match="max_build_bytes"):
-            SimulationSpec(max_build_bytes=100)
-
     def test_peak_tracks_high_water(self):
-        b = BuildBudget(max_bytes=1 << 20)
+        b = BuildBudget()
         b.note(100)
         b.note(50)
         assert b.peak_bytes == 100
@@ -157,7 +148,7 @@ class TestBuildBudget:
         system = make_grappa_system(1400, seed=11, ff=ff, dtype=np.float64)
         with DDSimulator(
             system, ff, n_ranks=2, backend="reference", executor="serial",
-            nstlist=2, buffer=0.12, kernel=kernel, max_build_bytes=1 << 20,
+            nstlist=2, buffer=0.12, kernel=kernel,
         ) as sim:
             sim.step()
             assert METRICS.gauge("md.pairlist.bytes").value > 0
@@ -204,16 +195,12 @@ class TestBuildBudget:
         assert candidates >= tiles > 0
         assert 0.0 < pairs / (tiles * 16) <= 1.0
 
-    def test_chunk_working_set_bounded_by_cap(self, ff):
-        """The cap actually bounds what the chunked stages allocate.
-
-        The budget's peak includes per-rank outputs (pair list, layout),
-        which scale with local atoms — but the *chunk* working set must
-        track the cap, so a tight cap yields a much smaller peak than an
-        uncapped build on the same rank.
-        """
+    def test_chunk_working_set_bounded_by_cap(self, ff, tiny_chunks):
+        """The chunk lengths actually bound what the chunked stages
+        allocate: the budget's peak of a tiny-chunk build is well under
+        the tuned build's on the same atoms."""
         system = make_grappa_system(3000, seed=7, ff=ff, dtype=np.float64)
-        _assert_cap_only_bounds_memory(system, ff.cutoff + 0.12, cap=65536)
+        _assert_chunks_only_bound_memory(system, ff.cutoff + 0.12, tiny_chunks)
 
 
 # -- linear-time candidate search ----------------------------------------------
@@ -284,11 +271,10 @@ class TestLazyArena:
         assert remaps.value - r0 == 0
         assert METRICS.gauge("par.arena.bytes").value > 0
 
-    def test_process_executor_bit_identical_with_cap(self, ff):
-        ref = _run(ff, kernel="cluster", max_build_bytes=None, ranks=2,
-                   steps=4, executor="serial")
-        got = _run(ff, kernel="cluster", max_build_bytes=1 << 20, ranks=2,
-                   steps=4, executor="process")
+    def test_process_executor_bit_identical_with_cap(self, ff, tiny_chunks):
+        ref = _run(ff, kernel="cluster", ranks=2, steps=4, executor="serial")
+        tiny_chunks()
+        got = _run(ff, kernel="cluster", ranks=2, steps=4, executor="process")
         assert got == ref
 
 
@@ -312,23 +298,22 @@ class TestBenchPlumbing:
 
 @pytest.mark.slow
 def test_192k_16_rank_build_stays_within_the_memory_ceilings():
-    """One neighbour search + 2 steps at 192k atoms / 16 ranks, capped builds.
+    """One neighbour search + 2 steps at 192k atoms / 16 ranks.
 
     The streamed build allocates per local atom, never per global atom, so
     the per-rank build peak stays under 12000 B/atom; and the evaluator's
     scratch is one chunk per worker plus 24 B/pair of its largest block,
     never 154 B/pair of every list, so the process tree (self + reaped
     workers) stays under 1400 MiB.  Measured on the 2-vCPU benchmark host:
-    4178 B/atom, 836 MiB, ~20 s (7586 B/atom and 914 MiB while candidates
-    came from an all-pairs GEMM, whose uncapped build read 12072 B/atom;
-    2126 MiB with per-block evaluator scratch).  The 64 MiB cap no longer
-    binds here — every streamed stage's tuned chunk is a few MB — so the
-    ceilings now guard the list and the layouts; tight caps are exercised
-    by the tier-1 parity tests above.
+    3994 B/atom, 794 MiB (7586 B/atom and 914 MiB while
+    candidates came from an all-pairs GEMM; 2126 MiB with per-block
+    evaluator scratch).  The streamed stages' transients are 3.3 MiB per
+    rank at their fixed chunk lengths, so the ceilings guard the lists and
+    the layouts; tiny chunks are exercised by the tier-1 parity tests
+    above.
     """
     spec = SimulationSpec(
         system="192k", ranks=16, executor="process", kernel="cluster",
-        max_build_bytes=64 << 20,
     )
     METRICS.reset()
     with DDSimulator.from_spec(spec) as sim:

