@@ -9,15 +9,16 @@ over flat pair arrays ``i``/``j``:
   kernels use.  Simple, slow; no ``src/`` path calls it.
 * :class:`PairBlock` + :func:`block_forces` — what every simulator runs,
   whichever search built the list: the pair list is sorted by ``i`` once
-  (at build/prune time), LJ parameters and charge products are cached
-  per list, and the force reduction runs as ``np.add.reduceat`` over
-  ``i``-segments plus one ``np.bincount`` per component for the ``j``
-  side — the NumPy analogue of GROMACS' sorted cluster-pair reduction,
-  several times faster than the scatter.  The evaluator is cache-blocked:
-  it walks the list in :data:`CHUNK_PAIRS`-pair chunks cut at
-  ``i``-segment boundaries over one chunk-sized scratch per thread, so
-  the chain's ~35 ufunc passes stream through cache instead of DRAM and
-  a block holds nothing but its list.
+  (at build/prune time), ``C6``/``C12`` and charge products are cached
+  per list (40 B/pair), and the force reduction runs as
+  ``np.add.reduceat`` over ``i``-segments plus one ``np.bincount`` per
+  component for the ``j`` side — the NumPy analogue of GROMACS' sorted
+  cluster-pair reduction, several times faster than the scatter.  The
+  evaluator is cache-blocked: it walks the list in
+  :data:`CHUNK_PAIRS`-pair chunks cut at ``i``-segment boundaries over
+  one chunk-sized scratch per thread, so the chain's ~35 ufunc passes
+  stream through cache instead of DRAM and a block holds nothing but
+  its list.
 * :class:`DualList` + :func:`within_radius` — a DD rank's dual pair list
   (outer search list, evaluated inner block) and its prune pass, a
   distance test over the evaluator's scratch (:mod:`repro.par.phases`
@@ -163,10 +164,11 @@ class PairBlock:
 
     Built once per neighbour-search interval from a list sorted by ``i``
     (optionally within contiguous ``group_key`` segments, e.g. the
-    per-pulse partition of a non-local list).  Caches everything that is
-    constant while the list lives: LJ ``C6``/``C12`` (plus the
-    force-prefactored ``12*C12``/``6*C6``), charge products, the LJ
-    potential shift, and the segment boundaries for ``np.add.reduceat``.
+    per-pulse partition of a non-local list).  Caches the gathers that
+    are constant while the list lives — LJ ``C6``/``C12`` and charge
+    products, 40 B/pair with the ``int64`` indices — and the segment
+    boundaries for ``np.add.reduceat``; :func:`block_forces` derives
+    what is elementwise in them (DESIGN.md §4).
     Nothing is written after ``__init__``: the evaluator's scratch
     belongs to :func:`block_forces`, not to the list.
 
@@ -177,10 +179,7 @@ class PairBlock:
     so the evaluator's gathers need no bounds check of their own.
     """
 
-    __slots__ = (
-        "i", "j", "n_atoms", "seg_starts", "seg_i",
-        "c6", "c12", "c12_12", "c6_6", "qq", "e_shift",
-    )
+    __slots__ = ("i", "j", "n_atoms", "seg_starts", "seg_i", "c6", "c12", "qq")
 
     def __init__(
         self,
@@ -218,12 +217,7 @@ class PairBlock:
         pair_type = type_ids.take(i) * ff.n_types + type_ids.take(j)
         self.c6 = ff.c6.ravel().take(pair_type)
         self.c12 = ff.c12.ravel().take(pair_type)
-        self.c12_12 = 12.0 * self.c12
-        self.c6_6 = 6.0 * self.c6
         self.qq = COULOMB_FACTOR * charges.take(i) * charges.take(j)
-        rc2 = ff.cutoff * ff.cutoff
-        rc_inv6 = 1.0 / rc2**3
-        self.e_shift = self.c12 * rc_inv6 * rc_inv6 - self.c6 * rc_inv6
 
     @property
     def n_pairs(self) -> int:
@@ -239,9 +233,7 @@ class PairBlock:
         return int(
             self.i.nbytes + self.j.nbytes
             + self.seg_starts.nbytes + self.seg_i.nbytes
-            + self.c6.nbytes + self.c12.nbytes
-            + self.c12_12.nbytes + self.c6_6.nbytes
-            + self.qq.nbytes + self.e_shift.nbytes
+            + self.c6.nbytes + self.c12.nbytes + self.qq.nbytes
         )
 
 
@@ -409,9 +401,13 @@ def block_forces(
     segment is split, so per-atom forces do not depend on the chunk size;
     energies are sums of per-chunk sums and do, to rounding.
 
+    ``12*C12``, ``6*C6`` and the LJ shift are derived per chunk in
+    float64, by the expressions the block once cached them with.
+
     ``dtype="float32"`` selects the fast path: geometry, parameters, and
     the interaction chain run in float32 while energy sums and per-atom
-    force accumulation stay float64 (mixed precision, the GPU convention).
+    force accumulation stay float64 (mixed precision, the GPU convention);
+    a derived parameter is rounded to float32 once, as it is written.
     The overlap (``r == 0``) check considers only pairs that interact —
     buffered lists legitimately carry entries beyond the cutoff; when it
     raises, ``out_forces`` may already hold earlier chunks' ``i``-side sums.
@@ -440,8 +436,8 @@ def block_forces(
     pos = positions.astype(dt, copy=False)
     box_dt = None if box is None else np.asarray(box, dtype=dt)
     rc2 = ff.cutoff * ff.cutoff
+    rc_inv6 = 1.0 / rc2**3
     odt = out_forces.dtype
-    params = (block.c12_12, block.c6_6, block.c12, block.c6, block.qq, block.e_shift)
 
     e_lj = e_coul = 0.0
     for lo, hi, s0, s1 in _chunks(block, CHUNK_PAIRS):
@@ -491,9 +487,10 @@ def block_forces(
         outside = np.logical_not(inside, out=bad)
         np.copyto(r2, sc(1.0), where=outside)
 
+        c12_64, c6_64 = block.c12[lo:hi], block.c6[lo:hi]
         # float64 slices are views; the float32 path casts per chunk.
-        c12_12, c6_6, c12, c6, qq, e_shift = (
-            p[lo:hi].astype(dt, copy=False) for p in params
+        c12, c6, qq = (
+            p.astype(dt, copy=False) for p in (c12_64, c6_64, block.qq[lo:hi])
         )
         np.divide(sc(1.0), r2, out=inv_r2)
         np.multiply(inv_r2, inv_r2, out=inv_r6)
@@ -503,8 +500,11 @@ def block_forces(
 
         # fscal and per-pair energies, in the exact evaluation order of
         # pair_forces so per-pair results match it bit for bit (in float64).
-        np.multiply(c12_12, inv_r12, out=f_lj)
-        np.multiply(c6_6, inv_r6, out=t)
+        # The prefactors are float64 products, rounded once into f_lj / t.
+        np.multiply(12.0, c12_64, out=f_lj)
+        f_lj *= inv_r12
+        np.multiply(6.0, c6_64, out=t)
+        t *= inv_r6
         f_lj -= t
         f_lj *= inv_r2
         if coulomb == "rf":
@@ -533,10 +533,18 @@ def block_forces(
         for d in range(3):
             np.multiply(fscal, dx[:, d], out=fvec[d])
 
+        # The LJ shift c12·k·k − c6·k (k = 1/r_c⁶) into the spent f_coul,
+        # in float64 over the spent r2 / inv_r2 (a float32 chain borrows
+        # the float64 chunk columns the prune pass also uses).
+        e64, t64 = _scratch_for("float64", c, 0)["cols"][:2, :c]
+        np.multiply(c12_64, rc_inv6, out=e64)
+        e64 *= rc_inv6
+        np.multiply(c6_64, rc_inv6, out=t64)
+        np.subtract(e64, t64, out=f_coul)
         np.multiply(c12, inv_r12, out=e_l)
         np.multiply(c6, inv_r6, out=t)
         e_l -= t
-        e_l -= e_shift
+        e_l -= f_coul
         e_l *= inside
         e_lj += float(np.sum(e_l, dtype=np.float64))
         e_c *= inside

@@ -1,5 +1,6 @@
 """Non-bonded kernel: forces, energies, and physical invariants."""
 
+import hashlib
 import threading
 
 import numpy as np
@@ -392,6 +393,31 @@ class TestChunking:
         assert np.abs(f - f_ref).max() < 5e-5 * np.abs(f_ref).max()
         assert e == pytest.approx(e_ref, rel=5e-6)
         assert c == pytest.approx(c_ref, rel=5e-6)
+
+    # sha256 of the forces and (e_lj, e_coul) of one grouped block in
+    # 64-pair chunks, computed at commit 9e2695a — when PairBlock still
+    # cached 12*C12, 6*C6 and the LJ shift — and pasted in.  Reaction
+    # field only: its chain is IEEE-exact arithmetic, no libm call.
+    DERIVED_PINNED = {
+        "float64": "4cc6b5e466e16fd0ca9af38a490226506db5effb9d09876f5cfd7b77f562f058",
+        "float32": "bd47785fd05b88fa8459ce2dd90297f2aaedda2366408f8ab97dc84cc7ea1f5c",
+    }
+
+    @pytest.mark.parametrize("dtype", sorted(DERIVED_PINNED))
+    def test_derived_parameters_match_the_cached_columns(self, ff, monkeypatch, dtype):
+        """Deriving the three LJ columns per chunk (float32: in float64,
+        rounded once) reproduces the cached columns' results bit for bit."""
+        pos, i, j, tid, q, box = _sorted_bulk(ff, seed=8)
+        group = (np.arange(i.size) * 7919) % 3
+        order = np.lexsort((j, i, group))
+        block = PairBlock(
+            i[order], j[order], tid, q, ff, n_atoms=pos.shape[0], group_key=group[order]
+        )
+        monkeypatch.setattr(nonbonded, "CHUNK_PAIRS", 64)
+        f, e, c = block_forces(pos, block, ff, box=box, dtype=dtype)
+        digest = hashlib.sha256(f.tobytes())
+        digest.update(np.array([e, c]).tobytes())
+        assert digest.hexdigest() == self.DERIVED_PINNED[dtype]
 
     @pytest.mark.parametrize("dtype", ("float64", "float32"))
     def test_overlap_in_the_last_chunk_still_raises(self, ff, monkeypatch, dtype):

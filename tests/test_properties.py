@@ -19,7 +19,9 @@ from repro.md.cells import (
 from repro.md.forcefield import default_forcefield
 from repro.md.nonbonded import DualList, NonbondedKernel
 from repro.md.system import minimum_image, wrap_positions
-from repro.par.phases import RankConfig, RankNsData, RankWorkspace, _guard, _prune
+from repro.par.phases import (
+    RankConfig, RankNsData, RankWorkspace, _guard, _prune, pair_search,
+)
 
 # -- strategies ---------------------------------------------------------------
 
@@ -228,7 +230,8 @@ class TestClusterSearchProperties:
 
 
 class TestDualListProperties:
-    """The rank prune and its guard over every periodicity and box: drift
+    """The rank prune and its guard over every periodicity and box: the
+    search leaves exactly the outer pairs within ``r_inner``, and drift
     just under the guard's ``buffer/4`` never hides a cutoff pair."""
 
     CUTOFF, BUFFER = 0.4, 0.16
@@ -281,6 +284,65 @@ class TestDualListProperties:
         assert not _guard(ws, half)
         near = _atom_pairs(ws.pos, rows, rows, cutoff, box, periodic, True)
         assert near <= inner
+
+    @given(
+        seed=seeds,
+        periodic=st.tuples(st.booleans(), st.booleans(), st.booleans()).map(np.array),
+        # Periodic extents of at least 2 r_comm, as the rank grid requires.
+        box=st.tuples(*[st.floats(1.3, 2.4)] * 3).map(np.array),
+        n_home=st.integers(1, 120),
+        n_halo=st.integers(0, 100),
+        # Positions on a 1/8 nm lattice put pairs at exactly r_inner.
+        lattice=st.booleans(),
+        molecules=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_search_inner_lists_are_the_prune_at_the_search_positions(
+        self, seed, periodic, box, n_home, n_halo, lattice, molecules
+    ):
+        """Whichever search ran, the inner blocks ``pair_search`` leaves
+        are the outer pairs the O(N²) oracle puts within ``r_inner`` at the
+        search's positions, in the outer lists' order, for both halves.
+        Cutoff and buffer are dyadic, so ``r_inner² = 0.25`` exactly and a
+        lattice pair there tells ``<=`` from ``<``."""
+        rng = np.random.default_rng(seed)
+        cutoff, r_comm = 0.375, 0.625
+        n = n_home + n_halo
+        reach = np.where(periodic, 0.0, r_comm)
+        pos = np.vstack([rng.random((n_home, 3)) * box,
+                         rng.random((n_halo, 3)) * (box + reach)])
+        if lattice:
+            pos = np.floor(pos * 8.0) / 8.0
+        zone_shift = np.zeros((n, 3), np.int8)
+        zone_shift[n_home:] = rng.integers(0, 2, (n_halo, 3)) * ~periodic
+        ns = RankNsData(
+            rank=0, n_home=n_home, zone_shift=zone_shift,
+            bonded={"mol": rng.integers(0, n // 3 + 1, n)} if molecules else None,
+            src_pulse=np.concatenate([np.full(n_home, -1), rng.integers(0, 3, n_halo)]),
+            n_pulses=3,
+        )
+        ff = default_forcefield(cutoff=cutoff)
+        rows = np.arange(n)
+        near = _atom_pairs(pos, rows, rows, 0.5, box, periodic, True)
+        for name in ("segment", "cluster"):
+            cfg = RankConfig(
+                kernel=NonbondedKernel(ff, name=name), integrator=None, box=box,
+                periodic=periodic, r_comm=r_comm,
+            )
+            assert cfg.r_inner == 0.5
+            ws = RankWorkspace(
+                cfg=cfg, ns=ns, pos=pos.copy(), vel=np.zeros((n, 3)),
+                forces=np.zeros((n, 3)), types=np.zeros(n, np.int32),
+                charges=np.zeros(n), masses=np.ones(n),
+            )
+            pair_search(ws)
+            for half in (ws.pairs.local, ws.pairs.nonlocal_):
+                keep = np.array([
+                    (min(p), max(p)) in near
+                    for p in zip(half.i.tolist(), half.j.tolist())
+                ], dtype=bool).reshape(-1)
+                assert np.array_equal(half.block.i, half.i[keep])
+                assert np.array_equal(half.block.j, half.j[keep])
 
 
 # -- halo exchange invariants ------------------------------------------------------------
