@@ -276,10 +276,11 @@ CHUNK_PAIRS = 24576
 class _Scratch(threading.local):
     """Evaluator scratch of one thread (= one process under both
     executors).  ``by_dtype``
-    maps the compute dtype *name* to ``geom`` (the two gathered ``(rows, 3)``
-    coordinate sets), ``cols`` (the chain's ten float columns) and ``masks``
-    (its two boolean ones), all chunk-sized, plus ``fvec``, the force
-    components of the largest block seen (``(3, pairs)``, grow-only).
+    maps the compute dtype *name* to ``geom`` (the two gathered
+    coordinate sets, column-major ``(3, rows)`` each), ``cols`` (the
+    chain's ten float columns) and ``masks`` (its two boolean ones), all
+    chunk-sized, plus ``fvec``, the force components of the largest
+    block seen (``(3, pairs)``, grow-only).
     No call reads what an earlier call left there."""
 
     def __init__(self) -> None:
@@ -305,10 +306,10 @@ def _scratch_for(dtype: str, rows: int, pairs: int) -> dict[str, np.ndarray]:
     # longer than that, so the chunk arrays are made once per process.
     rows = max(rows, CHUNK_PAIRS)
     for name, shape, kind in (
-        ("geom", (2, rows, 3), dtype), ("cols", (10, rows), dtype),
+        ("geom", (2, 3, rows), dtype), ("cols", (10, rows), dtype),
         ("masks", (2, rows), bool), ("fvec", (3, pairs), dtype),
     ):
-        if name not in s or s[name].shape[1] < shape[1]:
+        if name not in s or s[name].shape[-1] < shape[-1]:
             s[name] = np.empty(shape, dtype=kind)
             METRICS.gauge("md.kernel.scratch_bytes").set(scratch_nbytes())
     return s
@@ -325,12 +326,12 @@ def within_radius(
     """Keep mask of the pairs at most ``radius`` apart — the prune pass.
 
     Chunk by chunk over :func:`block_forces`' per-thread float64 scratch,
-    but one coordinate at a time: gathers from a contiguous column and
-    ``r²`` as a running sum run ≈1.7× faster than row gathers and
-    ``einsum``, and a mask needs no bit-compatibility with the kernel's
-    ``r²``.  The gathers clip instead of bounds-checking: an index out of
-    range yields a meaningless distance, and a kept one is rejected by
-    the :class:`PairBlock` the survivors are made into.
+    one coordinate at a time from a column copy as the kernel gathers,
+    with ``r²`` a running sum in x, y, z order: a mask needs no
+    bit-compatibility with the kernel's ``r²``, which follows ``einsum``'s
+    association instead.  The gathers clip instead of bounds-checking: an
+    index out of range yields a meaningless distance, and a kept one is
+    rejected by the :class:`PairBlock` the survivors are made into.
     """
     cols = np.ascontiguousarray(np.asarray(positions).T, dtype=np.float64)
     box = None if box is None else np.asarray(box, dtype=np.float64)
@@ -401,6 +402,13 @@ def block_forces(
     segment is split, so per-atom forces do not depend on the chunk size;
     energies are sums of per-chunk sums and do, to rounding.
 
+    Geometry runs column by column on a ``(3, n)`` copy of the positions:
+    contiguous 1-D gathers, per-dimension minimum image, and ``r²``
+    summed in the association NumPy's ``einsum("ij,ij->i")`` (the
+    oracle's) uses for the dtype — ``(x² + z²) + y²`` in float64,
+    ``(x² + y²) + z²`` in float32 (DESIGN.md §4) — so per-pair results
+    stay bit-identical to an ``einsum`` evaluation.
+
     ``12*C12``, ``6*C6`` and the LJ shift are derived per chunk in
     float64, by the expressions the block once cached them with.
 
@@ -433,10 +441,16 @@ def block_forces(
         raise ValueError(f"unknown coulomb mode '{coulomb}' (use 'rf' or 'ewald')")
     dt = np.dtype(dtype)
     sc = dt.type  # scalar-constant cast; a no-op for float64
-    pos = positions.astype(dt, copy=False)
+    cols = np.ascontiguousarray(positions.T, dtype=dt.name)
     box_dt = None if box is None else np.asarray(box, dtype=dt)
     rc2 = ff.cutoff * ff.cutoff
     rc_inv6 = 1.0 / rc2**3
+    # An out-of-cutoff r² up to √max keeps every term of the chain finite
+    # (k_rf·r²·qq too, for any k_rf·|qq| < √max), so the masks zero such
+    # a pair exactly; only a larger or NaN one needs the dummy distance.
+    r2_finite = np.sqrt(np.finfo(dt).max)
+    # einsum's order of the squares: x, z, y in float64; x, y, z in float32.
+    d1, d2 = (2, 1) if dt == np.float64 else (1, 2)
     odt = out_forces.dtype
 
     e_lj = e_coul = 0.0
@@ -444,16 +458,17 @@ def block_forces(
         c = hi - lo
         scratch = _scratch_for(dt.name, c, m)
         fvec = scratch["fvec"][:, lo:hi]
-        xi, xj = scratch["geom"][:, :c]
+        dx, xj = scratch["geom"][:, :, :c]
         r2, inv_r2, inv_r6, inv_r12, inv_r, f_lj, t, f_coul, e_c, e_l = (
             scratch["cols"][:, :c]
         )
         inside, bad = scratch["masks"][:, :c]
         # Indices were validated once, in PairBlock.__init__: "clip" skips
         # the per-call check and the output buffering "raise" implies.
-        np.take(pos, block.i[lo:hi], axis=0, out=xi, mode="clip")
-        np.take(pos, block.j[lo:hi], axis=0, out=xj, mode="clip")
-        dx = np.subtract(xi, xj, out=xi)
+        for d in range(3):
+            np.take(cols[d], block.i[lo:hi], out=dx[d], mode="clip")
+            np.take(cols[d], block.j[lo:hi], out=xj[d], mode="clip")
+        dx -= xj
         if box_dt is not None:
             # Minimum image per periodic dim only: DD rank domains are
             # mostly (often fully) non-periodic, and skipping the wrapped
@@ -462,12 +477,14 @@ def block_forces(
             for d in range(3):
                 if periodic is not None and not periodic[d]:
                     continue
-                col = dx[:, d]
-                shift = np.divide(col, box_dt[d], out=xj[:, d])
+                shift = np.divide(dx[d], box_dt[d], out=xj[d])
                 np.rint(shift, out=shift)
                 shift *= box_dt[d]
-                col -= shift
-        np.einsum("ij,ij->i", dx, dx, out=r2)
+                dx[d] -= shift
+        np.multiply(dx[0], dx[0], out=r2)
+        for d in (d1, d2):
+            np.multiply(dx[d], dx[d], out=t)
+            r2 += t
 
         np.less_equal(r2, rc2, out=inside)
         if not np.any(inside):
@@ -475,17 +492,17 @@ def block_forces(
             # reads this span: clear what the previous call left in it.
             fvec[:] = 0.0
             continue
-        # Overlap check on interacting pairs only.
-        np.less_equal(r2, 0.0, out=bad)
-        bad &= inside
-        if np.any(bad):
+        # Overlap check: r² ≤ 0 < r_c² interacts.  fmin skips a NaN, so
+        # one non-finite pair cannot hide an overlap beside it.
+        if np.fmin.reduce(r2) <= 0.0:
             raise FloatingPointError("overlapping atoms in pair list (r == 0)")
         # Give non-interacting entries a dummy finite distance before the
-        # reciprocal chain: ``fscal *= inside`` zeroes them later, but a
-        # non-finite value in the chain would survive it (inf * 0 is nan)
-        # and the reductions would smear it across the segment.
-        outside = np.logical_not(inside, out=bad)
-        np.copyto(r2, sc(1.0), where=outside)
+        # reciprocal chain when one of them needs it: ``fscal *= inside``
+        # zeroes them later, but a non-finite value in the chain would
+        # survive it (inf * 0 is nan) and the reductions would smear it
+        # across the segment.  A NaN maximum fails the test too.
+        if not r2.max() <= r2_finite:
+            np.copyto(r2, sc(1.0), where=np.logical_not(inside, out=bad))
 
         c12_64, c6_64 = block.c12[lo:hi], block.c6[lo:hi]
         # float64 slices are views; the float32 path casts per chunk.
@@ -531,7 +548,7 @@ def block_forces(
         fscal += f_coul
         fscal *= inside
         for d in range(3):
-            np.multiply(fscal, dx[:, d], out=fvec[d])
+            np.multiply(fscal, dx[d], out=fvec[d])
 
         # The LJ shift c12·k·k − c6·k (k = 1/r_c⁶) into the spent f_coul,
         # in float64 over the spent r2 / inv_r2 (a float32 chain borrows

@@ -148,7 +148,8 @@ class TestBulk:
 
 class TestOverlapHandling:
     """A genuine in-cutoff overlap (r == 0) fails loudly on both
-    precision paths."""
+    precision paths; a NaN or huge distance is masked like any pair
+    beyond the cutoff, and hides no overlap beside it."""
 
     @pytest.mark.parametrize("dtype", (np.float64, np.float32))
     def test_unmasked_in_cutoff_overlap_raises(self, ff, dtype):
@@ -157,6 +158,47 @@ class TestOverlapHandling:
             np.array([0, 0]), np.array([1, 2]), np.zeros(3, dtype=np.int32),
             np.array([0.2, -0.1, 0.3]), ff, n_atoms=3,
         )
+        with pytest.raises(FloatingPointError, match="overlapping"):
+            block_forces(pos, block, ff, dtype=dtype)
+
+    # sha256 of the forces (NaN canonicalised) and (e_lj, e_coul) of the
+    # blown-up chunks below, computed at commit 48fd9da — when every chunk
+    # ran the dummy-distance pass and the overlap test was a mask — and
+    # pasted in.
+    NONFINITE_PINNED = {
+        ("far", "float32"): "1ca0a2d1ff38bdb29d83275cdf8180fcabcf896f62b1b734f5410bbefda2cb1f",
+        ("far", "float64"): "cfc8defd840cf49f4eb3821ea77629f66e68b5c19503b2d4bfe0169bd5d6728c",
+        ("nan", "float32"): "29991cdda2ad8b46cb104a17ef412c88de8d68e5ec73646544f9ddb5f8a44387",
+        ("nan", "float64"): "6da66fd850fde02945caa5d03e696cfc1cea91ff6646c8429ea6cc66369d1437",
+    }
+
+    @staticmethod
+    def _blown_up(ff, case):
+        """One chunk in which atom 5 has NaN coordinates (``"nan"``) or
+        the charged atom 3 has flown 1e19 nm off (``"far"``); it keeps its
+        listed pairs, now beyond the cutoff.  Far in float32, r² ≈ 3e38 is
+        finite but k_rf·r²·qq is not."""
+        pos, i, j, tid, q, _ = _sorted_bulk(ff, seed=10, n=120)
+        atom = 5 if case == "nan" else 3
+        pos[atom] = np.nan if case == "nan" else 1e19
+        assert np.isin(atom, i) and q[atom] != 0.0
+        return pos, i, j, PairBlock(i, j, tid, q, ff, n_atoms=pos.shape[0])
+
+    @pytest.mark.parametrize("case,dtype", sorted(NONFINITE_PINNED))
+    def test_non_finite_distances_give_the_parents_results(self, ff, case, dtype):
+        pos, _, _, block = self._blown_up(ff, case)
+        f, e, c = block_forces(pos, block, ff, dtype=dtype)
+        assert np.isfinite([e, c]).all()
+        assert np.isnan(f[5]).all() if case == "nan" else np.isfinite(f).all()
+        digest = hashlib.sha256(np.where(np.isnan(f), np.nan, f).tobytes())
+        digest.update(np.array([e, c]).tobytes())
+        assert digest.hexdigest() == self.NONFINITE_PINNED[case, dtype]
+
+    @pytest.mark.parametrize("dtype", ("float64", "float32"))
+    def test_overlap_beside_a_nan_distance_still_raises(self, ff, dtype):
+        pos, i, j, block = self._blown_up(ff, "nan")
+        k = np.flatnonzero((i != 5) & (j != 5))[0]
+        pos[j[k]] = pos[i[k]]
         with pytest.raises(FloatingPointError, match="overlapping"):
             block_forces(pos, block, ff, dtype=dtype)
 
@@ -199,6 +241,35 @@ class TestSegmentReduction:
         assert np.max(np.abs(f_blk - f_ref)) <= tol
         assert e_blk == pytest.approx(e_ref, rel=1e-12)
         assert c_blk == pytest.approx(c_ref, rel=1e-12)
+
+    def test_disjoint_pairs_bit_identical_to_the_oracle(self, ff):
+        """Per-pair forces equal the oracle's bit for bit.
+
+        Every atom is in exactly one pair, so no accumulation order is
+        involved: each force is one pair's ``fscal · dx``.  The kernel sums
+        ``r²`` from coordinate columns in the association NumPy's
+        ``einsum("ij,ij->i")`` uses in float64, ``(x² + z²) + y²``; a NumPy
+        whose ``einsum`` associates differently fails here.
+        """
+        rng = np.random.default_rng(17)
+        box = np.full(3, 6.0)
+        n = 600
+        a = rng.uniform(0.0, 6.0, (n, 3))
+        v = rng.standard_normal((n, 3))
+        v *= rng.uniform(0.3, 0.95, (n, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+        b = a + v
+        a[0], b[0] = [0.1, 3.0, 3.0], [5.7, 3.1, 2.9]  # across the x boundary
+        a[1], b[1] = [1.0, 1.0, 1.0], [1.0, 2.2, 1.0]  # beyond the cutoff
+        pos = np.empty((2 * n, 3))
+        pos[0::2], pos[1::2] = a, np.mod(b, box)
+        i, j = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
+        tid = rng.integers(0, 3, 2 * n).astype(np.int32)
+        q = ff.charges_for(tid)
+        f_ref, _, _ = pair_forces(pos, i, j, tid, q, ff, box=box)
+        block = PairBlock(i, j, tid, q, ff, n_atoms=2 * n)
+        f, _, _ = block_forces(pos, block, ff, box=box)
+        assert np.any(f[0] != 0.0) and np.all(f[2:4] == 0.0)
+        assert np.array_equal(f, f_ref)
 
     def test_ewald_matches_scatter(self, ff):
         pos, i, j, tid, q, box = _sorted_bulk(ff, seed=7)

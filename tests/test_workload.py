@@ -7,6 +7,7 @@ from repro.dd import DDGrid, DDSimulator
 from repro.md import make_grappa_system
 from repro.md.forcefield import default_forcefield
 from repro.md.grappa import grappa_box_length
+from repro.obs.metrics import METRICS
 from repro.perf.machines import DGX_H100, EOS, GB200_NVL72
 from repro.perf.workload import grappa_workload, measured_workload, paper_grid
 
@@ -125,6 +126,19 @@ class TestAnalyticVsMeasured:
         scale = ((0.65 + 0.12) / 0.65) ** 3
         assert local * scale == pytest.approx(m_local, rel=0.2)
         assert nonlocal_ * scale == pytest.approx(m_nl, rel=0.35)
+
+    def test_model_pairs_are_the_kernels_useful_fraction(self, sim):
+        """The model counts the pairs within the cutoff; the kernel
+        evaluates the inner list, every pair within r_c + buffer/2
+        (``md.pairs_inner``).  Their ratio is the kernel's useful
+        fraction, (r_c / r_inner)³ = 0.767 for a uniform fluid; this
+        system reads 0.764 (45k atoms on 8 ranks ≈0.75), so the timing
+        model cannot drift from the work ``block_forces`` does."""
+        sim.compute_forces()
+        inner = METRICS.gauge("md.pairs_inner").value
+        wl = grappa_workload(6000, 8, DGX_H100, cutoff=0.65, buffer=0.12, grid=sim.grid)
+        model = (wl.pairs_local + wl.pairs_nonlocal) * sim.n_ranks
+        assert model / inner == pytest.approx((0.65 / (0.65 + 0.12 / 2)) ** 3, rel=0.05)
 
     def test_measured_workload_roundtrip(self, sim):
         wl = measured_workload(sim, DGX_H100)
