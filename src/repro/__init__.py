@@ -6,8 +6,8 @@ Two layers:
 * **Functional** (:mod:`repro.md`, :mod:`repro.dd`, :mod:`repro.comm`,
   :mod:`repro.nvshmem`): a from-scratch MD engine with eighth-shell
   neutral-territory domain decomposition, whose halo exchange runs through
-  interchangeable MPI-style / thread-MPI-style / fused NVSHMEM-style
-  backends — all verified bit-exact against a serial reference.
+  the fused NVSHMEM-style backend or the lock-step reference exchange —
+  both verified bit-exact against a serial reference.
 * **Timing** (:mod:`repro.gpusim`, :mod:`repro.sched`, :mod:`repro.perf`,
   :mod:`repro.analysis`, :mod:`repro.harness`): a task-graph simulator of
   the GPU-resident step schedules (the paper's Figs. 1-2), calibrated to
@@ -34,7 +34,7 @@ executors are picked by registry name (``backend="nvshmem"``,
 ``executor="process"``), directly or via :class:`SimulationSpec`.
 """
 
-from repro.comm import MpiBackend, NvshmemBackend, ThreadMpiBackend, make_backend
+from repro.comm import NvshmemBackend, make_backend
 from repro.dd import (
     DDGrid,
     DDSimulator,
@@ -63,10 +63,8 @@ __all__ = [
     "DDGrid",
     "DDSimulator",
     "DomainDecomposition",
-    "MpiBackend",
     "NvshmemBackend",
     "ReferenceSimulator",
-    "ThreadMpiBackend",
     "build_halo_plan",
     "default_forcefield",
     "make_backend",

@@ -135,7 +135,9 @@ def cmd_compare(args) -> None:
             t.non_overlap,
         ]
         if args.measure:
-            row.append(_functional_ms_per_step(args, args.gpus, backend))
+            # The mpi row times the serialized lock-step exchange of Fig. 1.
+            functional = "reference" if backend == "mpi" else backend
+            row.append(_functional_ms_per_step(args, args.gpus, functional))
         tbl.add_row(*row)
     log.info("%s", tbl.render())
     _maybe_write_graph_trace(args, graphs)
@@ -218,6 +220,11 @@ def cmd_critical(args) -> None:
 
 def _cmd_profile_functional(args) -> None:
     """Span-based accounting of a real DD run with the chosen executor."""
+    if args.backend not in backend_registry:
+        raise SystemExit(
+            f"profile --functional: '{args.backend}' is a timing-model backend "
+            f"only; backend_registry holds {', '.join(sorted(backend_registry))}"
+        )
     n_atoms = _resolve_atoms(args.system)
     spec = spec_from_args(args, kind="profile", overlap_comm=not args.no_overlap)
     result = _run_traced(
@@ -475,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="write both schedules as Chrome-trace JSON")
     add_spec_flags(p, *FUNCTIONAL_FLAGS)
     p.add_argument("--measure", type=nonneg_int, default=0, metavar="STEPS",
-                   help="also run a real DD simulation per backend and report wall ms/step")
+                   help="also run a real DD simulation per backend and report wall "
+                        "ms/step (the mpi row runs the lock-step reference exchange)")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("scaling", parents=[common], help="strong-scaling sweep")

@@ -16,8 +16,7 @@ Functional twin of the paper's Algorithms 3-6:
   InfiniBand the holder puts into a symmetric per-pulse staging buffer with
   signal.  A zone may only be served once all later pulses' returned forces
   have been accumulated into it (DEP_MGMT), which the paper enforces by
-  waiting on every subsequent pulse — reproduced here (exact-dependency
-  waiting is available as an ablation).
+  waiting on every subsequent pulse — reproduced here.
 
 Scheduling is event-driven (see :mod:`repro.comm.scheduler`): a task that
 must wait yields the key it waits on — a signal slot, or this rank's
@@ -27,12 +26,9 @@ the signal store or by the accumulation that completes.  Everything a
 into a :class:`_PulseProgram`, the way the paper builds ``PulseData`` at
 DD-partitioning time; the task generators only read it.
 
-Ablation flags:
-
-* ``fused=False`` — serialize pulses (the paper's baseline): packing of
-  pulse p waits for all pulses < p regardless of data dependencies.
-* ``dep_partitioning=False`` — disable the depOffset split: all entries are
-  treated as dependent, so nothing is packed before the waits complete.
+The paper's ablations (serialized pulses, no depOffset split) are timing
+questions: ``simulate_step(fused=, dep_partitioning=)`` and the
+:mod:`repro.analysis.report` ablation tables measure them.
 """
 
 from __future__ import annotations
@@ -75,9 +71,9 @@ class _PulseProgram(NamedTuple):
     """One (rank, pulse)'s share of both exchanges, resolved at bind.
 
     The argument lists of its three task generators: a function of the
-    plan, the topology and the ablation flags only — rebuilt with every
-    ``bind``, read-only between binds.  Arrays among them are the bound
-    cluster's own (or views of them), never copies.
+    plan and the topology only — rebuilt with every ``bind``, read-only
+    between binds.  Arrays among them are the bound cluster's own (or
+    views of them), never copies.
     """
 
     rank: int
@@ -94,23 +90,9 @@ class _PulseProgram(NamedTuple):
 class NvshmemBackend(HaloBackend):
     """Fused, signal-driven halo exchange (functional layer)."""
 
-    def __init__(
-        self,
-        pes_per_node: int | None = None,
-        seed: int = 0,
-        fused: bool = True,
-        dep_partitioning: bool = True,
-        delay_delivery: bool = True,
-        strict_signals: bool = True,
-        exact_force_deps: bool = False,
-    ):
+    def __init__(self, pes_per_node: int | None = None, seed: int = 0):
         self.pes_per_node = pes_per_node
         self.seed = seed
-        self.fused = fused
-        self.dep_partitioning = dep_partitioning
-        self.delay_delivery = delay_delivery
-        self.strict_signals = strict_signals
-        self.exact_force_deps = exact_force_deps
         self.runtime: NvshmemRuntime | None = None
         # One scheduler, one seeded stream of interleavings and proxy
         # delivery orders, for the life of the backend.
@@ -131,11 +113,9 @@ class NvshmemBackend(HaloBackend):
         n_pes = cluster.n_ranks
         ppn = self.pes_per_node or n_pes
         topo = NodeTopology(n_pes=n_pes, pes_per_node=ppn)
-        rt = NvshmemRuntime(
-            topo,
-            delay_delivery=self.delay_delivery,
-            strict_signals=self.strict_signals,
-        )
+        # Inter-node puts wait for the proxy, and every acquire is checked
+        # against a release store (``relaxed-coord-release`` is caught here).
+        rt = NvshmemRuntime(topo, delay_delivery=True, strict_signals=True)
         self.runtime = rt
         self._cluster = cluster
         dtype = cluster.system.dtype
@@ -173,7 +153,6 @@ class NvshmemBackend(HaloBackend):
         dtype = cluster.system.dtype
         coords = self._coords
         stages = [buf.arrays for buf in self._force_stage]
-        split = self.fused and self.dep_partitioning
         # Pulses of each rank that a later pulse accumulates into (its
         # dependent entries reference them): only those zones carry data
         # the force signal must flush (the paper's hasDataWrites).
@@ -196,7 +175,6 @@ class NvshmemBackend(HaloBackend):
                 pid = p.pulse_id
                 tag = f"[rank={rank},pulse={pid}]"
                 index_map = p.index_map
-                n_indep = p.dep_offset if split else 0
                 peer = p.send_rank
                 hp = plan.ranks[peer].pulses[pid]  # where our selection lands
                 owner = p.recv_rank  # the rank that sent us these coordinates
@@ -211,25 +189,19 @@ class NvshmemBackend(HaloBackend):
                     staged = stages[pid][rank][: hp.recv_size]
                 if not topo.same_node(rank, owner):
                     zone = forces[p.atom_offset : p.atom_offset + p.recv_size]
-                # The zone we serve may go once every later pulse that
-                # accumulates into it has (the paper waits on *all* later
-                # pulses, Algorithm 5 line 9; ``exact_force_deps`` narrows
-                # that to pulses whose dependent entries reference it).
-                serve_floor = pid + 1
-                if self.exact_force_deps:
-                    while serve_floor < n_pulses and pid not in pulses[serve_floor].depends_on:
-                        serve_floor += 1
-                coord_deps = sorted(p.depends_on) if self.fused else range(pid)
                 programs.append(
                     _PulseProgram(
                         rank, pid, "coordX" + tag, "serveF" + tag, "accF" + tag,
                         coord=(
                             rank, pid, pos, p.coord_shift.astype(pos.dtype),
-                            index_map[:n_indep], index_map[n_indep:],
-                            [arrived[k] for k in coord_deps],
+                            index_map[: p.dep_offset], index_map[p.dep_offset :],
+                            [arrived[k] for k in sorted(p.depends_on)],
                             peer, hp.atom_offset, remote, stage,
                         ),
-                        serve=(rank, pid, order[serve_floor], owner, pid in fed[rank], zone),
+                        # The zone we serve may go once every later pulse
+                        # has accumulated (Algorithm 5 line 9 waits on *all*
+                        # of them, not only those whose entries reference it).
+                        serve=(rank, pid, order[pid + 1], owner, pid in fed[rank], zone),
                         acc=(
                             rank, pid,
                             order[pid + 1] if pid + 1 < n_pulses else None,
@@ -341,7 +313,7 @@ class NvshmemBackend(HaloBackend):
         pid: int,
         pos: np.ndarray,
         shift: np.ndarray,
-        indep: np.ndarray,  # packed before any wait (empty when the split is off)
+        indep: np.ndarray,  # packed before any wait (below depOffset)
         dep: np.ndarray,  # packed after ``waits``
         waits: list[Wait],
         peer: int,  # the pulse's send_rank

@@ -3,8 +3,8 @@
 Runs the same physics as :class:`repro.md.reference.ReferenceSimulator`, but
 distributed over the ranks of a :class:`DomainDecomposition` with halo
 exchange delegated to a pluggable communication backend (reference
-serialized, MPI-style staged, or NVSHMEM-style fused — see
-:mod:`repro.comm`) and per-rank work scheduled through a pluggable
+serialized, or NVSHMEM-style fused — see :mod:`repro.comm`) and per-rank
+work scheduled through a pluggable
 :class:`~repro.par.base.RankExecutor` (serial, or a true-parallel process
 pool over shared memory — see :mod:`repro.par`).  Trajectories must
 match the serial reference to floating-point accumulation order, and must be
@@ -59,8 +59,8 @@ def resolve_backend_executor(
     through untouched, ``None`` picks the defaults (``"reference"`` /
     ``"serial"``), and an unknown name raises one actionable
     :class:`ValueError` naming both registries — every entry point
-    (engine, CLI, bench, harness, serve) routes through here so the
-    error reads the same everywhere.
+    (engine, CLI, bench, harness) routes through here so the error reads
+    the same everywhere.
     """
     from repro.comm import backend_registry, make_backend
     from repro.par import executor_registry, make_executor

@@ -3,9 +3,8 @@
 The reference exchange is the simplest correct implementation: pulses are
 processed strictly in global order, all ranks in lock-step (what the paper
 calls the "baseline (serialized pulses)" formulation, Sec. 5.1).  The
-communication backends in :mod:`repro.comm` must produce bit-identical
-results while exercising their own data paths (staged MPI-style buffers, or
-signal-driven fused NVSHMEM-style execution).
+fused NVSHMEM-style backend in :mod:`repro.comm` must produce bit-identical
+results while exercising its own signal-driven data path.
 """
 
 from __future__ import annotations

@@ -74,9 +74,6 @@ class HaloExchangePlan:
         """Total entries communicated per coordinate exchange, all ranks."""
         return sum(p.send_size for r in self.ranks for p in r.pulses)
 
-    def max_halo(self) -> int:
-        return max(r.n_halo for r in self.ranks)
-
 
 def build_halo_plan(
     dd: DomainDecomposition,

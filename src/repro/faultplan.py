@@ -36,8 +36,8 @@ import numpy as np
 #: All fault kinds, in generation-weight order.
 FAULT_KINDS = ("delay_task", "hide_signal", "drop_op", "perturb_phase", "defer_notify")
 
-#: Kinds meaningful for backends that do not use the scheduler/NVSHMEM
-#: substrate (reference, mpi, threadmpi).
+#: Kinds meaningful for a backend that does not use the scheduler/NVSHMEM
+#: substrate (the reference exchange).
 GENERIC_KINDS = ("perturb_phase", "defer_notify")
 
 _SIGNAL_NAMES = ("coordSig", "forceSig")

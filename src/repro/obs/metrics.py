@@ -1,17 +1,16 @@
 """Run metrics: labelled counters, gauges, and histograms.
 
 A process-wide :data:`METRICS` registry collects per-run statistics from
-the functional layer — halo bytes and pulse counts per backend, NVSHMEM
+the functional layer — halo scheduler rounds and proxy stalls, NVSHMEM
 heap footprint and signal traffic, pair-list prune yields, engine step
 counts.  The registry is deliberately tiny (no time series, no export
 protocol): a metric is an in-memory cell the run report snapshots at the
 end, the same role GROMACS' wallcycle counters play for its log tables.
 
-Labels distinguish streams of the same metric (``comm.bytes`` with
-``backend=mpi, dir=x`` vs ``backend=nvshmem, dir=f``); a metric identity
-is the (name, sorted labels) pair.  When the registry is disabled,
-lookups return shared null instruments so instrumented code needs no
-branches of its own.
+Labels distinguish streams of the same metric (``comm.sched_rounds`` with
+``dir=x`` vs ``dir=f``); a metric identity is the (name, sorted labels)
+pair.  When the registry is disabled, lookups return shared null
+instruments so instrumented code needs no branches of its own.
 """
 
 from __future__ import annotations

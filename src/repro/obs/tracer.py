@@ -229,7 +229,3 @@ class Tracer:
 #: The process-wide tracer every instrumentation site uses.  Disabled by
 #: default: an un-profiled run pays one boolean check per span site.
 TRACER = Tracer(enabled=False)
-
-
-def get_tracer() -> Tracer:
-    return TRACER

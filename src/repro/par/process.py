@@ -184,16 +184,12 @@ def _terminate(conns, procs, shm_box) -> None:
 class ProcessExecutor(RankExecutor):
     """Persistent worker-process pool over a shared-memory arena."""
 
-    def __init__(
-        self, max_workers: int | None = None, start_method: str | None = None
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         super().__init__()
         self.max_workers = max_workers
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
         self._procs: list = []
         self._conns: list = []
         self._ranks_of: list[list[int]] = []

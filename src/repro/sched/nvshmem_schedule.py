@@ -266,22 +266,3 @@ def build_nvshmem_schedule(
         )
         bounds.append(prev)
     return g, bounds
-
-
-def comm_kernel_busy_time(g: TaskGraph, prefix: str = "") -> float:
-    """SM time consumed by the fused communication kernels' block groups.
-
-    Feeds the SM resource-sharing penalty: pack/accumulate work co-resident
-    with the local kernel steals SM time from it (the paper's 10-16 us
-    local-work slowdown in 2D/3D decompositions).
-    """
-    g.evaluate()
-    busy = 0.0
-    for t in g.tasks.values():
-        if (
-            t.name.startswith(prefix)
-            and t.resource.startswith("gpu.nl.p")
-            and t.kind == "pack"
-        ):
-            busy += t.duration
-    return busy

@@ -66,7 +66,7 @@ class TestFaultPlan:
         assert back.faults == plan.faults
 
     def test_generic_backends_get_generic_kinds(self):
-        plan = FaultPlan.generate(5, n_faults=16, backend="mpi")
+        plan = FaultPlan.generate(5, n_faults=16, backend="reference")
         assert {f.kind for f in plan} <= {"perturb_phase", "defer_notify"}
 
     def test_unknown_kind_rejected(self):
@@ -236,7 +236,7 @@ class TestCampaign:
         assert not res.failed
         assert METRICS.counter("chaos.runs", backend="nvshmem").value == before + 2
 
-    @pytest.mark.parametrize("backend", ["reference", "mpi", "threadmpi"])
+    @pytest.mark.parametrize("backend", ["reference"])
     def test_generic_backends_pass(self, backend):
         res = run_campaign(chaos_spec(backend=backend), runs=2)
         assert not res.failed
@@ -275,7 +275,7 @@ class TestDlbCampaign:
         assert sim.dlb_adjustments >= 1
         assert not sim.dd.is_uniform
 
-    @pytest.mark.parametrize("backend", ["reference", "mpi", "threadmpi", "nvshmem"])
+    @pytest.mark.parametrize("backend", ["reference", "nvshmem"])
     def test_seeded_slab_campaign(self, backend):
         res = run_campaign(chaos_spec(backend=backend, **self.CFG), runs=3)
         assert res.runs == 3
@@ -360,9 +360,9 @@ class TestCli:
 
 @pytest.mark.slow
 class TestFullCampaigns:
-    """The acceptance-criteria campaign: >=50 interleavings x 4 backends."""
+    """The acceptance-criteria campaign: >=50 interleavings x 2 backends."""
 
-    @pytest.mark.parametrize("backend", ["reference", "mpi", "threadmpi", "nvshmem"])
+    @pytest.mark.parametrize("backend", ["reference", "nvshmem"])
     def test_fifty_seeded_runs(self, backend):
         res = run_campaign(chaos_spec(backend=backend), runs=50)
         assert res.runs == 50

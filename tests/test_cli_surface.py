@@ -11,7 +11,12 @@ PR 13 and regenerated three times: for PR 14's two deliberate changes (the
 ``kernel`` default ``segment`` -> ``cluster``, the ``thread`` executor
 removed), for PR 23's (the job service, its two subcommands and the
 flag that routed runs to it removed) and for spec schema v2 (the
-pair-list build-memory cap field and its flag removed).
+pair-list build-memory cap field and its flag removed).  They were
+regenerated once more when the functional ``mpi``/``threadmpi`` backends
+were removed: their chaos rows went, ``compare --measure`` times its mpi
+row on ``reference``, and the two CI steps that repeated another step's
+job (``verify``/``chaos`` with the default ``--kernel cluster`` spelt
+out) were dropped.  No two documented command lines may run the same job.
 """
 
 from __future__ import annotations
@@ -55,8 +60,6 @@ PINNED = {
     "verify --atoms 3000 --ranks 4 --steps 8 --executor process --no-overlap":
         [{**_VERIFY, "system": "3000", "steps": 8, "executor": "process",
           "overlap_comm": False}],
-    "verify --atoms 3000 --ranks 4 --steps 8 --executor process --kernel cluster":
-        [{**_VERIFY, "system": "3000", "steps": 8, "executor": "process"}],
     "verify --atoms 3000 --ranks 4 --steps 8 --executor process --kernel segment":
         [{**_VERIFY, "system": "3000", "steps": 8, "executor": "process",
           "kernel": "segment"}],
@@ -64,7 +67,7 @@ PINNED = {
         f"chaos --backend {b} --runs 3 --executor process {_OUT}":
             [{**_CHAOS, "executor": "process",
               **({} if b == "reference" else {"backend": b})}]
-        for b in ("reference", "mpi", "threadmpi", "nvshmem")
+        for b in ("reference", "nvshmem")
     },
     "profile --functional --system 3000 --ranks 4 --steps 4 --executor process "
     "--backend nvshmem":
@@ -82,15 +85,10 @@ PINNED = {
         [{**_VERIFY, "system": "slab-3000", "steps": 8, "executor": "process",
           "dlb": "pairs"}],
     f"chaos --backend reference --runs 3 {_OUT}": [_CHAOS],
-    f"chaos --backend mpi --runs 3 {_OUT}": [{**_CHAOS, "backend": "mpi"}],
-    f"chaos --backend threadmpi --runs 3 {_OUT}":
-        [{**_CHAOS, "backend": "threadmpi"}],
     f"chaos --backend nvshmem --runs 3 {_OUT}":
         [{**_CHAOS, "backend": "nvshmem"}],
     f"chaos --backend nvshmem --runs 3 --pes-per-node 1 {_OUT}":
         [{**_CHAOS, "backend": "nvshmem", "pes_per_node": 1}],
-    f"chaos --backend nvshmem --runs 3 --kernel cluster {_OUT}":
-        [{**_CHAOS, "backend": "nvshmem"}],
     "chaos --backend nvshmem --runs 1 --pes-per-node 1 --mutate skip-coord-fence "
     "--expect-failure --out /dev/null":
         [{**_CHAOS, "backend": "nvshmem", "pes_per_node": 1}],
@@ -104,9 +102,10 @@ PINNED = {
     "--trace /tmp/spans.json":
         [{"kind": "profile", "steps": 4, "backend": "nvshmem",
           "executor": "process"}],
+    # The mpi row is timed on the lock-step reference exchange.
     "compare 3000 --gpus 4 --measure 3 --executor process":
-        [{"system": "3000", "steps": 3, "backend": b, "executor": "process"}
-         for b in ("mpi", "nvshmem")],
+        [{"system": "3000", "steps": 3, "executor": "process"},
+         {"system": "3000", "steps": 3, "backend": "nvshmem", "executor": "process"}],
     "scaling 1400 --machine dgx-h100 --gpu-counts 2 --measure 2":
         [{"steps": 2, "ranks": 2, "backend": "nvshmem"}],
 }
@@ -189,6 +188,12 @@ def documented_commands() -> list[str]:
 
 
 COMMANDS = documented_commands()
+#: The documented lines that build and run a spec.
+FUNCTIONAL = [
+    c for c in COMMANDS
+    if c.split()[0] in ("verify", "chaos", "compare", "scaling")
+    or c.startswith("profile --functional")
+]
 SCRIPTS = sorted({path for text in (CI, SKILL, README) for path in _script_paths(text)})
 
 
@@ -196,7 +201,7 @@ SCRIPTS = sorted({path for text in (CI, SKILL, README) for path in _script_paths
 
 
 def test_extraction_finds_the_documented_commands():
-    assert len(COMMANDS) >= 25
+    assert len(COMMANDS) >= 20
     assert {c.split()[0] for c in COMMANDS} >= {
         "figures", "verify", "profile", "report", "chaos", "compare", "scaling",
     }
@@ -221,21 +226,19 @@ def test_documented_command_parses(command):
 
 
 def test_every_functional_command_is_pinned():
-    functional = {
-        c for c in COMMANDS
-        if c.split()[0] in ("verify", "chaos", "compare", "scaling")
-        or c.startswith("profile --functional")
-    }
-    assert functional == set(PINNED)
+    assert set(FUNCTIONAL) == set(PINNED)
 
 
-@pytest.mark.parametrize("command", sorted(PINNED))
-def test_functional_command_builds_the_pinned_spec(command, monkeypatch):
-    """Drive the real subcommand with the run itself stubbed out."""
+def _jobs(command: str, monkeypatch) -> list[tuple[dict, dict]]:
+    """Drive the real subcommand with the run itself stubbed out.
+
+    Returns what it submitted: each spec's non-default fields, with the
+    campaign arguments for a chaos run (``{}`` for ``execute_spec``).
+    """
     submitted = []
 
     def fake_execute(spec):
-        submitted.append(spec)
+        submitted.append((spec, {}))
         return {"ms_per_step": 1.0, "spans": {}, "grid": [1, 1, 4],
                 "max_deviation_nm": 0.0, "ok": True}
 
@@ -243,7 +246,7 @@ def test_functional_command_builds_the_pinned_spec(command, monkeypatch):
         runs, failures, artifact = 0, [], None
 
     def fake_campaign(spec, **kwargs):
-        submitted.append(spec)
+        submitted.append((spec, {k: v for k, v in kwargs.items() if k != "log"}))
         return FakeCampaign()
 
     monkeypatch.setattr(cli, "execute_spec", fake_execute)
@@ -253,11 +256,25 @@ def test_functional_command_builds_the_pinned_spec(command, monkeypatch):
         cli.main(["-q", *shlex.split(command)])
     except SystemExit as err:  # --expect-failure with the campaign stubbed
         assert "vacuous" in str(err)
-    got = [
-        {k: v for k, v in spec.to_dict().items() if v != DEFAULTS[k]}
-        for spec in submitted
+    return [
+        ({k: v for k, v in spec.to_dict().items() if v != DEFAULTS[k]}, campaign)
+        for spec, campaign in submitted
     ]
-    assert got == PINNED[command]
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_functional_command_builds_the_pinned_spec(command, monkeypatch):
+    assert [spec for spec, _ in _jobs(command, monkeypatch)] == PINNED[command]
+
+
+def test_no_two_documented_commands_run_the_same_job(monkeypatch):
+    """A documented line that repeats another's specs and campaign
+    arguments (a default flag spelt out, say) costs CI time and checks
+    nothing the first line does not."""
+    by_job: dict[str, list[str]] = {}
+    for command in FUNCTIONAL:
+        by_job.setdefault(repr(_jobs(command, monkeypatch)), []).append(command)
+    assert [commands for commands in by_job.values() if len(commands) > 1] == []
 
 
 @pytest.mark.parametrize("subcommand", sorted(FLAGS))
@@ -342,3 +359,42 @@ def test_removed_executor_is_refused_by_the_cli(capsys):
     message = capsys.readouterr().err
     assert "--executor: invalid choice: 'thread'" in message
     assert "'process', 'serial'" in message and "'thread'," not in message
+
+
+def test_removed_backend_is_refused_by_the_spec():
+    """A persisted spec (a chaos artifact, say) naming a deleted functional
+    backend fails with the registry's names, not deep inside a run."""
+    with pytest.raises(ValueError) as err:
+        SimulationSpec.from_dict({**DEFAULTS, "backend": "mpi"})
+    assert str(err.value) == (
+        "unknown spec backend 'mpi'; registered backends: nvshmem, reference"
+    )
+
+
+def test_replaying_an_artifact_of_a_removed_backend_exits_cleanly(tmp_path, capsys):
+    from repro.chaos import FaultPlan, chaos_spec, make_artifact, write_artifact
+
+    artifact = make_artifact(chaos_spec(), FaultPlan(seed=0), None, [])
+    artifact["spec"]["backend"] = "threadmpi"
+    path = write_artifact(str(tmp_path / "old.json"), artifact)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["chaos", "--replay", path])
+    assert str(err.value.code) == (
+        f"cannot replay {path}: unknown spec backend 'threadmpi'; "
+        "registered backends: nvshmem, reference"
+    )
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("backend", ["mpi", "threadmpi"])
+def test_functional_profile_of_a_timing_only_backend_exits_cleanly(backend, monkeypatch):
+    """``profile --backend`` offers the timing model's backends; the
+    functional path names the ones it can run before building a spec."""
+    monkeypatch.setattr(cli, "execute_spec", lambda spec: pytest.fail("ran a spec"))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["profile", "--functional", "--system", "1400", "--ranks", "4",
+                  "--backend", backend])
+    assert str(err.value.code) == (
+        f"profile --functional: '{backend}' is a timing-model backend only; "
+        "backend_registry holds nvshmem, reference"
+    )

@@ -121,22 +121,6 @@ def test_any_interleaving_matches_the_reference(decomposed, pes_per_node):
         assert np.array_equal(got, forces[0])
 
 
-@pytest.mark.parametrize(
-    "kw",
-    [dict(fused=False), dict(dep_partitioning=False), dict(exact_force_deps=True)],
-    ids=["serialized", "no-dep-split", "exact-force-deps"],
-)
-def test_ablations_match_the_reference(decomposed, kw):
-    system, dd = decomposed
-    twin = _reference(system, dd, seed=5)
-    cluster = build_cluster(system, dd)
-    backend = NvshmemBackend(pes_per_node=8, seed=3, **kw)
-    backend.bind(cluster)
-    _fill(cluster, seed=5)
-    _exchange(backend, cluster)
-    _assert_matches(cluster, twin)
-
-
 def test_rebind_recompiles_the_pulse_programs(decomposed):
     """What ``bind`` resolved belongs to one cluster: a new plan under the
     same backend is exchanged correctly, the old cluster is refused."""

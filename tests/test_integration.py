@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.comm import MpiBackend, NvshmemBackend
+from repro.comm import NvshmemBackend, ReferenceBackend
 from repro.dd import DDGrid, DDSimulator
 from repro.gpusim import render_timeline
 from repro.md import ReferenceSimulator, default_forcefield, make_grappa_system
@@ -60,15 +60,15 @@ class TestEndToEnd:
             out = render_timeline(g, width=80)
             assert "cpu" in out and "gpu.local" in out
 
-    def test_mpi_vs_nvshmem_same_physics_different_stats(self):
+    def test_reference_vs_nvshmem_same_physics(self):
         ff = default_forcefield(cutoff=0.65)
         base = make_grappa_system(1400, seed=3, ff=ff, dtype=np.float64)
         results = {}
-        for name, be in [("mpi", MpiBackend()), ("nvs", NvshmemBackend(seed=0))]:
+        for name, be in [("ref", ReferenceBackend()), ("nvs", NvshmemBackend(seed=0))]:
             s = base.copy()
             DDSimulator(s, ff, grid=DDGrid((2, 1, 1)), nstlist=5, buffer=0.12, backend=be).run(5)
             results[name] = s.positions
-        np.testing.assert_allclose(results["mpi"], results["nvs"], atol=1e-12)
+        np.testing.assert_allclose(results["ref"], results["nvs"], atol=1e-12)
 
 
 class TestPublicApi:
@@ -86,5 +86,5 @@ class TestPublicApi:
             assert getattr(repro, name) is not None
 
     def test_make_backend_roundtrip(self):
-        be = repro.make_backend("mpi")
-        assert isinstance(be, MpiBackend)
+        be = repro.make_backend("reference")
+        assert isinstance(be, ReferenceBackend)

@@ -4,7 +4,7 @@ communication: domains thinner than the communication cutoff)."""
 import numpy as np
 import pytest
 
-from repro.comm import MpiBackend, NvshmemBackend
+from repro.comm import NvshmemBackend, ReferenceBackend
 from repro.dd import DDGrid, DDSimulator
 from repro.dd.decomposition import DomainDecomposition
 from repro.dd.halo import build_halo_plan
@@ -105,8 +105,12 @@ class TestCorrectness:
 
     @pytest.mark.parametrize(
         "backend",
-        [MpiBackend(), NvshmemBackend(pes_per_node=4, seed=5), NvshmemBackend(pes_per_node=1, seed=2)],
-        ids=["mpi", "nvshmem-mixed", "nvshmem-allIB"],
+        [
+            ReferenceBackend(),
+            NvshmemBackend(pes_per_node=4, seed=5),
+            NvshmemBackend(pes_per_node=1, seed=2),
+        ],
+        ids=["reference", "nvshmem-mixed", "nvshmem-allIB"],
     )
     def test_trajectory_matches_all_backends(self, system, ff, backend):
         a = system.copy()

@@ -98,12 +98,12 @@ class TestTracer:
 class TestMetrics:
     def test_counter_and_label_identity(self):
         reg = MetricsRegistry()
-        c = reg.counter("comm.bytes", backend="mpi", dir="x")
+        c = reg.counter("comm.bytes", backend="reference", dir="x")
         c.inc(10)
         c.inc(5)
         # Label order must not matter for identity.
-        assert reg.counter("comm.bytes", dir="x", backend="mpi") is c
-        assert reg.counter("comm.bytes", dir="f", backend="mpi") is not c
+        assert reg.counter("comm.bytes", dir="x", backend="reference") is c
+        assert reg.counter("comm.bytes", dir="f", backend="reference") is not c
         assert c.value == 15
 
     def test_kind_mismatch_raises(self):

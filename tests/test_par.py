@@ -79,7 +79,7 @@ class TestExecutorParity:
 
     @pytest.mark.parametrize("max_pulses,shape", [(1, (2, 2, 1)), (2, (1, 1, 4))])
     def test_backend_executor_kernel_matrix(self, tiny_system, ff, max_pulses, shape):
-        """4 backends x 2 executors x 2 kernels: one trajectory, bit for
+        """2 backends x 2 executors x 2 kernels: one trajectory, bit for
         bit, and it is the serial reference's to accumulation order."""
         outs = {
             (backend, executor, kernel): _run(

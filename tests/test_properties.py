@@ -498,7 +498,7 @@ class TestChaosInterleavings:
         ids=["2pulse-z", "3pulse-yz"],
     )
     @pytest.mark.parametrize(
-        "backend_name", ["reference", "mpi", "threadmpi", "nvshmem"]
+        "backend_name", ["reference", "nvshmem"]
     )
     def test_exchange_bit_identical_under_50_interleavings(self, backend_name, shape, ppn):
         from repro.chaos import ChaosInjector, FaultPlan
