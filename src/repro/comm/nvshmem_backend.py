@@ -24,7 +24,10 @@ force-accumulation order — and is re-polled only when that key is woken, by
 the signal store or by the accumulation that completes.  Everything a
 (rank, pulse) needs per step is resolved once in :meth:`NvshmemBackend.bind`
 into a :class:`_PulseProgram`, the way the paper builds ``PulseData`` at
-DD-partitioning time; the task generators only read it.
+DD-partitioning time; the task generators only read it.  Per step a pack
+is one ``take`` plus one contiguous add of a bind-time shift tile, straight
+into the destination rows, and an accumulation is a single one-dimensional
+``np.add.at`` over bind-time flat indices.
 
 The paper's ablations (serialized pulses, no depOffset split) are timing
 questions: ``simulate_step(fused=, dep_partitioning=)`` and the
@@ -51,20 +54,20 @@ _COORD_SIG = "coordSig"
 _FORCE_SIG = "forceSig"
 
 
-def _all_increasing(maps: list[np.ndarray]) -> bool:
-    """True when every index map is strictly increasing, checked in one pass.
+def _flat_index(index_map: np.ndarray) -> np.ndarray:
+    """Positions of ``index_map``'s rows in the flattened ``(n, 3)`` array.
 
-    The cheap sufficient condition for "no map names a row twice": the halo
-    plan lists home rows, then forwarded rows, each in ascending order.
+    ``np.add.at(forces.reshape(-1), _flat_index(rows), block.reshape(-1))``
+    adds every element of ``block`` once, in row order — the additions of
+    ``np.add.at(forces, rows, block)``, and of ``forces[rows] += block``
+    when no row repeats — through ``add.at``'s one-dimensional fast loop.
     """
-    if not maps:
-        return True
-    rows = np.concatenate(maps)
-    rising = rows[1:] > rows[:-1]
-    # The seams between consecutive maps do not count.
-    seams = np.cumsum([m.size for m in maps])[:-1]
-    rising[seams[(seams > 0) & (seams < rows.size)] - 1] = True
-    return bool(rising.all())
+    flat = np.empty((index_map.size, 3), dtype=np.int64)
+    # Column by column: long loops, not rows of three.
+    np.multiply(index_map, 3, out=flat[:, 0])
+    np.add(flat[:, 0], 1, out=flat[:, 1])
+    np.add(flat[:, 0], 2, out=flat[:, 2])
+    return flat.reshape(-1)
 
 
 class _PulseProgram(NamedTuple):
@@ -72,8 +75,9 @@ class _PulseProgram(NamedTuple):
 
     The argument lists of its three task generators: a function of the
     plan and the topology only — rebuilt with every ``bind``, read-only
-    between binds.  Arrays among them are the bound cluster's own (or
-    views of them), never copies.
+    between binds.  The arrays a task writes are the bound cluster's own
+    (or views of them), never copies; what it only reads — the shift
+    tiles and the flat force indices — is derived from the plan here.
     """
 
     rank: int
@@ -109,6 +113,10 @@ class NvshmemBackend(HaloBackend):
     # -- binding ------------------------------------------------------------------
 
     def bind(self, cluster: ClusterState) -> None:
+        # The previous plan's programs go first (their flat indices are the
+        # size of the whole halo), and a bind that fails leaves no plan.
+        self._cluster = None
+        self._programs = []
         plan = cluster.plan
         n_pes = cluster.n_ranks
         ppn = self.pes_per_node or n_pes
@@ -117,7 +125,6 @@ class NvshmemBackend(HaloBackend):
         # against a release store (``relaxed-coord-release`` is caught here).
         rt = NvshmemRuntime(topo, delay_delivery=True, strict_signals=True)
         self.runtime = rt
-        self._cluster = cluster
         dtype = cluster.system.dtype
         n_pulses = plan.n_pulses
 
@@ -144,6 +151,7 @@ class NvshmemBackend(HaloBackend):
         self._acc_floor = [n_pulses] * n_pes
 
         self._programs = self._compile(cluster, topo)
+        self._cluster = cluster
 
     def _compile(self, cluster: ClusterState, topo: NodeTopology) -> list[_PulseProgram]:
         """Resolve, per (rank, pulse), everything its three tasks read."""
@@ -157,12 +165,25 @@ class NvshmemBackend(HaloBackend):
         # dependent entries reference them): only those zones carry data
         # the force signal must flush (the paper's hasDataWrites).
         fed = [set().union(*(p.depends_on for p in rp.pulses)) for rp in plan.ranks]
-        all_unique = _all_increasing([p.index_map for rp in plan.ranks for p in rp.pulses])
+        # Every pulse's flat force indices, built for the whole plan at
+        # once (rank-major, pulse order); each program reads its own slice.
+        sends = [p for rp in plan.ranks for p in rp.pulses]
+        maps = [p.index_map for p in sends]
+        flat_all = _flat_index(np.concatenate(maps) if maps else np.empty(0, np.int64))
+        # Shift tiles: a pulse's shift once per packed row, so a pack adds
+        # it in one contiguous pass rather than a broadcast over rows of
+        # three.  All rows of a tile are equal, so pulses with the same
+        # shift (a handful of distinct vectors) share one, sliced.
+        longest = max((p.send_size for p in sends), default=0)
+        tiles: dict[bytes, np.ndarray] = {}
+        row = 0  # rows of flat_all taken by the programs so far
         programs = []
         for rp in plan.ranks:
             rank, pulses = rp.rank, rp.pulses
             pos = cluster.local_pos[rank]
             forces = cluster.local_forces[rank]
+            # Accumulation writes through this view: never a copy.
+            forces_flat = np.reshape(forces, -1, copy=False)
             # A rank's own accumulations must land in descending pulse
             # order: two pulses' index_maps may share home rows, and
             # floating-point accumulation order would otherwise depend on
@@ -177,6 +198,13 @@ class NvshmemBackend(HaloBackend):
                 index_map = p.index_map
                 peer = p.send_rank
                 hp = plan.ranks[peer].pulses[pid]  # where our selection lands
+                if hp.recv_size != p.send_size:
+                    # A pack longer than the peer's zone would run on into
+                    # the next zone's rows: refuse the plan, not the step.
+                    raise ValueError(
+                        f"pulse {pid}: rank {rank} sends {p.send_size} rows but "
+                        f"rank {peer} receives {hp.recv_size}"
+                    )
                 owner = p.recv_rank  # the rank that sent us these coordinates
                 remote = rt.ptr(coords, peer, rank)
                 stage = zone = staged = None
@@ -189,12 +217,19 @@ class NvshmemBackend(HaloBackend):
                     staged = stages[pid][rank][: hp.recv_size]
                 if not topo.same_node(rank, owner):
                     zone = forces[p.atom_offset : p.atom_offset + p.recv_size]
+                first, row = row, row + p.send_size
+                shift = p.coord_shift.astype(dtype)
+                tile = tiles.get(shift.tobytes())
+                if tile is None:
+                    tile = tiles[shift.tobytes()] = np.tile(shift, (longest, 1))
+                dep_offset = p.dep_offset
                 programs.append(
                     _PulseProgram(
                         rank, pid, "coordX" + tag, "serveF" + tag, "accF" + tag,
                         coord=(
-                            rank, pid, pos, p.coord_shift.astype(pos.dtype),
-                            index_map[: p.dep_offset], index_map[p.dep_offset :],
+                            rank, pid, pos,
+                            index_map[:dep_offset], index_map[dep_offset:],
+                            tile[:dep_offset], tile[dep_offset : p.send_size],
                             [arrived[k] for k in sorted(p.depends_on)],
                             peer, hp.atom_offset, remote, stage,
                         ),
@@ -209,8 +244,7 @@ class NvshmemBackend(HaloBackend):
                             # accumulated into (it then release-stores).
                             returned[pid][remote is None or pid in fed[peer]],
                             peer, hp.atom_offset, hp.recv_size, staged,
-                            forces, index_map,
-                            all_unique or np.unique(index_map).size == index_map.size,
+                            forces_flat, flat_all[3 * first : 3 * row],
                         ),
                     )
                 )
@@ -312,9 +346,10 @@ class NvshmemBackend(HaloBackend):
         rank: int,
         pid: int,
         pos: np.ndarray,
-        shift: np.ndarray,
         indep: np.ndarray,  # packed before any wait (below depOffset)
         dep: np.ndarray,  # packed after ``waits``
+        indep_shift: np.ndarray,  # the shift tile of each part
+        dep_shift: np.ndarray,
         waits: list[Wait],
         peer: int,  # the pulse's send_rank
         peer_offset: int,  # where our selection lands in the peer's coords
@@ -326,20 +361,18 @@ class NvshmemBackend(HaloBackend):
         n_indep = indep.size
         # Phase 1: pack (and on NVLink, immediately store) independent data.
         if n_indep:
-            block = pos[indep] + shift
             if remote is not None:
-                rt.direct_store(remote, peer_offset, block)
+                rt.direct_store(remote, peer_offset, pos, indep, indep_shift)
             else:
-                stage[:n_indep] = block
+                np.add(pos.take(indep, axis=0), indep_shift, out=stage[:n_indep])
         # Phase 2: acquire-wait the exact dependency chain.
         yield from waits
         # Phase 3: pack dependent data, then notify.
         if dep.size:
-            block = pos[dep] + shift
             if remote is not None:
-                rt.direct_store(remote, peer_offset + n_indep, block)
+                rt.direct_store(remote, peer_offset + n_indep, pos, dep, dep_shift)
             else:
-                stage[n_indep:] = block
+                np.add(pos.take(dep, axis=0), dep_shift, out=stage[n_indep:])
         sig = self._signals[_COORD_SIG]
         if remote is not None:
             # Data went through direct stores: system-scope release signal.
@@ -413,9 +446,8 @@ class NvshmemBackend(HaloBackend):
         peer_offset: int,
         count: int,
         staged: np.ndarray | None,  # IB landing rows; None: get from the peer
-        forces: np.ndarray,
-        index_map: np.ndarray,
-        unique: bool,  # no row twice: fancy ``+=`` equals ``np.add.at``
+        forces_flat: np.ndarray,  # the rank's forces, flattened (a view)
+        flat_index: np.ndarray,  # _flat_index(index_map)
     ):
         """Receive (get or staged) and scatter-accumulate one pulse's forces."""
         if in_order is not None:
@@ -424,9 +456,6 @@ class NvshmemBackend(HaloBackend):
         block = staged
         if block is None:
             block = self.runtime.get(self._forces, peer, peer_offset, count, local_pe=rank)
-        if unique:
-            forces[index_map] += block
-        else:
-            np.add.at(forces, index_map, block)
+        np.add.at(forces_flat, flat_index, block.reshape(-1))
         self._acc_floor[rank] = pid
         self._sched.wake(("acc", rank, pid))

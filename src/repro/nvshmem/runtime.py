@@ -263,12 +263,20 @@ class NvshmemRuntime:
         self,
         view: np.ndarray,
         offset: int,
-        data: np.ndarray,
+        src: np.ndarray,
+        rows: np.ndarray,
+        shift: np.ndarray,
     ) -> None:
-        """Store through an ``nvshmem_ptr`` view (NVLink TMA store path)."""
+        """Pack ``src[rows] + shift`` into ``view`` rows [offset, offset+len(rows)).
+
+        The NVLink TMA store with the pack fused in: the rows land in the
+        ``nvshmem_ptr`` view with no intermediate block.  ``shift`` is
+        broadcast against the packed rows; a full ``(len(rows), ...)``
+        tile makes the add one contiguous pass.
+        """
         if view is None:
             raise ValueError("direct_store requires an NVLink-reachable pointer")
-        view[offset : offset + data.shape[0]] = data
+        np.add(src.take(rows, axis=0), shift, out=view[offset : offset + rows.size])
         self.stats.direct_stores += 1
         self._m_direct_stores.inc()
 

@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.obs.metrics import METRICS
+
+#: Slots are ``uint64``: a store outside ``[0, 2**64)`` is refused.
+_SLOT_END = 1 << 64
 
 
 class SignalError(RuntimeError):
@@ -53,8 +54,11 @@ class SignalArray:
     def __post_init__(self) -> None:
         if self.n_pes < 1 or self.n_signals < 0:
             raise ValueError("n_pes must be >= 1 and n_signals >= 0")
-        self.values = np.zeros((self.n_pes, self.n_signals), dtype=np.uint64)
-        self._released = np.zeros((self.n_pes, self.n_signals), dtype=bool)
+        # Plain ints and bools, one list per PE: a slot is stored and
+        # polled hundreds of times per exchange, and a NumPy scalar round
+        # trip costs more than the comparison it feeds.
+        self.values = [[0] * self.n_signals for _ in range(self.n_pes)]
+        self._released = [[False] * self.n_signals for _ in range(self.n_pes)]
         # Registry instruments resolved once (the acquire poll is hot).
         self._m_stores = METRICS.counter("nvshmem.signal.stores")
         self._m_polls = METRICS.counter("nvshmem.signal.polls")
@@ -62,8 +66,9 @@ class SignalArray:
 
     def reset(self) -> None:
         """Zero all slots (start of a fresh exchange epoch)."""
-        self.values[:] = 0
-        self._released[:] = False
+        for values, released in zip(self.values, self._released):
+            values[:] = [0] * self.n_signals
+            released[:] = [False] * self.n_signals
 
     def key(self, pe: int, idx: int) -> tuple:
         """The wait key of one slot: what a store to it wakes."""
@@ -71,29 +76,27 @@ class SignalArray:
 
     def describe(self, pe: int, idx: int, value: int) -> str:
         """Slot state against an awaited ``value`` (deadlock reports)."""
-        kind = "release" if self._released[pe, idx] else "relaxed"
-        return f"value {int(self.values[pe, idx])} ({kind}), expected {value}"
+        kind = "release" if self._released[pe][idx] else "relaxed"
+        return f"value {self.values[pe][idx]} ({kind}), expected {value}"
 
     # -- stores ---------------------------------------------------------------
 
     def release_store(self, pe: int, idx: int, value: int) -> None:
         """``st.release.sys``: value visible only after prior data writes."""
-        chaos = SignalArray._default_chaos
-        if chaos is not None:
-            chaos.on_store(self, pe, idx, value, released=True)
-        self.values[pe, idx] = value
-        self._released[pe, idx] = True
-        self._m_stores.inc()
-        if self.wake is not None:
-            self.wake(self.key(pe, idx))
+        self._store(pe, idx, value, True)
 
     def relaxed_store(self, pe: int, idx: int, value: int) -> None:
         """``st.relaxed.sys``: no ordering with prior data writes."""
+        self._store(pe, idx, value, False)
+
+    def _store(self, pe: int, idx: int, value: int, released: bool) -> None:
+        if not 0 <= value < _SLOT_END:
+            raise OverflowError(f"signal value {value} does not fit a uint64 slot")
         chaos = SignalArray._default_chaos
         if chaos is not None:
-            chaos.on_store(self, pe, idx, value, released=False)
-        self.values[pe, idx] = value
-        self._released[pe, idx] = False
+            chaos.on_store(self, pe, idx, value, released=released)
+        self.values[pe][idx] = value
+        self._released[pe][idx] = released
         self._m_stores.inc()
         if self.wake is not None:
             self.wake(self.key(pe, idx))
@@ -102,7 +105,7 @@ class SignalArray:
 
     def is_set(self, pe: int, idx: int, value: int) -> bool:
         """Poll: has the slot reached ``value``? (cooperative acquire-wait)."""
-        hit = bool(self.values[pe, idx] == np.uint64(value))
+        hit = self.values[pe][idx] == value
         if hit:
             chaos = SignalArray._default_chaos
             # A hide fault delays *visibility* of an already-landed store
@@ -126,7 +129,7 @@ class SignalArray:
         chaos = SignalArray._default_chaos
         if chaos is not None:
             chaos.on_wait(self, pe, idx, value)
-        if self.strict and needs_data and not self._released[pe, idx]:
+        if self.strict and needs_data and not self._released[pe][idx]:
             raise SignalError(
                 f"signal '{self.name}'[{idx}] on PE {pe} satisfied by a "
                 f"relaxed store but the waiter requires data visibility: "

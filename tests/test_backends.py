@@ -106,6 +106,21 @@ class TestFailureModes:
         with pytest.raises(RuntimeError, match="bind"):
             be.exchange_coordinates(cluster)
 
+    def test_single_rank_binds_and_exchanges_nothing(self, tiny_system, ff):
+        """One rank has no pulses: bind compiles no program, and both
+        exchanges leave the arrays as they were."""
+        dd = DomainDecomposition(
+            grid=DDGrid((1, 1, 1)), box=tiny_system.box, r_comm=ff.cutoff + 0.12
+        )
+        cluster = build_cluster(tiny_system, dd)
+        before = cluster.local_pos[0].copy(), cluster.local_forces[0].copy()
+        be = NvshmemBackend()
+        be.bind(cluster)
+        be.exchange_coordinates(cluster)
+        be.exchange_forces(cluster)
+        assert np.array_equal(cluster.local_pos[0], before[0])
+        assert np.array_equal(cluster.local_forces[0], before[1])
+
     def test_registry(self):
         assert sorted(backend_registry) == ["nvshmem", "reference"]
         be = make_backend("nvshmem", pes_per_node=2)

@@ -22,8 +22,6 @@ from repro.nvshmem.runtime import PendingOp
 from repro.obs.metrics import METRICS
 
 BUFFER = 0.12
-#: Relative force tolerance of the benchmark's own check of this exchange.
-FORCE_RTOL = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +57,10 @@ def _exchange(backend, cluster):
 def _assert_matches(cluster, twin):
     for r in range(cluster.n_ranks):
         assert np.array_equal(cluster.local_pos[r], twin.local_pos[r]), f"rank {r} coordinates"
-    got, want = gather_forces(cluster), gather_forces(twin)
-    assert np.abs(got - want).max() <= FORCE_RTOL * np.abs(want).max()
+    # Every force row receives the reference's additions in the
+    # reference's order (descending pulse, then row): equal bit for bit.
+    got = gather_forces(cluster)
+    assert got.tobytes() == gather_forces(twin).tobytes()
     return got
 
 
@@ -147,20 +147,32 @@ def test_rebind_recompiles_the_pulse_programs(decomposed):
         backend.exchange_coordinates(first)
 
 
-def test_non_unique_index_map_falls_back_to_add_at(decomposed):
-    """The fancy ``+=`` is only taken where bind verified the rows unique;
-    a map that names a row twice still accumulates every contribution."""
+def test_bind_refuses_a_send_longer_than_the_peers_zone(decomposed):
+    """The pack stores straight into the peer's halo rows, so a plan whose
+    send and receive sizes disagree is refused at bind, naming the pulse."""
+    system, dd = decomposed
+    cluster = build_cluster(system, dd)
+    p = cluster.plan.ranks[5].pulses[1]
+    p.index_map = np.append(p.index_map, p.index_map[-1])
+    backend = NvshmemBackend(pes_per_node=8, seed=0)
+    backend.bind(build_cluster(system, dd))
+    with pytest.raises(ValueError, match=rf"pulse 1: rank 5 sends {p.send_size} rows"):
+        backend.bind(cluster)
+    # The refused plan left the backend unbound, not bound to the old one.
+    with pytest.raises(RuntimeError, match="bind"):
+        backend.exchange_coordinates(cluster)
+
+
+def test_non_unique_index_map_accumulates_every_contribution(decomposed):
+    """A map that names a row twice still accumulates every contribution,
+    in the reference's order: the gathered forces are equal bit for bit."""
     system, dd = decomposed
     cluster = build_cluster(system, dd)
     backend = NvshmemBackend(pes_per_node=8, seed=0)
-    backend.bind(cluster)
-    assert all(prog.acc[-1] for prog in backend._programs)
     p = cluster.plan.ranks[0].pulses[0]
     p.index_map = p.index_map.copy()
     p.index_map[1] = p.index_map[0]  # same row twice, same send size
     backend.bind(cluster)
-    flags = [prog.acc[-1] for prog in backend._programs]
-    assert flags.count(False) == 1 and not flags[0]
     twin = build_cluster(system, dd)
     tp = twin.plan.ranks[0].pulses[0]
     tp.index_map = p.index_map.copy()
@@ -172,17 +184,42 @@ def test_non_unique_index_map_falls_back_to_add_at(decomposed):
     _assert_matches(cluster, twin)
 
 
-def test_all_increasing_ignores_seams_and_empty_maps():
-    from repro.comm.nvshmem_backend import _all_increasing
+@pytest.mark.parametrize("seed", range(4))
+def test_flat_index_accumulation_is_row_add_at(seed):
+    """One flat ``add.at`` over ``_flat_index(rows)`` performs the additions
+    of the row-wise ``add.at``, repeated rows included, in both dtypes."""
+    from repro.comm.nvshmem_backend import _flat_index
 
-    a = lambda *rows: np.array(rows, dtype=np.int64)  # noqa: E731
-    assert _all_increasing([])
-    assert _all_increasing([a(), a()])
-    assert _all_increasing([a(3, 5, 9), a(0, 1), a(), a(7)])  # seams may fall
-    assert _all_increasing([a(), a(4), a(2, 3), a()])
-    assert not _all_increasing([a(3, 5, 5)])
-    assert not _all_increasing([a(1, 2), a(4, 3)])
-    assert not _all_increasing([a(), a(0, 0), a()])
+    rng = np.random.default_rng(seed)
+    for dtype in (np.float64, np.float32):
+        forces = rng.standard_normal((40, 3)).astype(dtype)
+        rows = rng.integers(0, 40, size=60)  # repeats guaranteed
+        block = rng.standard_normal((60, 3)).astype(dtype)
+        want = forces.copy()
+        np.add.at(want, rows, block)
+        np.add.at(forces.reshape(-1), _flat_index(rows), block.reshape(-1))
+        assert forces.tobytes() == want.tobytes()
+
+
+def test_negative_zero_is_shifted_like_the_reference(decomposed):
+    """Every pack adds its shift, zero included: a ``-0.0`` coordinate
+    arrives as the reference's ``+0.0``, on the direct-store path and the
+    staged one alike."""
+    system, dd = decomposed
+    twin = build_cluster(system, dd)
+    for rp in twin.plan.ranks:
+        twin.local_pos[rp.rank][: rp.n_home] *= -0.0
+    reference_coordinate_exchange(twin)
+    assert all(np.signbit(pos).any() for pos in twin.local_pos)
+    for pes_per_node in (8, 64):
+        cluster = build_cluster(system, dd)
+        for rp in cluster.plan.ranks:
+            cluster.local_pos[rp.rank][: rp.n_home] *= -0.0
+        backend = NvshmemBackend(pes_per_node=pes_per_node, seed=3)
+        backend.bind(cluster)
+        backend.exchange_coordinates(cluster)
+        for r in range(cluster.n_ranks):
+            assert cluster.local_pos[r].tobytes() == twin.local_pos[r].tobytes(), r
 
 
 def test_proxy_delivery_order_depends_on_the_seed(decomposed, monkeypatch):

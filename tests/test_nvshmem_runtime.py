@@ -88,12 +88,19 @@ class TestDataMovement:
         assert np.all(buf.on(1)[:2] == 0)
 
     def test_direct_store(self, rt):
-        buf = rt.symmetric_alloc("b", (4,))
+        """The pack lands in the peer's rows: ``src[rows] + shift``, counted
+        as one direct store; a shorter destination is refused."""
+        buf = rt.symmetric_alloc("b", (4, 3))
         view = rt.ptr(buf, 1, 0)
-        rt.direct_store(view, 2, np.array([7.0, 8.0], dtype=np.float32))
-        np.testing.assert_array_equal(buf.on(1)[2:], [7.0, 8.0])
+        src = np.arange(12, dtype=np.float32).reshape(4, 3)
+        rows = np.array([3, 0])
+        rt.direct_store(view, 2, src, rows, np.float32(0.5))
+        np.testing.assert_array_equal(buf.on(1)[2:], src[rows] + 0.5)
+        assert rt.stats.direct_stores == 1
         with pytest.raises(ValueError):
-            rt.direct_store(None, 0, np.zeros(1))
+            rt.direct_store(view, 3, src, rows, np.float32(0.5))
+        with pytest.raises(ValueError):
+            rt.direct_store(None, 0, src, rows, np.float32(0.5))
 
 
 class TestPutSignal:

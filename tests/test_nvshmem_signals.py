@@ -60,6 +60,15 @@ class TestStoresAndWaits:
         sig.release_store(0, 2, 2)
         assert sig.acquire_check(0, 2, 2)
 
+    def test_store_outside_uint64_refused(self, sig):
+        """Slots hold uint64 values: a negative or 65-bit store is refused
+        and leaves the slot as it was."""
+        sig.release_store(0, 0, 2**64 - 1)
+        for bad in (-1, 2**64):
+            with pytest.raises(OverflowError, match="uint64"):
+                sig.relaxed_store(0, 0, bad)
+        assert sig.acquire_check(0, 0, 2**64 - 1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SignalArray(name="x", n_pes=0, n_signals=1)
