@@ -256,7 +256,13 @@ def cmd_profile(args) -> None:
     machine = machine_by_name(args.machine)
     n_atoms = _resolve_atoms(args.system)
     wl = grappa_workload(n_atoms, args.ranks, machine)
-    g, t = simulate_step(wl, machine, backend=args.backend, n_steps=args.steps)
+    try:
+        g, t = simulate_step(wl, machine, backend=args.backend, n_steps=args.steps)
+    except ValueError as err:  # e.g. thread-MPI on a multi-node shape
+        raise SystemExit(
+            f"profile --backend {args.backend}: {err} ({args.ranks} ranks on "
+            f"{machine.name}, {machine.gpus_per_node} GPUs per node)"
+        ) from None
     tbl = cycle_accounting(g, window=step_window(g, t.time_per_step))
     heading = (
         f"{n_atoms} atoms on {args.ranks} ranks ({machine.name}), "

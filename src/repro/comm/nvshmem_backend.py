@@ -123,7 +123,7 @@ class NvshmemBackend(HaloBackend):
         topo = NodeTopology(n_pes=n_pes, pes_per_node=ppn)
         # Inter-node puts wait for the proxy, and every acquire is checked
         # against a release store (``relaxed-coord-release`` is caught here).
-        rt = NvshmemRuntime(topo, delay_delivery=True, strict_signals=True)
+        rt = NvshmemRuntime(topo)
         self.runtime = rt
         dtype = cluster.system.dtype
         n_pulses = plan.n_pulses

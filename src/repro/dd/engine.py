@@ -143,11 +143,6 @@ class DDSimulator:
     dt: float = 0.002
     trim_corners: bool = False
     max_pulses: int = 1
-    #: "rf" (reaction field) or "pme" (erfc real space on the PP ranks +
-    #: SPME reciprocal through a PP/PME rank-specialized session).
-    coulomb: str = "rf"
-    pme_grid: tuple[int, int, int] | None = None
-    n_pme_ranks: int = 0
     #: Overlap the coordinate halo with the local force phase (the paper's
     #: comm–compute overlap).  ``False`` forces the strict schedule on
     #: every executor: local forces, full exchange, non-local forces.
@@ -191,33 +186,7 @@ class DDSimulator:
             max_pulses=self.max_pulses, dlb=self.dlb != "off",
         )
         self.backend, _executor = resolve_backend_executor(self.backend, self.executor)
-        self._pme_session = None
-        if self.coulomb == "pme":
-            from repro.md.reference import _default_pme_grid
-            from repro.pme.decomposition import PmePpSession
-            from repro.pme.spme import optimal_beta
-
-            beta = optimal_beta(self.ff.cutoff)
-            grid = self.pme_grid or _default_pme_grid(self.system.box)
-            n_pme = self.n_pme_ranks or max(1, self.n_ranks // 4)
-            self._pme_session = PmePpSession(
-                n_pp=self.n_ranks,
-                n_pme=n_pme,
-                box=self.system.box,
-                grid=grid,
-                beta=beta,
-                max_atoms_per_rank=int(2.0 * self.system.n_atoms / self.n_ranks) + 64,
-            )
-            self._kernel = NonbondedKernel(
-                self.ff, coulomb="ewald", ewald_beta=beta,
-                name=self.kernel, dtype=self.kernel_dtype,
-            )
-        elif self.coulomb == "rf":
-            self._kernel = NonbondedKernel(
-                self.ff, name=self.kernel, dtype=self.kernel_dtype
-            )
-        else:
-            raise ValueError(f"unknown coulomb mode '{self.coulomb}' (use 'rf' or 'pme')")
+        self._kernel = NonbondedKernel(self.ff, name=self.kernel, dtype=self.kernel_dtype)
         # Resolve the kernel implementation now so an unknown name or
         # dtype fails at construction, not mid-run inside an executor
         # worker.
@@ -525,22 +494,6 @@ class DDSimulator:
         METRICS.counter("md.prune.count").inc(prunes)
         with TRACER.span("dd.halo_f", cat="comm", backend=getattr(self.backend, "name", "?")):
             self.backend.exchange_forces(cluster)
-        if self._pme_session is not None:
-            # PP -> PME -> PP round trip for the reciprocal-space part
-            # (home atoms only; the mesh term needs no halo).
-            with TRACER.span("dd.pme", cat="force"):
-                pos_per_pp = []
-                q_per_pp = []
-                for rp in cluster.plan.ranks:
-                    nh = rp.n_home
-                    pos_per_pp.append(cluster.local_pos[rp.rank][:nh].astype(np.float64))
-                    q_per_pp.append(cluster.local_charges[rp.rank][:nh])
-                e_rec, f_parts = self._pme_session.compute(pos_per_pp, q_per_pp)
-                for rp, f_rec in zip(cluster.plan.ranks, f_parts):
-                    cluster.local_forces[rp.rank][: rp.n_home] += f_rec.astype(
-                        cluster.local_forces[rp.rank].dtype
-                    )
-                e_coul_total += e_rec
         return e_lj_total, e_coul_total, e_bonded_total
 
     def gathered_forces(self) -> np.ndarray:
@@ -619,9 +572,7 @@ class DDSimulator:
                 # np.max keeps a NaN whatever the rank order; max() would not.
                 self._max_disp2 = float(np.max([d2 for _, d2 in results]))
         METRICS.counter("dd.steps").inc()
-        rec = StepEnergies(
-            step=self.step_count, lj=e_lj, coulomb=e_coul, kinetic=kin, bonded=e_bonded
-        )
+        rec = StepEnergies(self.step_count, e_lj, e_coul, kin, e_bonded)
         self.energies.append(rec)
         self.step_count += 1
         return rec

@@ -8,9 +8,8 @@ is visible with elementwise-min zone shift zero), which covers it exactly
 once because all members lie within the communication cutoff of each other.
 
 Excluded pairs still need care: the reaction field's correction term applies
-inside the cutoff regardless of exclusion, and PME's reciprocal sum includes
-all pairs, so excluded ones must subtract the erf interaction — both are the
-standard GROMACS exclusion corrections.
+inside the cutoff regardless of exclusion (the standard GROMACS exclusion
+correction).
 """
 
 from __future__ import annotations
@@ -113,18 +112,14 @@ def exclusion_correction(
     pair_j: np.ndarray,
     charges: np.ndarray,
     ff: ForceField,
-    coulomb: str = "rf",
-    ewald_beta: float = 0.0,
     box: np.ndarray | None = None,
     periodic: np.ndarray | None = None,
     out_forces: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Electrostatic correction for excluded (intramolecular) pairs.
 
-    * ``rf``: the reaction-field polarization term survives exclusion:
-      V = f q_i q_j (k_rf r^2 - c_rf).
-    * ``ewald``: the reciprocal sum counted the full interaction, so the
-      screened complement is subtracted: V = -f q_i q_j erf(beta r)/r.
+    The reaction-field polarization term survives exclusion:
+    V = f q_i q_j (k_rf r^2 - c_rf).
     """
     positions = np.asarray(positions)
     if out_forces is None:
@@ -141,24 +136,9 @@ def exclusion_correction(
     r2 = np.einsum("ij,ij->i", dx, dx)
     if np.any(r2 <= 0):
         raise FloatingPointError("coincident excluded pair")
-    r = np.sqrt(r2)
     qq = COULOMB_FACTOR * charges[pair_i] * charges[pair_j]
-
-    if coulomb == "rf":
-        energy = float(np.sum(qq * (ff.k_rf * r2 - ff.c_rf)))
-        fscal_r = -2.0 * qq * ff.k_rf  # F = fscal_r * dx
-    elif coulomb == "ewald":
-        if ewald_beta <= 0.0:
-            raise ValueError("ewald exclusion correction requires ewald_beta")
-        from scipy.special import erf
-
-        energy = float(np.sum(-qq * erf(ewald_beta * r) / r))
-        # V = -f qq erf(br)/r; with g(r) = erf(br)/r, F_vec = f qq g'(r)/r dx
-        # and g'(r) = (2b/sqrt(pi) e^{-b^2 r^2} r - erf(br)) / r^2.
-        gauss = 2.0 * ewald_beta / np.sqrt(np.pi) * np.exp(-((ewald_beta * r) ** 2))
-        fscal_r = qq * (gauss / r2 - erf(ewald_beta * r) / (r2 * r))
-    else:
-        raise ValueError(f"unknown coulomb mode '{coulomb}'")
+    energy = float(np.sum(qq * (ff.k_rf * r2 - ff.c_rf)))
+    fscal_r = -2.0 * qq * ff.k_rf  # F = fscal_r * dx
     fvec = (fscal_r[:, None] * dx).astype(out_forces.dtype)
     np.add.at(out_forces, pair_i, fvec)
     np.add.at(out_forces, pair_j, -fvec)

@@ -124,13 +124,10 @@ class KernelImpl:
         box: np.ndarray | None = None,
         periodic: np.ndarray | None = None,
         out_forces: np.ndarray | None = None,
-        coulomb: str = "rf",
-        ewald_beta: float = 0.0,
     ) -> tuple[np.ndarray, float, float]:
         return block_forces(
             positions, block, ff,
-            box=box, periodic=periodic, out_forces=out_forces,
-            coulomb=coulomb, ewald_beta=ewald_beta, dtype=self.dtype,
+            box=box, periodic=periodic, out_forces=out_forces, dtype=self.dtype,
         )
 
 

@@ -51,8 +51,6 @@ def pair_forces(
     box: np.ndarray | None = None,
     periodic: np.ndarray | None = None,
     out_forces: np.ndarray | None = None,
-    coulomb: str = "rf",
-    ewald_beta: float = 0.0,
 ) -> tuple[np.ndarray, float, float]:
     """Compute LJ + reaction-field forces/energies for an explicit pair list.
 
@@ -68,10 +66,6 @@ def pair_forces(
         ``box=None`` disables wrapping entirely.
     out_forces:
         Optional (N, 3) accumulation buffer; allocated (zeroed) if omitted.
-    coulomb:
-        ``"rf"`` (reaction field, the grappa default) or ``"ewald"`` (the
-        screened erfc real-space term; the reciprocal part then comes from
-        :class:`repro.pme.SpmeSolver`).  ``"ewald"`` requires ``ewald_beta``.
 
     Returns
     -------
@@ -128,23 +122,8 @@ def pair_forces(
 
     # Scalar force over r: F_vec = fscal_r * dx.
     f_lj = (12.0 * c12 * inv_r12 - 6.0 * c6 * inv_r6) * inv_r2
-    if coulomb == "rf":
-        f_coul = qq * (inv_r * inv_r2 - 2.0 * ff.k_rf)
-        e_coul = float(np.sum(qq * (inv_r + ff.k_rf * r2 - ff.c_rf)))
-    elif coulomb == "ewald":
-        if ewald_beta <= 0.0:
-            raise ValueError("coulomb='ewald' requires a positive ewald_beta")
-        from scipy.special import erfc
-
-        r = np.sqrt(r2)
-        screened = erfc(ewald_beta * r)
-        gauss = (
-            2.0 * ewald_beta / np.sqrt(np.pi) * np.exp(-((ewald_beta * r) ** 2))
-        )
-        f_coul = qq * (screened * inv_r + gauss) * inv_r2
-        e_coul = float(np.sum(qq * screened * inv_r))
-    else:
-        raise ValueError(f"unknown coulomb mode '{coulomb}' (use 'rf' or 'ewald')")
+    f_coul = qq * (inv_r * inv_r2 - 2.0 * ff.k_rf)
+    e_coul = float(np.sum(qq * (inv_r + ff.k_rf * r2 - ff.c_rf)))
     fscal_r = f_lj + f_coul
     fvec = fscal_r[:, None] * dx
 
@@ -381,8 +360,6 @@ def block_forces(
     box: np.ndarray | None = None,
     periodic: np.ndarray | None = None,
     out_forces: np.ndarray | None = None,
-    coulomb: str = "rf",
-    ewald_beta: float = 0.0,
     dtype="float64",
 ) -> tuple[np.ndarray, float, float]:
     """Segment-reduced twin of :func:`pair_forces` over a :class:`PairBlock`.
@@ -433,12 +410,6 @@ def block_forces(
     m = block.n_pairs
     if m == 0:
         return out_forces, 0.0, 0.0
-    if coulomb == "ewald":
-        if ewald_beta <= 0.0:
-            raise ValueError("coulomb='ewald' requires a positive ewald_beta")
-        from scipy.special import erfc
-    elif coulomb != "rf":
-        raise ValueError(f"unknown coulomb mode '{coulomb}' (use 'rf' or 'ewald')")
     dt = np.dtype(dtype)
     sc = dt.type  # scalar-constant cast; a no-op for float64
     cols = np.ascontiguousarray(positions.T, dtype=dt.name)
@@ -524,26 +495,13 @@ def block_forces(
         t *= inv_r6
         f_lj -= t
         f_lj *= inv_r2
-        if coulomb == "rf":
-            np.multiply(inv_r, inv_r2, out=f_coul)
-            f_coul -= sc(2.0 * ff.k_rf)
-            f_coul *= qq
-            np.multiply(sc(ff.k_rf), r2, out=e_c)
-            e_c += inv_r
-            e_c -= sc(ff.c_rf)
-            e_c *= qq
-        else:
-            r = np.sqrt(r2)
-            screened = erfc(sc(ewald_beta) * r)
-            gauss = (
-                2.0 * ewald_beta / np.sqrt(np.pi) * np.exp(-((sc(ewald_beta) * r) ** 2))
-            )
-            np.multiply(screened, inv_r, out=f_coul)
-            f_coul += gauss
-            f_coul *= qq
-            f_coul *= inv_r2
-            np.multiply(qq, screened, out=e_c)
-            e_c *= inv_r
+        np.multiply(inv_r, inv_r2, out=f_coul)
+        f_coul -= sc(2.0 * ff.k_rf)
+        f_coul *= qq
+        np.multiply(sc(ff.k_rf), r2, out=e_c)
+        e_c += inv_r
+        e_c -= sc(ff.c_rf)
+        e_c *= qq
         fscal = f_lj
         fscal += f_coul
         fscal *= inside
@@ -596,8 +554,6 @@ class NonbondedKernel:
     """
 
     ff: ForceField
-    coulomb: str = "rf"
-    ewald_beta: float = 0.0
     name: str = "cluster"
     dtype: str = "float64"
 
@@ -628,8 +584,6 @@ class NonbondedKernel:
             box=box,
             periodic=periodic,
             out_forces=out_forces,
-            coulomb=self.coulomb,
-            ewald_beta=self.ewald_beta,
         )
 
     def make_block(

@@ -38,17 +38,6 @@ class StepEnergies:
         return self.potential + self.kinetic
 
 
-def _default_pme_grid(box) -> tuple[int, int, int]:
-    """FFT-friendly mesh with ~0.12 nm spacing (GROMACS' fourier-spacing)."""
-    import numpy as _np
-
-    out = []
-    for length in box:
-        k = int(2 ** _np.ceil(_np.log2(max(8.0, length / 0.12))))
-        out.append(k)
-    return tuple(out)
-
-
 @dataclass
 class ReferenceSimulator:
     """Single-rank MD driver with the GROMACS pair-list lifecycle."""
@@ -58,9 +47,6 @@ class ReferenceSimulator:
     nstlist: int = 20
     buffer: float = 0.1
     dt: float = 0.002
-    #: "rf" (reaction field) or "pme" (erfc real space + SPME reciprocal).
-    coulomb: str = "rf"
-    pme_grid: tuple[int, int, int] | None = None
     topology: "object | None" = None
     #: Non-bonded kernel registry name ("segment" or "cluster") and
     #: compute precision ("float64"/"float32").  The name is validated
@@ -77,23 +63,7 @@ class ReferenceSimulator:
         self._builder = VerletListBuilder(
             box=self.system.box, cutoff=self.ff.cutoff, buffer=self.buffer, nstlist=self.nstlist
         )
-        self._pme = None
-        if self.coulomb == "pme":
-            from repro.pme.spme import SpmeSolver, optimal_beta
-
-            beta = optimal_beta(self.ff.cutoff)
-            grid = self.pme_grid or _default_pme_grid(self.system.box)
-            self._pme = SpmeSolver(box=self.system.box, grid=grid, beta=beta)
-            self._kernel = NonbondedKernel(
-                self.ff, coulomb="ewald", ewald_beta=beta,
-                name=self.kernel, dtype=self.kernel_dtype,
-            )
-        elif self.coulomb == "rf":
-            self._kernel = NonbondedKernel(
-                self.ff, name=self.kernel, dtype=self.kernel_dtype
-            )
-        else:
-            raise ValueError(f"unknown coulomb mode '{self.coulomb}' (use 'rf' or 'pme')")
+        self._kernel = NonbondedKernel(self.ff, name=self.kernel, dtype=self.kernel_dtype)
         self._kernel.impl  # fail fast on unknown names / dtypes
         self._integrator = LeapFrogIntegrator(dt=self.dt)
         self._pairs: PairList | None = None
@@ -146,7 +116,6 @@ class ReferenceSimulator:
             ei, ej = self._excl
             _, e_corr = exclusion_correction(
                 sys.positions, ei, ej, sys.charges, self.ff,
-                coulomb=self._kernel.coulomb, ewald_beta=self._kernel.ewald_beta,
                 box=sys.box, out_forces=sys.forces,
             )
             _, e_b = bond_forces(
@@ -164,13 +133,6 @@ class ReferenceSimulator:
             sys.positions, self._block, box=sys.box, out_forces=sys.forces
         )
         e_coul += e_corr
-        if self._pme is not None:
-            from repro.md.system import wrap_positions
-
-            wrapped = wrap_positions(sys.positions, sys.box).astype(np.float64)
-            e_rec, f_rec = self._pme.reciprocal(wrapped, sys.charges)
-            sys.forces += f_rec.astype(sys.forces.dtype)
-            e_coul += e_rec + self._pme.self_energy(sys.charges)
         return e_lj, e_coul, e_bonded
 
     # -- stepping -------------------------------------------------------------
@@ -186,13 +148,8 @@ class ReferenceSimulator:
         )
         if self._pairs is not None:
             self._pairs.steps_since_build += 1
-        rec = StepEnergies(
-            step=self.step_count,
-            lj=e_lj,
-            coulomb=e_coul,
-            kinetic=kinetic_energy(sys.velocities, sys.masses),
-            bonded=e_bonded,
-        )
+        kin = kinetic_energy(sys.velocities, sys.masses)
+        rec = StepEnergies(self.step_count, e_lj, e_coul, kin, e_bonded)
         self.energies.append(rec)
         self.step_count += 1
         return rec

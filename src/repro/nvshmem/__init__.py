@@ -11,25 +11,21 @@ rank specialization, Sec. 5.3).  Remote access follows NVSHMEM semantics:
   non-blocking put whose signal update is delivered only after the data;
 * signal objects with release/acquire stores and waits
   (``system_release_store`` / ``acquire_wait`` in the paper's Algorithm 5);
-* ``quiet``/``fence`` and a delayed-delivery mode that emulates NIC
-  asynchrony so tests can interleave deliveries arbitrarily.
+* ``quiet``/``fence`` and a proxy queue that holds inter-node operations
+  until progress, emulating NIC asynchrony so tests can interleave
+  deliveries arbitrarily.
 """
 
 from repro.nvshmem.heap import SymmetricBuffer, SymmetricHeap
 from repro.nvshmem.runtime import NodeTopology, NvshmemRuntime, PendingOp
 from repro.nvshmem.signals import SignalArray, SignalError
-from repro.nvshmem.teams import NvshmemTeam, TeamError, split_pp_pme, team_split
 
 __all__ = [
     "NodeTopology",
     "NvshmemRuntime",
-    "NvshmemTeam",
     "PendingOp",
     "SignalArray",
     "SignalError",
     "SymmetricBuffer",
     "SymmetricHeap",
-    "TeamError",
-    "split_pp_pme",
-    "team_split",
 ]

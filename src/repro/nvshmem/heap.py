@@ -5,7 +5,7 @@ with identical sizes (``COMM_WORLD``-wide).  The paper hits this constraint
 head-on: PP-only destination buffers would force redundant allocations on
 PME ranks (Sec. 5.3).  We model the rule strictly — an allocation is only
 usable once every PE has joined it — so the reproduction exhibits the same
-failure mode (see ``tests/test_nvshmem_runtime.py``).
+failure mode (see ``tests/test_nvshmem_heap.py``).
 
 ``nvshmemx_buffer_register`` is also modelled: a *source* buffer may be a
 registered non-symmetric array, matching the paper's note that only the

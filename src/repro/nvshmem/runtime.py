@@ -15,10 +15,11 @@ paper / NVSHMEM        here
 
 Delivery model: intra-node ("NVLink") operations complete immediately, like
 direct stores through a mapped peer pointer.  Inter-node operations go
-through a per-PE *proxy queue* (NVSHMEM's IB proxy thread): with
-``delay_delivery=True`` they stay pending until :meth:`progress` runs, which
-lets tests drive arbitrary interleavings while preserving the guarantee that
-a put's signal never lands before its data.
+through a per-PE *proxy queue* (NVSHMEM's IB proxy thread): they stay
+pending until :meth:`progress` or :meth:`quiet` runs, which lets tests drive
+arbitrary interleavings while preserving the guarantee that a put's signal
+never lands before its data.  Signals are strict: an acquire of data a
+relaxed store published raises (:class:`~repro.nvshmem.signals.SignalArray`).
 """
 
 from __future__ import annotations
@@ -95,16 +96,9 @@ class NvshmemRuntime:
     #: requeue it at the back of the queue (a retried IB transport).
     _default_chaos = None
 
-    def __init__(
-        self,
-        topology: NodeTopology,
-        delay_delivery: bool = False,
-        strict_signals: bool = True,
-    ):
+    def __init__(self, topology: NodeTopology):
         self.topology = topology
         self.heap = SymmetricHeap(topology.n_pes)
-        self.delay_delivery = delay_delivery
-        self.strict_signals = strict_signals
         self.stats = OpStats()
         self._signals: dict[str, SignalArray] = {}
         self._pending: list[PendingOp] = []
@@ -139,7 +133,6 @@ class NvshmemRuntime:
                 name=name,
                 n_pes=self.n_pes,
                 n_signals=n_signals,
-                strict=self.strict_signals,
                 wake=wake,
             )
         sig = self._signals[name]
@@ -283,7 +276,7 @@ class NvshmemRuntime:
     # -- ordering / progress ----------------------------------------------------------
 
     def _submit(self, op: PendingOp, source_pe: int, target_pe: int) -> None:
-        if self.delay_delivery and not self.topology.same_node(source_pe, target_pe):
+        if not self.topology.same_node(source_pe, target_pe):
             self._pending.append(op)
         else:
             op.deliver()

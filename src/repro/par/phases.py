@@ -283,7 +283,6 @@ def _forces_half(
         _, e_corr = exclusion_correction(
             ws.pos, ei, ej,
             ws.charges, cfg.kernel.ff,
-            coulomb=cfg.kernel.coulomb, ewald_beta=cfg.kernel.ewald_beta,
             box=cfg.box, periodic=cfg.periodic,
             out_forces=ws.forces,
         )

@@ -61,7 +61,7 @@ def _run_verify(spec: SimulationSpec) -> dict:
     sim = DDSimulator.from_spec(spec)
     serial = sim.system.copy()
     # Same physics as the DD run: every knob the spec and the serial
-    # simulator both declare (nstlist, buffer, dt, coulomb, kernel, ...).
+    # simulator both declare (nstlist, buffer, dt, kernel, ...).
     ref = ReferenceSimulator(serial, sim.ff, **spec.knobs_for(ReferenceSimulator))
     ref.run(spec.steps)
     with sim:

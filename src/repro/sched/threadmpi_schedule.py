@@ -39,7 +39,7 @@ def add_threadmpi_step(
     hw = d.hw
     if not all(p.nvlink for p in wl.pulses):
         raise ValueError(
-            "thread-MPI is single-process: every pulse must be intra-node"
+            "thread-MPI is single-node: every halo pulse must stay intra-node"
         )
     launch_cost = hw.launch_us + 1.5 * hw.event_us
     prev_integrate = (prev["integrate"],) if prev else ()

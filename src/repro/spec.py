@@ -37,8 +37,9 @@ from repro.md.kernels import KERNEL_DTYPES, kernel_registry
 from repro.par import executor_registry
 
 #: Spec schema version; bump on incompatible field changes.  v2 dropped
-#: the pair-list build-memory cap.
-SPEC_VERSION = 2
+#: the pair-list build-memory cap, v3 the ``coulomb`` field (reaction
+#: field is the only electrostatics).
+SPEC_VERSION = 3
 
 #: What a job does with the simulator the spec describes.
 KINDS = ("simulate", "verify", "profile", "chaos")
@@ -108,7 +109,6 @@ class SimulationSpec:
     buffer: float = _knob(0.12, "pair-list buffer beyond the cutoff (nm)")
     dt: float = _knob(0.002, "leap-frog time step (ps)")
     cutoff: float = _knob(0.65, "non-bonded cutoff (nm)")
-    coulomb: str = _knob("rf", "electrostatics: 'rf' (reaction field) or 'pme'")
     trim_corners: bool = False
     overlap_comm: bool = True
     kernel: str = _knob(

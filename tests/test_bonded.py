@@ -106,30 +106,13 @@ class TestExclusionCorrection:
         pos = np.array([[0.0, 0.0, 0.0], [0.12, 0.05, 0.0]])
         q = np.array([-0.4, 0.2])
         i, j = np.array([0]), np.array([1])
-        f, e0 = exclusion_correction(pos, i, j, q, ff, coulomb="rf")
+        f, e0 = exclusion_correction(pos, i, j, q, ff)
         h = 1e-7
         p = pos.copy()
         p[0, 0] += h
-        _, e1 = exclusion_correction(p, i, j, q, ff, coulomb="rf")
+        _, e1 = exclusion_correction(p, i, j, q, ff)
         assert f[0, 0] == pytest.approx(-(e1 - e0) / h, rel=1e-4, abs=1e-7)
 
-    def test_ewald_numeric_gradient(self, ff):
-        pos = np.array([[0.0, 0.0, 0.0], [0.12, 0.05, 0.0]])
-        q = np.array([-0.4, 0.2])
-        i, j = np.array([0]), np.array([1])
-        f, e0 = exclusion_correction(pos, i, j, q, ff, coulomb="ewald", ewald_beta=3.0)
-        h = 1e-7
-        p = pos.copy()
-        p[0, 1] += h
-        _, e1 = exclusion_correction(p, i, j, q, ff, coulomb="ewald", ewald_beta=3.0)
-        assert f[0, 1] == pytest.approx(-(e1 - e0) / h, rel=1e-4, abs=1e-7)
-
-    def test_requires_beta_for_ewald(self, ff):
-        with pytest.raises(ValueError):
-            exclusion_correction(
-                np.zeros((2, 3)) + [[0, 0, 0], [0.1, 0, 0]],
-                np.array([0]), np.array([1]), np.ones(2), ff, coulomb="ewald",
-            )
 
 
 class TestTopology:
@@ -243,19 +226,19 @@ class TestDdBonded:
         assert n_bonds == top.n_bonds
         assert n_angles == top.n_angles
 
-    def test_bonded_with_pme_and_nvshmem(self, ff):
-        """The full GROMACS picture: molecules + PME + fused NVSHMEM halo."""
+    def test_bonded_with_nvshmem(self, ff):
+        """Molecules through the fused NVSHMEM halo (NVLink and proxied
+        pulses) against the serial reference."""
         from repro.comm import NvshmemBackend
 
         sys_a, top = make_molecular_grappa_system(400, seed=9, ff=ff)
         sys_b = sys_a.copy()
         ReferenceSimulator(
-            sys_a, ff, nstlist=5, buffer=0.15, dt=0.001, topology=top, coulomb="pme"
+            sys_a, ff, nstlist=5, buffer=0.15, dt=0.001, topology=top
         ).run(6)
         DDSimulator(
             sys_b, ff, grid=DDGrid((2, 2, 1)), nstlist=5, buffer=0.15, dt=0.001,
-            topology=top, coulomb="pme",
-            backend=NvshmemBackend(pes_per_node=2, seed=6),
+            topology=top, backend=NvshmemBackend(pes_per_node=2, seed=6),
         ).run(6)
         dx = sys_b.positions - sys_a.positions
         dx -= np.rint(dx / sys_a.box) * sys_a.box

@@ -115,7 +115,7 @@ class TestInjectors:
         assert sig.is_set(0, 0, 1)
 
     def test_drop_op_requeues_then_delivers(self):
-        rt = NvshmemRuntime(NodeTopology(n_pes=2, pes_per_node=1), delay_delivery=True)
+        rt = NvshmemRuntime(NodeTopology(n_pes=2, pes_per_node=1))
         buf = rt.symmetric_alloc("b", (4, 3), np.float64)
         sig = rt.signal_array("s", 1)
         data = np.ones((2, 3))

@@ -16,7 +16,10 @@ regenerated once more when the functional ``mpi``/``threadmpi`` backends
 were removed: their chaos rows went, ``compare --measure`` times its mpi
 row on ``reference``, and the two CI steps that repeated another step's
 job (``verify``/``chaos`` with the default ``--kernel cluster`` spelt
-out) were dropped.  No two documented command lines may run the same job.
+out) were dropped.  They were regenerated on purpose for spec schema v3:
+the ``coulomb`` field (reaction field became the only electrostatics) left
+the spec defaults and ``schema_version`` moved 2 -> 3; no command line or
+flag changed.  No two documented command lines may run the same job.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ DEFAULTS = {
     "kind": "simulate", "system": "1400", "steps": 10, "ranks": 4,
     "shape": None, "max_pulses": 1, "backend": "reference",
     "executor": "serial", "pes_per_node": 0, "nstlist": 10, "buffer": 0.12,
-    "dt": 0.002, "cutoff": 0.65, "coulomb": "rf", "trim_corners": False,
+    "dt": 0.002, "cutoff": 0.65, "trim_corners": False,
     "overlap_comm": True, "kernel": "cluster", "kernel_dtype": "float64",
     "dlb": "off", "seed": 7, "fault_plan": None,
-    "n_faults": 4, "schema_version": 2,
+    "n_faults": 4, "schema_version": 3,
 }
 
 _VERIFY = {"kind": "verify", "max_pulses": 2, "backend": "nvshmem",
@@ -397,4 +400,15 @@ def test_functional_profile_of_a_timing_only_backend_exits_cleanly(backend, monk
     assert str(err.value.code) == (
         f"profile --functional: '{backend}' is a timing-model backend only; "
         "backend_registry holds nvshmem, reference"
+    )
+
+
+def test_model_profile_of_threadmpi_across_nodes_exits_cleanly():
+    """thread-MPI is one process on one node: the default 8 ranks on eos
+    (4 GPUs per node) are refused in one line, not a schedule traceback."""
+    with pytest.raises(SystemExit) as err:
+        cli.main(["profile", "--backend", "threadmpi"])
+    assert str(err.value.code) == (
+        "profile --backend threadmpi: thread-MPI is single-node: every halo "
+        "pulse must stay intra-node (8 ranks on eos, 4 GPUs per node)"
     )

@@ -14,7 +14,16 @@ EXAMPLES = sorted(p.name for p in (ROOT / "examples").glob("*.py"))
 
 
 def test_examples_are_collected():
-    assert "quickstart.py" in EXAMPLES and len(EXAMPLES) >= 9
+    """The exact set: an example that disappears must be removed here too."""
+    assert EXAMPLES == [
+        "artifact_pipeline.py",
+        "halo_exchange_anatomy.py",
+        "proxy_pinning.py",
+        "quickstart.py",
+        "schedule_timelines.py",
+        "strong_scaling.py",
+        "trace_export.py",
+    ]
 
 
 @pytest.mark.parametrize("script", EXAMPLES)

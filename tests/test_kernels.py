@@ -1,8 +1,8 @@
 """Cross-parity suite for the non-bonded kernel registry.
 
 Both registered kernels ("segment", "cluster") are checked against
-:func:`pair_forces` on the same pair list, under both coulomb modes, on
-flat and per-pulse partitioned blocks, to the documented tolerance gates
+:func:`pair_forces` on the same pair list, on flat and per-pulse
+partitioned blocks, to the documented tolerance gates
 (also recorded in DESIGN.md):
 
 * float64 kernels vs ``pair_forces``: max force component within
@@ -49,8 +49,6 @@ F64_FORCE_RTOL = 1e-13
 F64_ENERGY_RTOL = 1e-12
 F32_FORCE_RTOL = 5e-5
 F32_ENERGY_RTOL = 5e-6
-
-COULOMB_MODES = (("rf", 0.0), ("ewald", 3.12))
 
 
 def _force_err(f, ref):
@@ -188,63 +186,51 @@ class TestMaskCompleteness:
 
 class TestFlatParity:
     """block_forces, reached through each registered name, vs pair_forces
-    on the same pair list: one check per coulomb mode and precision."""
+    on the same pair list: one check per precision."""
 
     @pytest.mark.parametrize("name", KERNELS)
-    @pytest.mark.parametrize("coulomb,beta", COULOMB_MODES)
-    def test_float64(self, cluster_setup, ff, name, coulomb, beta):
+    def test_float64(self, cluster_setup, ff, name):
         sys_, pairs = cluster_setup
-        kern = NonbondedKernel(ff, coulomb=coulomb, ewald_beta=beta, name=name)
+        kern = NonbondedKernel(ff, name=name)
         block = kern.make_block(
             *pairs, sys_.type_ids, sys_.charges, n_atoms=sys_.n_atoms
         )
         f, e_lj, e_c = kern.compute_block(sys_.positions, block, box=sys_.box)
         rf, r_lj, r_c = pair_forces(
-            sys_.positions, *pairs, sys_.type_ids, sys_.charges,
-            ff, box=sys_.box, coulomb=coulomb, ewald_beta=beta,
+            sys_.positions, *pairs, sys_.type_ids, sys_.charges, ff, box=sys_.box
         )
         assert _force_err(f, rf) < F64_FORCE_RTOL
         assert _rel(e_lj, r_lj) < F64_ENERGY_RTOL
         assert _rel(e_c, r_c) < F64_ENERGY_RTOL
 
     @pytest.mark.parametrize("name", KERNELS)
-    @pytest.mark.parametrize("coulomb,beta", COULOMB_MODES)
-    def test_float32_gates(self, cluster_setup, ff, name, coulomb, beta):
+    def test_float32_gates(self, cluster_setup, ff, name):
         sys_, pairs = cluster_setup
-        kern = NonbondedKernel(
-            ff, coulomb=coulomb, ewald_beta=beta, name=name, dtype="float32"
-        )
+        kern = NonbondedKernel(ff, name=name, dtype="float32")
         block = kern.make_block(
             *pairs, sys_.type_ids, sys_.charges, n_atoms=sys_.n_atoms
         )
         f, e_lj, e_c = kern.compute_block(sys_.positions, block, box=sys_.box)
         rf, r_lj, r_c = pair_forces(
-            sys_.positions, *pairs, sys_.type_ids, sys_.charges,
-            ff, box=sys_.box, coulomb=coulomb, ewald_beta=beta,
+            sys_.positions, *pairs, sys_.type_ids, sys_.charges, ff, box=sys_.box
         )
         assert _force_err(f, rf) < F32_FORCE_RTOL
         assert _rel(e_lj, r_lj) < F32_ENERGY_RTOL
         assert _rel(e_c, r_c) < F32_ENERGY_RTOL
 
     @pytest.mark.parametrize("chunk", (7, 64, 1000))
-    @pytest.mark.parametrize("coulomb,beta", COULOMB_MODES)
-    def test_gates_hold_at_any_chunk_size(
-        self, cluster_setup, ff, monkeypatch, coulomb, beta, chunk
-    ):
+    def test_gates_hold_at_any_chunk_size(self, cluster_setup, ff, monkeypatch, chunk):
         """Both precisions against the oracle with the list cut into
         hundreds of chunks; forces equal the single-chunk ones bit for bit."""
         sys_, pairs = cluster_setup
         rf, r_lj, r_c = pair_forces(
-            sys_.positions, *pairs, sys_.type_ids, sys_.charges,
-            ff, box=sys_.box, coulomb=coulomb, ewald_beta=beta,
+            sys_.positions, *pairs, sys_.type_ids, sys_.charges, ff, box=sys_.box
         )
         for dtype, f_tol, e_tol in (
             ("float64", F64_FORCE_RTOL, F64_ENERGY_RTOL),
             ("float32", F32_FORCE_RTOL, F32_ENERGY_RTOL),
         ):
-            kern = NonbondedKernel(
-                ff, coulomb=coulomb, ewald_beta=beta, name="cluster", dtype=dtype
-            )
+            kern = NonbondedKernel(ff, name="cluster", dtype=dtype)
             block = kern.make_block(
                 *pairs, sys_.type_ids, sys_.charges, n_atoms=sys_.n_atoms
             )
@@ -272,10 +258,9 @@ def _run_dd(system, ff, *, steps=6, nstlist=3, **kwargs):
 class TestEngineParity:
     """Kernel choice threads through the DD engine without changing physics."""
 
-    @pytest.mark.parametrize("coulomb", ("rf", "pme"))
-    def test_segment_vs_cluster_bit_identical(self, tiny_system, ff, coulomb):
-        ref = _run_dd(tiny_system, ff, n_ranks=4, kernel="segment", coulomb=coulomb)
-        out = _run_dd(tiny_system, ff, n_ranks=4, kernel="cluster", coulomb=coulomb)
+    def test_segment_vs_cluster_bit_identical(self, tiny_system, ff):
+        ref = _run_dd(tiny_system, ff, n_ranks=4, kernel="segment")
+        out = _run_dd(tiny_system, ff, n_ranks=4, kernel="cluster")
         assert np.array_equal(ref[0], out[0])
         assert ref[1] == out[1]
 
@@ -406,16 +391,13 @@ class TestPulsePartition:
             nl = ws.pairs.nonlocal_.block
             if nl.n_pairs == 0:
                 continue
-            kern = ws.cfg.kernel
             pos = ws.pos.astype(np.float64)
-            f, e_lj, e_c = kern.impl.compute_block(
+            f, e_lj, e_c = ws.cfg.kernel.impl.compute_block(
                 pos, nl, ff, box=ws.cfg.box, periodic=ws.cfg.periodic,
-                coulomb=kern.coulomb, ewald_beta=kern.ewald_beta,
             )
             rf, r_lj, r_c = pair_forces(
                 pos, nl.i, nl.j, ws.types, ws.charges, ff,
                 box=ws.cfg.box, periodic=ws.cfg.periodic,
-                coulomb=kern.coulomb, ewald_beta=kern.ewald_beta,
             )
             assert _force_err(f, rf) < F64_FORCE_RTOL
             assert _rel(e_lj, r_lj) < F64_ENERGY_RTOL

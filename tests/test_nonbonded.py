@@ -271,21 +271,6 @@ class TestSegmentReduction:
         assert np.any(f[0] != 0.0) and np.all(f[2:4] == 0.0)
         assert np.array_equal(f, f_ref)
 
-    def test_ewald_matches_scatter(self, ff):
-        pos, i, j, tid, q, box = _sorted_bulk(ff, seed=7)
-        beta = 3.12
-        f_ref, e_ref, c_ref = pair_forces(
-            pos, i, j, tid, q, ff, box=box, coulomb="ewald", ewald_beta=beta
-        )
-        block = PairBlock(i, j, tid, q, ff, n_atoms=pos.shape[0])
-        f_blk, e_blk, c_blk = block_forces(
-            pos, block, ff, box=box, coulomb="ewald", ewald_beta=beta
-        )
-        tol = 4.0 * np.spacing(np.abs(f_ref).max())
-        assert np.max(np.abs(f_blk - f_ref)) <= tol
-        assert e_blk == pytest.approx(e_ref, rel=1e-12)
-        assert c_blk == pytest.approx(c_ref, rel=1e-12)
-
     def test_group_key_partition_matches(self, ff):
         """Group-key boundaries (the per-pulse partition) change only the
         segment structure, never the result."""

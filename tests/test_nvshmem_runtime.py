@@ -8,15 +8,9 @@ from repro.nvshmem.runtime import NodeTopology, NvshmemRuntime
 
 @pytest.fixture()
 def rt():
-    # 4 PEs, 2 per node: PEs {0,1} and {2,3} are NVLink-reachable pairs.
+    # 4 PEs, 2 per node: PEs {0,1} and {2,3} are NVLink-reachable pairs;
+    # puts between the pairs wait in the proxy queue.
     return NvshmemRuntime(NodeTopology(n_pes=4, pes_per_node=2))
-
-
-@pytest.fixture()
-def rt_delayed():
-    return NvshmemRuntime(
-        NodeTopology(n_pes=4, pes_per_node=2), delay_delivery=True
-    )
 
 
 class TestTopology:
@@ -47,22 +41,25 @@ class TestPtr:
 
 
 class TestDataMovement:
-    def test_put_immediate(self, rt):
+    def test_put_lands_after_quiet(self, rt):
+        """An inter-node put is issued, not delivered: it lands when the
+        proxy queue drains."""
         buf = rt.symmetric_alloc("b", (4, 3))
         data = np.full((2, 3), 5.0, dtype=np.float32)
         rt.put(buf, target_pe=2, offset=1, data=data, source_pe=0)
+        assert rt.stats.puts == 1 and rt.n_pending == 1
+        assert np.all(buf.on(2) == 0.0)
+        rt.quiet()
         np.testing.assert_array_equal(buf.on(2)[1:3], data)
-        assert rt.stats.puts == 1
 
     def test_put_bounds_checked(self, rt):
         buf = rt.symmetric_alloc("b", (4, 3))
         with pytest.raises(IndexError):
             rt.put(buf, 1, 3, np.zeros((2, 3), np.float32), source_pe=0)
 
-    def test_put_captures_source_at_issue(self, rt_delayed):
+    def test_put_captures_source_at_issue(self, rt):
         """NBI semantics: mutating the source after issue must not change
         what arrives (the runtime snapshots at issue time)."""
-        rt = rt_delayed
         buf = rt.symmetric_alloc("b", (4,))
         src = np.ones(2, dtype=np.float32)
         rt.put(buf, target_pe=2, offset=0, data=src, source_pe=0)
@@ -108,11 +105,11 @@ class TestPutSignal:
         buf = rt.symmetric_alloc("b", (4,))
         sig = rt.signal_array("s", 2)
         rt.put_signal_nbi(buf, 2, 0, np.ones(2, np.float32), sig, 1, 42, source_pe=0)
+        rt.progress()
         assert sig.acquire_check(2, 1, 42, needs_data=True)
         np.testing.assert_array_equal(buf.on(2)[:2], 1.0)
 
-    def test_delayed_signal_never_before_data(self, rt_delayed):
-        rt = rt_delayed
+    def test_delayed_signal_never_before_data(self, rt):
         buf = rt.symmetric_alloc("b", (4,))
         sig = rt.signal_array("s", 1)
         rt.put_signal_nbi(buf, 2, 0, np.ones(2, np.float32), sig, 0, 7, source_pe=0)
@@ -125,14 +122,12 @@ class TestPutSignal:
         assert sig.acquire_check(2, 0, 7)
         np.testing.assert_array_equal(buf.on(2)[:2], 1.0)
 
-    def test_intra_node_bypasses_proxy(self, rt_delayed):
-        rt = rt_delayed
+    def test_intra_node_bypasses_proxy(self, rt):
         buf = rt.symmetric_alloc("b", (4,))
         rt.put(buf, target_pe=1, offset=0, data=np.ones(1, np.float32), source_pe=0)
         assert rt.n_pending == 0  # same node: immediate
 
-    def test_randomized_progress_order(self, rt_delayed):
-        rt = rt_delayed
+    def test_randomized_progress_order(self, rt):
         buf = rt.symmetric_alloc("b", (8,))
         for k in range(4):
             rt.put(buf, 2, k, np.array([float(k + 1)], np.float32), source_pe=0)
@@ -141,10 +136,9 @@ class TestPutSignal:
         assert delivered == 4
         np.testing.assert_array_equal(buf.on(2)[:4], [1, 2, 3, 4])
 
-    def test_single_op_progress_draws_from_the_whole_queue(self, rt_delayed):
+    def test_single_op_progress_draws_from_the_whole_queue(self, rt):
         """``progress(n_ops=1, order=rng)`` — the halo backend's stall step —
         picks any pending op, not the FIFO head, and each op goes out once."""
-        rt = rt_delayed
         buf = rt.symmetric_alloc("b", (8,))
         sig = rt.signal_array("s", 8)
         landed = []
@@ -172,8 +166,7 @@ class TestPutSignal:
         sig.relaxed_store(3, 1, 5)
         assert woken == [sig.key(1, 0), sig.key(3, 1)] == [("s", 1, 0), ("s", 3, 1)]
 
-    def test_partial_progress(self, rt_delayed):
-        rt = rt_delayed
+    def test_partial_progress(self, rt):
         buf = rt.symmetric_alloc("b", (8,))
         for k in range(3):
             rt.put(buf, 2, k, np.array([1.0], np.float32), source_pe=0)

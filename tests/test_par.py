@@ -62,13 +62,6 @@ class TestExecutorParity:
         assert ref["energies"] == out["energies"]
 
     @pytest.mark.parametrize("executor", ("process",))
-    def test_bit_identical_with_pme(self, tiny_system, ff, executor):
-        ref = _run(tiny_system.copy(), ff, "serial", steps=5, nstlist=5, coulomb="pme")
-        out = _run(tiny_system.copy(), ff, executor, steps=5, nstlist=5, coulomb="pme")
-        assert np.array_equal(ref["pos"], out["pos"])
-        assert ref["energies"] == out["energies"]
-
-    @pytest.mark.parametrize("executor", ("process",))
     def test_bit_identical_nvshmem_backend(self, tiny_system, ff, executor):
         # The NVSHMEM backend registers the executor's arena views as its
         # symmetric put/get destinations; puts land in worker memory.

@@ -432,61 +432,6 @@ class TestBackendProperties:
             np.testing.assert_allclose(got.local_pos[r], want.local_pos[r], atol=1e-12)
 
 
-class TestSpmeProperties:
-    @given(seed=seeds)
-    @settings(max_examples=15, deadline=None)
-    def test_reciprocal_energy_translation_invariant(self, seed):
-        """Rigid translation of all charges leaves the reciprocal energy
-        unchanged (to spline-interpolation accuracy)."""
-        import numpy as np
-
-        from repro.pme.spme import SpmeSolver
-
-        rng = np.random.default_rng(seed)
-        box = np.full(3, 3.0)
-        pos = rng.random((16, 3)) * box
-        q = rng.normal(size=16)
-        q -= q.mean()
-        solver = SpmeSolver(box=box, grid=(32, 32, 32), beta=2.5)
-        e0, _ = solver.reciprocal(pos, q)
-        shift = rng.uniform(0, 3.0, 3)
-        e1, _ = solver.reciprocal(np.mod(pos + shift, box), q)
-        assert e1 == pytest.approx(e0, rel=2e-3, abs=1e-6)
-
-    @given(seed=seeds, scale=st.floats(0.1, 3.0))
-    @settings(max_examples=15, deadline=None)
-    def test_reciprocal_energy_quadratic_in_charge(self, seed, scale):
-        import numpy as np
-
-        from repro.pme.spme import SpmeSolver
-
-        rng = np.random.default_rng(seed)
-        box = np.full(3, 3.0)
-        pos = rng.random((12, 3)) * box
-        q = rng.normal(size=12)
-        q -= q.mean()
-        solver = SpmeSolver(box=box, grid=(32, 32, 32), beta=2.5)
-        e1, f1 = solver.reciprocal(pos, q)
-        e2, f2 = solver.reciprocal(pos, scale * q)
-        assert e2 == pytest.approx(scale**2 * e1, rel=1e-9, abs=1e-12)
-        np.testing.assert_allclose(f2, scale**2 * f1, atol=1e-9 * max(1.0, np.abs(f1).max()))
-
-    @given(seed=seeds)
-    @settings(max_examples=15, deadline=None)
-    def test_spread_partitions_charge(self, seed):
-        import numpy as np
-
-        from repro.pme.spme import SpmeSolver
-
-        rng = np.random.default_rng(seed)
-        box = np.full(3, 3.0)
-        pos = rng.random((30, 3)) * box
-        q = rng.normal(size=30)
-        solver = SpmeSolver(box=box, grid=(32, 32, 32), beta=2.5)
-        mesh = solver.spread(pos, q)
-        assert float(mesh.sum()) == pytest.approx(float(q.sum()), abs=1e-9)
-
-
 class TestChaosInterleavings:
     """Seeded schedule fuzzing: the same exchange under >=50 injected
     interleavings per backend stays bit-identical to the serial reference

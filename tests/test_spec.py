@@ -37,6 +37,32 @@ V1_DEFAULT_SPEC = (
     '"n_faults": 4, "schema_version": 1}'
 )
 
+#: A chaos spec as schema version 2 persisted it: it still carries the
+#: electrostatics field v3 removed.
+V2_CHAOS_SPEC = (
+    '{"kind": "chaos", "system": "1400", "steps": 3, "ranks": 4, '
+    '"shape": [1, 1, 4], "max_pulses": 2, "backend": "nvshmem", '
+    '"executor": "serial", "pes_per_node": 2, "nstlist": 2, '
+    '"buffer": 0.12, "dt": 0.002, "cutoff": 0.65, "coulomb": "rf", '
+    '"trim_corners": false, "overlap_comm": true, "kernel": "segment", '
+    '"kernel_dtype": "float64", "dlb": "off", "seed": 3, "fault_plan": null, '
+    '"n_faults": 4, "schema_version": 2}'
+)
+
+
+def _replay(tmp_path, spec: dict) -> subprocess.CompletedProcess:
+    """``repro chaos --replay`` of an artifact carrying ``spec``."""
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps({
+        "version": 2, "spec": spec,
+        "plan": {"seed": 0, "faults": []}, "mutation": None, "violations": [],
+    }))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "chaos", "--replay", str(artifact)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+
 
 # -- SimulationSpec ------------------------------------------------------------
 
@@ -75,13 +101,14 @@ class TestSpec:
             SimulationSpec(system="46q")
 
     def test_parent_commit_json_loads_to_the_same_spec(self):
-        """Spec JSON written before the spec moved to ``repro.spec`` (and
-        grew field metadata) must load to the same fields."""
+        """Spec JSON as a chaos artifact of this schema persists it, fault
+        plan included, loads to the same fields (the v2 form of this
+        string, with its ``coulomb`` field, is refused since v3)."""
         written = (
             '{"kind": "chaos", "system": "1400", "steps": 3, "ranks": 4, '
             '"shape": [1, 1, 4], "max_pulses": 2, "backend": "nvshmem", '
             '"executor": "serial", "pes_per_node": 2, "nstlist": 2, '
-            '"buffer": 0.12, "dt": 0.002, "cutoff": 0.65, "coulomb": "rf", '
+            '"buffer": 0.12, "dt": 0.002, "cutoff": 0.65, '
             '"trim_corners": false, "overlap_comm": true, "kernel": "segment", '
             '"kernel_dtype": "float64", "dlb": "off", '
             '"seed": 3, "fault_plan": {"seed": 5, "faults": [{"kind": '
@@ -89,7 +116,7 @@ class TestSpec:
             '"count": 1, "delay_us": 261.0}, {"kind": "drop_op", "target": "", '
             '"rank": -1, "pulse": -1, "count": 8, "delay_us": 0.0}, {"kind": '
             '"delay_task", "target": "serveF[rank=0", "rank": 0, "pulse": 0, '
-            '"count": 3, "delay_us": 0.0}]}, "n_faults": 4, "schema_version": 2}'
+            '"count": 3, "delay_us": 0.0}]}, "n_faults": 4, "schema_version": 3}'
         )
         assert SimulationSpec.from_json(written).to_dict() == json.loads(written)
 
@@ -99,23 +126,36 @@ class TestSpec:
         with pytest.raises(ValueError) as err:
             SimulationSpec.from_json(V1_DEFAULT_SPEC)
         assert str(err.value) == (
-            "unsupported spec schema_version 1 (this build speaks 2)"
+            "unsupported spec schema_version 1 (this build speaks 3)"
         )
 
     def test_v1_chaos_artifact_replay_exits_cleanly(self, tmp_path):
-        artifact = tmp_path / "v1.json"
-        artifact.write_text(json.dumps({
-            "version": 2, "spec": json.loads(V1_DEFAULT_SPEC),
-            "plan": {"seed": 0, "faults": []}, "mutation": None, "violations": [],
-        }))
-        done = subprocess.run(
-            [sys.executable, "-m", "repro", "chaos", "--replay", str(artifact)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        )
+        done = _replay(tmp_path, json.loads(V1_DEFAULT_SPEC))
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
-        assert "schema_version 1 (this build speaks 2)" in done.stderr
+        assert "schema_version 1 (this build speaks 3)" in done.stderr
+
+    @pytest.mark.parametrize(
+        "version,error",
+        [
+            (2, "unsupported spec schema_version 2 (this build speaks 3)"),
+            (3, "unknown SimulationSpec field(s) ['coulomb']"),
+        ],
+        ids=["v2", "v3-with-coulomb"],
+    )
+    def test_coulomb_spec_fails_in_one_line(self, tmp_path, version, error):
+        """A persisted v2 spec fails on its version; the same fields under
+        v3 fail on ``coulomb`` — a one-line error either way, from the
+        library and from ``repro chaos --replay``."""
+        spec = {**json.loads(V2_CHAOS_SPEC), "schema_version": version}
+        with pytest.raises(ValueError) as err:
+            SimulationSpec.from_dict(spec)
+        assert str(err.value).startswith(error)
+        done = _replay(tmp_path, spec)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert error in done.stderr
+        assert len(done.stderr.strip().splitlines()) == 1
 
     def test_n_ranks_follows_shape(self):
         assert SPEC.with_(shape=(1, 2, 4)).n_ranks == 8
@@ -176,7 +216,7 @@ class TestFromSpec:
         }
         non_default = dict(
             nstlist=3, buffer=0.15, dt=0.001, trim_corners=True, max_pulses=2,
-            coulomb="pme", overlap_comm=False, kernel="segment",
+            overlap_comm=False, kernel="segment",
             kernel_dtype="float32", dlb="pairs",
         )
         names = {f.name for f in fields(SimulationSpec)}
@@ -216,10 +256,10 @@ class TestExecuteSpec:
         assert result["ok"]
         assert result["max_deviation_nm"] <= 1e-10
 
-    @pytest.mark.parametrize("physics", [{"dt": 0.0005}, {"coulomb": "pme"}])
+    @pytest.mark.parametrize("physics", [{"dt": 0.0005}])
     def test_verify_reference_uses_the_spec_physics(self, physics):
         """The serial reference must integrate the same physics as the DD
-        run; it used to drop ``dt`` and ``coulomb`` and fail by 0.03 nm."""
+        run; it used to drop ``dt`` and fail by 0.03 nm."""
         spec = SimulationSpec(
             kind="verify", system="1400", steps=4, ranks=4, backend="nvshmem",
             max_pulses=2, **physics,
