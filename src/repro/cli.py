@@ -209,12 +209,23 @@ def cmd_timeline(args) -> None:
     )
 
 
+def _simulate_or_exit(command: str, args, wl, machine, n_ranks: int, n_steps: int):
+    """``simulate_step``, with a shape the model rejects as a one-line exit 1."""
+    try:
+        return simulate_step(wl, machine, backend=args.backend, n_steps=n_steps)
+    except ValueError as err:  # e.g. thread-MPI on a multi-node shape
+        raise SystemExit(
+            f"{command} --backend {args.backend}: {err} ({n_ranks} ranks on "
+            f"{machine.name}, {machine.gpus_per_node} GPUs per node)"
+        ) from None
+
+
 def cmd_critical(args) -> None:
     from repro.gpusim.critical import critical_path
 
     machine = machine_by_name(args.machine)
     wl = grappa_workload(_resolve_atoms(args.system), args.gpus, machine)
-    g, _ = simulate_step(wl, machine, backend=args.backend, n_steps=4)
+    g, _ = _simulate_or_exit("critical", args, wl, machine, args.gpus, n_steps=4)
     log.info("%s", critical_path(g, "s3:step_end").render())
 
 
@@ -256,13 +267,7 @@ def cmd_profile(args) -> None:
     machine = machine_by_name(args.machine)
     n_atoms = _resolve_atoms(args.system)
     wl = grappa_workload(n_atoms, args.ranks, machine)
-    try:
-        g, t = simulate_step(wl, machine, backend=args.backend, n_steps=args.steps)
-    except ValueError as err:  # e.g. thread-MPI on a multi-node shape
-        raise SystemExit(
-            f"profile --backend {args.backend}: {err} ({args.ranks} ranks on "
-            f"{machine.name}, {machine.gpus_per_node} GPUs per node)"
-        ) from None
+    g, t = _simulate_or_exit("profile", args, wl, machine, args.ranks, n_steps=args.steps)
     tbl = cycle_accounting(g, window=step_window(g, t.time_per_step))
     heading = (
         f"{n_atoms} atoms on {args.ranks} ranks ({machine.name}), "

@@ -134,13 +134,15 @@ class NvshmemBackend(HaloBackend):
         self._coords = rt.heap.register_symmetric("coords", cluster.local_pos)
         self._forces = rt.heap.register_symmetric("forces", cluster.local_forces)
 
-        # Per-pulse symmetric force staging (InfiniBand put destinations).
+        # Per-pulse symmetric force staging (InfiniBand put destinations):
+        # a single node never puts, so it allocates none.
         self._force_stage = []
-        for pid in range(n_pulses):
-            size = max(rp.pulses[pid].send_size for rp in plan.ranks)
-            self._force_stage.append(
-                rt.symmetric_alloc(f"forceStage{pid}", (max(size, 1), 3), dtype)
-            )
+        if topo.n_nodes > 1:
+            sizes = np.array([[p.index_map.size for p in rp.pulses] for rp in plan.ranks])
+            for pid, size in enumerate(sizes.max(axis=0, initial=1).tolist()):
+                self._force_stage.append(
+                    rt.symmetric_alloc(f"forceStage{pid}", (size, 3), dtype)
+                )
 
         # Every store to a signal slot wakes the task parked on it.
         self._signals = {
@@ -174,7 +176,7 @@ class NvshmemBackend(HaloBackend):
         # it in one contiguous pass rather than a broadcast over rows of
         # three.  All rows of a tile are equal, so pulses with the same
         # shift (a handful of distinct vectors) share one, sliced.
-        longest = max((p.send_size for p in sends), default=0)
+        longest = max((m.size for m in maps), default=0)
         tiles: dict[bytes, np.ndarray] = {}
         row = 0  # rows of flat_all taken by the programs so far
         programs = []
@@ -196,13 +198,14 @@ class NvshmemBackend(HaloBackend):
                 pid = p.pulse_id
                 tag = f"[rank={rank},pulse={pid}]"
                 index_map = p.index_map
+                size = index_map.size
                 peer = p.send_rank
                 hp = plan.ranks[peer].pulses[pid]  # where our selection lands
-                if hp.recv_size != p.send_size:
+                if hp.recv_size != size:
                     # A pack longer than the peer's zone would run on into
                     # the next zone's rows: refuse the plan, not the step.
                     raise ValueError(
-                        f"pulse {pid}: rank {rank} sends {p.send_size} rows but "
+                        f"pulse {pid}: rank {rank} sends {size} rows but "
                         f"rank {peer} receives {hp.recv_size}"
                     )
                 owner = p.recv_rank  # the rank that sent us these coordinates
@@ -213,15 +216,16 @@ class NvshmemBackend(HaloBackend):
                     # the runtime (sources need not be symmetric —
                     # nvshmemx_buffer_register); forces come back through
                     # the symmetric per-pulse staging.
-                    stage = rt.heap.register_buffer(rank, np.empty((p.send_size, 3), dtype))
+                    stage = rt.heap.register_buffer(rank, np.empty((size, 3), dtype))
                     staged = stages[pid][rank][: hp.recv_size]
                 if not topo.same_node(rank, owner):
                     zone = forces[p.atom_offset : p.atom_offset + p.recv_size]
-                first, row = row, row + p.send_size
-                shift = p.coord_shift.astype(dtype)
-                tile = tiles.get(shift.tobytes())
+                first, row = row, row + size
+                tile = tiles.get(p.coord_shift.tobytes())
                 if tile is None:
-                    tile = tiles[shift.tobytes()] = np.tile(shift, (longest, 1))
+                    tile = tiles[p.coord_shift.tobytes()] = np.tile(
+                        p.coord_shift.astype(dtype), (longest, 1)
+                    )
                 dep_offset = p.dep_offset
                 programs.append(
                     _PulseProgram(
@@ -229,7 +233,7 @@ class NvshmemBackend(HaloBackend):
                         coord=(
                             rank, pid, pos,
                             index_map[:dep_offset], index_map[dep_offset:],
-                            tile[:dep_offset], tile[dep_offset : p.send_size],
+                            tile[:dep_offset], tile[dep_offset:size],
                             [arrived[k] for k in sorted(p.depends_on)],
                             peer, hp.atom_offset, remote, stage,
                         ),

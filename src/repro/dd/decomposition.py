@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dd.grid import DDGrid
+from repro.dd.grid import DDGrid, group_by_rank
 from repro.md.system import wrap_positions
 
 
@@ -108,6 +108,24 @@ class DomainDecomposition:
         #: Per-dim non-uniform cell edges (length shape[d]+1) or None for
         #: the uniform default.  Installed only via :meth:`set_boundaries`.
         self._boundaries: list[np.ndarray | None] = [None, None, None]
+        self._refresh_bounds()
+
+    def _refresh_bounds(self) -> None:
+        """Rebuild ``lo``/``hi``: every rank's half-open domain, ``(n_ranks, 3)``."""
+        cells = self.grid.coords
+        lo = cells * self.domain_extent
+        # Close the box edge exactly for the last domain along each dim
+        # so wrapped coordinates equal to box-epsilon are always assigned.
+        top = cells == np.asarray(self.grid.shape) - 1
+        hi = np.where(top, self.box, lo + self.domain_extent)
+        for d, edges in enumerate(self._boundaries):
+            if edges is not None:
+                lo[:, d] = edges[cells[:, d]]
+                hi[:, d] = edges[cells[:, d] + 1]
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        #: Lower and upper domain corner of every rank (read-only tables).
+        self.lo, self.hi = lo, hi
 
     # -- non-uniform boundaries (dynamic load balancing) ----------------------
 
@@ -176,33 +194,12 @@ class DomainDecomposition:
                 f"{self.npulses[d]} pulse(s))"
             )
         self._boundaries[d] = edges
+        self._refresh_bounds()
 
     def bounds_of_rank(self, rank: int) -> DomainBounds:
-        coords_i = np.asarray(self.grid.coords_of_rank(rank))
-        if self.is_uniform:
-            coords = coords_i.astype(np.float64)
-            lo = coords * self.domain_extent
-            hi = lo + self.domain_extent
-            # Close the box edge exactly for the last domain along each dim
-            # so wrapped coordinates equal to box-epsilon are always assigned.
-            top = coords_i == np.asarray(self.grid.shape) - 1
-            hi = np.where(top, self.box, hi)
-            return DomainBounds(lo=lo, hi=hi)
-        lo = np.empty(3, dtype=np.float64)
-        hi = np.empty(3, dtype=np.float64)
-        for d in range(3):
-            edges = self._boundaries[d]
-            if edges is None:
-                lo[d] = coords_i[d] * self.domain_extent[d]
-                hi[d] = (
-                    self.box[d]
-                    if coords_i[d] == self.grid.shape[d] - 1
-                    else lo[d] + self.domain_extent[d]
-                )
-            else:
-                lo[d] = edges[coords_i[d]]
-                hi[d] = edges[coords_i[d] + 1]
-        return DomainBounds(lo=lo, hi=hi)
+        if not 0 <= rank < self.grid.n_ranks:
+            raise ValueError(f"rank {rank} out of range for grid {self.grid.shape}")
+        return DomainBounds(lo=self.lo[rank], hi=self.hi[rank])
 
     def assign_atoms(self, positions: np.ndarray) -> np.ndarray:
         """Home rank of every atom (positions are wrapped internally)."""
@@ -221,13 +218,9 @@ class DomainDecomposition:
                 else:
                     col = np.searchsorted(edges, wrapped[:, d], side="right") - 1
                 cell[:, d] = np.minimum(col, self.grid.shape[d] - 1)
-        nx, ny, _nz = self.grid.shape
-        return ((cell[:, 2] * ny + cell[:, 1]) * nx + cell[:, 0]).astype(np.int64)
+        return cell @ self.grid.stride
 
     def home_indices(self, positions: np.ndarray) -> list[np.ndarray]:
         """Per-rank arrays of global atom indices (ascending within a rank)."""
-        owners = self.assign_atoms(positions)
-        order = np.argsort(owners, kind="stable")
-        sorted_owners = owners[order]
-        splits = np.searchsorted(sorted_owners, np.arange(1, self.grid.n_ranks))
-        return [np.sort(part) for part in np.split(order, splits)]
+        order, counts = group_by_rank(self.assign_atoms(positions), self.grid.n_ranks)
+        return np.split(order, np.cumsum(counts[:-1]))

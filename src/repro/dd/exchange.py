@@ -59,19 +59,22 @@ def build_cluster(
     tests can prove a backend actually communicates every entry.
     """
     system.wrap()
-    plan = build_halo_plan(dd, system.positions.astype(np.float64), trim_corners=trim_corners)
+    plan = build_halo_plan(dd, system.positions, trim_corners=trim_corners)
     dtype = system.dtype
     local_pos, local_vel, local_forces = [], [], []
     local_types, local_charges, local_masses = [], [], []
     for rank_plan in plan.ranks:
+        ids = rank_plan.global_ids
+        home_ids = ids[: rank_plan.n_home]
+        # A copy even in float64: the plan keeps its build-time positions,
+        # while local_pos is integrated in place.
         pos = rank_plan.positions.astype(dtype)
         local_pos.append(pos)
         local_forces.append(np.zeros_like(pos))
-        home_ids = rank_plan.global_ids[: rank_plan.n_home]
-        local_vel.append(system.velocities[home_ids].copy())
-        local_types.append(system.type_ids[rank_plan.global_ids])
-        local_charges.append(system.charges[rank_plan.global_ids])
-        local_masses.append(system.masses[home_ids])
+        local_vel.append(system.velocities.take(home_ids, axis=0))
+        local_types.append(system.type_ids.take(ids))
+        local_charges.append(system.charges.take(ids))
+        local_masses.append(system.masses.take(home_ids))
     cluster = ClusterState(
         system=system,
         dd=dd,

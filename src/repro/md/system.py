@@ -22,10 +22,17 @@ def wrap_positions(positions: np.ndarray, box: np.ndarray) -> np.ndarray:
     box = np.asarray(box, dtype=np.float64)
     if np.any(box <= 0):
         raise ValueError(f"box lengths must be positive, got {box}")
-    wrapped = np.mod(positions, box.astype(positions.dtype))
-    # mod can return exactly box for values like -1e-9 in float32; fold those.
-    wrapped = np.where(wrapped >= box.astype(positions.dtype), 0.0, wrapped)
-    return wrapped.astype(positions.dtype)
+    box = box.astype(positions.dtype)
+    # A coordinate strictly inside (0, box) is its own image, so only the
+    # rest pay for the floating-point mod (8x the cost of the compares).
+    # Zeros take the mod too: it turns -0.0 into +0.0.
+    outside = ~((positions > 0) & (positions < box))
+    wrapped = positions.copy()
+    if outside.any():
+        np.mod(positions, box, out=wrapped, where=outside)
+        # mod can return exactly box for values like -1e-9 in float32; fold those.
+        wrapped[wrapped >= box] = 0.0
+    return wrapped
 
 
 def minimum_image(dx: np.ndarray, box: np.ndarray, periodic: np.ndarray | None = None) -> np.ndarray:

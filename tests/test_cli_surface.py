@@ -412,3 +412,14 @@ def test_model_profile_of_threadmpi_across_nodes_exits_cleanly():
         "profile --backend threadmpi: thread-MPI is single-node: every halo "
         "pulse must stay intra-node (8 ranks on eos, 4 GPUs per node)"
     )
+
+
+def test_model_critical_path_of_threadmpi_across_nodes_exits_cleanly():
+    """``critical`` refuses the same shapes in the same one line: 16 GPUs
+    on dgx-h100 (8 per node) span two nodes."""
+    with pytest.raises(SystemExit) as err:
+        cli.main(["critical", "--gpus", "16", "--backend", "threadmpi"])
+    assert str(err.value.code) == (
+        "critical --backend threadmpi: thread-MPI is single-node: every halo "
+        "pulse must stay intra-node (16 ranks on dgx-h100, 8 GPUs per node)"
+    )

@@ -11,7 +11,8 @@ import pytest
 
 from repro.dd.decomposition import DomainDecomposition
 from repro.dd.grid import DDGrid
-from repro.dd.halo import build_halo_plan
+from repro.dd.halo import HaloExchangePlan, RankHaloPlan, build_halo_plan
+from repro.dd.pulse import PulseData
 from repro.md.cells import periodic_cell_list
 from repro.md import default_forcefield, make_grappa_system
 
@@ -170,3 +171,206 @@ class TestStructure:
             assert rp.zone_shift.max() <= 1  # one pulse per dimension
             # Home atoms have zero shift.
             assert np.all(rp.zone_shift[: rp.n_home] == 0)
+
+
+# -- plan identity pins --------------------------------------------------------------
+
+
+def _plan_digest(plan) -> str:
+    """sha256 over every plan field, each with its dtype and shape."""
+    import hashlib
+
+    h = hashlib.sha256()
+
+    def put(value):
+        a = np.ascontiguousarray(value)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+
+    put(np.asarray(plan.pulse_dims, dtype=np.int64))
+    for rp in plan.ranks:
+        put(np.int64(rp.rank))
+        put(np.int64(rp.n_home))
+        put(rp.global_ids)
+        put(rp.positions)
+        put(rp.zone_shift)
+        put(rp.src_pulse)
+        for p in rp.pulses:
+            put(np.asarray([p.pulse_id, p.dim, p.pulse_in_dim], dtype=np.int64))
+            put(p.index_map)
+            put(np.int64(p.dep_offset))
+            put(np.asarray(p.depends_on, dtype=np.int64))
+            put(np.asarray([p.send_rank, p.recv_rank], dtype=np.int64))
+            put(p.coord_shift)
+            put(np.asarray([p.atom_offset, p.recv_size], dtype=np.int64))
+    return h.hexdigest()
+
+
+def random_dlb_edges(dd, rng):
+    """Random DLB cell edges on every decomposed dim, each width at or
+    above the cutoff floor ``r_comm / npulses[d]``."""
+    for d in range(3):
+        n = dd.grid.shape[d]
+        if n == 1:
+            continue
+        floor = dd.width_floor(d)
+        share = rng.random(n) + 0.05
+        widths = floor + (dd.box[d] - n * floor) * share / share.sum()
+        dd.set_boundaries(d, np.concatenate([[0.0], np.cumsum(widths)]))
+
+
+def _nonuniform(dd):
+    """Install fixed non-uniform edges on every decomposed dimension."""
+    for d in range(3):
+        n = dd.grid.shape[d]
+        if n == 1:
+            continue
+        w = np.linspace(0.7, 1.3, n)
+        edges = np.concatenate([[0.0], np.cumsum(w / w.sum() * dd.box[d])])
+        dd.set_boundaries(d, edges)
+    return dd
+
+
+#: (system, grid, trim_corners, max_pulses, dlb edges) -> plan digest.  The
+#: digests were recorded before the plan construction was vectorised; any change
+#: to a selection, an ordering, a dtype or a shift shows here by name.
+PLAN_PINS = [
+    ("12k", (4, 4, 4), False, 1, False,
+     "ba5846dda7092fc6b792130186d2f277822ff3a362f725844089c74b7420c64d"),
+    ("6k", (2, 4, 4), True, 1, False,
+     "cfc2c07a741cfbba52501d02949686db9f6a36f0a15467691dec3369af4fafd4"),
+    ("45k", (1, 2, 4), True, 1, False,
+     "9e35c5e8da5baaea1b6c3ff7ff5ca70c59251489acd9a8bd790d286de08ad53c"),
+    ("6k", (1, 1, 8), False, 2, False,
+     "8626d885f2e48950a5f2461af0982f39495eff048b5c696c61ab334627edb2d0"),
+    ("6k", (2, 2, 4), True, 2, True,
+     "fb96c262832e7f10b2842e0b29e793ad30ab7abe6e4e8290f947f42444968033"),
+]
+
+
+class TestPlanPins:
+    @pytest.mark.parametrize(
+        "label,shape,trim,max_pulses,dlb,want",
+        PLAN_PINS,
+        ids=[f"{p[0]}-{'x'.join(map(str, p[1]))}{'-trim' if p[2] else ''}"
+             f"{'-p2' if p[3] == 2 else ''}{'-dlb' if p[4] else ''}" for p in PLAN_PINS],
+    )
+    def test_plan_digest(self, label, shape, trim, max_pulses, dlb, want):
+        from repro.md import make_system
+
+        sys_ = make_system(label, seed=2025, ff=default_forcefield(cutoff=0.65),
+                           dtype=np.float64)
+        sys_.wrap()
+        dd = DomainDecomposition(grid=DDGrid(shape), box=sys_.box, r_comm=0.77,
+                                 max_pulses=max_pulses, dlb=dlb)
+        if dlb:
+            _nonuniform(dd)
+        plan = build_halo_plan(dd, sys_.positions, trim_corners=trim)
+        assert _plan_digest(plan) == want
+
+
+# -- the per-rank loop reference ---------------------------------------------------
+
+
+def _loop_plan(dd, positions, trim_corners=False) -> HaloExchangePlan:
+    """The per-rank loop form of :func:`build_halo_plan`: each rank selects
+    from its whole local array at every pulse, and the delivered rows are
+    stacked onto the receiver's arrays.  ``build_halo_plan`` must match it
+    field for field."""
+    grid, box, r_comm = dd.grid, dd.box, dd.r_comm
+    plans = [
+        RankHaloPlan(
+            rank=rank, n_home=ids.size, global_ids=ids, positions=positions[ids],
+            zone_shift=np.zeros((ids.size, 3), dtype=np.int8),
+            src_pulse=np.full(ids.size, -1, dtype=np.int32),
+        )
+        for rank, ids in enumerate(dd.home_indices(positions))
+    ]
+    pulse_dims, pulse_id = [], 0
+    for dim in (2, 1, 0):
+        for k in range(dd.npulses[dim]):
+            payloads = {}
+            for plan in plans:
+                rank = plan.rank
+                bounds = dd.bounds_of_rank(rank)
+                pos = plan.positions
+                mask = pos[:, dim] < bounds.lo[dim] + r_comm
+                if k == 0:
+                    mask &= plan.zone_shift[:, dim] == 0
+                else:
+                    mask &= plan.src_pulse == pulse_id - 1
+                if trim_corners:
+                    d2 = np.maximum(pos[:, dim] - bounds.lo[dim], 0.0) ** 2
+                    for e in range(3):
+                        shifted = plan.zone_shift[:, e] > 0
+                        if e != dim and shifted.any():
+                            excess = np.where(shifted, pos[:, e] - bounds.hi[e], 0.0)
+                            d2 += np.maximum(excess, 0.0) ** 2
+                    mask &= d2 <= r_comm * r_comm
+                sel = np.nonzero(mask)[0]
+                dep = plan.src_pulse[sel] >= 0
+                depends_on = tuple(sorted(set(plan.src_pulse[sel[dep]].tolist())))
+                sel = np.concatenate([sel[~dep], sel[dep]])
+                send = grid.neighbor_rank(rank, dim, -1)
+                shift = np.zeros(3)
+                if grid.coords_of_rank(rank)[dim] == 0:
+                    shift[dim] = box[dim]
+                plan.pulses.append(PulseData(
+                    pulse_id=pulse_id, dim=dim, pulse_in_dim=k, rank=rank,
+                    send_rank=send, recv_rank=grid.neighbor_rank(rank, dim, +1),
+                    index_map=sel, dep_offset=int(np.count_nonzero(~dep)),
+                    depends_on=depends_on,
+                    coord_shift=shift, atom_offset=0, recv_size=0,
+                ))
+                zs = plan.zone_shift[sel]
+                zs[:, dim] += 1
+                payloads[send] = (plan.positions[sel] + shift, plan.global_ids[sel], zs)
+            for plan in plans:
+                pos, ids, zs = payloads[plan.rank]
+                p = plan.pulses[pulse_id]
+                p.atom_offset, p.recv_size = plan.n_local, ids.size
+                plan.positions = np.vstack([plan.positions, pos])
+                plan.global_ids = np.concatenate([plan.global_ids, ids])
+                plan.zone_shift = np.vstack([plan.zone_shift, zs])
+                plan.src_pulse = np.concatenate(
+                    [plan.src_pulse, np.full(ids.size, pulse_id, dtype=np.int32)]
+                )
+            pulse_dims.append(dim)
+            pulse_id += 1
+    return HaloExchangePlan(dd=dd, r_comm=r_comm, ranks=plans, pulse_dims=pulse_dims)
+
+
+#: (grid, max_pulses) drawn by the loop-reference cases; a 3.2-4.2 nm box
+#: with r_comm 0.8 admits every one.
+LOOP_SHAPES = [
+    ((2, 1, 1), 1), ((1, 2, 1), 1), ((2, 2, 1), 1), ((2, 2, 2), 1), ((1, 1, 4), 2),
+    ((1, 3, 2), 2), ((1, 1, 5), 2), ((3, 2, 1), 2), ((3, 3, 3), 2), ((2, 3, 4), 2),
+]
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("case", range(30))
+    def test_flat_plan_matches_loop(self, case):
+        """Random grid, pulse count, trim, DLB edges and atom count; two
+        cases in five put atoms exactly on the low box faces or exactly on
+        the selection planes (the slab test is strict)."""
+        rng = np.random.default_rng(case)
+        shape, max_pulses = LOOP_SHAPES[case % len(LOOP_SHAPES)]
+        box = 3.2 * (1.0 + 0.3 * rng.random(3))
+        dlb = case % 3 == 0
+        dd = DomainDecomposition(grid=DDGrid(shape), box=box, r_comm=0.8,
+                                 max_pulses=max_pulses, dlb=dlb)
+        if dlb:
+            random_dlb_edges(dd, rng)
+        pos = rng.random((int(rng.integers(50, 600)), 3)) * box
+        if case % 5 == 0:
+            pos[:5] = 0.0
+        if case % 5 == 1:
+            for d in range(3):
+                planes = dd.lo[:, d] + dd.r_comm
+                planes = planes[planes < box[d]]
+                pos[: planes.size, d] = planes
+        trim = bool(case % 2)
+        want = _loop_plan(dd, pos, trim_corners=trim)
+        got = build_halo_plan(dd, pos, trim_corners=trim)
+        assert _plan_digest(got) == _plan_digest(want)

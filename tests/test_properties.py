@@ -22,6 +22,7 @@ from repro.md.system import minimum_image, wrap_positions
 from repro.par.phases import (
     RankConfig, RankNsData, RankWorkspace, _guard, _prune, pair_search,
 )
+from tests.test_halo_plan import random_dlb_edges
 
 # -- strategies ---------------------------------------------------------------
 
@@ -348,23 +349,39 @@ class TestDualListProperties:
 # -- halo exchange invariants ------------------------------------------------------------
 
 
+#: (grid, max_pulses) pairs a 3.2 nm box with r_comm 0.8 admits; (1, 1, 5)
+#: has 0.64 nm slabs and needs the second pulse.
+HALO_SHAPES = [
+    ((2, 1, 1), 1), ((1, 2, 1), 1), ((2, 2, 1), 1), ((2, 2, 2), 1),
+    ((1, 1, 4), 2), ((1, 3, 2), 2), ((1, 1, 5), 2), ((3, 2, 1), 2),
+]
+
+
 class TestHaloProperties:
     @given(
         seed=seeds,
-        shape=st.sampled_from([(2, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2)]),
+        shape=st.sampled_from(HALO_SHAPES),
         trim=st.booleans(),
+        dlb=st.booleans(),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_pair_coverage_random_configs(self, seed, shape, trim):
-        """The eighth-shell invariant on random configurations: every pair
-        within the cutoff is claimable on exactly one rank."""
+    @settings(max_examples=40, deadline=None)
+    def test_pair_coverage_random_configs(self, seed, shape, trim, dlb):
+        """The eighth-shell invariant on random configurations, uniform or
+        with random DLB edges, one or two pulses per dim: every pair within
+        the cutoff is claimable on exactly one rank, and no pulse sends a
+        row twice."""
+        shape, max_pulses = shape
         box = np.full(3, 3.2)
         rng = np.random.default_rng(seed)
         n = 250
         pos = rng.random((n, 3)) * box
         r_comm = 0.8
         rc = 0.75
-        dd = DomainDecomposition(grid=DDGrid(shape), box=box, r_comm=r_comm)
+        dd = DomainDecomposition(
+            grid=DDGrid(shape), box=box, r_comm=r_comm, max_pulses=max_pulses, dlb=dlb
+        )
+        if dlb:
+            random_dlb_edges(dd, rng)
         plan = build_halo_plan(dd, pos, trim_corners=trim)
 
         # Global pairs.
@@ -375,6 +392,8 @@ class TestHaloProperties:
         periodic = np.array([shape[d] == 1 for d in range(3)])
         claimed: dict[tuple, int] = {}
         for rp in plan.ranks:
+            for p in rp.pulses:
+                assert np.unique(p.index_map).size == p.index_map.size
             if rp.n_local < 2:
                 continue
             lo = np.where(periodic, 0.0, rp.positions.min(axis=0) - 1e-9)
@@ -401,6 +420,43 @@ class TestHaloProperties:
             for p in rp.pulses:
                 peer = plan.ranks[p.send_rank].pulses[p.pulse_id]
                 assert peer.recv_size == p.send_size
+
+
+class TestRankTableProperties:
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+        seed=seeds,
+        dlb=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rank_table(self, shape, seed, dlb):
+        """One table for rank <-> cell: ``coords @ stride`` is the rank, the
+        +-1 neighbours undo each other, and every atom's assigned rank owns
+        a domain (from the ``lo``/``hi`` tables) that contains it."""
+        grid = DDGrid(shape)
+        ranks = np.arange(grid.n_ranks)
+        assert np.array_equal(grid.coords @ grid.stride, ranks)
+        assert np.array_equal(grid.rank_of_coords(grid.coords), ranks)
+        for r in ranks.tolist():
+            assert grid.rank_of_coords(grid.coords_of_rank(r)) == r
+        for d in range(3):
+            down, up = grid.neighbor_ranks(d, -1), grid.neighbor_ranks(d, +1)
+            assert np.array_equal(up[down], ranks)
+            assert np.array_equal(down[up], ranks)
+            assert [grid.neighbor_rank(r, d, +1) for r in ranks.tolist()] == up.tolist()
+
+        rng = np.random.default_rng(seed)
+        box = np.full(3, 6.0)
+        dd = DomainDecomposition(grid=grid, box=box, r_comm=0.5, dlb=dlb)
+        if dlb:
+            random_dlb_edges(dd, rng)
+        pos = rng.random((400, 3)) * box
+        owner = dd.assign_atoms(pos)
+        assert np.all((pos >= dd.lo[owner]) & (pos < dd.hi[owner]))
+        for r in ranks.tolist():
+            bounds = dd.bounds_of_rank(r)
+            assert np.array_equal(bounds.lo, dd.lo[r])
+            assert np.array_equal(bounds.hi, dd.hi[r])
 
 
 # -- randomized backend interleavings ---------------------------------------------------

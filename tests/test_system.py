@@ -34,6 +34,21 @@ class TestWrap:
         w = wrap_positions(pos, box)
         assert np.all(w < box) and np.all(w >= 0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_wrap_matches_the_mod_formula(self, dtype):
+        """Only coordinates outside ``(0, box)`` take the mod, and the result
+        is still the plain mod-and-fold formula's, bit for bit: signed
+        zeros, exact box lengths and float32 folds included."""
+        box = np.array([3.1, 2.7, 4.4])
+        pos = (np.random.default_rng(0).random((4000, 3)) * 3 - 1) * box
+        pos[:4] = [[0.0, -0.0, -1e-9], [3.1, 2.7, 4.4], [-3.1, -1e-30, 8.8], [1e-30, 2.7 - 1e-16, -0.0]]
+        pos = pos.astype(dtype)
+        edge = box.astype(dtype)
+        want = np.mod(pos, edge)
+        want = np.where(want >= edge, 0.0, want).astype(dtype)
+        got = wrap_positions(pos, box)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_wrap_rejects_bad_box(self):
         with pytest.raises(ValueError):
             wrap_positions(np.zeros((1, 3)), np.array([1.0, 0.0, 1.0]))
