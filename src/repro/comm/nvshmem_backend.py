@@ -23,11 +23,12 @@ must wait yields the key it waits on — a signal slot, or this rank's
 force-accumulation order — and is re-polled only when that key is woken, by
 the signal store or by the accumulation that completes.  Everything a
 (rank, pulse) needs per step is resolved once in :meth:`NvshmemBackend.bind`
-into a :class:`_PulseProgram`, the way the paper builds ``PulseData`` at
-DD-partitioning time; the task generators only read it.  Per step a pack
-is one ``take`` plus one contiguous add of a bind-time shift tile, straight
-into the destination rows, and an accumulation is a single one-dimensional
-``np.add.at`` over bind-time flat indices.
+into its program (task names, generator arguments), the way the paper builds
+``PulseData`` at DD-partitioning time.  Per step a pack is one ``take`` plus
+one contiguous add of a bind-time shift tile, straight into rows resolved at
+bind (the peer's over NVLink, or the IB send staging); an accumulation is one
+``np.add.at`` over bind-time flat indices, from the peer's zone in place over
+NVLink.  NVLink stores and gets are counted once per exchange.
 
 The paper's ablations (serialized pulses, no depOffset split) are timing
 questions: ``simulate_step(fused=, dep_partitioning=)`` and the
@@ -35,8 +36,6 @@ questions: ``simulate_step(fused=, dep_partitioning=)`` and the
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +51,8 @@ from repro.obs.tracer import TRACER
 #: Names of the two per-pulse signal arrays (also the head of their wait keys).
 _COORD_SIG = "coordSig"
 _FORCE_SIG = "forceSig"
+#: A (rank, pulse)'s three tasks, as their names begin.
+_TASKS = ("coordX", "serveF", "accF")
 
 
 def _flat_index(index_map: np.ndarray) -> np.ndarray:
@@ -70,26 +71,6 @@ def _flat_index(index_map: np.ndarray) -> np.ndarray:
     return flat.reshape(-1)
 
 
-class _PulseProgram(NamedTuple):
-    """One (rank, pulse)'s share of both exchanges, resolved at bind.
-
-    The argument lists of its three task generators: a function of the
-    plan and the topology only — rebuilt with every ``bind``, read-only
-    between binds.  The arrays a task writes are the bound cluster's own
-    (or views of them), never copies; what it only reads — the shift
-    tiles and the flat force indices — is derived from the plan here.
-    """
-
-    rank: int
-    pid: int
-    coord_name: str
-    serve_name: str
-    acc_name: str
-    coord: tuple  # NvshmemBackend._coord_task(*coord)
-    serve: tuple  # NvshmemBackend._force_serve_task(*serve)
-    acc: tuple  # NvshmemBackend._force_acc_task(*acc)
-
-
 @register_backend("nvshmem")
 class NvshmemBackend(HaloBackend):
     """Fused, signal-driven halo exchange (functional layer)."""
@@ -104,11 +85,15 @@ class NvshmemBackend(HaloBackend):
             rng=np.random.default_rng(seed), describe=self._describe_wait
         )
         self._cluster: ClusterState | None = None
-        self._programs: list[_PulseProgram] = []
+        # The (rank, pulse) programs of the bound plan (see _compile).
+        self._coord_progs: list[tuple[str, tuple]] = []  # name, _coord_task args
+        self._force_progs: list[tuple[str, tuple, str, tuple]] = []  # serve, acc
         self._acc_floor: list[int] = []
         self._signals: dict[str, SignalArray] = {}
-        self._waits: dict[tuple[int, int], tuple[list, list, list]] = {}
+        self._waits: dict[tuple[int, int], tuple[list, list, list, list]] = {}
         self._epoch = 0
+        # One exchange's NVLink stores ("x") or gets ("f"), fixed at bind.
+        self._direct_ops: dict[str, dict[str, int]] = {"x": {}, "f": {}}
 
     # -- binding ------------------------------------------------------------------
 
@@ -116,7 +101,7 @@ class NvshmemBackend(HaloBackend):
         # The previous plan's programs go first (their flat indices are the
         # size of the whole halo), and a bind that fails leaves no plan.
         self._cluster = None
-        self._programs = []
+        self._coord_progs, self._force_progs = [], []
         plan = cluster.plan
         n_pes = cluster.n_ranks
         ppn = self.pes_per_node or n_pes
@@ -152,25 +137,59 @@ class NvshmemBackend(HaloBackend):
         self._epoch = 0
         self._acc_floor = [n_pulses] * n_pes
 
-        self._programs = self._compile(cluster, topo)
+        self._coord_progs, self._force_progs = self._compile(cluster, topo)
         self._cluster = cluster
 
-    def _compile(self, cluster: ClusterState, topo: NodeTopology) -> list[_PulseProgram]:
-        """Resolve, per (rank, pulse), everything its three tasks read."""
+    def _compile(self, cluster: ClusterState, topo: NodeTopology) -> tuple[list, list]:
+        """Resolve, per (rank, pulse), everything its three tasks read.
+
+        A function of the plan and the topology only, read-only between
+        binds.  The arrays a task writes are the bound cluster's own (or
+        views of them), never copies; what it only reads — the shift tiles
+        and the flat force indices — is derived from the plan here.
+        """
         rt = self.runtime
         plan = cluster.plan
         n_pulses = plan.n_pulses
         dtype = cluster.system.dtype
-        coords = self._coords
         stages = [buf.arrays for buf in self._force_stage]
         # Pulses of each rank that a later pulse accumulates into (its
         # dependent entries reference them): only those zones carry data
         # the force signal must flush (the paper's hasDataWrites).
-        fed = [set().union(*(p.depends_on for p in rp.pulses)) for rp in plan.ranks]
-        # Every pulse's flat force indices, built for the whole plan at
-        # once (rank-major, pulse order); each program reads its own slice.
-        sends = [p for rp in plan.ranks for p in rp.pulses]
+        fed = [{k for p in rp.pulses for k in p.depends_on} for rp in plan.ranks]
+        sends = [p for rp in plan.ranks for p in rp.pulses]  # rank-major, pulse order
         maps = [p.index_map for p in sends]
+        # Where each send lands: the peer's zone of the same pulse.
+        lands = [plan.ranks[p.send_rank].pulses[p.pulse_id] for p in sends]
+        for p, hp in zip(sends, lands):
+            if hp.recv_size != p.index_map.size:
+                # A pack longer than the peer's zone would run on into the
+                # next zone's rows: refuse the plan, not the step.
+                raise ValueError(
+                    f"pulse {p.pulse_id}: rank {p.rank} sends {p.index_map.size} "
+                    f"rows but rank {p.send_rank} receives {hp.recv_size}"
+                )
+        # Over NVLink the pack stores into the peer's zone and the returned
+        # forces are read from it, in place; the views of every landing
+        # zone are resolved for the whole plan at once (None: another node).
+        # Reading the force view when the force signal is seen gives the
+        # bits a copy would: the peer serves zone ``pid`` only after every
+        # pulse above it has accumulated (its ``order[pid+1]``), and pulses
+        # at or below ``pid`` write only rows of zones below ``pid``
+        # (``depends_on`` holds earlier pulses only), so the zone is not
+        # written again during the exchange.
+        where = (
+            [p.send_rank for p in sends], [p.rank for p in sends],
+            [hp.atom_offset for hp in lands], [hp.recv_size for hp in lands],
+        )
+        dests, blocks = rt.peer_rows(self._coords, *where), rt.peer_rows(self._forces, *where)
+        nvlink = [p for p, block in zip(sends, blocks) if block is not None]
+        parts = sum((0 < p.dep_offset) + (p.dep_offset < p.send_size) for p in nvlink)
+        got = sum(block.nbytes for block in blocks if block is not None)
+        # One store per non-empty part of a pack, one get per pulse.
+        self._direct_ops = {"x": {"stores": parts}, "f": {"gets": len(nvlink), "bytes_got": got}}
+        # Every pulse's flat force indices, built for the whole plan at
+        # once; each program reads its own slice.
         flat_all = _flat_index(np.concatenate(maps) if maps else np.empty(0, np.int64))
         # Shift tiles: a pulse's shift once per packed row, so a pack adds
         # it in one contiguous pass rather than a broadcast over rows of
@@ -179,101 +198,89 @@ class NvshmemBackend(HaloBackend):
         longest = max((m.size for m in maps), default=0)
         tiles: dict[bytes, np.ndarray] = {}
         row = 0  # rows of flat_all taken by the programs so far
-        programs = []
-        for rp in plan.ranks:
-            rank, pulses = rp.rank, rp.pulses
-            pos = cluster.local_pos[rank]
-            forces = cluster.local_forces[rank]
-            # Accumulation writes through this view: never a copy.
-            forces_flat = np.reshape(forces, -1, copy=False)
-            # A rank's own accumulations must land in descending pulse
-            # order: two pulses' index_maps may share home rows, and
-            # floating-point accumulation order would otherwise depend on
-            # the schedule.  The reference exchange accumulates
-            # last-pulse-first; matching it here keeps trajectories
-            # bit-identical under any interleaving: hence the ``order``
-            # waits of the accumulation tasks.
-            order, arrived, returned = self._rank_waits(rank, n_pulses)
-            for p in pulses:
-                pid = p.pulse_id
-                tag = f"[rank={rank},pulse={pid}]"
-                index_map = p.index_map
-                size = index_map.size
-                peer = p.send_rank
-                hp = plan.ranks[peer].pulses[pid]  # where our selection lands
-                if hp.recv_size != size:
-                    # A pack longer than the peer's zone would run on into
-                    # the next zone's rows: refuse the plan, not the step.
-                    raise ValueError(
-                        f"pulse {pid}: rank {rank} sends {size} rows but "
-                        f"rank {peer} receives {hp.recv_size}"
-                    )
-                owner = p.recv_rank  # the rank that sent us these coordinates
-                remote = rt.ptr(coords, peer, rank)
-                stage = zone = staged = None
-                if remote is None:
-                    # Send staging is a plain local buffer registered with
-                    # the runtime (sources need not be symmetric —
-                    # nvshmemx_buffer_register); forces come back through
-                    # the symmetric per-pulse staging.
-                    stage = rt.heap.register_buffer(rank, np.empty((size, 3), dtype))
-                    staged = stages[pid][rank][: hp.recv_size]
-                if not topo.same_node(rank, owner):
-                    zone = forces[p.atom_offset : p.atom_offset + p.recv_size]
-                first, row = row, row + size
-                tile = tiles.get(p.coord_shift.tobytes())
-                if tile is None:
-                    tile = tiles[p.coord_shift.tobytes()] = np.tile(
-                        p.coord_shift.astype(dtype), (longest, 1)
-                    )
-                dep_offset = p.dep_offset
-                programs.append(
-                    _PulseProgram(
-                        rank, pid, "coordX" + tag, "serveF" + tag, "accF" + tag,
-                        coord=(
-                            rank, pid, pos,
-                            index_map[:dep_offset], index_map[dep_offset:],
-                            tile[:dep_offset], tile[dep_offset:size],
-                            [arrived[k] for k in sorted(p.depends_on)],
-                            peer, hp.atom_offset, remote, stage,
-                        ),
-                        # The zone we serve may go once every later pulse
-                        # has accumulated (Algorithm 5 line 9 waits on *all*
-                        # of them, not only those whose entries reference it).
-                        serve=(rank, pid, order[pid + 1], owner, pid in fed[rank], zone),
-                        acc=(
-                            rank, pid,
-                            order[pid + 1] if pid + 1 < n_pulses else None,
-                            # needs_data: staged data, or a zone the peer
-                            # accumulated into (it then release-stores).
-                            returned[pid][remote is None or pid in fed[peer]],
-                            peer, hp.atom_offset, hp.recv_size, staged,
-                            forces_flat, flat_all[3 * first : 3 * row],
-                        ),
-                    )
+        # Accumulation writes through these views: never a copy.
+        flats = [forces.reshape(-1, copy=False) for forces in cluster.local_forces]
+        # A rank's own accumulations must land in descending pulse order:
+        # two pulses' index_maps may share home rows, and floating-point
+        # accumulation order would otherwise depend on the schedule.  The
+        # reference exchange accumulates last-pulse-first; matching it here
+        # keeps trajectories bit-identical under any interleaving: hence
+        # the ``order`` waits of the accumulation tasks.
+        waits = [self._rank_waits(rank, n_pulses) for rank in range(cluster.n_ranks)]
+        coord_progs, force_progs = [], []
+        for p, hp, dest, block in zip(sends, lands, dests, blocks):
+            rank, pid = p.rank, p.pulse_id
+            order, arrived, returned, names = waits[rank]
+            index_map = p.index_map
+            size = index_map.size
+            dep_offset = p.dep_offset
+            peer = p.send_rank
+            owner = p.recv_rank  # the rank that sent us these coordinates
+            stage = zone = None
+            if dest is None:
+                # Send staging is a plain local buffer registered with the
+                # runtime (sources need not be symmetric —
+                # nvshmemx_buffer_register); forces come back through the
+                # symmetric per-pulse staging.
+                dest = stage = rt.heap.register_buffer(rank, np.empty((size, 3), dtype))
+                block = stages[pid][rank][:size]
+            if not topo.same_node(rank, owner):
+                zone = cluster.local_forces[rank][p.atom_offset : p.atom_offset + p.recv_size]
+            first, row = row, row + size
+            tile = tiles.get(p.coord_shift.tobytes())
+            if tile is None:
+                tile = tiles[p.coord_shift.tobytes()] = np.tile(
+                    p.coord_shift.astype(dtype), (longest, 1)
                 )
-        return programs
+            coord_name, serve_name, acc_name = names[pid]
+            coord_progs.append((coord_name, (
+                rank, pid, cluster.local_pos[rank],
+                index_map[:dep_offset], index_map[dep_offset:],
+                tile[:dep_offset], tile[dep_offset:size],
+                dest[:dep_offset], dest[dep_offset:],
+                [arrived[k] for k in p.depends_on],  # ascending, as planned
+                peer, hp.atom_offset, stage,
+            )))
+            force_progs.append((
+                # The zone we serve may go once every later pulse has
+                # accumulated (Algorithm 5 line 9 waits on *all* of them,
+                # not only those whose entries reference it).
+                serve_name, (rank, pid, order[pid + 1], owner, pid in fed[rank], zone),
+                acc_name, (
+                    rank, pid,
+                    order[pid + 1] if pid + 1 < n_pulses else None,
+                    # needs_data: staged data, or a zone the peer
+                    # accumulated into (it then release-stores).
+                    returned[pid][stage is not None or pid in fed[peer]],
+                    block.reshape(-1), flats[rank], flat_all[3 * first : 3 * row],
+                    order[pid].key,
+                ),
+            ))
+        return coord_progs, force_progs
 
-    def _rank_waits(self, rank: int, n_pulses: int) -> tuple[list, list, list]:
-        """Every wait the tasks of ``rank`` can yield, made once per backend.
+    def _rank_waits(self, rank: int, n_pulses: int) -> tuple[list, list, list, list]:
+        """Every wait the tasks of ``rank`` can yield, and the tasks' names,
+        made once per backend.
 
         Waits are pure functions of (rank, pulse): the signal array, the
         epoch and the accumulation floor are looked up when polled.
-        Returns ``(order, arrived, returned)``: ``order[q]`` — every force
-        pulse >= q has been accumulated here; ``arrived[k]`` — pulse k's
-        coordinates have landed; ``returned[k][needs_data]`` — pulse k's
-        forces are back.
+        Returns ``(order, arrived, returned, names)``: ``order[q]`` — every
+        force pulse >= q has been accumulated here (its key is what pulse
+        q's accumulation wakes); ``arrived[k]`` — pulse k's coordinates have
+        landed; ``returned[k][needs_data]`` — pulse k's forces are back;
+        ``names[k]`` — pulse k's three task names.
         """
         waits = self._waits.get((rank, n_pulses))
         if waits is None:
             pulses = range(n_pulses)
             waits = self._waits[rank, n_pulses] = (
-                [None] + [self._order_wait(rank, q) for q in range(1, n_pulses + 1)],
+                [self._order_wait(rank, q) for q in range(n_pulses + 1)],
                 [self._signal_wait(_COORD_SIG, rank, k, True) for k in pulses],
                 [
                     [self._signal_wait(_FORCE_SIG, rank, k, flag) for flag in (False, True)]
                     for k in pulses
                 ],
+                [tuple(f"{t}[rank={rank},pulse={k}]" for t in _TASKS) for k in pulses],
             )
         return waits
 
@@ -309,18 +316,19 @@ class NvshmemBackend(HaloBackend):
     def exchange_coordinates(self, cluster: ClusterState, on_pulse=None) -> None:
         rt = self._bound(cluster)
         self._epoch += 1
-        tasks = [(pp.coord_name, self._coord_task(*pp.coord)) for pp in self._programs]
+        tasks = [(name, self._coord_task(*args)) for name, args in self._coord_progs]
         self._run_scheduled(tasks, "x")
         # The schedule is complete; all signals observed. (quiet for hygiene)
         rt.quiet()
         if on_pulse is not None:
             # Delayed delivery means inbound data is only guaranteed visible
             # after quiet(); batch every (rank, pulse) notification here.
-            for pp in self._programs:
-                on_pulse(pp.rank, pp.pid)
+            for _name, (rank, pid, *_args) in self._coord_progs:
+                on_pulse(rank, pid)
 
     def _run_scheduled(self, tasks, direction: str) -> None:
-        """Drive one exchange's task generators, counting proxy stalls.
+        """Drive one exchange's task generators, counting proxy stalls and
+        the NVLink stores or gets the tasks made through bind-time views.
 
         A stall round (nothing runnable until the proxy moves) models IB
         proxy *delivery*, not spinning: each one delivers a single pending
@@ -342,6 +350,7 @@ class NvshmemBackend(HaloBackend):
         ) as span:
             rounds = sched.run(tasks, on_stall=on_stall)
             span.set(rounds=rounds, stalls=stalls, polls=sched.polls_used)
+        rt.count_direct(**self._direct_ops[direction])
         METRICS.counter("comm.stall_rounds", backend="nvshmem", dir=direction).inc(stalls)
         METRICS.histogram("comm.sched_rounds", backend="nvshmem", dir=direction).observe(rounds)
 
@@ -354,35 +363,28 @@ class NvshmemBackend(HaloBackend):
         dep: np.ndarray,  # packed after ``waits``
         indep_shift: np.ndarray,  # the shift tile of each part
         dep_shift: np.ndarray,
+        indep_out: np.ndarray,  # where each part lands: rows of the peer's
+        dep_out: np.ndarray,  # coords (NVLink) or of the send staging (IB)
         waits: list[Wait],
         peer: int,  # the pulse's send_rank
         peer_offset: int,  # where our selection lands in the peer's coords
-        remote: np.ndarray | None,  # nvshmem_ptr view of the peer's coords (NVLink)
-        stage: np.ndarray | None,  # ... or the registered send staging (IB)
+        stage: np.ndarray | None,  # the registered send staging (IB), or None
     ):
         """FusedPackCommX for one (rank, pulse): a cooperative generator."""
-        rt = self.runtime
-        n_indep = indep.size
         # Phase 1: pack (and on NVLink, immediately store) independent data.
-        if n_indep:
-            if remote is not None:
-                rt.direct_store(remote, peer_offset, pos, indep, indep_shift)
-            else:
-                np.add(pos.take(indep, axis=0), indep_shift, out=stage[:n_indep])
+        if indep.size:
+            np.add(pos.take(indep, axis=0), indep_shift, out=indep_out)
         # Phase 2: acquire-wait the exact dependency chain.
         yield from waits
         # Phase 3: pack dependent data, then notify.
         if dep.size:
-            if remote is not None:
-                rt.direct_store(remote, peer_offset + n_indep, pos, dep, dep_shift)
-            else:
-                np.add(pos.take(dep, axis=0), dep_shift, out=stage[n_indep:])
+            np.add(pos.take(dep, axis=0), dep_shift, out=dep_out)
         sig = self._signals[_COORD_SIG]
-        if remote is not None:
+        if stage is None:
             # Data went through direct stores: system-scope release signal.
             sig.release_store(peer, pid, self._epoch)
         else:
-            rt.put_signal_nbi(
+            self.runtime.put_signal_nbi(
                 self._coords,
                 peer,
                 peer_offset,
@@ -402,9 +404,9 @@ class NvshmemBackend(HaloBackend):
         self._epoch += 1
         self._acc_floor[:] = [cluster.plan.n_pulses] * cluster.n_ranks
         tasks = []
-        for pp in self._programs:
-            tasks.append((pp.serve_name, self._force_serve_task(*pp.serve)))
-            tasks.append((pp.acc_name, self._force_acc_task(*pp.acc)))
+        for serve_name, serve, acc_name, acc in self._force_progs:
+            tasks.append((serve_name, self._force_serve_task(*serve)))
+            tasks.append((acc_name, self._force_acc_task(*acc)))
         self._run_scheduled(tasks, "f")
         rt.quiet()
 
@@ -446,20 +448,15 @@ class NvshmemBackend(HaloBackend):
         pid: int,
         in_order: Wait | None,  # None for the last pulse, which goes first
         arrived: Wait,
-        peer: int,  # the pulse's send_rank: it holds the zone we sent it
-        peer_offset: int,
-        count: int,
-        staged: np.ndarray | None,  # IB landing rows; None: get from the peer
+        block: np.ndarray,  # returned forces, flat: the peer's zone or IB landing rows
         forces_flat: np.ndarray,  # the rank's forces, flattened (a view)
         flat_index: np.ndarray,  # _flat_index(index_map)
+        done: tuple,  # the key of the ``order`` wait this accumulation ends
     ):
-        """Receive (get or staged) and scatter-accumulate one pulse's forces."""
+        """Scatter-accumulate one pulse's returned forces, once they are back."""
         if in_order is not None:
             yield in_order
         yield arrived
-        block = staged
-        if block is None:
-            block = self.runtime.get(self._forces, peer, peer_offset, count, local_pe=rank)
-        np.add.at(forces_flat, flat_index, block.reshape(-1))
+        np.add.at(forces_flat, flat_index, block)
         self._acc_floor[rank] = pid
-        self._sched.wake(("acc", rank, pid))
+        self._sched.wake(done)

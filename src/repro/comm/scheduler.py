@@ -73,13 +73,16 @@ class Wait(NamedTuple):
     predicate: Callable[[], bool]
 
 
-@dataclass
-class _TaskState:
+@dataclass(slots=True)
+class _Task:
     name: str
     gen: Generator
     predicate: Callable[[], bool] | None = None
     key: Hashable | None = None
     done: bool = False
+
+
+_FINISHED = object()  # what ``next`` returns for a finished task: no StopIteration
 
 
 class CooperativeScheduler:
@@ -103,8 +106,8 @@ class CooperativeScheduler:
         self.rounds_used = 0
         #: Predicate evaluations of the last completed run.
         self.polls_used = 0
-        self._parked: dict[Hashable, list[_TaskState]] = {}
-        self._woken: list[_TaskState] = []
+        self._parked: dict[Hashable, list[_Task]] = {}
+        self._woken: list[_Task] = []
         self._wakeups = 0
 
     def wake(self, key: Hashable) -> None:
@@ -137,10 +140,16 @@ class CooperativeScheduler:
         parked.clear()
         self._woken = []
         self._wakeups = 0
-        states = [_TaskState(name=n, gen=g) for n, g in tasks]
+        states = [_Task(n, g) for n, g in tasks]
         # Prime every task to its first wait point.
         for st in states:
-            self._resume(st)
+            wait = next(st.gen, _FINISHED)
+            if type(wait) is Wait:
+                st.key, st.predicate = wait
+            elif wait is _FINISHED:
+                st.done = True
+            else:
+                st.predicate = wait
         candidates = [st for st in states if not st.done]
         n_live = len(candidates)
         rounds = polls = repolls = 0
@@ -154,13 +163,14 @@ class CooperativeScheduler:
                 self._woken = []
             progressed = False
             held = False
-            still: list[_TaskState] = []
+            still: list[_Task] = []
             n = len(candidates)
             for k in self.rng.permutation(n).tolist() if n > 1 else range(n):
                 st = candidates[k]
-                if st.predicate is not None:
+                predicate = st.predicate
+                if predicate is not None:
                     polls += 1
-                    if not st.predicate():
+                    if not predicate():
                         if st.key is None:
                             still.append(st)
                         else:
@@ -170,11 +180,19 @@ class CooperativeScheduler:
                     held = True
                     still.append(st)
                     continue
-                self._resume(st)
+                # The resume, inline (as the priming above): this loop runs
+                # once per task per wait.
                 progressed = True
-                if st.done:
+                wait = next(st.gen, _FINISHED)
+                if type(wait) is Wait:
+                    st.key, st.predicate = wait
+                    still.append(st)
+                elif wait is _FINISHED:
+                    st.done = True
+                    st.predicate = st.key = None
                     n_live -= 1
                 else:
+                    st.predicate, st.key = wait, None
                     still.append(st)
             candidates = still
             if progressed:
@@ -206,20 +224,7 @@ class CooperativeScheduler:
         METRICS.counter("comm.sched.repolls").inc(repolls)
         return rounds
 
-    @staticmethod
-    def _resume(st: _TaskState) -> None:
-        try:
-            wait = next(st.gen)
-        except StopIteration:
-            st.done = True
-            st.predicate = st.key = None
-            return
-        if type(wait) is Wait:
-            st.key, st.predicate = wait
-        else:
-            st.predicate, st.key = wait, None
-
-    def _diagnose(self, states: list[_TaskState], reason: str) -> str:
+    def _diagnose(self, states: list[_Task], reason: str) -> str:
         blocked = [st for st in states if not st.done]
         msg = f"scheduler deadlock ({reason}); blocked tasks: {[st.name for st in blocked]}"
         describe = self.describe

@@ -15,7 +15,7 @@ matching the paper's ``firstDependentPulse`` chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +36,6 @@ class PulseData:
     coord_shift: np.ndarray  # (3,) float shift applied when packing (PBC image)
     atom_offset: int  # local index where received entries are stored
     recv_size: int
-    # Filled by the NVSHMEM backend when the peer is NVLink-reachable
-    # (None models the InfiniBand staged path) — the paper's remoteCoordDst /
-    # remoteForceSrc nvshmem_ptr() results.
-    remote_coord_dst: object | None = field(default=None, repr=False)
-    remote_force_src: object | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.index_map = np.asarray(self.index_map, dtype=np.int64)

@@ -4,16 +4,17 @@ Every PE owns a set of *symmetric* buffers (same name/shape on all PEs,
 allocated collectively — the constraint that clashes with GROMACS' PP/PME
 rank specialization, Sec. 5.3).  Remote access follows NVSHMEM semantics:
 
-* :meth:`NvshmemRuntime.ptr` — ``nvshmem_ptr``: a direct load/store view of a
-  peer's buffer when the peer is NVLink-reachable (same node in the
-  topology), ``None`` otherwise;
+* :meth:`NvshmemRuntime.peer_rows` — ``nvshmem_ptr`` plus an offset: a
+  direct load/store view of a peer's rows when the peer is NVLink-reachable
+  (same node in the topology), ``None`` otherwise — the rows a direct
+  store writes or a get reads, resolved once;
 * :meth:`NvshmemRuntime.put_signal_nbi` — ``nvshmem_float_put_signal_nbi``:
   non-blocking put whose signal update is delivered only after the data;
 * signal objects with release/acquire stores and waits
   (``system_release_store`` / ``acquire_wait`` in the paper's Algorithm 5);
-* ``quiet``/``fence`` and a proxy queue that holds inter-node operations
-  until progress, emulating NIC asynchrony so tests can interleave
-  deliveries arbitrarily.
+* ``quiet`` and a proxy queue that holds inter-node operations until
+  progress, emulating NIC asynchrony so tests can interleave deliveries
+  arbitrarily.
 """
 
 from repro.nvshmem.heap import SymmetricBuffer, SymmetricHeap

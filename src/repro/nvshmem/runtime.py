@@ -5,11 +5,12 @@ Operations mirror the subset of NVSHMEM the paper's kernels use:
 =====================  =====================================================
 paper / NVSHMEM        here
 =====================  =====================================================
-``nvshmem_ptr``        :meth:`NvshmemRuntime.ptr` (view or ``None``)
-``put`` / ``get``      :meth:`put` / :meth:`get`
+``nvshmem_ptr``        :meth:`NvshmemRuntime.peer_rows` (views or ``None``)
+TMA store / ``get``    through a :meth:`peer_rows` view, resolved at bind
+``put``                :meth:`put`
 ``put_signal_nbi``     :meth:`put_signal_nbi` (signal delivered after data)
 ``signal wait``        :class:`~repro.nvshmem.signals.SignalArray`
-``fence`` / ``quiet``  :meth:`fence` / :meth:`quiet`
+``quiet``              :meth:`quiet`
 ``barrier_all``        :meth:`barrier_all`
 =====================  =====================================================
 
@@ -62,11 +63,9 @@ class NodeTopology:
 class PendingOp:
     """A queued one-sided operation awaiting proxy progress."""
 
-    kind: str  # "put" | "put_signal"
     target_pe: int
     apply_data: Callable[[], None]
     apply_signal: Callable[[], None] | None = None
-    nbytes: int = 0
 
     def deliver(self) -> None:
         self.apply_data()
@@ -84,7 +83,6 @@ class OpStats:
     direct_stores: int = 0
     bytes_put: int = 0
     bytes_got: int = 0
-    signals_set: int = 0
 
 
 class NvshmemRuntime:
@@ -145,15 +143,59 @@ class NvshmemRuntime:
 
     # -- addressing ---------------------------------------------------------------
 
-    def ptr(self, buf: SymmetricBuffer, remote_pe: int, local_pe: int) -> np.ndarray | None:
-        """``nvshmem_ptr``: direct view of a peer's buffer, or None.
+    def peer_rows(
+        self,
+        buf: SymmetricBuffer,
+        remote_pes: Sequence[int],
+        local_pes: Sequence[int],
+        offsets: Sequence[int],
+        counts: Sequence[int],
+    ) -> list[np.ndarray | None]:
+        """``nvshmem_ptr`` plus an offset, for many views at once: view ``i``
+        is rows [offsets[i], +counts[i]) of ``remote_pes[i]``'s ``buf`` seen
+        from ``local_pes[i]``, or None if that peer is on another node
+        (callers branch on it like the paper's ``isNVLinkAccess``).
 
-        Non-None only when the peer is NVLink-reachable (same node); callers
-        branch on this exactly like the paper's ``isNVLinkAccess`` predicate.
+        Resolved at bind, not per operation: a direct store packs into a
+        view and a get reads from it (TMA through the mapped pointer,
+        NVLink only in the paper).  A peer must be another PE, so a get
+        never aliases the reader's own array; bounds are checked against
+        the peer's own extent.  The caller counts the ops (:meth:`count_direct`).
         """
-        if self.topology.same_node(local_pe, remote_pe):
-            return buf.on(remote_pe)
-        return None
+        remote = np.asarray(remote_pes, dtype=np.int64)
+        local = np.asarray(local_pes, dtype=np.int64)
+        start = np.asarray(offsets, dtype=np.int64)
+        stop = start + np.asarray(counts, dtype=np.int64)
+        if not remote.size:
+            return []
+        for pe in (remote.min(), remote.max(), local.min(), local.max()):
+            self.topology.node_of(int(pe))  # raises for a PE out of range
+        own = np.flatnonzero(remote == local)
+        if own.size:
+            raise ValueError(
+                f"view of '{buf.name}' on PE {remote[own[0]]} from itself: a "
+                f"peer view must name another PE"
+            )
+        near = remote // self.topology.pes_per_node == local // self.topology.pes_per_node
+        buf.on(0)  # one completeness check for every view
+        arrays = buf.arrays
+        extent = np.array([a.shape[0] for a in arrays])[remote]
+        outside = near & ((start < 0) | (stop > extent))
+        if outside.any():  # the first one raises, with the per-op message
+            i = int(outside.argmax())
+            self._rows("view", buf, int(remote[i]), int(start[i]), int(counts[i]))
+        bounds = zip(remote.tolist(), start.tolist(), stop.tolist(), near.tolist())
+        return [arrays[pe][lo:hi] if ok else None for pe, lo, hi, ok in bounds]
+
+    def count_direct(self, stores: int = 0, gets: int = 0, bytes_got: int = 0) -> None:
+        """Count direct stores and gets made through :meth:`peer_rows` views
+        (one call per exchange, with totals fixed when the views were)."""
+        self.stats.direct_stores += stores
+        self.stats.gets += gets
+        self.stats.bytes_got += bytes_got
+        self._m_direct_stores.inc(stores)
+        self._m_gets.inc(gets)
+        self._m_bytes_got.inc(bytes_got)
 
     # -- one-sided data movement ---------------------------------------------------
 
@@ -185,39 +227,10 @@ class NvshmemRuntime:
         self._m_puts.inc()
         self._m_bytes_put.inc(data.nbytes)
         op = PendingOp(
-            kind="put",
             target_pe=target_pe,
             apply_data=lambda: dest.__setitem__(slice(offset, offset + data.shape[0]), data),
-            nbytes=data.nbytes,
         )
         self._submit(op, source_pe, target_pe)
-
-    def get(
-        self,
-        buf: SymmetricBuffer,
-        source_pe_remote: int,
-        offset: int,
-        count: int,
-        local_pe: int,
-    ) -> np.ndarray:
-        """Blocking get of rows [offset, offset+count) from a peer.
-
-        The paper uses device-initiated *gets* (TMA bulk loads through the
-        mapped pointer) only on the NVLink path, so gets require
-        reachability; attempting one across nodes raises.
-        """
-        if not self.topology.same_node(local_pe, source_pe_remote):
-            raise RuntimeError(
-                f"get from PE {source_pe_remote} by PE {local_pe}: the "
-                f"NVLink get path requires same-node peers (use put over IB)"
-            )
-        src = self._rows("get", buf, source_pe_remote, offset, count)
-        self.stats.gets += 1
-        out = np.array(src[offset : offset + count], copy=True)
-        self.stats.bytes_got += out.nbytes
-        self._m_gets.inc()
-        self._m_bytes_got.inc(out.nbytes)
-        return out
 
     def put_signal_nbi(
         self,
@@ -239,39 +252,15 @@ class NvshmemRuntime:
         dest = self._rows("put_signal", buf, target_pe, offset, data.shape[0])
         self.stats.put_signals += 1
         self.stats.bytes_put += data.nbytes
-        self.stats.signals_set += 1
         self._m_put_signals.inc()
         self._m_bytes_put.inc(data.nbytes)
         op = PendingOp(
-            kind="put_signal",
             target_pe=target_pe,
             apply_data=lambda: dest.__setitem__(slice(offset, offset + data.shape[0]), data),
             # put-with-signal has release semantics for its own data.
             apply_signal=lambda: signal.release_store(target_pe, signal_idx, signal_value),
-            nbytes=data.nbytes,
         )
         self._submit(op, source_pe, target_pe)
-
-    def direct_store(
-        self,
-        view: np.ndarray,
-        offset: int,
-        src: np.ndarray,
-        rows: np.ndarray,
-        shift: np.ndarray,
-    ) -> None:
-        """Pack ``src[rows] + shift`` into ``view`` rows [offset, offset+len(rows)).
-
-        The NVLink TMA store with the pack fused in: the rows land in the
-        ``nvshmem_ptr`` view with no intermediate block.  ``shift`` is
-        broadcast against the packed rows; a full ``(len(rows), ...)``
-        tile makes the add one contiguous pass.
-        """
-        if view is None:
-            raise ValueError("direct_store requires an NVLink-reachable pointer")
-        np.add(src.take(rows, axis=0), shift, out=view[offset : offset + rows.size])
-        self.stats.direct_stores += 1
-        self._m_direct_stores.inc()
 
     # -- ordering / progress ----------------------------------------------------------
 
@@ -323,11 +312,6 @@ class NvshmemRuntime:
         """
         while self._pending:
             self.progress()
-
-    def fence(self) -> None:
-        """``nvshmem_fence``: order operations; a no-op here, since the only
-        ordering callers rely on — a put's data before its own signal — is
-        held per operation under any delivery order."""
 
     def barrier_all(self) -> None:
         """Complete all pending traffic (the synchronizing half of a barrier;

@@ -59,20 +59,17 @@ class SignalArray:
         # trip costs more than the comparison it feeds.
         self.values = [[0] * self.n_signals for _ in range(self.n_pes)]
         self._released = [[False] * self.n_signals for _ in range(self.n_pes)]
-        # Registry instruments resolved once (the acquire poll is hot).
+        # Every slot's wait key (flat, PE-major), so a store allocates none.
+        name, slots = self.name, range(self.n_signals)
+        self._keys = [(name, pe, idx) for pe in range(self.n_pes) for idx in slots]
+        # Registry instruments resolved once, bumped via ``value`` (hot).
         self._m_stores = METRICS.counter("nvshmem.signal.stores")
         self._m_polls = METRICS.counter("nvshmem.signal.polls")
         self._m_waits = METRICS.counter("nvshmem.signal.waits_satisfied")
 
-    def reset(self) -> None:
-        """Zero all slots (start of a fresh exchange epoch)."""
-        for values, released in zip(self.values, self._released):
-            values[:] = [0] * self.n_signals
-            released[:] = [False] * self.n_signals
-
     def key(self, pe: int, idx: int) -> tuple:
         """The wait key of one slot: what a store to it wakes."""
-        return (self.name, pe, idx)
+        return self._keys[pe * self.n_signals + idx]
 
     def describe(self, pe: int, idx: int, value: int) -> str:
         """Slot state against an awaited ``value`` (deadlock reports)."""
@@ -97,9 +94,9 @@ class SignalArray:
             chaos.on_store(self, pe, idx, value, released=released)
         self.values[pe][idx] = value
         self._released[pe][idx] = released
-        self._m_stores.inc()
+        self._m_stores.value += 1
         if self.wake is not None:
-            self.wake(self.key(pe, idx))
+            self.wake(self._keys[pe * self.n_signals + idx])
 
     # -- waits ----------------------------------------------------------------
 
@@ -120,13 +117,16 @@ class SignalArray:
 
         ``needs_data=False`` models waits that only order control flow (the
         paper's relaxed-store case: first pulse of the force send, where no
-        prior writes need flushing).
+        prior writes need flushing).  Reads the slot itself, in
+        :meth:`is_set`'s order: a hide fault is consulted only on a hit.
         """
-        self._m_polls.inc()
-        if not self.is_set(pe, idx, value):
+        self._m_polls.value += 1
+        if self.values[pe][idx] != value:
             return False
-        self._m_waits.inc()
         chaos = SignalArray._default_chaos
+        if chaos is not None and chaos.hide_signal(self, pe, idx):
+            return False
+        self._m_waits.value += 1
         if chaos is not None:
             chaos.on_wait(self, pe, idx, value)
         if self.strict and needs_data and not self._released[pe][idx]:

@@ -107,7 +107,7 @@ class _NullInstrument:
     """Shared sink for disabled registries: accepts everything, keeps nothing."""
 
     __slots__ = ()
-    value = 0
+    value = property(lambda self: 0, lambda self, v: None)  # direct bumps drop too
     max = 0.0
     count = 0
     sum = 0.0

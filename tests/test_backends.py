@@ -187,8 +187,11 @@ class TestRaggedSymmetricExtents:
             rt.put_signal_nbi(
                 backend._coords, small, n - 1, rows, sig, 0, 99, source_pe=far
             )
+        # The NVLink views are checked when bind resolves them.
+        (view,) = rt.peer_rows(backend._forces, [small], [peer], [n - 2], [2])
+        assert view.shape == (2, 3)
         with pytest.raises(IndexError, match=f"on PE {small}"):
-            rt.get(backend._forces, small, n - 1, 2, local_pe=peer)
+            rt.peer_rows(backend._forces, [small], [peer], [n - 1], [2])
         assert rt.n_pending == 0  # nothing was queued by the refused ops
 
     def test_registration_is_collective_and_typed(self, bound):

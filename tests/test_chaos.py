@@ -113,6 +113,17 @@ class TestInjectors:
             assert not sig.is_set(0, 0, 1)  # hidden (2nd poll)
             assert sig.is_set(0, 0, 1)  # hide exhausted
         assert sig.is_set(0, 0, 1)
+        # The acquire poll reads the slot itself in the same order: a hidden
+        # hit is a failed poll, not a satisfied wait.
+        waits = METRICS.counter("nvshmem.signal.waits_satisfied")
+        with ChaosInjector(plan):
+            sig.release_store(0, 1, 1)
+            before = waits.value
+            assert not sig.acquire_check(0, 1, 1)
+            assert not sig.acquire_check(0, 1, 1)
+            assert waits.value == before
+            assert sig.acquire_check(0, 1, 1)
+            assert waits.value == before + 1
 
     def test_drop_op_requeues_then_delivers(self):
         rt = NvshmemRuntime(NodeTopology(n_pes=2, pes_per_node=1))

@@ -98,6 +98,12 @@ PINNED = {
     "chaos --backend nvshmem --runs 1 --mutate relaxed-coord-release "
     "--expect-failure --out /dev/null":
         [{**_CHAOS, "backend": "nvshmem"}],
+    "chaos --backend nvshmem --runs 1 --mutate skip-force-fence "
+    "--expect-failure --out /dev/null":
+        [{**_CHAOS, "backend": "nvshmem"}],
+    "chaos --backend nvshmem --runs 1 --pes-per-node 1 --mutate skip-force-fence "
+    "--expect-failure --out /dev/null":
+        [{**_CHAOS, "backend": "nvshmem", "pes_per_node": 1}],
     "verify --atoms 1400 --ranks 4 --steps 6": [{**_VERIFY, "steps": 6}],
     "verify --atoms 1400 --ranks 4 --steps 6 --executor process":
         [{**_VERIFY, "steps": 6, "executor": "process"}],

@@ -2,13 +2,18 @@
 
 Runs on the ``halo-ib-64r`` benchmark shape (12k atoms, 4x4x4 ranks, one
 pulse per dimension) so the counts asserted here are the ones the
-benchmark's ``nvshmem.polls_per_wait`` reports.
+benchmark's ``nvshmem.polls_per_wait`` reports.  The deep shape (6k atoms,
+1x1x8, two pulses) is the one where later pulses accumulate into the
+zones of earlier ones.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.comm import NvshmemBackend
+from repro.comm.scheduler import CooperativeScheduler
 from repro.dd.decomposition import DomainDecomposition
 from repro.dd.exchange import (
     build_cluster,
@@ -29,6 +34,15 @@ def decomposed(ff):
     system = make_system("12k", seed=7, ff=ff, dtype=np.float64)
     dd = DomainDecomposition(
         grid=DDGrid((4, 4, 4)), box=system.box, r_comm=ff.cutoff + BUFFER, max_pulses=1
+    )
+    return system, dd
+
+
+@pytest.fixture(scope="module")
+def deep(ff):
+    system = make_system("6k", seed=7, ff=ff, dtype=np.float64)
+    dd = DomainDecomposition(
+        grid=DDGrid((1, 1, 8)), box=system.box, r_comm=ff.cutoff + BUFFER, max_pulses=2
     )
     return system, dd
 
@@ -105,9 +119,18 @@ def test_poll_budget_on_the_ib_shape(decomposed):
     assert grown["comm.sched.wakeups"] > 0
 
 
-@pytest.mark.parametrize("pes_per_node", [1, 8, 64], ids=["all-ib", "8-per-node", "all-nvlink"])
-def test_any_interleaving_matches_the_reference(decomposed, pes_per_node):
-    system, dd = decomposed
+TOPOLOGIES = {"all-ib": 1, "8-per-node": 8, "all-nvlink": 64}
+
+
+@pytest.mark.parametrize(
+    "shape, pes_per_node",
+    [(s, ppn) for s in ("decomposed", "deep") for ppn in TOPOLOGIES.values()],
+    ids=[p + t for p in ("", "deep-") for t in TOPOLOGIES],
+)
+def test_any_interleaving_matches_the_reference(request, shape, pes_per_node):
+    """On the deep shape later pulses accumulate into earlier pulses' zones
+    before those are served: a force read that saw a zone early shows."""
+    system, dd = request.getfixturevalue(shape)
     twin = _reference(system, dd, seed=11)
     cluster = build_cluster(system, dd)
     forces = []
@@ -159,6 +182,24 @@ def test_bind_refuses_a_send_longer_than_the_peers_zone(decomposed):
     with pytest.raises(ValueError, match=rf"pulse 1: rank 5 sends {p.send_size} rows"):
         backend.bind(cluster)
     # The refused plan left the backend unbound, not bound to the old one.
+    with pytest.raises(RuntimeError, match="bind"):
+        backend.exchange_coordinates(cluster)
+
+
+def test_bind_refuses_a_self_peer_view(decomposed):
+    """Over NVLink the returned forces are accumulated straight from the
+    peer's zone: a pulse whose peer is the rank itself would read the array
+    it adds into, so bind refuses it before any view is taken."""
+    system, dd = decomposed
+    cluster = build_cluster(system, dd)
+    p = cluster.plan.ranks[5].pulses[1]
+    p.send_rank = 5
+    # Sizes consistent with the rank's own zone: only the peer is wrong.
+    p.index_map = np.resize(p.index_map, p.recv_size)
+    p.dep_offset = min(p.dep_offset, p.recv_size)
+    backend = NvshmemBackend(pes_per_node=8, seed=0)
+    with pytest.raises(ValueError, match="on PE 5 from itself"):
+        backend.bind(cluster)
     with pytest.raises(RuntimeError, match="bind"):
         backend.exchange_coordinates(cluster)
 
@@ -269,3 +310,82 @@ def test_halo_spans_carry_rounds_stalls_polls(decomposed):
         assert args["pulses"] == cluster.plan.n_pulses
         assert args["stalls"] > 0 and args["rounds"] > args["stalls"]
         assert 0 < args["polls"]
+
+
+def _schedule_digest(monkeypatch, system, dd, pes_per_node, seed, steps=3):
+    """sha256 of every task resume, in order, and of each exchange's
+    ``(rounds, polls, wakeups, stalls)``: the seeded interleaving itself."""
+    log: list = []
+    run = CooperativeScheduler.run
+    wakeups = METRICS.counter("comm.sched.wakeups")
+
+    def logged(name, gen):
+        log.append(name)
+        for wait in gen:
+            yield wait
+            log.append(name)
+
+    def spy(sched, tasks, on_stall=None):
+        stalls = 0
+
+        def counted():
+            nonlocal stalls
+            stalls += 1
+            return on_stall()
+
+        before = wakeups.value
+        rounds = run(sched, [(n, logged(n, g)) for n, g in tasks], counted)
+        log.append((rounds, sched.polls_used, wakeups.value - before, stalls))
+        return rounds
+
+    monkeypatch.setattr(CooperativeScheduler, "run", spy)
+    cluster = build_cluster(system, dd)
+    backend = NvshmemBackend(pes_per_node=pes_per_node, seed=seed)
+    backend.bind(cluster)
+    for _ in range(steps):
+        _fill(cluster, seed=5)
+        _exchange(backend, cluster)
+    return hashlib.sha256(repr(log).encode()).hexdigest()
+
+
+#: Recorded before the control path was rewritten for speed; a change that
+#: moves one resume, draw or poll fails here, and shrunk chaos artifacts
+#: recorded before it would no longer replay.  The deep shape has 8 ranks,
+#: so 8 and 64 per node are both one node: the same schedule.
+SCHEDULE_PINS = {
+    ("decomposed", "all-ib", 0):
+        "c7d7a8bd0914b0b524bde3845335061871142e63d206d524a136e2f22565d089",
+    ("decomposed", "all-ib", 1):
+        "9a8c491e8bc0359f958eff0d4c0760ef83d09f0b3949590f746f35ecf4435144",
+    ("decomposed", "8-per-node", 0):
+        "8b5b523efe6175437e898b21bc929739bdbadf015d2666107723ab61ef53849b",
+    ("decomposed", "8-per-node", 1):
+        "b54049da0e7b61f0da5d5b1b0cc4ec2ce99bb5471944d3eb1ac5f6817fae2233",
+    ("decomposed", "all-nvlink", 0):
+        "16583db04ac49796182d0afbe683922444c3b96d7d092564582a3df669a734ab",
+    ("decomposed", "all-nvlink", 1):
+        "1a69de5b3c310ff9b674aaa792a9ea0848b757fa60230c0262f1e20a4682ef0a",
+    ("deep", "all-ib", 0):
+        "52e34a7348c6acbcaed909705ef2f4482a9dbd5d263ff3dcd7d12f91f6e14224",
+    ("deep", "all-ib", 1):
+        "9cba4c76dd7859ce0ba3997db3829c0ce06fa61b77a54bdf44a28ebc9a0e8d5c",
+    ("deep", "8-per-node", 0):
+        "e2ad35796950647b3e20492337df5440f7ed92aaf6d532eb0ecca5093c495932",
+    ("deep", "8-per-node", 1):
+        "53082d0cd5009c285d36588416e8e3a2c7464b7e1ad03375336a2ba6864db81a",
+    ("deep", "all-nvlink", 0):
+        "e2ad35796950647b3e20492337df5440f7ed92aaf6d532eb0ecca5093c495932",
+    ("deep", "all-nvlink", 1):
+        "53082d0cd5009c285d36588416e8e3a2c7464b7e1ad03375336a2ba6864db81a",
+}
+
+
+@pytest.mark.parametrize(
+    "shape, topology, seed",
+    list(SCHEDULE_PINS),
+    ids=[f"{'deep-' if s == 'deep' else ''}{t}-seed{n}" for s, t, n in SCHEDULE_PINS],
+)
+def test_schedule_pins(request, monkeypatch, shape, topology, seed):
+    system, dd = request.getfixturevalue(shape)
+    got = _schedule_digest(monkeypatch, system, dd, TOPOLOGIES[topology], seed)
+    assert got == SCHEDULE_PINS[shape, topology, seed]

@@ -1,4 +1,4 @@
-"""NVSHMEM runtime: topology, ptr, puts/gets, proxy delivery ordering."""
+"""NVSHMEM runtime: topology, peer views, puts/gets, proxy delivery ordering."""
 
 import numpy as np
 import pytest
@@ -31,13 +31,13 @@ class TestTopology:
 class TestPtr:
     def test_same_node_gives_view(self, rt):
         buf = rt.symmetric_alloc("b", (4,))
-        view = rt.ptr(buf, remote_pe=1, local_pe=0)
-        assert view is buf.on(1)
+        (view,) = rt.peer_rows(buf, remote_pes=[1], local_pes=[0], offsets=[0], counts=[4])
+        assert view.base is buf.on(1)
 
     def test_cross_node_gives_none(self, rt):
         """The isNVLinkAccess predicate: remote pointers only intra-node."""
         buf = rt.symmetric_alloc("b", (4,))
-        assert rt.ptr(buf, remote_pe=2, local_pe=0) is None
+        assert rt.peer_rows(buf, [2, 3], [0, 1], [0, 0], [4, 4]) == [None, None]
 
 
 class TestDataMovement:
@@ -68,36 +68,52 @@ class TestDataMovement:
         np.testing.assert_array_equal(buf.on(2)[:2], [1.0, 1.0])
 
     def test_get_same_node(self, rt):
+        """A get reads the peer's rows through the view bind resolved: the
+        peer's memory itself, so what it holds when read is what arrives."""
         buf = rt.symmetric_alloc("b", (4,))
+        (view,) = rt.peer_rows(buf, [1], [0], [1], [2])
         buf.on(1)[:] = [1, 2, 3, 4]
-        out = rt.get(buf, source_pe_remote=1, offset=1, count=2, local_pe=0)
-        np.testing.assert_array_equal(out, [2, 3])
+        np.testing.assert_array_equal(view, [2, 3])
 
     def test_get_cross_node_forbidden(self, rt):
+        """The NVLink store/get path has no view of a peer on another node
+        (``nvshmem_ptr`` gives none): such peers are reached by put.  Nor
+        is the far view bounds-checked: there is nothing to read."""
         buf = rt.symmetric_alloc("b", (4,))
-        with pytest.raises(RuntimeError, match="NVLink get path"):
-            rt.get(buf, source_pe_remote=2, offset=0, count=1, local_pe=0)
+        far, near = rt.peer_rows(buf, [2, 1], [0, 0], [9, 0], [1, 1])
+        assert far is None and near is not None
 
-    def test_get_returns_copy(self, rt):
+    def test_peer_view_is_not_a_copy(self, rt):
         buf = rt.symmetric_alloc("b", (4,))
-        out = rt.get(buf, 1, 0, 2, local_pe=0)
-        out[:] = 9
-        assert np.all(buf.on(1)[:2] == 0)
+        (view,) = rt.peer_rows(buf, [1], [0], [0], [2])
+        view[:] = 9
+        np.testing.assert_array_equal(buf.on(1), [9, 9, 0, 0])
+
+    def test_peer_view_refuses_the_pe_itself_and_unknown_pes(self, rt):
+        """A view names another PE: a get through it can never alias the
+        reader's own array."""
+        buf = rt.symmetric_alloc("b", (4,))
+        with pytest.raises(ValueError, match="PE 1 from itself"):
+            rt.peer_rows(buf, [0, 1], [1, 1], [0, 0], [2, 2])
+        with pytest.raises(ValueError, match="pe 4 out of range"):
+            rt.peer_rows(buf, [4], [0], [0], [1])
+        assert rt.peer_rows(buf, [], [], [], []) == []
 
     def test_direct_store(self, rt):
-        """The pack lands in the peer's rows: ``src[rows] + shift``, counted
-        as one direct store; a shorter destination is refused."""
+        """The pack lands in the peer's rows through the view: ``src[rows]
+        + shift``; a view past the peer's extent is refused, one on another
+        node is not checked; the store is counted when the caller says."""
         buf = rt.symmetric_alloc("b", (4, 3))
-        view = rt.ptr(buf, 1, 0)
+        view, _ = rt.peer_rows(buf, [1, 2], [0, 0], [2, 3], [2, 2])
         src = np.arange(12, dtype=np.float32).reshape(4, 3)
         rows = np.array([3, 0])
-        rt.direct_store(view, 2, src, rows, np.float32(0.5))
+        np.add(src.take(rows, axis=0), np.float32(0.5), out=view)
         np.testing.assert_array_equal(buf.on(1)[2:], src[rows] + 0.5)
-        assert rt.stats.direct_stores == 1
-        with pytest.raises(ValueError):
-            rt.direct_store(view, 3, src, rows, np.float32(0.5))
-        with pytest.raises(ValueError):
-            rt.direct_store(None, 0, src, rows, np.float32(0.5))
+        for offset in (3, -1):
+            with pytest.raises(IndexError, match="on PE 1"):
+                rt.peer_rows(buf, [1], [0], [offset], [2])
+        rt.count_direct(stores=1, gets=2, bytes_got=48)
+        assert (rt.stats.direct_stores, rt.stats.gets, rt.stats.bytes_got) == (1, 2, 48)
 
 
 class TestPutSignal:

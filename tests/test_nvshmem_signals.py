@@ -45,14 +45,6 @@ class TestStoresAndWaits:
         sig.release_store(0, 0, 2)
         assert sig.acquire_check(0, 0, 2, needs_data=True)
 
-    def test_reset(self, sig):
-        sig.release_store(0, 0, 5)
-        sig.reset()
-        assert not sig.is_set(0, 0, 5)
-        sig.relaxed_store(0, 0, 5)
-        with pytest.raises(SignalError):
-            sig.acquire_check(0, 0, 5)
-
     def test_epoch_monotonicity(self, sig):
         """Old-epoch values never satisfy a new epoch's wait."""
         sig.release_store(0, 2, 1)
