@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+from repro.nvshmem.runtime import NvshmemRuntime
 from repro.nvshmem.signals import SignalArray
 
 
@@ -71,11 +72,40 @@ def _relax_release(signal_name: str):
     return patch
 
 
+def _scribble_source():
+    """Patch ``NvshmemRuntime.post`` to write the source again once queued.
+
+    A sender that reuses its ``put_signal_nbi`` source before ``quiet``
+    breaks NVSHMEM's nbi contract: what lands is whatever the source holds
+    when the proxy delivers.  Every element moves by 1e-3 (nm or
+    kJ/mol/nm), small enough to keep the run going, large enough for the
+    bit-identity oracle.  A runtime that copied the source at post would
+    hide it.
+    """
+
+    @contextmanager
+    def patch():
+        orig = NvshmemRuntime.post
+
+        def mutated(self, op, value):
+            orig(self, op, value)
+            op.src += 1e-3
+
+        NvshmemRuntime.post = mutated
+        try:
+            yield
+        finally:
+            NvshmemRuntime.post = orig
+
+    return patch
+
+
 #: Registry of named mutations; each value is a context-manager factory.
 MUTATIONS = {
     "skip-coord-fence": _skip_fence("coordSig"),
     "skip-force-fence": _skip_fence("forceSig"),
     "relaxed-coord-release": _relax_release("coordSig"),
+    "scribble-ib-source": _scribble_source(),
 }
 
 

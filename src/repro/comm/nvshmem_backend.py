@@ -28,7 +28,8 @@ into its program (task names, generator arguments), the way the paper builds
 one contiguous add of a bind-time shift tile, straight into rows resolved at
 bind (the peer's over NVLink, or the IB send staging); an accumulation is one
 ``np.add.at`` over bind-time flat indices, from the peer's zone in place over
-NVLink.  NVLink stores and gets are counted once per exchange.
+NVLink.  An InfiniBand put-with-signal is an op bound at bind too: issuing it
+stores the epoch and queues it.  Every operation is counted once per exchange.
 
 The paper's ablations (serialized pulses, no depOffset split) are timing
 questions: ``simulate_step(fused=, dep_partitioning=)`` and the
@@ -42,7 +43,7 @@ import numpy as np
 from repro.comm.base import HaloBackend, register_backend
 from repro.comm.scheduler import CooperativeScheduler, Wait
 from repro.dd.exchange import ClusterState
-from repro.nvshmem.runtime import NodeTopology, NvshmemRuntime
+from repro.nvshmem.runtime import NodeTopology, NvshmemRuntime, PendingOp
 from repro.nvshmem.signals import SignalArray
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
@@ -92,8 +93,8 @@ class NvshmemBackend(HaloBackend):
         self._signals: dict[str, SignalArray] = {}
         self._waits: dict[tuple[int, int], tuple[list, list, list, list]] = {}
         self._epoch = 0
-        # One exchange's NVLink stores ("x") or gets ("f"), fixed at bind.
-        self._direct_ops: dict[str, dict[str, int]] = {"x": {}, "f": {}}
+        # One exchange's operation totals ("x", "f"), fixed at bind.
+        self._op_totals: dict[str, dict[str, int]] = {"x": {}, "f": {}}
 
     # -- binding ------------------------------------------------------------------
 
@@ -120,14 +121,16 @@ class NvshmemBackend(HaloBackend):
         self._forces = rt.heap.register_symmetric("forces", cluster.local_forces)
 
         # Per-pulse symmetric force staging (InfiniBand put destinations):
-        # a single node never puts, so it allocates none.
+        # one zeroed block per pulse, a slab per PE, since one allocation
+        # per PE was a large share of a rebuild.  A single node never puts,
+        # so it allocates none.
         self._force_stage = []
         if topo.n_nodes > 1:
             sizes = np.array([[p.index_map.size for p in rp.pulses] for rp in plan.ranks])
             for pid, size in enumerate(sizes.max(axis=0, initial=1).tolist()):
-                self._force_stage.append(
-                    rt.symmetric_alloc(f"forceStage{pid}", (size, 3), dtype)
-                )
+                self._force_stage.append(rt.heap.register_symmetric(
+                    f"forceStage{pid}", list(np.zeros((n_pes, size, 3), dtype))
+                ))
 
         # Every store to a signal slot wakes the task parked on it.
         self._signals = {
@@ -183,11 +186,48 @@ class NvshmemBackend(HaloBackend):
             [hp.atom_offset for hp in lands], [hp.recv_size for hp in lands],
         )
         dests, blocks = rt.peer_rows(self._coords, *where), rt.peer_rows(self._forces, *where)
+        # One store per non-empty part of a pack, one get per pulse.
         nvlink = [p for p, block in zip(sends, blocks) if block is not None]
         parts = sum((0 < p.dep_offset) + (p.dep_offset < p.send_size) for p in nvlink)
         got = sum(block.nbytes for block in blocks if block is not None)
-        # One store per non-empty part of a pack, one get per pulse.
-        self._direct_ops = {"x": {"stores": parts}, "f": {"gets": len(nvlink), "bytes_got": got}}
+        # Over InfiniBand each send and each serve is one put-with-signal,
+        # bound for the whole plan here (by send index).  Its source is not
+        # copied at post: NVSHMEM lets an nbi source be written again only
+        # after ``quiet``, which ends every exchange, and neither source is
+        # written before that.
+        # - A send's source is the (rank, pulse)'s private send staging: only
+        #   the task's own two packs write it, both before the post.  The
+        #   staging is a plain local buffer registered with the runtime
+        #   (sources need not be symmetric — nvshmemx_buffer_register).
+        # - A serve's source is zone ``pid`` of the serving rank, read at
+        #   delivery for the reason the NVLink force view is read in place:
+        #   the serve posts after ``order[pid+1]``, and the accumulations
+        #   still to come write only zones below ``pid``.  It lands in the
+        #   owner's symmetric per-pulse force staging.
+        far = [i for i, dest in enumerate(dests) if dest is None]
+        staging = [
+            rt.heap.register_buffer(sends[i].rank, np.empty((maps[i].size, 3), dtype))
+            for i in far
+        ]
+        send_ops = dict(zip(far, rt.bind_put_signals(
+            self._coords, [sends[i].send_rank for i in far], [sends[i].rank for i in far],
+            [lands[i].atom_offset for i in far], staging,
+            self._signals[_COORD_SIG], [sends[i].pulse_id for i in far],
+        )))
+        serve_ops = {}
+        ppn = topo.pes_per_node
+        for pid, stage in enumerate(self._force_stage):
+            served = [
+                (i, p) for i, p in enumerate(sends)
+                if p.pulse_id == pid and p.rank // ppn != p.recv_rank // ppn
+            ]
+            serve_ops.update(zip([i for i, _ in served], rt.bind_put_signals(
+                stage, [p.recv_rank for _, p in served], [p.rank for _, p in served],
+                [0] * len(served),
+                [cluster.local_forces[p.rank][p.atom_offset : p.atom_offset + p.recv_size]
+                 for _, p in served],
+                self._signals[_FORCE_SIG], [pid] * len(served),
+            )))
         # Every pulse's flat force indices, built for the whole plan at
         # once; each program reads its own slice.
         flat_all = _flat_index(np.concatenate(maps) if maps else np.empty(0, np.int64))
@@ -208,7 +248,7 @@ class NvshmemBackend(HaloBackend):
         # the ``order`` waits of the accumulation tasks.
         waits = [self._rank_waits(rank, n_pulses) for rank in range(cluster.n_ranks)]
         coord_progs, force_progs = [], []
-        for p, hp, dest, block in zip(sends, lands, dests, blocks):
+        for i, (p, hp, dest, block) in enumerate(zip(sends, lands, dests, blocks)):
             rank, pid = p.rank, p.pulse_id
             order, arrived, returned, names = waits[rank]
             index_map = p.index_map
@@ -216,16 +256,12 @@ class NvshmemBackend(HaloBackend):
             dep_offset = p.dep_offset
             peer = p.send_rank
             owner = p.recv_rank  # the rank that sent us these coordinates
-            stage = zone = None
-            if dest is None:
-                # Send staging is a plain local buffer registered with the
-                # runtime (sources need not be symmetric —
-                # nvshmemx_buffer_register); forces come back through the
+            send, serve = send_ops.get(i), serve_ops.get(i)
+            if send is not None:
+                # Packs go to the staging; forces come back through the
                 # symmetric per-pulse staging.
-                dest = stage = rt.heap.register_buffer(rank, np.empty((size, 3), dtype))
+                dest = send.src
                 block = stages[pid][rank][:size]
-            if not topo.same_node(rank, owner):
-                zone = cluster.local_forces[rank][p.atom_offset : p.atom_offset + p.recv_size]
             first, row = row, row + size
             tile = tiles.get(p.coord_shift.tobytes())
             if tile is None:
@@ -239,23 +275,33 @@ class NvshmemBackend(HaloBackend):
                 tile[:dep_offset], tile[dep_offset:size],
                 dest[:dep_offset], dest[dep_offset:],
                 [arrived[k] for k in p.depends_on],  # ascending, as planned
-                peer, hp.atom_offset, stage,
+                peer, send,
             )))
             force_progs.append((
                 # The zone we serve may go once every later pulse has
                 # accumulated (Algorithm 5 line 9 waits on *all* of them,
                 # not only those whose entries reference it).
-                serve_name, (rank, pid, order[pid + 1], owner, pid in fed[rank], zone),
+                serve_name, (pid, order[pid + 1], owner, pid in fed[rank], serve),
                 acc_name, (
                     rank, pid,
                     order[pid + 1] if pid + 1 < n_pulses else None,
                     # needs_data: staged data, or a zone the peer
                     # accumulated into (it then release-stores).
-                    returned[pid][stage is not None or pid in fed[peer]],
+                    returned[pid][send is not None or pid in fed[peer]],
                     block.reshape(-1), flats[rank], flat_all[3 * first : 3 * row],
                     order[pid].key,
                 ),
             ))
+        self._op_totals = {
+            "x": {
+                "stores": parts, "put_signals": len(send_ops),
+                "bytes_put": sum(op.src.nbytes for op in send_ops.values()),
+            },
+            "f": {
+                "gets": len(nvlink), "bytes_got": got, "put_signals": len(serve_ops),
+                "bytes_put": sum(op.src.nbytes for op in serve_ops.values()),
+            },
+        }
         return coord_progs, force_progs
 
     def _rank_waits(self, rank: int, n_pulses: int) -> tuple[list, list, list, list]:
@@ -328,7 +374,7 @@ class NvshmemBackend(HaloBackend):
 
     def _run_scheduled(self, tasks, direction: str) -> None:
         """Drive one exchange's task generators, counting proxy stalls and
-        the NVLink stores or gets the tasks made through bind-time views.
+        the operations the tasks made (totals fixed at bind).
 
         A stall round (nothing runnable until the proxy moves) models IB
         proxy *delivery*, not spinning: each one delivers a single pending
@@ -350,7 +396,7 @@ class NvshmemBackend(HaloBackend):
         ) as span:
             rounds = sched.run(tasks, on_stall=on_stall)
             span.set(rounds=rounds, stalls=stalls, polls=sched.polls_used)
-        rt.count_direct(**self._direct_ops[direction])
+        rt.count_ops(**self._op_totals[direction])
         METRICS.counter("comm.stall_rounds", backend="nvshmem", dir=direction).inc(stalls)
         METRICS.histogram("comm.sched_rounds", backend="nvshmem", dir=direction).observe(rounds)
 
@@ -367,8 +413,7 @@ class NvshmemBackend(HaloBackend):
         dep_out: np.ndarray,  # coords (NVLink) or of the send staging (IB)
         waits: list[Wait],
         peer: int,  # the pulse's send_rank
-        peer_offset: int,  # where our selection lands in the peer's coords
-        stage: np.ndarray | None,  # the registered send staging (IB), or None
+        send: PendingOp | None,  # the staging's put-with-signal (IB), or None
     ):
         """FusedPackCommX for one (rank, pulse): a cooperative generator."""
         # Phase 1: pack (and on NVLink, immediately store) independent data.
@@ -379,21 +424,11 @@ class NvshmemBackend(HaloBackend):
         # Phase 3: pack dependent data, then notify.
         if dep.size:
             np.add(pos.take(dep, axis=0), dep_shift, out=dep_out)
-        sig = self._signals[_COORD_SIG]
-        if stage is None:
+        if send is None:
             # Data went through direct stores: system-scope release signal.
-            sig.release_store(peer, pid, self._epoch)
+            self._signals[_COORD_SIG].release_store(peer, pid, self._epoch)
         else:
-            self.runtime.put_signal_nbi(
-                self._coords,
-                peer,
-                peer_offset,
-                stage,
-                sig,
-                pid,
-                self._epoch,
-                source_pe=rank,
-            )
+            self.runtime.post(send, self._epoch)
         # Receiving side has no work: puts/stores target the coordinate
         # buffer itself (no unpack kernel — the fusion the paper describes).
 
@@ -412,35 +447,25 @@ class NvshmemBackend(HaloBackend):
 
     def _force_serve_task(
         self,
-        rank: int,
         pid: int,
         ready: Wait,  # DEP_MGMT: later pulses have accumulated into the zone
         owner: int,  # the pulse's recv_rank: it sent us these coordinates
         flush: bool,  # the zone holds our accumulations: release, not relaxed
-        zone: np.ndarray | None,  # put source over IB; None: NVLink owner *gets*
+        serve: PendingOp | None,  # the zone's put-with-signal (IB); None: owner *gets*
     ):
         """Make this rank's received-zone forces available to their owner."""
         yield ready
-        sig = self._signals[_FORCE_SIG]
-        if zone is None:
+        if serve is None:
             # NVLink: owner will *get* the data; we only notify.  A release
             # store is needed only when our accumulations must be flushed
             # (the paper's hasDataWrites distinction, Algorithm 5 line 22).
+            sig = self._signals[_FORCE_SIG]
             if flush:
                 sig.release_store(owner, pid, self._epoch)
             else:
                 sig.relaxed_store(owner, pid, self._epoch)
         else:
-            self.runtime.put_signal_nbi(
-                self._force_stage[pid],
-                owner,
-                0,
-                zone,
-                sig,
-                pid,
-                self._epoch,
-                source_pe=rank,
-            )
+            self.runtime.post(serve, self._epoch)
 
     def _force_acc_task(
         self,

@@ -8,8 +8,10 @@ rank specialization, Sec. 5.3).  Remote access follows NVSHMEM semantics:
   direct load/store view of a peer's rows when the peer is NVLink-reachable
   (same node in the topology), ``None`` otherwise — the rows a direct
   store writes or a get reads, resolved once;
-* :meth:`NvshmemRuntime.put_signal_nbi` — ``nvshmem_float_put_signal_nbi``:
-  non-blocking put whose signal update is delivered only after the data;
+* :meth:`NvshmemRuntime.bind_put_signals` — ``nvshmem_float_put_signal_nbi``
+  to peers on other nodes, resolved once into :class:`PendingOp` s that
+  :meth:`NvshmemRuntime.post` issues: non-blocking, each signal update is
+  delivered only after its data, and the source is read at delivery;
 * signal objects with release/acquire stores and waits
   (``system_release_store`` / ``acquire_wait`` in the paper's Algorithm 5);
 * ``quiet`` and a proxy queue that holds inter-node operations until

@@ -7,26 +7,27 @@ paper / NVSHMEM        here
 =====================  =====================================================
 ``nvshmem_ptr``        :meth:`NvshmemRuntime.peer_rows` (views or ``None``)
 TMA store / ``get``    through a :meth:`peer_rows` view, resolved at bind
-``put``                :meth:`put`
-``put_signal_nbi``     :meth:`put_signal_nbi` (signal delivered after data)
+``put_signal_nbi``     a :meth:`bind_put_signals` op, issued by :meth:`post`
 ``signal wait``        :class:`~repro.nvshmem.signals.SignalArray`
 ``quiet``              :meth:`quiet`
 ``barrier_all``        :meth:`barrier_all`
 =====================  =====================================================
 
-Delivery model: intra-node ("NVLink") operations complete immediately, like
-direct stores through a mapped peer pointer.  Inter-node operations go
-through a per-PE *proxy queue* (NVSHMEM's IB proxy thread): they stay
-pending until :meth:`progress` or :meth:`quiet` runs, which lets tests drive
-arbitrary interleavings while preserving the guarantee that a put's signal
-never lands before its data.  Signals are strict: an acquire of data a
-relaxed store published raises (:class:`~repro.nvshmem.signals.SignalArray`).
+Both kinds of operation are resolved once, at bind; the caller counts them
+once per exchange (:meth:`NvshmemRuntime.count_ops`).  Delivery model:
+intra-node ("NVLink") stores and gets complete immediately, through a
+mapped peer view.  Inter-node put-with-signals go through a per-PE *proxy
+queue* (NVSHMEM's IB proxy thread): they stay pending until
+:meth:`progress` or :meth:`quiet` runs, which lets tests drive arbitrary
+interleavings while preserving the guarantee that a put's signal never
+lands before its data.  Signals are strict: an acquire of data a relaxed
+store published raises (:class:`~repro.nvshmem.signals.SignalArray`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,25 +60,40 @@ class NodeTopology:
         return -(-self.n_pes // self.pes_per_node)
 
 
-@dataclass
 class PendingOp:
-    """A queued one-sided operation awaiting proxy progress."""
+    """One inter-node ``put_signal_nbi``, bound once
+    (:meth:`NvshmemRuntime.bind_put_signals`) and posted once per exchange
+    (:meth:`NvshmemRuntime.post`), which sets ``value``.
 
-    target_pe: int
-    apply_data: Callable[[], None]
-    apply_signal: Callable[[], None] | None = None
+    Delivery copies ``src`` into ``dest`` (the target's rows), then
+    release-stores ``value`` into ``signal[target_pe][slot]``: the signal
+    never lands before its data.  ``src`` is read at delivery, not at post.
+    """
+
+    __slots__ = ("target_pe", "dest", "src", "signal", "slot", "value")
+
+    def __init__(
+        self, target_pe: int, dest: np.ndarray, src: np.ndarray, signal: SignalArray, slot: int
+    ):
+        self.target_pe = target_pe
+        self.dest = dest
+        self.src = src
+        self.signal = signal
+        self.slot = slot
+        self.value = 0
 
     def deliver(self) -> None:
-        self.apply_data()
-        if self.apply_signal is not None:
-            self.apply_signal()
+        np.copyto(self.dest, self.src)
+        # Put-with-signal has release semantics for its own data.  Looked up
+        # at call time: a mutation that patches ``SignalArray.release_store``
+        # bites over InfiniBand too.
+        self.signal.release_store(self.target_pe, self.slot, self.value)
 
 
 @dataclass
 class OpStats:
     """Operation counters, used by tests and the timing layer."""
 
-    puts: int = 0
     gets: int = 0
     put_signals: int = 0
     direct_stores: int = 0
@@ -100,8 +116,7 @@ class NvshmemRuntime:
         self.stats = OpStats()
         self._signals: dict[str, SignalArray] = {}
         self._pending: list[PendingOp] = []
-        # Registry instruments resolved once; the ops only pay an inc().
-        self._m_puts = METRICS.counter("nvshmem.puts")
+        # Registry instruments resolved once; each exchange pays one inc().
         self._m_gets = METRICS.counter("nvshmem.gets")
         self._m_put_signals = METRICS.counter("nvshmem.put_signals")
         self._m_direct_stores = METRICS.counter("nvshmem.direct_stores")
@@ -160,42 +175,89 @@ class NvshmemRuntime:
         view and a get reads from it (TMA through the mapped pointer,
         NVLink only in the paper).  A peer must be another PE, so a get
         never aliases the reader's own array; bounds are checked against
-        the peer's own extent.  The caller counts the ops (:meth:`count_direct`).
+        the peer's own extent.  The caller counts the ops (:meth:`count_ops`).
         """
+        if not len(remote_pes):
+            return []
+        remote, start, stop, near = self._peers(
+            "view", buf, remote_pes, local_pes, offsets, counts
+        )
+        arrays = self._arrays_within("view", buf, remote, start, stop, near)
+        bounds = zip(remote.tolist(), start.tolist(), stop.tolist(), near.tolist())
+        return [arrays[pe][lo:hi] if ok else None for pe, lo, hi, ok in bounds]
+
+    def _peers(
+        self,
+        op: str,
+        buf: SymmetricBuffer,
+        remote_pes: Sequence[int],
+        local_pes: Sequence[int],
+        offsets: Sequence[int],
+        counts: Sequence[int],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The checks every bind-time resolution shares, over all ops at
+        once: each PE in range, none its own peer.  Returns the remote PEs,
+        the row ranges' starts and stops, and whether each pair shares a
+        node."""
         remote = np.asarray(remote_pes, dtype=np.int64)
         local = np.asarray(local_pes, dtype=np.int64)
         start = np.asarray(offsets, dtype=np.int64)
         stop = start + np.asarray(counts, dtype=np.int64)
-        if not remote.size:
-            return []
         for pe in (remote.min(), remote.max(), local.min(), local.max()):
             self.topology.node_of(int(pe))  # raises for a PE out of range
         own = np.flatnonzero(remote == local)
         if own.size:
             raise ValueError(
-                f"view of '{buf.name}' on PE {remote[own[0]]} from itself: a "
-                f"peer view must name another PE"
+                f"{op} of '{buf.name}' on PE {remote[own[0]]} from itself: a "
+                f"peer must be another PE"
             )
-        near = remote // self.topology.pes_per_node == local // self.topology.pes_per_node
-        buf.on(0)  # one completeness check for every view
+        ppn = self.topology.pes_per_node
+        return remote, start, stop, remote // ppn == local // ppn
+
+    def _arrays_within(
+        self,
+        op: str,
+        buf: SymmetricBuffer,
+        remote: np.ndarray,
+        start: np.ndarray,
+        stop: np.ndarray,
+        checked: np.ndarray,
+    ) -> list[np.ndarray]:
+        """``buf``'s per-PE arrays, after one completeness check for all ops
+        and a check of each ``checked`` op's rows against its remote PE's
+        own extent (the first one outside raises, with :meth:`_rows`'
+        message)."""
+        buf.on(0)
         arrays = buf.arrays
         extent = np.array([a.shape[0] for a in arrays])[remote]
-        outside = near & ((start < 0) | (stop > extent))
-        if outside.any():  # the first one raises, with the per-op message
+        outside = checked & ((start < 0) | (stop > extent))
+        if outside.any():
             i = int(outside.argmax())
-            self._rows("view", buf, int(remote[i]), int(start[i]), int(counts[i]))
-        bounds = zip(remote.tolist(), start.tolist(), stop.tolist(), near.tolist())
-        return [arrays[pe][lo:hi] if ok else None for pe, lo, hi, ok in bounds]
+            self._rows(op, buf, int(remote[i]), int(start[i]), int(stop[i] - start[i]))
+        return arrays
 
-    def count_direct(self, stores: int = 0, gets: int = 0, bytes_got: int = 0) -> None:
+    def count_ops(
+        self,
+        stores: int = 0,
+        gets: int = 0,
+        bytes_got: int = 0,
+        put_signals: int = 0,
+        bytes_put: int = 0,
+    ) -> None:
         """Count direct stores and gets made through :meth:`peer_rows` views
-        (one call per exchange, with totals fixed when the views were)."""
-        self.stats.direct_stores += stores
-        self.stats.gets += gets
-        self.stats.bytes_got += bytes_got
+        and posted :meth:`bind_put_signals` ops (one call per exchange, with
+        totals fixed when the views and ops were)."""
+        stats = self.stats
+        stats.direct_stores += stores
+        stats.gets += gets
+        stats.bytes_got += bytes_got
+        stats.put_signals += put_signals
+        stats.bytes_put += bytes_put
         self._m_direct_stores.inc(stores)
         self._m_gets.inc(gets)
         self._m_bytes_got.inc(bytes_got)
+        self._m_put_signals.inc(put_signals)
+        self._m_bytes_put.inc(bytes_put)
 
     # -- one-sided data movement ---------------------------------------------------
 
@@ -211,64 +273,54 @@ class NvshmemRuntime:
             )
         return arr
 
-    def put(
+    def bind_put_signals(
         self,
         buf: SymmetricBuffer,
-        target_pe: int,
-        offset: int,
-        data: np.ndarray,
-        source_pe: int,
-    ) -> None:
-        """Contiguous put into ``buf`` rows [offset, offset+len) on the peer."""
-        data = np.array(data, copy=True)  # capture the source at issue time
-        dest = self._rows("put", buf, target_pe, offset, data.shape[0])
-        self.stats.puts += 1
-        self.stats.bytes_put += data.nbytes
-        self._m_puts.inc()
-        self._m_bytes_put.inc(data.nbytes)
-        op = PendingOp(
-            target_pe=target_pe,
-            apply_data=lambda: dest.__setitem__(slice(offset, offset + data.shape[0]), data),
-        )
-        self._submit(op, source_pe, target_pe)
-
-    def put_signal_nbi(
-        self,
-        buf: SymmetricBuffer,
-        target_pe: int,
-        offset: int,
-        data: np.ndarray,
+        target_pes: Sequence[int],
+        source_pes: Sequence[int],
+        offsets: Sequence[int],
+        srcs: Sequence[np.ndarray],
         signal: SignalArray,
-        signal_idx: int,
-        signal_value: int,
-        source_pe: int,
-    ) -> None:
-        """``nvshmem_float_put_signal_nbi``: data, then signal, non-blocking.
+        slots: Sequence[int],
+    ) -> list[PendingOp]:
+        """``nvshmem_float_put_signal_nbi`` resolved at bind, for many ops at
+        once: op ``i`` puts ``srcs[i]`` from ``source_pes[i]`` into rows
+        [offsets[i], +len(srcs[i])) of ``target_pes[i]``'s ``buf``, then
+        signals ``signal[target_pes[i]][slots[i]]``.  :meth:`post` issues it.
 
-        NVSHMEM guarantees the signal update becomes visible only after the
-        put's data; both may be arbitrarily delayed (they ride the proxy).
+        Each target must be on another node than its source (an NVLink
+        peer is reached through a :meth:`peer_rows` view); bounds are
+        checked against the target's own extent.  NVSHMEM's nbi contract
+        holds for the source: the proxy reads it at delivery, so the caller
+        may write it again only after :meth:`quiet`.
         """
-        data = np.array(data, copy=True)
-        dest = self._rows("put_signal", buf, target_pe, offset, data.shape[0])
-        self.stats.put_signals += 1
-        self.stats.bytes_put += data.nbytes
-        self._m_put_signals.inc()
-        self._m_bytes_put.inc(data.nbytes)
-        op = PendingOp(
-            target_pe=target_pe,
-            apply_data=lambda: dest.__setitem__(slice(offset, offset + data.shape[0]), data),
-            # put-with-signal has release semantics for its own data.
-            apply_signal=lambda: signal.release_store(target_pe, signal_idx, signal_value),
+        if not len(srcs):
+            return []
+        counts = [src.shape[0] for src in srcs]
+        target, start, stop, near = self._peers(
+            "put_signal", buf, target_pes, source_pes, offsets, counts
         )
-        self._submit(op, source_pe, target_pe)
+        if near.any():
+            i = int(near.argmax())
+            raise ValueError(
+                f"put_signal of '{buf.name}' on PE {target[i]} from PE "
+                f"{source_pes[i]} on the same node: a proxied op must cross "
+                f"nodes (NVLink peers take peer_rows views)"
+            )
+        arrays = self._arrays_within("put_signal", buf, target, start, stop, ~near)
+        ops = zip(target.tolist(), start.tolist(), stop.tolist(), srcs, slots)
+        return [
+            PendingOp(pe, arrays[pe][lo:hi], src, signal, slot) for pe, lo, hi, src, slot in ops
+        ]
+
+    def post(self, op: PendingOp, value: int) -> None:
+        """Issue a bound put-with-signal carrying ``value``: non-blocking, it
+        waits in the proxy queue.  An op is posted at most once between two
+        :meth:`quiet` calls; the caller counts it (:meth:`count_ops`)."""
+        op.value = value
+        self._pending.append(op)
 
     # -- ordering / progress ----------------------------------------------------------
-
-    def _submit(self, op: PendingOp, source_pe: int, target_pe: int) -> None:
-        if not self.topology.same_node(source_pe, target_pe):
-            self._pending.append(op)
-        else:
-            op.deliver()
 
     def progress(self, n_ops: int | None = None, order: np.random.Generator | None = None) -> int:
         """Deliver pending inter-node operations (the proxy thread's job).

@@ -179,14 +179,12 @@ class TestRaggedSymmetricExtents:
         far = (small + 2) % 4  # another node
         rows = np.zeros((2, 3))
         sig = rt.signal_array("coordSig", cluster.plan.n_pulses)
-        # The last two rows of the target are still in range.
-        rt.put(backend._coords, small, n - 2, rows, source_pe=peer)
+        # The last two rows of the target are still in range; the proxied
+        # ops are checked when bind resolves them, like the views.
+        (op,) = rt.bind_put_signals(backend._coords, [small], [far], [n - 2], [rows], sig, [0])
+        assert np.shares_memory(op.dest, cluster.local_pos[small])
         with pytest.raises(IndexError, match=f"on PE {small}"):
-            rt.put(backend._coords, small, n - 1, rows, source_pe=peer)
-        with pytest.raises(IndexError, match=f"on PE {small}"):
-            rt.put_signal_nbi(
-                backend._coords, small, n - 1, rows, sig, 0, 99, source_pe=far
-            )
+            rt.bind_put_signals(backend._coords, [small], [far], [n - 1], [rows], sig, [0])
         # The NVLink views are checked when bind resolves them.
         (view,) = rt.peer_rows(backend._forces, [small], [peer], [n - 2], [2])
         assert view.shape == (2, 3)

@@ -132,7 +132,8 @@ class TestInjectors:
         data = np.ones((2, 3))
         plan = FaultPlan(seed=0, faults=[Fault("drop_op", count=1)])
         with ChaosInjector(plan):
-            rt.put_signal_nbi(buf, 1, 0, data, sig, 0, 7, source_pe=0)
+            (op,) = rt.bind_put_signals(buf, [1], [0], [0], [data], sig, [0])
+            rt.post(op, 7)
             assert rt.n_pending == 1
             # First pass drops-and-requeues (counts as transport progress).
             assert rt.progress(n_ops=1) == 1
@@ -329,12 +330,20 @@ class TestMutationSelfTest:
         assert res.failed
         assert "SignalError" in " ".join(res.failures[0].violations)
 
+    def test_scribbled_ib_source_is_detected(self):
+        """A source written again between post and delivery lands: with
+        NVSHMEM's nbi contract the bit-identity oracle sees it."""
+        cfg = chaos_spec(pes_per_node=1)
+        res = run_campaign(cfg, runs=1, mutation="scribble-ib-source", shrink=False)
+        assert res.failed
+        assert "diverged" in " ".join(res.failures[0].violations)
+
     def test_unknown_mutation_rejected(self, cfg, reference):
         with pytest.raises(KeyError, match="unknown mutation"):
             run_case(cfg, FaultPlan(seed=0), mutation="nope", reference=reference)
 
     def test_mutation_registry(self):
-        assert {"skip-coord-fence", "skip-force-fence"} <= set(MUTATIONS)
+        assert {"skip-coord-fence", "skip-force-fence", "scribble-ib-source"} <= set(MUTATIONS)
 
 
 class TestCli:

@@ -19,7 +19,9 @@ job (``verify``/``chaos`` with the default ``--kernel cluster`` spelt
 out) were dropped.  They were regenerated on purpose for spec schema v3:
 the ``coulomb`` field (reaction field became the only electrostatics) left
 the spec defaults and ``schema_version`` moved 2 -> 3; no command line or
-flag changed.  No two documented command lines may run the same job.
+flag changed.  The ``scribble-ib-source`` mutation self-test was pinned on
+purpose when the mutation was added.  No two documented command lines may
+run the same job.
 """
 
 from __future__ import annotations
@@ -102,6 +104,9 @@ PINNED = {
     "--expect-failure --out /dev/null":
         [{**_CHAOS, "backend": "nvshmem"}],
     "chaos --backend nvshmem --runs 1 --pes-per-node 1 --mutate skip-force-fence "
+    "--expect-failure --out /dev/null":
+        [{**_CHAOS, "backend": "nvshmem", "pes_per_node": 1}],
+    "chaos --backend nvshmem --runs 1 --pes-per-node 1 --mutate scribble-ib-source "
     "--expect-failure --out /dev/null":
         [{**_CHAOS, "backend": "nvshmem", "pes_per_node": 1}],
     "verify --atoms 1400 --ranks 4 --steps 6": [{**_VERIFY, "steps": 6}],

@@ -23,7 +23,7 @@ from repro.dd.exchange import (
 )
 from repro.dd.grid import DDGrid
 from repro.md import make_system
-from repro.nvshmem.runtime import PendingOp
+from repro.nvshmem.runtime import NvshmemRuntime, PendingOp
 from repro.obs.metrics import METRICS
 
 BUFFER = 0.12
@@ -293,6 +293,46 @@ def test_proxy_delivery_order_depends_on_the_seed(decomposed, monkeypatch):
     assert np.array_equal(forces[0], forces[1])
     for r in range(cluster.n_ranks):
         assert np.array_equal(cluster.local_pos[r], coords[r])
+
+
+@pytest.mark.parametrize("seed", (0, 1), ids=["seed0", "seed1"])
+@pytest.mark.parametrize(
+    "shape, pes_per_node",
+    [("decomposed", 1), ("decomposed", 8), ("deep", 1), ("deep", 4)],
+    ids=["all-ib", "8-per-node", "deep-all-ib", "deep-4-per-node"],
+)
+def test_ib_sources_are_untouched_until_delivery(request, monkeypatch, shape, pes_per_node, seed):
+    """The proxy reads a put's source when it delivers (NVSHMEM's nbi
+    contract), so nothing may write the source between post and delivery:
+    not the sender's packs, and on the deep shape not the later pulses'
+    accumulations into earlier zones.  (The deep shape has 8 ranks: 4 per
+    node is its two-node case.)"""
+    system, dd = request.getfixturevalue(shape)
+    posted: dict[int, np.ndarray] = {}
+    changed: list[int] = []
+    post, deliver = NvshmemRuntime.post, PendingOp.deliver
+
+    def post_spy(rt, op, value):
+        posted[id(op)] = op.src.copy()
+        post(rt, op, value)
+
+    def deliver_spy(op):
+        if posted.pop(id(op)).tobytes() != op.src.tobytes():
+            changed.append(op.target_pe)
+        deliver(op)
+
+    monkeypatch.setattr(NvshmemRuntime, "post", post_spy)
+    monkeypatch.setattr(PendingOp, "deliver", deliver_spy)
+    cluster = build_cluster(system, dd)
+    backend = NvshmemBackend(pes_per_node=pes_per_node, seed=seed)
+    backend.bind(cluster)
+    n_ops = backend._op_totals["x"]["put_signals"] + backend._op_totals["f"]["put_signals"]
+    assert n_ops > 0
+    for step in range(2):
+        _fill(cluster, seed=seed + step)
+        _exchange(backend, cluster)
+        assert changed == [] and posted == {}
+    assert backend.runtime.stats.put_signals == 2 * n_ops
 
 
 def test_halo_spans_carry_rounds_stalls_polls(decomposed):
