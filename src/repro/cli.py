@@ -51,6 +51,7 @@ from repro.chaos import (
 from repro.comm import backend_registry
 from repro.dd.dlb import DLB_MODES
 from repro.md.grappa import SCENARIOS, resolve_atoms, scenario_label
+from repro.md.native import CompilerNotFoundError
 from repro.obs.export import write_chrome_trace
 from repro.obs.log import configure, get_logger
 from repro.obs.metrics import METRICS
@@ -638,7 +639,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> None:
     args = build_parser().parse_args(argv)
     configure(verbosity=args.verbose, quiet=args.quiet)
-    args.fn(args)
+    try:
+        args.fn(args)
+    except CompilerNotFoundError as err:  # an MD kernel on a host without cc
+        raise SystemExit(str(err)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,8 +21,9 @@ Both produce the same canonically ``(i, j)``-sorted flat ``int32``
 outer lists (:class:`~repro.md.nonbonded.DualList`); the force phases
 evaluate the :class:`~repro.md.nonbonded.PairBlock` inner lists pruned
 from them (:mod:`repro.par.phases`) with
-:func:`~repro.md.nonbonded.block_forces`, the one evaluator, which runs
-each list in cache-sized chunks over one scratch per thread.
+:func:`~repro.md.nonbonded.block_forces`, the one evaluator: compiled
+C, built for the host when a kernel is made (:mod:`repro.md.native`),
+running each list in cache-sized chunks over one scratch per thread.
 
 Every implementation accepts ``dtype="float32"`` — the documented fast
 path: kernel-internal geometry and interaction math in float32, energy
@@ -32,13 +33,16 @@ float64 reference live in ``tests/test_kernels.py`` and DESIGN.md.
 The two searches are cross-checked against each other (identical pair
 *sets*, identical per-pulse partition) and :func:`block_forces` against
 the :func:`~repro.md.nonbonded.pair_forces` scatter oracle in
-``tests/test_kernels.py``.
+``tests/test_kernels.py``, and bit for bit against its NumPy chain,
+:func:`~repro.md.nonbonded.block_forces_numpy`, in
+``tests/test_native.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.md import native
 from repro.md.cells import (
     BuildBudget,
     CellGrid,
@@ -96,6 +100,9 @@ class KernelImpl:
     stats).
     ``compute_block`` is the same for every strategy:
     :func:`~repro.md.nonbonded.block_forces` at this kernel's ``dtype``.
+    Making a kernel builds (once per host) and loads the compiled
+    evaluator, so a host without a C compiler fails here, in the parent,
+    with :class:`~repro.md.native.CompilerNotFoundError`.
     """
 
     name = "abstract"
@@ -111,6 +118,7 @@ class KernelImpl:
         # created with the copy run ~3 % slower through ``block_forces``,
         # which therefore keys and creates its scratch by this name.
         self.dtype = dtype
+        native.library()
 
     def build_split(self, ws) -> dict:
         raise NotImplementedError

@@ -10,15 +10,17 @@ over flat pair arrays ``i``/``j``:
 * :class:`PairBlock` + :func:`block_forces` — what every simulator runs,
   whichever search built the list: the pair list is sorted by ``i`` once
   (at build/prune time), ``C6``/``C12`` and charge products are cached
-  per list (40 B/pair), and the force reduction runs as
-  ``np.add.reduceat`` over ``i``-segments plus one ``np.bincount`` per
-  component for the ``j`` side — the NumPy analogue of GROMACS' sorted
-  cluster-pair reduction, several times faster than the scatter.  The
-  evaluator is cache-blocked: it walks the list in
-  :data:`CHUNK_PAIRS`-pair chunks cut at ``i``-segment boundaries over
-  one chunk-sized scratch per thread, so the chain's ~35 ufunc passes
-  stream through cache instead of DRAM and a block holds nothing but
-  its list.
+  per list (40 B/pair), and the force reduction sums ``i``-segments plus
+  one float64 accumulator row per atom for the ``j`` side — the analogue
+  of GROMACS' sorted cluster-pair reduction.  The evaluator is compiled C
+  (``nonbonded.c``, built on first use by :mod:`repro.md.native`) and
+  cache-blocked: it walks the list in :data:`CHUNK_PAIRS`-pair chunks
+  cut at ``i``-segment boundaries over one chunk-sized scratch per
+  thread, and a block holds nothing but its list.
+* :func:`block_forces_numpy` — the same chain in NumPy, ≈60 ufunc passes
+  per chunk (``reduceat`` over ``i``-segments, one ``bincount`` per
+  component for ``j``): the oracle the compiled evaluator is held to bit
+  for bit.  No ``src/`` path calls it.
 * :class:`DualList` + :func:`within_radius` — a DD rank's dual pair list
   (outer search list, evaluated inner block) and its prune pass, a
   distance test over the evaluator's scratch (:mod:`repro.par.phases`
@@ -32,11 +34,13 @@ with the sorted list.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.md import native
 from repro.md.forcefield import COULOMB_FACTOR, ForceField
 from repro.obs.metrics import METRICS
 
@@ -158,7 +162,7 @@ class PairBlock:
     so the evaluator's gathers need no bounds check of their own.
     """
 
-    __slots__ = ("i", "j", "n_atoms", "seg_starts", "seg_i", "c6", "c12", "qq")
+    __slots__ = ("i", "j", "n_atoms", "seg_starts", "seg_i", "c6", "c12", "qq", "args")
 
     def __init__(
         self,
@@ -187,16 +191,35 @@ class PairBlock:
                 change = change | (group_key[1:] != group_key[:-1])
             self.seg_starts = np.concatenate(
                 ([0], np.nonzero(change)[0] + 1)
-            ).astype(np.intp)
+            ).astype(np.int64)
         else:
-            self.seg_starts = np.zeros(0, dtype=np.intp)
+            self.seg_starts = np.zeros(0, dtype=np.int64)
         self.seg_i = i[self.seg_starts]
         # One flat type-pair code and 1-D gathers: a 2-D fancy index
         # would compute the code once per table, and gathers slower.
         pair_type = type_ids.take(i) * ff.n_types + type_ids.take(j)
-        self.c6 = ff.c6.ravel().take(pair_type)
-        self.c12 = ff.c12.ravel().take(pair_type)
-        self.qq = COULOMB_FACTOR * charges.take(i) * charges.take(j)
+        self.c6 = ff.c6.ravel().take(pair_type).astype(np.float64, copy=False)
+        self.c12 = ff.c12.ravel().take(pair_type).astype(np.float64, copy=False)
+        self.qq = (COULOMB_FACTOR * charges.take(i) * charges.take(j)).astype(
+            np.float64, copy=False
+        )
+        self.args = self._args()
+
+    def _args(self) -> tuple:
+        """The block's arguments to the compiled evaluator: its arrays'
+        addresses and sizes, taken once (they take ≈3 µs each)."""
+        return (
+            self.i.ctypes.data, self.j.ctypes.data, self.n_pairs,
+            self.seg_starts.ctypes.data, self.seg_i.ctypes.data,
+            self.seg_starts.size,
+            self.c6.ctypes.data, self.c12.ctypes.data, self.qq.ctypes.data,
+        )
+
+    def __setstate__(self, state) -> None:
+        # A copy or an unpickled block holds new arrays: new addresses.
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.args = self._args()
 
     @property
     def n_pairs(self) -> int:
@@ -247,19 +270,23 @@ class DualList:
 
 
 #: Pairs per evaluation chunk: the middle of the flat 16k-32k bottom of
-#: the sweep on both MD workloads (DESIGN.md §4).  Smaller chunks pay the
-#: ~50 NumPy calls per chunk too often, larger ones push the chunk's
-#: 130 B/pair working set out of cache.
+#: the NumPy chain's sweep on both MD workloads (DESIGN.md §4).  Energies
+#: are sums of per-chunk sums, so the compiled evaluator keeps it: a
+#: different value would move every energy in its last bits.
 CHUNK_PAIRS = 24576
+
+#: Chain-dtype columns of the compiled evaluator's chunk scratch:
+#: ``dx`` (three, overwritten by the force vectors), ``r²``, ``e_lj``
+#: and ``e_coul`` per pair.
+CHUNK_COLUMNS = 6
+
 
 class _Scratch(threading.local):
     """Evaluator scratch of one thread (= one process under both
-    executors).  ``by_dtype``
-    maps the compute dtype *name* to ``geom`` (the two gathered
-    coordinate sets, column-major ``(3, rows)`` each), ``cols`` (the
-    chain's ten float columns) and ``masks`` (its two boolean ones), all
-    chunk-sized, plus ``fvec``, the force components of the largest
-    block seen (``(3, pairs)``, grow-only).
+    executors).  ``by_dtype`` maps the compute dtype *name* to
+    ``chunk`` (:data:`CHUNK_COLUMNS` chunk-sized columns) and ``acc``
+    (the ``j``-side float64 accumulator, three per atom row of the
+    largest block seen), both grow-only.
     No call reads what an earlier call left there."""
 
     def __init__(self) -> None:
@@ -275,18 +302,17 @@ def scratch_nbytes() -> int:
     return sum(a.nbytes for s in _scratch.by_dtype.values() for a in s.values())
 
 
-def _scratch_for(dtype: str, rows: int, pairs: int) -> dict[str, np.ndarray]:
-    """Scratch with at least ``rows`` chunk rows and ``fvec`` room for
-    ``pairs`` pairs.  Arrays are created from the dtype *name*: an
-    ``np.dtype`` that came through pickle is a copy of NumPy's singleton
-    and arrays made with it run slower (see ``KernelImpl.dtype``)."""
+def _scratch_for(dtype: str, rows: int, atoms: int) -> dict[str, np.ndarray]:
+    """Scratch with at least ``rows`` chunk rows and accumulator room
+    for ``atoms`` atom rows.  Arrays are created from the dtype *name*:
+    an ``np.dtype`` that came through pickle is a copy of NumPy's
+    singleton and arrays made with it run slower (see ``KernelImpl.dtype``)."""
     s = _scratch.by_dtype.setdefault(dtype, {})
     # CHUNK_PAIRS rows hold every chunk unless one i-segment alone is
     # longer than that, so the chunk arrays are made once per process.
     rows = max(rows, CHUNK_PAIRS)
     for name, shape, kind in (
-        ("geom", (2, 3, rows), dtype), ("cols", (10, rows), dtype),
-        ("masks", (2, rows), bool), ("fvec", (3, pairs), dtype),
+        ("chunk", (CHUNK_COLUMNS, rows), dtype), ("acc", (3 * atoms,), "float64"),
     ):
         if name not in s or s[name].shape[-1] < shape[-1]:
             s[name] = np.empty(shape, dtype=kind)
@@ -304,7 +330,7 @@ def within_radius(
 ) -> np.ndarray:
     """Keep mask of the pairs at most ``radius`` apart — the prune pass.
 
-    Chunk by chunk over :func:`block_forces`' per-thread float64 scratch,
+    Chunk by chunk over the evaluator's per-thread float64 scratch,
     one coordinate at a time from a column copy as the kernel gathers,
     with ``r²`` a running sum in x, y, z order: a mask needs no
     bit-compatibility with the kernel's ``r²``, which follows ``einsum``'s
@@ -319,7 +345,7 @@ def within_radius(
     for lo in range(0, pair_i.size, CHUNK_PAIRS):
         hi = min(lo + CHUNK_PAIRS, pair_i.size)
         c = hi - lo
-        xi, xj, shift, r2 = _scratch_for("float64", c, 0)["cols"][:4, :c]
+        xi, xj, shift, r2 = _scratch_for("float64", c, 0)["chunk"][:4, :c]
         for d in range(3):
             np.take(cols[d], pair_i[lo:hi], out=xi, mode="clip")
             np.take(cols[d], pair_j[lo:hi], out=xj, mode="clip")
@@ -353,6 +379,11 @@ def _chunks(block: PairBlock, target: int):
         s0 = s1
 
 
+#: ``out_forces`` dtypes the compiled evaluator writes (by ``dtype.char``),
+#: and its ``out_f32`` flag.
+_OUT_F32 = {"d": 0, "f": 1}
+
+
 def block_forces(
     positions: np.ndarray,
     block: PairBlock,
@@ -362,7 +393,91 @@ def block_forces(
     out_forces: np.ndarray | None = None,
     dtype="float64",
 ) -> tuple[np.ndarray, float, float]:
-    """Segment-reduced twin of :func:`pair_forces` over a :class:`PairBlock`.
+    """LJ + reaction-field forces and energies over a :class:`PairBlock`:
+    the evaluator every simulator runs.
+
+    Compiled (``nonbonded.c``, built and loaded by :mod:`repro.md.native`),
+    and bit-identical to :func:`block_forces_numpy` — forces, ``e_lj``
+    and ``e_coul`` — in both dtypes: the same chunks of
+    :data:`CHUNK_PAIRS` pairs (read at call time), the same order of
+    every operation, NumPy's own summation orders.  Forces accumulate
+    into ``out_forces`` (zeroed ``(n, 3)`` of the positions' dtype if
+    omitted; float32 or float64, C-contiguous); energies are float64.
+    ``dtype="float32"`` is the mixed-precision fast path: geometry and
+    the chain in float32, energy sums and per-atom accumulation in
+    float64.  Pairs beyond the cutoff contribute exactly zero; an
+    interacting pair at ``r == 0`` raises :class:`FloatingPointError`,
+    with earlier chunks' ``i``-side sums already in ``out_forces``.
+    """
+    positions = np.asarray(positions)
+    n = positions.shape[0]
+    if n != block.n_atoms:
+        raise ValueError(
+            f"positions have {n} rows but the block was built for {block.n_atoms}"
+        )
+    if positions.shape != (n, 3):
+        raise ValueError(f"positions must have shape ({n}, 3)")
+    if out_forces is None:
+        out_forces = np.zeros((n, 3), dtype=positions.dtype)
+    elif out_forces.shape != (n, 3):
+        raise ValueError(f"out_forces must have shape ({n}, 3)")
+    if block.n_pairs == 0:
+        return out_forces, 0.0, 0.0
+    out_f32 = _OUT_F32.get(out_forces.dtype.char)
+    if out_f32 is None or not (
+        out_forces.flags.c_contiguous and out_forces.flags.writeable
+    ):
+        raise ValueError(
+            "out_forces must be a writeable C-contiguous float32 or float64 array"
+        )
+    if dtype.__class__ is not str:
+        dtype = np.dtype(dtype).name  # names only: see KernelImpl.dtype
+    if dtype == "float64":
+        fn = native.library().nb_block_forces_f64
+    elif dtype == "float32":
+        fn = native.library().nb_block_forces_f32
+    else:
+        raise ValueError(f"unknown kernel dtype '{dtype}'; use float64 or float32")
+    pos = np.ascontiguousarray(positions, dtype=dtype)
+    if box is None:
+        box, wrap = (0.0, 0.0, 0.0), 0
+    else:
+        box = [float(b) for b in box]
+        wrap = sum(1 << d for d in range(3) if periodic is None or periodic[d])
+    rc2 = ff.cutoff * ff.cutoff
+    energies = (ctypes.c_double * 2)()
+    scratch = _scratch_for(dtype, CHUNK_PAIRS, n)
+    while True:
+        chunk = scratch["chunk"]
+        code = fn(
+            pos.ctypes.data, n, *block.args, *box, wrap,
+            rc2, 1.0 / rc2**3, ff.k_rf, ff.c_rf, CHUNK_PAIRS, np.getbufsize(),
+            chunk.ctypes.data, chunk.shape[1], scratch["acc"].ctypes.data,
+            out_forces.ctypes.data, out_f32, energies,
+        )
+        if code <= 0:
+            break
+        scratch = _scratch_for(dtype, code, n)  # a segment longer than a chunk
+    if code < 0:
+        raise FloatingPointError("overlapping atoms in pair list (r == 0)")
+    return out_forces, energies[0], energies[1]
+
+
+def block_forces_numpy(
+    positions: np.ndarray,
+    block: PairBlock,
+    ff: ForceField,
+    box: np.ndarray | None = None,
+    periodic: np.ndarray | None = None,
+    out_forces: np.ndarray | None = None,
+    dtype="float64",
+) -> tuple[np.ndarray, float, float]:
+    """The NumPy chain :func:`block_forces` compiles: its oracle.
+
+    Segment-reduced twin of :func:`pair_forces` over a :class:`PairBlock`,
+    as ≈60 ufunc passes per chunk.  No ``src/`` path calls it;
+    ``tests/test_native.py`` holds the compiled evaluator to it bit for
+    bit, the way ``tests/`` hold this chain to the scatter oracle.
 
     Per-pair force vectors are bit-identical to :func:`pair_forces` on the
     same list ordering (the arithmetic keeps the same evaluation order);
@@ -373,29 +488,25 @@ def block_forces(
 
     The block runs in chunks of at most :data:`CHUNK_PAIRS` pairs cut at
     ``i``-segment boundaries: gather, minimum image, interaction chain,
-    energy sums and ``i``-side reduction per chunk over one chunk-sized
-    scratch; the chunks' force vectors collect in a pair-length buffer
-    and the ``j``-side ``bincount`` runs once over the whole block.  No
-    segment is split, so per-atom forces do not depend on the chunk size;
-    energies are sums of per-chunk sums and do, to rounding.
+    energy sums and ``i``-side reduction per chunk; the chunks' force
+    vectors collect in a pair-length buffer and the ``j``-side
+    ``bincount`` runs once over the whole block.  No segment is split, so
+    per-atom forces do not depend on the chunk size; energies are sums of
+    per-chunk sums and do, to rounding.
 
     Geometry runs column by column on a ``(3, n)`` copy of the positions:
     contiguous 1-D gathers, per-dimension minimum image, and ``r²``
     summed in the association NumPy's ``einsum("ij,ij->i")`` (the
     oracle's) uses for the dtype — ``(x² + z²) + y²`` in float64,
-    ``(x² + y²) + z²`` in float32 (DESIGN.md §4) — so per-pair results
-    stay bit-identical to an ``einsum`` evaluation.
+    ``(x² + y²) + z²`` in float32 (DESIGN.md §4).
 
     ``12*C12``, ``6*C6`` and the LJ shift are derived per chunk in
-    float64, by the expressions the block once cached them with.
-
-    ``dtype="float32"`` selects the fast path: geometry, parameters, and
-    the interaction chain run in float32 while energy sums and per-atom
-    force accumulation stay float64 (mixed precision, the GPU convention);
+    float64.  ``dtype="float32"`` runs geometry, parameters and the chain
+    in float32 while energy sums and per-atom accumulation stay float64;
     a derived parameter is rounded to float32 once, as it is written.
-    The overlap (``r == 0``) check considers only pairs that interact —
-    buffered lists legitimately carry entries beyond the cutoff; when it
-    raises, ``out_forces`` may already hold earlier chunks' ``i``-side sums.
+    The overlap (``r == 0``) check considers only pairs that interact;
+    when it raises, ``out_forces`` may already hold earlier chunks'
+    ``i``-side sums.
     """
     positions = np.asarray(positions)
     n = positions.shape[0]
@@ -425,15 +536,15 @@ def block_forces(
     odt = out_forces.dtype
 
     e_lj = e_coul = 0.0
+    fvec_all = np.empty((3, m), dtype=dt)
     for lo, hi, s0, s1 in _chunks(block, CHUNK_PAIRS):
         c = hi - lo
-        scratch = _scratch_for(dt.name, c, m)
-        fvec = scratch["fvec"][:, lo:hi]
-        dx, xj = scratch["geom"][:, :, :c]
+        fvec = fvec_all[:, lo:hi]
+        dx, xj = np.empty((2, 3, c), dtype=dt)
         r2, inv_r2, inv_r6, inv_r12, inv_r, f_lj, t, f_coul, e_c, e_l = (
-            scratch["cols"][:, :c]
+            np.empty((10, c), dtype=dt)
         )
-        inside, bad = scratch["masks"][:, :c]
+        inside, bad = np.empty((2, c), dtype=bool)
         # Indices were validated once, in PairBlock.__init__: "clip" skips
         # the per-call check and the output buffering "raise" implies.
         for d in range(3):
@@ -460,7 +571,7 @@ def block_forces(
         np.less_equal(r2, rc2, out=inside)
         if not np.any(inside):
             # Nothing interacts here, but the whole-block bincount below
-            # reads this span: clear what the previous call left in it.
+            # reads this span.
             fvec[:] = 0.0
             continue
         # Overlap check: r² ≤ 0 < r_c² interacts.  fmin skips a NaN, so
@@ -509,9 +620,8 @@ def block_forces(
             np.multiply(fscal, dx[d], out=fvec[d])
 
         # The LJ shift c12·k·k − c6·k (k = 1/r_c⁶) into the spent f_coul,
-        # in float64 over the spent r2 / inv_r2 (a float32 chain borrows
-        # the float64 chunk columns the prune pass also uses).
-        e64, t64 = _scratch_for("float64", c, 0)["cols"][:2, :c]
+        # in float64.
+        e64, t64 = np.empty((2, c))
         np.multiply(c12_64, rc_inv6, out=e64)
         e64 *= rc_inv6
         np.multiply(c6_64, rc_inv6, out=t64)
@@ -535,9 +645,8 @@ def block_forces(
             np.add.at(out_forces[:, d], seg_i, seg.astype(odt, copy=False))
 
     # j-side: one bincount per component over the whole block.
-    fvec = scratch["fvec"]
     for d in range(3):
-        jsum = np.bincount(block.j, weights=fvec[d, :m], minlength=n)
+        jsum = np.bincount(block.j, weights=fvec_all[d], minlength=n)
         out_forces[:, d] -= jsum.astype(odt, copy=False)
     return out_forces, e_lj, e_coul
 

@@ -302,9 +302,11 @@ class TestSegmentReduction:
         assert np.max(np.abs(f_blk - f_ref)) <= tol
         assert e_blk == pytest.approx(e_ref, rel=1e-12)
 
-    def test_scratch_buffers_reused_across_steps(self, ff):
-        """One scratch per process: steps and blocks share it, and a block
-        holds nothing the evaluator could write to."""
+    def test_scratch_buffers_reused_across_steps(self, ff, monkeypatch):
+        """One scratch per process: steps and blocks share it, it holds one
+        chunk plus the j-side rows of the block's atoms, nothing per pair,
+        and a block holds nothing the evaluator could write to."""
+        monkeypatch.setattr(nonbonded._scratch, "by_dtype", {})
         pos, i, j, tid, q, box = _sorted_bulk(ff, seed=2, n=100)
         block = PairBlock(i, j, tid, q, ff, n_atoms=pos.shape[0])
         other = PairBlock(i[::2], j[::2], tid, q, ff, n_atoms=pos.shape[0])
@@ -316,6 +318,7 @@ class TestSegmentReduction:
         assert {
             name: id(arr) for name, arr in nonbonded._scratch.by_dtype["float64"].items()
         } == bufs
+        assert nonbonded.scratch_nbytes() == 48 * nonbonded.CHUNK_PAIRS + 24 * 100
         np.testing.assert_array_equal(f1, f2)
         assert (e1, c1) == (e2, c2)
         assert block.nbytes == stored
@@ -512,9 +515,9 @@ class TestChunking:
             assert c == pytest.approx(c_ref, rel=1e-12)
         assert np.all(f[4:8] == 0.0) and e_ref != 0.0
 
-    def test_scratch_is_bounded_by_a_chunk_plus_the_largest_block(self, ff, monkeypatch):
+    def test_scratch_is_bounded_by_a_chunk_plus_the_atom_rows(self, ff, monkeypatch):
         """Evaluator memory: one chunk-sized scratch whatever the block,
-        plus 24 B per pair of the largest block evaluated."""
+        plus the j-side accumulator, 24 B per atom row; nothing per pair."""
         monkeypatch.setattr(nonbonded._scratch, "by_dtype", {})
         rng = np.random.default_rng(5)
         box = np.full(3, 3.1)
@@ -524,19 +527,23 @@ class TestChunking:
         small = PairBlock(i[:20000], j[:20000], tid, ff.charges_for(tid), ff, n_atoms=3000)
         big = PairBlock(i, j, tid, ff.charges_for(tid), ff, n_atoms=3000)
         assert big.n_pairs > 350_000
+        few = PairBlock(
+            np.array([0]), np.array([1]), tid[:50], ff.charges_for(tid[:50]), ff,
+            n_atoms=50,
+        )
 
-        def evaluate(block):
+        def evaluate(block, pos):
             # Random positions overlap nowhere exactly but come close;
             # only the memory is under test, so forces are not checked.
             block_forces(pos, block, ff, box=box)
             held = nonbonded._scratch.by_dtype["float64"]
-            return nonbonded.scratch_nbytes() - held["fvec"].nbytes
+            return nonbonded.scratch_nbytes() - held["acc"].nbytes
 
-        chunk_bytes = evaluate(small)
-        assert chunk_bytes == 130 * nonbonded.CHUNK_PAIRS
-        assert nonbonded.scratch_nbytes() == chunk_bytes + 24 * small.n_pairs
-        assert evaluate(big) == chunk_bytes
-        assert nonbonded.scratch_nbytes() == chunk_bytes + 24 * big.n_pairs
+        chunk_bytes = evaluate(small, pos)
+        assert chunk_bytes == 48 * nonbonded.CHUNK_PAIRS
+        assert nonbonded.scratch_nbytes() == chunk_bytes + 24 * 3000
+        assert evaluate(big, pos) == chunk_bytes
+        assert nonbonded.scratch_nbytes() == chunk_bytes + 24 * 3000
         assert METRICS.gauge("md.kernel.scratch_bytes").value == nonbonded.scratch_nbytes()
-        assert evaluate(small) == chunk_bytes  # grow-only: nothing moves back
-        assert nonbonded.scratch_nbytes() == chunk_bytes + 24 * big.n_pairs
+        assert evaluate(few, pos[:50]) == chunk_bytes  # grow-only: nothing moves back
+        assert nonbonded.scratch_nbytes() == chunk_bytes + 24 * 3000

@@ -212,10 +212,12 @@ def test_192k_16_rank_build_stays_within_the_memory_ceilings():
 
     The streamed build allocates per local atom, never per global atom, so
     the per-rank build peak stays under 3400 B/atom; and the evaluator's
-    scratch is one chunk per worker plus 24 B/pair of its largest block,
-    never 154 B/pair of every list, so the process tree (self + reaped
-    workers) stays under 950 MiB.  Measured on the 2-vCPU benchmark host:
-    2778 B/atom, 654 MiB with 40 B/pair inner blocks (3994 B/atom and
+    scratch is one chunk per worker plus 24 B per atom row of its largest
+    block, never 154 B/pair of every list, so the process tree (self +
+    reaped workers) stays under 950 MiB.  Measured on the 2-vCPU benchmark
+    host: 2778 B/atom, 607 MiB with the compiled evaluator (629 MiB with
+    the NumPy chain's 24 B/pair force buffer, measured alongside); earlier
+    records: 654 MiB with 40 B/pair inner blocks (3994 B/atom and
     ≈800 MiB at 64 B/pair; 7586 B/atom and 914 MiB while candidates came
     from an all-pairs GEMM; 2126 MiB with per-block evaluator scratch).
     B/atom is accounting, the same on every host, so its ceiling sits
