@@ -1,7 +1,7 @@
 """Molecular-dynamics substrate.
 
-A compact NumPy MD engine, with a compiled non-bonded evaluator, standing
-in for GROMACS' particle-particle machinery: Lennard-Jones plus reaction-field electrostatics (the model used by
+A compact NumPy MD engine, with a compiled non-bonded evaluator and
+cluster pair search, standing in for GROMACS' particle-particle machinery: Lennard-Jones plus reaction-field electrostatics (the model used by
 the paper's "grappa" benchmarks), cell-list based Verlet pair lists with a
 buffer and rolling pruning, and a leap-frog integrator.  The serial
 :class:`~repro.md.reference.ReferenceSimulator` is the ground truth against

@@ -16,10 +16,14 @@ grids (1-2 cells along a periodic dimension) are deduplicated explicitly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from repro.md import native
 
 #: The 13 half-space neighbour offsets (lexicographically positive) plus self.
 _HALF_OFFSETS = [
@@ -29,10 +33,11 @@ _HALF_OFFSETS = [
 ]
 
 
-#: Chunk lengths of the cluster search's streamed stages (``a`` clusters,
-#: candidates, tiles), sized for cache behaviour: a rank's largest build
-#: transient is 3.3-3.5 MiB at 45k/8 and 192k/16 ranks (DESIGN.md §7).
-#: They never change a result, only the working set.
+#: Chunk lengths of the NumPy oracles' streamed stages (``a`` clusters,
+#: candidates, tiles of :func:`cluster_pair_candidates` and
+#: :func:`cluster_tile_pairs`), sized for cache behaviour.  They never
+#: change a result, only the oracles' working set; the compiled search
+#: (:func:`cluster_pairs`) streams into its output buffer instead.
 CHUNK_A_CLUSTERS = 256
 CHUNK_CANDIDATES = 1 << 16
 CHUNK_TILES = 4096
@@ -46,12 +51,14 @@ class BuildBudget:
     used and ``cells_bytes`` the footprint of the search structures
     (cell grid occupancy or cluster layouts), feeding the
     ``md.cells.bytes`` / ``md.build.peak_bytes`` gauges; ``candidates``
-    counts the cluster pairs the candidate stage enumerated.
+    counts the cluster pairs the candidate stage enumerated and
+    ``tiles`` those the compiled search tested atom by atom.
     """
 
     peak_bytes: int = 0
     cells_bytes: int = 0
     candidates: int = 0
+    tiles: int = 0
 
     def note(self, nbytes: int) -> None:
         """Record one stage's transient working set."""
@@ -412,6 +419,59 @@ def _column_windows(
     return first, np.maximum(last - first + 1, 0)
 
 
+class _Windows(NamedTuple):
+    """What a search of layout ``a`` against ``b`` derives per cluster
+    (:func:`_search_windows`); :func:`cluster_pair_candidates` and the
+    compiled :func:`cluster_pairs` read the same arrays."""
+
+    x0: np.ndarray        # (n_a, images) first b column along x ...
+    xn: np.ndarray        # ... and the column count
+    y0: np.ndarray        # the same along y
+    yn: np.ndarray
+    qlo: np.ndarray       # (n_a, z images) clipped z queries: bottom ...
+    qhi: np.ndarray       # ... and top of the window, from b's lowest face
+    key_hi: np.ndarray    # (n_b,) col * zband + top face offset
+    key_lo: np.ndarray    # (n_b,) col * zband + bottom face offset
+    zband: float          # key band per column: zspan + 2
+    lim2: float           # box-test limit: (r_list * 1.0001)²
+
+
+def _search_windows(
+    a: ClusterLayout, b: ClusterLayout, r_list: float, box: np.ndarray,
+    periodic: np.ndarray,
+) -> _Windows:
+    """Steps 1 and 2's per-cluster arrays of :func:`cluster_pair_candidates`:
+    column windows per image along x and y, and the z keys and queries."""
+    boxd = np.asarray(box, dtype=np.float64)
+    shifts = [
+        boxd[d] * np.arange(-1, 2) if periodic[d] else np.zeros(1)
+        for d in range(3)
+    ]
+    slack = float(r_list) * 1.0001
+    wlo = a.centers - a.half - slack
+    whi = a.centers + a.half + slack
+    blo = b.centers - b.half
+    bhi = b.centers + b.half
+    bmin, bmax = blo.min(axis=0), bhi.max(axis=0)
+    (x0, xn), (y0, yn) = (
+        _column_windows(wlo[:, d], whi[:, d], shifts[d], b.lo[d], b.ext[d],
+                        n, bmin[d], bmax[d])
+        for d, n in ((0, b.nx), (1, b.ny))
+    )
+    # z offsets are taken from b's lowest face so that 0 <= offset <=
+    # zspan = Z - 2 and a clamped query never leaves its column's band
+    # of the key.
+    zspan = bmax[2] - bmin[2]
+    band = b.col * (zspan + 2.0)
+    return _Windows(
+        x0, xn, y0, yn,
+        qlo=np.clip(wlo[:, 2, None] + shifts[2] - bmin[2], 0.0, zspan + 1.0),
+        qhi=np.clip(whi[:, 2, None] + shifts[2] - bmin[2], -1.0, zspan + 1.0),
+        key_hi=band + (bhi[:, 2] - bmin[2]), key_lo=band + (blo[:, 2] - bmin[2]),
+        zband=float(zspan + 2.0), lim2=slack * slack,
+    )
+
+
 def cluster_pair_candidates(
     a: ClusterLayout,
     b: ClusterLayout,
@@ -423,8 +483,10 @@ def cluster_pair_candidates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cluster pairs whose bounding boxes may hold an ``r_list`` pair.
 
-    Linear in the cluster count: candidates are *enumerated* from the
-    column grid ``b`` was built on, never tested all against all.
+    The NumPy oracle of the compiled search's candidate stage
+    (:func:`cluster_pairs`); no ``src/`` path calls it.  Linear in the
+    cluster count: candidates are *enumerated* from the column grid
+    ``b`` was built on, never tested all against all.
 
     1. Columns.  Around each ``a`` cluster's bounding box, widened by
        ``r_list`` (a 1.0001 slack absorbs rounding), lies a rectangle of
@@ -457,37 +519,15 @@ def cluster_pair_candidates(
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
     budget = budget or BuildBudget()
     boxd = np.asarray(box, dtype=np.float64)
-    shifts = [
-        boxd[d] * np.arange(-1, 2) if periodic[d] else np.zeros(1)
-        for d in range(3)
-    ]
-    slack = float(r_list) * 1.0001
-    wlo = a.centers - a.half - slack
-    whi = a.centers + a.half + slack
-    blo = b.centers - b.half
-    bhi = b.centers + b.half
-    bmin, bmax = blo.min(axis=0), bhi.max(axis=0)
-
+    w = _search_windows(a, b, r_list, box, periodic)
+    x0, xn, y0, yn = w.x0, w.xn, w.y0, w.yn
     # Step 1 for every a cluster: at most 3 x 3 column rectangles each,
     # as (first column, y width, column count) per rectangle.
-    (x0, xn), (y0, yn) = (
-        _column_windows(wlo[:, d], whi[:, d], shifts[d], b.lo[d], b.ext[d],
-                        n, bmin[d], bmax[d])
-        for d, n in ((0, b.nx), (1, b.ny))
-    )
     rect_col = (x0[:, :, None] * b.ny + y0[:, None, :]).reshape(n_a, -1)
     rect_ny = np.repeat(yn[:, None, :], xn.shape[1], axis=1).reshape(n_a, -1)
     rect_n = (xn[:, :, None] * yn[:, None, :]).reshape(n_a, -1)
-
-    # Step 2 keys; z offsets are taken from b's lowest face so that
-    # 0 <= offset <= zspan = Z - 2 and a clamped query never leaves its
-    # column's band of the key.
-    zspan = bmax[2] - bmin[2]
-    band = b.col * (zspan + 2.0)
-    key_hi, key_lo = band + (bhi[:, 2] - bmin[2]), band + (blo[:, 2] - bmin[2])
-    qlo = np.clip(wlo[:, 2, None] + shifts[2] - bmin[2], 0.0, zspan + 1.0)
-    qhi = np.clip(whi[:, 2, None] + shifts[2] - bmin[2], -1.0, zspan + 1.0)
-    n_img = shifts[2].size
+    key_hi, key_lo, qlo, qhi = w.key_hi, w.key_lo, w.qlo, w.qhi
+    n_img = qlo.shape[1]
 
     # Two nested streams: a clusters by the (column, image) rows they
     # expand to, and those rows by the candidates in their z-ranges.  Per
@@ -497,7 +537,7 @@ def cluster_pair_candidates(
     a_chunk = CHUNK_A_CLUSTERS
     cand_bytes = 32 + 4 * 24 + 24 + 9
     cand_chunk = CHUNK_CANDIDATES
-    lim2 = slack * slack
+    lim2 = w.lim2
     ac, ah, bc, bh = (
         np.ascontiguousarray(v.T) for v in (a.centers, a.half, b.centers, b.half)
     )
@@ -511,7 +551,7 @@ def cluster_pair_candidates(
             # Lower columns hold lower cluster indices only.
             keep = col >= a.col[row_a]
             col, row_a = col[keep], row_a[keep]
-        base = (col * (zspan + 2.0))[:, None]
+        base = (col * w.zband)[:, None]
         first = np.searchsorted(key_hi, base + qlo[row_a], side="left")
         stop = np.searchsorted(key_lo, base + qhi[row_a], side="right")
         if same:
@@ -562,7 +602,8 @@ def cluster_tile_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Atom pairs ``(pi, pj)`` within ``r_list`` in the candidate tiles.
 
-    Each candidate cluster pair is an M×N tile of atom slots, evaluated
+    The NumPy oracle of the compiled search's tile stage
+    (:func:`cluster_pairs`); no ``src/`` path calls it.  Each candidate cluster pair is an M×N tile of atom slots, evaluated
     exactly in float64: ``dx² + dy² + dz²`` with the minimum image taken
     *per atom pair* along periodic dimensions — the arithmetic of
     :meth:`CellList.pairs_within`, and necessary in general: the image
@@ -634,3 +675,131 @@ def cluster_tile_pairs(
         out_i.append(atoms_a[:, ti].ravel()[hit - (sab - sa) * w])
         out_j.append(atoms_b[:, tj].ravel()[hit - sa * (m_b * w)])
     return np.concatenate(out_i), np.concatenate(out_j)
+
+
+# -- the compiled search -------------------------------------------------------
+
+#: Atoms per cluster in the ``"cluster"`` search (GROMACS' CPU/SIMD
+#: cluster size; tiles are ``CLUSTER_M`` × ``CLUSTER_M`` slots).  The
+#: compiled tile test is built for it (``M`` in ``pairsearch.c``).
+CLUSTER_M = 4
+
+
+def _cluster_zone_bits(layout: ClusterLayout, zone_bits: np.ndarray) -> np.ndarray:
+    """Zone bits shared by *every* atom of each cluster, shape ``(C,)``
+    (padding slots carry all bits, so they never clear one).  Two
+    clusters whose shared bits intersect hold no pair the per-atom
+    eighth-shell test would keep; the converse does not hold, so the
+    per-atom test still decides on the tiles that survive."""
+    bits = np.concatenate([zone_bits, np.full(1, 7, dtype=np.uint8)])
+    return np.bitwise_and.reduce(bits[layout.atoms], axis=1)
+
+
+#: The sizing pass of :func:`cluster_pairs` counts the pairs of every
+#: ``SIZING_STEP``-th ``a`` cluster (≈6 % of a search's work).
+SIZING_STEP = 16
+
+
+def _initial_capacity(count, n_a: int) -> int:
+    """Keys the output buffer starts with: the pairs of every
+    :data:`SIZING_STEP`-th ``a`` cluster, counted (``count(step)``)
+    without being stored, scaled to all ``n_a``, plus 1/16 and a tile."""
+    sampled = -(-n_a // SIZING_STEP)
+    return count(SIZING_STEP) * n_a // sampled * 17 // 16 + CLUSTER_M * CLUSTER_M
+
+
+def cluster_pairs(
+    positions: np.ndarray,
+    a: ClusterLayout,
+    b: ClusterLayout,
+    r_list: float,
+    box: np.ndarray,
+    periodic: np.ndarray,
+    budget: BuildBudget,
+    zone_bits: np.ndarray | None = None,
+) -> np.ndarray:
+    """Every atom pair within ``r_list`` of layout pair ``(a, b)``, as
+    fused keys ``min * stride + max`` with ``stride = n_total + 1``.
+
+    The compiled search (``pairsearch.c``): candidates, the halo cluster
+    cut and the M×N tile test in one pass per ``a`` cluster, with no
+    candidate arrays.  Its pair set and the counts it adds to
+    ``budget.candidates`` / ``budget.tiles`` are those of
+    :func:`cluster_pair_candidates`, the cut of
+    :func:`_cluster_zone_bits` and :func:`cluster_tile_pairs` composed —
+    the oracles ``tests/test_native.py`` holds it to.  ``a is b``
+    searches a layout against itself (each unordered pair once);
+    ``zone_bits`` (one ``uint8`` per atom) applies the eighth-shell rule,
+    cluster by cluster and then atom by atom.  Keys come in search
+    order, unsorted, in a view of the output buffer.
+
+    The per-cluster windows and keys stay NumPy (:func:`_search_windows`).
+    The output buffer is sized by a counting pass over a sample of the
+    ``a`` clusters (:func:`_initial_capacity`); a search that fills it
+    anyway stops before the ``a`` cluster that might not fit, and
+    resumes there in a larger one.  ``budget`` records the buffers and
+    the search's other inputs as its transient.
+    """
+    same = a is b
+    if a.n_clusters == 0 or b.n_clusters == 0:
+        return np.zeros(0, np.int64)
+    if a.m != CLUSTER_M or b.m != CLUSTER_M:
+        raise ValueError(f"the compiled search takes {CLUSTER_M}-atom clusters")
+    w = _search_windows(a, b, r_list, box, periodic)
+    padded = np.vstack([np.asarray(positions, dtype=np.float64),
+                        np.full((1, 3), np.nan)])
+    # Where each column's clusters, its band of the keys, start in b.
+    band = np.concatenate(([0], np.cumsum(np.bincount(b.col, minlength=b.nx * b.ny))))
+    held = [np.ascontiguousarray(v) for v in (
+        w.x0, w.xn, w.y0, w.yn, w.qlo, w.qhi, w.key_hi, w.key_lo, band,
+    )]
+    win = native.Windows(
+        w.x0.shape[1], w.y0.shape[1], w.qlo.shape[1],
+        *(native.address(v) for v in held), b.ny, w.zband,
+    )
+    sides = []
+    for lay in (a,) if same else (a, b):
+        # Slot coordinates as one (3, m) block per cluster, NaN in padding.
+        x = np.ascontiguousarray(padded[lay.atoms].transpose(0, 2, 1))
+        arrays = [x, *(np.ascontiguousarray(v, dtype=t) for v, t in (
+            (lay.atoms, np.int64), (lay.centers, np.float64),
+            (lay.half, np.float64), (lay.col, np.int64),
+        ))]
+        if zone_bits is not None:
+            bits = np.concatenate([zone_bits, np.zeros(1, dtype=np.uint8)])
+            arrays += [bits[lay.atoms], _cluster_zone_bits(lay, zone_bits)]
+        held += arrays
+        addrs = [native.address(v) for v in arrays]
+        sides.append(native.Layout(lay.n_clusters, *addrs))
+    boxd = np.ascontiguousarray(box, dtype=np.float64)
+    fixed = sum(v.nbytes for v in held) + padded.nbytes
+    search = functools.partial(
+        native.library().ps_cluster_pairs, sides[0], sides[-1], win,
+        native.address(boxd), sum(1 << d for d in range(3) if periodic[d]), same,
+        w.lim2, r_list * r_list, a.n_total + 1,
+    )
+
+    def count(step: int) -> int:
+        state = np.zeros(4, np.int64)
+        search(step, None, 0, native.address(state))
+        return int(state[1])
+
+    keys = np.empty(_initial_capacity(count, a.n_clusters), np.int64)
+    budget.note(fixed + keys.nbytes)
+    state = np.zeros(4, np.int64)  # next a cluster, keys, candidates, tiles
+    while True:
+        search(1, native.address(keys), keys.size, native.address(state))
+        done, n = int(state[0]), int(state[1])
+        if done == a.n_clusters:
+            break
+        # Extrapolate from the clusters done; grow by a quarter at least.
+        grown = np.empty(
+            max(keys.size + keys.size // 4, n * a.n_clusters // max(done, 1))
+            + CLUSTER_M * CLUSTER_M, np.int64,
+        )
+        grown[:n] = keys[:n]
+        budget.note(fixed + keys.nbytes + grown.nbytes)
+        keys = grown
+    budget.candidates += int(state[2])
+    budget.tiles += int(state[3])
+    return keys[:n]

@@ -14,8 +14,10 @@ differ only in how a rank *finds* its pairs:
   ``CLUSTER_M``-atom clusters along a column grid, candidate cluster
   pairs are enumerated from that grid in linear time, halo–halo tiles
   no atom pair of which can pass the eighth-shell rule are cut, and the
-  surviving tiles are evaluated exactly and extracted as flat pairs;
-  layouts and tiles are build transients.
+  surviving tiles are evaluated exactly and extracted as flat pairs —
+  one compiled pass per layout pair (:func:`~repro.md.cells.cluster_pairs`,
+  ``pairsearch.c``) held to the NumPy stages it replaced; layouts and
+  the pass's output buffer are build transients.
 
 Both produce the same canonically ``(i, j)``-sorted flat ``int32``
 outer lists (:class:`~repro.md.nonbonded.DualList`); the force phases
@@ -44,11 +46,11 @@ import numpy as np
 
 from repro.md import native
 from repro.md.cells import (
+    CLUSTER_M,
     BuildBudget,
     CellGrid,
     build_clusters,
-    cluster_pair_candidates,
-    cluster_tile_pairs,
+    cluster_pairs,
 )
 from repro.md.forcefield import ForceField
 from repro.md.nonbonded import DualList, PairBlock, block_forces
@@ -58,10 +60,6 @@ kernel_registry: dict[str, type] = {}
 
 #: Kernel compute precisions (``dtype`` option values).
 KERNEL_DTYPES = ("float64", "float32")
-
-#: Atoms per cluster in the ``"cluster"`` search (GROMACS' CPU/SIMD
-#: cluster size; tiles are ``CLUSTER_M`` × ``CLUSTER_M`` slots).
-CLUSTER_M = 4
 
 
 def register_kernel(name: str):
@@ -101,8 +99,8 @@ class KernelImpl:
     ``compute_block`` is the same for every strategy:
     :func:`~repro.md.nonbonded.block_forces` at this kernel's ``dtype``.
     Making a kernel builds (once per host) and loads the compiled
-    evaluator, so a host without a C compiler fails here, in the parent,
-    with :class:`~repro.md.native.CompilerNotFoundError`.
+    evaluator and search, so a host without a C compiler fails here, in
+    the parent, with :class:`~repro.md.native.CompilerNotFoundError`.
     """
 
     name = "abstract"
@@ -213,41 +211,34 @@ class ClusterKernel(KernelImpl):
         nzbits = (
             ((zs != 0) * np.array([1, 2, 4], dtype=np.uint8)).sum(axis=1)
         ).astype(np.uint8)
-        halo_bits = _cluster_zone_bits(halo, nzbits)
 
         mol = ws.ns.bonded["mol"] if ws.ns.bonded is not None else None
-        flat = []
-        excl_i, excl_j = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-        n_tiles = 0
+        flat, excl = [], [np.zeros(0, np.int64)]
         for a, b in ((home, home), (home, halo), (halo, halo)):
-            same = a is b
-            ci, cj = cluster_pair_candidates(
-                a, b, r_list, box, periodic, same, budget=budget
-            )
-            if a is halo:
-                keep = (halo_bits[ci] & halo_bits[cj]) == 0
-                ci, cj = ci[keep], cj[keep]
-            n_tiles += int(ci.size)
-            pi, pj = cluster_tile_pairs(
-                pos, a, b, ci, cj, r_list, box, periodic, same, budget=budget,
+            key = cluster_pairs(
+                pos, a, b, r_list, box, periodic, budget,
                 zone_bits=nzbits if a is halo else None,
             )
-            pi, pj = np.minimum(pi, pj), np.maximum(pi, pj)
+            if a is b is home:
+                # Canonical order for all that leaves the build: the
+                # exclusion correction accumulates in list order, never
+                # the search's; masks below keep it.
+                key.sort()
+            pi, pj = _split_key(key, stride)
             if mol is not None:
-                excl = mol[pi] == mol[pj]
-                excl_i.append(pi[excl])
-                excl_j.append(pj[excl])
-                pi, pj = pi[~excl], pj[~excl]
+                ex = mol[pi] == mol[pj]
+                excl.append(key[ex])
+                pi, pj = pi[~ex], pj[~ex]
             flat.append((pi, pj))
 
         hh, hx, xx = flat
-        # Canonical order for all that leaves the build: the exclusion
-        # correction accumulates in list order, never the tile order.
+        excl = np.concatenate(excl)
+        excl.sort()
         return _split_pairs(
-            ws, budget, _sorted_pairs(*hh, stride),
+            ws, budget, hh,
             (np.concatenate([hx[0], xx[0]]), np.concatenate([hx[1], xx[1]])),
-            _sorted_pairs(np.concatenate(excl_i), np.concatenate(excl_j), stride),
-            n_candidates=budget.candidates, n_tiles=n_tiles,
+            _split_key(excl, stride),
+            n_candidates=budget.candidates, n_tiles=budget.tiles,
         )
 
 
@@ -280,25 +271,6 @@ def _split_pairs(ws, budget: BuildBudget, local, nonlocal_, excl, **search_stats
             **_memory_stats(ws, budget, local.nbytes + nl.nbytes),
         },
     )
-
-
-def _cluster_zone_bits(layout, nzbits: np.ndarray) -> np.ndarray:
-    """Zone bits shared by *every* atom of each cluster, shape ``(C,)``
-    (padding slots carry all bits, so they never clear one).  Two
-    clusters whose shared bits intersect hold no pair the per-atom
-    eighth-shell test would keep; the converse does not hold, so the
-    per-atom test still decides on the tiles that survive."""
-    bits = np.concatenate([nzbits, np.full(1, 7, dtype=np.uint8)])
-    return np.bitwise_and.reduce(bits[layout.atoms], axis=1)
-
-
-def _sorted_pairs(i: np.ndarray, j: np.ndarray, stride: np.int64):
-    """Unique pairs in canonical ``(i, j)`` order: sorting the fused key
-    ``i * stride + j`` and decoding it yields the arrays a
-    ``lexsort((j, i))`` permutation would gather, without the gathers."""
-    key = i * stride + j
-    key.sort()
-    return _split_key(key, stride)
 
 
 def _split_key(key: np.ndarray, stride: np.int64):

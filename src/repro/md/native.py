@@ -1,9 +1,11 @@
-"""Build, cache and load the compiled non-bonded evaluator.
+"""Build, cache and load the MD kernel's compiled code.
 
-``nonbonded.c`` (next to this file) is compiled with the host's C
-compiler the first time an MD kernel resolves, into the per-user cache
-directory, and loaded with :mod:`ctypes`.  The cache key hashes the
-source, the flags, the compiler binary and the host CPU, so a shared
+``nonbonded.c`` (the non-bonded evaluator) and ``pairsearch.c`` (the
+cluster search and the prune mask), next to this file, are compiled
+into one library with the host's C compiler the first time an MD kernel
+resolves, into the per-user cache directory, and loaded with
+:mod:`ctypes`.  The cache key hashes both sources, the flags, the
+compiler binary and the host CPU, so a shared
 home never loads a build made for another ISA or compiler; a build goes
 to a temporary name and is moved into place with :func:`os.replace`, so
 processes building at once each load a complete library.
@@ -33,7 +35,10 @@ import tempfile
 import threading
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("nonbonded.c")
+#: The C sources of the one library, in link order.
+SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("nonbonded.c", "pairsearch.c")
+)
 
 #: IEEE-exact optimisation: no FMA contraction, no fast-math;
 #: ``-fno-math-errno`` only lets ``sqrt`` and ``rint`` inline.
@@ -58,7 +63,8 @@ def compiler() -> str:
         if path:
             return path
     raise CompilerNotFoundError(
-        f"the MD kernel needs a C compiler to build {SOURCE.name}: "
+        "the MD kernel needs a C compiler to build its evaluator and pair "
+        f"search ({', '.join(p.name for p in SOURCES)}): "
         f"no {' or '.join(repr(n) for n in names)} on PATH"
     )
 
@@ -94,10 +100,13 @@ def compiler_id(cc: str) -> str:
     return f"{path} {st.st_size} {st.st_mtime_ns}"
 
 
-def cache_key(source: bytes, flags: tuple[str, ...], compiler: str, cpu: str) -> str:
-    """Hash of everything a build depends on."""
+def cache_key(
+    sources: tuple[bytes, ...], flags: tuple[str, ...], compiler: str, cpu: str
+) -> str:
+    """Hash of everything a build depends on: each source on its own, so
+    no edit that moves text from one file to the other keeps the key."""
     h = hashlib.sha256()
-    for part in (source, "\0".join(flags).encode(), compiler.encode(), cpu.encode()):
+    for part in (*sources, "\0".join(flags).encode(), compiler.encode(), cpu.encode()):
         h.update(hashlib.sha256(part).digest())
     return h.hexdigest()[:24]
 
@@ -116,9 +125,10 @@ def build(directory: Path | None = None) -> Path:
     per-user cache by default) if it is not there yet."""
     cc = compiler()
     flags = (*FLAGS, isa_flag())
-    key = cache_key(SOURCE.read_bytes(), flags, compiler_id(cc), host_cpu())
+    sources = tuple(p.read_bytes() for p in SOURCES)
+    key = cache_key(sources, flags, compiler_id(cc), host_cpu())
     directory = Path(directory) if directory is not None else cache_dir()
-    lib = directory / f"nonbonded-{key}.so"
+    lib = directory / f"md-{key}.so"
     if lib.exists():
         return lib
     directory.mkdir(parents=True, exist_ok=True)
@@ -126,12 +136,13 @@ def build(directory: Path | None = None) -> Path:
     os.close(fd)
     try:
         done = subprocess.run(
-            [cc, *flags, "-o", tmp, str(SOURCE)],
+            [cc, *flags, "-o", tmp, *map(str, SOURCES)],
             capture_output=True, text=True, check=False,
         )
         if done.returncode != 0:
             raise RuntimeError(
-                f"building {SOURCE.name} with {cc} failed:\n{done.stderr.strip()}"
+                f"building {', '.join(p.name for p in SOURCES)} with {cc} "
+                f"failed:\n{done.stderr.strip()}"
             )
         os.replace(tmp, lib)
     finally:
@@ -140,10 +151,59 @@ def build(directory: Path | None = None) -> Path:
     return lib
 
 
+class Layout(ctypes.Structure):
+    """``struct layout`` of ``pairsearch.c``: a cluster layout's arrays."""
+
+    _fields_ = [
+        ("n", ctypes.c_int64),
+        *((name, ctypes.c_void_p)
+          for name in ("x", "atoms", "center", "half", "col", "bits", "cut")),
+    ]
+
+
+class Windows(ctypes.Structure):
+    """``struct windows`` of ``pairsearch.c``: a search's column windows,
+    z queries and keys."""
+
+    _fields_ = [
+        *((name, ctypes.c_int64) for name in ("nix", "niy", "niz")),
+        *((name, ctypes.c_void_p)
+          for name in ("x0", "xn", "y0", "yn", "qlo", "qhi", "key_hi", "key_lo",
+                       "band")),
+        ("b_ny", ctypes.c_int64),
+        ("zband", ctypes.c_double),
+    ]
+
+
+def address(a) -> int:
+    """Data address of an array, for a C call: through a one-byte
+    :mod:`ctypes` view of its buffer (≈1 µs) when it is writable,
+    C-contiguous and not empty, else ``a.ctypes.data`` (≈3 µs)."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):  # read-only, not contiguous, empty
+        return a.ctypes.data
+
+
 def load(path: Path) -> ctypes.CDLL:
-    """Open a built library and declare its two entry points."""
+    """Open a built library and declare its entry points."""
     lib = ctypes.CDLL(str(path))
     p, i64, i32, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32, ctypes.c_double
+    lib.ps_cluster_pairs.restype = None
+    lib.ps_cluster_pairs.argtypes = [
+        ctypes.POINTER(Layout), ctypes.POINTER(Layout), ctypes.POINTER(Windows),
+        p, i32, i32,       # box (3), minimum-image bit per dimension, same
+        f64, f64, i64,     # box-test limit², r_list², key stride
+        i64,               # every how many a clusters
+        p, i64, p,         # key buffer (NULL: count only), its capacity, state (4)
+    ]
+    lib.ps_within_radius.restype = None
+    lib.ps_within_radius.argtypes = [
+        p, i64,            # positions (n, 3) float64, n
+        p, p, i64,         # pair i, pair j (int32), pairs
+        p, i32, f64,       # box (3), minimum-image bit per dimension, radius²
+        p,                 # keep mask (bool)
+    ]
     for fn in (lib.nb_block_forces_f64, lib.nb_block_forces_f32):
         fn.restype = i64
         fn.argtypes = [

@@ -21,10 +21,10 @@ over flat pair arrays ``i``/``j``:
   per chunk (``reduceat`` over ``i``-segments, one ``bincount`` per
   component for ``j``): the oracle the compiled evaluator is held to bit
   for bit.  No ``src/`` path calls it.
-* :class:`DualList` + :func:`within_radius` — a DD rank's dual pair list
+* :class:`DualList` + :func:`prune_mask` — a DD rank's dual pair list
   (outer search list, evaluated inner block) and its prune pass, a
-  distance test over the evaluator's scratch (:mod:`repro.par.phases`
-  runs both).
+  compiled distance test (``pairsearch.c``; :mod:`repro.par.phases` runs
+  both).  :func:`within_radius` is the NumPy pass it is held to.
 
 Pairs beyond the interaction cutoff (present in a buffered Verlet list)
 contribute zero, matching GROMACS' buffered-list semantics; the block path
@@ -207,12 +207,12 @@ class PairBlock:
 
     def _args(self) -> tuple:
         """The block's arguments to the compiled evaluator: its arrays'
-        addresses and sizes, taken once (they take ≈3 µs each)."""
+        addresses and sizes, taken once."""
+        addr = native.address
         return (
-            self.i.ctypes.data, self.j.ctypes.data, self.n_pairs,
-            self.seg_starts.ctypes.data, self.seg_i.ctypes.data,
-            self.seg_starts.size,
-            self.c6.ctypes.data, self.c12.ctypes.data, self.qq.ctypes.data,
+            addr(self.i), addr(self.j), self.n_pairs,
+            addr(self.seg_starts), addr(self.seg_i), self.seg_starts.size,
+            addr(self.c6), addr(self.c12), addr(self.qq),
         )
 
     def __setstate__(self, state) -> None:
@@ -286,11 +286,13 @@ class _Scratch(threading.local):
     executors).  ``by_dtype`` maps the compute dtype *name* to
     ``chunk`` (:data:`CHUNK_COLUMNS` chunk-sized columns) and ``acc``
     (the ``j``-side float64 accumulator, three per atom row of the
-    largest block seen), both grow-only.
+    largest block seen), both grow-only; ``args`` holds each dtype's
+    two arrays with their ``(chunk address, chunk rows, acc address)``.
     No call reads what an earlier call left there."""
 
     def __init__(self) -> None:
         self.by_dtype: dict[str, dict[str, np.ndarray]] = {}
+        self.args: dict[str, tuple] = {}
 
 
 _scratch = _Scratch()
@@ -320,6 +322,20 @@ def _scratch_for(dtype: str, rows: int, atoms: int) -> dict[str, np.ndarray]:
     return s
 
 
+def _scratch_args(dtype: str, rows: int, atoms: int) -> tuple[int, int, int]:
+    """``(chunk address, chunk rows, acc address)`` of :func:`_scratch_for`'s
+    arrays, taken again only when they are other arrays (they grew)."""
+    s = _scratch_for(dtype, rows, atoms)
+    chunk, acc = s["chunk"], s["acc"]
+    held = _scratch.args.get(dtype)
+    if held is None or held[0] is not chunk or held[1] is not acc:
+        held = _scratch.args[dtype] = (
+            chunk, acc,
+            (native.address(chunk), chunk.shape[1], native.address(acc)),
+        )
+    return held[2]
+
+
 def within_radius(
     positions: np.ndarray,
     pair_i: np.ndarray,
@@ -337,6 +353,8 @@ def within_radius(
     association instead.  The gathers clip instead of bounds-checking: an
     index out of range yields a meaningless distance, and a kept one is
     rejected by the :class:`PairBlock` the survivors are made into.
+
+    The NumPy oracle of :func:`prune_mask`; no ``src/`` path calls it.
     """
     cols = np.ascontiguousarray(np.asarray(positions).T, dtype=np.float64)
     box = None if box is None else np.asarray(box, dtype=np.float64)
@@ -361,6 +379,52 @@ def within_radius(
                 xi *= xi
                 r2 += xi
         np.less_equal(r2, r2_max, out=keep[lo:hi])
+    return keep
+
+
+def prune_mask(
+    positions: np.ndarray,
+    pair_i: np.ndarray,
+    pair_j: np.ndarray,
+    radius: float,
+    box: np.ndarray | None = None,
+    periodic: np.ndarray | None = None,
+) -> np.ndarray:
+    """Keep mask of the pairs at most ``radius`` apart — the prune pass,
+    compiled (``pairsearch.c``).
+
+    The mask of :func:`within_radius`, its oracle, bit for bit: float64
+    coordinates, the minimum image along ``periodic`` dimensions when a
+    ``box`` is given, ``r²`` summed in x, y, z order, indices clipped to
+    the rows as ``np.take(mode="clip")`` clips them.  ``int32`` indices
+    (a :class:`DualList`'s) are read in place; others are clipped and
+    narrowed first.
+    """
+    pos = np.ascontiguousarray(positions, dtype=np.float64)
+    n = pos.shape[0]
+    i, j = (np.asarray(a) for a in (pair_i, pair_j))
+    if i.shape != j.shape:
+        raise ValueError("pair arrays must have equal shape")
+    keep = np.empty(i.size, dtype=bool)
+    if not i.size:
+        return keep
+    if n == 0:
+        raise IndexError("cannot take pairs from an empty position array")
+    i, j = (
+        np.ascontiguousarray(a if a.dtype == np.int32 else np.clip(a, 0, n - 1),
+                             dtype=np.int32)
+        for a in (i, j)
+    )
+    if box is None:
+        box, wrap = np.zeros(3), 0
+    else:
+        box = np.ascontiguousarray(box, dtype=np.float64)
+        wrap = sum(1 << d for d in range(3) if periodic is None or periodic[d])
+    addr = native.address
+    native.library().ps_within_radius(
+        addr(pos), n, addr(i), addr(j), i.size, addr(box), wrap,
+        radius * radius, addr(keep),
+    )
     return keep
 
 
@@ -446,18 +510,17 @@ def block_forces(
         wrap = sum(1 << d for d in range(3) if periodic is None or periodic[d])
     rc2 = ff.cutoff * ff.cutoff
     energies = (ctypes.c_double * 2)()
-    scratch = _scratch_for(dtype, CHUNK_PAIRS, n)
+    scratch = _scratch_args(dtype, CHUNK_PAIRS, n)
+    pos_addr, out_addr = native.address(pos), native.address(out_forces)
     while True:
-        chunk = scratch["chunk"]
         code = fn(
-            pos.ctypes.data, n, *block.args, *box, wrap,
+            pos_addr, n, *block.args, *box, wrap,
             rc2, 1.0 / rc2**3, ff.k_rf, ff.c_rf, CHUNK_PAIRS, np.getbufsize(),
-            chunk.ctypes.data, chunk.shape[1], scratch["acc"].ctypes.data,
-            out_forces.ctypes.data, out_f32, energies,
+            *scratch, out_addr, out_f32, energies,
         )
         if code <= 0:
             break
-        scratch = _scratch_for(dtype, code, n)  # a segment longer than a chunk
+        scratch = _scratch_args(dtype, code, n)  # a segment longer than a chunk
     if code < 0:
         raise FloatingPointError("overlapping atoms in pair list (r == 0)")
     return out_forces, energies[0], energies[1]

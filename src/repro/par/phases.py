@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.md.bonded import angle_forces, bond_forces, exclusion_correction
 from repro.md.integrator import LeapFrogIntegrator, kinetic_energy
-from repro.md.nonbonded import DualList, NonbondedKernel, within_radius
+from repro.md.nonbonded import DualList, NonbondedKernel, prune_mask
 
 #: Cluster array fields every workspace carries, in layout order.  The
 #: executor shared-memory arena and the engine's ``ClusterState`` lists
@@ -220,7 +220,7 @@ def _prune(ws: RankWorkspace, half: DualList) -> None:
     # Release the previous block first: the new one reuses its pages
     # instead of growing the heap beside it.
     half.block = None
-    keep = within_radius(
+    keep = prune_mask(
         ws.pos, half.i, half.j, cfg.r_inner, box=cfg.box, periodic=cfg.periodic
     )
     kept = np.flatnonzero(keep)

@@ -30,7 +30,7 @@ import repro.cli as cli
 import repro.md.kernels as kernels
 from repro.chaos import chaos_spec, run_campaign
 from repro.dd import DDGrid, DDSimulator
-from repro.md import make_grappa_system, nonbonded
+from repro.md import cells, make_grappa_system, nonbonded
 from repro.md.cells import (
     build_clusters,
     cluster_pair_candidates,
@@ -347,7 +347,7 @@ class TestPairListIdentity:
         same lists from more tiles."""
         cut = _rank_pairs(system, ff, (2, 2, 2))
         monkeypatch.setattr(
-            kernels, "_cluster_zone_bits",
+            cells, "_cluster_zone_bits",
             lambda layout, nzbits: np.zeros(layout.n_clusters, dtype=np.uint8),
         )
         uncut = _rank_pairs(system, ff, (2, 2, 2))

@@ -1,12 +1,21 @@
-"""The compiled evaluator against its NumPy chain, bit for bit, and its build.
+"""The compiled code against its NumPy oracles, bit for bit, and its build.
 
 ``repro.md.nonbonded.block_forces`` runs ``nonbonded.c``;
 ``block_forces_numpy`` is the chain it was written from.  Every drawn
 case must give the same bytes: forces (signed zeros and NaN payloads
 included), ``e_lj``, ``e_coul``, and on an overlap the same error with
-the same partial ``out_forces``.  The build tests cover what a host sees
-the first time: an empty cache, two processes building at once, no
-compiler at all, and cache keys that follow every input of a build.
+the same partial ``out_forces``.
+
+``repro.md.cells.cluster_pairs`` and ``repro.md.nonbonded.prune_mask``
+run ``pairsearch.c``; the NumPy stages they were written from —
+``cluster_pair_candidates``, the halo cluster cut, ``cluster_tile_pairs``
+and ``within_radius`` — are their oracles.  A drawn search must give the
+same sorted pair keys and the same candidate and tile counts, a drawn
+prune the same mask.
+
+The build tests cover what a host sees the first time: an empty cache,
+two processes building at once, no compiler at all, and cache keys that
+follow every input of a build.
 """
 
 from __future__ import annotations
@@ -22,13 +31,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.md import native, nonbonded
+from repro.dd import DDSimulator
+from repro.md import cells, make_grappa_system, native, nonbonded
+from repro.md.cells import (
+    BuildBudget,
+    build_clusters,
+    cluster_pair_candidates,
+    cluster_pairs,
+    cluster_tile_pairs,
+)
 from repro.md.forcefield import default_forcefield
 from repro.md.nonbonded import (
     NonbondedKernel,
     PairBlock,
     block_forces,
     block_forces_numpy,
+    prune_mask,
+    within_radius,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -180,6 +199,204 @@ class TestOracle:
                 block_forces(pos, block, ff, out_forces=out)
 
 
+class TestAddress:
+    def test_equals_the_ctypes_address(self):
+        """Writable, read-only, empty, sliced, strided and Fortran-ordered
+        arrays: the fast path where it applies, ``.ctypes.data`` elsewhere."""
+        base = np.arange(24.0).reshape(4, 6)
+        frozen = base.copy()
+        frozen.flags.writeable = False
+        arrays = [
+            base, frozen, np.zeros(0), np.zeros((0, 3)), base[1:], base[1:, 2:],
+            base[:, ::2], base.T, np.asfortranarray(base), base.ravel()[5:6],
+            np.zeros(3, np.int32), np.zeros(5, bool),
+        ]
+        for a in arrays:
+            assert native.address(a) == a.ctypes.data
+
+
+# -- the compiled search and prune against their NumPy oracles -----------------
+
+
+def _oracle_search(pos, a, b, r_list, box, periodic, zone_bits):
+    """Sorted keys, candidates and tiles of the NumPy stages composed as
+    ``build_split`` composed them: candidates, the cluster zone cut, tiles."""
+    same = a is b
+    budget = BuildBudget()
+    ci, cj = cluster_pair_candidates(a, b, r_list, box, periodic, same, budget=budget)
+    if zone_bits is not None:
+        cut_a = cells._cluster_zone_bits(a, zone_bits)
+        cut_b = cells._cluster_zone_bits(b, zone_bits)
+        keep = (cut_a[ci] & cut_b[cj]) == 0
+        ci, cj = ci[keep], cj[keep]
+    pi, pj = cluster_tile_pairs(
+        pos, a, b, ci, cj, r_list, box, periodic, same, zone_bits=zone_bits,
+    )
+    stride = a.n_total + 1
+    keys = np.sort(np.minimum(pi, pj) * stride + np.maximum(pi, pj))
+    return keys, budget.candidates, int(ci.size)
+
+
+@st.composite
+def searches(draw):
+    """Home and halo layouts as a rank builds them: every periodic mask,
+    boxes down to 1.2 r_list (window images overlap), empty layouts,
+    padding slots, grids that do not cover the atoms, zone bits on any
+    layout pair, output buffers a few keys long, and atoms on a lattice
+    of r_list / 2 whose neighbours sit exactly r_list apart."""
+    r_list = 0.5
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    periodic = np.array(draw(st.tuples(*[st.booleans()] * 3)))
+    box = np.array(draw(st.tuples(*[st.floats(0.6, 2.4)] * 3)))
+    n_home, n_halo = draw(st.integers(0, 160)), draw(st.integers(0, 120))
+    reach = np.where(periodic, 0.0, r_list)
+    if draw(st.booleans()):
+        home = rng.random((n_home, 3)) * box
+        halo = rng.random((n_halo, 3)) * (box + reach)
+    else:
+        sites = np.stack(np.meshgrid(
+            *(np.arange(0.0, top, r_list / 2) for top in box + reach), indexing="ij",
+        ), axis=-1).reshape(-1, 3)
+        inside = np.all(sites < box, axis=1)
+        home = rng.permutation(sites[inside])[:n_home]
+        halo = rng.permutation(sites[~inside] if rng.random() < 0.5 else sites)[:n_halo]
+        n_home, n_halo = len(home), len(halo)
+    n = n_home + n_halo
+    tight_grid = draw(st.booleans())
+    lo = np.zeros(3)
+    hi = np.where(periodic | ~tight_grid, box + reach, 0.5 * box)
+    lay_home = build_clusters(home, lo, hi, 4, n_total=n)
+    lay_halo = build_clusters(halo, lo, hi, 4, index_offset=n_home, n_total=n)
+    group = draw(st.sampled_from(["home-home", "home-halo", "halo-halo"]))
+    a, b = {
+        "home-home": (lay_home, lay_home), "home-halo": (lay_home, lay_halo),
+        "halo-halo": (lay_halo, lay_halo),
+    }[group]
+    bits = rng.integers(0, 8, n).astype(np.uint8) if draw(st.booleans()) else None
+    return dict(
+        pos=np.vstack([home, halo]), a=a, b=b, r_list=r_list, box=box,
+        periodic=periodic, zone_bits=bits,
+        capacity=draw(st.one_of(st.none(), st.integers(0, 40))),
+    )
+
+
+@st.composite
+def prunes(draw):
+    """Pairs with indices out of range on both sides, NaN / inf
+    coordinates, every periodic mask with and without a box, and pairs
+    exactly the radius apart on a lattice."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 200))
+    m = draw(st.integers(0, 600))
+    box = rng.uniform(0.8, 3.0, 3)
+    pos = rng.uniform(-0.5, 1.5, (n, 3)) * box
+    radius = float(rng.uniform(0.1, 1.5))
+    if draw(st.booleans()):
+        radius = 0.5
+        pos = rng.integers(-2, 8, (n, 3)) * 0.25
+    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3)):
+        pos[rng.integers(n), rng.integers(3)] = value
+    i, j = rng.integers(-3, n + 3, (2, m))
+    return dict(
+        pos=pos.astype(draw(st.sampled_from(["float64", "float32"]))),
+        i=i.astype(draw(st.sampled_from(["int32", "int64"]))), j=j.astype(np.int32),
+        radius=radius,
+        box=box if draw(st.booleans()) else None,
+        periodic=draw(st.one_of(
+            st.none(), st.tuples(*[st.booleans()] * 3).map(np.array),
+        )),
+    )
+
+
+class TestSearchOracle:
+    @given(case=searches())
+    @settings(max_examples=300, deadline=None)
+    def test_same_pairs_and_counts_as_the_numpy_stages(self, case):
+        want = _oracle_search(
+            case["pos"], case["a"], case["b"], case["r_list"], case["box"],
+            case["periodic"], case["zone_bits"],
+        )
+        budget = BuildBudget()
+        with pytest.MonkeyPatch.context() as mp:
+            if case["capacity"] is not None:
+                mp.setattr(cells, "_initial_capacity", lambda *_: case["capacity"])
+            keys = cluster_pairs(
+                case["pos"], case["a"], case["b"], case["r_list"], case["box"],
+                case["periodic"], budget, zone_bits=case["zone_bits"],
+            )
+        assert keys.dtype == np.int64
+        assert np.array_equal(np.sort(keys), want[0])
+        assert (budget.candidates, budget.tiles) == want[1:]
+
+    @given(case=prunes())
+    @settings(max_examples=300, deadline=None)
+    def test_same_mask_as_within_radius(self, case):
+        args = (case["pos"], case["i"], case["j"], case["radius"])
+        kw = dict(box=case["box"], periodic=case["periodic"])
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = within_radius(*args, **kw)
+        got = prune_mask(*args, **kw)
+        assert got.dtype == bool and np.array_equal(got, want)
+
+    def test_no_rows_raises_as_the_oracle_does(self):
+        for fn in (within_radius, prune_mask):
+            with pytest.raises(IndexError):
+                fn(np.zeros((0, 3)), np.zeros(2, np.int32), np.zeros(2, np.int32), 1.0)
+
+    def test_a_full_buffer_resumes_at_a_cluster(self, small_system, ff, monkeypatch):
+        """Three keys to start with: the search stops and resumes many
+        times, and gives the keys and counts of one uninterrupted pass."""
+        pos, box = small_system.positions, small_system.box
+        periodic = np.ones(3, dtype=bool)
+        lay = build_clusters(pos, np.zeros(3), box, 4)
+        r_list = ff.cutoff + 0.12
+        whole = BuildBudget()
+        want = np.sort(cluster_pairs(pos, lay, lay, r_list, box, periodic, whole))
+        lib, calls = native.library(), []
+
+        class Spy:
+            def __getattr__(self, name):
+                def call(*args):
+                    calls.append(name)
+                    return getattr(lib, name)(*args)
+                return call
+
+        monkeypatch.setattr(cells, "_initial_capacity", lambda *_: 3)
+        monkeypatch.setattr(native, "_lib", Spy())
+        parts = BuildBudget()
+        got = np.sort(cluster_pairs(pos, lay, lay, r_list, box, periodic, parts))
+        assert calls.count("ps_cluster_pairs") > 10
+        assert np.array_equal(got, want) and want.size > 0
+        assert (parts.candidates, parts.tiles) == (whole.candidates, whole.tiles)
+        # Every buffer the search held is accounted, the last one included.
+        assert parts.peak_bytes >= 8 * got.size
+
+    def test_build_split_and_prune_reach_the_compiled_search(self, tiny_system, ff, monkeypatch):
+        """An engine's search and prune run pairsearch.c, and only it."""
+        lib, calls = native.library(), []
+
+        class Spy:
+            def __getattr__(self, name):
+                def call(*args):
+                    calls.append(name)
+                    return getattr(lib, name)(*args)
+                return call
+
+        monkeypatch.setattr(native, "_lib", Spy())
+        for module, name in ((cells, "cluster_pair_candidates"),
+                             (cells, "cluster_tile_pairs"),
+                             (nonbonded, "within_radius")):
+            monkeypatch.setattr(module, name, None)
+        with DDSimulator(
+            tiny_system.copy(), ff, n_ranks=2, backend="reference",
+            executor="serial", nstlist=5, buffer=0.12, kernel="cluster",
+        ) as sim:
+            sim.step()
+        # Two ranks: three layout pairs and two halves each.
+        assert calls.count("ps_cluster_pairs") >= 6
+        assert calls.count("ps_within_radius") == 4
+
+
 #: The environment a child interpreter runs this checkout with.
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
@@ -189,7 +406,7 @@ ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 _BUILD_AND_CHECK = """
 import sys
 import numpy as np
-from repro.md import native, nonbonded
+from repro.md import cells, native, nonbonded
 from repro.md.forcefield import default_forcefield
 path = native.build(sys.argv[1])
 native._lib = native.load(path)
@@ -204,6 +421,16 @@ for dtype in ("float64", "float32"):
     a = nonbonded.block_forces(pos, block, ff, box=np.full(3, 2.0), dtype=dtype)
     b = nonbonded.block_forces_numpy(pos, block, ff, box=np.full(3, 2.0), dtype=dtype)
     assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:], dtype
+box = np.full(3, 2.0)
+keep = nonbonded.prune_mask(pos, i.astype(np.int32), j.astype(np.int32), 0.5, box=box)
+assert np.array_equal(keep, nonbonded.within_radius(pos, i, j, 0.5, box=box))
+lay = cells.build_clusters(pos, np.zeros(3), box, 4)
+periodic = np.ones(3, dtype=bool)
+budget = cells.BuildBudget()
+keys = np.sort(cells.cluster_pairs(pos, lay, lay, 0.5, box, periodic, budget))
+ci, cj = cells.cluster_pair_candidates(lay, lay, 0.5, box, periodic, True)
+pi, pj = cells.cluster_tile_pairs(pos, lay, lay, ci, cj, 0.5, box, periodic, True)
+assert np.array_equal(keys, np.sort(np.minimum(pi, pj) * 201 + np.maximum(pi, pj)))
 print(path)
 """
 
@@ -249,6 +476,8 @@ class TestBuild:
         assert done.returncode == 1
         lines = done.stderr.strip().splitlines()
         assert len(lines) == 1 and "'cc'" in lines[0] and "C compiler" in lines[0]
+        # It names what needs the compiler.
+        assert "nonbonded.c" in lines[0] and "pairsearch.c" in lines[0]
         assert "Traceback" not in done.stderr
         assert not cache.exists()
 
@@ -266,7 +495,8 @@ class TestBuild:
 
     def test_every_input_of_a_build_moves_the_cache_key(self, tmp_path):
         cc = native.compiler()
-        base = (native.SOURCE.read_bytes(), (*native.FLAGS, native.isa_flag()),
+        sources = tuple(p.read_bytes() for p in native.SOURCES)
+        base = (sources, (*native.FLAGS, native.isa_flag()),
                 native.compiler_id(cc), native.host_cpu())
         key = native.cache_key(*base)
         assert native.cache_key(*base) == key
@@ -275,8 +505,12 @@ class TestBuild:
         other.write_bytes(Path(os.path.realpath(cc)).read_bytes()[:4096])
         upgraded = tmp_path / "cc-upgraded"
         upgraded.write_bytes(other.read_bytes() + b"\0")
+        evaluator, search = sources
         changed = [
-            (base[0] + b"\n", *base[1:]),
+            ((evaluator + b"\n", search), *base[1:]),
+            ((evaluator, search + b"\n"), *base[1:]),
+            # Text moved from one source to the other.
+            ((evaluator + search[:1], search[1:]), *base[1:]),
             (base[0], base[1][:-1], *base[2:]),
             (base[0], (*base[1][:-1], "-march=x86-64"), *base[2:]),
             (*base[:2], native.compiler_id(str(other)), base[3]),

@@ -1,13 +1,14 @@
-"""Paper-scale decomposition: chunked pair-list builds, memory accounting,
+"""Paper-scale decomposition: streamed pair-list builds, memory accounting,
 the lazy per-rank arena, and the 192k-atom memory ceilings.
 
-The contract under test is the one the chunked build promises: the
-cluster search's three chunk lengths (``repro.md.cells.CHUNK_*``) are
-*purely* a memory matter — builds at tiny chunks produce bit-identical
-trajectories (across home/halo boundaries, through drift-triggered
-rebuilds, under both executors) while using a smaller working set; the
-accounting gauges make that bound auditable, and the first
-``slow``-marked test holds it at paper scale.
+Two contracts are under test.  The compiled search's output buffer is
+*purely* a memory matter: started a few keys long, it fills, grows and
+resumes at an ``a``-cluster boundary many times per search, and the
+trajectories stay bit-identical (across home/halo boundaries, through
+drift-triggered rebuilds, under both executors).  The NumPy oracles'
+three chunk lengths (``repro.md.cells.CHUNK_*``) bound their working set
+and nothing else.  The accounting gauges make the bounds auditable, and
+the first ``slow``-marked test holds them at paper scale.
 """
 
 from __future__ import annotations
@@ -42,6 +43,17 @@ def _digest(positions: np.ndarray) -> bytes:
 #: runs in many chunks, a tile chunk ending mid-way through a cluster's
 #: candidates.
 TINY_CHUNKS = {"CHUNK_A_CLUSTERS": 1, "CHUNK_CANDIDATES": 7, "CHUNK_TILES": 64}
+
+
+@pytest.fixture
+def tiny_buffer(monkeypatch):
+    """Run the test body with the compiled search's output buffer
+    starting three keys long (forked process workers inherit it)."""
+
+    def apply():
+        monkeypatch.setattr(cells, "_initial_capacity", lambda *_: 3)
+
+    return apply
 
 
 @pytest.fixture
@@ -102,21 +114,22 @@ def _run(ff, *, kernel: str, executor: str = "serial", n_atoms: int = 1400,
 
 class TestChunkedBuildParity:
     @pytest.mark.parametrize("kernel", ["segment", "cluster"])
-    def test_capped_builds_bit_identical_across_caps(self, ff, kernel, tiny_chunks):
-        """Tiny chunks, DD ranks (home/halo boundaries), periodic rebuilds."""
+    def test_capped_builds_bit_identical_across_caps(self, ff, kernel, tiny_buffer):
+        """A search buffer that keeps filling, DD ranks (home/halo
+        boundaries), periodic rebuilds."""
         ref = _run(ff, kernel=kernel)
-        tiny_chunks()
+        tiny_buffer()
         assert _run(ff, kernel=kernel) == ref, (
-            f"chunk lengths {TINY_CHUNKS} changed the {kernel} trajectory"
+            f"a three-key search buffer changed the {kernel} trajectory"
         )
 
     @pytest.mark.parametrize("kernel", ["segment", "cluster"])
-    def test_capped_builds_survive_drift_rebuilds(self, ff, kernel, tiny_chunks):
+    def test_capped_builds_survive_drift_rebuilds(self, ff, kernel, tiny_buffer):
         """nstlist >> steps with a thin buffer: rebuilds come from drift."""
         kw = dict(kernel=kernel, ranks=2, steps=12, nstlist=50, buffer=0.03,
                   seed=3)
         ref = _run(ff, **kw)
-        tiny_chunks()
+        tiny_buffer()
         assert _run(ff, **kw) == ref
 
     def test_builder_level_parity_cluster(self, small_system, ff, tiny_chunks):
@@ -215,9 +228,11 @@ def test_192k_16_rank_build_stays_within_the_memory_ceilings():
     scratch is one chunk per worker plus 24 B per atom row of its largest
     block, never 154 B/pair of every list, so the process tree (self +
     reaped workers) stays under 950 MiB.  Measured on the 2-vCPU benchmark
-    host: 2778 B/atom, 607 MiB with the compiled evaluator (629 MiB with
-    the NumPy chain's 24 B/pair force buffer, measured alongside); earlier
-    records: 654 MiB with 40 B/pair inner blocks (3994 B/atom and
+    host: 3052 B/atom, 610 MiB with the compiled search, whose output
+    buffer counts as a transient (2778 B/atom, 615 MiB with the NumPy
+    stages, measured alongside); 2778 B/atom, 607 MiB with the compiled
+    evaluator (629 MiB with the NumPy chain's 24 B/pair force buffer);
+    earlier records: 654 MiB with 40 B/pair inner blocks (3994 B/atom and
     ≈800 MiB at 64 B/pair; 7586 B/atom and 914 MiB while candidates came
     from an all-pairs GEMM; 2126 MiB with per-block evaluator scratch).
     B/atom is accounting, the same on every host, so its ceiling sits
@@ -225,10 +240,10 @@ def test_192k_16_rank_build_stays_within_the_memory_ceilings():
     host and keeps ≈1.5x.  ``ru_maxrss`` is a high-water mark of the
     whole pytest process, so this test runs before the 90k-atom one
     below, which alone would lift it to ≈890 MiB (a whole-repo ``-m
-    slow`` session reads 758).  The streamed stages' transients
-    are 3.3 MiB per rank at their fixed chunk lengths, so the ceilings
-    guard the lists and the layouts; tiny chunks are exercised by the
-    tier-1 parity tests above.
+    slow`` session reads 758).  The search's transient is its output
+    buffer, sized by a sampled counting pass, so the ceilings guard the
+    lists, the layouts and that buffer; a buffer that keeps filling is
+    exercised by the tier-1 parity tests above.
     """
     spec = SimulationSpec(
         system="192k", ranks=16, executor="process", kernel="cluster",
@@ -314,9 +329,9 @@ class TestLazyArena:
         assert remaps.value - r0 == 0
         assert METRICS.gauge("par.arena.bytes").value > 0
 
-    def test_process_executor_bit_identical_with_cap(self, ff, tiny_chunks):
+    def test_process_executor_bit_identical_with_cap(self, ff, tiny_buffer):
         ref = _run(ff, kernel="cluster", ranks=2, steps=4, executor="serial")
-        tiny_chunks()
+        tiny_buffer()
         got = _run(ff, kernel="cluster", ranks=2, steps=4, executor="process")
         assert got == ref
 
