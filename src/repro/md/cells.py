@@ -695,16 +695,24 @@ def _cluster_zone_bits(layout: ClusterLayout, zone_bits: np.ndarray) -> np.ndarr
     return np.bitwise_and.reduce(bits[layout.atoms], axis=1)
 
 
-#: The sizing pass of :func:`cluster_pairs` counts the pairs of every
-#: ``SIZING_STEP``-th ``a`` cluster (≈6 % of a search's work).
+#: The sizing pass of :func:`cluster_pairs` counts the pairs of one
+#: ``a`` cluster in each block of ``SIZING_STEP`` (≈6 % of a search's work).
 SIZING_STEP = 16
 
 
 def _initial_capacity(count, n_a: int) -> int:
-    """Keys the output buffer starts with: the pairs of every
-    :data:`SIZING_STEP`-th ``a`` cluster, counted (``count(step)``)
-    without being stored, scaled to all ``n_a``, plus 1/16 and a tile."""
-    sampled = -(-n_a // SIZING_STEP)
+    """Keys the output buffer starts with: the pairs of one ``a`` cluster
+    per block of :data:`SIZING_STEP`, counted (``count(step)``) without
+    being stored, scaled to all ``n_a``, plus 1/16 and a tile.
+
+    The ``k``-th block's cluster is at offset ``k % SIZING_STEP`` in it
+    (``pairsearch.c``).  Clusters are numbered column by column, bottom
+    to top, so a fixed offset would sample the same height of every
+    column whose length is a multiple of the step; this one walks
+    through the heights.
+    """
+    k = np.arange(-(-n_a // SIZING_STEP))
+    sampled = int(np.count_nonzero(k * SIZING_STEP + k % SIZING_STEP < n_a))
     return count(SIZING_STEP) * n_a // sampled * 17 // 16 + CLUSTER_M * CLUSTER_M
 
 

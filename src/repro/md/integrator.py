@@ -8,9 +8,14 @@ constant is needed.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.md import native
 
 #: Boltzmann constant in kJ mol^-1 K^-1 (GROMACS value).
 BOLTZ = 0.00831446261815324
@@ -39,17 +44,13 @@ def remove_com_motion(velocities: np.ndarray, masses: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LeapFrogIntegrator:
-    """Leap-frog stepper with an optional simple velocity-rescale thermostat."""
+    """Leap-frog stepper (NVE: no thermostat)."""
 
     dt: float = 0.002  # ps (2 fs, the grappa time-step)
-    ref_temperature: float | None = None
-    tau_t: float = 0.5  # ps, thermostat coupling time
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.tau_t <= 0:
-            raise ValueError(f"tau_t must be positive, got {self.tau_t}")
 
     def step(
         self,
@@ -61,16 +62,60 @@ class LeapFrogIntegrator:
         """Advance one step; returns (new_positions, new_velocities)."""
         inv_m = (1.0 / masses)[:, None]
         v_new = velocities + (forces * inv_m).astype(velocities.dtype) * velocities.dtype.type(self.dt)
-        if self.ref_temperature is not None:
-            v_new = self._rescale(v_new, masses)
         x_new = positions + v_new * positions.dtype.type(self.dt)
         return x_new, v_new
 
-    def _rescale(self, velocities: np.ndarray, masses: np.ndarray) -> np.ndarray:
-        """Weak Berendsen-style rescale towards the reference temperature."""
-        t_now = instantaneous_temperature(velocities, masses)
-        if t_now <= 0:
-            return velocities
-        lam2 = 1.0 + (self.dt / self.tau_t) * (self.ref_temperature / t_now - 1.0)
-        lam = np.sqrt(max(lam2, 0.64))  # clamp extreme rescaling
-        return (velocities * velocities.dtype.type(lam)).astype(velocities.dtype)
+    def bind(
+        self,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        forces: np.ndarray,
+        masses: np.ndarray,
+        ref: np.ndarray,
+    ) -> Callable[[], tuple[float, float]]:
+        """The step of the first ``len(velocities)`` rows in place — a DD
+        rank's home rows — compiled (``nonbonded.c``) and bound to these
+        arrays once: each call steps them and returns ``(kinetic energy,
+        max_disp²)``.
+
+        Bit for bit :meth:`step` written back into ``positions`` and
+        ``velocities``, :func:`kinetic_energy` of the new velocities, and
+        the largest squared distance of a new position row from its row
+        of ``ref``: the difference in the positions' dtype, squared and
+        summed in float64 in ``einsum``'s order, 0.0 for no rows, NaN
+        for a NaN row.  ``positions``, ``velocities``, ``forces`` and
+        ``ref`` share one dtype, float32 or float64, and ``masses`` are
+        float64; all are C-contiguous, read and written in place, and
+        kept alive by the call.
+        """
+        nh = velocities.shape[0]
+        lib = native.library()
+        fn = {"d": lib.nb_leapfrog_f64, "f": lib.nb_leapfrog_f32}.get(positions.dtype.char)
+        stepped = (positions, velocities, forces, ref)
+        if (
+            fn is None
+            or any(a.dtype != positions.dtype or a.shape[1:] != (3,)
+                   or not a.flags.c_contiguous for a in stepped)
+            or not (positions.flags.writeable and velocities.flags.writeable)
+            or masses.dtype != np.float64 or not masses.flags.c_contiguous
+            or velocities.shape != (nh, 3) or ref.shape != (nh, 3)
+            or masses.shape != (nh,)
+            or min(positions.shape[0], forces.shape[0]) < nh
+        ):
+            raise ValueError(
+                "bind takes writeable positions and velocities, forces and "
+                "ref: C-contiguous, of one dtype (float32 or float64), n rows "
+                "of velocities and ref, at least n of the others; and n float64 masses"
+            )
+        out = (ctypes.c_double * 2)()
+        call = functools.partial(
+            fn, *map(native.address, (positions, velocities, forces, masses, ref)),
+            nh, self.dt, out,
+        )
+
+        def advance() -> tuple[float, float]:
+            call()
+            return out[0], out[1]
+
+        advance.arrays = (positions, velocities, forces, masses, ref)
+        return advance

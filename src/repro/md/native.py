@@ -1,10 +1,10 @@
 """Build, cache and load the MD kernel's compiled code.
 
-``nonbonded.c`` (the non-bonded evaluator) and ``pairsearch.c`` (the
-cluster search and the prune mask), next to this file, are compiled
-into one library with the host's C compiler the first time an MD kernel
-resolves, into the per-user cache directory, and loaded with
-:mod:`ctypes`.  The cache key hashes both sources, the flags, the
+``nonbonded.c`` (the non-bonded evaluator and the leap-frog) and
+``pairsearch.c`` (the cluster search, the drift guard and the re-prune),
+next to this file, are compiled into one library with the host's C
+compiler the first time an MD kernel resolves, into the per-user cache
+directory, and loaded with :mod:`ctypes`.  The cache key hashes both sources, the flags, the
 compiler binary and the host CPU, so a shared
 home never loads a build made for another ISA or compiler; a build goes
 to a temporary name and is moved into place with :func:`os.replace`, so
@@ -197,13 +197,30 @@ def load(path: Path) -> ctypes.CDLL:
         i64,               # every how many a clusters
         p, i64, p,         # key buffer (NULL: count only), its capacity, state (4)
     ]
-    lib.ps_within_radius.restype = None
-    lib.ps_within_radius.argtypes = [
-        p, i64,            # positions (n, 3) float64, n
-        p, p, i64,         # pair i, pair j (int32), pairs
-        p, i32, f64,       # box (3), minimum-image bit per dimension, radius²
-        p,                 # keep mask (bool)
+    for fn in (lib.ps_drifted_f64, lib.ps_drifted_f32):
+        fn.restype = ctypes.c_bool
+        fn.argtypes = [p, p, i64, f64]  # positions, reference rows, rows, limit²
+    for fn in (lib.ps_prune_count_f64, lib.ps_prune_count_f32):
+        fn.restype = i32
+        fn.argtypes = [
+            p, i64,            # positions (n, 3) in their dtype, n
+            p, p, i64,         # outer i, outer j (int32), pairs
+            p, i32, f64,       # box (3), minimum-image bit per dimension, radius²
+            p,                 # pulse per atom (int32) or NULL
+            p, p,              # keep mask (uint8), counts (3)
+        ]
+    lib.ps_prune_fill.restype = None
+    lib.ps_prune_fill.argtypes = [
+        p, p, i64, p, p,       # outer i, outer j, to the last kept, keep mask, pulse per atom
+        p, i64, p, p, p, f64,  # types (int32), n_types, c6, c12, charges, Coulomb factor
+        p, p, p, p, p, p, p,   # i, j, segment starts, segment i, c6, c12, qq
     ]
+    for fn in (lib.nb_leapfrog_f64, lib.nb_leapfrog_f32):
+        fn.restype = None
+        fn.argtypes = [
+            p, p, p, p, p,     # positions, velocities, forces, masses, reference rows
+            i64, f64, p,       # home rows, dt, (kinetic energy, max disp²)
+        ]
     for fn in (lib.nb_block_forces_f64, lib.nb_block_forces_f32):
         fn.restype = i64
         fn.argtypes = [

@@ -2,7 +2,9 @@
  * The non-bonded evaluator: LJ 12-6 + reaction-field forces and energies
  * over a PairBlock, compiled.  repro.md.native builds this file with the
  * host's C compiler on first use and repro.md.nonbonded.block_forces
- * calls it through ctypes.
+ * calls it through ctypes.  The leap-frog a DD rank runs after it
+ * (repro.md.integrator.LeapFrogIntegrator.bind) is at the end of the
+ * file, where it shares the pairwise summation.
  *
  * It is the NumPy chain repro.md.nonbonded.block_forces_numpy, operation
  * for operation, and must stay bit-identical to it (tests/test_native.py
@@ -318,3 +320,76 @@ struct chunk_flags {
 
 DEFINE_CHAIN(double, f64, 2, 1, DBL_MAX, energy_sum_f64, segment_sum_f64)
 DEFINE_CHAIN(float, f32, 1, 2, FLT_MAX, energy_sum_f32, segment_sum_f32)
+
+/*
+ * The leap-frog over the nh home rows, in place, with what the step
+ * reports: repro.md.integrator.LeapFrogIntegrator.step, the phase's
+ * writes back, kinetic_energy of the new velocities and the largest
+ * squared home-row displacement from ref, operation for operation:
+ *
+ *   - v += (T)(f * (1 / m)) * (T)dt, the product in float64 (a float32
+ *     force times a float64 1/m is a float64 product), then x += v * (T)dt;
+ *   - disp^2 is (x - ref) in T, cast to float64 and summed in einsum's
+ *     float64 order (x^2 + z^2) + y^2; a maximum from 0.0 that a NaN
+ *     keeps;
+ *   - the kinetic energy is 0.5 * (0.0 + pairwise(m * v^2)), v^2 in the
+ *     same float64 order: np.sum's pairwise sum, its leaves of at most
+ *     PW_BLOCKSIZE terms made in a stack buffer.
+ *
+ * out[0] gets the kinetic energy and out[1] disp^2.
+ */
+#define DEFINE_LEAPFROG(T, S)                                               \
+    static double kinetic_sum_##S(const T *v, const double *m, int64_t n)   \
+    {                                                                       \
+        if (n <= PW_BLOCKSIZE) {                                            \
+            double t[PW_BLOCKSIZE];                                         \
+            for (int64_t k = 0; k < n; k++) {                               \
+                double x = v[3 * k], y = v[3 * k + 1], z = v[3 * k + 2];    \
+                double r = x * x;                                           \
+                double s = z * z;                                           \
+                r += s;                                                     \
+                s = y * y;                                                  \
+                r += s;                                                     \
+                t[k] = m[k] * r;                                            \
+            }                                                               \
+            return pairwise_f64(t, n);                                      \
+        }                                                                   \
+        int64_t n2 = n / 2;                                                 \
+        n2 -= n2 % 8;                                                       \
+        return kinetic_sum_##S(v, m, n2)                                    \
+               + kinetic_sum_##S(v + 3 * n2, m + n2, n - n2);               \
+    }                                                                       \
+                                                                            \
+    void nb_leapfrog_##S(T *pos, T *vel, const T *forces,                   \
+                         const double *masses, const T *ref, int64_t nh,    \
+                         double dt, double *out)                            \
+    {                                                                       \
+        const T tdt = (T)dt;                                                \
+        double disp2 = 0.0;                                                 \
+        for (int64_t k = 0; k < nh; k++) {                                  \
+            double inv_m = 1.0 / masses[k];                                 \
+            double d[3];                                                    \
+            for (int c = 0; c < 3; c++) {                                   \
+                int64_t e = 3 * k + c;                                      \
+                T a = (T)((double)forces[e] * inv_m);                       \
+                a *= tdt;                                                   \
+                T v = vel[e] + a;                                           \
+                vel[e] = v;                                                 \
+                v *= tdt;                                                   \
+                pos[e] += v;                                                \
+                d[c] = (double)(T)(pos[e] - ref[e]);                        \
+            }                                                               \
+            double r = d[0] * d[0];                                         \
+            double s = d[2] * d[2];                                         \
+            r += s;                                                         \
+            s = d[1] * d[1];                                                \
+            r += s;                                                         \
+            if (r > disp2 || isnan(r))                                      \
+                disp2 = r;                                                  \
+        }                                                                   \
+        out[0] = 0.5 * (0.0 + kinetic_sum_##S(vel, masses, nh));            \
+        out[1] = disp2;                                                     \
+    }
+
+DEFINE_LEAPFROG(double, f64)
+DEFINE_LEAPFROG(float, f32)

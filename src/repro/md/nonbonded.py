@@ -21,10 +21,12 @@ over flat pair arrays ``i``/``j``:
   per chunk (``reduceat`` over ``i``-segments, one ``bincount`` per
   component for ``j``): the oracle the compiled evaluator is held to bit
   for bit.  No ``src/`` path calls it.
-* :class:`DualList` + :func:`prune_mask` — a DD rank's dual pair list
-  (outer search list, evaluated inner block) and its prune pass, a
-  compiled distance test (``pairsearch.c``; :mod:`repro.par.phases` runs
-  both).  :func:`within_radius` is the NumPy pass it is held to.
+* :class:`DualList`, :meth:`PairBlock.pruned` and :func:`drift_guard` — a
+  DD rank's dual pair list (outer search list, evaluated inner block),
+  its re-prune into a block and its drift guard, compiled
+  (``pairsearch.c``; :mod:`repro.par.phases` runs them).
+  :func:`within_radius` + :class:`PairBlock` and the guard's ``einsum``
+  test are the NumPy they are held to.
 
 Pairs beyond the interaction cutoff (present in a buffered Verlet list)
 contribute zero, matching GROMACS' buffered-list semantics; the block path
@@ -35,7 +37,9 @@ with the sorted list.
 from __future__ import annotations
 
 import ctypes
+import functools
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,6 +219,93 @@ class PairBlock:
             addr(self.c6), addr(self.c12), addr(self.qq),
         )
 
+    @classmethod
+    def pruned(
+        cls,
+        positions: np.ndarray,
+        pair_i: np.ndarray,
+        pair_j: np.ndarray,
+        radius: float,
+        type_ids: np.ndarray,
+        charges: np.ndarray,
+        ff: ForceField,
+        box: np.ndarray | None = None,
+        periodic: np.ndarray | None = None,
+        src_pulse: np.ndarray | None = None,
+    ) -> "PairBlock":
+        """The block of the outer pairs ``pair_i``/``pair_j`` (``int32``)
+        at most ``radius`` apart — a DD rank's re-prune, compiled
+        (``pairsearch.c``): one counting pass, then one fill pass into
+        arrays sized exactly.
+
+        Bit for bit the block ``PairBlock(i[keep], j[keep], type_ids,
+        charges, ff, n_atoms=len(positions), group_key=...)`` over the
+        mask of :func:`within_radius` (float64 coordinates, the minimum
+        image along ``periodic`` dimensions when a ``box`` is given), with
+        the group key ``max(src_pulse[i], src_pulse[j])`` when
+        ``src_pulse`` is given.  Charges and the force field's tables are
+        float64, as every :class:`~repro.md.system.MDSystem` holds them.
+        An index outside the position rows raises :class:`ValueError`,
+        kept or not, and so do per-atom arrays shorter than the rows or
+        type ids outside the force field's.
+        """
+        pos = np.ascontiguousarray(positions)
+        n = pos.shape[0]
+        i, j = np.ascontiguousarray(pair_i), np.ascontiguousarray(pair_j)
+        if i.shape != j.shape:
+            raise ValueError("pair arrays must have equal shape")
+        if i.dtype != np.int32 or j.dtype != np.int32:
+            raise ValueError("outer pair arrays must be int32")
+        lib = native.library()
+        count = {"d": lib.ps_prune_count_f64, "f": lib.ps_prune_count_f32}.get(
+            pos.dtype.char
+        )
+        if count is None:
+            raise ValueError("positions must be float32 or float64")
+        if box is None:
+            box, wrap = np.zeros(3), 0
+        else:
+            box = np.ascontiguousarray(box, dtype=np.float64)
+            wrap = sum(1 << d for d in range(3) if periodic is None or periodic[d])
+        addr = native.address
+        types = np.ascontiguousarray(type_ids, dtype=np.int32)
+        charges = np.ascontiguousarray(charges, dtype=np.float64)
+        src = (
+            None if src_pulse is None
+            else np.ascontiguousarray(src_pulse, dtype=np.int32)
+        )
+        if (
+            min(types.size, charges.size, n if src is None else src.size) < n
+            or n and (types.min() < 0 or types.max() >= ff.n_types)
+        ):
+            raise ValueError(
+                f"type ids in [0, {ff.n_types}), charges and pulses are needed "
+                f"for all {n} position rows"
+            )
+        src_addr = None if src is None else addr(src)
+        keep = np.empty(i.size, dtype=np.uint8)
+        counts = np.zeros(3, dtype=np.int64)
+        if count(
+            addr(pos), n, addr(i), addr(j), i.size, addr(box), wrap,
+            radius * radius, src_addr, addr(keep), addr(counts),
+        ):
+            raise ValueError(f"pair indices must lie in [0, {n})")
+        kept, segments, end = counts.tolist()
+        self = cls.__new__(cls)
+        self.n_atoms = n
+        self.i, self.j = np.empty((2, kept), dtype=np.int64)
+        self.seg_starts, self.seg_i = np.empty((2, segments), dtype=np.int64)
+        self.c6, self.c12, self.qq = np.empty((3, kept))
+        lib.ps_prune_fill(
+            addr(i), addr(j), end, addr(keep), src_addr,
+            addr(types), ff.n_types, addr(ff.c6), addr(ff.c12), addr(charges),
+            COULOMB_FACTOR,
+            *map(addr, (self.i, self.j, self.seg_starts, self.seg_i,
+                        self.c6, self.c12, self.qq)),
+        )
+        self.args = self._args()
+        return self
+
     def __setstate__(self, state) -> None:
         # A copy or an unpickled block holds new arrays: new addresses.
         for name, value in state[1].items():
@@ -258,6 +349,9 @@ class DualList:
     rows: int
     block: PairBlock | None = None
     ref: np.ndarray | None = None
+    #: The drift guard of the rows against ``ref`` (:func:`drift_guard`),
+    #: bound at the last prune.
+    drifted: Callable[[], bool] | None = None
 
     @property
     def n_pairs(self) -> int:
@@ -354,7 +448,8 @@ def within_radius(
     index out of range yields a meaningless distance, and a kept one is
     rejected by the :class:`PairBlock` the survivors are made into.
 
-    The NumPy oracle of :func:`prune_mask`; no ``src/`` path calls it.
+    With :class:`PairBlock` over the pairs it keeps, the NumPy oracle of
+    :meth:`PairBlock.pruned`; no ``src/`` path calls it.
     """
     cols = np.ascontiguousarray(np.asarray(positions).T, dtype=np.float64)
     box = None if box is None else np.asarray(box, dtype=np.float64)
@@ -382,50 +477,40 @@ def within_radius(
     return keep
 
 
-def prune_mask(
-    positions: np.ndarray,
-    pair_i: np.ndarray,
-    pair_j: np.ndarray,
-    radius: float,
-    box: np.ndarray | None = None,
-    periodic: np.ndarray | None = None,
-) -> np.ndarray:
-    """Keep mask of the pairs at most ``radius`` apart — the prune pass,
-    compiled (``pairsearch.c``).
+def drift_guard(
+    positions: np.ndarray, ref: np.ndarray, limit: float
+) -> Callable[[], bool]:
+    """A DD rank's drift guard for one half, compiled (``pairsearch.c``)
+    and bound to its arrays once: each call returns whether some row of
+    ``positions[:len(ref)]`` now lies more than ``limit`` from its row of
+    ``ref``.
 
-    The mask of :func:`within_radius`, its oracle, bit for bit: float64
-    coordinates, the minimum image along ``periodic`` dimensions when a
-    ``box`` is given, ``r²`` summed in x, y, z order, indices clipped to
-    the rows as ``np.take(mode="clip")`` clips them.  ``int32`` indices
-    (a :class:`DualList`'s) are read in place; others are clipped and
-    narrowed first.
+    The test ``not np.einsum("ij,ij->i", d, d).max() <= limit * limit``
+    with ``d = positions[:len(ref)] - ref``, bit for bit: the difference
+    and the squares in the positions' dtype (which ``ref`` shares),
+    summed in ``einsum``'s association for it, and ``limit²`` rounded to
+    that dtype as NumPy compares a float32 maximum with a Python float.
+    A NaN distance has drifted; no rows never have.  The call reads both
+    arrays in place, so they must be C-contiguous; it keeps them alive.
     """
-    pos = np.ascontiguousarray(positions, dtype=np.float64)
-    n = pos.shape[0]
-    i, j = (np.asarray(a) for a in (pair_i, pair_j))
-    if i.shape != j.shape:
-        raise ValueError("pair arrays must have equal shape")
-    keep = np.empty(i.size, dtype=bool)
-    if not i.size:
-        return keep
-    if n == 0:
-        raise IndexError("cannot take pairs from an empty position array")
-    i, j = (
-        np.ascontiguousarray(a if a.dtype == np.int32 else np.clip(a, 0, n - 1),
-                             dtype=np.int32)
-        for a in (i, j)
+    rows = ref.shape[0]
+    lib = native.library()
+    fn = {"d": lib.ps_drifted_f64, "f": lib.ps_drifted_f32}.get(positions.dtype.char)
+    if (
+        fn is None or ref.dtype != positions.dtype
+        or ref.shape != (rows, 3) or positions.shape[1:] != (3,)
+        or positions.shape[0] < rows
+        or not (positions.flags.c_contiguous and ref.flags.c_contiguous)
+    ):
+        raise ValueError(
+            "drift_guard takes C-contiguous float32 or float64 (n, 3) positions "
+            "and (rows, 3) reference rows of their dtype, rows <= n"
+        )
+    call = functools.partial(
+        fn, native.address(positions), native.address(ref), rows, limit * limit
     )
-    if box is None:
-        box, wrap = np.zeros(3), 0
-    else:
-        box = np.ascontiguousarray(box, dtype=np.float64)
-        wrap = sum(1 << d for d in range(3) if periodic is None or periodic[d])
-    addr = native.address
-    native.library().ps_within_radius(
-        addr(pos), n, addr(i), addr(j), i.size, addr(box), wrap,
-        radius * radius, addr(keep),
-    )
-    return keep
+    call.arrays = (positions, ref)  # what the addresses point into
+    return call
 
 
 def _chunks(block: PairBlock, target: int):

@@ -1,14 +1,17 @@
 /*
- * The cluster pair search's hot stages, compiled: candidate enumeration,
- * the M x N tile test and the prune mask.  repro.md.native builds this
- * file into the same library as nonbonded.c; repro.md.cells.cluster_pairs
- * and repro.md.nonbonded.prune_mask call it through ctypes.
+ * The cluster pair search's hot stages and the dual list's rank passes,
+ * compiled: candidate enumeration, the M x N tile test, the drift guard
+ * and the re-prune of an outer list into an inner block.
+ * repro.md.native builds this file into the same library as
+ * nonbonded.c; repro.md.cells.cluster_pairs, repro.md.nonbonded.drift_guard
+ * and repro.md.nonbonded.PairBlock.pruned call it through ctypes.
  *
  * It reproduces the NumPy oracles exactly (tests/test_native.py holds it
  * there): the pair set and the candidate and tile counts of
  * repro.md.cells.cluster_pair_candidates, the halo cluster cut and
- * cluster_tile_pairs, and the mask of repro.md.nonbonded.within_radius.
- * That fixes the arithmetic below:
+ * cluster_tile_pairs; the guard's einsum test; the mask of
+ * repro.md.nonbonded.within_radius and the arrays PairBlock.__init__
+ * makes of the pairs it keeps.  That fixes the arithmetic below:
  *
  *   - z windows are np.searchsorted on the keys the caller builds, with
  *     the query (col * zband) + q and the images made disjoint after the
@@ -18,12 +21,16 @@
  *     (g_x + g_y) + g_z, kept when <= lim2;
  *   - a distance is dx = x_a - x_b per dimension, minimum image
  *     s = rint(dx / L); s *= L; dx -= s along a periodic one, and
- *     r^2 = (dx^2 + dy^2) + dz^2, kept when <= r2max (NaN fails).
+ *     r^2 = (dx^2 + dy^2) + dz^2, kept when <= r2max (NaN fails);
+ *   - the guard's drift is d = x - ref in the positions' dtype, squared
+ *     and summed in einsum's association for it: (x^2 + z^2) + y^2 in
+ *     float64, (x^2 + y^2) + z^2 in float32, compared in that dtype.
  *
  * Build flags keep the arithmetic IEEE-exact: -ffp-contract=off (no FMA),
  * no -ffast-math, and -fno-math-errno only so rint inlines.
  */
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 
 /* Atoms per cluster: repro.md.cells.CLUSTER_M. */
@@ -187,8 +194,10 @@ static int64_t tile(const struct layout *a, int64_t ia,
 }
 
 /*
- * Candidates and tiles of layout pair (a, b), for every step-th a cluster
- * from state[0] on: the fused keys of every atom pair within r2max go to
+ * Candidates and tiles of layout pair (a, b), for one a cluster in each
+ * block of `step` from state[0] on, the k-th block's at offset k % step
+ * (every a cluster when step is 1): the sample walks through the
+ * positions in a column rather than locking onto one.  The fused keys of every atom pair within r2max go to
  * out[state[1]...] (with out NULL they are only counted there), and
  * state[2], state[3] count the enumerated candidates and the tiles
  * tested.  When a tile might not fit the cap-key buffer, the cluster in
@@ -205,7 +214,8 @@ void ps_cluster_pairs(const struct layout *a, const struct layout *b,
     int64_t first[3], stop[3];
     int64_t niz = w->niz;
     int64_t n = state[1], cand = state[2], tiles = state[3];
-    for (int64_t ia = state[0]; ia < a->n; ia += step) {
+    const int64_t start = state[0];
+    for (int64_t k = 0, ia = start; ia < a->n; k++, ia = start + k * step + k % step) {
         int64_t n0 = n, cand0 = cand, tiles0 = tiles;
         for (int64_t kx = 0; kx < w->nix; kx++) {
             int64_t x0 = w->x0[ia * w->nix + kx], xn = w->xn[ia * w->nix + kx];
@@ -264,24 +274,148 @@ void ps_cluster_pairs(const struct layout *a, const struct layout *b,
 }
 
 /*
- * The prune mask: keep[k] = |x[i[k]] - x[j[k]]|^2 <= r2max over float64
- * (n, 3) positions, indices clipped to [0, n - 1] as np.take's
- * mode="clip" does.  Bit d of `wrap` takes the minimum image along d.
+ * The drift guard: true when some row of pos[:rows] lies more than
+ * sqrt(lim2) from its row of ref, or its distance is NaN.
+ * lim2 is rounded to the positions' dtype first, as NumPy compares a
+ * float32 maximum with a Python float.  D1, D2 are the second and third
+ * dimension in einsum's order.
  */
-void ps_within_radius(const double *pos, int64_t n, const int32_t *pi,
-                      const int32_t *pj, int64_t m, const double *box,
-                      int32_t wrap, double r2max, uint8_t *keep)
+#define DEFINE_DRIFTED(T, S, D1, D2)                                        \
+    bool ps_drifted_##S(const T *pos, const T *ref, int64_t rows,           \
+                        double lim2)                                        \
+    {                                                                       \
+        const T lim = (T)lim2;                                              \
+        for (int64_t k = 0; k < 3 * rows; k += 3) {                         \
+            T d[3] = {pos[k] - ref[k], pos[k + 1] - ref[k + 1],             \
+                      pos[k + 2] - ref[k + 2]};                             \
+            T r = d[0] * d[0];                                              \
+            T t = d[D1] * d[D1];                                            \
+            r += t;                                                         \
+            t = d[D2] * d[D2];                                              \
+            r += t;                                                         \
+            if (!(r <= lim))                                                \
+                return true;                                                \
+        }                                                                   \
+        return false;                                                       \
+    }
+
+DEFINE_DRIFTED(double, f64, 2, 1)
+DEFINE_DRIFTED(float, f32, 1, 2)
+
+/* The group key of pair (i, j): the later pulse that delivered either. */
+static inline int64_t group_key(const int32_t *src, int32_t i, int32_t j)
 {
-    for (int64_t k = 0; k < m; k++) {
-        int64_t i = pi[k] < 0 ? 0 : (pi[k] >= n ? n - 1 : pi[k]);
-        int64_t j = pj[k] < 0 ? 0 : (pj[k] >= n ? n - 1 : pj[k]);
-        const double *a = pos + 3 * i, *b = pos + 3 * j;
-        double dx = WRAPPED(a[0] - b[0], 0);
-        double dy = WRAPPED(a[1] - b[1], 1);
-        double dz = WRAPPED(a[2] - b[2], 2);
-        double r = dx * dx;
-        r += dy * dy;
-        r += dz * dz;
-        keep[k] = r <= r2max;
+    if (!src)
+        return 0;
+    return src[i] > src[j] ? src[i] : src[j];
+}
+
+/* keep[k] = r^2 <= r2max for the m pairs; inlined with a constant `wrap`
+ * at each call in ps_prune_count, so every case is branch-free. */
+#define DEFINE_KEEP(T, S)                                                   \
+    static inline __attribute__((always_inline)) void keep_##S(            \
+        const T *restrict pos, const int32_t *restrict pi,                  \
+        const int32_t *restrict pj, int64_t m, const double *restrict box,  \
+        int32_t wrap, double r2max, uint8_t *restrict keep)                 \
+    {                                                                       \
+        for (int64_t k = 0; k < m; k++) {                                   \
+            const T *a = pos + 3 * (int64_t)pi[k];                          \
+            const T *b = pos + 3 * (int64_t)pj[k];                          \
+            double dx = WRAPPED((double)a[0] - (double)b[0], 0);            \
+            double dy = WRAPPED((double)a[1] - (double)b[1], 1);            \
+            double dz = WRAPPED((double)a[2] - (double)b[2], 2);            \
+            double r = dx * dx;                                             \
+            r += dy * dy;                                                   \
+            r += dz * dz;                                                   \
+            keep[k] = r <= r2max;                                           \
+        }                                                                   \
+    }
+
+#define KEEP_CASE(S, W)                                                     \
+    case W:                                                                 \
+        keep_##S(pos, pi, pj, m, box, W, r2max, keep);                      \
+        break;
+#define KEEP_CASES(S)                                                       \
+    KEEP_CASE(S, 0) KEEP_CASE(S, 1) KEEP_CASE(S, 2) KEEP_CASE(S, 3)         \
+    KEEP_CASE(S, 4) KEEP_CASE(S, 5) KEEP_CASE(S, 6) KEEP_CASE(S, 7)
+
+/*
+ * The re-prune, counting pass: keep[k] = 1 when outer pair k lies within
+ * sqrt(r2max) at the (n, 3) positions, read as float64; bit d of `wrap`
+ * takes the minimum image along d.  counts[0] gets the kept pairs and
+ * counts[1] the segments of the block they make: a segment starts at the
+ * first kept pair and wherever i or the group key max(src[i], src[j])
+ * (0 with src NULL) changes from the kept pair before; counts[2] gets
+ * one past the last kept pair.  Returns -1, with nothing counted, when an
+ * index lies outside [0, n).
+ */
+#define DEFINE_PRUNE_COUNT(T, S)                                            \
+    DEFINE_KEEP(T, S)                                                       \
+    int32_t ps_prune_count_##S(const T *pos, int64_t n, const int32_t *pi,  \
+                               const int32_t *pj, int64_t m,                \
+                               const double *box, int32_t wrap,             \
+                               double r2max, const int32_t *src,            \
+                               uint8_t *keep, int64_t *counts)              \
+    {                                                                       \
+        int bad = 0;                                                        \
+        for (int64_t k = 0; k < m; k++)                                     \
+            bad |= (pi[k] < 0) | (pi[k] >= n) | (pj[k] < 0) | (pj[k] >= n); \
+        if (bad)                                                            \
+            return -1;                                                      \
+        switch (wrap) {                                                     \
+        KEEP_CASES(S)                                                       \
+        }                                                                   \
+        int64_t kept = 0, segs = 0, end = 0, last_i = -1, last_key = 0;     \
+        for (int64_t k = 0; k < m; k++) {                                   \
+            int64_t i = pi[k], key = group_key(src, pi[k], pj[k]);          \
+            int64_t in = keep[k];                                           \
+            segs += in & ((i != last_i) | (key != last_key));               \
+            kept += in;                                                     \
+            end = in ? k + 1 : end;                                         \
+            last_i = in ? i : last_i;                                       \
+            last_key = in ? key : last_key;                                 \
+        }                                                                   \
+        counts[0] = kept;                                                   \
+        counts[1] = segs;                                                   \
+        counts[2] = end;                                                    \
+        return 0;                                                           \
+    }
+
+DEFINE_PRUNE_COUNT(double, f64)
+DEFINE_PRUNE_COUNT(float, f32)
+
+/*
+ * The re-prune, fill pass: the kept pairs of ps_prune_count's mask, in
+ * outer order, as the seven arrays of a PairBlock sized from its
+ * counts: i and j (int64), the segment starts and each segment's i, and
+ * per pair c6 and c12 from the flat (n_types * n_types) tables at
+ * type_i * n_types + type_j and qq = (coulomb * q_i) * q_j.  `end` is
+ * counts[2]: up to the last kept pair every pair is written at the next
+ * free slot, without a branch, and only a kept one takes it.
+ */
+void ps_prune_fill(const int32_t *pi, const int32_t *pj, int64_t end,
+                   const uint8_t *keep, const int32_t *src,
+                   const int32_t *types, int64_t n_types, const double *c6_tab,
+                   const double *c12_tab, const double *charges,
+                   double coulomb, int64_t *oi, int64_t *oj,
+                   int64_t *seg_starts, int64_t *seg_i, double *c6,
+                   double *c12, double *qq)
+{
+    int64_t kept = 0, segs = 0, last_i = -1, last_key = 0;
+    for (int64_t k = 0; k < end; k++) {
+        int64_t i = pi[k], j = pj[k], key = group_key(src, pi[k], pj[k]);
+        if (keep[k] & ((i != last_i) | (key != last_key))) {
+            seg_starts[segs] = kept;
+            seg_i[segs++] = i;
+            last_i = i;
+            last_key = key;
+        }
+        int64_t t = (int64_t)types[i] * n_types + types[j];
+        oi[kept] = i;
+        oj[kept] = j;
+        c6[kept] = c6_tab[t];
+        c12[kept] = c12_tab[t];
+        qq[kept] = (coulomb * charges[i]) * charges[j];
+        kept += keep[k];
     }
 }

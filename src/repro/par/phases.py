@@ -57,14 +57,15 @@ The data model:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.md.bonded import angle_forces, bond_forces, exclusion_correction
-from repro.md.integrator import LeapFrogIntegrator, kinetic_energy
-from repro.md.nonbonded import DualList, NonbondedKernel, prune_mask
+from repro.md.integrator import LeapFrogIntegrator
+from repro.md.nonbonded import DualList, NonbondedKernel, PairBlock, drift_guard
 
 #: Cluster array fields every workspace carries, in layout order.  The
 #: executor shared-memory arena and the engine's ``ClusterState`` lists
@@ -141,6 +142,9 @@ class SplitPairs:
     excl_nonlocal: tuple[np.ndarray, np.ndarray]
     stats: dict
     home_ref: np.ndarray
+    #: The rank's leap-frog (:meth:`LeapFrogIntegrator.bind`), bound to
+    #: its arrays and ``home_ref`` at the first step after the search.
+    advance: Callable[[], tuple[float, float]] | None = None
 
 
 class ForceHalf(NamedTuple):
@@ -220,35 +224,24 @@ def _prune(ws: RankWorkspace, half: DualList) -> None:
     # Release the previous block first: the new one reuses its pages
     # instead of growing the heap beside it.
     half.block = None
-    keep = prune_mask(
-        ws.pos, half.i, half.j, cfg.r_inner, box=cfg.box, periodic=cfg.periodic
-    )
-    kept = np.flatnonzero(keep)
-    i, j = half.i.take(kept), half.j.take(kept)
     # A half that reads halo rows keeps its outer list's pulse partition
     # as segment boundaries; home rows need no pulse.
-    src = ws.ns.src_pulse
-    key = (
-        np.maximum(src[i], src[j])
-        if src is not None and half.rows > ws.ns.n_home else None
-    )
-    half.block = cfg.kernel.make_block(
-        i, j, ws.types, ws.charges, n_atoms=ws.pos.shape[0], group_key=key
+    src = ws.ns.src_pulse if half.rows > ws.ns.n_home else None
+    half.block = PairBlock.pruned(
+        ws.pos, half.i, half.j, cfg.r_inner, ws.types, ws.charges,
+        cfg.kernel.ff, box=cfg.box, periodic=cfg.periodic, src_pulse=src,
     )
     half.ref = ws.pos[: half.rows].copy()
+    half.drifted = drift_guard(ws.pos, half.ref, cfg.prune_drift)
 
 
 def _guard(ws: RankWorkspace, half: DualList) -> bool:
     """Re-prune ``half`` if any of its rows moved more than
     ``prune_drift`` since its last prune; return whether it did.
 
-    Written so that a non-finite displacement re-prunes too.
+    A non-finite displacement re-prunes too.
     """
-    d = ws.pos[: half.rows] - half.ref
-    if not d.size:
-        return False
-    limit = ws.cfg.prune_drift
-    if np.einsum("ij,ij->i", d, d).max() <= limit * limit:
+    if not half.drifted():
         return False
     _prune(ws, half)
     return True
@@ -332,18 +325,15 @@ def integrate(ws: RankWorkspace) -> tuple[float, float]:
     no minimum image is needed; the difference is taken in the storage
     precision and squared in float64.  A non-finite row yields NaN.
 
-    Positions and velocities are written back *in place* so the updates
-    land in the shared arrays regardless of which process ran the phase.
+    Positions and velocities are written *in place* so the updates land
+    in the shared arrays regardless of which process ran the phase.
     """
-    nh = ws.ns.n_home
-    x, v = ws.cfg.integrator.step(
-        ws.pos[:nh], ws.vel, ws.forces[:nh], ws.masses
-    )
-    ws.pos[:nh] = x
-    ws.vel[:] = v
-    d = (ws.pos[:nh] - ws.pairs.home_ref).astype(np.float64, copy=False)
-    disp2 = np.einsum("ij,ij->i", d, d).max(initial=0.0)
-    return kinetic_energy(v, ws.masses), float(disp2)
+    sp = ws.pairs
+    if sp.advance is None:  # the first step since the search
+        sp.advance = ws.cfg.integrator.bind(
+            ws.pos, ws.vel, ws.forces, ws.masses, sp.home_ref
+        )
+    return sp.advance()
 
 
 #: Phase registry: the names executors accept in ``run``.

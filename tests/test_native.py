@@ -6,12 +6,20 @@ case must give the same bytes: forces (signed zeros and NaN payloads
 included), ``e_lj``, ``e_coul``, and on an overlap the same error with
 the same partial ``out_forces``.
 
-``repro.md.cells.cluster_pairs`` and ``repro.md.nonbonded.prune_mask``
-run ``pairsearch.c``; the NumPy stages they were written from —
-``cluster_pair_candidates``, the halo cluster cut, ``cluster_tile_pairs``
-and ``within_radius`` — are their oracles.  A drawn search must give the
-same sorted pair keys and the same candidate and tile counts, a drawn
-prune the same mask.
+``repro.md.cells.cluster_pairs`` runs ``pairsearch.c``; the NumPy stages
+it was written from — ``cluster_pair_candidates``, the halo cluster cut
+and ``cluster_tile_pairs`` — are its oracles.  A drawn search must give
+the same sorted pair keys and the same candidate and tile counts.
+
+The rank passes of a DD step run compiled code too: the drift guard
+(``nonbonded.drift_guard``) and the re-prune (``PairBlock.pruned``) in
+``pairsearch.c``, the leap-frog (``LeapFrogIntegrator.bind``) in
+``nonbonded.c``.  Their oracles are the NumPy they replaced: the guard's
+``einsum`` test, ``within_radius`` + ``PairBlock.__init__``, and
+``LeapFrogIntegrator.step`` + ``kinetic_energy`` + the displacement
+``einsum``.  A drawn case must give the same decision, the same seven
+block arrays, the same positions, velocities, kinetic energy and
+displacement, byte for byte.
 
 The build tests cover what a host sees the first time: an empty cache,
 two processes building at once, no compiler at all, and cache keys that
@@ -32,7 +40,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dd import DDSimulator
-from repro.md import cells, make_grappa_system, native, nonbonded
+from repro.md import cells, integrator, make_grappa_system, native, nonbonded
 from repro.md.cells import (
     BuildBudget,
     build_clusters,
@@ -41,19 +49,37 @@ from repro.md.cells import (
     cluster_tile_pairs,
 )
 from repro.md.forcefield import default_forcefield
+from repro.md.integrator import LeapFrogIntegrator, kinetic_energy
 from repro.md.nonbonded import (
     NonbondedKernel,
     PairBlock,
     block_forces,
     block_forces_numpy,
-    prune_mask,
+    drift_guard,
     within_radius,
 )
+from repro.par import phases
 
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Cutoff 1.0 makes r_c² the dummy distance 1.0 itself.
 FORCEFIELDS = {cutoff: default_forcefield(cutoff=cutoff) for cutoff in (0.65, 1.0)}
+
+
+def _spy(monkeypatch) -> list[str]:
+    """Route the compiled library through a spy; returns the entry
+    points called, in order."""
+    lib, calls = native.library(), []
+
+    class Spy:
+        def __getattr__(self, name):
+            def call(*args):
+                calls.append(name)
+                return getattr(lib, name)(*args)
+            return call
+
+    monkeypatch.setattr(native, "_lib", Spy())
+    return calls
 
 
 def _outcome(fn, pos, block, ff, out, **kw):
@@ -152,16 +178,7 @@ class TestOracle:
     def test_compute_block_reaches_the_compiled_evaluator(self, monkeypatch, dtype):
         """The kernel the engines call runs the C chain, and only it."""
         ff = FORCEFIELDS[0.65]
-        lib, calls = native.library(), []
-
-        class Spy:
-            def __getattr__(self, name):
-                def call(*args):
-                    calls.append(name)
-                    return getattr(lib, name)(*args)
-                return call
-
-        monkeypatch.setattr(native, "_lib", Spy())
+        calls = _spy(monkeypatch)
         monkeypatch.setattr(nonbonded, "block_forces_numpy", None)
         kern = NonbondedKernel(ff, dtype=dtype)
         pos = np.array([[0.0, 0, 0], [0.3, 0, 0], [0, 0.4, 0]])
@@ -280,34 +297,6 @@ def searches(draw):
     )
 
 
-@st.composite
-def prunes(draw):
-    """Pairs with indices out of range on both sides, NaN / inf
-    coordinates, every periodic mask with and without a box, and pairs
-    exactly the radius apart on a lattice."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 200))
-    m = draw(st.integers(0, 600))
-    box = rng.uniform(0.8, 3.0, 3)
-    pos = rng.uniform(-0.5, 1.5, (n, 3)) * box
-    radius = float(rng.uniform(0.1, 1.5))
-    if draw(st.booleans()):
-        radius = 0.5
-        pos = rng.integers(-2, 8, (n, 3)) * 0.25
-    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3)):
-        pos[rng.integers(n), rng.integers(3)] = value
-    i, j = rng.integers(-3, n + 3, (2, m))
-    return dict(
-        pos=pos.astype(draw(st.sampled_from(["float64", "float32"]))),
-        i=i.astype(draw(st.sampled_from(["int32", "int64"]))), j=j.astype(np.int32),
-        radius=radius,
-        box=box if draw(st.booleans()) else None,
-        periodic=draw(st.one_of(
-            st.none(), st.tuples(*[st.booleans()] * 3).map(np.array),
-        )),
-    )
-
-
 class TestSearchOracle:
     @given(case=searches())
     @settings(max_examples=300, deadline=None)
@@ -328,21 +317,6 @@ class TestSearchOracle:
         assert np.array_equal(np.sort(keys), want[0])
         assert (budget.candidates, budget.tiles) == want[1:]
 
-    @given(case=prunes())
-    @settings(max_examples=300, deadline=None)
-    def test_same_mask_as_within_radius(self, case):
-        args = (case["pos"], case["i"], case["j"], case["radius"])
-        kw = dict(box=case["box"], periodic=case["periodic"])
-        with np.errstate(invalid="ignore", over="ignore"):
-            want = within_radius(*args, **kw)
-        got = prune_mask(*args, **kw)
-        assert got.dtype == bool and np.array_equal(got, want)
-
-    def test_no_rows_raises_as_the_oracle_does(self):
-        for fn in (within_radius, prune_mask):
-            with pytest.raises(IndexError):
-                fn(np.zeros((0, 3)), np.zeros(2, np.int32), np.zeros(2, np.int32), 1.0)
-
     def test_a_full_buffer_resumes_at_a_cluster(self, small_system, ff, monkeypatch):
         """Three keys to start with: the search stops and resumes many
         times, and gives the keys and counts of one uninterrupted pass."""
@@ -352,17 +326,8 @@ class TestSearchOracle:
         r_list = ff.cutoff + 0.12
         whole = BuildBudget()
         want = np.sort(cluster_pairs(pos, lay, lay, r_list, box, periodic, whole))
-        lib, calls = native.library(), []
-
-        class Spy:
-            def __getattr__(self, name):
-                def call(*args):
-                    calls.append(name)
-                    return getattr(lib, name)(*args)
-                return call
-
         monkeypatch.setattr(cells, "_initial_capacity", lambda *_: 3)
-        monkeypatch.setattr(native, "_lib", Spy())
+        calls = _spy(monkeypatch)
         parts = BuildBudget()
         got = np.sort(cluster_pairs(pos, lay, lay, r_list, box, periodic, parts))
         assert calls.count("ps_cluster_pairs") > 10
@@ -373,16 +338,7 @@ class TestSearchOracle:
 
     def test_build_split_and_prune_reach_the_compiled_search(self, tiny_system, ff, monkeypatch):
         """An engine's search and prune run pairsearch.c, and only it."""
-        lib, calls = native.library(), []
-
-        class Spy:
-            def __getattr__(self, name):
-                def call(*args):
-                    calls.append(name)
-                    return getattr(lib, name)(*args)
-                return call
-
-        monkeypatch.setattr(native, "_lib", Spy())
+        calls = _spy(monkeypatch)
         for module, name in ((cells, "cluster_pair_candidates"),
                              (cells, "cluster_tile_pairs"),
                              (nonbonded, "within_radius")):
@@ -394,7 +350,303 @@ class TestSearchOracle:
             sim.step()
         # Two ranks: three layout pairs and two halves each.
         assert calls.count("ps_cluster_pairs") >= 6
-        assert calls.count("ps_within_radius") == 4
+        assert calls.count("ps_prune_count_f64") == 4
+        assert calls.count("ps_prune_fill") == 4
+
+
+# -- the rank passes against their NumPy oracles --------------------------------
+
+
+def _guard_oracle(pos, ref, limit):
+    """The guard as ``par/phases.py`` wrote it in NumPy."""
+    d = pos[: ref.shape[0]] - ref
+    if not d.size:
+        return False
+    return not np.einsum("ij,ij->i", d, d).max() <= limit * limit
+
+
+@st.composite
+def guards(draw):
+    """Rows and their reference rows in both dtypes: zero rows, more
+    position rows than reference rows, NaN and ±inf on either side, and
+    rows whose drift is exactly the limit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from(["float64", "float32"]))
+    rows = draw(st.integers(0, 300))
+    n = rows + draw(st.integers(0, 20))
+    limit = float(rng.uniform(0.005, 0.1))
+    pos = rng.uniform(-5.0, 5.0, (n, 3))
+    ref = pos[:rows] + rng.normal(0.0, limit * draw(st.sampled_from([0.2, 0.5, 1.0])), (rows, 3))
+    if rows and draw(st.booleans()):  # drift exactly at the limit
+        k = rng.integers(rows, size=3)
+        ref[k] = 0.0
+        pos[k] = 0.0
+        pos[k, rng.integers(3)] = np.dtype(dtype).type(limit)
+    if rows and draw(st.booleans()):  # one drifted row, decided by rounding
+        row, limit = _rounding_decides(rng, dtype, limit)
+        ref[:] = pos[:rows]
+        k = rng.integers(rows)
+        ref[k] = 0.0
+        pos[k] = row
+    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2)):
+        if rows:
+            target = pos if rng.random() < 0.5 else ref
+            target[rng.integers(rows), rng.integers(3)] = value
+    return pos.astype(dtype), ref.astype(dtype), limit
+
+
+def _rounding_decides(rng, dtype, scale) -> tuple[np.ndarray, float]:
+    """A drift row whose squares sum to two different values in the two
+    associations ``(x² + z²) + y²`` and ``(x² + y²) + z²`` of the dtype,
+    and a limit whose square, rounded to the dtype, is the smaller one:
+    the row has drifted in one association and not in the other."""
+    t = np.dtype(dtype).type
+    while True:
+        d = (rng.uniform(-1.0, 1.0, 3) * scale).astype(dtype)
+        x2, y2, z2 = d * d
+        sums = ((x2 + z2) + y2, (x2 + y2) + z2)
+        if sums[0] == sums[1]:
+            continue
+        lim2 = min(sums)
+        root = float(np.sqrt(np.float64(lim2)))
+        for limit in (root, np.nextafter(root, 0.0), np.nextafter(root, 1.0)):
+            if t(float(limit) * float(limit)) == lim2:
+                return d.astype(np.float64), float(limit)
+
+
+def _block_bytes(block):
+    """Everything a block holds, as bytes."""
+    return block.n_atoms, [
+        (name, a.dtype.str, a.shape, a.tobytes())
+        for name, a in (
+            (name, getattr(block, name))
+            for name in ("i", "j", "seg_starts", "seg_i", "c6", "c12", "qq")
+        )
+    ]
+
+
+def _prune_oracle(pos, i, j, radius, types, charges, ff, box, periodic, src):
+    """The re-prune as ``par/phases.py`` wrote it in NumPy: the mask of
+    ``within_radius``, then ``PairBlock.__init__`` over the kept pairs."""
+    n = pos.shape[0]
+    if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
+        return "raised"
+    keep = within_radius(pos, i, j, radius, box=box, periodic=periodic)
+    ki, kj = i[keep], j[keep]
+    key = None if src is None else np.maximum(src[ki], src[kj])
+    return _block_bytes(PairBlock(ki, kj, types, charges, ff, n_atoms=n, group_key=key))
+
+
+@st.composite
+def prunes(draw):
+    """Outer lists as a search leaves them (sorted by i, or by pulse
+    group then i) and as they are not: empty lists, lists the radius
+    prunes to nothing, pairs exactly the radius apart on a lattice, NaN /
+    inf coordinates, every periodic mask with and without a box, pulse
+    groups or none, and indices out of range on either side."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ff = FORCEFIELDS[0.65]
+    n = draw(st.integers(1, 200))
+    m = draw(st.sampled_from([0, 1, 7, 60, 600]))
+    box = rng.uniform(0.8, 3.0, 3)
+    pos = rng.uniform(-0.5, 1.5, (n, 3)) * box
+    radius = float(draw(st.sampled_from([rng.uniform(0.1, 1.5), 1e-6])))
+    if draw(st.booleans()):
+        radius = 0.5
+        pos = rng.integers(-2, 8, (n, 3)) * 0.25
+    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3)):
+        pos[rng.integers(n), rng.integers(3)] = value
+    i, j = rng.integers(0, n, (2, m))
+    src = None
+    if draw(st.booleans()):  # a half that reads halo rows
+        src = rng.integers(-1, 4, n).astype(np.int32)
+        order = np.lexsort((j, i, np.maximum(src[i], src[j])))
+    else:
+        order = np.lexsort((j, i))
+    if draw(st.booleans()):
+        i, j = i[order], j[order]
+    if m and draw(st.integers(0, 5)) == 0:
+        side = i if rng.random() < 0.5 else j
+        side[rng.integers(m)] = draw(st.sampled_from([-1, -3, n, n + 2]))
+    tid = rng.integers(0, ff.n_types, n).astype(np.int32)
+    return dict(
+        pos=pos.astype(draw(st.sampled_from(["float64", "float32"]))),
+        i=i.astype(np.int32), j=j.astype(np.int32), radius=radius,
+        types=tid, charges=ff.charges_for(tid), ff=ff,
+        box=box if draw(st.booleans()) else None,
+        periodic=draw(st.one_of(
+            st.none(), st.tuples(*[st.booleans()] * 3).map(np.array),
+        )),
+        src=src,
+    )
+
+
+def _leapfrog_oracle(pos, vel, forces, masses, ref, dt):
+    """The leap-frog as ``par/phases.py`` wrote it in NumPy, in place."""
+    nh = vel.shape[0]
+    x, v = LeapFrogIntegrator(dt=dt).step(pos[:nh], vel, forces[:nh], masses)
+    pos[:nh] = x
+    vel[:] = v
+    d = (pos[:nh] - ref).astype(np.float64, copy=False)
+    disp2 = np.einsum("ij,ij->i", d, d).max(initial=0.0)
+    return kinetic_energy(v, masses), float(disp2)
+
+
+@st.composite
+def leapfrogs(draw):
+    """A rank's home rows and the halo rows after them, in both dtypes
+    (float64 masses always): no home rows, one, and more than a pairwise
+    block; NaN forces; rows that stand still."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from(["float64", "float32"]))
+    nh = draw(st.sampled_from([0, 1, 5, 8, 9, 127, 128, 129, 300, 1100]))
+    n = nh + draw(st.integers(0, 30))
+    pos = rng.uniform(-1.0, 6.0, (n, 3))
+    vel = rng.normal(0.0, 0.6, (nh, 3))
+    forces = rng.normal(0.0, 10.0 ** draw(st.integers(0, 4)), (n, 3))
+    masses = rng.choice([1.008, 12.011, 15.999, 18.0], nh) * rng.uniform(0.5, 2.0, nh)
+    ref = pos[:nh] + rng.normal(0.0, 0.01, (nh, 3))
+    if nh and draw(st.booleans()):
+        forces[rng.integers(nh), rng.integers(3)] = np.nan
+    if nh and draw(st.booleans()):
+        k = rng.integers(nh, size=2)
+        vel[k] = 0.0
+        forces[k] = 0.0
+        ref[k] = pos[k]
+    dt = float(draw(st.sampled_from([0.0005, 0.002, rng.uniform(1e-4, 5e-3)])))
+    return [a.astype(dtype) for a in (pos, vel, forces)] + [masses, ref.astype(dtype), dt]
+
+
+class TestGuardOracle:
+    @given(case=guards())
+    @settings(max_examples=300, deadline=None)
+    def test_same_decision_as_the_einsum_test(self, case):
+        pos, ref, limit = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _guard_oracle(pos, ref, limit)
+        assert drift_guard(pos, ref, limit)() is want
+
+    def test_float32_compares_with_the_limit_rounded_to_float32(self):
+        """A float32 drift² equal to float32(limit²) but above limit² in
+        float64: NumPy compares in float32, so it has not drifted."""
+        d = np.float32(0.03)
+        r2 = d * d  # float32
+        limit = float(np.nextafter(np.sqrt(np.float64(r2)), 0.0))
+        # Compared in float64 the row has drifted; in float32 it has not.
+        assert limit * limit < float(r2) and np.float32(limit * limit) == r2
+        pos = np.zeros((4, 3), np.float32)
+        pos[2, 0] = d
+        ref = np.zeros((3, 3), np.float32)
+        assert _guard_oracle(pos, ref, limit) is False
+        guard = drift_guard(pos, ref, limit)
+        assert guard() is False
+        # Bound once, the guard reads the rows as they are at each call.
+        pos[1, 2] = np.float32(0.5)
+        assert guard() is True
+
+    def test_arrays_it_cannot_read_raise(self):
+        pos, ref = np.zeros((4, 3)), np.zeros((3, 3))
+        for bad_pos, bad_ref in (
+            (np.zeros((8, 3))[::2], ref), (pos, np.zeros((6, 3))[::2]),
+            (pos.astype(np.float32), ref), (pos, np.zeros((5, 3))),
+            (pos.astype(np.float16), ref.astype(np.float16)),
+        ):
+            with pytest.raises(ValueError, match="drift_guard takes"):
+                drift_guard(bad_pos, bad_ref, 0.1)
+
+
+class TestPruneOracle:
+    @given(case=prunes())
+    @settings(max_examples=300, deadline=None)
+    def test_same_block_as_within_radius_and_pair_block(self, case):
+        args = (case["pos"], case["i"], case["j"], case["radius"])
+        params = (case["types"], case["charges"], case["ff"])
+        kw = dict(box=case["box"], periodic=case["periodic"])
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _prune_oracle(*args, *params, case["box"], case["periodic"], case["src"])
+        try:
+            got = _block_bytes(PairBlock.pruned(*args, *params, **kw, src_pulse=case["src"]))
+        except ValueError as err:
+            assert "pair indices must lie in" in str(err)
+            got = "raised"
+        assert got == want
+
+    def test_pairs_without_rows_raise(self, ff):
+        """No position rows: the oracle's gathers raise, and the compiled
+        prune raises ``PairBlock``'s error."""
+        pairs = np.zeros(2, np.int32)
+        with pytest.raises(IndexError):
+            within_radius(np.zeros((0, 3)), pairs, pairs, 1.0)
+        with pytest.raises(ValueError, match=r"\[0, 0\)"):
+            PairBlock.pruned(
+                np.zeros((0, 3)), pairs, pairs, 1.0, np.zeros(0, np.int32),
+                np.zeros(0), ff,
+            )
+
+    def test_per_atom_arrays_it_cannot_read_raise(self, ff):
+        """The C passes read types, charges and pulses at every pair's
+        atoms: too short an array, or a type id the tables lack, raises."""
+        pos = np.zeros((4, 3))
+        pairs = np.arange(4, dtype=np.int32)
+        types, charges = np.zeros(4, np.int32), np.zeros(4)
+        for bad in (
+            dict(type_ids=types[:3]), dict(charges=charges[:3]),
+            dict(src_pulse=np.zeros(3, np.int32)),
+            dict(type_ids=np.full(4, ff.n_types, np.int32)),
+            dict(type_ids=np.full(4, -1, np.int32)),
+        ):
+            args = dict(type_ids=types, charges=charges, src_pulse=None) | bad
+            with pytest.raises(ValueError, match="position rows"):
+                PairBlock.pruned(pos, pairs, pairs[::-1].copy(), 1.0, ff=ff, **args)
+
+
+class TestLeapFrogOracle:
+    @given(case=leapfrogs())
+    @settings(max_examples=300, deadline=None)
+    def test_same_step_as_the_numpy_integrator(self, case):
+        pos, vel, forces, masses, ref, dt = case
+        want_pos, want_vel = pos.copy(), vel.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _leapfrog_oracle(want_pos, want_vel, forces, masses, ref, dt)
+        got = LeapFrogIntegrator(dt=dt).bind(pos, vel, forces, masses, ref)()
+        assert pos.tobytes() == want_pos.tobytes()
+        assert vel.tobytes() == want_vel.tobytes()
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_arrays_it_cannot_step_raise(self):
+        integ = LeapFrogIntegrator()
+        pos, vel, forces, ref = (np.zeros((3, 3)) for _ in range(4))
+        masses = np.ones(3)
+        for bad in (
+            dict(pos=pos.astype(np.float32)), dict(masses=masses.astype(np.float32)),
+            dict(vel=np.zeros((6, 3))[::2]), dict(ref=np.zeros((2, 3))),
+            dict(pos=np.zeros((2, 3))),
+        ):
+            args = dict(pos=pos, vel=vel, forces=forces, masses=masses, ref=ref) | bad
+            with pytest.raises(ValueError, match="bind takes"):
+                integ.bind(*args.values())
+
+
+class TestRankPhases:
+    def test_guard_prune_and_integrate_reach_the_compiled_code(self, ff, monkeypatch):
+        """With every NumPy oracle gone, a hot DD run still guards,
+        re-prunes and integrates: through the compiled entry points."""
+        calls = _spy(monkeypatch)
+        monkeypatch.setattr(nonbonded, "within_radius", None)
+        monkeypatch.setattr(PairBlock, "__init__", None)
+        monkeypatch.setattr(LeapFrogIntegrator, "step", None)
+        monkeypatch.setattr(integrator, "kinetic_energy", None)
+        monkeypatch.setattr(phases, "np", None)
+        system = make_grappa_system(1400, seed=3, ff=ff, dtype=np.float64)
+        with DDSimulator(
+            system, ff, n_ranks=4, backend="reference", executor="serial",
+            nstlist=10, buffer=0.15, dt=0.002, kernel="cluster",
+        ) as sim:
+            sim.run(6)
+        assert calls.count("ps_drifted_f64") == 6 * 4 * 2
+        assert calls.count("nb_leapfrog_f64") == 6 * 4
+        # Eight prunes at the search, and the guard re-pruned since.
+        assert calls.count("ps_prune_count_f64") == calls.count("ps_prune_fill") > 8
 
 
 #: The environment a child interpreter runs this checkout with.
@@ -422,8 +674,11 @@ for dtype in ("float64", "float32"):
     b = nonbonded.block_forces_numpy(pos, block, ff, box=np.full(3, 2.0), dtype=dtype)
     assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:], dtype
 box = np.full(3, 2.0)
-keep = nonbonded.prune_mask(pos, i.astype(np.int32), j.astype(np.int32), 0.5, box=box)
-assert np.array_equal(keep, nonbonded.within_radius(pos, i, j, 0.5, box=box))
+pruned = nonbonded.PairBlock.pruned(
+    pos, i.astype(np.int32), j.astype(np.int32), 0.5, tid, ff.charges_for(tid), ff, box=box,
+)
+keep = nonbonded.within_radius(pos, i, j, 0.5, box=box)
+assert np.array_equal(pruned.j, j[keep]) and np.array_equal(pruned.i, i[keep])
 lay = cells.build_clusters(pos, np.zeros(3), box, 4)
 periodic = np.ones(3, dtype=bool)
 budget = cells.BuildBudget()

@@ -208,6 +208,40 @@ class TestBuildBudget:
         assert candidates >= tiles > 0
         assert 0.0 < pairs / (tiles * 16) <= 1.0
 
+    def test_sizing_sample_does_not_alias_with_the_columns(self, monkeypatch):
+        """Sixteen columns of exactly sixteen clusters, pair density
+        rising with height: a sample of every 16th ``a`` cluster would
+        count the sparse bottom cluster of each column only.  The sizing
+        pass walks through the heights instead, and the buffer it sizes
+        holds the whole search."""
+        rng = np.random.default_rng(0)
+        n = 16 * 64
+        cx, cy = np.divmod(np.repeat(np.arange(16), 64), 4)
+        box = np.array([2.0, 2.0, 8.0])
+        pos = np.stack([
+            (cx + rng.uniform(0.05, 0.95, n)) * 0.5,
+            (cy + rng.uniform(0.05, 0.95, n)) * 0.5,
+            box[2] * rng.uniform(0.0, 1.0, n) ** (1 / 3),
+        ], axis=1)
+        lay = build_clusters(pos, np.zeros(3), box, 4)
+        assert np.array_equal(np.bincount(lay.col), np.full(16, 16))
+        sized = []
+        capacity = cells._initial_capacity
+        monkeypatch.setattr(
+            cells, "_initial_capacity", lambda *a: sized.append(capacity(*a)) or sized[-1]
+        )
+        keys = cells.cluster_pairs(pos, lay, lay, 0.5, box, np.zeros(3, bool), BuildBudget())
+        # Each pair belongs to the lower of its two clusters' searches.
+        cluster_of = np.empty(n + 1, np.int64)
+        cluster_of[lay.atoms.ravel()] = np.repeat(np.arange(lay.n_clusters), 4)
+        lo, hi = np.divmod(keys, n + 1)
+        per_cluster = np.bincount(
+            np.minimum(cluster_of[lo], cluster_of[hi]), minlength=lay.n_clusters
+        )
+        every_16th = per_cluster[::16].sum() * 16 * 17 // 16 + 16
+        assert every_16th < 0.5 * keys.size
+        assert len(sized) == 1 and keys.size <= sized[0] <= 1.25 * keys.size
+
     def test_chunk_working_set_bounded_by_cap(self, ff, tiny_chunks):
         """The chunk lengths actually bound what the chunked stages
         allocate: the budget's peak of a tiny-chunk build is well under
