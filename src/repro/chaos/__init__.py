@@ -6,8 +6,7 @@ depOffset dependency split, never by scheduling luck.  This package is
 the machinery that tests that claim adversarially:
 
 * :mod:`repro.faultplan` — seeded, JSON-serializable :class:`FaultPlan`s
-  (delayed tasks, hidden signals, dropped proxy ops, straggler ranks,
-  reordered notifications).
+  (delayed tasks, hidden signals, dropped proxy ops, straggler ranks).
 * :mod:`repro.chaos.inject` — :class:`ChaosInjector` wires a plan into
   the scheduler, NVSHMEM runtime/signals, executors, and any backend
   instance without changing their APIs.

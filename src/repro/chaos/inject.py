@@ -11,16 +11,13 @@ API changes, no behavioural difference when nothing is installed.
 
 The injector can additionally wrap one backend *instance* (shadowing its
 ``exchange_coordinates`` bound method) to NaN-poison halo slots before
-each exchange, verify halo coverage after it, and defer/reorder
-``on_pulse`` notifications across ranks — all behind the backend's
+each exchange and verify halo coverage after it, behind the backend's
 unchanged public signature.
 """
 
 from __future__ import annotations
 
 import time
-
-import numpy as np
 
 import repro.par.base as par_base
 from repro.chaos.invariants import check_halo_coverage
@@ -56,7 +53,6 @@ class ChaosState:
         self._hides: list[tuple[Fault, int]] = []  # (fault, remaining polls)
         self._drops: list[tuple[Fault, bool]] = []  # (fault, fired)
         self._perturbs: list[Fault] = []
-        self.defer_seed: int | None = None
         for f in plan:
             if f.kind == "delay_task":
                 self._delays.append((f, f.count))
@@ -66,8 +62,6 @@ class ChaosState:
                 self._drops.append((f, False))
             elif f.kind == "perturb_phase":
                 self._perturbs.append(f)
-            elif f.kind == "defer_notify" and self.defer_seed is None:
-                self.defer_seed = f.count
         self._ops_seen = 0
 
     # -- bookkeeping -----------------------------------------------------------
@@ -204,10 +198,8 @@ class ChaosInjector:
     """Install a :class:`ChaosState` into every hook point, scoped by ``with``.
 
     ``backend`` (optional) is additionally wrapped at the *instance* level:
-    halo slots are NaN-poisoned before each coordinate exchange, coverage
-    is verified after it, and ``on_pulse`` notifications are deferred and
-    reordered across ranks when the plan carries a ``defer_notify`` fault
-    (per-rank pulse order is preserved, as the backend contract requires).
+    halo slots are NaN-poisoned before each coordinate exchange and
+    coverage is verified after it.
     """
 
     def __init__(self, plan: FaultPlan, backend=None, poison: bool = True):
@@ -246,41 +238,13 @@ class ChaosInjector:
 
     def _wrap_backend(self) -> None:
         orig = self.backend.exchange_coordinates
-        state = self.state
         poison = self.poison
 
-        def wrapped(cluster, on_pulse=None):
+        def wrapped(cluster):
             if poison:
                 cluster.invalidate_halo_coords()
-            if on_pulse is not None and state.defer_seed is not None:
-                deferred: list[tuple[int, int]] = []
-                orig(cluster, on_pulse=lambda r, p: deferred.append((r, p)))
-                _replay_deferred(deferred, on_pulse, state.defer_seed)
-            else:
-                orig(cluster, on_pulse=on_pulse)
+            orig(cluster)
             check_halo_coverage(cluster)
 
         self.backend.__dict__["exchange_coordinates"] = wrapped
         self._wrapped = True
-
-
-def _replay_deferred(deferred, on_pulse, seed: int) -> None:
-    """Re-deliver batched notifications in a seeded cross-rank shuffle.
-
-    Per-rank pulse order is preserved (each rank's queue drains FIFO);
-    only the interleaving *between* ranks is randomized — exactly the
-    freedom the ``on_pulse`` contract grants a backend.
-    """
-    rng = np.random.default_rng(seed)
-    queues: dict[int, list[int]] = {}
-    order: list[int] = []
-    for rank, pid in deferred:
-        if rank not in queues:
-            queues[rank] = []
-            order.append(rank)
-        queues[rank].append(pid)
-    while order:
-        rank = order[int(rng.integers(len(order)))]
-        on_pulse(rank, queues[rank].pop(0))
-        if not queues[rank]:
-            order.remove(rank)

@@ -7,13 +7,6 @@ from typing import Callable
 
 from repro.dd.exchange import ClusterState
 
-#: Per-pulse completion callback: ``on_pulse(rank, pulse_id)`` fires once
-#: the named rank's *inbound* data for that pulse is complete and visible
-#: in its cluster arrays.  This is what lets executors release a rank's
-#: ``forces_nonlocal`` phase while other ranks' pulses are still in
-#: flight (the paper's comm–compute overlap).
-PulseCallback = Callable[[int, int], None]
-
 
 class HaloBackend(ABC):
     """A coordinate/force halo-exchange implementation.
@@ -24,14 +17,6 @@ class HaloBackend(ABC):
     back into its owning rank's home (or earlier-pulse halo) rows.  Results
     must be bit-identical to the serialized reference exchange up to
     floating-point accumulation order.
-
-    :meth:`exchange_coordinates` additionally accepts an optional
-    ``on_pulse`` callback (see :data:`PulseCallback`).  Backends call it
-    once per (rank, pulse) as soon as that rank's inbound pulse data is
-    complete and visible; backends that cannot pinpoint completion (e.g.
-    delayed-delivery transports) may batch every notification at the end
-    of the exchange.  Callers must tolerate missing notifications — the
-    engine completes any un-notified rank after the exchange returns.
 
     Backends exchange **in place**: the arrays in ``cluster.local_*`` are
     the ones the rank executor computes on (for the process executor,
@@ -49,14 +34,13 @@ class HaloBackend(ABC):
         once the executor's arrays are installed in ``cluster``."""
 
     @abstractmethod
-    def exchange_coordinates(
-        self, cluster: ClusterState, on_pulse: PulseCallback | None = None
-    ) -> None:
+    def exchange_coordinates(self, cluster: ClusterState, on_pulse: None = None) -> None:
         """Run all coordinate pulses (z, y, x phases with forwarding).
 
-        ``on_pulse(rank, pulse_id)``, when given, is invoked once per
-        (rank, pulse) after that rank's inbound data for the pulse is
-        complete and visible.
+        ``on_pulse`` is accepted and ignored only because the frozen
+        benchmark's span wrapper (``bench/spans.py``) forwards
+        ``on_pulse=None`` to every backend; ROADMAP item 6 drops that
+        forwarding and then this keyword.
         """
 
     @abstractmethod

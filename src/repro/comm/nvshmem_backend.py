@@ -366,11 +366,6 @@ class NvshmemBackend(HaloBackend):
         self._run_scheduled(tasks, "x")
         # The schedule is complete; all signals observed. (quiet for hygiene)
         rt.quiet()
-        if on_pulse is not None:
-            # Delayed delivery means inbound data is only guaranteed visible
-            # after quiet(); batch every (rank, pulse) notification here.
-            for _name, (rank, pid, *_args) in self._coord_progs:
-                on_pulse(rank, pid)
 
     def _run_scheduled(self, tasks, direction: str) -> None:
         """Drive one exchange's task generators, counting proxy stalls and

@@ -26,7 +26,7 @@ class ReferenceBackend(HaloBackend):
         pass
 
     def exchange_coordinates(self, cluster: ClusterState, on_pulse=None) -> None:
-        reference_coordinate_exchange(cluster, on_pulse=on_pulse)
+        reference_coordinate_exchange(cluster)
 
     def exchange_forces(self, cluster: ClusterState) -> None:
         reference_force_exchange(cluster)

@@ -424,44 +424,23 @@ class DDSimulator:
 
     # -- forces ---------------------------------------------------------------
 
-    def _exchange_coordinates_overlapped(self, ready) -> None:
-        """Coordinate halo that releases ranks to ``ready`` as pulses land.
-
-        ``ready(rank)`` is called exactly once per rank: eagerly, the
-        moment the backend reports that rank's last inbound pulse complete
-        (``on_pulse``), and in a catch-all sweep after the exchange
-        returns for ranks the backend never notified (backends may batch
-        or skip notifications — see :class:`repro.comm.base.HaloBackend`).
-        """
-        n_pulses = self.cluster.plan.n_pulses
-        notified = [False] * self.n_ranks
-        seen = [0] * self.n_ranks
-
-        def on_pulse(rank: int, pulse_id: int) -> None:
-            seen[rank] += 1
-            if seen[rank] >= n_pulses and not notified[rank]:
-                notified[rank] = True
-                ready(rank)
-
+    def _exchange_coordinates_overlapped(self) -> None:
+        """Coordinate halo between the two force halves."""
         with TRACER.span(
             "dd.halo_x", cat="comm", backend=getattr(self.backend, "name", "?")
         ):
-            self.backend.exchange_coordinates(self.cluster, on_pulse=on_pulse)
+            self.backend.exchange_coordinates(self.cluster)
         # Inert (the backend wrote into the executor's own arrays): called
         # only so the frozen benchmark's ``par.publish`` span still exists;
         # goes away together with ``RankExecutor.publish``.
         self.executor.publish(("pos",))
-        for r in range(self.n_ranks):
-            if not notified[r]:
-                notified[r] = True
-                ready(r)
 
     def compute_forces(self) -> tuple[float, float, float]:
         """Split force phases around the coordinate halo, then the force halo.
 
         ``forces_local`` needs no halo data, so the process executor runs it
-        *during* the coordinate exchange; each rank's ``forces_nonlocal``
-        is released as soon as that rank's inbound pulses complete.  The
+        *during* the coordinate exchange and dispatches every rank's
+        ``forces_nonlocal`` once the exchange returns.  The
         serial executor (and ``overlap_comm=False``) keeps the strict
         order — local, exchange, non-local — as the bit-exactness
         reference.

@@ -94,13 +94,8 @@ def build_cluster(
 # -- reference (serialized) exchanges ---------------------------------------
 
 
-def reference_coordinate_exchange(cluster: ClusterState, on_pulse=None) -> None:
-    """Coordinate halo: pulses strictly in order, all ranks in lock-step.
-
-    ``on_pulse(rank, pulse_id)``, when given, fires for every rank after
-    each pulse's deliveries land (lock-step order means every rank's
-    inbound pulse ``pid`` is complete at the same point).
-    """
+def reference_coordinate_exchange(cluster: ClusterState) -> None:
+    """Coordinate halo: pulses strictly in order, all ranks in lock-step."""
     plan = cluster.plan
     for pid in range(plan.n_pulses):
         # Pack everything first (lock-step: sends use pre-pulse state, which
@@ -121,9 +116,6 @@ def reference_coordinate_exchange(cluster: ClusterState, on_pulse=None) -> None:
                     f"but rank {p.send_rank} expects {dp.recv_size}"
                 )
             dest[dp.atom_offset : dp.atom_offset + dp.recv_size] = packed[rank_plan.rank]
-        if on_pulse is not None:
-            for rank_plan in plan.ranks:
-                on_pulse(rank_plan.rank, pid)
 
 
 def reference_force_exchange(cluster: ClusterState) -> None:

@@ -20,10 +20,6 @@ Fault kinds
     Sleep ``delay_us`` before a rank's phase — inside the rank's timed
     window on the serial executor, at parent-side dispatch on the process
     executor — a straggler rank.
-``defer_notify``
-    Shuffle the cross-rank order of ``on_pulse`` notifications (per-rank
-    pulse order is preserved, as the backend contract requires), seeded by
-    ``count`` — a callback arriving in a different delivery order.
 """
 
 from __future__ import annotations
@@ -34,11 +30,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 #: All fault kinds, in generation-weight order.
-FAULT_KINDS = ("delay_task", "hide_signal", "drop_op", "perturb_phase", "defer_notify")
+FAULT_KINDS = ("delay_task", "hide_signal", "drop_op", "perturb_phase")
 
 #: Kinds meaningful for a backend that does not use the scheduler/NVSHMEM
 #: substrate (the reference exchange).
-GENERIC_KINDS = ("perturb_phase", "defer_notify")
+GENERIC_KINDS = ("perturb_phase",)
 
 _SIGNAL_NAMES = ("coordSig", "forceSig")
 _TASK_PREFIXES = ("coordX", "serveF", "accF")
@@ -53,7 +49,7 @@ class Fault:
     target: str = ""  # task-name substring / signal name / phase name
     rank: int = -1  # -1 matches any rank / PE
     pulse: int = -1  # -1 matches any pulse / signal slot
-    count: int = 1  # rounds held / polls hidden / op ordinal / defer sub-seed
+    count: int = 1  # rounds held / polls hidden / op ordinal
     delay_us: float = 0.0  # perturb_phase sleep
 
     def __post_init__(self) -> None:
@@ -108,7 +104,7 @@ class FaultPlan:
         """Draw ``n_faults`` faults from the seeded distribution.
 
         Backends without a scheduler/NVSHMEM substrate only receive the
-        generic kinds (phase perturbation, notification deferral).
+        generic kind (phase perturbation).
         """
         rng = np.random.default_rng(seed)
         kinds = FAULT_KINDS if backend == "nvshmem" else GENERIC_KINDS
@@ -132,14 +128,12 @@ class FaultPlan:
                 )
             elif kind == "drop_op":
                 faults.append(Fault(kind, count=int(rng.integers(1, 9))))
-            elif kind == "perturb_phase":
+            else:  # perturb_phase
                 phase = _PHASES[int(rng.integers(len(_PHASES)))]
                 faults.append(
                     Fault(kind, target=phase, rank=rank,
                           delay_us=float(rng.integers(50, 501)))
                 )
-            else:  # defer_notify
-                faults.append(Fault(kind, count=int(rng.integers(0, 1 << 16))))
         return cls(seed=seed, faults=faults)
 
     # -- (de)serialization -----------------------------------------------------

@@ -145,26 +145,26 @@ class RankExecutor(ABC):
         return results
 
     def run_forces_overlapped(
-        self, exchange: Callable[[Callable[[int], None]], None], overlap: bool = True
+        self, exchange: Callable[[], None], overlap: bool = True
     ) -> tuple[list[Any], list[Any]]:
         """Run the split force phases around a coordinate halo exchange.
 
-        ``exchange(ready)`` must perform the coordinate halo exchange and
-        invoke ``ready(rank)`` exactly once per rank, as soon as that
-        rank's inbound halo pulses are all complete (it may batch the
-        calls at the end).  Returns the per-rank results of the
-        ``forces_local`` and ``forces_nonlocal`` phases.
+        ``exchange()`` must perform the coordinate halo exchange.  Returns
+        the per-rank results of the ``forces_local`` and
+        ``forces_nonlocal`` phases.
 
         The base implementation is the *strict* schedule — local forces,
         then the full exchange, then non-local forces, with no overlap —
         and is the bit-exactness reference.  Concurrent executors
-        override it to release each rank's ``forces_nonlocal`` the moment
-        its halo completes while other ranks' pulses are still in flight
-        (the paper's comm–compute overlap).
+        override it to run the local half during the exchange and
+        dispatch the non-local half once it returns.  No backend can
+        tell a rank's inbound halo complete before the whole exchange is
+        (the NVSHMEM one knows only after ``quiet``), so the non-local
+        half is released for every rank at once.
         """
         local = self.run("forces_local")
         t0 = time.perf_counter()
-        exchange(lambda rank: None)
+        exchange()
         halo_s = time.perf_counter() - t0
         nonlocal_ = self.run("forces_nonlocal")
         self._observe_overlap(halo_s, 0.0)

@@ -403,61 +403,43 @@ class ProcessExecutor(RankExecutor):
     ) -> tuple[list[Any], list[Any]]:
         """Overlapped schedule over the worker pipes.
 
-        Local batches are pipelined to every worker before the exchange
-        starts; ``ready(rank)`` then enqueues that single rank's
-        ``forces_nonlocal``.  Pipe FIFO ordering guarantees each worker
-        finishes its local batch before touching any non-local request,
-        so no locking is needed — the kernel pipe is the work queue.
+        Every worker gets its local batch before the exchange starts and
+        computes it while the parent exchanges; the non-local batch
+        follows on the same pipe once the exchange returns.  Pipe FIFO
+        ordering makes each worker finish its local batch first, so no
+        locking is needed — the kernel pipe is the work queue.
         """
         if not overlap:
             return super().run_forces_overlapped(exchange, overlap)
         if not self._bound:
             raise RuntimeError("bind() must run before executing phases")
-        n_workers = len(self._conns)
-        worker_of: dict[int, int] = {
-            r: w for w, my_ranks in enumerate(self._ranks_of) for r in my_ranks
-        }
         with TRACER.span(
             "executor.dispatch", cat="executor", executor=self.name, phase="forces_local"
         ):
             self._dispatch("forces_local")
-        pending_nonlocal: list[list[int]] = [[] for _ in range(n_workers)]
-        dispatched = [False] * self.n_ranks
-
-        def ready(rank: int) -> None:
-            if dispatched[rank]:
-                return
-            dispatched[rank] = True
-            if par_base.phase_chaos is not None:
-                par_base.phase_chaos("forces_nonlocal", rank)
-            w = worker_of[rank]
-            self._request(w, ("run", "forces_nonlocal", [rank]))
-            pending_nonlocal[w].append(rank)
-
         t0 = time.perf_counter()
-        exchange(ready)
+        exchange()
         t1 = time.perf_counter()
+        with TRACER.span(
+            "executor.dispatch", cat="executor", executor=self.name, phase="forces_nonlocal"
+        ):
+            self._dispatch("forces_nonlocal")
 
         local_results: list[Any] = [None] * self.n_ranks
         nonlocal_results: list[Any] = [None] * self.n_ranks
-        last_local_end = 0.0
+        workers = range(len(self._conns))
         with TRACER.span(
             "executor.barrier", cat="executor", executor=self.name, phase="forces_local"
         ):
-            for w in range(n_workers):
-                # FIFO: each worker's first reply is its local batch.
-                last_local_end = max(
-                    last_local_end, self._absorb_reply(w, "forces_local", local_results)
-                )
+            # FIFO: each worker's first reply is its local batch.
+            last_local_end = max(
+                self._absorb_reply(w, "forces_local", local_results) for w in workers
+            )
         with TRACER.span(
-            "executor.barrier",
-            cat="executor",
-            executor=self.name,
-            phase="forces_nonlocal",
+            "executor.barrier", cat="executor", executor=self.name, phase="forces_nonlocal"
         ):
-            for w in range(n_workers):
-                for _ in pending_nonlocal[w]:
-                    self._absorb_reply(w, "forces_nonlocal", nonlocal_results)
+            for w in workers:
+                self._absorb_reply(w, "forces_nonlocal", nonlocal_results)
         hidden = max(0.0, min(last_local_end, t1) - t0)
         self._observe_overlap(t1 - t0, hidden)
         METRICS.counter("par.phases", executor=self.name, phase="forces_local").inc()

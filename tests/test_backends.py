@@ -210,72 +210,28 @@ class TestRaggedSymmetricExtents:
             heap.register_symmetric("x", cluster.local_pos)
 
 
-class TestOnPulseContract:
-    """The on_pulse callback contract (see HaloBackend.exchange_coordinates):
-    exactly once per (rank, pulse), per-rank pulses in delivery order, with
-    the pulse's data already visible at callback time."""
+class TestChaosCoverage:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_halo_row_delivered_under_injected_faults(self, tiny_system, ff, seed):
+        """Chaos-injected delays, hidden signals and dropped proxy ops must
+        not lose a halo row: every poisoned slot is overwritten."""
+        from repro.chaos import ChaosInjector, FaultPlan, check_halo_coverage
 
-    def _cluster(self, system, ff):
-        # (1, 2, 4) with two z-pulses: 3 pulses/rank incl. cross-dim forwarding.
+        # (1, 2, 4) with two z-pulses: 3 pulses/rank incl. cross-dim
+        # forwarding; the halo starts NaN-poisoned.
         dd = DomainDecomposition(
-            grid=DDGrid((1, 2, 4)), box=system.box, r_comm=ff.cutoff + 0.12,
+            grid=DDGrid((1, 2, 4)), box=tiny_system.box, r_comm=ff.cutoff + 0.12,
             max_pulses=2,
         )
-        return build_cluster(system.copy(), dd, fresh_halo=False)
-
-    def _check_contract(self, cluster, calls, visible):
-        n_pulses = cluster.plan.n_pulses
-        assert n_pulses >= 2
-        expected = [(r, p) for r in range(cluster.n_ranks) for p in range(n_pulses)]
-        assert sorted(calls) == expected  # exactly once per (rank, pulse)
-        for rank in range(cluster.n_ranks):
-            pulses = [p for r, p in calls if r == rank]
-            assert pulses == sorted(pulses)  # delivery order within a rank
-        assert all(visible)  # pulse data landed before its notification
-
-    @pytest.mark.parametrize(
-        "name,factory",
-        [
-            ("reference", lambda: make_backend("reference")),
-            ("nvshmem", lambda: NvshmemBackend(pes_per_node=2, seed=9)),
-        ],
-        ids=["reference", "nvshmem"],
-    )
-    def test_exactly_once_in_order_with_data_visible(self, tiny_system, ff, name, factory):
-        cluster = self._cluster(tiny_system, ff)
-        be = factory()
-        be.bind(cluster)
-        calls, visible = [], []
-
-        def on_pulse(rank, pid):
-            calls.append((rank, pid))
-            p = cluster.plan.ranks[rank].pulses[pid]
-            rows = cluster.local_pos[rank][p.atom_offset : p.atom_offset + p.recv_size]
-            visible.append(bool(np.all(np.isfinite(rows))))
-
-        be.exchange_coordinates(cluster, on_pulse=on_pulse)
-        self._check_contract(cluster, calls, visible)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_contract_holds_under_injected_delays(self, tiny_system, ff, seed):
-        """Chaos-injected delays, hidden signals, and dropped proxy ops must
-        not duplicate, lose, or reorder notifications."""
-        from repro.chaos import ChaosInjector, FaultPlan
-
-        cluster = self._cluster(tiny_system, ff)
+        cluster = build_cluster(tiny_system.copy(), dd, fresh_halo=False)
+        assert cluster.plan.n_pulses >= 2
+        assert not np.all(np.isfinite(cluster.local_pos[0]))
         plan = FaultPlan.generate(
             seed, n_ranks=cluster.n_ranks, n_pulses=cluster.plan.n_pulses
         )
         be = NvshmemBackend(pes_per_node=2, seed=seed)
-        calls, visible = [], []
-
-        def on_pulse(rank, pid):
-            calls.append((rank, pid))
-            p = cluster.plan.ranks[rank].pulses[pid]
-            rows = cluster.local_pos[rank][p.atom_offset : p.atom_offset + p.recv_size]
-            visible.append(bool(np.all(np.isfinite(rows))))
-
-        with ChaosInjector(plan, backend=be):
+        with ChaosInjector(plan, backend=be) as inj:
             be.bind(cluster)
-            be.exchange_coordinates(cluster, on_pulse=on_pulse)
-        self._check_contract(cluster, calls, visible)
+            be.exchange_coordinates(cluster)
+        assert inj.state.drain_violations() == []
+        check_halo_coverage(cluster)

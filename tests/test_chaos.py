@@ -31,7 +31,6 @@ from repro.chaos import (
     reference_trajectory,
     write_artifact,
 )
-from repro.chaos.inject import _replay_deferred
 from repro.comm.scheduler import CooperativeScheduler
 from repro.dd import DDGrid
 from repro.dd.decomposition import DomainDecomposition
@@ -67,7 +66,7 @@ class TestFaultPlan:
 
     def test_generic_backends_get_generic_kinds(self):
         plan = FaultPlan.generate(5, n_faults=16, backend="reference")
-        assert {f.kind for f in plan} <= {"perturb_phase", "defer_notify"}
+        assert {f.kind for f in plan} == {"perturb_phase"}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
@@ -156,16 +155,6 @@ class TestInjectors:
         state.phase_chaos("forces_local", 1)  # match
         after = METRICS.counter("chaos.faults_fired", kind="perturb_phase").value
         assert after == before + 1
-
-    @pytest.mark.parametrize("seed", [0, 1, 17, 999])
-    def test_defer_notify_preserves_per_rank_order(self, seed):
-        delivered = [(r, p) for p in range(3) for r in range(4)]
-        out = []
-        _replay_deferred(delivered, lambda r, p: out.append((r, p)), seed)
-        assert sorted(out) == sorted(delivered)
-        for rank in range(4):
-            pulses = [p for r, p in out if r == rank]
-            assert pulses == sorted(pulses)
 
     def test_injector_restores_hooks(self):
         assert CooperativeScheduler._default_chaos is None
@@ -366,6 +355,31 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["chaos", "--replay", out])
         assert exc.value.code == 3  # failure reproduced
+
+    def test_replay_of_retired_kind_fails_in_one_line(self, cfg, tmp_path, monkeypatch):
+        """An artifact whose plan names a kind this build no longer has
+        (``defer_notify``) is refused by name before any simulation runs."""
+        import repro.chaos.campaign as campaign
+        from repro.chaos import make_artifact
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation ran for an unreplayable artifact")
+
+        monkeypatch.setattr(campaign, "run_case", no_simulation)
+        monkeypatch.setattr(campaign, "reference_trajectory", no_simulation)
+        artifact = make_artifact(cfg, FaultPlan(seed=0), None, [])
+        artifact["plan"]["faults"] = [
+            {"kind": "defer_notify", "target": "", "rank": -1, "pulse": -1,
+             "count": 4242, "delay_us": 0.0}
+        ]
+        with pytest.raises(ValueError, match="unknown fault kind 'defer_notify'"):
+            replay_artifact(artifact)
+        path = write_artifact(str(tmp_path / "old.json"), artifact)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chaos", "--replay", path])
+        msg = str(exc.value.code)
+        assert "unknown fault kind 'defer_notify'" in msg
+        assert "\n" not in msg
 
     def test_expect_failure_without_mutation_fails(self):
         with pytest.raises(SystemExit, match="vacuous"):

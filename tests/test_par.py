@@ -406,3 +406,35 @@ class TestSplitForces:
         assert halo.count - h0 == 4
         assert hidden.count - hid0 == 4
         assert halo.sum >= 0.0 and hidden.sum >= 0.0
+
+    def test_one_request_per_worker_per_phase(self, tiny_system, ff):
+        """A step without a search sends each worker exactly three requests
+        (local forces, non-local forces, integrate), whatever its rank count."""
+        executor = ProcessExecutor(max_workers=2)
+        sim = DDSimulator(
+            tiny_system.copy(), ff, n_ranks=4, executor=executor,
+            nstlist=100, buffer=0.12,
+        )
+        with sim:
+            sim.run(1)  # the search step binds the pool
+            n_workers = len(executor._conns)
+            assert n_workers == 2 < sim.n_ranks
+            sent: list[tuple] = []
+            request = executor._request
+
+            def spy(worker, msg):
+                sent.append((worker, msg[:2]))
+                request(worker, msg)
+
+            executor._request = spy
+            plain = 0
+            for _ in range(5):
+                sent.clear()
+                sim.step()
+                if any(msg[0] == "bind" or msg[1] == "pairs" for _, msg in sent):
+                    continue  # a drift-triggered search; not a plain step
+                plain += 1
+                assert len(sent) == 3 * n_workers, sent
+                for phase in ("forces_local", "forces_nonlocal", "integrate"):
+                    assert sorted(w for w, m in sent if m == ("run", phase)) == [0, 1]
+            assert plain >= 3
