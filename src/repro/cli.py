@@ -30,7 +30,7 @@ wall-clock spans recorded by :mod:`repro.obs.tracer`.  Open the file in
 ``profile``, ``verify``, ``chaos``) selects the :mod:`repro.par` rank
 executor for functional runs: ``serial`` in-process reference,
 ``process`` persistent worker pool over shared memory (the per-GPU-rank
-stand-in).  ``--kernel`` defaults to ``cluster``.  ``compare``/``scaling`` take
+stand-in).  ``compare``/``scaling`` take
 ``--measure N`` to additionally time a real run; ``profile --functional``
 profiles a real run via recorded spans instead of the timing model.
 
@@ -75,7 +75,7 @@ from repro.util.units import ms_per_step_to_ns_per_day
 log = get_logger("cli")
 
 #: The spec knobs every functional subcommand exposes as flags.
-FUNCTIONAL_FLAGS = ("executor", "kernel", "dlb")
+FUNCTIONAL_FLAGS = ("executor", "dlb")
 
 
 def _resolve_atoms(system: str) -> int:
@@ -605,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", default="x".join(map(str, base.shape)),
                    help="DD grid (default 1x1x4: two z-pulses per rank)")
     add_spec_flags(
-        p, "dlb", "max_pulses", "steps", "pes_per_node", "executor", "kernel",
+        p, "dlb", "max_pulses", "steps", "pes_per_node", "executor",
         dlb=dict(
             choices=[m for m in DLB_MODES if m != "measured"],
             help="dynamic load balancing under faults; chaos only "

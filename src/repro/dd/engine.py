@@ -30,10 +30,10 @@ from repro.dd.decomposition import DomainDecomposition
 from repro.dd.dlb import DLB_MODES, DlbController
 from repro.dd.exchange import ClusterState, build_cluster, gather_forces
 from repro.dd.grid import DDGrid, choose_grid
+from repro.md import kernels
 from repro.md.forcefield import ForceField, default_forcefield
 from repro.md.inhomogeneous import make_system
 from repro.md.integrator import LeapFrogIntegrator
-from repro.md.nonbonded import NonbondedKernel
 from repro.md.reference import StepEnergies
 from repro.md.system import MDSystem
 from repro.obs.metrics import METRICS
@@ -147,9 +147,12 @@ class DDSimulator:
     #: comm–compute overlap).  ``False`` forces the strict schedule on
     #: every executor: local forces, full exchange, non-local forces.
     overlap_comm: bool = True
-    #: Rank-local pair-search strategy (``repro.md.kernels`` registry
-    #: name): "cluster" (default, M×N cluster-pair search) or "segment"
-    #: (flat cell-list search).  Both build the same flat pair blocks.
+    #: There is one pair search, the M×N cluster-pair search of
+    #: :func:`repro.md.kernels.build_split`; this keyword accepts only
+    #: its name, ``"cluster"``, and any other value raises.  It is kept
+    #: (with ``ReferenceSimulator.kernel``, which is accepted and
+    #: ignored) only because the frozen benchmark passes it: both go
+    #: with ROADMAP item 6.
     kernel: str = "cluster"
     #: Kernel compute precision: "float64" (default, bit-exact reference)
     #: or "float32" (the mixed-precision fast path).
@@ -185,19 +188,23 @@ class DDSimulator:
             grid=self.grid, box=self.system.box, r_comm=r_comm,
             max_pulses=self.max_pulses, dlb=self.dlb != "off",
         )
+        if self.kernel != "cluster":
+            raise ValueError(
+                f"unknown kernel '{self.kernel}': there is one pair search, "
+                "'cluster'"
+            )
+        # An unknown dtype or a missing compiler fails here, at
+        # construction, not mid-run inside an executor worker.
+        kernels.load(self.kernel_dtype)
         self.backend, _executor = resolve_backend_executor(self.backend, self.executor)
-        self._kernel = NonbondedKernel(self.ff, name=self.kernel, dtype=self.kernel_dtype)
-        # Resolve the kernel implementation now so an unknown name or
-        # dtype fails at construction, not mid-run inside an executor
-        # worker.
-        self._kernel.impl
         self._integrator = LeapFrogIntegrator(dt=self.dt)
         self._periodic = np.array([self.grid.shape[d] == 1 for d in range(3)])
         self._dlb = DlbController(self.dd) if self.dlb != "off" else None
         self.executor = _executor
         self.executor.configure(
             RankConfig(
-                kernel=self._kernel,
+                ff=self.ff,
+                dtype=self.kernel_dtype,
                 integrator=self._integrator,
                 box=self.dd.box,
                 periodic=self._periodic,
@@ -309,9 +316,9 @@ class DDSimulator:
                     n_pairs_nonlocal=stats["n_nonlocal"],
                     pulse_send_sizes=[p.send_size for p in plan.pulses],
                     pulse_pair_counts=stats["pulse_pairs"],
-                    pairlist_bytes=stats.get("pairlist_bytes", 0),
-                    cells_bytes=stats.get("cells_bytes", 0),
-                    build_peak_bytes=stats.get("build_peak_bytes", 0),
+                    pairlist_bytes=stats["pairlist_bytes"],
+                    cells_bytes=stats["cells_bytes"],
+                    build_peak_bytes=stats["build_peak_bytes"],
                 )
             )
         METRICS.counter("dd.ns_builds").inc()
@@ -320,10 +327,10 @@ class DDSimulator:
             sum(w.n_pairs_nonlocal for w in self.workloads)
         )
         METRICS.gauge("dd.halo_atoms").set(sum(w.n_halo for w in self.workloads))
-        # Tile fill of the cluster search (both 0 under "segment").
+        # Tile fill of the cluster search.
         for key in ("candidates", "tiles"):
             METRICS.gauge(f"md.pairsearch.{key}").set(
-                sum(stats.get(f"n_{key}", 0) for stats in self._pair_stats)
+                sum(stats[f"n_{key}"] for stats in self._pair_stats)
             )
         # Build-memory gauges: totals across ranks for the standing
         # structures, per-rank max for the peaks (ranks build

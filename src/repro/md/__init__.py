@@ -26,7 +26,7 @@ from repro.md.inhomogeneous import (
     make_vacuum_gap_system,
 )
 from repro.md.integrator import LeapFrogIntegrator, kinetic_energy, remove_com_motion
-from repro.md.nonbonded import NonbondedKernel, PairBlock, block_forces, pair_forces
+from repro.md.nonbonded import PairBlock, block_forces, pair_forces
 from repro.md.pairlist import PairList, VerletListBuilder
 from repro.md.reference import ReferenceSimulator
 from repro.md.system import MDSystem, minimum_image, wrap_positions
@@ -38,7 +38,6 @@ __all__ = [
     "GRAPPA_SIZES",
     "LeapFrogIntegrator",
     "MDSystem",
-    "NonbondedKernel",
     "PairBlock",
     "PairList",
     "block_forces",

@@ -3,7 +3,7 @@
 ``nonbonded.c`` (the non-bonded evaluator and the leap-frog) and
 ``pairsearch.c`` (the cluster search, the drift guard and the re-prune),
 next to this file, are compiled into one library with the host's C
-compiler the first time an MD kernel resolves, into the per-user cache
+compiler the first time a simulator is made, into the per-user cache
 directory, and loaded with :mod:`ctypes`.  The cache key hashes both sources, the flags, the
 compiler binary and the host CPU, so a shared
 home never loads a build made for another ISA or compiler; a build goes
@@ -16,9 +16,10 @@ by identity (resolved path, size, mtime) rather than by ``cc
 fork, so one such call per process read as a doubled ``peak_rss_mb``
 (self + largest child) on the halo benchmark workloads.
 
-The handle is module state: :class:`~repro.md.kernels.KernelImpl`
-pickles to process workers, and workers forked after the kernel
-resolved inherit the loaded library.  Nothing here runs at import.
+The handle is module state: the simulators load it at construction
+(:func:`repro.md.kernels.load`), process workers forked after that
+inherit the loaded library, and any other process loads it on first
+use.  Nothing here runs at import.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ over flat pair arrays ``i``/``j``:
   per-step parameter gathers and ``np.add.at`` scatter, the NumPy
   analogue of the ``atomicAdd`` accumulation the paper's GPU unpack
   kernels use.  Simple, slow; no ``src/`` path calls it.
-* :class:`PairBlock` + :func:`block_forces` — what every simulator runs,
-  whichever search built the list: the pair list is sorted by ``i`` once
+* :class:`PairBlock` + :func:`block_forces` — what every simulator runs
+  on its list, called directly: the pair list is sorted by ``i`` once
   (at build/prune time), ``C6``/``C12`` and charge products are cached
   per list (40 B/pair), and the force reduction sums ``i``-segments plus
   one float64 accumulator row per atom for the ``j`` side — the analogue
@@ -402,7 +402,7 @@ def _scratch_for(dtype: str, rows: int, atoms: int) -> dict[str, np.ndarray]:
     """Scratch with at least ``rows`` chunk rows and accumulator room
     for ``atoms`` atom rows.  Arrays are created from the dtype *name*:
     an ``np.dtype`` that came through pickle is a copy of NumPy's
-    singleton and arrays made with it run slower (see ``KernelImpl.dtype``)."""
+    singleton and arrays made with it run slower (see ``RankConfig.dtype``)."""
     s = _scratch.by_dtype.setdefault(dtype, {})
     # CHUNK_PAIRS rows hold every chunk unless one i-segment alone is
     # longer than that, so the chunk arrays are made once per process.
@@ -580,7 +580,7 @@ def block_forces(
             "out_forces must be a writeable C-contiguous float32 or float64 array"
         )
     if dtype.__class__ is not str:
-        dtype = np.dtype(dtype).name  # names only: see KernelImpl.dtype
+        dtype = np.dtype(dtype).name  # names only: see RankConfig.dtype
     if dtype == "float64":
         fn = native.library().nb_block_forces_f64
     elif dtype == "float32":
@@ -798,62 +798,3 @@ def block_forces_numpy(
         out_forces[:, d] -= jsum.astype(odt, copy=False)
     return out_forces, e_lj, e_coul
 
-
-@dataclass
-class NonbondedKernel:
-    """Force field + registry-selected non-bonded implementation.
-
-    ``name`` picks the pair-search strategy from :mod:`repro.md.kernels`
-    (``"segment"`` or ``"cluster"``); ``dtype`` is the kernel compute
-    precision (``"float64"`` or the documented ``"float32"`` fast path).
-    The implementation object is resolved lazily because
-    :mod:`repro.md.kernels` imports this module.
-    """
-
-    ff: ForceField
-    name: str = "cluster"
-    dtype: str = "float64"
-
-    @property
-    def impl(self):
-        """The resolved kernel implementation (cached)."""
-        impl = self.__dict__.get("_impl")
-        if impl is None:
-            from repro.md.kernels import make_kernel
-
-            impl = make_kernel(self.name, dtype=self.dtype)
-            self.__dict__["_impl"] = impl
-        return impl
-
-    def compute_block(
-        self,
-        positions: np.ndarray,
-        block: PairBlock,
-        box: np.ndarray | None = None,
-        periodic: np.ndarray | None = None,
-        out_forces: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, float, float]:
-        """Force evaluation over a block, via the registry implementation."""
-        return self.impl.compute_block(
-            positions,
-            block,
-            self.ff,
-            box=box,
-            periodic=periodic,
-            out_forces=out_forces,
-        )
-
-    def make_block(
-        self,
-        pair_i: np.ndarray,
-        pair_j: np.ndarray,
-        type_ids: np.ndarray,
-        charges: np.ndarray,
-        n_atoms: int,
-        group_key: np.ndarray | None = None,
-    ) -> PairBlock:
-        """Build a :class:`PairBlock` against this kernel's force field."""
-        return PairBlock(
-            pair_i, pair_j, type_ids, charges, self.ff,
-            n_atoms=n_atoms, group_key=group_key,
-        )

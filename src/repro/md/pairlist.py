@@ -11,8 +11,11 @@ This is the whole-system list of the serial
 :class:`~repro.md.reference.ReferenceSimulator`, evaluated unpruned: it is
 the independent oracle the DD engine's *dynamically pruned* dual list
 (:mod:`repro.par.phases`, the paper's Sec. 5.4 prune kernel) is checked
-against.  DD ranks search their home + halo atoms through
-:mod:`repro.md.kernels`; both searches end in the same flat sorted pairs.
+against.  It is also the independent search the DD engine's one pair
+search (:func:`repro.md.kernels.build_split`, M×N clusters over each
+rank's home + halo atoms) is held to: ``tests/test_kernels.py`` maps
+every rank's outer lists to global ids and asks for this module's cell
+list pairs at ``r_list``, each on exactly one rank.
 """
 
 from __future__ import annotations

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.md import kernels
 from repro.md.forcefield import ForceField
 from repro.md.integrator import LeapFrogIntegrator
-from repro.md.nonbonded import NonbondedKernel, PairBlock
+from repro.md.nonbonded import PairBlock, block_forces
 from repro.md.pairlist import PairList, VerletListBuilder
 from repro.md.system import MDSystem
 
@@ -48,13 +49,12 @@ class ReferenceSimulator:
     buffer: float = 0.1
     dt: float = 0.002
     topology: "object | None" = None
-    #: Non-bonded kernel registry name ("segment" or "cluster") and
-    #: compute precision ("float64"/"float32").  The name is validated
-    #: against the registry and ``kernel_dtype`` selects the evaluation
-    #: precision; the list itself always comes from the flat
+    #: Accepted and ignored (see ``DDSimulator.kernel``): the list
+    #: always comes from the flat
     #: :class:`~repro.md.pairlist.VerletListBuilder`, so this oracle
-    #: shares no search code with the cluster kernel it checks.
-    kernel: str = "segment"
+    #: shares no search code with the cluster search it checks.
+    kernel: str = "cluster"
+    #: Evaluation precision ("float64"/"float32") of ``block_forces``.
     kernel_dtype: str = "float64"
     step_count: int = 0
     energies: list[StepEnergies] = field(default_factory=list)
@@ -63,8 +63,7 @@ class ReferenceSimulator:
         self._builder = VerletListBuilder(
             box=self.system.box, cutoff=self.ff.cutoff, buffer=self.buffer, nstlist=self.nstlist
         )
-        self._kernel = NonbondedKernel(self.ff, name=self.kernel, dtype=self.kernel_dtype)
-        self._kernel.impl  # fail fast on unknown names / dtypes
+        kernels.load(self.kernel_dtype)  # fail fast: dtype, compiler
         self._integrator = LeapFrogIntegrator(dt=self.dt)
         self._pairs: PairList | None = None
         self._cached_for: PairList | None = None
@@ -97,8 +96,8 @@ class ReferenceSimulator:
             pi, pj = pi[~excl], pj[~excl]
         else:
             self._excl = (pi[:0], pj[:0])
-        self._block = self._kernel.make_block(
-            pi, pj, sys.type_ids, sys.charges, n_atoms=sys.n_atoms
+        self._block = PairBlock(
+            pi, pj, sys.type_ids, sys.charges, self.ff, n_atoms=sys.n_atoms
         )
         self._cached_for = pairs
 
@@ -129,8 +128,9 @@ class ReferenceSimulator:
             e_bonded = e_b + e_a
         else:
             e_corr = 0.0
-        _, e_lj, e_coul = self._kernel.compute_block(
-            sys.positions, self._block, box=sys.box, out_forces=sys.forces
+        _, e_lj, e_coul = block_forces(
+            sys.positions, self._block, self.ff, box=sys.box,
+            out_forces=sys.forces, dtype=self.kernel_dtype,
         )
         e_coul += e_corr
         return e_lj, e_coul, e_bonded

@@ -45,8 +45,8 @@ ranks is the global maximum its buffer/2 rebuild rule needs.
 
 The data model:
 
-* :class:`RankConfig` — static for the life of a simulator (kernel,
-  integrator, box geometry).  Sent to process workers once.
+* :class:`RankConfig` — static for the life of a simulator (force field,
+  kernel precision, integrator, box geometry).  Sent to process workers once.
 * :class:`RankNsData` — per-neighbour-search, per-rank metadata (home
   count, zone shifts, pulse provenance, rank-local bonded lists).  Sent at
   every rebind; contains only index arrays and small parameter tables.
@@ -65,7 +65,9 @@ import numpy as np
 
 from repro.md.bonded import angle_forces, bond_forces, exclusion_correction
 from repro.md.integrator import LeapFrogIntegrator
-from repro.md.nonbonded import DualList, NonbondedKernel, PairBlock, drift_guard
+from repro.md.forcefield import ForceField
+from repro.md.kernels import build_split
+from repro.md.nonbonded import DualList, PairBlock, block_forces, drift_guard
 
 #: Cluster array fields every workspace carries, in layout order.  The
 #: executor shared-memory arena and the engine's ``ClusterState`` lists
@@ -77,7 +79,14 @@ FIELDS: tuple[str, ...] = ("pos", "vel", "forces", "types", "charges", "masses")
 class RankConfig:
     """Simulator-lifetime configuration shared by all ranks (picklable)."""
 
-    kernel: NonbondedKernel
+    ff: ForceField
+    #: Kernel compute precision, kept as the name, never as an
+    #: ``np.dtype``: this config reaches process workers by pickle, and an
+    #: unpickled ``np.dtype`` is a copy, not NumPy's singleton — scratch
+    #: arrays created with the copy run ~3 % slower through
+    #: ``block_forces``, which therefore keys and creates its scratch by
+    #: this name.
+    dtype: str
     integrator: LeapFrogIntegrator
     box: np.ndarray
     periodic: np.ndarray
@@ -86,7 +95,7 @@ class RankConfig:
     @property
     def r_inner(self) -> float:
         """Radius of the inner (evaluated) pair lists: cutoff + buffer/2."""
-        cutoff = self.kernel.ff.cutoff
+        cutoff = self.ff.cutoff
         return cutoff + 0.5 * (self.r_comm - cutoff)
 
     @property
@@ -96,7 +105,7 @@ class RankConfig:
         Two atoms can close twice this, which must not span the
         ``r_inner - cutoff`` margin: buffer/4.
         """
-        return 0.5 * (self.r_inner - self.kernel.ff.cutoff)
+        return 0.5 * (self.r_inner - self.ff.cutoff)
 
 
 @dataclass
@@ -195,18 +204,14 @@ def pair_search(ws: RankWorkspace) -> dict:
     once per neighbour search, not per step.  Only the lightweight
     ``stats`` dict crosses an executor boundary.
 
-    The search itself is delegated to the configured kernel implementation
-    (:mod:`repro.md.kernels`): ``"segment"`` searches over atoms with the
-    flat cell list, ``"cluster"`` over M×N cluster tiles.  Both return
-    the same :class:`SplitPairs` parts — flat outer lists with the same
-    local/non-local/per-pulse semantics — so executors, the engine and
-    the force phases never see which search produced the list.  Both
-    inner blocks, with their cached kernel parameters, are pruned from
-    them here, at the search's positions.
+    The search itself is the M×N cluster-pair search of
+    :func:`repro.md.kernels.build_split`, which returns the flat outer
+    lists; both inner blocks, with their cached kernel parameters, are
+    pruned from them here, at the search's positions.
     """
     ws.pairs = None  # the last search's lists are garbage from here on
     sp = ws.pairs = SplitPairs(
-        **ws.cfg.kernel.impl.build_split(ws),
+        **build_split(ws),
         home_ref=ws.pos[: ws.ns.n_home].copy(),
     )
     for half in (sp.local, sp.nonlocal_):
@@ -229,7 +234,7 @@ def _prune(ws: RankWorkspace, half: DualList) -> None:
     src = ws.ns.src_pulse if half.rows > ws.ns.n_home else None
     half.block = PairBlock.pruned(
         ws.pos, half.i, half.j, cfg.r_inner, ws.types, ws.charges,
-        cfg.kernel.ff, box=cfg.box, periodic=cfg.periodic, src_pulse=src,
+        cfg.ff, box=cfg.box, periodic=cfg.periodic, src_pulse=src,
     )
     half.ref = ws.pos[: half.rows].copy()
     half.drifted = drift_guard(ws.pos, half.ref, cfg.prune_drift)
@@ -275,14 +280,15 @@ def _forces_half(
         ei, ej = excl
         _, e_corr = exclusion_correction(
             ws.pos, ei, ej,
-            ws.charges, cfg.kernel.ff,
+            ws.charges, cfg.ff,
             box=cfg.box, periodic=cfg.periodic,
             out_forces=ws.forces,
         )
         e_bonded = _bonded_package(ws, which, ws.forces)
-    _, e_lj, e_coul = cfg.kernel.compute_block(
-        ws.pos, half.block,
+    _, e_lj, e_coul = block_forces(
+        ws.pos, half.block, cfg.ff,
         box=cfg.box, periodic=cfg.periodic, out_forces=ws.forces,
+        dtype=cfg.dtype,
     )
     return ForceHalf(e_lj, e_corr, e_coul, e_bonded, half.block.n_pairs, pruned)
 

@@ -33,13 +33,14 @@ from repro.comm import backend_registry
 from repro.dd.dlb import DLB_MODES
 from repro.faultplan import FaultPlan
 from repro.md.grappa import resolve_atoms
-from repro.md.kernels import KERNEL_DTYPES, kernel_registry
+from repro.md.kernels import KERNEL_DTYPES
 from repro.par import executor_registry
 
 #: Spec schema version; bump on incompatible field changes.  v2 dropped
 #: the pair-list build-memory cap, v3 the ``coulomb`` field (reaction
-#: field is the only electrostatics).
-SPEC_VERSION = 3
+#: field is the only electrostatics), v4 the ``kernel`` field (the
+#: cluster search is the only pair search).
+SPEC_VERSION = 4
 
 #: What a job does with the simulator the spec describes.
 KINDS = ("simulate", "verify", "profile", "chaos")
@@ -111,10 +112,6 @@ class SimulationSpec:
     cutoff: float = _knob(0.65, "non-bonded cutoff (nm)")
     trim_corners: bool = False
     overlap_comm: bool = True
-    kernel: str = _knob(
-        "cluster", "non-bonded kernel for functional runs (repro.md.kernels)",
-        choices=kernel_registry,
-    )
     kernel_dtype: str = _knob(
         "float64", "kernel compute precision (float32 = fast path)",
         choices=KERNEL_DTYPES,

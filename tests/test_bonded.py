@@ -6,7 +6,9 @@ import pytest
 from repro.dd import DDGrid, DDSimulator
 from repro.md import ReferenceSimulator, default_forcefield
 from repro.md.bonded import angle_forces, bond_forces, exclusion_correction
+from repro.md.cells import periodic_cell_list
 from repro.md.topology import Topology, make_molecular_grappa_system
+from tests.test_kernels import assert_each_pair_once, global_pairs
 
 
 @pytest.fixture(scope="module")
@@ -194,26 +196,32 @@ class TestDdBonded:
 
     def test_exclusion_lists_are_sorted_and_kernel_independent(self, ff):
         """``exclusion_correction`` accumulates in list order, so the lists
-        leave every search (i, j)-sorted — never in tile order."""
-        lists = {}
-        for kernel in ("segment", "cluster"):
-            sys_, top = make_molecular_grappa_system(500, seed=5, ff=ff)
-            with DDSimulator(
-                sys_, ff, grid=DDGrid((2, 2, 1)), nstlist=5, buffer=0.15,
-                topology=top, kernel=kernel,
-            ) as dds:
-                dds.neighbor_search()
-                lists[kernel] = [
-                    part
-                    for ws in dds.executor._ws
-                    for part in (ws.pairs.excl_local, ws.pairs.excl_nonlocal)
-                ]
-        assert sum(i.size for i, _ in lists["cluster"]) > 0
-        for (si, sj), (ci, cj) in zip(lists["segment"], lists["cluster"]):
-            assert np.array_equal(si, ci) and np.array_equal(sj, cj)
+        leave the search (i, j)-sorted — never in tile order.  In global
+        ids they are the serial reference's: of its cell list's pairs
+        within ``r_comm``, the same-molecule ones are excluded on exactly
+        one rank and the rest are listed on exactly one rank."""
+        sys_, top = make_molecular_grappa_system(500, seed=5, ff=ff)
+        with DDSimulator(
+            sys_, ff, grid=DDGrid((2, 2, 1)), nstlist=5, buffer=0.15,
+            topology=top,
+        ) as dds:
+            dds.neighbor_search()
+            excl = [
+                part
+                for ws in dds.executor._ws
+                for part in (ws.pairs.excl_local, ws.pairs.excl_nonlocal)
+            ]
+            got = global_pairs(dds), global_pairs(dds, ("excl_local", "excl_nonlocal"))
+            pos, r_comm = dds.system.positions, dds.dd.r_comm
+            i, j = periodic_cell_list(dds.system.box, r_comm).pairs_within(pos, r_comm)
+        assert sum(ci.size for ci, _ in excl) > 0
+        for ci, cj in excl:
             assert np.all(ci < cj)
             order = np.lexsort((cj, ci))
             assert np.array_equal(order, np.arange(ci.size))
+        same = top.molecule_of[i] == top.molecule_of[j]
+        assert_each_pair_once(got[0], i[~same], j[~same], n=pos.shape[0])
+        assert_each_pair_once(got[1], i[same], j[same], n=pos.shape[0])
 
     def test_every_bond_assigned_exactly_once(self, ff):
         sys_, top = make_molecular_grappa_system(400, seed=8, ff=ff)

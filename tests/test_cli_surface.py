@@ -20,8 +20,13 @@ out) were dropped.  They were regenerated on purpose for spec schema v3:
 the ``coulomb`` field (reaction field became the only electrostatics) left
 the spec defaults and ``schema_version`` moved 2 -> 3; no command line or
 flag changed.  The ``scribble-ib-source`` mutation self-test was pinned on
-purpose when the mutation was added.  No two documented command lines may
-run the same job.
+purpose when the mutation was added.  They were regenerated on purpose for
+spec schema v4, when the cluster search became the only pair search: the
+``kernel`` field left the spec defaults, ``schema_version`` moved 3 -> 4,
+the ``--kernel`` flag left ``compare``, ``scaling``, ``profile``,
+``verify`` and ``chaos``, and the CI line ``verify ... --kernel segment``
+and its pinned spec went.  No two documented command lines may run the
+same job.
 """
 
 from __future__ import annotations
@@ -47,9 +52,9 @@ DEFAULTS = {
     "shape": None, "max_pulses": 1, "backend": "reference",
     "executor": "serial", "pes_per_node": 0, "nstlist": 10, "buffer": 0.12,
     "dt": 0.002, "cutoff": 0.65, "trim_corners": False,
-    "overlap_comm": True, "kernel": "cluster", "kernel_dtype": "float64",
+    "overlap_comm": True, "kernel_dtype": "float64",
     "dlb": "off", "seed": 7, "fault_plan": None,
-    "n_faults": 4, "schema_version": 3,
+    "n_faults": 4, "schema_version": 4,
 }
 
 _VERIFY = {"kind": "verify", "max_pulses": 2, "backend": "nvshmem",
@@ -65,9 +70,6 @@ PINNED = {
     "verify --atoms 3000 --ranks 4 --steps 8 --executor process --no-overlap":
         [{**_VERIFY, "system": "3000", "steps": 8, "executor": "process",
           "overlap_comm": False}],
-    "verify --atoms 3000 --ranks 4 --steps 8 --executor process --kernel segment":
-        [{**_VERIFY, "system": "3000", "steps": 8, "executor": "process",
-          "kernel": "segment"}],
     **{
         f"chaos --backend {b} --runs 3 --executor process {_OUT}":
             [{**_CHAOS, "executor": "process",
@@ -125,7 +127,7 @@ PINNED = {
 }
 
 #: Flag -> default of every functional subcommand.
-_KNOBS = {"--executor": "serial", "--kernel": "cluster", "--dlb": "off"}
+_KNOBS = {"--executor": "serial", "--dlb": "off"}
 FLAGS = {
     "compare": {"system": "45k", "--gpus": 4, "--machine": "dgx-h100",
                 "--trace": None, "--measure": 0, **_KNOBS},
@@ -308,7 +310,7 @@ def test_flags_and_defaults_unchanged(subcommand):
 def test_generated_flag_parsing_matches_the_hand_written_parser(capsys):
     parse = cli.build_parser().parse_args
     assert parse(["verify", "--dlb", "measured"]).dlb == "measured"
-    for bad in (["chaos", "--dlb", "measured"], ["verify", "--kernel", "simd9000"],
+    for bad in (["chaos", "--dlb", "measured"], ["verify", "--dlb", "simd9000"],
                 ["compare", "--executor", "gpu"]):
         with pytest.raises(SystemExit) as err:
             parse(bad)
@@ -360,10 +362,19 @@ def test_removed_executor_is_refused_by_the_spec():
         SimulationSpec(executor="thread")
     assert str(err.value) == _CHOICES_ERROR
     # What a persisted spec from before the removal looks like.
-    persisted = {**DEFAULTS, "kernel": "segment", "executor": "thread"}
+    persisted = {**DEFAULTS, "executor": "thread"}
     with pytest.raises(ValueError) as err:
         SimulationSpec.from_dict(persisted)
     assert str(err.value) == _CHOICES_ERROR
+
+
+@pytest.mark.parametrize("subcommand", sorted(FLAGS))
+def test_removed_kernel_flag_is_refused(subcommand, capsys):
+    """One pair search: no functional subcommand takes ``--kernel``."""
+    with pytest.raises(SystemExit) as err:
+        cli.main([subcommand, "--kernel", "cluster"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
 
 def test_removed_executor_is_refused_by_the_cli(capsys):

@@ -51,7 +51,6 @@ from repro.md.cells import (
 from repro.md.forcefield import default_forcefield
 from repro.md.integrator import LeapFrogIntegrator, kinetic_energy
 from repro.md.nonbonded import (
-    NonbondedKernel,
     PairBlock,
     block_forces,
     block_forces_numpy,
@@ -176,17 +175,17 @@ class TestOracle:
 
     @pytest.mark.parametrize("dtype", ("float64", "float32"))
     def test_compute_block_reaches_the_compiled_evaluator(self, monkeypatch, dtype):
-        """The kernel the engines call runs the C chain, and only it."""
+        """The evaluator the engines call, ``block_forces`` at a kernel
+        dtype, runs the C chain, and only it."""
         ff = FORCEFIELDS[0.65]
         calls = _spy(monkeypatch)
         monkeypatch.setattr(nonbonded, "block_forces_numpy", None)
-        kern = NonbondedKernel(ff, dtype=dtype)
         pos = np.array([[0.0, 0, 0], [0.3, 0, 0], [0, 0.4, 0]])
-        block = kern.make_block(
+        block = PairBlock(
             np.array([0, 0]), np.array([1, 2]), np.zeros(3, np.int32),
-            np.array([0.2, -0.1, 0.3]), n_atoms=3,
+            np.array([0.2, -0.1, 0.3]), ff, n_atoms=3,
         )
-        f, e_lj, _ = kern.compute_block(pos, block)
+        f, e_lj, _ = block_forces(pos, block, ff, dtype=dtype)
         assert calls == ["nb_block_forces_f" + dtype[-2:]]
         assert np.any(f != 0.0) and e_lj != 0.0
 
@@ -345,7 +344,7 @@ class TestSearchOracle:
             monkeypatch.setattr(module, name, None)
         with DDSimulator(
             tiny_system.copy(), ff, n_ranks=2, backend="reference",
-            executor="serial", nstlist=5, buffer=0.12, kernel="cluster",
+            executor="serial", nstlist=5, buffer=0.12,
         ) as sim:
             sim.step()
         # Two ranks: three layout pairs and two halves each.
@@ -640,7 +639,7 @@ class TestRankPhases:
         system = make_grappa_system(1400, seed=3, ff=ff, dtype=np.float64)
         with DDSimulator(
             system, ff, n_ranks=4, backend="reference", executor="serial",
-            nstlist=10, buffer=0.15, dt=0.002, kernel="cluster",
+            nstlist=10, buffer=0.15, dt=0.002,
         ) as sim:
             sim.run(6)
         assert calls.count("ps_drifted_f64") == 6 * 4 * 2

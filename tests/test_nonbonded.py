@@ -9,7 +9,7 @@ import pytest
 from repro.md import nonbonded
 from repro.md.cells import periodic_cell_list
 from repro.md.forcefield import COULOMB_FACTOR, default_forcefield
-from repro.md.nonbonded import NonbondedKernel, PairBlock, block_forces, pair_forces
+from repro.md.nonbonded import PairBlock, block_forces, pair_forces
 from repro.obs.metrics import METRICS
 
 
@@ -338,15 +338,6 @@ class TestSegmentReduction:
         worker.join(timeout=60)
         assert not worker.is_alive() and theirs.keys() == bufs.keys()
         assert not set(theirs.values()) & set(bufs.values())
-
-    def test_kernel_compute_block_equivalent(self, ff):
-        pos, i, j, tid, q, box = _sorted_bulk(ff, seed=9, n=100)
-        k = NonbondedKernel(ff)
-        block = k.make_block(i, j, tid, q, n_atoms=pos.shape[0])
-        f1, e1, c1 = k.compute_block(pos, block, box=box)
-        f2, e2, c2 = block_forces(pos, block, ff, box=box)
-        np.testing.assert_array_equal(f1, f2)
-        assert (e1, c1) == (e2, c2)
 
     def test_empty_block(self, ff):
         block = PairBlock(

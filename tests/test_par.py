@@ -72,16 +72,16 @@ class TestExecutorParity:
 
     @pytest.mark.parametrize("max_pulses,shape", [(1, (2, 2, 1)), (2, (1, 1, 4))])
     def test_backend_executor_kernel_matrix(self, tiny_system, ff, max_pulses, shape):
-        """2 backends x 2 executors x 2 kernels: one trajectory, bit for
-        bit, and it is the serial reference's to accumulation order."""
+        """2 backends x 2 executors, on the one pair search: one
+        trajectory, bit for bit, and it is the serial reference's to
+        accumulation order."""
         outs = {
-            (backend, executor, kernel): _run(
+            (backend, executor): _run(
                 tiny_system.copy(), ff, executor, n_ranks=0, grid=DDGrid(shape),
-                steps=6, backend=backend, kernel=kernel, max_pulses=max_pulses,
+                steps=6, backend=backend, max_pulses=max_pulses,
             )["pos"]
             for backend in sorted(backend_registry)
             for executor in EXECUTORS
-            for kernel in ("cluster", "segment")
         }
         first = next(iter(outs.values()))
         for key, pos in outs.items():
@@ -293,7 +293,7 @@ class TestProcessExecutorLifecycle:
         from repro.par.phases import RankConfig
 
         ex.configure(
-            RankConfig(kernel=None, integrator=None, box=np.ones(3),
+            RankConfig(ff=None, dtype="float64", integrator=None, box=np.ones(3),
                        periodic=np.ones(3, dtype=bool), r_comm=0.5),
             1,
         )

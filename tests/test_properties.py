@@ -17,7 +17,7 @@ from repro.md.cells import (
     periodic_cell_list,
 )
 from repro.md.forcefield import default_forcefield
-from repro.md.nonbonded import DualList, NonbondedKernel
+from repro.md.nonbonded import DualList
 from repro.md.system import minimum_image, wrap_positions
 from repro.par.phases import (
     RankConfig, RankNsData, RankWorkspace, _guard, _prune, pair_search,
@@ -258,8 +258,8 @@ class TestDualListProperties:
         ).reshape(-1, 2)
         ff = default_forcefield(cutoff=cutoff)
         cfg = RankConfig(
-            kernel=NonbondedKernel(ff), integrator=None, box=box,
-            periodic=periodic, r_comm=r_list,
+            ff=ff, dtype="float64", integrator=None, box=box, periodic=periodic,
+            r_comm=r_list,
         )
         ws = RankWorkspace(
             cfg=cfg, ns=RankNsData(rank=0, n_home=n, zone_shift=np.zeros((n, 3))),
@@ -301,11 +301,14 @@ class TestDualListProperties:
     def test_search_inner_lists_are_the_prune_at_the_search_positions(
         self, seed, periodic, box, n_home, n_halo, lattice, molecules
     ):
-        """Whichever search ran, the inner blocks ``pair_search`` leaves
-        are the outer pairs the O(N²) oracle puts within ``r_inner`` at the
-        search's positions, in the outer lists' order, for both halves.
-        Cutoff and buffer are dyadic, so ``r_inner² = 0.25`` exactly and a
-        lattice pair there tells ``<=`` from ``<``."""
+        """The outer lists ``pair_search`` leaves are the pairs the O(N²)
+        oracle puts within ``r_comm`` that pass the zone rule (disjoint
+        zone bits), each once, with the same-molecule ones in the
+        exclusion lists instead; the inner blocks are the outer pairs the
+        oracle puts within ``r_inner`` at the search's positions, in the
+        outer lists' order, for both halves.  Cutoff and buffer are
+        dyadic, so ``r_inner² = 0.25`` exactly and a lattice pair there
+        tells ``<=`` from ``<``."""
         rng = np.random.default_rng(seed)
         cutoff, r_comm = 0.375, 0.625
         n = n_home + n_halo
@@ -325,25 +328,40 @@ class TestDualListProperties:
         ff = default_forcefield(cutoff=cutoff)
         rows = np.arange(n)
         near = _atom_pairs(pos, rows, rows, 0.5, box, periodic, True)
-        for name in ("segment", "cluster"):
-            cfg = RankConfig(
-                kernel=NonbondedKernel(ff, name=name), integrator=None, box=box,
-                periodic=periodic, r_comm=r_comm,
-            )
-            assert cfg.r_inner == 0.5
-            ws = RankWorkspace(
-                cfg=cfg, ns=ns, pos=pos.copy(), vel=np.zeros((n, 3)),
-                forces=np.zeros((n, 3)), types=np.zeros(n, np.int32),
-                charges=np.zeros(n), masses=np.ones(n),
-            )
-            pair_search(ws)
-            for half in (ws.pairs.local, ws.pairs.nonlocal_):
-                keep = np.array([
-                    (min(p), max(p)) in near
-                    for p in zip(half.i.tolist(), half.j.tolist())
-                ], dtype=bool).reshape(-1)
-                assert np.array_equal(half.block.i, half.i[keep])
-                assert np.array_equal(half.block.j, half.j[keep])
+        bits = (zone_shift != 0) @ np.array([1, 2, 4])
+        ours = {
+            p for p in _atom_pairs(pos, rows, rows, r_comm, box, periodic, True)
+            if not bits[p[0]] & bits[p[1]]
+        }
+        mol = ns.bonded["mol"] if molecules else None
+        excluded = {p for p in ours if mol is not None and mol[p[0]] == mol[p[1]]}
+        cfg = RankConfig(
+            ff=ff, dtype="float64", integrator=None, box=box, periodic=periodic,
+            r_comm=r_comm,
+        )
+        assert cfg.r_inner == 0.5
+        ws = RankWorkspace(
+            cfg=cfg, ns=ns, pos=pos.copy(), vel=np.zeros((n, 3)),
+            forces=np.zeros((n, 3)), types=np.zeros(n, np.int32),
+            charges=np.zeros(n), masses=np.ones(n),
+        )
+        pair_search(ws)
+        sp = ws.pairs
+        for lists, want in (
+            (((sp.local.i, sp.local.j), (sp.nonlocal_.i, sp.nonlocal_.j)),
+             ours - excluded),
+            ((sp.excl_local, sp.excl_nonlocal), excluded),
+        ):
+            got = [(min(p), max(p)) for i, j in lists
+                   for p in zip(i.tolist(), j.tolist())]
+            assert len(set(got)) == len(got) and set(got) == want
+        for half in (sp.local, sp.nonlocal_):
+            keep = np.array([
+                (min(p), max(p)) in near
+                for p in zip(half.i.tolist(), half.j.tolist())
+            ], dtype=bool).reshape(-1)
+            assert np.array_equal(half.block.i, half.i[keep])
+            assert np.array_equal(half.block.j, half.j[keep])
 
 
 # -- halo exchange invariants ------------------------------------------------------------

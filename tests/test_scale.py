@@ -31,6 +31,7 @@ from repro.md.cells import (
 from repro.md.grappa import resolve_atoms
 from repro.obs.metrics import METRICS
 from repro.spec import SimulationSpec
+from tests.test_kernels import KERNELS
 
 
 def _digest(positions: np.ndarray) -> bytes:
@@ -97,8 +98,8 @@ def _assert_chunks_only_bound_memory(system, r_list, tiny_chunks):
     assert tiny_peak < tuned_peak
 
 
-def _run(ff, *, kernel: str, executor: str = "serial", n_atoms: int = 1400,
-         seed: int = 11, ranks: int = 4, steps: int = 6, nstlist: int = 3,
+def _run(ff, *, kernel: str = "cluster", executor: str = "serial",
+         n_atoms: int = 1400, seed: int = 11, ranks: int = 4, steps: int = 6, nstlist: int = 3,
          buffer: float = 0.12) -> bytes:
     system = make_grappa_system(n_atoms, seed=seed, ff=ff, dtype=np.float64)
     with DDSimulator(
@@ -113,7 +114,7 @@ def _run(ff, *, kernel: str, executor: str = "serial", n_atoms: int = 1400,
 
 
 class TestChunkedBuildParity:
-    @pytest.mark.parametrize("kernel", ["segment", "cluster"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_capped_builds_bit_identical_across_caps(self, ff, kernel, tiny_buffer):
         """A search buffer that keeps filling, DD ranks (home/halo
         boundaries), periodic rebuilds."""
@@ -123,7 +124,7 @@ class TestChunkedBuildParity:
             f"a three-key search buffer changed the {kernel} trajectory"
         )
 
-    @pytest.mark.parametrize("kernel", ["segment", "cluster"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_capped_builds_survive_drift_rebuilds(self, ff, kernel, tiny_buffer):
         """nstlist >> steps with a thin buffer: rebuilds come from drift."""
         kw = dict(kernel=kernel, ranks=2, steps=12, nstlist=50, buffer=0.03,
@@ -156,7 +157,7 @@ class TestBuildBudget:
         i, j = grid.pairs_within(pos, ff.cutoff)
         assert i.size > 0  # non-periodic rank-local grid still finds pairs
 
-    @pytest.mark.parametrize("kernel", ["segment", "cluster"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_memory_gauges_published_per_build(self, ff, kernel):
         system = make_grappa_system(1400, seed=11, ff=ff, dtype=np.float64)
         with DDSimulator(
@@ -175,22 +176,22 @@ class TestBuildBudget:
                 assert w.build_peak_bytes <= peak
 
     def test_pairlist_bytes_do_not_depend_on_the_search(self, ff):
-        """Same pair set, same block type: both searches store the same
-        bytes, per rank and in total."""
-        got = {}
-        for kernel in ("segment", "cluster"):
-            system = make_grappa_system(1400, seed=11, ff=ff, dtype=np.float64)
-            with DDSimulator(
-                system, ff, n_ranks=4, backend="reference", executor="serial",
-                nstlist=2, buffer=0.12, kernel=kernel,
-            ) as sim:
-                sim.step()
-                got[kernel] = (
-                    METRICS.gauge("md.pairlist.bytes").value,
-                    [w.pairlist_bytes for w in sim.workloads],
-                )
-        assert got["cluster"] == got["segment"]
-        assert got["cluster"][0] == sum(got["cluster"][1]) > 0
+        """What a rank reports is what its lists store, whatever the search
+        held while it ran: both outer lists and both inner blocks, and the
+        gauge is their total over the ranks."""
+        system = make_grappa_system(1400, seed=11, ff=ff, dtype=np.float64)
+        with DDSimulator(
+            system, ff, n_ranks=4, backend="reference", executor="serial",
+            nstlist=2, buffer=0.12,
+        ) as sim:
+            sim.neighbor_search()
+            stored = [
+                sum(h.nbytes + h.block.nbytes
+                    for h in (ws.pairs.local, ws.pairs.nonlocal_))
+                for ws in sim.executor._ws
+            ]
+            assert [w.pairlist_bytes for w in sim.workloads] == stored
+            assert METRICS.gauge("md.pairlist.bytes").value == sum(stored) > 0
 
     def test_tile_fill_is_published(self, ff):
         """Enumerated candidates and tested tiles cross the executor
@@ -199,7 +200,7 @@ class TestBuildBudget:
         system = make_grappa_system(1400, seed=11, ff=ff, dtype=np.float64)
         with DDSimulator(
             system, ff, n_ranks=4, backend="reference", executor="process",
-            nstlist=2, buffer=0.12, kernel="cluster",
+            nstlist=2, buffer=0.12,
         ) as sim:
             sim.step()
             candidates = METRICS.gauge("md.pairsearch.candidates").value
@@ -280,7 +281,7 @@ def test_192k_16_rank_build_stays_within_the_memory_ceilings():
     exercised by the tier-1 parity tests above.
     """
     spec = SimulationSpec(
-        system="192k", ranks=16, executor="process", kernel="cluster",
+        system="192k", ranks=16, executor="process",
     )
     METRICS.reset()
     with DDSimulator.from_spec(spec) as sim:
@@ -355,7 +356,7 @@ class TestLazyArena:
         system = make_grappa_system(1400, seed=11, ff=ff, dtype=np.float64)
         with DDSimulator(
             system, ff, n_ranks=2, backend="reference", executor="process",
-            nstlist=2, buffer=0.12, kernel="cluster",
+            nstlist=2, buffer=0.12,
         ) as sim:
             sim.run(6)  # several neighbour-search rebinds
         assert allocs.value - a0 == 2  # one lazy alloc per rank, ever
@@ -364,9 +365,9 @@ class TestLazyArena:
         assert METRICS.gauge("par.arena.bytes").value > 0
 
     def test_process_executor_bit_identical_with_cap(self, ff, tiny_buffer):
-        ref = _run(ff, kernel="cluster", ranks=2, steps=4, executor="serial")
+        ref = _run(ff, ranks=2, steps=4, executor="serial")
         tiny_buffer()
-        got = _run(ff, kernel="cluster", ranks=2, steps=4, executor="process")
+        got = _run(ff, ranks=2, steps=4, executor="process")
         assert got == ref
 
 

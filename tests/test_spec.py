@@ -50,8 +50,28 @@ V2_CHAOS_SPEC = (
 )
 
 
+#: The same chaos spec as schema version 3 persisted it, fault plan
+#: included: it still carries the ``kernel`` field v4 removed.
+V3_CHAOS_SPEC = (
+    '{"kind": "chaos", "system": "1400", "steps": 3, "ranks": 4, '
+    '"shape": [1, 1, 4], "max_pulses": 2, "backend": "nvshmem", '
+    '"executor": "serial", "pes_per_node": 2, "nstlist": 2, '
+    '"buffer": 0.12, "dt": 0.002, "cutoff": 0.65, '
+    '"trim_corners": false, "overlap_comm": true, "kernel": "segment", '
+    '"kernel_dtype": "float64", "dlb": "off", '
+    '"seed": 3, "fault_plan": {"seed": 5, "faults": [{"kind": '
+    '"perturb_phase", "target": "integrate", "rank": 3, "pulse": -1, '
+    '"count": 1, "delay_us": 261.0}, {"kind": "drop_op", "target": "", '
+    '"rank": -1, "pulse": -1, "count": 8, "delay_us": 0.0}, {"kind": '
+    '"delay_task", "target": "serveF[rank=0", "rank": 0, "pulse": 0, '
+    '"count": 3, "delay_us": 0.0}]}, "n_faults": 4, "schema_version": 3}'
+)
+
+
 def _replay(tmp_path, spec: dict) -> subprocess.CompletedProcess:
-    """``repro chaos --replay`` of an artifact carrying ``spec``."""
+    """``repro chaos --replay`` of an artifact carrying ``spec``, with the
+    compiled library's cache in ``tmp_path / "cache"`` (a simulator
+    built there, so the directory exists only if one was made)."""
     artifact = tmp_path / "artifact.json"
     artifact.write_text(json.dumps({
         "version": 2, "spec": spec,
@@ -60,7 +80,8 @@ def _replay(tmp_path, spec: dict) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "repro", "chaos", "--replay", str(artifact)],
         capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+             "XDG_CACHE_HOME": str(tmp_path / "cache")},
     )
 
 
@@ -102,22 +123,12 @@ class TestSpec:
 
     def test_parent_commit_json_loads_to_the_same_spec(self):
         """Spec JSON as a chaos artifact of this schema persists it, fault
-        plan included, loads to the same fields (the v2 form of this
-        string, with its ``coulomb`` field, is refused since v3)."""
-        written = (
-            '{"kind": "chaos", "system": "1400", "steps": 3, "ranks": 4, '
-            '"shape": [1, 1, 4], "max_pulses": 2, "backend": "nvshmem", '
-            '"executor": "serial", "pes_per_node": 2, "nstlist": 2, '
-            '"buffer": 0.12, "dt": 0.002, "cutoff": 0.65, '
-            '"trim_corners": false, "overlap_comm": true, "kernel": "segment", '
-            '"kernel_dtype": "float64", "dlb": "off", '
-            '"seed": 3, "fault_plan": {"seed": 5, "faults": [{"kind": '
-            '"perturb_phase", "target": "integrate", "rank": 3, "pulse": -1, '
-            '"count": 1, "delay_us": 261.0}, {"kind": "drop_op", "target": "", '
-            '"rank": -1, "pulse": -1, "count": 8, "delay_us": 0.0}, {"kind": '
-            '"delay_task", "target": "serveF[rank=0", "rank": 0, "pulse": 0, '
-            '"count": 3, "delay_us": 0.0}]}, "n_faults": 4, "schema_version": 3}'
-        )
+        plan included, loads to the same fields (the v3 form of this
+        string, with its ``kernel`` field, is refused since v4)."""
+        written = json.loads(V3_CHAOS_SPEC)
+        del written["kernel"]
+        written["schema_version"] = 4
+        written = json.dumps(written)
         assert SimulationSpec.from_json(written).to_dict() == json.loads(written)
 
     def test_v1_spec_fails_on_its_version(self):
@@ -126,27 +137,27 @@ class TestSpec:
         with pytest.raises(ValueError) as err:
             SimulationSpec.from_json(V1_DEFAULT_SPEC)
         assert str(err.value) == (
-            "unsupported spec schema_version 1 (this build speaks 3)"
+            "unsupported spec schema_version 1 (this build speaks 4)"
         )
 
     def test_v1_chaos_artifact_replay_exits_cleanly(self, tmp_path):
         done = _replay(tmp_path, json.loads(V1_DEFAULT_SPEC))
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
-        assert "schema_version 1 (this build speaks 3)" in done.stderr
+        assert "schema_version 1 (this build speaks 4)" in done.stderr
 
     @pytest.mark.parametrize(
         "version,error",
         [
-            (2, "unsupported spec schema_version 2 (this build speaks 3)"),
-            (3, "unknown SimulationSpec field(s) ['coulomb']"),
+            (2, "unsupported spec schema_version 2 (this build speaks 4)"),
+            (3, "unsupported spec schema_version 3 (this build speaks 4)"),
         ],
         ids=["v2", "v3-with-coulomb"],
     )
     def test_coulomb_spec_fails_in_one_line(self, tmp_path, version, error):
-        """A persisted v2 spec fails on its version; the same fields under
-        v3 fail on ``coulomb`` — a one-line error either way, from the
-        library and from ``repro chaos --replay``."""
+        """A persisted v2 spec, and the same fields under v3, fail on their
+        version, not on ``coulomb`` — in one line, from the library and
+        from ``repro chaos --replay``."""
         spec = {**json.loads(V2_CHAOS_SPEC), "schema_version": version}
         with pytest.raises(ValueError) as err:
             SimulationSpec.from_dict(spec)
@@ -156,6 +167,21 @@ class TestSpec:
         assert "Traceback" not in done.stderr
         assert error in done.stderr
         assert len(done.stderr.strip().splitlines()) == 1
+
+    def test_v3_spec_with_kernel_fails_on_its_version(self, tmp_path):
+        """A v3 spec carries ``kernel``; it is refused for its version, not
+        for that field — by the library, and by ``repro chaos --replay``
+        in one line before any simulator is made (nothing is built)."""
+        error = "unsupported spec schema_version 3 (this build speaks 4)"
+        with pytest.raises(ValueError) as err:
+            SimulationSpec.from_dict(json.loads(V3_CHAOS_SPEC))
+        assert str(err.value) == error
+        done = _replay(tmp_path, json.loads(V3_CHAOS_SPEC))
+        assert done.returncode == 1
+        assert done.stderr.strip().splitlines() == [
+            f"cannot replay {tmp_path / 'artifact.json'}: {error}"
+        ]
+        assert not (tmp_path / "cache").exists()
 
     def test_n_ranks_follows_shape(self):
         assert SPEC.with_(shape=(1, 2, 4)).n_ranks == 8
@@ -216,8 +242,7 @@ class TestFromSpec:
         }
         non_default = dict(
             nstlist=3, buffer=0.15, dt=0.001, trim_corners=True, max_pulses=2,
-            overlap_comm=False, kernel="segment",
-            kernel_dtype="float32", dlb="pairs",
+            overlap_comm=False, kernel_dtype="float32", dlb="pairs",
         )
         names = {f.name for f in fields(SimulationSpec)}
         assert names - not_engine_facing == set(non_default)
