@@ -162,7 +162,6 @@ class DDSimulator:
     #: every boundary move is followed by full redistribution + list
     #: rebuilds by construction.
     dlb: str = "off"
-    topology: "object | None" = None
     #: Optional hook replacing :func:`repro.dd.exchange.build_cluster` at
     #: neighbour search: called as ``cluster_factory(sim)`` and must return
     #: a fresh :class:`ClusterState` for the current positions
@@ -275,7 +274,6 @@ class DDSimulator:
                 rank=r,
                 n_home=rp.n_home,
                 zone_shift=rp.zone_shift,
-                bonded=self._bonded[r] if self._bonded else None,
                 src_pulse=rp.src_pulse,
                 n_pulses=cluster.plan.n_pulses,
             )
@@ -299,7 +297,6 @@ class DDSimulator:
             self.cluster = build_cluster(
                 self.system, self.dd, trim_corners=self.trim_corners
             )
-        self._assign_bonded()
         self._bind_executor()
         self.backend.bind(self.cluster)
         self._pair_stats = self.executor.run("pairs")
@@ -358,70 +355,6 @@ class DDSimulator:
             for size in w.pulse_send_sizes:
                 METRICS.histogram("dd.pulse_send_atoms").observe(size)
 
-    def _assign_bonded(self) -> None:
-        """Rank-local bonded lists by the zone rule (exactly-once assignment).
-
-        A bonded interaction is computed on the rank where every member is
-        visible and the elementwise minimum of the members' zone shifts is
-        zero — the same rule as non-bonded pairs, valid because all members
-        lie within the communication cutoff of each other.
-        """
-        self._bonded = []
-        if self.topology is None:
-            return
-        top = self.topology
-        n = self.system.n_atoms
-        for rp in self.cluster.plan.ranks:
-            g2l = np.full(n, -1, dtype=np.int64)
-            g2l[rp.global_ids] = np.arange(rp.n_local)
-            zs = rp.zone_shift
-
-            def claim(members):
-                loc = g2l[members]
-                ok = np.all(loc >= 0, axis=1)
-                if np.any(ok):
-                    sh = np.stack([zs[loc[ok][:, c]] for c in range(members.shape[1])], axis=0)
-                    ok2 = np.all(sh.min(axis=0) == 0, axis=1)
-                    full = np.zeros(members.shape[0], dtype=bool)
-                    full[np.nonzero(ok)[0][ok2]] = True
-                    return full, loc
-                return np.zeros(members.shape[0], dtype=bool), loc
-
-            b_ok, b_loc = claim(top.bonds)
-            a_ok, a_loc = claim(top.angles)
-            bonds = b_loc[b_ok]
-            bond_r0 = top.bond_r0[b_ok]
-            bond_k = top.bond_k[b_ok]
-            angles = a_loc[a_ok]
-            angle_t0 = top.angle_theta0[a_ok]
-            angle_k = top.angle_k[a_ok]
-            # Home/halo split for the overlapped force phases: a term goes
-            # in ``forces_local`` only when every member is a home atom.
-            b_home = np.all(bonds < rp.n_home, axis=1)
-            a_home = np.all(angles < rp.n_home, axis=1)
-
-            def pkg(bm, am):
-                return {
-                    "bonds": bonds[bm],
-                    "bond_r0": bond_r0[bm],
-                    "bond_k": bond_k[bm],
-                    "angles": angles[am],
-                    "angle_theta0": angle_t0[am],
-                    "angle_k": angle_k[am],
-                }
-
-            self._bonded.append(
-                {
-                    # Flat views of everything this rank claimed (back-compat
-                    # for workload accounting); home/halo carry the split.
-                    "bonds": bonds,
-                    "angles": angles,
-                    "mol": top.molecule_of[rp.global_ids],
-                    "home": pkg(b_home, a_home),
-                    "halo": pkg(~b_home, ~a_home),
-                }
-            )
-
     def _needs_ns(self) -> bool:
         """``nstlist`` elapsed, or some atom moved more than buffer/2
         since the search (two atoms can then close a whole buffer)."""
@@ -442,7 +375,7 @@ class DDSimulator:
         # goes away together with ``RankExecutor.publish``.
         self.executor.publish(("pos",))
 
-    def compute_forces(self) -> tuple[float, float, float]:
+    def compute_forces(self) -> tuple[float, float]:
         """Split force phases around the coordinate halo, then the force halo.
 
         ``forces_local`` needs no halo data, so the process executor runs it
@@ -452,7 +385,7 @@ class DDSimulator:
         order — local, exchange, non-local — as the bit-exactness
         reference.
 
-        Returns globally summed (E_lj, E_coulomb, E_bonded); each pair
+        Returns globally summed (E_lj, E_coulomb); each pair
         contributes on exactly one rank and the partial energies are
         summed in fixed rank order (local half then non-local half), so
         the total is identical for every executor.  The halves also carry
@@ -466,12 +399,9 @@ class DDSimulator:
             )
         e_lj_total = 0.0
         e_coul_total = 0.0
-        e_bonded_total = 0.0
         pairs_inner = prunes = 0
         for halves in zip(local, nonloc):
             for half in halves:
-                e_coul_total += half.e_corr
-                e_bonded_total += half.e_bonded
                 e_lj_total += half.e_lj
                 e_coul_total += half.e_coul
                 pairs_inner += half.pairs
@@ -480,7 +410,7 @@ class DDSimulator:
         METRICS.counter("md.prune.count").inc(prunes)
         with TRACER.span("dd.halo_f", cat="comm", backend=getattr(self.backend, "name", "?")):
             self.backend.exchange_forces(cluster)
-        return e_lj_total, e_coul_total, e_bonded_total
+        return e_lj_total, e_coul_total
 
     def gathered_forces(self) -> np.ndarray:
         """Global force array (for verification against the reference)."""
@@ -543,7 +473,7 @@ class DDSimulator:
         """
         with TRACER.span("dd.step", cat="dd", step=self.step_count):
             self._ensure_ns()
-            e_lj, e_coul, e_bonded = self.compute_forces()
+            e_lj, e_coul = self.compute_forces()
             cluster = self.cluster
             kin = 0.0
             with TRACER.span("dd.integrate", cat="update"):
@@ -558,7 +488,7 @@ class DDSimulator:
                 # np.max keeps a NaN whatever the rank order; max() would not.
                 self._max_disp2 = float(np.max([d2 for _, d2 in results]))
         METRICS.counter("dd.steps").inc()
-        rec = StepEnergies(self.step_count, e_lj, e_coul, kin, e_bonded)
+        rec = StepEnergies(self.step_count, e_lj, e_coul, kin)
         self.energies.append(rec)
         self.step_count += 1
         return rec

@@ -30,7 +30,6 @@ from repro.md.nonbonded import PairBlock, block_forces, pair_forces
 from repro.md.pairlist import PairList, VerletListBuilder
 from repro.md.reference import ReferenceSimulator
 from repro.md.system import MDSystem, minimum_image, wrap_positions
-from repro.md.topology import Topology, make_molecular_grappa_system
 
 __all__ = [
     "CellList",
@@ -51,8 +50,6 @@ __all__ = [
     "pair_forces",
     "remove_com_motion",
     "wrap_positions",
-    "Topology",
-    "make_molecular_grappa_system",
     "resolve_atoms",
     "SCENARIOS",
     "resolve_scenario",

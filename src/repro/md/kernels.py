@@ -64,7 +64,7 @@ def build_split(ws) -> dict:
     """The rank-local pair search over a
     :class:`~repro.par.phases.RankWorkspace`: the keyword dict for
     :class:`~repro.par.phases.SplitPairs` (the local/non-local outer
-    lists, per-pulse offsets, exclusion lists, stats)."""
+    lists, per-pulse offsets, stats)."""
     cfg = ws.cfg
     pos = np.asarray(ws.pos, dtype=np.float64)
     r_list = cfg.r_comm
@@ -98,8 +98,7 @@ def build_split(ws) -> dict:
         ((zs != 0) * np.array([1, 2, 4], dtype=np.uint8)).sum(axis=1)
     ).astype(np.uint8)
 
-    mol = ws.ns.bonded["mol"] if ws.ns.bonded is not None else None
-    flat, excl = [], [np.zeros(0, np.int64)]
+    flat = []
     for a, b in ((home, home), (home, halo), (halo, halo)):
         key = cluster_pairs(
             pos, a, b, r_list, box, periodic, budget,
@@ -107,50 +106,37 @@ def build_split(ws) -> dict:
         )
         if a is b is home:
             # Canonical order for all that leaves the build: the
-            # exclusion correction accumulates in list order, never
-            # the search's; masks below keep it.
+            # evaluator sums in list order, never the search's, and the
+            # step pins fix that order.
             key.sort()
-        pi, pj = _split_key(key, stride)
-        if mol is not None:
-            ex = mol[pi] == mol[pj]
-            excl.append(key[ex])
-            pi, pj = pi[~ex], pj[~ex]
-        flat.append((pi, pj))
+        flat.append(_split_key(key, stride))
 
     hh, hx, xx = flat
-    excl = np.concatenate(excl)
-    excl.sort()
     return _split_pairs(
         ws, budget, hh,
         (np.concatenate([hx[0], xx[0]]), np.concatenate([hx[1], xx[1]])),
-        _split_key(excl, stride),
     )
 
 
-def _split_pairs(ws, budget: BuildBudget, local, nonlocal_, excl):
+def _split_pairs(ws, budget: BuildBudget, local, nonlocal_):
     """The :class:`~repro.par.phases.SplitPairs` keywords of one search:
     the outer lists, stored as ``int32``.
 
-    ``local`` and ``excl`` are ``(i, j)`` in canonical order, ``nonlocal_``
-    in any order (the per-pulse partition sorts it).
+    ``local`` is ``(i, j)`` in canonical order, ``nonlocal_`` in any
+    order (the per-pulse partition sorts it).
     """
     nh = ws.ns.n_home
     n = ws.pos.shape[0]
     ni, nj, pulse_offsets = _pulse_partition(ws, *nonlocal_)
     local = DualList(*(a.astype(np.int32) for a in local), rows=nh)
     nl = DualList(ni.astype(np.int32), nj.astype(np.int32), rows=n)
-    ei, ej = excl
-    el_mask = (ei < nh) & (ej < nh)
     return dict(
         local=local,
         nonlocal_=nl,
         pulse_offsets=pulse_offsets,
-        excl_local=(ei[el_mask], ej[el_mask]),
-        excl_nonlocal=(ei[~el_mask], ej[~el_mask]),
         stats={
             "n_local": local.n_pairs,
             "n_nonlocal": nl.n_pairs,
-            "n_excluded": int(ei.size),
             "pulse_pairs": np.diff(pulse_offsets).tolist(),
             "n_candidates": budget.candidates,
             "n_tiles": budget.tiles,

@@ -28,11 +28,10 @@ class StepEnergies:
     lj: float
     coulomb: float
     kinetic: float
-    bonded: float = 0.0
 
     @property
     def potential(self) -> float:
-        return self.lj + self.coulomb + self.bonded
+        return self.lj + self.coulomb
 
     @property
     def total(self) -> float:
@@ -48,7 +47,6 @@ class ReferenceSimulator:
     nstlist: int = 20
     buffer: float = 0.1
     dt: float = 0.002
-    topology: "object | None" = None
     #: Accepted and ignored (see ``DDSimulator.kernel``): the list
     #: always comes from the flat
     #: :class:`~repro.md.pairlist.VerletListBuilder`, so this oracle
@@ -68,7 +66,6 @@ class ReferenceSimulator:
         self._pairs: PairList | None = None
         self._cached_for: PairList | None = None
         self._block: PairBlock | None = None
-        self._excl: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- forces -------------------------------------------------------------
 
@@ -81,59 +78,30 @@ class ReferenceSimulator:
         return self._pairs
 
     def _refresh_pair_cache(self, pairs: PairList) -> None:
-        """Per-list caches: exclusion split + segment-reduction block.
+        """Per-list cache: the kernel's :class:`PairBlock`.
 
-        The exclusion mask and the kernel's parameter gathers depend only
-        on the pair list, so they are computed once per (re)build instead
-        of every step.
+        Its parameter gathers depend only on the pair list, so they are
+        made once per (re)build instead of every step.
         """
         sys = self.system
-        pi, pj = pairs.i, pairs.j
-        if self.topology is not None:
-            mol = self.topology.molecule_of
-            excl = mol[pi] == mol[pj]
-            self._excl = (pi[excl], pj[excl])
-            pi, pj = pi[~excl], pj[~excl]
-        else:
-            self._excl = (pi[:0], pj[:0])
         self._block = PairBlock(
-            pi, pj, sys.type_ids, sys.charges, self.ff, n_atoms=sys.n_atoms
+            pairs.i, pairs.j, sys.type_ids, sys.charges, self.ff,
+            n_atoms=sys.n_atoms,
         )
         self._cached_for = pairs
 
-    def compute_forces(self) -> tuple[float, float, float]:
-        """Fill ``system.forces``; returns (E_lj, E_coulomb, E_bonded)."""
+    def compute_forces(self) -> tuple[float, float]:
+        """Fill ``system.forces``; returns (E_lj, E_coulomb)."""
         sys = self.system
         pairs = self.ensure_pairs()
         if self._cached_for is not pairs:
             self._refresh_pair_cache(pairs)
         sys.forces = np.zeros_like(sys.positions)
-        e_bonded = 0.0
-        if self.topology is not None:
-            from repro.md.bonded import angle_forces, bond_forces, exclusion_correction
-
-            ei, ej = self._excl
-            _, e_corr = exclusion_correction(
-                sys.positions, ei, ej, sys.charges, self.ff,
-                box=sys.box, out_forces=sys.forces,
-            )
-            _, e_b = bond_forces(
-                sys.positions, self.topology.bonds, self.topology.bond_r0,
-                self.topology.bond_k, box=sys.box, out_forces=sys.forces,
-            )
-            _, e_a = angle_forces(
-                sys.positions, self.topology.angles, self.topology.angle_theta0,
-                self.topology.angle_k, box=sys.box, out_forces=sys.forces,
-            )
-            e_bonded = e_b + e_a
-        else:
-            e_corr = 0.0
         _, e_lj, e_coul = block_forces(
             sys.positions, self._block, self.ff, box=sys.box,
             out_forces=sys.forces, dtype=self.kernel_dtype,
         )
-        e_coul += e_corr
-        return e_lj, e_coul, e_bonded
+        return e_lj, e_coul
 
     # -- stepping -------------------------------------------------------------
 
@@ -142,14 +110,14 @@ class ReferenceSimulator:
         from repro.md.integrator import kinetic_energy
 
         sys = self.system
-        e_lj, e_coul, e_bonded = self.compute_forces()
+        e_lj, e_coul = self.compute_forces()
         sys.positions, sys.velocities = self._integrator.step(
             sys.positions, sys.velocities, sys.forces, sys.masses
         )
         if self._pairs is not None:
             self._pairs.steps_since_build += 1
         kin = kinetic_energy(sys.velocities, sys.masses)
-        rec = StepEnergies(self.step_count, e_lj, e_coul, kin, e_bonded)
+        rec = StepEnergies(self.step_count, e_lj, e_coul, kin)
         self.energies.append(rec)
         self.step_count += 1
         return rec

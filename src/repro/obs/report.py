@@ -216,20 +216,33 @@ def read_bench(path: str | Path = DEFAULT_BENCH) -> dict:
 
 
 def code_size() -> dict:
-    """Physical lines of ``.py`` source per ``repro`` sub-package.
+    """Physical lines of ``.py`` and of ``.c`` source per ``repro``
+    sub-package.
 
     Counted from the installed package path (this file's own), so the
     number describes the code that is actually running.  Top-level
     modules (``cli.py``, ``spec.py`` ...) are grouped under ``(top level)``.
+    The C count is its own column and total, so code moved from Python
+    into C does not read as code removed.
     """
     root = Path(__file__).resolve().parents[1]
-    packages: dict[str, int] = {}
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root)
-        name = rel.parts[0] if len(rel.parts) > 1 else "(top level)"
-        with path.open("rb") as fh:
-            packages[name] = packages.get(name, 0) + sum(1 for _ in fh)
-    return {"packages": packages, "total": sum(packages.values())}
+
+    def lines(pattern: str) -> dict[str, int]:
+        packages: dict[str, int] = {}
+        for path in sorted(root.rglob(pattern)):
+            rel = path.relative_to(root)
+            name = rel.parts[0] if len(rel.parts) > 1 else "(top level)"
+            with path.open("rb") as fh:
+                packages[name] = packages.get(name, 0) + sum(1 for _ in fh)
+        return packages
+
+    py, c = lines("*.py"), lines("*.c")
+    return {
+        "packages": py,
+        "total": sum(py.values()),
+        "c_packages": {name: c.get(name, 0) for name in {**py, **c}},
+        "c_total": sum(c.values()),
+    }
 
 
 def build_report(
@@ -337,11 +350,12 @@ def render_markdown(data: dict) -> str:
         *_render_bench(data["bench"]),
     ]
     out += [
-        "## Code size (lines of Python under `src/repro`)", "",
+        "## Code size (lines under `src/repro`)", "",
         _md_table(
-            ["package", "lines"],
-            [[f"`{name}`", n] for name, n in size["packages"].items()]
-            + [["**total**", size["total"]]],
+            ["package", "Python", "C"],
+            [[f"`{name}`", size["packages"].get(name, 0), n]
+             for name, n in size["c_packages"].items()]
+            + [["**total**", size["total"], size["c_total"]]],
         ),
         "## Verdict", "",
     ]

@@ -1,7 +1,7 @@
 """Per-rank phase kernels shared by every executor.
 
 These are the bodies of the DD engine's former ``for r in range(n_ranks)``
-loops — neighbour-pair search, non-bonded/bonded force computation, and
+loops — neighbour-pair search, non-bonded force computation, and
 leap-frog integration — factored into module-level functions so the
 process executor can name them across a pickle boundary.  Every executor
 (serial, process) runs exactly this code on exactly the same
@@ -13,14 +13,13 @@ floating-point result.
 The force phase is split the way GROMACS splits its non-bonded streams
 (Páll et al. 2020; the paper's Algorithm 4 consumes the same partition):
 
-* ``forces_local`` — pairs with both atoms home, home-only bonded terms,
-  and home-only exclusion corrections.  Needs no halo data, so it is
-  eligible the moment integration lands — *before* the coordinate halo.
+* ``forces_local`` — pairs with both atoms home.  Needs no halo data, so
+  it is eligible the moment integration lands — *before* the coordinate
+  halo.
 * ``forces_nonlocal`` — pairs touching at least one halo atom (partitioned
   per delivering pulse via ``src_pulse``, the per-atom record of the
-  ``dep_offset`` machinery), halo-touching bonded terms, and the remaining
-  exclusion corrections.  Eligible per rank once that rank's inbound halo
-  pulses have completed.
+  ``dep_offset`` machinery).  Eligible per rank once that rank's inbound
+  halo pulses have completed.
 
 Both phases accumulate into the same per-rank force array in a fixed
 order (local first), so the split changes nothing observable — it only
@@ -48,8 +47,8 @@ The data model:
 * :class:`RankConfig` — static for the life of a simulator (force field,
   kernel precision, integrator, box geometry).  Sent to process workers once.
 * :class:`RankNsData` — per-neighbour-search, per-rank metadata (home
-  count, zone shifts, pulse provenance, rank-local bonded lists).  Sent at
-  every rebind; contains only index arrays and small parameter tables.
+  count, zone shifts, pulse provenance).  Sent at every rebind; contains
+  only index arrays.
 * :class:`RankWorkspace` — the per-rank working set: views over the
   cluster arrays (or their shared-memory twins in worker processes) plus
   the cached :class:`SplitPairs` produced by the ``pairs`` phase.
@@ -63,7 +62,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.md.bonded import angle_forces, bond_forces, exclusion_correction
 from repro.md.integrator import LeapFrogIntegrator
 from repro.md.forcefield import ForceField
 from repro.md.kernels import build_split
@@ -112,19 +110,14 @@ class RankConfig:
 class RankNsData:
     """Per-rank state rebuilt at every neighbour search (picklable).
 
-    ``bonded`` is the rank-local bonded work package or ``None`` when the
-    system has no topology: ``{"mol": ..., "home": {...}, "halo": {...}}``
-    where the ``home`` package references only home atoms (computed in
-    ``forces_local``) and ``halo`` the rest (computed in
-    ``forces_nonlocal``).  ``src_pulse`` maps each local atom to the halo
-    pulse that delivered it (-1 for home atoms) and drives the per-pulse
-    partition of the non-local pair list.
+    ``src_pulse`` maps each local atom to the halo pulse that delivered
+    it (-1 for home atoms) and drives the per-pulse partition of the
+    non-local pair list.
     """
 
     rank: int
     n_home: int
     zone_shift: np.ndarray
-    bonded: dict | None = None
     src_pulse: np.ndarray | None = None
     n_pulses: int = 0
 
@@ -138,17 +131,13 @@ class SplitPairs:
     ``pulse_offsets`` marking the per-pulse groups of its outer list
     (offset ``p`` .. ``p+1`` needs pulses 0..p complete), mirroring the
     paper's ``depOffset`` dependency partition; its inner block keeps the
-    groups as segment boundaries.  Excluded (intramolecular) pairs are
-    carried separately for the electrostatic exclusion correction, split
-    by the same home/halo rule.  ``home_ref`` is the home rows at the
+    groups as segment boundaries.  ``home_ref`` is the home rows at the
     search: the outer lists hold while no row has moved buffer/2 from it.
     """
 
     local: DualList
     nonlocal_: DualList
     pulse_offsets: np.ndarray
-    excl_local: tuple[np.ndarray, np.ndarray]
-    excl_nonlocal: tuple[np.ndarray, np.ndarray]
     stats: dict
     home_ref: np.ndarray
     #: The rank's leap-frog (:meth:`LeapFrogIntegrator.bind`), bound to
@@ -165,9 +154,7 @@ class ForceHalf(NamedTuple):
     """
 
     e_lj: float
-    e_corr: float
     e_coul: float
-    e_bonded: float
     pairs: int
     pruned: bool
 
@@ -200,8 +187,8 @@ def pair_search(ws: RankWorkspace) -> dict:
     minimum of the two atoms' zone shifts is zero (both atoms visible, and
     no other rank sees the pair with this property).  The kept pairs are
     split into local / per-pulse non-local outer lists (see
-    :class:`SplitPairs`) — exclusion masking and the sorts happen here,
-    once per neighbour search, not per step.  Only the lightweight
+    :class:`SplitPairs`) — the sorts happen here, once per neighbour
+    search, not per step.  Only the lightweight
     ``stats`` dict crosses an executor boundary.
 
     The search itself is the M×N cluster-pair search of
@@ -252,61 +239,31 @@ def _guard(ws: RankWorkspace, half: DualList) -> bool:
     return True
 
 
-def _bonded_package(ws: RankWorkspace, which: str, out_forces) -> float:
-    """Bond + angle forces for the ``home`` or ``halo`` bonded package."""
-    cfg = ws.cfg
-    bd = ws.ns.bonded[which]
-    _, e_b = bond_forces(
-        ws.pos, bd["bonds"], bd["bond_r0"], bd["bond_k"],
-        box=cfg.box, periodic=cfg.periodic, out_forces=out_forces,
-    )
-    _, e_a = angle_forces(
-        ws.pos, bd["angles"], bd["angle_theta0"], bd["angle_k"],
-        box=cfg.box, periodic=cfg.periodic, out_forces=out_forces,
-    )
-    return e_b + e_a
-
-
-def _forces_half(
-    ws: RankWorkspace, half: DualList, excl: tuple, which: str
-) -> ForceHalf:
-    """Shared body of the two force phases: guard, corrections, bonded,
-    kernel."""
+def _forces_half(ws: RankWorkspace, half: DualList) -> ForceHalf:
+    """Shared body of the two force phases: guard, then kernel."""
     cfg = ws.cfg
     pruned = _guard(ws, half)
-    e_corr = 0.0
-    e_bonded = 0.0
-    if ws.ns.bonded is not None:
-        ei, ej = excl
-        _, e_corr = exclusion_correction(
-            ws.pos, ei, ej,
-            ws.charges, cfg.ff,
-            box=cfg.box, periodic=cfg.periodic,
-            out_forces=ws.forces,
-        )
-        e_bonded = _bonded_package(ws, which, ws.forces)
     _, e_lj, e_coul = block_forces(
         ws.pos, half.block, cfg.ff,
         box=cfg.box, periodic=cfg.periodic, out_forces=ws.forces,
         dtype=cfg.dtype,
     )
-    return ForceHalf(e_lj, e_corr, e_coul, e_bonded, half.block.n_pairs, pruned)
+    return ForceHalf(e_lj, e_coul, half.block.n_pairs, pruned)
 
 
 def compute_forces_local(ws: RankWorkspace) -> ForceHalf:
     """Home-only forces for one rank (no halo coordinates touched).
 
-    Zeroes the force array, then accumulates home-pair non-bonded forces,
-    home-only bonded terms, and home-only exclusion corrections.  Reads
-    only home coordinate rows — the guard watches exactly those — so it
-    may run concurrently with the coordinate halo exchange writing the
-    halo rows.
+    Zeroes the force array, then accumulates home-pair non-bonded
+    forces.  Reads only home coordinate rows — the guard watches exactly
+    those — so it may run concurrently with the coordinate halo exchange
+    writing the halo rows.
     """
     sp = ws.pairs
     if sp is None:
         raise RuntimeError("run the 'pairs' phase before 'forces_local'")
     ws.forces[:] = 0.0
-    return _forces_half(ws, sp.local, sp.excl_local, "home")
+    return _forces_half(ws, sp.local)
 
 
 def compute_forces_nonlocal(ws: RankWorkspace) -> ForceHalf:
@@ -319,7 +276,7 @@ def compute_forces_nonlocal(ws: RankWorkspace) -> ForceHalf:
     sp = ws.pairs
     if sp is None:
         raise RuntimeError("run the 'pairs' phase before 'forces_nonlocal'")
-    return _forces_half(ws, sp.nonlocal_, sp.excl_nonlocal, "halo")
+    return _forces_half(ws, sp.nonlocal_)
 
 
 def integrate(ws: RankWorkspace) -> tuple[float, float]:

@@ -123,6 +123,18 @@ class TestRegistry:
         with pytest.raises(TypeError, match="kernel"):
             SimulationSpec(kernel="cluster")
 
+    def test_one_system_model(self, tiny_system, ff):
+        """No molecular path: neither simulator takes a topology, and
+        ``repro.md`` builds no molecules."""
+        with pytest.raises(TypeError, match="topology"):
+            DDSimulator(tiny_system, ff, n_ranks=2, topology=None)
+        with pytest.raises(TypeError, match="topology"):
+            ReferenceSimulator(tiny_system.copy(), ff, topology=None)
+        import repro.md
+
+        for name in ("Topology", "make_molecular_grappa_system"):
+            assert not hasattr(repro.md, name)
+
     def test_unknown_kernel_rejected(self, tiny_system, ff):
         """``kernel`` names the one search or raises; the reference
         accepts and ignores it (both kept for the frozen benchmark)."""
@@ -297,15 +309,13 @@ def _rank_pairs(system, ff, grid):
         return [ws.pairs for ws in sim.executor._ws]
 
 
-def global_pairs(sim, parts=("local", "nonlocal_")) -> np.ndarray:
-    """The named lists of every rank after a search, mapped to global atom
+def global_pairs(sim) -> np.ndarray:
+    """Every rank's outer lists after a search, mapped to global atom
     ids: one ``(n, 2)`` array of ``(min, max)`` rows, repeats kept."""
     rows = [np.zeros((0, 2), np.int64)]
     for ws, plan in zip(sim.executor._ws, sim.cluster.plan.ranks):
-        for part in parts:
-            lst = getattr(ws.pairs, part)
-            i, j = (lst.i, lst.j) if hasattr(lst, "i") else lst
-            gi, gj = plan.global_ids[i], plan.global_ids[j]
+        for lst in (ws.pairs.local, ws.pairs.nonlocal_):
+            gi, gj = plan.global_ids[lst.i], plan.global_ids[lst.j]
             rows.append(np.stack([np.minimum(gi, gj), np.maximum(gi, gj)], axis=1))
     return np.concatenate(rows).astype(np.int64)
 
@@ -354,18 +364,30 @@ class TestPairListIdentity:
                 digest.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
         assert digest.hexdigest() == self.PINNED[grid]
 
-    @pytest.mark.parametrize("grid,max_pulses", [
-        *((g, 1) for g in sorted(PINNED)), ((1, 1, 5), 2),
-    ])
-    def test_each_pair_on_exactly_one_rank(self, system, ff, grid, max_pulses):
+    # The cubic cases keep the ids pytest generated before the stretched
+    # boxes joined them.
+    @pytest.mark.parametrize("grid,max_pulses,scale", [
+        *((g, 1, (1.0, 1.0, 1.0)) for g in sorted(PINNED)),
+        ((1, 1, 5), 2, (1.0, 1.0, 1.0)),
+        ((2, 2, 1), 1, (1.5, 1.0, 1.0)),
+        ((2, 2, 2), 1, (1.0, 1.3, 0.8)),
+    ], ids=["grid0-1", "grid1-1", "grid2-1", "grid3-2",
+            "box1.5x1x1-grid221", "box1x1.3x0.8-grid222"])
+    def test_each_pair_on_exactly_one_rank(
+        self, system, ff, grid, max_pulses, scale
+    ):
         """The serial reference's search is the independent one: after a
         DD search the ranks' outer lists, in global ids, are its cell
         list's pairs within ``r_comm`` over the wrapped positions, each
         on exactly one rank — a pair dropped between the cutoff and
         ``r_comm``, which no force or trajectory comparison sees, fails
-        here."""
+        here.  ``scale`` stretches box and positions alike, so the domains
+        and the column grid stop being cubes."""
+        stretched = system.copy()
+        stretched.box = stretched.box * scale
+        stretched.positions = stretched.positions * scale
         with DDSimulator(
-            system.copy(), ff, grid=DDGrid(grid), max_pulses=max_pulses,
+            stretched, ff, grid=DDGrid(grid), max_pulses=max_pulses,
             nstlist=10, buffer=0.12,
         ) as sim:
             sim.neighbor_search()

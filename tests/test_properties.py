@@ -295,16 +295,14 @@ class TestDualListProperties:
         n_halo=st.integers(0, 100),
         # Positions on a 1/8 nm lattice put pairs at exactly r_inner.
         lattice=st.booleans(),
-        molecules=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
     def test_search_inner_lists_are_the_prune_at_the_search_positions(
-        self, seed, periodic, box, n_home, n_halo, lattice, molecules
+        self, seed, periodic, box, n_home, n_halo, lattice
     ):
         """The outer lists ``pair_search`` leaves are the pairs the O(N²)
         oracle puts within ``r_comm`` that pass the zone rule (disjoint
-        zone bits), each once, with the same-molecule ones in the
-        exclusion lists instead; the inner blocks are the outer pairs the
+        zone bits), each once; the inner blocks are the outer pairs the
         oracle puts within ``r_inner`` at the search's positions, in the
         outer lists' order, for both halves.  Cutoff and buffer are
         dyadic, so ``r_inner² = 0.25`` exactly and a lattice pair there
@@ -321,7 +319,6 @@ class TestDualListProperties:
         zone_shift[n_home:] = rng.integers(0, 2, (n_halo, 3)) * ~periodic
         ns = RankNsData(
             rank=0, n_home=n_home, zone_shift=zone_shift,
-            bonded={"mol": rng.integers(0, n // 3 + 1, n)} if molecules else None,
             src_pulse=np.concatenate([np.full(n_home, -1), rng.integers(0, 3, n_halo)]),
             n_pulses=3,
         )
@@ -333,8 +330,6 @@ class TestDualListProperties:
             p for p in _atom_pairs(pos, rows, rows, r_comm, box, periodic, True)
             if not bits[p[0]] & bits[p[1]]
         }
-        mol = ns.bonded["mol"] if molecules else None
-        excluded = {p for p in ours if mol is not None and mol[p[0]] == mol[p[1]]}
         cfg = RankConfig(
             ff=ff, dtype="float64", integrator=None, box=box, periodic=periodic,
             r_comm=r_comm,
@@ -347,14 +342,9 @@ class TestDualListProperties:
         )
         pair_search(ws)
         sp = ws.pairs
-        for lists, want in (
-            (((sp.local.i, sp.local.j), (sp.nonlocal_.i, sp.nonlocal_.j)),
-             ours - excluded),
-            ((sp.excl_local, sp.excl_nonlocal), excluded),
-        ):
-            got = [(min(p), max(p)) for i, j in lists
-                   for p in zip(i.tolist(), j.tolist())]
-            assert len(set(got)) == len(got) and set(got) == want
+        got = [(min(p), max(p)) for half in (sp.local, sp.nonlocal_)
+               for p in zip(half.i.tolist(), half.j.tolist())]
+        assert len(set(got)) == len(got) and set(got) == ours
         for half in (sp.local, sp.nonlocal_):
             keep = np.array([
                 (min(p), max(p)) in near

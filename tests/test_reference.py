@@ -88,7 +88,7 @@ class TestPhysics:
         assert drift / scale < 0.05
 
     def test_energies_consistent_with_step(self, sim):
-        e_lj, e_coul, _ = sim.compute_forces()
+        e_lj, e_coul = sim.compute_forces()
         rec = sim.step()
         # The step recomputes with an identical (cached) pair list.
         assert rec.lj == pytest.approx(e_lj)

@@ -74,7 +74,8 @@ def fake_data(bench: dict | None = None, **overrides) -> dict:
              "detail": "", "action": ""},
         ],
         "bench": bench or {"path": "bench/out/results.json", "exists": False},
-        "code_size": {"packages": {"obs": 10, "dd": 20}, "total": 30},
+        "code_size": {"packages": {"obs": 10, "dd": 20}, "total": 30,
+                      "c_packages": {"obs": 0, "dd": 5}, "c_total": 5},
     }
     data.update(overrides)
     return data
@@ -156,7 +157,8 @@ class TestReportCli:
 
     def test_code_size_section(self, capsys, tmp_path):
         """Per-package LOC (the tracked simplicity scoreboard) is rendered
-        and exported, and adds up to the files actually on disk."""
+        and exported, Python and C each, and adds up to the files actually
+        on disk."""
         import repro
 
         md_path, json_path = tmp_path / "report.md", tmp_path / "report.json"
@@ -165,13 +167,18 @@ class TestReportCli:
         capsys.readouterr()
         size = json.loads(json_path.read_text())["code_size"]
         root = Path(repro.__file__).parent
-        on_disk = sum(
-            len(p.read_bytes().splitlines()) for p in root.rglob("*.py")
-        )
-        assert size["total"] == sum(size["packages"].values()) == on_disk
+
+        def on_disk(pattern):
+            return sum(len(p.read_bytes().splitlines()) for p in root.rglob(pattern))
+
+        assert size["total"] == sum(size["packages"].values()) == on_disk("*.py")
+        assert size["c_total"] == sum(size["c_packages"].values()) == on_disk("*.c")
+        assert size["c_packages"]["md"] > 0  # nonbonded.c, pairsearch.c
         assert {"dd", "chaos", "(top level)"} <= set(size["packages"])
         md = md_path.read_text()
-        assert "## Code size" in md and f"| **total** | {size['total']} |" in md
+        assert "## Code size" in md
+        assert f"| **total** | {size['total']} | {size['c_total']} |" in md
+        assert f"| `md` | {size['packages']['md']} | {size['c_packages']['md']} |" in md
 
     @pytest.mark.parametrize("kwargs,named", [
         ({"failed": 2}, "halo-ib-64r"), ({"schema": 99}, "unknown schema 99"),
