@@ -202,8 +202,19 @@ class DomainDecomposition:
         return DomainBounds(lo=self.lo[rank], hi=self.hi[rank])
 
     def assign_atoms(self, positions: np.ndarray) -> np.ndarray:
-        """Home rank of every atom (positions are wrapped internally)."""
-        wrapped = wrap_positions(np.asarray(positions, dtype=np.float64), self.box)
+        """Home rank of every atom (positions are wrapped internally).
+
+        A non-finite coordinate has no home: it raises :class:`ValueError`
+        naming the first such atom (the rank search's binning needs finite
+        coordinates too).
+        """
+        positions = np.asarray(positions, dtype=np.float64)
+        if not np.isfinite(positions).all():
+            atom = int(np.flatnonzero(~np.isfinite(positions).all(axis=1))[0])
+            raise ValueError(
+                f"atom {atom} has a non-finite position {positions[atom].tolist()}"
+            )
+        wrapped = wrap_positions(positions, self.box)
         if self.is_uniform:
             cell = np.floor(wrapped / self.domain_extent).astype(int)
             cell = np.minimum(cell, np.asarray(self.grid.shape) - 1)

@@ -1,14 +1,14 @@
-"""The rank-local pair search: one M×N cluster-pair search.
+"""The rank-local pair search: one M×N cluster-pair search per rank.
 
 :func:`build_split` is the search of the GROMACS M×N cluster-pair
-scheme (Páll et al. 2020).  Atoms are sorted into ``CLUSTER_M``-atom
-clusters along a column grid, candidate cluster pairs are enumerated
-from that grid in linear time, halo–halo tiles no atom pair of which
-can pass the eighth-shell rule are cut, and the surviving tiles are
-evaluated exactly and extracted as flat pairs — one compiled pass per
-layout pair (:func:`~repro.md.cells.cluster_pairs`, ``pairsearch.c``)
-held to the NumPy stages it replaced; layouts and the pass's output
-buffer are build transients.
+scheme (Páll et al. 2020), run end to end as one compiled pass per rank
+(``pairsearch.c``, two C calls): the rank's grid bounds, home and halo
+atoms sorted into ``CLUSTER_M``-atom clusters along a column grid,
+candidate cluster pairs enumerated from that grid in linear time,
+halo–halo tiles no atom pair of which can pass the eighth-shell rule cut,
+the surviving tiles evaluated exactly, and the pairs counting-sorted into
+the local and per-pulse non-local outer lists.  Only the zone bits, the
+grid check and the output arrays are NumPy.
 
 It produces canonically ``(i, j)``-sorted flat ``int32`` outer lists
 (:class:`~repro.md.nonbonded.DualList`); the force phases evaluate the
@@ -20,30 +20,37 @@ over one scratch per thread, at either :data:`KERNEL_DTYPES` precision —
 ``"float32"`` is the documented fast path: geometry and interaction math
 in float32, energy sums and per-atom accumulation in float64.
 
-The search is held to brute force, to its NumPy stages and to the serial
-reference's list: ``tests/test_properties.py`` (the stages against an
-O(N²) sweep), ``tests/test_native.py`` (the compiled pass against the
-stages) and ``tests/test_kernels.py`` (every rank's lists, mapped to
-global ids, against :meth:`~repro.md.cells.CellList.pairs_within` over
-the whole box: each pair on exactly one rank).
+The search is held to the NumPy it replaced and to the serial
+reference's list: ``tests/test_native.py`` (the compiled pass against
+the ``build_split`` composition of ``tests/oracles.py``, byte for byte),
+``tests/test_properties.py`` (those oracles against an O(N²) sweep) and
+``tests/test_kernels.py`` (every rank's lists, mapped to global ids,
+against :meth:`~repro.md.cells.CellList.pairs_within` over the whole
+box: each pair on exactly one rank).
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from repro.md import native
-from repro.md.cells import (
-    CLUSTER_M,
-    BuildBudget,
-    CellGrid,
-    build_clusters,
-    cluster_pairs,
-)
 from repro.md.nonbonded import DualList
 
 #: Kernel compute precisions (``kernel_dtype`` option values).
 KERNEL_DTYPES = ("float64", "float32")
+
+#: Zone bit of a nonzero zone shift along x, y, z.
+_ZONE_BITS = np.array([1, 2, 4], dtype=np.uint8)
+
+#: Outer pairs a search's buffer starts with per home row and per halo
+#: row.  The grappa soup at the benchmark's ``r_comm`` (0.77 nm) lists
+#: ≈74 home pairs per home row and 14–26 non-local pairs per halo row;
+#: the compiled pass grows the buffer by a quarter whenever a tile might
+#: not fit.
+PAIRS_PER_HOME_ROW = 80
+PAIRS_PER_HALO_ROW = 28
 
 
 def load(dtype: str) -> None:
@@ -60,138 +67,95 @@ def load(dtype: str) -> None:
     native.library()
 
 
+def _capacity(n_home: int, n: int) -> int:
+    """Pairs the search's buffer starts with for ``n`` rows, ``n_home``
+    of them home."""
+    return PAIRS_PER_HOME_ROW * n_home + PAIRS_PER_HALO_ROW * (n - n_home)
+
+
 def build_split(ws) -> dict:
     """The rank-local pair search over a
     :class:`~repro.par.phases.RankWorkspace`: the keyword dict for
     :class:`~repro.par.phases.SplitPairs` (the local/non-local outer
-    lists, per-pulse offsets, stats)."""
-    cfg = ws.cfg
-    pos = np.asarray(ws.pos, dtype=np.float64)
-    r_list = cfg.r_comm
-    periodic = cfg.periodic
-    box = np.asarray(cfg.box, dtype=np.float64)
-    budget = BuildBudget()
-    # The rank-local grid pins the home+halo extent the cluster
-    # layouts cover; clusters are binned over the same bounds.
-    grid = CellGrid.for_rank(pos, box, periodic, r_list)
-    nh = ws.ns.n_home
-    n = pos.shape[0]
-    stride = np.int64(n + 1)
+    lists, per-pulse offsets, stats).
 
-    # Home and halo atoms get separate cluster layouts over rows
-    # [0, nh) and [nh, n): home-home tiles are then exactly the local
-    # (overlap-eligible) work and the two halo-touching groups the
-    # non-local work, so the local/non-local split is a property of
-    # the layout rather than a post-hoc filter.
-    home = build_clusters(pos[:nh], grid.lo, grid.hi, CLUSTER_M, n_total=n)
-    halo = build_clusters(
-        pos[nh:], grid.lo, grid.hi, CLUSTER_M, index_offset=nh, n_total=n
-    )
-    budget.note_cells(home.nbytes + halo.nbytes)
-
+    Two C calls: ``ps_rank_search`` searches and reports the list
+    lengths, ``ps_rank_fill`` sorts into arrays allocated here at exact
+    size and frees what the first one held.
+    """
+    cfg, ns = ws.cfg, ws.ns
+    pos = np.ascontiguousarray(ws.pos, dtype=np.float64)
+    box = np.ascontiguousarray(cfg.box, dtype=np.float64)
+    r_list = float(cfg.r_comm)
+    wrap = sum(1 << d for d in range(3) if cfg.periodic[d])
+    # Minimum image needs a periodic extent of at least twice the radius.
+    if any(wrap >> d & 1 and box[d] < 2.0 * r_list for d in range(3)):
+        raise ValueError(
+            f"periodic extent {box} must be >= 2*cutoff={2 * r_list} "
+            f"along periodic dimensions"
+        )
+    n, nh = len(pos), ns.n_home
     # Eighth-shell zone rule as a bit test: bit d set = nonzero zone
     # shift along dim d; a pair is ours iff the bit sets are disjoint.
-    # Home bits are zero, so only halo-halo tiles need it — and most
-    # fail it whole: a bit all atoms of both clusters carry.
-    zs = ws.ns.zone_shift
-    nzbits = (
-        ((zs != 0) * np.array([1, 2, 4], dtype=np.uint8)).sum(axis=1)
-    ).astype(np.uint8)
-
-    flat = []
-    for a, b in ((home, home), (home, halo), (halo, halo)):
-        key = cluster_pairs(
-            pos, a, b, r_list, box, periodic, budget,
-            zone_bits=nzbits if a is halo else None,
+    bits = ((ns.zone_shift != 0) * _ZONE_BITS).sum(axis=1).astype(np.uint8)
+    src = None if ns.src_pulse is None else np.ascontiguousarray(ns.src_pulse, np.int32)
+    if (pos.shape != (n, 3) or bits.shape != (n,) or not 0 <= nh <= n
+            or src is not None and src.shape != (n,)):
+        raise ValueError(
+            f"positions, zone shifts and src_pulse must cover all {n} rows, "
+            f"{nh} of them home"
         )
-        if a is b is home:
-            # Canonical order for all that leaves the build: the
-            # evaluator sums in list order, never the search's, and the
-            # step pins fix that order.
-            key.sort()
-        flat.append(_split_key(key, stride))
-
-    hh, hx, xx = flat
-    return _split_pairs(
-        ws, budget, hh,
-        (np.concatenate([hx[0], xx[0]]), np.concatenate([hx[1], xx[1]])),
+    lib, addr = native.library(), native.address
+    counts = np.zeros(6, np.int64)
+    search = ctypes.c_void_p()
+    status = lib.ps_rank_search(
+        addr(pos), n, nh, addr(box), wrap, r_list, addr(bits),
+        None if src is None else addr(src), ns.n_pulses, _capacity(nh, n),
+        addr(counts), ctypes.byref(search),
     )
-
-
-def _split_pairs(ws, budget: BuildBudget, local, nonlocal_):
-    """The :class:`~repro.par.phases.SplitPairs` keywords of one search:
-    the outer lists, stored as ``int32``.
-
-    ``local`` is ``(i, j)`` in canonical order, ``nonlocal_`` in any
-    order (the per-pulse partition sorts it).
-    """
-    nh = ws.ns.n_home
-    n = ws.pos.shape[0]
-    ni, nj, pulse_offsets = _pulse_partition(ws, *nonlocal_)
-    local = DualList(*(a.astype(np.int32) for a in local), rows=nh)
-    nl = DualList(ni.astype(np.int32), nj.astype(np.int32), rows=n)
+    if status:
+        raise _ERRORS[status]()
+    n_local, n_nonlocal, candidates, tiles, cells_bytes, peak_bytes = counts.tolist()
+    out = None
+    try:
+        out = (
+            *np.empty((2, n_local), np.int32), *np.empty((2, n_nonlocal), np.int32),
+            np.empty(max(ns.n_pulses, 1) + 1, np.int64),
+        )
+    finally:  # the C side frees its buffers on every path
+        args = (None,) * 5 if out is None else map(addr, out)
+        status = lib.ps_rank_fill(search, *args)
+    if status:
+        raise _ERRORS[status]()
+    li, lj, ni, nj, pulse_offsets = out
+    local = DualList(li, lj, rows=nh)
+    nl = DualList(ni, nj, rows=n)
+    pairlist_bytes = local.nbytes + nl.nbytes
     return dict(
         local=local,
         nonlocal_=nl,
         pulse_offsets=pulse_offsets,
         stats={
-            "n_local": local.n_pairs,
-            "n_nonlocal": nl.n_pairs,
+            "n_local": n_local,
+            "n_nonlocal": n_nonlocal,
             "pulse_pairs": np.diff(pulse_offsets).tolist(),
-            "n_candidates": budget.candidates,
-            "n_tiles": budget.tiles,
-            **_memory_stats(ws, budget, local.nbytes + nl.nbytes),
+            "n_candidates": candidates,
+            "n_tiles": tiles,
+            # Per-rank build memory, carried home in the stats dict (the
+            # only thing that crosses the executor boundary after a
+            # search): the C pass's cluster layouts and the peak of its
+            # other buffers, plus the outer lists; the ``pairs`` phase
+            # adds the inner blocks it prunes from them.
+            "pairlist_bytes": pairlist_bytes,
+            "cells_bytes": cells_bytes,
+            "build_peak_bytes": peak_bytes + cells_bytes + pairlist_bytes,
         },
     )
 
 
-def _split_key(key: np.ndarray, stride: np.int64):
-    """``(hi, lo)`` of a fused key ``hi * stride + lo``."""
-    hi = key // stride
-    return hi, key - hi * stride
-
-
-def _memory_stats(ws, budget: BuildBudget, pairlist_bytes: int) -> dict:
-    """Per-rank build-memory accounting carried home in the stats dict.
-
-    The stats dict is the only thing that crosses the executor boundary
-    after a pair search, so this is how worker-process builds report
-    memory back to the engine (which folds it into ``md.*`` gauges).
-    ``build_peak_bytes`` is the largest transient working set plus the
-    standing structures — the number the per-atom budget in CI is
-    asserted on.  Both count the outer lists here; the ``pairs`` phase
-    adds the inner blocks it prunes from them.
-    """
-    return {
-        "pairlist_bytes": int(pairlist_bytes),
-        "cells_bytes": int(budget.cells_bytes),
-        "build_peak_bytes": int(
-            budget.peak_bytes + budget.cells_bytes + pairlist_bytes
-        ),
-    }
-
-
-def _pulse_partition(ws, ni: np.ndarray, nj: np.ndarray):
-    """Per-pulse partition of a non-local pair list.
-
-    A non-local pair is computable once the latest pulse that delivered
-    either atom has arrived (``src_pulse`` is -1 for home atoms, so
-    ``max`` picks the halo dependency).  Returns ``(ni, nj,
-    pulse_offsets)`` sorted by ``(req, i, j)`` — the paper's
-    ``depOffset`` dependency partition.
-    """
-    sp = ws.ns.src_pulse
-    n_pulses = ws.ns.n_pulses
-    if sp is not None and ni.size:
-        req = np.maximum(sp[ni], sp[nj]).astype(np.int64)
-    else:
-        req = np.zeros(ni.size, dtype=np.int64)
-    # One sort of the fused (req, i, j) key, decoded afterwards: (i, j)
-    # pairs are unique, so this is the three-pass lexsort's order.
-    stride = np.int64(ws.pos.shape[0] + 1)
-    key = (req * stride + ni) * stride + nj
-    key.sort()
-    req, key = _split_key(key, stride * stride)
-    ni, nj = _split_key(key, stride)
-    pulse_offsets = np.searchsorted(req, np.arange(max(n_pulses, 1) + 1))
-    return ni, nj, pulse_offsets
+#: What a failed rank search raises, by the C status.
+_ERRORS = {
+    -1: lambda: ValueError("pair search: a position is not finite"),
+    -2: lambda: ValueError("pair search: a src_pulse lies outside [-1, n_pulses)"),
+    -3: MemoryError,
+}

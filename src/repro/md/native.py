@@ -1,7 +1,7 @@
 """Build, cache and load the MD kernel's compiled code.
 
 ``nonbonded.c`` (the non-bonded evaluator and the leap-frog) and
-``pairsearch.c`` (the cluster search, the drift guard and the re-prune),
+``pairsearch.c`` (the rank search, the drift guard and the re-prune),
 next to this file, are compiled into one library with the host's C
 compiler the first time a simulator is made, into the per-user cache
 directory, and loaded with :mod:`ctypes`.  The cache key hashes both sources, the flags, the
@@ -152,30 +152,6 @@ def build(directory: Path | None = None) -> Path:
     return lib
 
 
-class Layout(ctypes.Structure):
-    """``struct layout`` of ``pairsearch.c``: a cluster layout's arrays."""
-
-    _fields_ = [
-        ("n", ctypes.c_int64),
-        *((name, ctypes.c_void_p)
-          for name in ("x", "atoms", "center", "half", "col", "bits", "cut")),
-    ]
-
-
-class Windows(ctypes.Structure):
-    """``struct windows`` of ``pairsearch.c``: a search's column windows,
-    z queries and keys."""
-
-    _fields_ = [
-        *((name, ctypes.c_int64) for name in ("nix", "niy", "niz")),
-        *((name, ctypes.c_void_p)
-          for name in ("x0", "xn", "y0", "yn", "qlo", "qhi", "key_hi", "key_lo",
-                       "band")),
-        ("b_ny", ctypes.c_int64),
-        ("zband", ctypes.c_double),
-    ]
-
-
 def address(a) -> int:
     """Data address of an array, for a C call: through a one-byte
     :mod:`ctypes` view of its buffer (≈1 µs) when it is writable,
@@ -190,13 +166,17 @@ def load(path: Path) -> ctypes.CDLL:
     """Open a built library and declare its entry points."""
     lib = ctypes.CDLL(str(path))
     p, i64, i32, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32, ctypes.c_double
-    lib.ps_cluster_pairs.restype = None
-    lib.ps_cluster_pairs.argtypes = [
-        ctypes.POINTER(Layout), ctypes.POINTER(Layout), ctypes.POINTER(Windows),
-        p, i32, i32,       # box (3), minimum-image bit per dimension, same
-        f64, f64, i64,     # box-test limit², r_list², key stride
-        i64,               # every how many a clusters
-        p, i64, p,         # key buffer (NULL: count only), its capacity, state (4)
+    lib.ps_rank_search.restype = i32
+    lib.ps_rank_search.argtypes = [
+        p, i64, i64,       # rows (n, 3) float64, n, home rows
+        p, i32, f64,       # box (3), minimum-image bit per dimension, r_list
+        p, p, i64,         # zone bits (uint8), pulse per row (int32) or NULL, pulses
+        i64, p,            # pairs the buffer starts with, counts (6)
+        ctypes.POINTER(p), # the search, for ps_rank_fill
+    ]
+    lib.ps_rank_fill.restype = i32
+    lib.ps_rank_fill.argtypes = [
+        p, p, p, p, p, p,  # the search, local i, j, non-local i, j (int32), offsets
     ]
     for fn in (lib.ps_drifted_f64, lib.ps_drifted_f32):
         fn.restype = ctypes.c_bool

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from repro.md.cells import CellGrid, CellList, periodic_cell_list
+from repro.md.cells import CellList, periodic_cell_list
+from tests.oracles import CellGrid
 
 
 def brute_force_pairs(positions, cutoff, box=None, periodic=None):

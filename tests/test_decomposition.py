@@ -1,5 +1,7 @@
 """Spatial domains and home-atom assignment."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,23 @@ class TestAssignment:
         b = dd.bounds_of_rank(owner)
         wrapped = np.mod(pos, 4.0)
         assert b.contains(wrapped)[0]
+
+    @pytest.mark.parametrize("edges", [None, [0.0, 1.5, 4.0]])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_position_is_refused_by_name(self, dd, edges, bad):
+        """Uniform cells and DLB edges alike: one ValueError naming the
+        first non-finite atom, no cast warning and no home for it."""
+        if edges is not None:
+            dd.set_boundaries(0, np.array(edges))
+        pos = np.random.default_rng(3).random((50, 3)) * 4.0
+        pos[17, 1] = bad
+        pos[31, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^atom 17 has a non-finite position"):
+                dd.assign_atoms(pos)
+            with pytest.raises(ValueError, match="atom 17"):
+                dd.home_indices(pos)
 
     def test_boundary_atom_goes_to_upper_domain(self, dd):
         pos = np.array([[2.0, 0.0, 0.0]])  # exactly on the x midplane

@@ -30,19 +30,17 @@ import pytest
 
 from repro.chaos import chaos_spec, run_campaign
 from repro.dd import DDGrid, DDSimulator
-from repro.md import cells, kernels, make_grappa_system, nonbonded
-from repro.md.cells import (
-    build_clusters,
-    cluster_pair_candidates,
-    cluster_tile_pairs,
-    periodic_cell_list,
-)
+from repro.md import kernels, make_grappa_system, nonbonded
+from repro.md.cells import periodic_cell_list
 from repro.md.integrator import LeapFrogIntegrator
 from repro.md.kernels import KERNEL_DTYPES
 from repro.md.nonbonded import PairBlock, block_forces, pair_forces
 from repro.md.reference import ReferenceSimulator
+from repro.par import phases
 from repro.par.phases import RankConfig
 from repro.spec import SimulationSpec
+from tests import oracles
+from tests.oracles import build_clusters, cluster_pair_candidates, cluster_tile_pairs
 
 #: The values ``DDSimulator.kernel`` accepts: the one search's name, kept
 #: for the frozen benchmark's callers; goes with the keyword (ROADMAP
@@ -400,12 +398,15 @@ class TestPairListIdentity:
 
     def test_cluster_zone_cut_only_removes_dead_tiles(self, system, ff, monkeypatch):
         """With the cluster-level cut off the per-atom test alone decides:
-        same lists from more tiles."""
+        same lists from more tiles.  The compiled search always cuts, so
+        the uncut lists come from its NumPy oracle with the cut patched
+        out."""
         cut = _rank_pairs(system, ff, (2, 2, 2))
         monkeypatch.setattr(
-            cells, "_cluster_zone_bits",
+            oracles, "_cluster_zone_bits",
             lambda layout, nzbits: np.zeros(layout.n_clusters, dtype=np.uint8),
         )
+        monkeypatch.setattr(phases, "build_split", oracles.build_split)
         uncut = _rank_pairs(system, ff, (2, 2, 2))
         for with_cut, without in zip(cut, uncut):
             for got, want in zip(_pair_arrays(with_cut), _pair_arrays(without)):

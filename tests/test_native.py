@@ -6,10 +6,11 @@ case must give the same bytes: forces (signed zeros and NaN payloads
 included), ``e_lj``, ``e_coul``, and on an overlap the same error with
 the same partial ``out_forces``.
 
-``repro.md.cells.cluster_pairs`` runs ``pairsearch.c``; the NumPy stages
-it was written from — ``cluster_pair_candidates``, the halo cluster cut
-and ``cluster_tile_pairs`` — are its oracles.  A drawn search must give
-the same sorted pair keys and the same candidate and tile counts.
+``repro.md.kernels.build_split`` runs one rank's whole cluster-pair
+search in ``pairsearch.c``, two C calls per rank; the ``build_split``
+composition of ``tests/oracles.py`` — the NumPy it replaced — is its
+oracle.  A drawn rank must give the same bytes: both outer lists
+(``int32``), the pulse offsets, and the candidate and tile counts.
 
 The rank passes of a DD step run compiled code too: the drift guard
 (``nonbonded.drift_guard``) and the re-prune (``PairBlock.pruned``) in
@@ -34,20 +35,14 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.dd import DDSimulator
-from repro.md import cells, integrator, make_grappa_system, native, nonbonded
-from repro.md.cells import (
-    BuildBudget,
-    build_clusters,
-    cluster_pair_candidates,
-    cluster_pairs,
-    cluster_tile_pairs,
-)
+from repro.dd import DDSimulator, DDGrid
+from repro.md import integrator, kernels, make_grappa_system, native, nonbonded
 from repro.md.forcefield import default_forcefield
 from repro.md.integrator import LeapFrogIntegrator, kinetic_energy
 from repro.md.nonbonded import (
@@ -58,6 +53,7 @@ from repro.md.nonbonded import (
     within_radius,
 )
 from repro.par import phases
+from tests import oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -231,44 +227,53 @@ class TestAddress:
             assert native.address(a) == a.ctypes.data
 
 
-# -- the compiled search and prune against their NumPy oracles -----------------
+# -- the compiled rank search against its NumPy oracle --------------------------
 
 
-def _oracle_search(pos, a, b, r_list, box, periodic, zone_bits):
-    """Sorted keys, candidates and tiles of the NumPy stages composed as
-    ``build_split`` composed them: candidates, the cluster zone cut, tiles."""
-    same = a is b
-    budget = BuildBudget()
-    ci, cj = cluster_pair_candidates(a, b, r_list, box, periodic, same, budget=budget)
-    if zone_bits is not None:
-        cut_a = cells._cluster_zone_bits(a, zone_bits)
-        cut_b = cells._cluster_zone_bits(b, zone_bits)
-        keep = (cut_a[ci] & cut_b[cj]) == 0
-        ci, cj = ci[keep], cj[keep]
-    pi, pj = cluster_tile_pairs(
-        pos, a, b, ci, cj, r_list, box, periodic, same, zone_bits=zone_bits,
+def _rank(pos, n_home, box, periodic, r_list, zone_shift, src_pulse, n_pulses):
+    """What ``build_split`` reads of a rank workspace."""
+    return SimpleNamespace(
+        pos=pos,
+        cfg=SimpleNamespace(box=box, periodic=periodic, r_comm=r_list),
+        ns=phases.RankNsData(
+            rank=0, n_home=n_home, zone_shift=zone_shift, src_pulse=src_pulse,
+            n_pulses=n_pulses,
+        ),
     )
-    stride = a.n_total + 1
-    keys = np.sort(np.minimum(pi, pj) * stride + np.maximum(pi, pj))
-    return keys, budget.candidates, int(ci.size)
+
+
+def _search_bytes(split):
+    """Everything the oracle fixes of a search, as bytes and counts."""
+    return (
+        *(np.asarray(a).dtype.str + ":" + np.asarray(a).tobytes().hex() for a in (
+            split["local"].i, split["local"].j, split["nonlocal_"].i,
+            split["nonlocal_"].j, split["pulse_offsets"],
+        )),
+        split["local"].rows, split["nonlocal_"].rows,
+        *(split["stats"][k] for k in ("n_local", "n_nonlocal", "pulse_pairs",
+                                      "n_candidates", "n_tiles")),
+    )
 
 
 @st.composite
-def searches(draw):
-    """Home and halo layouts as a rank builds them: every periodic mask,
-    boxes down to 1.2 r_list (window images overlap), empty layouts,
-    padding slots, grids that do not cover the atoms, zone bits on any
-    layout pair, output buffers a few keys long, and atoms on a lattice
-    of r_list / 2 whose neighbours sit exactly r_list apart."""
+def ranks(draw):
+    """One rank as ``build_split`` sees it: home rows in the box and halo
+    rows beyond it along the open (decomposed) dimensions, every periodic
+    mask, boxes down to 1.2 r_list (window images overlap; a periodic
+    side under 2 r_list is refused), empty home or empty halo, atoms on a
+    lattice of r_list / 2 whose neighbours sit exactly r_list apart, zone
+    shifts on any row, ``src_pulse`` over 1-3 pulses or none, and a
+    search buffer that starts from 0 to 40 pairs long."""
     r_list = 0.5
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     periodic = np.array(draw(st.tuples(*[st.booleans()] * 3)))
     box = np.array(draw(st.tuples(*[st.floats(0.6, 2.4)] * 3)))
     n_home, n_halo = draw(st.integers(0, 160)), draw(st.integers(0, 120))
+    assume(n_home + n_halo > 0)
     reach = np.where(periodic, 0.0, r_list)
     if draw(st.booleans()):
         home = rng.random((n_home, 3)) * box
-        halo = rng.random((n_halo, 3)) * (box + reach)
+        halo = rng.random((n_halo, 3)) * (box + 2 * reach) - reach
     else:
         sites = np.stack(np.meshgrid(
             *(np.arange(0.0, top, r_list / 2) for top in box + reach), indexing="ij",
@@ -277,69 +282,89 @@ def searches(draw):
         home = rng.permutation(sites[inside])[:n_home]
         halo = rng.permutation(sites[~inside] if rng.random() < 0.5 else sites)[:n_halo]
         n_home, n_halo = len(home), len(halo)
+        assume(n_home + n_halo > 0)
     n = n_home + n_halo
-    tight_grid = draw(st.booleans())
-    lo = np.zeros(3)
-    hi = np.where(periodic | ~tight_grid, box + reach, 0.5 * box)
-    lay_home = build_clusters(home, lo, hi, 4, n_total=n)
-    lay_halo = build_clusters(halo, lo, hi, 4, index_offset=n_home, n_total=n)
-    group = draw(st.sampled_from(["home-home", "home-halo", "halo-halo"]))
-    a, b = {
-        "home-home": (lay_home, lay_home), "home-halo": (lay_home, lay_halo),
-        "halo-halo": (lay_halo, lay_halo),
-    }[group]
-    bits = rng.integers(0, 8, n).astype(np.uint8) if draw(st.booleans()) else None
+    zone_shift = rng.integers(0, 2, (n, 3)) * (rng.random((n, 1)) < 0.7)
+    n_pulses = draw(st.sampled_from([0, 1, 2, 3]))
+    src_pulse = None
+    if n_pulses:
+        src_pulse = np.concatenate([
+            np.full(n_home, -1), rng.integers(0, n_pulses, n_halo),
+        ]).astype(draw(st.sampled_from([np.int32, np.int64])))
     return dict(
-        pos=np.vstack([home, halo]), a=a, b=b, r_list=r_list, box=box,
-        periodic=periodic, zone_bits=bits,
+        ws=_rank(np.vstack([home, halo]), n_home, box, periodic, r_list,
+                 zone_shift, src_pulse, n_pulses),
         capacity=draw(st.one_of(st.none(), st.integers(0, 40))),
     )
 
 
 class TestSearchOracle:
-    @given(case=searches())
-    @settings(max_examples=300, deadline=None)
+    @given(case=ranks())
+    @settings(max_examples=400, deadline=None)
     def test_same_pairs_and_counts_as_the_numpy_stages(self, case):
-        want = _oracle_search(
-            case["pos"], case["a"], case["b"], case["r_list"], case["box"],
-            case["periodic"], case["zone_bits"],
-        )
-        budget = BuildBudget()
+        """The whole rank search: the C pass and the oracle composition
+        give the same bytes, or both refuse the grid."""
+        ws = case["ws"]
+        try:
+            want = _search_bytes(oracles.build_split(ws))
+        except ValueError as err:
+            assert "periodic extent" in str(err)
+            with pytest.raises(ValueError, match="periodic extent"):
+                kernels.build_split(ws)
+            return
         with pytest.MonkeyPatch.context() as mp:
             if case["capacity"] is not None:
-                mp.setattr(cells, "_initial_capacity", lambda *_: case["capacity"])
-            keys = cluster_pairs(
-                case["pos"], case["a"], case["b"], case["r_list"], case["box"],
-                case["periodic"], budget, zone_bits=case["zone_bits"],
-            )
-        assert keys.dtype == np.int64
-        assert np.array_equal(np.sort(keys), want[0])
-        assert (budget.candidates, budget.tiles) == want[1:]
+                mp.setattr(kernels, "_capacity", lambda *_: case["capacity"])
+            got = _search_bytes(kernels.build_split(ws))
+        assert got == want
 
-    def test_a_full_buffer_resumes_at_a_cluster(self, small_system, ff, monkeypatch):
-        """Three keys to start with: the search stops and resumes many
-        times, and gives the keys and counts of one uninterrupted pass."""
-        pos, box = small_system.positions, small_system.box
-        periodic = np.ones(3, dtype=bool)
-        lay = build_clusters(pos, np.zeros(3), box, 4)
-        r_list = ff.cutoff + 0.12
-        whole = BuildBudget()
-        want = np.sort(cluster_pairs(pos, lay, lay, r_list, box, periodic, whole))
-        monkeypatch.setattr(cells, "_initial_capacity", lambda *_: 3)
-        calls = _spy(monkeypatch)
-        parts = BuildBudget()
-        got = np.sort(cluster_pairs(pos, lay, lay, r_list, box, periodic, parts))
-        assert calls.count("ps_cluster_pairs") > 10
-        assert np.array_equal(got, want) and want.size > 0
-        assert (parts.candidates, parts.tiles) == (whole.candidates, whole.tiles)
-        # Every buffer the search held is accounted, the last one included.
-        assert parts.peak_bytes >= 8 * got.size
+    def test_rows_the_search_cannot_bin_are_refused(self):
+        """A non-finite coordinate, a pulse outside [-1, n_pulses) or a
+        short per-row array raises before any pair is searched."""
+        rng = np.random.default_rng(0)
+        pos = rng.random((40, 3)) * 2.0
+        src = np.r_[np.full(30, -1), np.zeros(10, int)]
+        args = (30, np.full(3, 2.0), np.zeros(3, bool), 0.5, np.zeros((40, 3), int))
+        kernels.build_split(_rank(pos, *args, src, 1))
+        for bad in (np.nan, np.inf):
+            rows = pos.copy()
+            rows[35, 2] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                kernels.build_split(_rank(rows, *args, src, 1))
+        with pytest.raises(ValueError, match="src_pulse"):
+            kernels.build_split(_rank(pos, *args, src + 1, 1))
+        with pytest.raises(ValueError, match="cover all 40 rows"):
+            kernels.build_split(_rank(pos, *args, src[:-1], 1))
+
+    def test_a_one_pair_buffer_grows_to_the_same_lists(self, small_system, ff, monkeypatch):
+        """A buffer that starts one pair long grows in C, many times per
+        rank, to the lists and counts of one that never grows; every
+        buffer it held is accounted."""
+        def search():
+            with DDSimulator(
+                small_system.copy(), ff, grid=DDGrid((2, 2, 2)), nstlist=10,
+                buffer=0.12,
+            ) as sim:
+                sim.neighbor_search()
+                return [kernels.build_split(ws) for ws in sim.executor._ws]
+
+        whole = search()
+        monkeypatch.setattr(kernels, "_capacity", lambda *_: 1)
+        grown = search()
+        assert len(whole) == len(grown) == 8
+        for a, b in zip(whole, grown):
+            assert _search_bytes(a) == _search_bytes(b)
+            pairs = b["stats"]["n_local"] + b["stats"]["n_nonlocal"]
+            assert pairs > 0
+            assert b["stats"]["build_peak_bytes"] >= b["stats"]["pairlist_bytes"] + 8 * pairs
 
     def test_build_split_and_prune_reach_the_compiled_search(self, tiny_system, ff, monkeypatch):
-        """An engine's search and prune run pairsearch.c, and only it."""
+        """An engine's search and prune run pairsearch.c, and only it: the
+        NumPy oracles are unreachable."""
         calls = _spy(monkeypatch)
-        for module, name in ((cells, "cluster_pair_candidates"),
-                             (cells, "cluster_tile_pairs"),
+        for module, name in ((oracles, "build_split"), (oracles, "build_clusters"),
+                             (oracles, "cluster_pair_candidates"),
+                             (oracles, "cluster_tile_pairs"),
                              (nonbonded, "within_radius")):
             monkeypatch.setattr(module, name, None)
         with DDSimulator(
@@ -347,10 +372,26 @@ class TestSearchOracle:
             executor="serial", nstlist=5, buffer=0.12,
         ) as sim:
             sim.step()
-        # Two ranks: three layout pairs and two halves each.
-        assert calls.count("ps_cluster_pairs") >= 6
+        # Two ranks: one search of two calls and two halves each.
+        assert calls.count("ps_rank_search") == 2
+        assert calls.count("ps_rank_fill") == 2
         assert calls.count("ps_prune_count_f64") == 4
         assert calls.count("ps_prune_fill") == 4
+
+    def test_one_search_is_two_search_calls_per_rank(self, small_system, ff, monkeypatch):
+        """One engine search of 8 ranks: at most two calls into the search
+        per rank, whatever their names, and two prune calls per half."""
+        calls = _spy(monkeypatch)
+        with DDSimulator(
+            small_system.copy(), ff, grid=DDGrid((2, 2, 2)), backend="reference",
+            executor="serial", nstlist=10, buffer=0.12,
+        ) as sim:
+            del calls[:]
+            sim.neighbor_search()
+        search = [c for c in calls if not c.startswith(("ps_prune", "ps_drifted", "nb_"))]
+        assert 0 < len(search) <= 2 * 8, search
+        assert calls.count("ps_prune_count_f64") == 2 * 8
+        assert calls.count("ps_prune_fill") == 2 * 8
 
 
 # -- the rank passes against their NumPy oracles --------------------------------
@@ -649,16 +690,20 @@ class TestRankPhases:
 
 
 #: The environment a child interpreter runs this checkout with.
-ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT)])}
 
 
-#: Build into the directory in argv[1], load, and check one block against
-#: the NumPy chain; prints the library's path.
+#: Build into the directory in argv[1], load, and check one block, one
+#: prune and one rank search against their oracles; prints the library's
+#: path.
 _BUILD_AND_CHECK = """
 import sys
+from types import SimpleNamespace
 import numpy as np
-from repro.md import cells, native, nonbonded
+from repro.md import kernels, native, nonbonded
 from repro.md.forcefield import default_forcefield
+from repro.par.phases import RankNsData
+from tests import oracles
 path = native.build(sys.argv[1])
 native._lib = native.load(path)
 ff = default_forcefield(cutoff=0.65)
@@ -678,13 +723,16 @@ pruned = nonbonded.PairBlock.pruned(
 )
 keep = nonbonded.within_radius(pos, i, j, 0.5, box=box)
 assert np.array_equal(pruned.j, j[keep]) and np.array_equal(pruned.i, i[keep])
-lay = cells.build_clusters(pos, np.zeros(3), box, 4)
-periodic = np.ones(3, dtype=bool)
-budget = cells.BuildBudget()
-keys = np.sort(cells.cluster_pairs(pos, lay, lay, 0.5, box, periodic, budget))
-ci, cj = cells.cluster_pair_candidates(lay, lay, 0.5, box, periodic, True)
-pi, pj = cells.cluster_tile_pairs(pos, lay, lay, ci, cj, 0.5, box, periodic, True)
-assert np.array_equal(keys, np.sort(np.minimum(pi, pj) * 201 + np.maximum(pi, pj)))
+rank = SimpleNamespace(
+    pos=pos, cfg=SimpleNamespace(box=box, periodic=np.ones(3, bool), r_comm=0.5),
+    ns=RankNsData(rank=0, n_home=150, zone_shift=np.zeros((200, 3), int),
+                  src_pulse=np.r_[np.full(150, -1), np.zeros(50, int)], n_pulses=1),
+)
+got, want = kernels.build_split(rank), oracles.build_split(rank)
+for half in ("local", "nonlocal_"):
+    assert np.array_equal(got[half].i, want[half].i)
+    assert np.array_equal(got[half].j, want[half].j)
+assert np.array_equal(got["pulse_offsets"], want["pulse_offsets"])
 print(path)
 """
 

@@ -7,21 +7,15 @@ from hypothesis import given, settings, strategies as st
 from repro.dd.decomposition import DomainDecomposition
 from repro.dd.grid import DDGrid
 from repro.dd.halo import build_halo_plan
-from repro.md import cells
-from repro.md.cells import (
-    BuildBudget,
-    CellList,
-    build_clusters,
-    cluster_pair_candidates,
-    cluster_tile_pairs,
-    periodic_cell_list,
-)
+from repro.md.cells import BuildBudget, CellList, periodic_cell_list
 from repro.md.forcefield import default_forcefield
 from repro.md.nonbonded import DualList
 from repro.md.system import minimum_image, wrap_positions
 from repro.par.phases import (
     RankConfig, RankNsData, RankWorkspace, _guard, _prune, pair_search,
 )
+from tests import oracles
+from tests.oracles import build_clusters, cluster_pair_candidates, cluster_tile_pairs
 from tests.test_halo_plan import random_dlb_edges
 
 # -- strategies ---------------------------------------------------------------
@@ -164,7 +158,7 @@ class TestClusterSearchProperties:
     ):
         with pytest.MonkeyPatch.context() as mp:
             for name, value in chunks.items():
-                mp.setattr(cells, name, value)
+                mp.setattr(oracles, name, value)
             self._check(seed, periodic, box, n_home, n_halo, tight_grid)
 
     def _check(self, seed, periodic, box, n_home, n_halo, tight_grid):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.md import ReferenceSimulator, default_forcefield, make_grappa_system
+from repro.md import ReferenceSimulator, default_forcefield, make_grappa_system, native
 
 
 @pytest.fixture()
@@ -48,13 +48,17 @@ class TestLifecycle:
 class TestOracleIndependence:
     def test_kernel_name_never_selects_the_cluster_search(self, monkeypatch):
         """Whatever ``kernel`` names, the oracle builds its list with the
-        flat cell-list search and the trajectory is the same."""
+        flat cell-list search and the trajectory is the same: neither the
+        rank search nor its C entry points run."""
         def forbidden(*args, **kwargs):
             raise AssertionError("the reference simulator ran the cluster search")
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("repro") and hasattr(module, "build_clusters"):
-                monkeypatch.setattr(module, "build_clusters", forbidden)
+            if name.startswith("repro") and hasattr(module, "build_split"):
+                monkeypatch.setattr(module, "build_split", forbidden)
+        lib = native.library()
+        for entry in ("ps_rank_search", "ps_rank_fill"):
+            monkeypatch.setattr(lib, entry, forbidden)
 
         ff = default_forcefield(cutoff=0.65)
         out = {}

@@ -1,14 +1,14 @@
 """Paper-scale decomposition: streamed pair-list builds, memory accounting,
 the lazy per-rank arena, and the 192k-atom memory ceilings.
 
-Two contracts are under test.  The compiled search's output buffer is
-*purely* a memory matter: started a few keys long, it fills, grows and
-resumes at an ``a``-cluster boundary many times per search, and the
-trajectories stay bit-identical (across home/halo boundaries, through
-drift-triggered rebuilds, under both executors).  The NumPy oracles'
-three chunk lengths (``repro.md.cells.CHUNK_*``) bound their working set
-and nothing else.  The accounting gauges make the bounds auditable, and
-the first ``slow``-marked test holds them at paper scale.
+Two contracts are under test.  The compiled rank search's pair buffer is
+*purely* a memory matter: started one pair long, it grows many times per
+search, and the trajectories stay bit-identical (across home/halo
+boundaries, through drift-triggered rebuilds, under both executors).  The
+NumPy oracles' three chunk lengths (``tests.oracles.CHUNK_*``) bound
+their working set and nothing else.  The accounting gauges make the
+bounds auditable, and the first ``slow``-marked test holds them at paper
+scale.
 """
 
 from __future__ import annotations
@@ -20,17 +20,18 @@ import numpy as np
 import pytest
 
 from repro.dd.engine import DDSimulator
-from repro.md import cells, make_grappa_system
-from repro.md.cells import (
-    BuildBudget,
+from repro.md import kernels, make_grappa_system
+from repro.md.cells import BuildBudget
+from repro.md.grappa import resolve_atoms
+from repro.obs.metrics import METRICS
+from repro.spec import SimulationSpec
+from tests import oracles
+from tests.oracles import (
     CellGrid,
     build_clusters,
     cluster_pair_candidates,
     cluster_tile_pairs,
 )
-from repro.md.grappa import resolve_atoms
-from repro.obs.metrics import METRICS
-from repro.spec import SimulationSpec
 from tests.test_kernels import KERNELS
 
 
@@ -48,11 +49,11 @@ TINY_CHUNKS = {"CHUNK_A_CLUSTERS": 1, "CHUNK_CANDIDATES": 7, "CHUNK_TILES": 64}
 
 @pytest.fixture
 def tiny_buffer(monkeypatch):
-    """Run the test body with the compiled search's output buffer
-    starting three keys long (forked process workers inherit it)."""
+    """Run the test body with the compiled search's pair buffer
+    starting one pair long (forked process workers inherit it)."""
 
     def apply():
-        monkeypatch.setattr(cells, "_initial_capacity", lambda *_: 3)
+        monkeypatch.setattr(kernels, "_capacity", lambda *_: 1)
 
     return apply
 
@@ -64,7 +65,7 @@ def tiny_chunks(monkeypatch):
 
     def apply():
         for name, value in TINY_CHUNKS.items():
-            monkeypatch.setattr(cells, name, value)
+            monkeypatch.setattr(oracles, name, value)
 
     return apply
 
@@ -121,7 +122,7 @@ class TestChunkedBuildParity:
         ref = _run(ff, kernel=kernel)
         tiny_buffer()
         assert _run(ff, kernel=kernel) == ref, (
-            f"a three-key search buffer changed the {kernel} trajectory"
+            f"a one-pair search buffer changed the {kernel} trajectory"
         )
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -209,40 +210,6 @@ class TestBuildBudget:
         assert candidates >= tiles > 0
         assert 0.0 < pairs / (tiles * 16) <= 1.0
 
-    def test_sizing_sample_does_not_alias_with_the_columns(self, monkeypatch):
-        """Sixteen columns of exactly sixteen clusters, pair density
-        rising with height: a sample of every 16th ``a`` cluster would
-        count the sparse bottom cluster of each column only.  The sizing
-        pass walks through the heights instead, and the buffer it sizes
-        holds the whole search."""
-        rng = np.random.default_rng(0)
-        n = 16 * 64
-        cx, cy = np.divmod(np.repeat(np.arange(16), 64), 4)
-        box = np.array([2.0, 2.0, 8.0])
-        pos = np.stack([
-            (cx + rng.uniform(0.05, 0.95, n)) * 0.5,
-            (cy + rng.uniform(0.05, 0.95, n)) * 0.5,
-            box[2] * rng.uniform(0.0, 1.0, n) ** (1 / 3),
-        ], axis=1)
-        lay = build_clusters(pos, np.zeros(3), box, 4)
-        assert np.array_equal(np.bincount(lay.col), np.full(16, 16))
-        sized = []
-        capacity = cells._initial_capacity
-        monkeypatch.setattr(
-            cells, "_initial_capacity", lambda *a: sized.append(capacity(*a)) or sized[-1]
-        )
-        keys = cells.cluster_pairs(pos, lay, lay, 0.5, box, np.zeros(3, bool), BuildBudget())
-        # Each pair belongs to the lower of its two clusters' searches.
-        cluster_of = np.empty(n + 1, np.int64)
-        cluster_of[lay.atoms.ravel()] = np.repeat(np.arange(lay.n_clusters), 4)
-        lo, hi = np.divmod(keys, n + 1)
-        per_cluster = np.bincount(
-            np.minimum(cluster_of[lo], cluster_of[hi]), minlength=lay.n_clusters
-        )
-        every_16th = per_cluster[::16].sum() * 16 * 17 // 16 + 16
-        assert every_16th < 0.5 * keys.size
-        assert len(sized) == 1 and keys.size <= sized[0] <= 1.25 * keys.size
-
     def test_chunk_working_set_bounded_by_cap(self, ff, tiny_chunks):
         """The chunk lengths actually bound what the chunked stages
         allocate: the budget's peak of a tiny-chunk build is well under
@@ -263,9 +230,12 @@ def test_192k_16_rank_build_stays_within_the_memory_ceilings():
     scratch is one chunk per worker plus 24 B per atom row of its largest
     block, never 154 B/pair of every list, so the process tree (self +
     reaped workers) stays under 950 MiB.  Measured on the 2-vCPU benchmark
-    host: 3052 B/atom, 610 MiB with the compiled search, whose output
-    buffer counts as a transient (2778 B/atom, 615 MiB with the NumPy
-    stages, measured alongside); 2778 B/atom, 607 MiB with the compiled
+    host: 3094 B/atom, 575 MiB with the whole rank search compiled, every
+    buffer it holds counted (3048 B/atom, 588 MiB with the per-layout-pair
+    search and its NumPy sort, whose sort transients went uncounted,
+    measured alongside); 3052 B/atom, 610 MiB with the compiled
+    search, whose output buffer counts as a transient (2778 B/atom, 615
+    MiB with the NumPy stages, measured alongside); 2778 B/atom, 607 MiB with the compiled
     evaluator (629 MiB with the NumPy chain's 24 B/pair force buffer);
     earlier records: 654 MiB with 40 B/pair inner blocks (3994 B/atom and
     ≈800 MiB at 64 B/pair; 7586 B/atom and 914 MiB while candidates came
@@ -275,9 +245,10 @@ def test_192k_16_rank_build_stays_within_the_memory_ceilings():
     host and keeps ≈1.5x.  ``ru_maxrss`` is a high-water mark of the
     whole pytest process, so this test runs before the 90k-atom one
     below, which alone would lift it to ≈890 MiB (a whole-repo ``-m
-    slow`` session reads 758).  The search's transient is its output
-    buffer, sized by a sampled counting pass, so the ceilings guard the
-    lists, the layouts and that buffer; a buffer that keeps filling is
+    slow`` session reads 758).  The search's transient is its pair
+    buffer, started from the rank's atom counts and grown by a quarter
+    when full, and the sort's histograms, so the ceilings guard the
+    lists, the layouts and that buffer; a buffer that keeps growing is
     exercised by the tier-1 parity tests above.
     """
     spec = SimulationSpec(
